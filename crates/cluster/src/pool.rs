@@ -223,7 +223,15 @@ impl WorkerPool {
 impl Drop for WorkerPool {
     fn drop(&mut self) {
         if let Some(inner) = self.inner.take() {
-            inner.shared.shutdown.store(true, Ordering::Release);
+            // Set the flag under the queue lock: a worker checks it and
+            // enters `Condvar::wait` under that same lock, so it either
+            // sees the flag or is already waiting when the notification
+            // fires. Storing it unlocked loses the wake-up in between, and
+            // the join below then blocks forever.
+            {
+                let _queues = inner.shared.lock();
+                inner.shared.shutdown.store(true, Ordering::Release);
+            }
             inner.shared.available.notify_all();
             // The pool is shared with detached jobs (`submit` closures own
             // an `Arc<WorkerPool>`), so the last drop can happen *on a
@@ -296,6 +304,27 @@ mod tests {
         let jobs: Vec<Box<dyn FnOnce() -> usize + Send>> =
             (0..4usize).map(|i| Box::new(move || i) as Box<dyn FnOnce() -> usize + Send>).collect();
         assert_eq!(pool.run(jobs), vec![0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn drop_never_loses_the_shutdown_wakeup() {
+        // A worker that has checked `shutdown` under the lock and is about
+        // to wait must not miss drop's notification. The window is a few
+        // instructions wide, so it takes thousands of create/submit/drop
+        // cycles to hit; the watchdog turns a hang into a failure.
+        let (done, finished) = std::sync::mpsc::channel();
+        let stress = std::thread::spawn(move || {
+            for _ in 0..20_000 {
+                let pool = WorkerPool::new(3);
+                pool.submit(|| {});
+                drop(pool);
+            }
+            let _ = done.send(());
+        });
+        finished
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("WorkerPool::drop hung joining a worker that missed the shutdown wake-up");
+        stress.join().expect("stress thread");
     }
 
     #[test]

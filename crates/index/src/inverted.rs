@@ -92,16 +92,37 @@ pub fn record_tokens(record: &FileRecord) -> Vec<String> {
     out
 }
 
+/// The maximal alphanumeric runs of `text` — the spans [`tokenize_into`]
+/// lowercases into tokens, one token per run — borrowed, not copied.
+fn alnum_runs(text: &str) -> impl Iterator<Item = &str> + Clone {
+    text.split(|ch: char| !ch.is_alphanumeric()).filter(|run| !run.is_empty())
+}
+
+/// Whether the token [`tokenize_into`] makes of `run` equals `term`,
+/// compared in place: byte-wise for an ASCII run, otherwise through the
+/// same `char::to_lowercase` expansion the tokenizer applies.
+fn run_is_term(run: &str, term: &str) -> bool {
+    if run.is_ascii() {
+        run.len() == term.len()
+            && run.bytes().zip(term.bytes()).all(|(r, t)| r.to_ascii_lowercase() == t)
+    } else {
+        run.chars().flat_map(char::to_lowercase).eq(term.chars())
+    }
+}
+
+/// Whether any token of the record, across every text field, is `term`.
+fn record_has_term(record: &FileRecord, term: &str) -> bool {
+    record_text_fields(record).any(|field| alnum_runs(field).any(|run| run_is_term(run, term)))
+}
+
 /// Whether a record contains every term in `terms` (tokens anywhere).
 pub fn record_contains_all(record: &FileRecord, terms: &[String]) -> bool {
-    let tokens = record_tokens(record);
-    terms.iter().all(|t| tokens.iter().any(|tok| tok == t))
+    terms.iter().all(|term| record_has_term(record, term))
 }
 
 /// Whether a record contains at least one term of `terms`.
 pub fn record_contains_any(record: &FileRecord, terms: &[String]) -> bool {
-    let tokens = record_tokens(record);
-    terms.iter().any(|t| tokens.iter().any(|tok| tok == t))
+    terms.iter().any(|term| record_has_term(record, term))
 }
 
 /// Whether a record contains `terms` as an adjacent token run inside a
@@ -111,17 +132,19 @@ pub fn record_contains_phrase(record: &FileRecord, terms: &[String]) -> bool {
     if terms.is_empty() {
         return true;
     }
-    let mut field_tokens = Vec::new();
-    for field in record_text_fields(record) {
-        field_tokens.clear();
-        tokenize_into(field, &mut field_tokens);
-        if field_tokens.len() >= terms.len()
-            && field_tokens.windows(terms.len()).any(|w| w == terms)
-        {
-            return true;
+    record_text_fields(record).any(|field| {
+        // Slide over the field's runs, matching the phrase from each start.
+        let mut runs = alnum_runs(field);
+        loop {
+            let mut window = runs.clone();
+            if terms.iter().all(|term| window.next().is_some_and(|run| run_is_term(run, term))) {
+                return true;
+            }
+            if runs.next().is_none() {
+                return false;
+            }
         }
-    }
-    false
+    })
 }
 
 /// The BM25 inverse document frequency of a term with document frequency
@@ -199,6 +222,11 @@ impl TermPostings {
     /// The largest tf across all postings of the term.
     pub fn max_tf(&self) -> u32 {
         self.blocks.iter().map(|b| b.max_tf).max().unwrap_or(0)
+    }
+
+    /// How many times the term occurs in `file` (0 when it does not).
+    pub fn tf(&self, file: FileId) -> u32 {
+        self.postings.binary_search_by_key(&file, |p| p.file).map_or(0, |pos| self.postings[pos].tf)
     }
 
     fn insert(&mut self, file: FileId, tf: u32) {
@@ -491,21 +519,18 @@ impl InvertedIndex {
         bm25_idf(self.doc_count(), self.df(term))
     }
 
+    /// A BM25 scorer over `terms`, their postings and idf resolved once.
+    pub fn scorer(&self, terms: &[String]) -> Bm25Scorer<'_> {
+        let n = self.doc_count();
+        let terms = terms.iter().map(|t| self.term(t).map(|p| (p, bm25_idf(n, p.df())))).collect();
+        Bm25Scorer { inv: self, avg_doc_len: self.avg_doc_len(), terms }
+    }
+
     /// The full BM25 score of a document for a conjunction/disjunction of
     /// terms — the scalar the executor ranks by. Terms the document lacks
     /// contribute zero.
     pub fn score_doc(&self, file: FileId, terms: &[String]) -> f64 {
-        let avgdl = self.avg_doc_len();
-        let len = self.doc_len(file);
-        let mut score = 0.0;
-        for term in terms {
-            if let Some(postings) = self.terms.get(term) {
-                if let Ok(pos) = postings.postings.binary_search_by_key(&file, |p| p.file) {
-                    score += bm25_score(self.idf(term), postings.postings[pos].tf, len, avgdl);
-                }
-            }
-        }
-        score
+        self.scorer(terms).score(file)
     }
 
     /// A deterministic fingerprint of the postings and df tables — what
@@ -517,6 +542,45 @@ impl InvertedIndex {
             .iter()
             .map(|(t, p)| (t.clone(), p.postings.iter().map(|p| (p.file, p.tf)).collect()))
             .collect()
+    }
+}
+
+/// BM25 over one index for one fixed list of scoring terms: each term's
+/// postings and idf, and the corpus' mean document length, are looked up
+/// when the scorer is built ([`InvertedIndex::scorer`]), so scoring a
+/// document costs one length lookup plus one tf per term. Every BM25 sum
+/// in the system is taken here, in term-list order — which is what keeps
+/// scores bit-identical between the postings merge (tfs read off its
+/// cursors), the full-scan fallback and [`InvertedIndex::score_doc`].
+#[derive(Debug, Clone)]
+pub struct Bm25Scorer<'a> {
+    inv: &'a InvertedIndex,
+    avg_doc_len: f64,
+    /// One entry per scoring term, in order; `None` for unknown terms.
+    terms: Vec<Option<(&'a TermPostings, f64)>>,
+}
+
+impl Bm25Scorer<'_> {
+    /// The document's score, looking every tf up in the postings.
+    pub fn score(&self, file: FileId) -> f64 {
+        self.score_with(file, |_| None)
+    }
+
+    /// The document's score with caller-supplied tfs: `tf_of(i)` is the
+    /// document's tf for the `i`-th scoring term when the caller already
+    /// knows it (a merge cursor standing on the document; 0 = absent), or
+    /// `None` to have it binary-searched in the term's postings.
+    pub fn score_with(&self, file: FileId, mut tf_of: impl FnMut(usize) -> Option<u32>) -> f64 {
+        let len = self.inv.doc_len(file);
+        let mut score = 0.0;
+        for (i, term) in self.terms.iter().enumerate() {
+            let Some((postings, idf)) = term else { continue };
+            let tf = tf_of(i).unwrap_or_else(|| postings.tf(file));
+            if tf > 0 {
+                score += bm25_score(*idf, tf, len, self.avg_doc_len);
+            }
+        }
+        score
     }
 }
 
@@ -674,6 +738,95 @@ mod tests {
         assert!(!record_contains_all(&r, &terms("report missing")));
         assert!(record_contains_any(&r, &terms("missing figures")));
         assert!(!record_contains_any(&r, &terms("missing absent")));
+    }
+
+    #[test]
+    fn in_place_matchers_equal_the_tokenize_definitions() {
+        // The definitions the allocation-free matchers replaced.
+        fn all(r: &FileRecord, terms: &[String]) -> bool {
+            let tokens = record_tokens(r);
+            terms.iter().all(|t| tokens.contains(t))
+        }
+        fn any(r: &FileRecord, terms: &[String]) -> bool {
+            let tokens = record_tokens(r);
+            terms.iter().any(|t| tokens.contains(t))
+        }
+        fn phrase(r: &FileRecord, terms: &[String]) -> bool {
+            terms.is_empty()
+                || record_text_fields(r).any(|field| {
+                    let tokens = tokenize(field);
+                    tokens.len() >= terms.len() && tokens.windows(terms.len()).any(|w| w == terms)
+                })
+        }
+        // Mixed case, digits, non-ASCII, and lowercasings that change the
+        // char count ('İ' → "i̇", two chars) or would under full case
+        // folding ("STRASSE" must not match "straße").
+        let texts = [
+            "İstanbul STRASSE Foo-Bar_2",
+            "straße ǅ x2y ÉCOLE école",
+            "foo bar 2 İ i̇stanbul",
+            "Foo",
+            "",
+            "--__--",
+        ];
+        let records: Vec<FileRecord> = texts
+            .iter()
+            .flat_map(|a| texts.iter().map(move |b| rec(1, &[a], Some(b))))
+            .chain([rec(2, &["annual sales", "report"], None)])
+            .collect();
+        let mut vocabulary: Vec<String> = texts.iter().flat_map(|t| tokenize(t)).collect();
+        // Untokenized spellings: a term is compared verbatim, so these only
+        // match if the tokenizer could have produced them.
+        vocabulary.extend(["Foo", "STRASSE", "İstanbul", "i", "missing", ""].map(String::from));
+        vocabulary.sort();
+        vocabulary.dedup();
+        for r in &records {
+            for a in &vocabulary {
+                for b in &vocabulary {
+                    for terms in [vec![a.clone()], vec![a.clone(), b.clone()]] {
+                        assert_eq!(record_contains_all(r, &terms), all(r, &terms), "{terms:?}");
+                        assert_eq!(record_contains_any(r, &terms), any(r, &terms), "{terms:?}");
+                        assert_eq!(
+                            record_contains_phrase(r, &terms),
+                            phrase(r, &terms),
+                            "{terms:?} in {:?}",
+                            record_text_fields(r).collect::<Vec<_>>()
+                        );
+                    }
+                }
+            }
+        }
+        let r = rec(1, &["İstanbul STRASSE"], Some("Foo-Bar_2"));
+        // 'İ' lowercases to 'i' + U+0307; the mark is not alphanumeric, so
+        // only the tokenizer's own expansion — not re-tokenizing it — yields
+        // the indexed token.
+        let istanbul = "i\u{307}stanbul";
+        assert_eq!(tokenize("İstanbul"), [istanbul]);
+        assert!(record_contains_all(&r, &[istanbul, "strasse", "bar", "2"].map(String::from)));
+        assert!(!record_contains_any(&r, &["straße".into(), "istanbul".into(), "Foo".into()]));
+        assert!(record_contains_phrase(&r, &tokenize("foo bar 2")));
+        assert!(!record_contains_phrase(&r, &tokenize("strasse foo")), "adjacency is per field");
+    }
+
+    #[test]
+    fn scorer_with_cursor_tfs_equals_score_doc_bit_for_bit() {
+        let mut inv = InvertedIndex::new();
+        inv.insert(&rec(1, &["alpha"], Some("alpha beta beta")));
+        inv.insert(&rec(2, &[], Some("beta gamma")));
+        inv.insert(&rec(3, &[], Some("gamma gamma delta")));
+        // An unknown term and a duplicate: both keep their list position.
+        let terms: Vec<String> = tokenize("beta nope alpha gamma beta");
+        let scorer = inv.scorer(&terms);
+        for file in (0..5).map(FileId::new) {
+            let fed = scorer.score_with(file, |i| {
+                // Hand over every other tf, leave the rest to the lookup.
+                (i % 2 == 0).then(|| inv.term(&terms[i]).map_or(0, |p| p.tf(file)))
+            });
+            assert_eq!(fed.to_bits(), inv.score_doc(file, &terms).to_bits());
+            assert_eq!(scorer.score(file).to_bits(), fed.to_bits());
+        }
+        assert!(scorer.score(FileId::new(1)) > 0.0);
+        assert_eq!(scorer.score(FileId::new(4)), 0.0);
     }
 
     #[test]

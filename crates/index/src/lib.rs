@@ -58,8 +58,8 @@ pub use hash::HashIndex;
 pub use inverted::{
     bm25_block_bound, bm25_idf, bm25_score, bm25_term_bound, record_contains_all,
     record_contains_any, record_contains_phrase, record_text_fields, record_tokens, tokenize,
-    tokenize_into, Block, InvertedIndex, Posting, PostingsCursor, TermPostings, BLOCK, BM25_B,
-    BM25_K1,
+    tokenize_into, Block, Bm25Scorer, InvertedIndex, Posting, PostingsCursor, TermPostings, BLOCK,
+    BM25_B, BM25_K1,
 };
 pub use kdtree::{KdTree, RangeIter};
 pub use ops::{FileRecord, IndexOp};

@@ -22,6 +22,7 @@
 //! prune candidates that already fell out of the merged node-wide top-k
 //! ([`SearchStats::bound_pruned`]).
 
+use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet};
 use std::ops::Bound;
 use std::sync::Arc;
@@ -29,7 +30,7 @@ use std::sync::Arc;
 use propeller_index::{
     bm25_block_bound, bm25_idf, bm25_score, bm25_term_bound, record_contains_all,
     record_contains_any, record_contains_phrase, record_tokens, AcgEpoch, AcgIndexGroup,
-    FileRecord, InvertedIndex, PostingsCursor, BLOCK,
+    Bm25Scorer, FileRecord, PostingsCursor, BLOCK,
 };
 use propeller_types::{AcgId, AttrName, FileId, Result, Timestamp, Value};
 
@@ -300,7 +301,7 @@ pub(crate) fn relevance_terms(pred: &Predicate) -> Vec<String> {
 /// of the reference executor). Both sides compute identical scores for
 /// the same corpus: same `N`, `df`, document lengths and operation order.
 enum RelevanceScorer<'a> {
-    Indexed(&'a InvertedIndex),
+    Indexed(Bm25Scorer<'a>),
     Brute { doc_count: usize, avg_doc_len: f64, df: HashMap<String, usize> },
 }
 
@@ -309,7 +310,7 @@ impl<'a> RelevanceScorer<'a> {
     /// one exists, otherwise a brute statistics pass over the records.
     fn of_group(group: &'a AcgEpoch, terms: &[String]) -> Self {
         match group.inverted() {
-            Some(inv) => RelevanceScorer::Indexed(inv),
+            Some(inv) => RelevanceScorer::Indexed(inv.scorer(terms)),
             None => Self::brute(group.records(), terms),
         }
     }
@@ -341,11 +342,11 @@ impl<'a> RelevanceScorer<'a> {
         RelevanceScorer::Brute { doc_count, avg_doc_len, df }
     }
 
-    /// The record's BM25 score over `terms` (matching the inverted path's
-    /// [`InvertedIndex::score_doc`] exactly).
+    /// The record's BM25 score over `terms` (the brute arm matching the
+    /// indexed [`Bm25Scorer`] exactly).
     fn score(&self, record: &FileRecord, terms: &[String]) -> f64 {
         match self {
-            RelevanceScorer::Indexed(inv) => inv.score_doc(record.file, terms),
+            RelevanceScorer::Indexed(scorer) => scorer.score(record.file),
             RelevanceScorer::Brute { doc_count, avg_doc_len, df } => {
                 let tokens = record_tokens(record);
                 let doc_len = tokens.len() as u32;
@@ -419,13 +420,36 @@ struct TermCursor<'a> {
     idf: f64,
     /// `bm25_term_bound(idf)` — the term's score ceiling over any document.
     bound: f64,
+    /// The term's index among the request's scoring terms, when it is one.
+    slot: Option<usize>,
 }
 
 /// Executes an [`AccessPath::Postings`] plan: a document-at-a-time merge
 /// of the inverted index's postings lists for `terms` — conjunctive
 /// (`All`; `Phrase` adjacency stays in the post-filter) or disjunctive
-/// (`Any`) — streaming survivors through the exact predicate, the cursor,
-/// the optional node-global bound and the bounded top-k accumulator.
+/// (`Any`) — streaming survivors through the residual predicate, the
+/// cursor, the optional node-global bound and the bounded top-k
+/// accumulator.
+///
+/// **Per-candidate kernel.** A merged document is scored from the cursors
+/// standing on it: one [`Bm25Scorer`] per call holds every scoring term's
+/// postings and idf, the merge hands it the tf under each aligned cursor,
+/// and only scoring terms outside the merge are binary-searched. A ranked
+/// candidate whose `(score, file)` does not beat [`TopK::floor`] is dropped
+/// there, before its record is even fetched.
+///
+/// **Residual rule.** The record is checked against the request's
+/// conjuncts *minus* the ones the merge already proved: under a conjunctive
+/// merge every `Contains{All}` conjunct whose terms are all merge terms,
+/// under a disjunctive merge the `Contains{Any}` conjunct whose terms are
+/// the merge terms. Skipping them is sound because a file has a posting
+/// under a term exactly when [`record_tokens`] of its record contains that
+/// term — the index and the record matchers both tokenize with
+/// `tokenize_into`, and the epoch's postings are built from the epoch's
+/// records — so an aligned conjunctive candidate contains every merge term
+/// and a disjunctive candidate at least one. `Phrase` conjuncts (adjacency
+/// is not in the postings), any other `Contains` and every non-content
+/// conjunct stay in the residual.
 ///
 /// Under a relevance sort with a limit, the merge prunes with WAND-style
 /// max-score bounds: once the top-k heap is full, its worst retained score
@@ -441,6 +465,12 @@ struct TermCursor<'a> {
 ///
 /// Pruning never changes results: a pruned document's best possible score
 /// ranks strictly below `limit` already-retained hits.
+///
+/// Kept out of line: [`execute_classic`] is its only caller, and inlined
+/// there this body shares a frame and a register allocation with the
+/// attribute scans' candidate loops (`attr_topk`'s hash-eq template ran
+/// 15 % slower with it inlined).
+#[inline(never)]
 fn execute_postings(
     group: &AcgEpoch,
     request: &SearchRequest,
@@ -469,6 +499,10 @@ fn execute_postings(
         return execute_classic(group, request, Plan { path: AccessPath::FullScan }, cutoff);
     };
 
+    let relevance = request.sort == SortKey::Relevance;
+    let scoring_terms = relevance_terms(&request.predicate);
+    let scorer = inv.scorer(&scoring_terms);
+
     // Unique merge terms; a conjunctive merge with any unknown term has an
     // empty intersection, a disjunctive one just drops it.
     let mut unique: Vec<&String> = Vec::with_capacity(terms.len());
@@ -487,6 +521,7 @@ fn execute_postings(
                     cursor: PostingsCursor::new(postings),
                     idf,
                     bound: bm25_term_bound(idf),
+                    slot: scoring_terms.iter().position(|t| t == *term),
                 });
             }
             None if conjunctive => return (Vec::new(), stats_for(0, 0, 0, 0)),
@@ -502,19 +537,31 @@ fn execute_postings(
         cursors.sort_by_key(|t| t.cursor.remaining());
     }
 
-    let relevance = request.sort == SortKey::Relevance;
-    let scoring_terms = relevance_terms(&request.predicate);
     // The WAND bounds only cover the merged terms. If the request scores
     // extra terms (a second contains under an OR, say), a document's true
     // score can exceed the merge's bound and pruning would be unsound —
-    // so the bound is only armed when the two term sets coincide.
-    let bounds_sound = relevance && request.limit.is_some() && {
-        let mut a: Vec<&String> = unique.clone();
-        let mut b: Vec<&String> = scoring_terms.iter().collect();
-        a.sort();
-        b.sort();
-        a == b
-    };
+    // so the bound is only armed when the two (duplicate-free) term sets
+    // coincide.
+    let bounds_sound = relevance
+        && request.limit.is_some()
+        && unique.len() == scoring_terms.len()
+        && unique.iter().all(|t| scoring_terms.contains(t));
+
+    // The conjuncts the merge does not prove (see the residual rule above).
+    let residual: Vec<&Predicate> = request
+        .predicate
+        .conjuncts()
+        .into_iter()
+        .filter(|conjunct| match conjunct {
+            Predicate::Contains { terms: ts, mode: ContainsMode::All } if conjunctive => {
+                !ts.iter().all(|t| unique.contains(&t))
+            }
+            Predicate::Contains { terms: ts, mode: ContainsMode::Any } if !conjunctive => {
+                ts.as_slice() != terms
+            }
+            _ => true,
+        })
+        .collect();
 
     let mut topk = TopK::new(request.sort.clone(), request.limit);
     let mut scanned = 0usize;
@@ -532,17 +579,41 @@ fn execute_postings(
         topk.floor().and_then(|(key, _)| key.and_then(Value::as_f64))
     };
 
-    // Evaluates one merged document: score (or attribute key), exact
-    // predicate, cursor, node bound, offer.
-    let eval = |file: FileId, topk: &mut TopK, scanned: &mut usize| {
-        *scanned += 1;
+    // Per scoring term, what the merge knows of its tf in the document being
+    // evaluated: `Some(0)` until a cursor standing on the document reports
+    // it, `None` for a term outside the merge (the scorer looks it up).
+    let mut fed: Vec<Option<u32>> = vec![None; scoring_terms.len()];
+    for slot in cursors.iter().filter_map(|t| t.slot) {
+        fed[slot] = Some(0);
+    }
+    let mut tfs = fed.clone();
+
+    // Evaluates one merged document: score off the cursors (or attribute
+    // key), local floor, residual predicate, cursor, node bound, offer.
+    // Every list holding the document has its cursor on it — aligned in a
+    // conjunctive merge, and a disjunctive one only jumps postings that can
+    // never be the pivot.
+    let mut eval = |file: FileId, cursors: &[TermCursor<'_>], topk: &mut TopK| {
+        scanned += 1;
+        let score = relevance.then(|| {
+            tfs.copy_from_slice(&fed);
+            for tc in cursors {
+                if let (Some(slot), Some(p)) = (tc.slot, tc.cursor.current()) {
+                    if p.file == file {
+                        tfs[slot] = Some(p.tf);
+                    }
+                }
+            }
+            Value::F64(scorer.score_with(file, |i| tfs[i]))
+        });
+        if let (Some(score), Some((worst_key, worst_file))) = (&score, topk.floor()) {
+            if request.sort.cmp_keys(Some(score), file, worst_key, worst_file) != Ordering::Less {
+                return;
+            }
+        }
         let Some(record) = group.record(file) else { return };
-        let key = if relevance {
-            Some(Value::F64(inv.score_doc(file, &scoring_terms)))
-        } else {
-            request.sort.key_of(record)
-        };
-        if !matches_record(record, &request.predicate) {
+        let key = if relevance { score } else { request.sort.key_of(record) };
+        if !residual.iter().all(|conjunct| matches_record(record, conjunct)) {
             return;
         }
         if let Some(cursor) = &request.cursor {
@@ -607,7 +678,7 @@ fn execute_postings(
                     continue;
                 }
             }
-            eval(candidate, &mut topk, &mut scanned);
+            eval(candidate, &cursors, &mut topk);
             for tc in cursors.iter_mut() {
                 tc.cursor.advance();
             }
@@ -642,7 +713,7 @@ fn execute_postings(
                     let pivot_doc = cursors[pivot].cursor.current().expect("retained above").file;
                     let first_doc = cursors[0].cursor.current().expect("retained above").file;
                     if first_doc == pivot_doc {
-                        eval(pivot_doc, &mut topk, &mut scanned);
+                        eval(pivot_doc, &cursors, &mut topk);
                         for tc in cursors.iter_mut() {
                             if tc.cursor.current().is_some_and(|p| p.file == pivot_doc) {
                                 tc.cursor.advance();
@@ -661,7 +732,7 @@ fn execute_postings(
                     // Plain DAAT-OR: evaluate the smallest current
                     // document, advancing every cursor sitting on it.
                     let doc = cursors[0].cursor.current().expect("retained above").file;
-                    eval(doc, &mut topk, &mut scanned);
+                    eval(doc, &cursors, &mut topk);
                     for tc in cursors.iter_mut() {
                         if tc.cursor.current().is_some_and(|p| p.file == doc) {
                             tc.cursor.advance();
@@ -1111,6 +1182,9 @@ pub fn search_request(
     group.commit(now)?;
     Ok(execute_request(group, request))
 }
+
+#[cfg(test)]
+mod postings_props;
 
 #[cfg(test)]
 mod tests {

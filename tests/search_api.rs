@@ -452,3 +452,75 @@ fn stats_report_access_paths_and_elapsed() {
     let resp = service.search_with(&SearchRequest::parse("keyword:kw", now).unwrap()).unwrap();
     assert_eq!(resp.hits.len(), 100);
 }
+
+#[test]
+fn wand_counters_reach_the_client_through_the_cluster_path() {
+    use propeller::cluster::{Request, Response};
+
+    // Every document holds "common", every 8th also "rare": once ten rare
+    // documents are retained, "common" alone cannot reach the floor and the
+    // disjunctive pivot prunes the rest of its postings. One ACG per node,
+    // so each node runs exactly the execution probed on its own below (ACGs
+    // sharing a node also share a `GlobalCutoff`, and what each prunes then
+    // depends on how the pool interleaves them).
+    let cluster = Cluster::start(ClusterConfig {
+        index_nodes: 2,
+        group_capacity: 1_200,
+        ..Default::default()
+    });
+    let mut client = cluster.client();
+    let records: Vec<FileRecord> = (0..2_400u64)
+        .map(|i| {
+            let mut text = String::from("common");
+            if i % 8 == 0 {
+                text.push_str(" rare");
+            }
+            text.push_str(&" filler".repeat((i % 5) as usize));
+            FileRecord::new(FileId::new(i), InodeAttrs::default()).with_content(text)
+        })
+        .collect();
+    client.index_files(records).unwrap();
+    let now = Timestamp::from_secs(1_000);
+    let request = SearchRequest::parse("contains-any:\"rare common\"", now)
+        .unwrap()
+        .with_limit(10)
+        .sorted_by(SortKey::Relevance);
+
+    // Each ACG executed on its own: pruning depends only on the ACG's own
+    // top-k floor, so these are the counts the fan-out must add up to.
+    let located = match cluster.rpc().call(cluster.master_id(), Request::LocateAcgs) {
+        Ok(Response::Located(rows)) => rows,
+        other => panic!("{other:?}"),
+    };
+    assert_eq!(located.len(), 2, "one ACG per node: {located:?}");
+    let (mut scanned, mut docs_pruned, mut blocks_skipped) = (0, 0, 0);
+    for (acg, replicas) in located {
+        let search = Request::Search {
+            acgs: vec![acg],
+            request: request.clone(),
+            now,
+            ctx: propeller_obs::TraceContext::NONE,
+        };
+        match cluster.rpc().call(replicas[0], search) {
+            Ok(Response::SearchHits { stats, .. }) => {
+                scanned += stats.candidates_scanned;
+                docs_pruned += stats.wand_docs_pruned;
+                blocks_skipped += stats.wand_blocks_skipped;
+            }
+            other => panic!("{other:?}"),
+        }
+    }
+    assert!(docs_pruned > 0 && blocks_skipped > 0, "the corpus must make WAND prune");
+
+    for (path, response) in [
+        ("search_with", client.search_with(&request).unwrap()),
+        ("streamed", client.search_streamed(&request).unwrap()),
+        ("one-shot", client.search_one_shot(&request).unwrap()),
+    ] {
+        assert_eq!(response.hits.len(), 10, "{path}");
+        assert_eq!(response.stats.wand_docs_pruned, docs_pruned, "{path}");
+        assert_eq!(response.stats.wand_blocks_skipped, blocks_skipped, "{path}");
+        assert_eq!(response.stats.candidates_scanned, scanned, "{path}");
+    }
+    cluster.shutdown();
+}
