@@ -27,7 +27,7 @@ use propeller_types::{
 };
 
 use crate::messages::{Request, Response, RouteHints};
-use crate::rpc::Rpc;
+use crate::rpc::{Gather, Rpc};
 
 /// Default bound on a client's route cache (see [`RouteCache`]).
 const ROUTE_CACHE_CAPACITY: usize = 65_536;
@@ -577,45 +577,76 @@ impl FileQueryEngine {
     /// gap is caught up from the primary (frames, or a full seed once the
     /// primary's WAL truncated); an unreachable follower is tolerated —
     /// it re-syncs on revival, and searches fail over around it.
+    ///
+    /// One [`Gather`] on the calling thread carries all of it: every
+    /// primary batch leaves at once, each `BatchLogged` releases that
+    /// batch's follower frames as it arrives, and the call returns once
+    /// every primary and every follower has answered.
     fn dispatch_batches(
         &self,
         by_target: HashMap<(NodeId, AcgId), (Vec<IndexOp>, bool)>,
         ctx: TraceContext,
     ) -> Vec<(Vec<IndexOp>, Error)> {
+        /// A primary batch awaiting its `BatchLogged`. `copy` is the one
+        /// copy of the ops taken: the follower frame's payload, and what a
+        /// cache-routed batch hands back for the stale-route retry.
+        struct Batch {
+            acg: AcgId,
+            followers: Vec<NodeId>,
+            copy: Vec<IndexOp>,
+            cached: bool,
+        }
         let now = self.clock.now();
-        std::thread::scope(|s| {
-            let handles: Vec<_> = by_target
-                .into_iter()
-                .map(|((node, acg), (ops, cached))| {
-                    let rpc = self.rpc.clone();
-                    let followers: Vec<NodeId> = self
-                        .acg_replicas
-                        .get(&acg)
-                        .map(|set| set.iter().copied().filter(|&n| n != node).collect())
-                        .unwrap_or_default();
-                    s.spawn(move || {
-                        let keep = if cached { ops.clone() } else { Vec::new() };
-                        let replicate = if followers.is_empty() { Vec::new() } else { ops.clone() };
-                        let result = rpc.call(node, Request::IndexBatch { acg, ops, now, ctx });
-                        if let Ok(Response::BatchLogged { lsn }) = &result {
-                            for &follower in &followers {
-                                replicate_frame(
-                                    &rpc, node, follower, acg, *lsn, &replicate, now, ctx,
-                                );
-                            }
+        let mut gather = self.rpc.gather();
+        // Slot `i < batches.len()` is batch `i`'s primary; every later slot
+        // is a follower frame of batch `frame_of[slot - batches.len()]`.
+        let mut batches: Vec<Option<Batch>> = by_target
+            .into_iter()
+            .map(|((node, acg), (ops, cached))| {
+                let followers: Vec<NodeId> = self
+                    .acg_replicas
+                    .get(&acg)
+                    .map(|set| set.iter().copied().filter(|&n| n != node).collect())
+                    .unwrap_or_default();
+                let copy = if cached || !followers.is_empty() { ops.clone() } else { Vec::new() };
+                gather.send(node, Request::IndexBatch { acg, ops, now, ctx });
+                Some(Batch { acg, followers, copy, cached })
+            })
+            .collect();
+        let mut frame_of: Vec<(NodeId, AcgId)> = Vec::new();
+        let mut lagging: Vec<(NodeId, NodeId, AcgId, u64)> = Vec::new();
+        let mut failures = Vec::new();
+        while let Some((slot, reply)) = gather.next(None) {
+            let Some(batch) = batches.get_mut(slot).and_then(Option::take) else {
+                // A follower's answer: only a log gap needs acting on.
+                if let Ok(Response::ReplicaLagging { lsn: have }) = reply {
+                    let (primary, acg) = frame_of[slot - batches.len()];
+                    lagging.push((primary, gather.node(slot), acg, have));
+                }
+                continue;
+            };
+            match reply {
+                Ok(Response::BatchLogged { lsn }) => {
+                    let Batch { acg, followers, copy, .. } = batch;
+                    let frame = |ops| Request::ReplicateBatch { acg, lsn, ops, now, ctx };
+                    if let Some((&last, rest)) = followers.split_last() {
+                        for &follower in rest {
+                            gather.send(follower, frame(copy.clone()));
                         }
-                        (keep, result)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .filter_map(|h| {
-                    let (keep, result) = h.join().expect("batch thread");
-                    result.err().map(|e| (keep, e))
-                })
-                .collect()
-        })
+                        gather.send(last, frame(copy));
+                        frame_of.extend(followers.iter().map(|_| (gather.node(slot), acg)));
+                    }
+                }
+                Ok(_) => {}
+                Err(e) => failures.push((if batch.cached { batch.copy } else { Vec::new() }, e)),
+            }
+        }
+        // Catch-up is rare and sequential; it runs after every frame has
+        // been acknowledged so a lagging follower never delays the rest.
+        for (primary, follower, acg, have) in lagging {
+            let _ = sync_replica(&self.rpc, primary, follower, acg, have, now);
+        }
+        failures
     }
 
     /// The search fan-out plan, from the Master: ACGs grouped by their
@@ -719,6 +750,28 @@ impl FileQueryEngine {
         out
     }
 
+    /// Finishes one one-shot attempt: closes its Open span and turns the
+    /// node's reply into the group's hits and stats.
+    fn settle_one_shot(
+        &self,
+        node: NodeId,
+        open: OpenSpan,
+        reply: Result<Response>,
+    ) -> Result<(Vec<Hit>, SearchStats)> {
+        if open.enabled() {
+            let detail = match &reply {
+                Ok(Response::SearchHits { hits, .. }) => format!("{node} hits={}", hits.len()),
+                Ok(_) => format!("{node} unexpected response"),
+                Err(e) => format!("{node} unreachable: {e}"),
+            };
+            self.obs.spans.finish_with(open, self.clock.now(), detail);
+        }
+        match reply? {
+            Response::SearchHits { hits, stats } => Ok((hits, stats)),
+            other => Err(Error::Rpc(format!("unexpected response {other:?}"))),
+        }
+    }
+
     fn run_one_shot_inner(
         &self,
         groups: Vec<(Vec<NodeId>, Vec<AcgId>)>,
@@ -726,63 +779,50 @@ impl FileQueryEngine {
         ctx: TraceContext,
     ) -> Result<SearchResponse> {
         let now = self.clock.now();
-        // Each replica group tries its members in order (primary first):
-        // a dead primary costs one failed call before the follower — which
-        // holds a byte-identical committed view — answers in its stead.
-        type GroupResult = (Vec<AcgId>, usize, Result<(Vec<Hit>, SearchStats)>);
-        let results: Vec<GroupResult> = std::thread::scope(|s| {
-            let handles: Vec<_> = groups
-                .into_iter()
-                .map(|(replicas, acgs)| {
-                    let rpc = self.rpc.clone();
-                    let request = request.clone();
-                    let obs = Arc::clone(&self.obs);
-                    let clock = Arc::clone(&self.clock);
-                    s.spawn(move || {
-                        let mut failovers = 0usize;
-                        let mut last_err = None;
-                        for &node in &replicas {
-                            let open = obs.spans.begin(ctx, SpanKind::Open, clock.now());
-                            let req = Request::Search {
-                                acgs: acgs.clone(),
-                                request: request.clone(),
-                                now,
-                                ctx: open.ctx(),
-                            };
-                            match rpc.call(node, req) {
-                                Ok(Response::SearchHits { hits, stats }) => {
-                                    if open.enabled() {
-                                        let detail = format!("{node} hits={}", hits.len());
-                                        obs.spans.finish_with(open, clock.now(), detail);
-                                    }
-                                    return (acgs, failovers, Ok((hits, stats)));
-                                }
-                                Ok(other) => {
-                                    if open.enabled() {
-                                        let detail = format!("{node} unexpected response");
-                                        obs.spans.finish_with(open, clock.now(), detail);
-                                    }
-                                    last_err =
-                                        Some(Error::Rpc(format!("unexpected response {other:?}")));
-                                }
-                                Err(e) => {
-                                    if open.enabled() {
-                                        let detail = format!("{node} unreachable: {e}");
-                                        obs.spans.finish_with(open, clock.now(), detail);
-                                    }
-                                    last_err = Some(e);
-                                }
-                            }
-                            failovers += 1;
-                        }
-                        let err =
-                            last_err.unwrap_or_else(|| Error::Rpc("empty replica set".to_string()));
-                        (acgs, failovers, Err(err))
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("search thread")).collect()
-        });
+        let search = |acgs: &[AcgId], open: &OpenSpan| Request::Search {
+            acgs: acgs.to_vec(),
+            request: request.clone(),
+            now,
+            ctx: open.ctx(),
+        };
+        // The first replica of every group is asked at once; slot `i` is
+        // group `i`, settled (its Open span finished) as its reply arrives.
+        let mut gather = self.rpc.gather();
+        let mut opens: Vec<Option<OpenSpan>> = groups
+            .iter()
+            .map(|(replicas, acgs)| {
+                let open = self.obs.spans.begin(ctx, SpanKind::Open, self.clock.now());
+                gather.send(replicas[0], search(acgs, &open));
+                Some(open)
+            })
+            .collect();
+        type GroupHits = Result<(Vec<Hit>, SearchStats)>;
+        let mut first: Vec<Option<GroupHits>> = groups.iter().map(|_| None).collect();
+        while let Some((slot, reply)) = gather.next(None) {
+            let open = opens[slot].take().expect("one reply per slot");
+            first[slot] = Some(self.settle_one_shot(gather.node(slot), open, reply));
+        }
+        // Behind that, each replica group tries its remaining members in
+        // order: a dead primary costs one failed call before the follower —
+        // which holds a byte-identical committed view — answers in its stead.
+        let results: Vec<(Vec<AcgId>, usize, GroupHits)> = groups
+            .into_iter()
+            .zip(first)
+            .map(|((replicas, acgs), first)| {
+                let mut result = first.expect("every slot resolves exactly once");
+                let mut failovers = 0usize;
+                for &node in &replicas[1..] {
+                    if result.is_ok() {
+                        break;
+                    }
+                    failovers += 1;
+                    let open = self.obs.spans.begin(ctx, SpanKind::Open, self.clock.now());
+                    let reply = self.rpc.call(node, search(&acgs, &open));
+                    result = self.settle_one_shot(node, open, reply);
+                }
+                (acgs, failovers, result)
+            })
+            .collect();
 
         let mut lists = Vec::new();
         let mut stats = SearchStats::default();
@@ -982,7 +1022,6 @@ impl FileQueryEngine {
                     adaptive_max: self.adaptive_max_page,
                     hedge: self.hedge_budget,
                     now,
-                    opened: false,
                     session: 0,
                     buffer: Vec::new().into_iter(),
                     exhausted: false,
@@ -999,20 +1038,14 @@ impl FileQueryEngine {
             .collect();
         // Open one session per group in parallel; every open ships the
         // first page, so cold groups are already done after this round.
-        std::thread::scope(|s| {
-            for source in &mut sources {
-                s.spawn(move || source.ensure_open());
-            }
-        });
+        open_sources(&mut sources, false);
         if matches!(request.fan_out, FanOutPolicy::RequireAll) {
             if let Some(failed) = sources.iter_mut().find(|s| s.error.is_some()) {
                 let err = failed.error.take().expect("just matched");
                 // Be polite to *every* group that did open before failing
                 // the search, so no suspended session is left to squat a
                 // table slot until LRU eviction.
-                for source in &sources {
-                    source.close_best_effort();
-                }
+                close_sessions(&sources);
                 if root.enabled() {
                     let detail = format!("streamed open failed: {err}");
                     self.obs.spans.finish_with(root, self.clock.now(), detail);
@@ -1166,27 +1199,6 @@ impl FileQueryEngine {
     }
 }
 
-/// Ships one committed WAL frame to a follower replica, catching the
-/// follower up from the primary when it reports a log gap. Best-effort:
-/// an unreachable follower is tolerated (searches fail over around it;
-/// it re-syncs on revival), so nothing is returned.
-#[allow(clippy::too_many_arguments)]
-fn replicate_frame(
-    rpc: &Rpc,
-    primary: NodeId,
-    follower: NodeId,
-    acg: AcgId,
-    lsn: u64,
-    ops: &[IndexOp],
-    now: Timestamp,
-    ctx: TraceContext,
-) {
-    let req = Request::ReplicateBatch { acg, lsn, ops: ops.to_vec(), now, ctx };
-    if let Ok(Response::ReplicaLagging { lsn: have }) = rpc.call(follower, req) {
-        let _ = sync_replica(rpc, primary, follower, acg, have, now);
-    }
-}
-
 /// Brings `target`'s copy of `acg` up to date with `source`'s, shipping
 /// WAL frames after `after_lsn` when the source still retains them and a
 /// full snapshot seed once the source's WAL has been truncated past the
@@ -1272,8 +1284,6 @@ struct NodePageStream {
     /// Latency budget for hedged opens; `None` never hedges.
     hedge: Option<std::time::Duration>,
     now: Timestamp,
-    /// Whether the initial open has been attempted (see `ensure_open`).
-    opened: bool,
     /// The open session on `current` (0 = none: exhausted or never
     /// stored).
     session: u64,
@@ -1298,36 +1308,180 @@ struct NodePageStream {
     clock: Arc<dyn Clock>,
 }
 
-/// A hedge loser still owed a reply: its receiver plus what's needed to
-/// close the session it may open.
-struct LoserSession {
-    rx: crossbeam::channel::Receiver<Response>,
-    rpc: Rpc,
-    node: NodeId,
+/// A source's share of one open fan-out (see [`open_sources`]): the
+/// attempt under way against its `current` replica.
+#[derive(Default)]
+struct Opening {
+    /// The attempt's Open span, and its Hedge child once the tied request
+    /// has fired.
+    open: Option<OpenSpan>,
+    hedge: Option<OpenSpan>,
+    /// When the tied request is due — counted from this attempt's own
+    /// send — while it has not fired.
+    hedge_at: Option<std::time::Instant>,
+    /// The attempt's unanswered requests, as `(gather slot, replica
+    /// slot)`; empty once the source is settled (a page accepted, or no
+    /// live replica left).
+    in_flight: Vec<(usize, usize)>,
 }
 
 /// The process-wide reaper that drains hedge losers and closes their
-/// sessions. One long-lived thread instead of a spawn per hedge: thread
-/// creation would land on the critical path of the winning open, and
+/// sessions: it is handed the open fan-out's [`Gather`] with the losers'
+/// replies still outstanding. One long-lived thread, so a search never
+/// waits for (or creates a thread for) a straggler it already beat;
 /// best-effort cleanup tolerates the queueing.
-fn loser_reaper() -> &'static crossbeam::channel::Sender<LoserSession> {
-    static REAPER: std::sync::OnceLock<crossbeam::channel::Sender<LoserSession>> =
+fn loser_reaper() -> &'static crossbeam::channel::Sender<Gather> {
+    static REAPER: std::sync::OnceLock<crossbeam::channel::Sender<Gather>> =
         std::sync::OnceLock::new();
     REAPER.get_or_init(|| {
-        let (tx, rx) = crossbeam::channel::unbounded::<LoserSession>();
+        let (tx, rx) = crossbeam::channel::unbounded::<Gather>();
         std::thread::spawn(move || {
-            while let Ok(loser) = rx.recv() {
-                if let Ok(Response::SearchPage { session, exhausted, .. }) =
-                    loser.rx.recv_timeout(std::time::Duration::from_secs(31))
-                {
-                    if !exhausted && session != 0 {
-                        let _ = loser.rpc.call(loser.node, Request::CloseSearch { session });
-                    }
+            while let Ok(mut gather) = rx.recv() {
+                while let Some((slot, reply)) = gather.next(None) {
+                    close_loser(&mut gather, slot, reply);
                 }
             }
         });
         tx
     })
+}
+
+/// Closes the session a beaten open attempt turned out to have opened;
+/// the `CloseSearch` leaves through the same gather, and nobody needs its
+/// reply.
+fn close_loser(gather: &mut Gather, slot: usize, reply: Result<Response>) {
+    if let Ok(Response::SearchPage { session, exhausted: false, .. }) = reply {
+        if session != 0 {
+            gather.send(gather.node(slot), Request::CloseSearch { session });
+        }
+    }
+}
+
+/// Opens a session for every source — the initial open of a whole search,
+/// or one source failing over after its replica died mid-stream
+/// (`counts_as_failover`) — on **one** gather driven by the calling
+/// thread. Every source's open leaves at once against the first live
+/// replica at or after its `current`; from then on the loop blocks for
+/// whichever comes first, a reply or the earliest hedge deadline:
+///
+/// * a `SearchPage` settles its source (the first one wins; a later one
+///   from the same source is a hedge loser and is closed);
+/// * a failed attempt marks that replica dead and, once nothing of the
+///   attempt is in flight, moves the source on to its next live replica —
+///   or parks the error when none is left;
+/// * an open that has outlived the source's hedge budget (counted from
+///   its own send) fires a duplicate "tied request" at the next live
+///   replica. Replicas hold byte-identical committed views, so
+///   correctness never depends on who wins.
+///
+/// Losers still unanswered when every source has settled go to the
+/// [`loser_reaper`] with the gather.
+fn open_sources(sources: &mut [NodePageStream], counts_as_failover: bool) {
+    let Some(first) = sources.first() else { return };
+    let mut gather = first.rpc.gather();
+    let mut opening: Vec<Opening> = sources.iter().map(|_| Opening::default()).collect();
+    for (source, o) in sources.iter_mut().zip(&mut opening) {
+        source.begin_open(&mut gather, o);
+    }
+    while opening.iter().any(|o| !o.in_flight.is_empty()) {
+        let wake = opening.iter().filter_map(|o| o.hedge_at).min();
+        let Some((slot, reply)) = gather.next(wake) else {
+            // A hedge budget ran out: fire every tied request now due.
+            let now = std::time::Instant::now();
+            for (source, o) in sources.iter_mut().zip(&mut opening) {
+                if o.hedge_at.is_some_and(|at| at <= now) {
+                    source.fire_hedge(&mut gather, o);
+                }
+            }
+            continue;
+        };
+        let attempt = opening.iter().enumerate().find_map(|(i, o)| {
+            Some((i, o.in_flight.iter().position(|&(asked, _)| asked == slot)?))
+        });
+        let Some((i, at)) = attempt else {
+            // Not part of any attempt under way: a hedge loser's late
+            // answer (or the reply to its close).
+            close_loser(&mut gather, slot, reply);
+            continue;
+        };
+        let (source, o) = (&mut sources[i], &mut opening[i]);
+        let (_, idx) = o.in_flight.swap_remove(at);
+        match reply {
+            Ok(Response::SearchPage { session, hits, stats, exhausted }) => {
+                let winner = source.replicas[idx];
+                let hedge_won = idx != source.current;
+                if hedge_won {
+                    source.stats.hedges_won += 1;
+                    source.current = idx;
+                }
+                if counts_as_failover {
+                    source.stats.replica_failovers += 1;
+                }
+                source.accept_page(session, hits, stats, exhausted);
+                source.error = None;
+                let armed = o.hedge_at.take().is_some();
+                let fired = o.hedge.is_some();
+                source.finish_span(o.hedge.take(), || {
+                    let who = if hedge_won { "hedge replica" } else { "primary" };
+                    format!("winner {winner} ({who})")
+                });
+                source.finish_span(o.open.take(), || match (fired, armed) {
+                    (true, _) => format!("winner {winner}"),
+                    (false, true) => format!("{winner} within budget ok=true"),
+                    (false, false) => format!("{winner} ok=true"),
+                });
+                // What is still in flight is the loser.
+                o.in_flight.clear();
+            }
+            other => {
+                source.dead[idx] = true;
+                source.error = Some(match other {
+                    Ok(resp) => Error::Rpc(format!("unexpected response {resp:?}")),
+                    Err(e) => e,
+                });
+                if o.in_flight.is_empty() {
+                    // The whole attempt failed: on to the next replica.
+                    let node = source.replicas[source.current];
+                    let fired = o.hedge.is_some();
+                    source.finish_span(o.hedge.take(), || "no winner".to_string());
+                    let err = source.error.as_ref().expect("just parked");
+                    source.finish_span(o.open.take(), || {
+                        if fired {
+                            format!("{node} and its hedge replica dead: {err}")
+                        } else {
+                            format!("{node} unreachable: {err}")
+                        }
+                    });
+                    source.begin_open(&mut gather, o);
+                }
+            }
+        }
+    }
+    if gather.has_pending() {
+        let _ = loser_reaper().send(gather);
+    }
+}
+
+/// Closes every still-open session among `sources` — all `CloseSearch`
+/// leave at once, then the nodes' final accounting (`node_hits_unsent`,
+/// `merge_skipped`) is folded into the returned stats. Best-effort: a
+/// close lost to a dead node costs nothing — the node is gone, and live
+/// nodes evict abandoned sessions by LRU anyway.
+fn close_sessions<'a>(sources: impl IntoIterator<Item = &'a NodePageStream>) -> SearchStats {
+    let open: Vec<&NodePageStream> =
+        sources.into_iter().filter(|s| s.session != 0 && !s.exhausted).collect();
+    let mut stats = SearchStats::default();
+    let Some(first) = open.first() else { return stats };
+    let closes = open
+        .iter()
+        .map(|s| (s.replicas[s.current], Request::CloseSearch { session: s.session }))
+        .collect();
+    for reply in first.rpc.call_all(closes) {
+        if let Ok(Response::SearchClosed { stats: closed }) = reply {
+            stats.absorb(closed);
+        }
+    }
+    stats
 }
 
 impl NodePageStream {
@@ -1350,36 +1504,37 @@ impl NodePageStream {
         }
     }
 
-    /// Performs the initial open, once (idempotent). Parallel-friendly:
-    /// `open_cluster_stream` fans these out across a thread scope.
-    fn ensure_open(&mut self) {
-        if self.opened {
+    /// Starts an open attempt against the first live replica at or after
+    /// `current`, arming the hedge when a budget is set and another live
+    /// replica exists to hedge to. With no live replica left the error is
+    /// parked and `o` stays settled.
+    fn begin_open(&mut self, gather: &mut Gather, o: &mut Opening) {
+        *o = Opening::default();
+        let Some(idx) = self.first_live_at_or_after(self.current) else {
+            self.error.get_or_insert_with(|| Error::Rpc("no live replica".to_string()));
             return;
+        };
+        self.current = idx;
+        let open = self.obs.spans.begin(self.ctx, SpanKind::Open, self.clock.now());
+        o.in_flight.push((gather.send(self.replicas[idx], self.open_request(open.ctx())), idx));
+        o.open = Some(open);
+        if let (Some(budget), Some(_)) = (self.hedge, self.next_live_after(idx)) {
+            o.hedge_at = Some(std::time::Instant::now() + budget);
         }
-        self.opened = true;
-        self.open_session(false);
     }
 
-    /// Opens (or re-opens) the session on the first live replica at or
-    /// after `current`, cycling through the set and marking members that
-    /// fail as dead. `counts_as_failover` distinguishes a mid-stream
-    /// failover (the previous session's node died) from the initial open.
-    fn open_session(&mut self, counts_as_failover: bool) {
-        // Each failed attempt marks at least `current` dead, so this
-        // terminates after at most `replicas.len()` opens.
-        while let Some(idx) = self.first_live_at_or_after(self.current) {
-            self.current = idx;
-            if self.try_open_hedged() {
-                if counts_as_failover {
-                    self.stats.replica_failovers += 1;
-                }
-                self.error = None;
-                return;
-            }
-        }
-        if self.error.is_none() {
-            self.error = Some(Error::Rpc("no live replica".to_string()));
-        }
+    /// Fires the tied request of the attempt under way at the next live
+    /// replica, as a Hedge child of its Open span.
+    fn fire_hedge(&mut self, gather: &mut Gather, o: &mut Opening) {
+        o.hedge_at = None;
+        let (Some(backup), Some(open)) = (self.next_live_after(self.current), &o.open) else {
+            return;
+        };
+        self.stats.hedges_fired += 1;
+        let hedge = self.obs.spans.begin(open.ctx(), SpanKind::Hedge, self.clock.now());
+        let asked = gather.send(self.replicas[backup], self.open_request(hedge.ctx()));
+        o.in_flight.push((asked, backup));
+        o.hedge = Some(hedge);
     }
 
     /// The first live replica slot at or cyclically after `from`.
@@ -1389,139 +1544,12 @@ impl NodePageStream {
             .find(|&idx| !self.dead[idx])
     }
 
-    /// One open attempt against `current`, hedged when a budget is set:
-    /// if the open misses the budget, a duplicate goes to the next live
-    /// replica and the first `SearchPage` wins (the loser's session is
-    /// closed by a detached cleanup thread). Returns whether a page was
-    /// accepted; on failure `current`'s slot is marked dead and `error`
-    /// holds the failure.
-    fn try_open_hedged(&mut self) -> bool {
-        let backup = self.next_live_after(self.current);
-        let (budget, backup) = match (self.hedge, backup) {
-            (Some(budget), Some(backup)) => (budget, backup),
-            _ => return self.try_open_sync(),
-        };
-        let open = self.obs.spans.begin(self.ctx, SpanKind::Open, self.clock.now());
-        let open_ctx = open.ctx();
-        let mut open = Some(open);
-        let primary_node = self.replicas[self.current];
-        let primary_rx = match self.rpc.call_async(primary_node, self.open_request(open_ctx)) {
-            Ok(rx) => rx,
-            Err(e) => {
-                self.dead[self.current] = true;
-                self.finish_span(open.take(), || format!("{primary_node} unreachable"));
-                self.error = Some(e);
-                return false;
-            }
-        };
-        match primary_rx.recv_timeout(budget) {
-            Ok(response) => {
-                let ok = self.accept_open_response(self.current, response);
-                self.finish_span(open.take(), || format!("{primary_node} within budget ok={ok}"));
-                return ok;
-            }
-            Err(crossbeam::channel::RecvTimeoutError::Timeout) => {}
-            Err(crossbeam::channel::RecvTimeoutError::Disconnected) => {
-                self.dead[self.current] = true;
-                self.finish_span(open.take(), || format!("{primary_node} disconnected"));
-                self.error = Some(Error::NodeUnavailable(self.replicas[self.current]));
-                return false;
-            }
-        }
-        // Budget missed: fire the tied request. Both opens race into one
-        // merged channel; the first SearchPage wins and the loser is
-        // closed off-thread. Replicas hold byte-identical committed
-        // views, so correctness never depends on who wins.
-        self.stats.hedges_fired += 1;
-        let backup_node = self.replicas[backup];
-        let hedge = self.obs.spans.begin(open_ctx, SpanKind::Hedge, self.clock.now());
-        let hedge_ctx = hedge.ctx();
-        let mut hedge = Some(hedge);
-        let backup_rx = match self.rpc.call_async(backup_node, self.open_request(hedge_ctx)) {
-            Ok(rx) => rx,
-            Err(_) => {
-                // Backup unreachable: fall back to waiting out the
-                // original open alone.
-                self.finish_span(hedge.take(), || format!("{backup_node} unreachable"));
-                let out = match primary_rx.recv() {
-                    Ok(response) => self.accept_open_response(self.current, response),
-                    Err(_) => {
-                        self.dead[self.current] = true;
-                        self.error = Some(Error::NodeUnavailable(self.replicas[self.current]));
-                        false
-                    }
-                };
-                self.finish_span(open.take(), || format!("{primary_node} after hedge ok={out}"));
-                return out;
-            }
-        };
-        // Race the two receivers by polling — the channel shim has no
-        // select, and relay threads would put thread-spawn latency on the
-        // critical path of exactly the opens hedging is meant to keep
-        // fast. The backup usually answers within a poll or two.
-        let mut slots = vec![(self.current, primary_rx), (backup, backup_rx)];
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
-        while !slots.is_empty() && std::time::Instant::now() < deadline {
-            let mut i = 0;
-            while i < slots.len() {
-                match slots[i].1.try_recv() {
-                    Ok(Response::SearchPage { session, hits, stats, exhausted }) => {
-                        let idx = slots[i].0;
-                        if idx != self.current {
-                            self.stats.hedges_won += 1;
-                            self.current = idx;
-                        }
-                        self.accept_page(session, hits, stats, exhausted);
-                        slots.remove(i);
-                        // The loser may still answer with its own
-                        // session: hand it to the shared reaper so this
-                        // search isn't stalled by a slow loser and no
-                        // session leaks.
-                        if let Some((loser, loser_rx)) = slots.pop() {
-                            let _ = loser_reaper().send(LoserSession {
-                                rx: loser_rx,
-                                rpc: self.rpc.clone(),
-                                node: self.replicas[loser],
-                            });
-                        }
-                        let winner = self.replicas[idx];
-                        self.finish_span(hedge.take(), || {
-                            format!(
-                                "winner {winner} ({})",
-                                if idx == backup { "hedge replica" } else { "primary" }
-                            )
-                        });
-                        self.finish_span(open.take(), || format!("winner {winner}"));
-                        return true;
-                    }
-                    Ok(other) => {
-                        // This replica failed its open; keep waiting for
-                        // the other one.
-                        let idx = slots[i].0;
-                        self.dead[idx] = true;
-                        self.error = Some(Error::Rpc(format!("unexpected response {other:?}")));
-                        slots.remove(i);
-                    }
-                    Err(std::sync::mpsc::TryRecvError::Empty) => i += 1,
-                    Err(std::sync::mpsc::TryRecvError::Disconnected) => {
-                        let idx = slots[i].0;
-                        self.dead[idx] = true;
-                        self.error = Some(Error::NodeUnavailable(self.replicas[idx]));
-                        slots.remove(i);
-                    }
-                }
-            }
-            std::thread::sleep(std::time::Duration::from_micros(100));
-        }
-        // Both opens died without a page.
-        self.dead[self.current] = true;
-        self.dead[backup] = true;
-        if self.error.is_none() {
-            self.error = Some(Error::NodeUnavailable(self.replicas[self.current]));
-        }
-        self.finish_span(hedge.take(), || "no winner".to_string());
-        self.finish_span(open.take(), || format!("{primary_node} and {backup_node} dead"));
-        false
+    /// The first live replica slot strictly after `from` (cyclically),
+    /// excluding `from` itself.
+    fn next_live_after(&self, from: usize) -> Option<usize> {
+        (1..self.replicas.len())
+            .map(|step| (from + step) % self.replicas.len())
+            .find(|&idx| !self.dead[idx])
     }
 
     /// Finishes a client-side span now, if it records anything. The
@@ -1535,48 +1563,6 @@ impl NodePageStream {
         }
     }
 
-    /// The plain unhedged open against `current`.
-    fn try_open_sync(&mut self) -> bool {
-        let open = self.obs.spans.begin(self.ctx, SpanKind::Open, self.clock.now());
-        let node = self.replicas[self.current];
-        match self.rpc.call(node, self.open_request(open.ctx())) {
-            Ok(response) => {
-                let ok = self.accept_open_response(self.current, response);
-                self.finish_span(Some(open), || format!("{node} ok={ok}"));
-                ok
-            }
-            Err(e) => {
-                self.dead[self.current] = true;
-                self.finish_span(Some(open), || format!("{node} unreachable: {e}"));
-                self.error = Some(e);
-                false
-            }
-        }
-    }
-
-    /// Applies an open's response from replica slot `idx`.
-    fn accept_open_response(&mut self, idx: usize, response: Response) -> bool {
-        match response {
-            Response::SearchPage { session, hits, stats, exhausted } => {
-                self.accept_page(session, hits, stats, exhausted);
-                true
-            }
-            other => {
-                self.dead[idx] = true;
-                self.error = Some(Error::Rpc(format!("unexpected response {other:?}")));
-                false
-            }
-        }
-    }
-
-    /// The first live replica slot strictly after `from` (cyclically),
-    /// excluding `from` itself.
-    fn next_live_after(&self, from: usize) -> Option<usize> {
-        (1..self.replicas.len())
-            .map(|step| (from + step) % self.replicas.len())
-            .find(|&idx| !self.dead[idx])
-    }
-
     /// Applies one `SearchPage`, whichever request produced it, growing
     /// the page size when adaptive sizing is on — a group that keeps
     /// winning the merge amortizes its round trips.
@@ -1587,21 +1573,6 @@ impl NodePageStream {
         self.buffer = hits.into_iter();
         if let Some(max) = self.adaptive_max {
             self.page = (self.page * 2).min(max);
-        }
-    }
-
-    /// Closes the node-side session if one is still open, returning the
-    /// node's final accounting (`node_hits_unsent`, `merge_skipped`).
-    /// Best-effort: a close lost to a dead node costs nothing — the node
-    /// is gone, and live nodes evict abandoned sessions by LRU anyway.
-    fn close_best_effort(&self) -> Option<SearchStats> {
-        if self.session == 0 || self.exhausted {
-            return None;
-        }
-        let close = Request::CloseSearch { session: self.session };
-        match self.rpc.call(self.replicas[self.current], close) {
-            Ok(Response::SearchClosed { stats }) => Some(stats),
-            _ => None,
         }
     }
 }
@@ -1636,7 +1607,8 @@ impl Iterator for NodePageStream {
                     // page, so this always makes progress.
                     self.finish_span(Some(span), || format!("{node} session expired, reopening"));
                     self.reopens += 1;
-                    if !self.try_open_sync() {
+                    open_sources(std::slice::from_mut(self), false);
+                    if self.error.is_some() {
                         return None;
                     }
                 }
@@ -1655,7 +1627,7 @@ impl Iterator for NodePageStream {
                     });
                     self.dead[self.current] = true;
                     self.session = 0;
-                    self.open_session(true);
+                    open_sources(std::slice::from_mut(self), true);
                     if self.error.is_some() {
                         return None;
                     }
@@ -1718,9 +1690,7 @@ impl ClusterSearchStream {
             if self.sources[idx].error.is_some() && !self.failed.contains(&idx) {
                 if matches!(self.fan_out, FanOutPolicy::RequireAll) {
                     let err = self.sources[idx].error.take().expect("just checked");
-                    for source in &self.sources {
-                        source.close_best_effort();
-                    }
+                    close_sessions(&self.sources);
                     self.finished = true;
                     return Err(err);
                 }
@@ -1760,13 +1730,12 @@ impl ClusterSearchStream {
                 unreachable.extend(source.acgs.iter().copied());
             } else {
                 answered += 1;
-                // Close the session where it stands; the node reports
-                // what streaming saved it from shipping.
-                if let Some(close_stats) = source.close_best_effort() {
-                    stats.absorb(close_stats);
-                }
             }
         }
+        // Close the answering sessions where they stand; the nodes report
+        // what streaming saved them from shipping.
+        let live = self.sources.iter().enumerate().filter(|(idx, _)| !self.failed.contains(idx));
+        stats.absorb(close_sessions(live.map(|(_, source)| source)));
         if let FanOutPolicy::AllowPartial { min_nodes } = self.fan_out {
             if !self.failed.is_empty() && answered < min_nodes {
                 return Err(first_error.unwrap_or_else(|| {
@@ -1809,9 +1778,7 @@ impl Drop for ClusterSearchStream {
     /// until LRU eviction.
     fn drop(&mut self) {
         if !self.finished {
-            for source in &self.sources {
-                source.close_best_effort();
-            }
+            close_sessions(&self.sources);
         }
         // A stream abandoned mid-flight still closes its root span, so a
         // later `dump_trace` assembles a single-rooted tree.

@@ -17,6 +17,9 @@
 //! The wire is an in-process RPC fabric ([`rpc::Rpc`]): every node runs a
 //! real thread with a mailbox; an optional GbE cost model charges virtual
 //! time per message so modeled-mode experiments account network costs.
+//! Clients fan out through a [`rpc::Gather`] — every request sent from the
+//! calling thread, every reply collected on it — so parallelism across
+//! nodes costs no thread per request.
 //!
 //! # Examples
 //!
@@ -78,4 +81,4 @@ pub use master::{MasterConfig, MasterNode, NodeStatus};
 pub use messages::{AcgSummary, MigrationJob, Request, Response};
 pub use pool::WorkerPool;
 pub use propeller_obs::{MetricsSnapshot, SlowQuery, TraceContext, TraceTree};
-pub use rpc::Rpc;
+pub use rpc::{Gather, Rpc};

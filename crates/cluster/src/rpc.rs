@@ -2,13 +2,15 @@
 //!
 //! Every node (Master or Index Node) owns a mailbox drained by its own
 //! thread, so node state needs no locking — the actor pattern. Callers do
-//! synchronous request/response through [`Rpc::call`]; an optional GbE
+//! synchronous request/response through [`Rpc::call`], or fan a request
+//! out to many nodes from one thread through a [`Gather`]; an optional GbE
 //! cost model charges virtual time per message for modeled-mode runs.
 
 use std::collections::HashMap;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
+use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::{Mutex, RwLock};
 use propeller_sim::{NodeSlowdowns, SimClock};
 use propeller_storage::Network;
@@ -16,8 +18,36 @@ use propeller_types::{Error, NodeId, Result};
 
 use crate::messages::{Request, Response};
 
-/// A message in flight: the request plus its reply channel.
-pub(crate) type Envelope = (Request, Sender<Response>);
+/// How long a request may stay unanswered, counted from its send.
+const REPLY_TIMEOUT: Duration = Duration::from_secs(30);
+
+/// A message in flight: the request plus where its reply goes.
+pub(crate) type Envelope = (Request, ReplyTo);
+
+/// The reply half of an [`Envelope`]: the issuing [`Gather`]'s channel and
+/// the request's slot in it. Dropped unanswered (the node died with the
+/// message queued, or mid-call) it reports exactly that, so the caller
+/// fails at once instead of waiting out the timeout.
+pub(crate) struct ReplyTo {
+    tx: Sender<(usize, Option<Response>)>,
+    slot: usize,
+    answered: bool,
+}
+
+impl ReplyTo {
+    pub(crate) fn send(mut self, resp: Response) {
+        self.answered = true;
+        let _ = self.tx.send((self.slot, Some(resp)));
+    }
+}
+
+impl Drop for ReplyTo {
+    fn drop(&mut self) {
+        if !self.answered {
+            let _ = self.tx.send((self.slot, None));
+        }
+    }
+}
 
 #[derive(Default)]
 struct Registry {
@@ -34,20 +64,18 @@ pub struct Rpc {
     /// the rng that samples them.
     slowdowns: Arc<NodeSlowdowns>,
     slow_rng: Arc<Mutex<rand::rngs::StdRng>>,
-    /// Lazily-started executor for delayed async sends: one long-lived
-    /// thread sleeps out each injected delay, keeping thread creation
-    /// off the caller's critical path (a per-send spawn would charge
-    /// spawn latency to exactly the hedged opens the delay simulates a
-    /// slow node for).
+    /// Lazily-started executor for delayed sends: one long-lived thread
+    /// sleeps out each injected delay, so the sender keeps running (a
+    /// hedged open must be free to fire its duplicate while the slow
+    /// node's copy is still "on the wire") and no send creates a thread.
     delayer: Arc<Mutex<Option<Sender<DelayedSend>>>>,
 }
 
-/// One async send waiting out its injected delivery delay.
+/// One send waiting out its injected delivery delay.
 struct DelayedSend {
-    deadline: std::time::Instant,
+    deadline: Instant,
     mailbox: Sender<Envelope>,
-    req: Request,
-    reply_tx: Sender<Response>,
+    envelope: Envelope,
 }
 
 impl std::fmt::Debug for Rpc {
@@ -101,18 +129,6 @@ impl Rpc {
         &self.slowdowns
     }
 
-    /// Stalls the calling thread for the sampled slowdown of `node`, if
-    /// one is injected. No-op (one cheap read-lock) otherwise.
-    fn maybe_stall(&self, node: NodeId) {
-        if self.slowdowns.is_empty() {
-            return;
-        }
-        let delay = self.slowdowns.sample(node, &mut *self.slow_rng.lock());
-        if let Some(delay) = delay {
-            std::thread::sleep(delay.to_std());
-        }
-    }
-
     /// Registers a node, returning the receiver its thread should drain.
     pub(crate) fn register(&self, node: NodeId) -> Receiver<Envelope> {
         let (tx, rx) = unbounded();
@@ -154,69 +170,27 @@ impl Rpc {
         }
     }
 
-    /// Sends `req` to `node` and waits for its response.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::NodeUnavailable`] for unknown nodes and
-    /// [`Error::Rpc`] when the node died mid-call, plus any [`Error`] the
-    /// handler itself reports via [`Response::Err`].
-    pub fn call(&self, node: NodeId, req: Request) -> Result<Response> {
-        let mailbox = self
-            .registry
-            .read()
-            .mailboxes
-            .get(&node)
-            .cloned()
-            .ok_or(Error::NodeUnavailable(node))?;
+    /// The one way a request leaves: mailbox lookup, send charge, then
+    /// delivery — straight into the mailbox, or through the delay executor
+    /// when `node` has an injected slowdown. A request that cannot be
+    /// delivered (unknown or dead node) drops its [`ReplyTo`], which is
+    /// what tells the caller.
+    fn post(&self, node: NodeId, req: Request, reply: ReplyTo) {
+        let Some(mailbox) = self.registry.read().mailboxes.get(&node).cloned() else { return };
         self.charge_message(Self::wire_size(&req));
-        self.maybe_stall(node);
-        let (reply_tx, reply_rx) = bounded(1);
-        mailbox.send((req, reply_tx)).map_err(|_| Error::NodeUnavailable(node))?;
-        let resp = reply_rx
-            .recv_timeout(std::time::Duration::from_secs(30))
-            .map_err(|_| Error::Rpc(format!("timeout waiting for {node}")))?;
-        self.charge_message(128);
-        resp.into_result()
-    }
-
-    /// Sends `req` to `node` and returns the reply channel instead of
-    /// blocking on it — the building block for hedged requests, where the
-    /// caller waits on the first of several outstanding replies and
-    /// abandons the rest. If `node` has an injected slowdown, the stall
-    /// happens on a relay thread so the *caller* keeps running (that is
-    /// the whole point of hedging). A dropped channel (node died mid-call)
-    /// surfaces as a receive error on the returned receiver.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::NodeUnavailable`] for unknown nodes.
-    pub fn call_async(&self, node: NodeId, req: Request) -> Result<Receiver<Response>> {
-        let mailbox = self
-            .registry
-            .read()
-            .mailboxes
-            .get(&node)
-            .cloned()
-            .ok_or(Error::NodeUnavailable(node))?;
-        self.charge_message(Self::wire_size(&req));
-        let (reply_tx, reply_rx) = bounded(1);
         let delay = if self.slowdowns.is_empty() {
             None
         } else {
             self.slowdowns.sample(node, &mut *self.slow_rng.lock())
         };
+        let envelope = (req, reply);
         match delay {
-            None => mailbox.send((req, reply_tx)).map_err(|_| Error::NodeUnavailable(node))?,
-            // A delayed send goes to the long-lived delay executor. A
-            // send failure there drops `reply_tx`, which the caller
-            // observes as a dead-node receive error.
+            None => drop(mailbox.send(envelope)),
             Some(delay) => {
-                let deadline = std::time::Instant::now() + delay.to_std();
-                let _ = self.delayer_tx().send(DelayedSend { deadline, mailbox, req, reply_tx });
+                let deadline = Instant::now() + delay.to_std();
+                drop(self.delayer_tx().send(DelayedSend { deadline, mailbox, envelope }));
             }
         }
-        Ok(reply_rx)
     }
 
     /// The delay-executor input, starting its thread on first use. FIFO
@@ -230,34 +204,55 @@ impl Rpc {
         let (tx, rx) = unbounded::<DelayedSend>();
         std::thread::spawn(move || {
             while let Ok(send) = rx.recv() {
-                let now = std::time::Instant::now();
+                let now = Instant::now();
                 if send.deadline > now {
                     std::thread::sleep(send.deadline - now);
                 }
-                let _ = send.mailbox.send((send.req, send.reply_tx));
+                let _ = send.mailbox.send(send.envelope);
             }
         });
         *guard = Some(tx.clone());
         tx
     }
 
-    /// Sends `req` without waiting for the reply (fire-and-forget).
+    /// Starts an empty scatter/gather exchange on this fabric.
+    pub fn gather(&self) -> Gather {
+        self.gather_with_timeout(REPLY_TIMEOUT)
+    }
+
+    fn gather_with_timeout(&self, timeout: Duration) -> Gather {
+        let (tx, rx) = unbounded();
+        Gather { rpc: self.clone(), tx, rx, slots: Vec::new(), oldest: 0, timeout }
+    }
+
+    /// Sends `req` to `node` and waits for its response.
     ///
     /// # Errors
     ///
-    /// Returns [`Error::NodeUnavailable`] for unknown nodes.
-    pub fn cast(&self, node: NodeId, req: Request) -> Result<()> {
-        let mailbox = self
-            .registry
-            .read()
-            .mailboxes
-            .get(&node)
-            .cloned()
-            .ok_or(Error::NodeUnavailable(node))?;
-        self.charge_message(Self::wire_size(&req));
-        let (reply_tx, _reply_rx) = bounded(1);
-        mailbox.send((req, reply_tx)).map_err(|_| Error::NodeUnavailable(node))?;
-        Ok(())
+    /// Returns [`Error::NodeUnavailable`] for unknown nodes and nodes
+    /// that died mid-call, [`Error::Rpc`] for a node silent for 30 s, plus
+    /// any [`Error`] the handler itself reports via [`Response::Err`].
+    pub fn call(&self, node: NodeId, req: Request) -> Result<Response> {
+        let mut gather = self.gather();
+        gather.send(node, req);
+        gather.next(None).expect("one request is outstanding").1
+    }
+
+    /// Sends every target's request from the calling thread, then waits
+    /// for all the replies: `out[i]` is what `call(targets[i])` would
+    /// have returned, but the nodes work in parallel and the timeouts run
+    /// concurrently.
+    pub fn call_all(&self, targets: Vec<(NodeId, Request)>) -> Vec<Result<Response>> {
+        let mut gather = self.gather();
+        for (node, req) in targets {
+            gather.send(node, req);
+        }
+        let mut out: Vec<Option<Result<Response>>> =
+            (0..gather.slots.len()).map(|_| None).collect();
+        while let Some((slot, result)) = gather.next(None) {
+            out[slot] = Some(result);
+        }
+        out.into_iter().map(|r| r.expect("every slot resolves exactly once")).collect()
     }
 
     /// The registered node ids.
@@ -274,6 +269,83 @@ impl Default for Rpc {
     }
 }
 
+/// One scatter/gather exchange: requests leave from the calling thread
+/// ([`Gather::send`], numbered by **slot** in send order) and every reply
+/// lands on one shared channel tagged with its slot, so the caller blocks
+/// for *whichever* node answers next ([`Gather::next`]) — no thread per
+/// target, and a race between two outstanding requests (a hedged open)
+/// is a plain blocking receive. Every slot resolves exactly once, with
+/// [`Rpc::call`]'s semantics: the node's reply (a [`Response::Err`] lifted
+/// into `Err`, the reply charged to the modelled clock), or
+/// [`Error::NodeUnavailable`] for an unknown node or one that died
+/// mid-call, or [`Error::Rpc`] after 30 s of silence **from that slot's
+/// send** — timeouts run concurrently, however the replies are collected.
+pub struct Gather {
+    rpc: Rpc,
+    tx: Sender<(usize, Option<Response>)>,
+    rx: Receiver<(usize, Option<Response>)>,
+    /// Per slot: the target, and when the request left (`None` once the
+    /// slot resolved).
+    slots: Vec<(NodeId, Option<Instant>)>,
+    /// Every slot before this one has resolved; sends are in time order,
+    /// so the first pending slot from here carries the earliest timeout.
+    oldest: usize,
+    timeout: Duration,
+}
+
+impl Gather {
+    /// Sends `req` to `node`, returning its slot.
+    pub fn send(&mut self, node: NodeId, req: Request) -> usize {
+        let slot = self.slots.len();
+        self.slots.push((node, Some(Instant::now())));
+        self.rpc.post(node, req, ReplyTo { tx: self.tx.clone(), slot, answered: false });
+        slot
+    }
+
+    /// The node `slot`'s request went to.
+    pub fn node(&self, slot: usize) -> NodeId {
+        self.slots[slot].0
+    }
+
+    /// Whether any slot is still unresolved.
+    pub fn has_pending(&self) -> bool {
+        self.slots[self.oldest..].iter().any(|(_, sent)| sent.is_some())
+    }
+
+    /// Blocks for the next slot to resolve, in whatever order the nodes
+    /// answer. Returns `None` once nothing is outstanding — or, given a
+    /// `wake` instant, when it passes first (the caller has something to
+    /// do by then, e.g. fire a hedge).
+    pub fn next(&mut self, wake: Option<Instant>) -> Option<(usize, Result<Response>)> {
+        loop {
+            while matches!(self.slots.get(self.oldest), Some((_, None))) {
+                self.oldest += 1;
+            }
+            let (_, sent) = self.slots.get(self.oldest)?;
+            let expiry = sent.expect("the scan above stops at a pending slot") + self.timeout;
+            let until = wake.map_or(expiry, |wake| wake.min(expiry));
+            let wait = until.saturating_duration_since(Instant::now());
+            let (slot, reply) = match self.rx.recv_timeout(wait) {
+                Ok((slot, reply)) => (slot, reply.ok_or(Error::NodeUnavailable(self.node(slot)))),
+                // `self.tx` keeps the channel connected: this is a timeout.
+                Err(_) if Instant::now() < expiry => return None,
+                Err(_) => {
+                    let node = self.node(self.oldest);
+                    (self.oldest, Err(Error::Rpc(format!("timeout waiting for {node}"))))
+                }
+            };
+            // A reply to a slot that already timed out is dropped.
+            if self.slots[slot].1.take().is_some() {
+                let result = reply.and_then(|resp| {
+                    self.rpc.charge_message(128);
+                    resp.into_result()
+                });
+                return Some((slot, result));
+            }
+        }
+    }
+}
+
 /// Runs a node actor: drains the mailbox, feeding each request to the
 /// handler, until a `Shutdown` request arrives (which is acknowledged
 /// before the loop exits).
@@ -284,7 +356,7 @@ where
     while let Ok((req, reply)) = rx.recv() {
         let is_shutdown = matches!(req, Request::Shutdown);
         let resp = if is_shutdown { Response::Ok } else { handler(req) };
-        let _ = reply.send(resp);
+        reply.send(resp);
         if is_shutdown {
             break;
         }
@@ -303,15 +375,10 @@ where
 {
     while let Ok((req, reply)) = rx.recv() {
         if matches!(req, Request::Shutdown) {
-            let _ = reply.send(Response::Ok);
+            reply.send(Response::Ok);
             break;
         }
-        handler(
-            req,
-            Box::new(move |resp| {
-                let _ = reply.send(resp);
-            }),
-        );
+        handler(req, Box::new(move |resp| reply.send(resp)));
     }
 }
 
@@ -377,34 +444,149 @@ mod tests {
     }
 
     #[test]
-    fn call_async_delivers_the_reply_on_the_channel() {
-        let rpc = Rpc::new();
-        let h = echo_node(&rpc, NodeId::new(1));
-        let rx = rpc.call_async(NodeId::new(1), Request::LocateAcgs).unwrap();
-        let resp = rx.recv_timeout(std::time::Duration::from_secs(5)).unwrap();
-        assert!(matches!(resp, Response::Located(_)));
-        rpc.call(NodeId::new(1), Request::Shutdown).unwrap();
-        h.join().unwrap();
-    }
-
-    #[test]
-    fn injected_slowdown_stalls_delivery_but_not_the_async_caller() {
+    fn injected_slowdown_stalls_delivery_but_not_the_sender() {
         use propeller_sim::Latency;
         let rpc = Rpc::new();
         let h = echo_node(&rpc, NodeId::new(1));
         rpc.slowdowns()
             .set(NodeId::new(1), Latency::constant(propeller_types::Duration::from_millis(80)));
-        let started = std::time::Instant::now();
-        let rx = rpc.call_async(NodeId::new(1), Request::LocateAcgs).unwrap();
-        assert!(started.elapsed() < std::time::Duration::from_millis(60), "caller must not stall");
-        assert!(matches!(
-            rx.recv_timeout(std::time::Duration::from_secs(5)).unwrap(),
-            Response::Located(_)
-        ));
-        assert!(started.elapsed() >= std::time::Duration::from_millis(80));
+        let started = Instant::now();
+        let mut gather = rpc.gather();
+        gather.send(NodeId::new(1), Request::LocateAcgs);
+        assert!(started.elapsed() < Duration::from_millis(60), "sender must not stall");
+        // A wake-up before the reply hands control back without resolving.
+        assert!(gather.next(Some(started + Duration::from_millis(20))).is_none());
+        assert!(gather.has_pending());
+        assert!(matches!(gather.next(None), Some((0, Ok(Response::Located(_))))));
+        assert!(started.elapsed() >= Duration::from_millis(80));
+        assert!(!gather.has_pending() && gather.next(None).is_none());
         rpc.slowdowns().clear(NodeId::new(1));
         rpc.call(NodeId::new(1), Request::Shutdown).unwrap();
         h.join().unwrap();
+    }
+
+    /// An actor answering `LocateAcgs` with its own id, failing `AcgLsns`
+    /// and swallowing everything else unanswered (the envelope is kept, so
+    /// the caller sees silence, not a dead node).
+    fn scripted_node(rpc: &Rpc, id: NodeId) -> std::thread::JoinHandle<()> {
+        let rx = rpc.register(id);
+        std::thread::spawn(move || {
+            let mut swallowed = Vec::new();
+            while let Ok((req, reply)) = rx.recv() {
+                match req {
+                    Request::Shutdown => {
+                        reply.send(Response::Ok);
+                        break;
+                    }
+                    Request::LocateAcgs => reply.send(Response::Located(vec![(
+                        propeller_types::AcgId::new(u64::from(id.raw())),
+                        vec![id],
+                    )])),
+                    Request::AcgLsns => reply.send(Response::Err(Error::Shutdown)),
+                    _ => swallowed.push(reply),
+                }
+            }
+        })
+    }
+
+    /// `(fabric, clock, actors)` with nodes 1..=3 scripted and node 9
+    /// unknown.
+    fn scripted_fabric(seed: u64) -> (Rpc, SimClock, Vec<std::thread::JoinHandle<()>>) {
+        let clock = SimClock::new();
+        let rpc = Rpc::with_network(Network::gigabit_ethernet(), clock.clone(), seed);
+        let actors = (1..=3).map(|n| scripted_node(&rpc, NodeId::new(n))).collect();
+        (rpc, clock, actors)
+    }
+
+    fn stop(rpc: &Rpc, actors: Vec<std::thread::JoinHandle<()>>) {
+        for (n, actor) in (1..).zip(actors) {
+            rpc.call(NodeId::new(n), Request::Shutdown).unwrap();
+            actor.join().unwrap();
+        }
+    }
+
+    #[test]
+    fn call_all_equals_sequential_calls_slot_by_slot() {
+        let targets = || {
+            vec![
+                (NodeId::new(3), Request::LocateAcgs),
+                (NodeId::new(1), Request::AcgLsns),
+                (NodeId::new(9), Request::LocateAcgs),
+                (NodeId::new(2), Request::LocateAcgs),
+                (NodeId::new(1), Request::LocateAcgs),
+            ]
+        };
+        let show = |r: &Result<Response>| format!("{r:?}");
+        let (rpc, clock, actors) = scripted_fabric(7);
+        let gathered = rpc.call_all(targets());
+        let gathered_time = clock.now();
+        let sequential: Vec<Result<Response>> =
+            targets().into_iter().map(|(node, req)| rpc.call(node, req)).collect();
+        assert_eq!(
+            gathered.iter().map(show).collect::<Vec<_>>(),
+            sequential.iter().map(show).collect::<Vec<_>>(),
+            "same responses, in target order"
+        );
+        assert!(
+            matches!(gathered[0], Ok(Response::Located(ref rows)) if rows[0].1 == [NodeId::new(3)])
+        );
+        assert!(matches!(gathered[1], Err(Error::Shutdown)), "Response::Err lifted per slot");
+        assert!(
+            matches!(gathered[2], Err(Error::NodeUnavailable(n)) if n == NodeId::new(9)),
+            "the unknown node fails its own slot only"
+        );
+        stop(&rpc, actors);
+
+        // The modelled clock is charged per message, not per arrival
+        // order: an identically seeded fabric reads the identical time.
+        let (rpc2, clock2, actors2) = scripted_fabric(7);
+        rpc2.call_all(targets());
+        assert_eq!(clock2.now(), gathered_time);
+        stop(&rpc2, actors2);
+    }
+
+    #[test]
+    fn silent_nodes_time_out_together_not_one_after_another() {
+        let (rpc, _clock, actors) = scripted_fabric(1);
+        let timeout = Duration::from_millis(150);
+        let mut gather = rpc.gather_with_timeout(timeout);
+        let started = Instant::now();
+        for n in 1..=3 {
+            gather.send(NodeId::new(n), Request::NodeStats); // swallowed
+        }
+        gather.send(NodeId::new(2), Request::LocateAcgs); // answered
+        let mut resolved = Vec::new();
+        while let Some((slot, result)) = gather.next(None) {
+            resolved.push((slot, result));
+        }
+        let elapsed = started.elapsed();
+        assert!(elapsed >= timeout, "the window is counted from the send: {elapsed:?}");
+        assert!(elapsed < timeout * 2, "three silent nodes share ONE window: {elapsed:?}");
+        assert!(matches!(resolved[0], (3, Ok(Response::Located(_)))), "live node first");
+        let timed_out: Vec<usize> = resolved[1..].iter().map(|(slot, _)| *slot).collect();
+        assert_eq!(timed_out, [0, 1, 2], "oldest send expires first");
+        for (slot, result) in &resolved[1..] {
+            assert!(
+                matches!(result, Err(Error::Rpc(why)) if why.contains("timeout")),
+                "slot {slot}: {result:?}"
+            );
+        }
+        stop(&rpc, actors);
+    }
+
+    #[test]
+    fn a_node_dying_with_the_request_queued_fails_the_call_at_once() {
+        let rpc = Rpc::new();
+        let rx = rpc.register(NodeId::new(1));
+        let mut gather = rpc.gather();
+        gather.send(NodeId::new(1), Request::LocateAcgs);
+        drop(rx); // the actor exits without draining its mailbox
+        let started = Instant::now();
+        assert!(matches!(
+            gather.next(None),
+            Some((0, Err(Error::NodeUnavailable(n)))) if n == NodeId::new(1)
+        ));
+        assert!(started.elapsed() < Duration::from_secs(5), "no timeout is waited out");
     }
 
     #[test]

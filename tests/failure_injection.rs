@@ -421,3 +421,164 @@ fn hedged_opens_beat_an_injected_straggler_and_are_witnessed_in_stats() {
     assert!(hedged.stats.hedges_won > 0, "the fast replica must win the race");
     cluster.shutdown();
 }
+
+/// One node's last WAL LSN per hosted ACG.
+fn acg_lsns(cluster: &Cluster, node: NodeId) -> HashMap<AcgId, u64> {
+    match cluster.rpc().call(node, Request::AcgLsns) {
+        Ok(Response::AcgLsnReport(rows)) => rows.into_iter().collect(),
+        other => panic!("{other:?}"),
+    }
+}
+
+#[test]
+fn multi_acg_batch_returns_with_every_follower_at_its_primarys_lsn() {
+    // 2 nodes at R = 2: every ACG is on both nodes, each node primary for
+    // some and follower for the rest. One `index_files` call fans a batch
+    // out over every ACG; by the time it returns, every follower frame has
+    // been acknowledged — the two nodes' LSN maps are equal.
+    let mut cluster = Cluster::start(ClusterConfig {
+        index_nodes: 2,
+        group_capacity: 10,
+        replication: 2,
+        ..Default::default()
+    });
+    let mut client = cluster.client();
+    client.index_files((0..100).map(|i| record(i, 1 << 20)).collect()).unwrap();
+    let (a, b) = (cluster.index_node_ids()[0], cluster.index_node_ids()[1]);
+    let on_a = acg_lsns(&cluster, a);
+    assert!(on_a.len() >= 8, "the batch must span many ACGs: {on_a:?}");
+    assert!(on_a.values().all(|&lsn| lsn >= 1));
+    assert_eq!(on_a, acg_lsns(&cluster, b), "followers answered before index_files returned");
+
+    // Files whose primary is `a`: with the follower `b` off the fabric the
+    // batch still succeeds (an unreachable follower is tolerated).
+    let a_primary: HashSet<AcgId> =
+        placements(&cluster).into_iter().filter(|(_, r)| r[0] == a).map(|(acg, _)| acg).collect();
+    assert!(a_primary.len() >= 2, "{a_primary:?}");
+    let req = Request::ResolveFiles {
+        files: (0..100).map(FileId::new).collect(),
+        hints_since: u64::MAX,
+        ctx: propeller_obs::TraceContext::NONE,
+    };
+    let files: Vec<u64> = match cluster.rpc().call(cluster.master_id(), req) {
+        Ok(Response::Resolved { rows, .. }) => rows
+            .into_iter()
+            .filter(|(_, acg, _)| a_primary.contains(acg))
+            .map(|(f, _, _)| f.raw())
+            .collect(),
+        other => panic!("{other:?}"),
+    };
+    cluster.rpc().deregister(b);
+    client.index_files(files.iter().map(|&f| record(f, 2 << 20)).collect()).unwrap();
+
+    // `b` comes back empty (in-memory cluster). The next batch's frames hit
+    // a log gap there; the client closes it through `sync_replica` before
+    // `index_files` returns.
+    cluster.revive_index_node(b);
+    client.index_files(files.iter().map(|&f| record(f, 3 << 20)).collect()).unwrap();
+    let (on_a, on_b) = (acg_lsns(&cluster, a), acg_lsns(&cluster, b));
+    for acg in &a_primary {
+        assert!(on_a[acg] >= 3, "{acg}: three batches logged");
+        assert_eq!(on_b.get(acg), on_a.get(acg), "{acg}: the revived follower converged");
+    }
+    cluster.shutdown();
+}
+
+/// `(node, searches_served, open_sessions)` of every Index Node.
+fn node_stats(cluster: &Cluster) -> Vec<(NodeId, u64, usize)> {
+    let stats = |&n: &NodeId| match cluster.rpc().call(n, Request::NodeStats) {
+        Ok(Response::NodeStatsReport { node, searches_served, open_sessions, .. }) => {
+            (node, searches_served, open_sessions)
+        }
+        other => panic!("{other:?}"),
+    };
+    cluster.index_node_ids().iter().map(stats).collect()
+}
+
+#[test]
+fn two_straggling_primaries_hedge_side_by_side_and_their_losers_are_reaped() {
+    let budget = std::time::Duration::from_millis(10);
+    let cluster = Cluster::start(ClusterConfig {
+        index_nodes: 4,
+        group_capacity: 10,
+        replication: 2,
+        hedge_budget: Some(Duration::from_millis(10)),
+        ..Default::default()
+    });
+    let mut client = cluster.client().with_search_page_size(8);
+    client.index_files((0..100u64).map(|i| record(i, (i + 1) << 20)).collect()).unwrap();
+    let request = SearchRequest::parse("size>0", Timestamp::from_secs(1_000))
+        .unwrap()
+        .with_limit(40)
+        .sorted_by(SortKey::Descending(AttrName::Size));
+    let baseline = client.search_one_shot(&request).unwrap();
+
+    // Two stragglers, each the primary of some replica group, neither the
+    // hedge target of the other: every group they lead hedges to a fast
+    // node, every other group answers within budget.
+    let groups: HashSet<Vec<NodeId>> = placements(&cluster).into_iter().map(|(_, r)| r).collect();
+    let nodes = cluster.index_node_ids().to_vec();
+    let led_by = |n: NodeId| groups.iter().filter(|r| r[0] == n).count();
+    let (s1, s2) = nodes
+        .iter()
+        .flat_map(|&s1| nodes.iter().map(move |&s2| (s1, s2)))
+        .find(|&(s1, s2)| {
+            s1 < s2
+                && led_by(s1) > 0
+                && led_by(s2) > 0
+                && groups.iter().all(|r| !(r.contains(&s1) && r.contains(&s2)))
+        })
+        .expect("4 nodes / R=2 admit two stragglers that never back each other up");
+    let expected_hedges = led_by(s1) + led_by(s2);
+    assert!(expected_hedges >= 2);
+    let served_before: HashMap<NodeId, u64> =
+        node_stats(&cluster).into_iter().map(|(node, served, _)| (node, served)).collect();
+    for s in [s1, s2] {
+        cluster
+            .rpc()
+            .slowdowns()
+            .set(s, propeller::sim::Latency::constant(Duration::from_millis(300)));
+    }
+
+    // Timing is host-dependent, so the bound is on the fastest of a few
+    // searches: every group's budget runs from its own send, so the whole
+    // open costs about ONE budget however many groups hedge.
+    let mut fastest = std::time::Duration::MAX;
+    for _ in 0..5 {
+        let started = std::time::Instant::now();
+        let hedged = client.search_streamed(&request).unwrap();
+        fastest = fastest.min(started.elapsed());
+        assert_eq!(hedged.hits, baseline.hits, "hedging must not change the answer");
+        assert!(hedged.complete);
+        assert_eq!(hedged.stats.hedges_fired, expected_hedges, "one hedge per straggling group");
+        assert_eq!(hedged.stats.hedges_won, expected_hedges, "the fast replicas win");
+    }
+    assert!(fastest >= budget, "a hedge cannot fire before its budget: {fastest:?}");
+    assert!(fastest < budget * 2, "hedges must not queue behind each other: {fastest:?}");
+
+    // The stragglers serve their opens 300 ms late, each leaving a session
+    // of its own behind; the reaper closes them.
+    for s in [s1, s2] {
+        cluster.rpc().slowdowns().clear(s);
+    }
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
+    loop {
+        let (late_opens, open_sessions) = node_stats(&cluster).into_iter().fold(
+            (0, 0),
+            |(late, open), (node, served, sessions)| {
+                let late_here =
+                    if node == s1 || node == s2 { served - served_before[&node] } else { 0 };
+                (late + late_here, open + sessions)
+            },
+        );
+        if late_opens == 5 * expected_hedges as u64 && open_sessions == 0 {
+            break;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "{late_opens} late opens served, {open_sessions} sessions still open"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    }
+    cluster.shutdown();
+}

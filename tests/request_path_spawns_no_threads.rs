@@ -1,0 +1,98 @@
+//! Regression guard for the thread-free client fan-out: once a cluster is
+//! warm, no search and no ingest batch creates a thread. Thread ids are
+//! handed out by one process-wide counter, so two probe threads spawned
+//! either side of the workload have consecutive ids exactly when nothing
+//! in between spawned one. This file holds a single `#[test]` on purpose —
+//! it is its own process, and no sibling test creates threads meanwhile.
+
+use propeller::cluster::{Cluster, ClusterConfig};
+use propeller::query::{SearchRequest, SortKey};
+use propeller::sim::Latency;
+use propeller::types::{AttrName, Duration, FileId, InodeAttrs, Timestamp};
+use propeller::FileRecord;
+
+fn record(file: u64, size: u64) -> FileRecord {
+    FileRecord::new(FileId::new(file), InodeAttrs::builder().size(size).build())
+}
+
+/// Spawns and joins a thread, returning the number in its `ThreadId`.
+fn probe_thread_id() -> u64 {
+    let id = std::thread::spawn(|| std::thread::current().id()).join().unwrap();
+    let shown = format!("{id:?}");
+    shown.trim_start_matches("ThreadId(").trim_end_matches(')').parse().expect(&shown)
+}
+
+#[test]
+fn warm_searches_and_ingest_batches_create_no_threads() {
+    // In memory (no lazily started snapshot writer), R=2 on 2 nodes: every
+    // ACG is on both nodes, so every ingest batch replicates and every
+    // open has a replica to hedge to.
+    let cluster = Cluster::start(ClusterConfig {
+        index_nodes: 2,
+        group_capacity: 10,
+        replication: 2,
+        ..Default::default()
+    });
+    let mut client = cluster.client().with_search_page_size(8);
+    let hedging =
+        cluster.client().with_search_page_size(8).with_hedge_budget(Duration::from_millis(5));
+    let straggler = cluster.index_node_ids()[0];
+
+    let top_k = SearchRequest::parse("size>0", Timestamp::from_secs(1_000))
+        .unwrap()
+        .with_limit(40)
+        .sorted_by(SortKey::Descending(AttrName::Size));
+    let unlimited = SearchRequest::parse("size>0", Timestamp::from_secs(1_000)).unwrap();
+    let hedged_search = |hedging: &propeller::cluster::FileQueryEngine| {
+        cluster.rpc().slowdowns().set(straggler, Latency::constant(Duration::from_millis(25)));
+        let out = hedging.search_streamed(&top_k).unwrap();
+        cluster.rpc().slowdowns().clear(straggler);
+        out
+    };
+
+    // Warm-up: the nodes' lazy worker pools, the fabric's delay executor
+    // and the hedge-loser reaper each start their one long-lived thread on
+    // first use.
+    client.index_files((0..210).map(|i| record(i, (i + 1) << 20)).collect()).unwrap();
+    let baseline = client.search_with(&top_k).unwrap();
+    assert_eq!(baseline.hits.len(), 40);
+    assert_eq!(client.search_with(&unlimited).unwrap().hits.len(), 210);
+    let warm = hedged_search(&hedging);
+    assert!(
+        warm.stats.hedges_fired > 0,
+        "the warm-up must reach the delay executor and the reaper"
+    );
+
+    let before = probe_thread_id();
+
+    let mut hedges_fired = 0;
+    for i in 0..200 {
+        match i % 20 {
+            0 => {
+                let hedged = hedged_search(&hedging);
+                hedges_fired += hedged.stats.hedges_fired;
+                assert_eq!(hedged.hits, baseline.hits);
+            }
+            n if n % 2 == 0 => assert_eq!(client.search_with(&top_k).unwrap().hits, baseline.hits),
+            _ => assert_eq!(client.search_with(&unlimited).unwrap().hits.len(), 210),
+        }
+    }
+    assert!(hedges_fired > 0, "the hedged searches must actually hedge");
+    for round in 0..50u64 {
+        // 100 fresh files at 10 per ACG: each batch spans ≥ 10 ACGs, each
+        // with a follower frame.
+        let files = 1_000 + round * 100..1_100 + round * 100;
+        client.index_files(files.clone().map(|i| record(i, 1)).collect()).unwrap();
+        client.remove_files(files.map(FileId::new).collect()).unwrap();
+    }
+    assert_eq!(client.search_with(&top_k).unwrap().hits, baseline.hits);
+
+    let after = probe_thread_id();
+    assert_eq!(
+        after,
+        before + 1,
+        "{} thread(s) were created by 200 searches and 100 ingest batches on a warm cluster",
+        after - before - 1
+    );
+    cluster.shutdown();
+}
