@@ -32,8 +32,8 @@ use crate::rpc::{Gather, Rpc};
 /// Default bound on a client's route cache (see [`RouteCache`]).
 const ROUTE_CACHE_CAPACITY: usize = 65_536;
 
-/// Default page size for streamed cross-node searches (see
-/// [`FileQueryEngine::with_search_page_size`]).
+/// Smallest default first page of a streamed cross-node search (see
+/// [`FileQueryEngine::default_paging`]).
 const SEARCH_PAGE_SIZE: usize = 64;
 
 /// Bound on transparent session reopens per node per search. Every reopen
@@ -175,12 +175,13 @@ pub struct FileQueryEngine {
     /// This client's identity for per-client session caps on Index Nodes.
     client_id: u64,
     /// Hits per page for streamed cross-node searches (the *initial* page
-    /// when adaptive sizing is on).
-    search_page: usize,
+    /// when adaptive sizing is on). `None` (the default) sizes pages from
+    /// each request's limit, see [`FileQueryEngine::default_paging`].
+    search_page: Option<usize>,
     /// Adaptive page growth cap: when set, a node's page size doubles on
     /// every accepted page up to this bound — cold nodes ship one small
     /// page, nodes that keep winning the merge amortize round trips.
-    /// `None` (the default) keeps every page at `search_page`.
+    /// `None` keeps every page at an explicitly set `search_page`.
     adaptive_max_page: Option<usize>,
     /// Latency budget for streamed session opens: past it a **hedged**
     /// duplicate open goes to the next live replica and the first answer
@@ -245,7 +246,7 @@ impl FileQueryEngine {
             route_cache,
             route_gen: 0,
             client_id,
-            search_page: SEARCH_PAGE_SIZE,
+            search_page: None,
             adaptive_max_page: None,
             hedge_budget: None,
             acg_replicas: HashMap::new(),
@@ -300,10 +301,11 @@ impl FileQueryEngine {
     /// Sets the page size for streamed cross-node searches (builder
     /// style): how many hits each `PullHits` round trip ships per node.
     /// Smaller pages tighten the cross-node cutoff (cold nodes ship
-    /// less); larger pages cost fewer round trips.
+    /// less); larger pages cost fewer round trips. Unset, pages are sized
+    /// from each request's limit.
     #[must_use]
     pub fn with_search_page_size(mut self, page: usize) -> Self {
-        self.search_page = page.max(1);
+        self.search_page = Some(page.max(1));
         self
     }
 
@@ -315,7 +317,7 @@ impl FileQueryEngine {
     /// pulls (fewer round trips for the same hits).
     #[must_use]
     pub fn with_adaptive_paging(mut self, initial: usize, max: usize) -> Self {
-        self.search_page = initial.max(1);
+        self.search_page = Some(initial.max(1));
         self.adaptive_max_page = Some(max.max(initial.max(1)));
         self
     }
@@ -966,6 +968,20 @@ impl FileQueryEngine {
         Ok(response)
     }
 
+    /// The `(first page, growth cap)` of a search over `groups` replica
+    /// groups when the caller configured no paging: a limited search
+    /// opens with a fair share of its `k` plus a quarter — most groups
+    /// then never need a pull, where `k / 64` sequential pulls used to
+    /// drain a list the node computed in full at open — and doubles per
+    /// accepted page up to `k`. Small limits keep the 64-hit first page,
+    /// so a top-100 still ships at most 64 hits from a cold group.
+    fn default_paging(limit: Option<usize>, groups: usize) -> (usize, Option<usize>) {
+        let Some(k) = limit else { return (SEARCH_PAGE_SIZE, None) };
+        let share = k.div_ceil(groups.max(1));
+        let first = SEARCH_PAGE_SIZE.max(share.saturating_add(share / 4)).min(k);
+        (first.max(1), Some(k.max(1)))
+    }
+
     /// Builds one [`NodePageStream`] per replica group, opens them all in
     /// parallel and applies the open-time half of the fan-out policy.
     fn open_cluster_stream(
@@ -989,6 +1005,10 @@ impl FileQueryEngine {
             } else {
                 HashMap::new()
             };
+        let (page, adaptive_max) = match self.search_page {
+            Some(page) => (page, self.adaptive_max_page),
+            None => Self::default_paging(request.limit, groups.len()),
+        };
         let mut sources: Vec<NodePageStream> = groups
             .into_iter()
             .map(|(replicas, acgs)| {
@@ -1018,8 +1038,8 @@ impl FileQueryEngine {
                     acgs,
                     request: request.clone(),
                     client: self.client_id,
-                    page: self.search_page,
-                    adaptive_max: self.adaptive_max_page,
+                    page,
+                    adaptive_max,
                     hedge: self.hedge_budget,
                     now,
                     session: 0,
@@ -1058,7 +1078,7 @@ impl FileQueryEngine {
         // hits: their parked `error` keeps the iterator empty.
         let failed: Vec<usize> =
             sources.iter().enumerate().filter(|(_, s)| s.error.is_some()).map(|(i, _)| i).collect();
-        let merger = HitMerger::new(request.sort.clone(), request.limit);
+        let merger = HitMerger::new(&request.sort, request.limit);
         Ok(ClusterSearchStream {
             sources,
             merger,
@@ -1793,6 +1813,18 @@ impl Drop for ClusterSearchStream {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn default_paging_sizes_pages_from_the_limit() {
+        let paging = FileQueryEngine::default_paging;
+        assert_eq!(paging(Some(1_000), 2), (625, Some(1_000)), "share + a quarter, then up to k");
+        assert_eq!(paging(Some(1_000), 40), (64, Some(1_000)), "never below the classic page");
+        assert_eq!(paging(Some(100), 2), (64, Some(100)));
+        assert_eq!(paging(Some(10), 2), (10, Some(10)), "never past k");
+        assert_eq!(paging(Some(0), 2), (1, Some(1)), "a page is at least one hit");
+        assert_eq!(paging(Some(usize::MAX), 1), (usize::MAX, Some(usize::MAX)));
+        assert_eq!(paging(None, 2), (64, None), "unlimited streams keep the fixed page");
+    }
 
     fn route(n: u64) -> (AcgId, NodeId) {
         (AcgId::new(n), NodeId::new(n as u32))

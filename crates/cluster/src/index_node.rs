@@ -23,7 +23,9 @@ use propeller_acg::{bisect, AcgGraph, PartitionConfig};
 use propeller_index::{
     snapshot, AcgEpoch, AcgIndexGroup, EpochSnapshotJob, FileRecord, GroupConfig, IndexSpec, Wal,
 };
-use propeller_obs::{names, Counter, Histogram, Lane, NodeObs, SlowQuery, SpanKind, TraceContext};
+use propeller_obs::{
+    names, Counter, Histogram, Lane, NodeObs, OpenSpan, SlowQuery, SpanKind, TraceContext,
+};
 use propeller_query::{
     execute_classic, execute_node_request, ClassicResults, ClassicTask, GlobalCutoff, Hit,
     NodeSearchSession, SearchRequest, SearchStats, SessionPage,
@@ -184,6 +186,22 @@ fn run_classic_on_pool<'a>(
             })
             .collect();
         pool.run(jobs)
+    }
+}
+
+/// Records the actor→pool hand-off of a sampled request as a `PoolJob`
+/// child of its service `span`: from `submitted` (read on the actor right
+/// before `pool.submit`, `None` when unsampled) to the job's first
+/// instruction, which is where this is called.
+fn record_pool_job(
+    obs: &NodeObs,
+    span: &OpenSpan,
+    clock: &dyn Clock,
+    submitted: Option<Timestamp>,
+) {
+    if let Some(submitted) = submitted {
+        let job = obs.spans.begin(span.ctx(), SpanKind::PoolJob, submitted);
+        obs.spans.finish(job, clock.now());
     }
 }
 
@@ -906,7 +924,9 @@ impl IndexNode {
                 let slow_after = self.config.slow_query_threshold;
                 let h_search = Arc::clone(&self.h_search);
                 let node_id = self.id;
+                let submitted = span.enabled().then(|| clock.now());
                 self.pool.submit(move || {
+                    record_pool_job(&obs, &span, &*clock, submitted);
                     // Execution phase, under the node-global k cutoff:
                     // ordered-planned groups become lazy candidate streams
                     // pulled through one k-way merge (stop at k total
@@ -977,7 +997,9 @@ impl IndexNode {
                 let slow_after = self.config.slow_query_threshold;
                 let h_search = Arc::clone(&self.h_search);
                 let node_id = self.id;
+                let submitted = span.enabled().then(|| clock.now());
                 self.pool.submit(move || {
+                    record_pool_job(&obs, &span, &*clock, submitted);
                     let request = Arc::new(request);
                     let acg_trace: AcgTrace =
                         span.enabled().then(|| (Arc::clone(&obs), span.ctx(), Arc::clone(&clock)));
@@ -1026,7 +1048,9 @@ impl IndexNode {
                 let obs_enabled = self.config.obs_enabled;
                 let h_pull = Arc::clone(&self.h_pull);
                 let node_id = self.id;
+                let submitted = span.enabled().then(|| clock.now());
                 self.pool.submit(move || {
+                    record_pool_job(&obs, &span, &*clock, submitted);
                     let Some(slot) = sessions.checkout(session) else {
                         return reply(Response::Err(Error::SearchSessionExpired { session }));
                     };

@@ -130,6 +130,14 @@ impl<K: Ord + Clone, V> BPlusTree<K, V> {
         }
     }
 
+    /// A point-lookup cursor for resolving a run of (mostly) ascending
+    /// keys: see [`LeafCursor`].
+    pub fn cursor(&self) -> LeafCursor<'_, K, V> {
+        let mut cursor = LeafCursor { root: &self.root, keys: &[], vals: &[], lo: None, hi: None };
+        cursor.descend(None);
+        cursor
+    }
+
     /// Returns `true` when `key` is present.
     pub fn contains_key<Q>(&self, key: &Q) -> bool
     where
@@ -306,6 +314,60 @@ fn clone_bound<K: Clone>(b: Bound<&K>) -> Bound<K> {
         Bound::Included(k) => Bound::Included(k.clone()),
         Bound::Excluded(k) => Bound::Excluded(k.clone()),
         Bound::Unbounded => Bound::Unbounded,
+    }
+}
+
+/// A point-lookup cursor over a [`BPlusTree`] that remembers the leaf its
+/// last lookup landed in, together with the separator keys fencing that
+/// leaf. The next lookup is answered from the same leaf while its key
+/// falls inside the fence and re-descends from the root only when it does
+/// not — so resolving a sorted run of keys costs one descent per leaf
+/// touched instead of one per key. Every key order returns exactly what
+/// [`BPlusTree::get`] returns; only ascending runs are cheaper.
+pub struct LeafCursor<'a, K, V> {
+    root: &'a Node<K, V>,
+    keys: &'a [K],
+    vals: &'a [V],
+    /// The current leaf holds exactly the tree's keys in `[lo, hi)`
+    /// (`None` = unbounded): the tightest separators on the path to it.
+    /// Lazy deletion empties leaves but never moves a separator.
+    lo: Option<&'a K>,
+    hi: Option<&'a K>,
+}
+
+impl<'a, K: Ord, V> LeafCursor<'a, K, V> {
+    /// Looks up `key`, moving to its leaf if the current one cannot hold it.
+    pub fn get(&mut self, key: &K) -> Option<&'a V> {
+        let inside = self.lo.is_none_or(|lo| lo <= key) && self.hi.is_none_or(|hi| key < hi);
+        if !inside {
+            self.descend(Some(key));
+        }
+        self.keys.binary_search(key).ok().map(|i| &self.vals[i])
+    }
+
+    /// Moves to the leaf covering `key` (the leftmost leaf for `None`),
+    /// recording the separators that fence it.
+    fn descend(&mut self, key: Option<&K>) {
+        (self.lo, self.hi) = (None, None);
+        let mut node = self.root;
+        loop {
+            match node {
+                Node::Leaf { keys, vals } => {
+                    (self.keys, self.vals) = (keys, vals);
+                    return;
+                }
+                Node::Internal { seps, children } => {
+                    let i = key.map_or(0, |key| seps.partition_point(|sep| sep <= key));
+                    if i > 0 {
+                        self.lo = Some(&seps[i - 1]);
+                    }
+                    if i < seps.len() {
+                        self.hi = Some(&seps[i]);
+                    }
+                    node = &children[i];
+                }
+            }
+        }
     }
 }
 
@@ -766,6 +828,67 @@ mod tests {
         assert_eq!(t.get(&0), None);
         assert_eq!(t.get(&1), Some(&2));
         assert_eq!(t.get(&5500), Some(&5500));
+    }
+
+    /// Every key sequence must read exactly what `get` reads, whatever
+    /// leaf the cursor stood on before.
+    fn assert_cursor_matches_get(tree: &BPlusTree<u32, u32>, keys: impl Iterator<Item = u32>) {
+        let mut cursor = tree.cursor();
+        for key in keys {
+            assert_eq!(cursor.get(&key), tree.get(&key), "key {key}");
+        }
+    }
+
+    #[test]
+    fn cursor_matches_get_on_any_key_sequence() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        // Even keys only, four levels deep, with a lazily emptied stretch
+        // in the middle (leaves that hold nothing but keep their fences).
+        let mut t = BPlusTree::new();
+        for i in 0..40_000u32 {
+            t.insert(i * 2, i);
+        }
+        for i in 9_000..11_000u32 {
+            t.remove(&(i * 2));
+        }
+        assert!(t.depth() >= 3, "depth {}", t.depth());
+        // Ascending, every other key missing; repeats; descending; random.
+        assert_cursor_matches_get(&t, 0..80_010);
+        assert_cursor_matches_get(&t, (0..3_000).flat_map(|k| [k, k, k + 1, k]));
+        assert_cursor_matches_get(&t, (0..80_010).rev().step_by(7));
+        let mut rng = StdRng::seed_from_u64(5);
+        assert_cursor_matches_get(&t, (0..20_000).map(|_| rng.gen_range(0..90_000)));
+        // Sorted runs that start over, as consecutive posting lists do.
+        assert_cursor_matches_get(&t, (0..40).flat_map(|run| (run * 31..80_000).step_by(997)));
+        assert_cursor_matches_get(&BPlusTree::new(), 0..10); // a lone empty leaf
+    }
+
+    #[test]
+    fn cursor_on_a_pinned_tree_ignores_mutations_of_its_clone() {
+        let mut t = BPlusTree::new();
+        for i in 0..5_000u32 {
+            t.insert(i, i);
+        }
+        let pinned = t.clone();
+        let mut cursor = pinned.cursor();
+        assert_eq!(cursor.get(&100), Some(&100));
+        // Path-copying mutations of the clone, under and around the leaf
+        // the cursor stands on, while the cursor is live.
+        for i in 0..5_000u32 {
+            if i % 3 == 0 {
+                t.remove(&i);
+            } else {
+                t.insert(i, i + 1);
+            }
+        }
+        for i in 5_000..6_000u32 {
+            t.insert(i, i);
+        }
+        for i in (0..5_000u32).chain([101, 100, 4_999, 0]) {
+            assert_eq!(cursor.get(&i), Some(&i), "pinned entry {i} changed under mutation");
+        }
+        assert_eq!(cursor.get(&5_500), None);
+        assert_cursor_matches_get(&t, 0..6_100);
     }
 
     #[test]

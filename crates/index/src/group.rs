@@ -482,7 +482,20 @@ impl AcgEpoch {
     // The iterator-returning variants of the lookups above: they yield
     // `&FileRecord` directly (candidate ids resolve against the record
     // store as the consumer pulls), so the executor never materializes a
-    // `Vec<FileId>` superset nor re-hashes candidates through the store.
+    // `Vec<FileId>` superset.
+
+    /// Resolves posting ids against the record store through one
+    /// [`LeafCursor`](crate::LeafCursor): a posting list is file-id
+    /// sorted and so is the store, so a run of ids costs one root-to-leaf
+    /// descent per store leaf it touches, not one per id. A new list
+    /// starting over at a smaller id merely re-descends.
+    fn resolve_sorted<'a>(
+        &'a self,
+        ids: impl Iterator<Item = &'a FileId> + 'a,
+    ) -> impl Iterator<Item = &'a FileRecord> + 'a {
+        let mut cursor = self.records.cursor();
+        ids.filter_map(move |file| cursor.get(file).map(|r| &**r))
+    }
 
     /// Streams the records with `attr == value` through a hash-kind index
     /// (or a B+-tree point probe as fallback). Returns `None` when no
@@ -500,7 +513,7 @@ impl AcgEpoch {
         } else {
             return None;
         };
-        Some(list.iter().filter_map(move |f| self.records.get(f).map(|r| &**r)))
+        Some(self.resolve_sorted(list.iter()))
     }
 
     /// Streams the records with `attr` in the given bounds off a B+-tree.
@@ -515,11 +528,7 @@ impl AcgEpoch {
         hi: Bound<Value>,
     ) -> Option<impl Iterator<Item = &'a FileRecord> + 'a> {
         let tree = self.btrees.get(attr)?;
-        Some(
-            tree.range((lo, hi))
-                .flat_map(|(_, list)| list.iter())
-                .filter_map(move |f| self.records.get(f).map(|r| &**r)),
-        )
+        Some(self.resolve_sorted(tree.range((lo, hi)).flat_map(|(_, list)| list.iter())))
     }
 
     /// Streams the records inside a K-D box query. Returns `None` when no
@@ -551,15 +560,12 @@ impl AcgEpoch {
         descending: bool,
     ) -> Option<Box<dyn Iterator<Item = &'a FileRecord> + 'a>> {
         let tree = self.btrees.get(attr)?;
-        let resolve = move |f: &FileId| self.records.get(f).map(|r| &**r);
         if descending {
-            Some(Box::new(
-                tree.range_rev((lo, hi)).flat_map(|(_, list)| list.iter()).filter_map(resolve),
-            ))
+            let ids = tree.range_rev((lo, hi)).flat_map(|(_, list)| list.iter());
+            Some(Box::new(self.resolve_sorted(ids)))
         } else {
-            Some(Box::new(
-                tree.range((lo, hi)).flat_map(|(_, list)| list.iter()).filter_map(resolve),
-            ))
+            let ids = tree.range((lo, hi)).flat_map(|(_, list)| list.iter());
+            Some(Box::new(self.resolve_sorted(ids)))
         }
     }
 

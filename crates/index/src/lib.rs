@@ -49,7 +49,7 @@ mod ops;
 pub mod snapshot;
 mod wal;
 
-pub use btree::{BPlusTree, Range, RangeRev};
+pub use btree::{BPlusTree, LeafCursor, Range, RangeRev};
 pub use cache::IndexCache;
 pub use group::{
     AcgEpoch, AcgIndexGroup, EpochSnapshotJob, GroupConfig, IndexKind, IndexSpec, RecoveryReport,

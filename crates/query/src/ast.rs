@@ -152,6 +152,15 @@ impl Predicate {
         }
     }
 
+    /// [`Iterator::all`] over [`Predicate::conjuncts`] without building the
+    /// `Vec`: the per-candidate form of the same flattening.
+    pub(crate) fn all_conjuncts<'a>(&'a self, f: &mut impl FnMut(&'a Predicate) -> bool) -> bool {
+        match self {
+            Predicate::And(ps) => ps.iter().all(|p| p.all_conjuncts(&mut *f)),
+            other => f(other),
+        }
+    }
+
     /// Whether any [`Predicate::Contains`] appears anywhere in the tree —
     /// the precondition for relevance-ranked results (there is nothing to
     /// score otherwise).

@@ -2,8 +2,9 @@
 //!
 //! The request path ([`execute_request`]) is a *streaming* pipeline:
 //! candidates flow straight from the index structures as `&FileRecord`
-//! (no `Vec<FileId>` superset, no re-hash through the record store),
-//! predicate evaluation compares values in place (no per-candidate
+//! (no `Vec<FileId>` superset; sorted posting ids resolve through a leaf
+//! cursor on the record store), only the conjuncts the access path does
+//! not already prove are evaluated (`Residual`), in place (no per-candidate
 //! clones), and hits are only materialized once the bounded top-k
 //! accumulator decides they will be retained. When the planner emits an
 //! [`AccessPath::OrderedScan`] — a limited request sorted by a
@@ -87,6 +88,113 @@ fn compare_attr(record: &FileRecord, attr: &AttrName, op: CompareOp, rhs: &Value
     }
 }
 
+/// What an access path proves about every candidate it yields. Full scans
+/// prove nothing, and neither do K-D boxes (a widened superset of the
+/// predicate's intervals): they evaluate [`Residual::whole`].
+#[derive(Clone, Copy)]
+pub(crate) enum Proof<'a> {
+    /// The posting list of `attr == value`: the record holds `value`
+    /// among its values for `attr`.
+    Eq { attr: &'a AttrName, value: &'a Value },
+    /// A B+-tree walk over `attr` within `(lo, hi)`: for a single-valued
+    /// builtin the record's one value lies inside the bounds. A
+    /// multi-valued attribute proves nothing — the in-range value need not
+    /// be the one a given conjunct asks about.
+    Range { attr: &'a AttrName, lo: &'a Bound<Value>, hi: &'a Bound<Value> },
+    /// A postings merge of `terms`. A file has a posting under a term
+    /// exactly when [`record_tokens`] of its record contains it (index and
+    /// record matchers share `tokenize_into`, and an epoch's postings are
+    /// built from its records), so a conjunctive candidate contains every
+    /// merge term and a disjunctive one at least one.
+    Merge { terms: &'a [String], conjunctive: bool },
+}
+
+impl Proof<'_> {
+    /// Whether every candidate of the access path satisfies `conjunct`.
+    fn proves(self, conjunct: &Predicate) -> bool {
+        match (self, conjunct) {
+            (Proof::Eq { attr: AttrName::Keyword, value }, Predicate::Keyword(w)) => {
+                value.as_str() == Some(w)
+            }
+            (
+                Proof::Eq { attr, value },
+                Predicate::Compare { attr: a, op: CompareOp::Eq, value: v },
+            ) => a == attr && v == value,
+            (Proof::Range { attr, lo, hi }, Predicate::Compare { attr: a, op, value }) => {
+                a == attr && attr.is_inode_attr() && range_implies(lo, hi, *op, value)
+            }
+            // `Phrase` adjacency is not in the postings; any other
+            // `Contains` shape is not what the merge computed.
+            (
+                Proof::Merge { terms, conjunctive: true },
+                Predicate::Contains { terms: ts, mode: ContainsMode::All },
+            ) => ts.iter().all(|t| terms.contains(t)),
+            (
+                Proof::Merge { terms, conjunctive: false },
+                Predicate::Contains { terms: ts, mode: ContainsMode::Any },
+            ) => ts.as_slice() == terms,
+            _ => false,
+        }
+    }
+}
+
+/// Whether every value inside `(lo, hi)` satisfies `v op rhs`.
+fn range_implies(lo: &Bound<Value>, hi: &Bound<Value>, op: CompareOp, rhs: &Value) -> bool {
+    match (op, lo, hi) {
+        (CompareOp::Gt, Bound::Included(l), _) => l > rhs,
+        (CompareOp::Gt | CompareOp::Ge, Bound::Excluded(l), _) => l >= rhs,
+        (CompareOp::Ge, Bound::Included(l), _) => l >= rhs,
+        (CompareOp::Lt, _, Bound::Included(h)) => h < rhs,
+        (CompareOp::Lt | CompareOp::Le, _, Bound::Excluded(h)) => h <= rhs,
+        (CompareOp::Le, _, Bound::Included(h)) => h <= rhs,
+        (CompareOp::Eq, Bound::Included(l), Bound::Included(h)) => l == rhs && h == rhs,
+        _ => false,
+    }
+}
+
+/// The **residual** of a request's predicate under an access path: its
+/// conjuncts minus the ones the path proves (see [`Proof`] — the one
+/// place that rule lives, for attribute and postings paths alike).
+/// Evaluating only the residual is exact because every candidate the path
+/// yields satisfies the dropped conjuncts by construction. Two words, no
+/// allocation: cheap enough to derive per ACG execution.
+#[derive(Clone, Copy)]
+pub(crate) struct Residual<'a> {
+    pred: &'a Predicate,
+    /// Bit `i` set = flattened conjunct `i` is proved and skipped.
+    /// Conjuncts past the 64th are always evaluated.
+    proved: u64,
+}
+
+impl<'a> Residual<'a> {
+    /// The whole predicate: nothing is proved.
+    fn whole(pred: &'a Predicate) -> Self {
+        Residual { pred, proved: 0 }
+    }
+
+    pub(crate) fn of(pred: &'a Predicate, proof: Proof<'_>) -> Self {
+        let mut proved = 0u64;
+        let mut i = 0u32;
+        pred.all_conjuncts(&mut |conjunct| {
+            if i < u64::BITS && proof.proves(conjunct) {
+                proved |= 1 << i;
+            }
+            i += 1;
+            true
+        });
+        Residual { pred, proved }
+    }
+
+    fn matches(self, record: &FileRecord) -> bool {
+        let mut i = 0u32;
+        self.pred.all_conjuncts(&mut |conjunct| {
+            let skip = i < u64::BITS && self.proved >> i & 1 == 1;
+            i += 1;
+            skip || matches_record(record, conjunct)
+        })
+    }
+}
+
 /// Executes `pred` against a (committed) group: plans an access path,
 /// fetches the candidate superset, post-filters with the exact predicate.
 /// Results are sorted by file id.
@@ -126,10 +234,9 @@ pub fn execute(group: &AcgEpoch, pred: &Predicate) -> Vec<FileId> {
 /// serving a search).
 pub fn execute_request(group: &AcgEpoch, request: &SearchRequest) -> (Vec<Hit>, SearchStats) {
     let plan = plan_request(group, request);
-    if let AccessPath::OrderedScan { attr, lo, hi, descending } = plan.path {
-        let (lo, hi) = cursor_scan_bounds(request.cursor.as_ref(), lo, hi, descending);
-        if let Some(iter) = group.candidates_ordered(&attr, lo, hi, descending) {
-            let mut stream = OrderedHitStream::new(iter, group, request);
+    if let AccessPath::OrderedScan { attr, lo, hi, descending } = &plan.path {
+        if let Some(mut stream) = OrderedHitStream::open(group, request, attr, lo, hi, *descending)
+        {
             let k = request.limit.unwrap_or(usize::MAX);
             let mut hits: Vec<Hit> = Vec::with_capacity(k.min(1024));
             while hits.len() < k {
@@ -186,31 +293,37 @@ pub fn execute_classic(
         return execute_relevance_scan(group, request, cutoff);
     }
     let kind = AccessPathKind::from(&plan.path);
-    let mut scanned = 0usize;
+    let pred = &request.predicate;
+    let whole = Residual::whole(pred);
+    let scan_all = || stream_topk(group.records(), group, request, whole, false, cutoff);
 
-    let (hits, retained_peak) = match plan.path {
+    // Each arm derives its residual from what its own candidate source
+    // proves; the index-less fallbacks scan everything and prove nothing.
+    let (hits, scanned, retained_peak) = match plan.path {
         // An ordered plan reaching the classic executor means the covering
         // tree vanished between planning and execution; scan everything.
-        AccessPath::FullScan | AccessPath::OrderedScan { .. } => {
-            stream_topk(group.records(), group, request, &mut scanned, false, cutoff)
-        }
+        AccessPath::FullScan | AccessPath::OrderedScan { .. } => scan_all(),
         AccessPath::Postings { .. } => unreachable!("dispatched to execute_postings above"),
         AccessPath::HashEq { attr, value } => match group.candidates_eq(&attr, &value) {
-            Some(iter) => stream_topk(iter, group, request, &mut scanned, false, cutoff),
-            None => stream_topk(group.records(), group, request, &mut scanned, false, cutoff),
+            Some(iter) => {
+                let residual = Residual::of(pred, Proof::Eq { attr: &attr, value: &value });
+                stream_topk(iter, group, request, residual, false, cutoff)
+            }
+            None => scan_all(),
         },
         AccessPath::BTreeRange { attr, lo, hi } => {
+            let residual = Residual::of(pred, Proof::Range { attr: &attr, lo: &lo, hi: &hi });
             // A range over a multi-valued attribute may yield a record
             // once per in-range value; builtin attrs are single-valued.
             let dedup = !attr.is_inode_attr();
             match group.candidates_range(&attr, lo, hi) {
-                Some(iter) => stream_topk(iter, group, request, &mut scanned, dedup, cutoff),
-                None => stream_topk(group.records(), group, request, &mut scanned, false, cutoff),
+                Some(iter) => stream_topk(iter, group, request, residual, dedup, cutoff),
+                None => scan_all(),
             }
         }
         AccessPath::KdBox { attrs, lo, hi } => match group.candidates_kd(&attrs, &lo, &hi) {
-            Some(iter) => stream_topk(iter, group, request, &mut scanned, false, cutoff),
-            None => stream_topk(group.records(), group, request, &mut scanned, false, cutoff),
+            Some(iter) => stream_topk(iter, group, request, whole, false, cutoff),
+            None => scan_all(),
         },
     };
 
@@ -224,51 +337,74 @@ pub fn execute_classic(
     (hits, stats)
 }
 
-/// Streams candidates through the predicate, cursor, the optional
-/// node-global bound and the bounded top-k accumulator. `dedup` guards the
-/// one access path (range over a multi-valued attribute) that can yield a
-/// record more than once.
+/// Streams candidates through the local top-k floor, the residual
+/// predicate, the cursor, the optional node-global bound and the bounded
+/// top-k accumulator. `dedup` guards the one access path (range over a
+/// multi-valued attribute) that can yield a record more than once.
+/// Returns the hits, the candidates scanned and the retained peak.
 fn stream_topk<'a, I>(
     records: I,
     group: &AcgEpoch,
     request: &SearchRequest,
-    scanned: &mut usize,
+    residual: Residual<'_>,
     dedup: bool,
     cutoff: Option<&GlobalCutoff>,
-) -> (Vec<Hit>, usize)
+) -> (Vec<Hit>, usize, usize)
 where
     I: Iterator<Item = &'a FileRecord>,
 {
-    let mut topk = TopK::new(request.sort.clone(), request.limit);
+    let mut topk = TopK::new(&request.sort, request.limit);
     let mut seen: HashSet<FileId> = HashSet::new();
+    let mut scanned = 0usize;
     for record in records {
         if dedup && !seen.insert(record.file) {
             continue;
         }
-        *scanned += 1;
-        if !matches_record(record, &request.predicate) {
+        scanned += 1;
+        let key = request.sort.key_of(record);
+        // Floor first: a candidate that does not beat the worst of a full
+        // accumulator would be dropped by `offer` whether or not it matches
+        // — and by the shared bound too, outranked as it is by `limit` hits
+        // this scan already offered it. Most of a long scan leaves here on
+        // one key compare, without the predicate or the bound's lock.
+        if let Some((worst_key, worst_file)) = topk.floor() {
+            let rank = request.sort.cmp_keys(key.as_ref(), record.file, worst_key, worst_file);
+            if rank != Ordering::Less {
+                continue;
+            }
+        }
+        if !residual.matches(record) {
             continue;
         }
-        let key = request.sort.key_of(record);
-        if let Some(cursor) = &request.cursor {
-            if !cursor.admits(&request.sort, key.as_ref(), record.file) {
-                continue;
-            }
-        }
-        if let Some(cutoff) = cutoff {
-            if !cutoff.try_admit(key.as_ref(), record.file) {
-                continue;
-            }
-        }
-        topk.offer(key.as_ref(), record.file, || Hit {
-            file: record.file,
-            acg: Some(group.id()),
-            attrs: request.projection.project(record),
-            sort_key: key.clone(),
-        });
+        offer_hit(&mut topk, group, request, cutoff, key, record);
     }
     let peak = topk.peak_retained();
-    (topk.into_sorted(), peak)
+    (topk.into_sorted(), scanned, peak)
+}
+
+/// The tail every candidate loop shares once a record matched: the cursor,
+/// the optional node-global bound, then the bounded accumulator — the hit
+/// is only built if it will be retained.
+fn offer_hit(
+    topk: &mut TopK,
+    group: &AcgEpoch,
+    request: &SearchRequest,
+    cutoff: Option<&GlobalCutoff>,
+    key: Option<Value>,
+    record: &FileRecord,
+) {
+    let (key, file) = (key.as_ref(), record.file);
+    if request.cursor.as_ref().is_some_and(|cursor| !cursor.admits(&request.sort, key, file))
+        || cutoff.is_some_and(|cutoff| !cutoff.try_admit(key, file))
+    {
+        return;
+    }
+    topk.offer(key, file, || Hit {
+        file,
+        acg: Some(group.id()),
+        attrs: request.projection.project(record),
+        sort_key: key.cloned(),
+    });
 }
 
 /// The unique `contains` terms mentioned anywhere in the predicate, in
@@ -379,7 +515,7 @@ fn execute_relevance_scan(
 ) -> (Vec<Hit>, SearchStats) {
     let terms = relevance_terms(&request.predicate);
     let scorer = RelevanceScorer::of_group(group, &terms);
-    let mut topk = TopK::new(request.sort.clone(), request.limit);
+    let mut topk = TopK::new(&request.sort, request.limit);
     let mut scanned = 0usize;
     for record in group.records() {
         scanned += 1;
@@ -387,22 +523,7 @@ fn execute_relevance_scan(
             continue;
         }
         let key = Some(Value::F64(scorer.score(record, &terms)));
-        if let Some(cursor) = &request.cursor {
-            if !cursor.admits(&request.sort, key.as_ref(), record.file) {
-                continue;
-            }
-        }
-        if let Some(cutoff) = cutoff {
-            if !cutoff.try_admit(key.as_ref(), record.file) {
-                continue;
-            }
-        }
-        topk.offer(key.as_ref(), record.file, || Hit {
-            file: record.file,
-            acg: Some(group.id()),
-            attrs: request.projection.project(record),
-            sort_key: key.clone(),
-        });
+        offer_hit(&mut topk, group, request, cutoff, key, record);
     }
     let stats = SearchStats {
         acgs_consulted: 1,
@@ -439,17 +560,9 @@ struct TermCursor<'a> {
 /// there, before its record is even fetched.
 ///
 /// **Residual rule.** The record is checked against the request's
-/// conjuncts *minus* the ones the merge already proved: under a conjunctive
-/// merge every `Contains{All}` conjunct whose terms are all merge terms,
-/// under a disjunctive merge the `Contains{Any}` conjunct whose terms are
-/// the merge terms. Skipping them is sound because a file has a posting
-/// under a term exactly when [`record_tokens`] of its record contains that
-/// term — the index and the record matchers both tokenize with
-/// `tokenize_into`, and the epoch's postings are built from the epoch's
-/// records — so an aligned conjunctive candidate contains every merge term
-/// and a disjunctive candidate at least one. `Phrase` conjuncts (adjacency
-/// is not in the postings), any other `Contains` and every non-content
-/// conjunct stay in the residual.
+/// [`Residual`] under [`Proof::Merge`]: its conjuncts *minus* the
+/// `Contains` conjuncts the merge already proved. `Phrase` conjuncts, any
+/// other `Contains` and every non-content conjunct stay in.
 ///
 /// Under a relevance sort with a limit, the merge prunes with WAND-style
 /// max-score bounds: once the top-k heap is full, its worst retained score
@@ -547,23 +660,9 @@ fn execute_postings(
         && unique.len() == scoring_terms.len()
         && unique.iter().all(|t| scoring_terms.contains(t));
 
-    // The conjuncts the merge does not prove (see the residual rule above).
-    let residual: Vec<&Predicate> = request
-        .predicate
-        .conjuncts()
-        .into_iter()
-        .filter(|conjunct| match conjunct {
-            Predicate::Contains { terms: ts, mode: ContainsMode::All } if conjunctive => {
-                !ts.iter().all(|t| unique.contains(&t))
-            }
-            Predicate::Contains { terms: ts, mode: ContainsMode::Any } if !conjunctive => {
-                ts.as_slice() != terms
-            }
-            _ => true,
-        })
-        .collect();
+    let residual = Residual::of(&request.predicate, Proof::Merge { terms, conjunctive });
 
-    let mut topk = TopK::new(request.sort.clone(), request.limit);
+    let mut topk = TopK::new(&request.sort, request.limit);
     let mut scanned = 0usize;
     let mut blocks_skipped = 0usize;
     let mut docs_pruned = 0usize;
@@ -613,25 +712,10 @@ fn execute_postings(
         }
         let Some(record) = group.record(file) else { return };
         let key = if relevance { score } else { request.sort.key_of(record) };
-        if !residual.iter().all(|conjunct| matches_record(record, conjunct)) {
+        if !residual.matches(record) {
             return;
         }
-        if let Some(cursor) = &request.cursor {
-            if !cursor.admits(&request.sort, key.as_ref(), record.file) {
-                return;
-            }
-        }
-        if let Some(cutoff) = cutoff {
-            if !cutoff.try_admit(key.as_ref(), record.file) {
-                return;
-            }
-        }
-        topk.offer(key.as_ref(), record.file, || Hit {
-            file: record.file,
-            acg: Some(group.id()),
-            attrs: request.projection.project(record),
-            sort_key: key.clone(),
-        });
+        offer_hit(topk, group, request, cutoff, key, record);
     };
 
     if conjunctive {
@@ -760,24 +844,35 @@ pub struct OrderedHitStream<'a> {
     group_id: AcgId,
     group_len: usize,
     request: &'a SearchRequest,
+    residual: Residual<'a>,
     scanned: usize,
     exhausted: bool,
 }
 
 impl<'a> OrderedHitStream<'a> {
-    pub(crate) fn new(
-        records: Box<dyn Iterator<Item = &'a FileRecord> + 'a>,
+    /// Opens `group`'s walk for an [`AccessPath::OrderedScan`] over `attr`
+    /// within the plan's `(lo, hi)`, resumed at the request's cursor.
+    /// `None` when no B+-tree covers `attr`.
+    pub(crate) fn open(
         group: &'a AcgEpoch,
         request: &'a SearchRequest,
-    ) -> Self {
-        OrderedHitStream {
-            records,
+        attr: &AttrName,
+        lo: &Bound<Value>,
+        hi: &Bound<Value>,
+        descending: bool,
+    ) -> Option<Self> {
+        let residual = Residual::of(&request.predicate, Proof::Range { attr, lo, hi });
+        let (lo, hi) =
+            cursor_scan_bounds(request.cursor.as_ref(), lo.clone(), hi.clone(), descending);
+        Some(OrderedHitStream {
+            records: group.candidates_ordered(attr, lo, hi, descending)?,
             group_id: group.id(),
             group_len: group.len(),
             request,
+            residual,
             scanned: 0,
             exhausted: false,
-        }
+        })
     }
 
     /// Candidates pulled off the underlying walk so far.
@@ -817,7 +912,7 @@ impl Iterator for OrderedHitStream<'_> {
                     continue;
                 }
             }
-            if !matches_record(record, &self.request.predicate) {
+            if !self.residual.matches(record) {
                 continue;
             }
             return Some(Hit {
@@ -885,11 +980,11 @@ where
     let mut streams: Vec<OrderedHitStream<'a>> = Vec::new();
     for (i, group) in groups.iter().enumerate() {
         let plan = plan_request(*group, request);
-        if let AccessPath::OrderedScan { attr, lo, hi, descending } = plan.path {
-            let (lo, hi) = cursor_scan_bounds(request.cursor.as_ref(), lo, hi, descending);
-            if let Some(iter) = group.candidates_ordered(&attr, lo, hi, descending) {
+        if let AccessPath::OrderedScan { attr, lo, hi, descending } = &plan.path {
+            if let Some(stream) = OrderedHitStream::open(group, request, attr, lo, hi, *descending)
+            {
                 slots.push(Slot::Ordered(streams.len()));
-                streams.push(OrderedHitStream::new(iter, group, request));
+                streams.push(stream);
             } else {
                 // Unreachable via the planner; degrade to a full scan.
                 slots.push(Slot::Classic(tasks.len()));
@@ -902,7 +997,7 @@ where
     }
 
     let cutoff = match request.limit {
-        Some(k) if !tasks.is_empty() => Some(Arc::new(GlobalCutoff::new(request.sort.clone(), k))),
+        Some(k) if !tasks.is_empty() => Some(Arc::new(GlobalCutoff::new(&request.sort, k))),
         _ => None,
     };
     // Seed the classic bound from the ordered streams: each stream's first
@@ -1014,7 +1109,7 @@ pub fn execute_node_request_sequential(
 /// cursor's sort key: ascending scans raise `lo`, descending scans lower
 /// `hi`. The cursor key itself stays included — equal-key records are
 /// admitted or rejected by the file-id tie-break, not the scan bounds.
-pub(crate) fn cursor_scan_bounds(
+fn cursor_scan_bounds(
     cursor: Option<&Cursor>,
     lo: Bound<Value>,
     hi: Bound<Value>,
@@ -1061,7 +1156,7 @@ pub fn execute_request_reference(
     if request.sort == SortKey::Relevance {
         let terms = relevance_terms(&request.predicate);
         let scorer = RelevanceScorer::brute(group.records(), &terms);
-        let mut topk = TopK::new(request.sort.clone(), request.limit);
+        let mut topk = TopK::new(&request.sort, request.limit);
         let mut scanned = 0usize;
         for record in group.records() {
             scanned += 1;
@@ -1092,7 +1187,7 @@ pub fn execute_request_reference(
     }
     let plan = plan(group, &request.predicate);
     let kind = AccessPathKind::from(&plan.path);
-    let mut topk = TopK::new(request.sort.clone(), request.limit);
+    let mut topk = TopK::new(&request.sort, request.limit);
     let mut scanned = 0usize;
 
     let consider = |record: &FileRecord, topk: &mut TopK| {
@@ -1658,6 +1753,91 @@ mod tests {
             .with_keyword("beta");
         assert!(matches_record(&rec, &Predicate::Keyword("beta".into())));
         assert!(!matches_record(&rec, &Predicate::Keyword("gamma".into())));
+    }
+
+    #[test]
+    fn residual_drops_exactly_the_conjuncts_the_access_path_proves() {
+        let (kw, size, energy) = (AttrName::Keyword, AttrName::Size, AttrName::custom("energy"));
+        let (a, three, seven) = (Value::from("a"), Value::U64(3), Value::U64(7));
+        let (ten, twenty) = (Bound::Excluded(Value::U64(10)), Bound::Excluded(Value::U64(20)));
+        let ab: Vec<String> = vec!["a".into(), "b".into()];
+        let eq = |attr, value| Proof::Eq { attr, value };
+        let range = |attr, lo, hi| Proof::Range { attr, lo, hi };
+        let unbounded = &Bound::Unbounded;
+        let point = &Bound::Included(seven.clone());
+        // (predicate, what the access path proves, conjuncts still evaluated)
+        let table: Vec<(&str, Proof<'_>, &[&str])> = vec![
+            ("keyword:a & keyword:b", eq(&kw, &a), &["keyword:b"]),
+            ("keyword:a & size>5", eq(&kw, &a), &["size>5"]),
+            ("keyword=a & keyword=b & keyword!=a", eq(&kw, &a), &["keyword=b", "keyword!=a"]),
+            ("energy=3 & energy=4 & energy>=3", eq(&energy, &three), &["energy=4", "energy>=3"]),
+            ("keyword:a & uid=3", eq(&AttrName::Uid, &three), &["keyword:a"]),
+            // Folded bounds on a single-valued builtin: implied conjuncts
+            // go, tighter ones (never planned, but the rule is local) stay.
+            ("size>10 & size<20 & uid=3", range(&size, &ten, &twenty), &["uid=3"]),
+            ("size>=5 & size>10 & size<=20", range(&size, &ten, &twenty), &[]),
+            ("size>15 & size<20 & size!=12", range(&size, &ten, &twenty), &["size>15", "size!=12"]),
+            ("size>10 & size<20", range(&size, &ten, unbounded), &["size<20"]),
+            ("size=7 & size>=7 & size!=7", range(&size, point, point), &["size!=7"]),
+            ("size=7", range(&size, &ten, &twenty), &["size=7"]),
+            // Multi-valued attributes prove nothing under a range.
+            ("energy>10 & energy<20", range(&energy, &ten, &twenty), &["energy>10", "energy<20"]),
+            ("keyword>10 & keyword<20", range(&kw, &ten, &twenty), &["keyword>10", "keyword<20"]),
+            // Only top-level conjuncts are ever dropped.
+            ("keyword:a | size>5", eq(&kw, &a), &["keyword:a | size>5"]),
+            ("!(keyword:a) & keyword:a", eq(&kw, &a), &["!(keyword:a)"]),
+            ("keyword:a", eq(&kw, &a), &[]),
+            ("*", eq(&kw, &a), &["*"]),
+            (
+                "contains:\"a b\" & contains:a & contains:c & phrase:\"a b\" & size>5",
+                Proof::Merge { terms: &ab, conjunctive: true },
+                &["contains:c", "phrase:\"a b\"", "size>5"],
+            ),
+            (
+                "contains-any:\"a b\" & contains-any:a & contains:a",
+                Proof::Merge { terms: &ab, conjunctive: false },
+                &["contains-any:a", "contains:a"],
+            ),
+        ];
+        for (text, proof, kept) in table {
+            let pred = Query::parse(text, now()).unwrap().predicate;
+            let residual = Residual::of(&pred, proof);
+            let evaluated: Vec<Predicate> = pred
+                .conjuncts()
+                .into_iter()
+                .enumerate()
+                .filter(|(i, _)| residual.proved >> i & 1 == 0)
+                .map(|(_, conjunct)| conjunct.clone())
+                .collect();
+            let kept: Vec<Predicate> =
+                kept.iter().map(|k| Query::parse(k, now()).unwrap().predicate).collect();
+            assert_eq!(evaluated, kept, "residual of {text:?}");
+        }
+    }
+
+    #[test]
+    fn residual_evaluation_skips_only_proved_conjuncts() {
+        let rec = FileRecord::new(FileId::new(1), InodeAttrs::builder().size(15).build())
+            .with_keyword("a");
+        let kw = Value::from("a");
+        let proof = Proof::Eq { attr: &AttrName::Keyword, value: &kw };
+        for (text, matches) in [
+            ("keyword:a & size>10", true),
+            ("keyword:a & size>20", false),
+            ("keyword:a & keyword:b", false),
+            ("size>20 & keyword:a", false),
+            ("size<20 & (keyword:a & size>10)", true), // nested conjunctions flatten
+        ] {
+            let pred = Query::parse(text, now()).unwrap().predicate;
+            assert_ne!(Residual::of(&pred, proof).proved, 0, "{text:?} drops the probe");
+            assert_eq!(Residual::of(&pred, proof).matches(&rec), matches, "{text:?}");
+        }
+        // Past the mask's width every conjunct is evaluated, proved or not.
+        let wide = Predicate::And(vec![Predicate::Keyword("zzz".into()); 70]);
+        let zzz = Value::from("zzz");
+        let proof = Proof::Eq { attr: &AttrName::Keyword, value: &zzz };
+        assert_eq!(Residual::of(&wide, proof).proved, u64::MAX);
+        assert!(!Residual::of(&wide, proof).matches(&rec), "conjuncts 64.. still run");
     }
 
     /// A deterministic content corpus: every file holds "the"; thirds hold

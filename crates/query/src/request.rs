@@ -76,6 +76,15 @@ impl SortKey {
         self.attr().and_then(|a| record.attrs.get(a))
     }
 
+    /// The direction this sort compares keys in.
+    fn order(&self) -> KeyOrder {
+        match self {
+            SortKey::FileId => KeyOrder::FileId,
+            SortKey::Ascending(_) => KeyOrder::Ascending,
+            SortKey::Descending(_) | SortKey::Relevance => KeyOrder::Descending,
+        }
+    }
+
     /// Result-order comparison of `(key, file)` pairs: equal keys always
     /// tie-break on ascending file id.
     pub fn cmp_keys(
@@ -85,16 +94,42 @@ impl SortKey {
         b_key: Option<&Value>,
         b_file: FileId,
     ) -> Ordering {
-        let by_key = match self {
-            SortKey::FileId => Ordering::Equal,
-            SortKey::Ascending(_) => a_key.cmp(&b_key),
-            SortKey::Descending(_) | SortKey::Relevance => b_key.cmp(&a_key),
-        };
-        by_key.then(a_file.cmp(&b_file))
+        self.order().cmp_keys(a_key, a_file, b_key, b_file)
     }
 
     /// Result-order comparison of two hits.
     pub fn cmp_hits(&self, a: &Hit, b: &Hit) -> Ordering {
+        self.order().cmp_hits(a, b)
+    }
+}
+
+/// All a comparator needs of a [`SortKey`]: the direction, without the
+/// attribute name. `Copy`, so the heaps below tag every retained entry with
+/// it instead of cloning the sort key (an `AttrName`) per hit.
+#[derive(Debug, Clone, Copy)]
+enum KeyOrder {
+    FileId,
+    Ascending,
+    Descending,
+}
+
+impl KeyOrder {
+    fn cmp_keys(
+        self,
+        a_key: Option<&Value>,
+        a_file: FileId,
+        b_key: Option<&Value>,
+        b_file: FileId,
+    ) -> Ordering {
+        let by_key = match self {
+            KeyOrder::FileId => Ordering::Equal,
+            KeyOrder::Ascending => a_key.cmp(&b_key),
+            KeyOrder::Descending => b_key.cmp(&a_key),
+        };
+        by_key.then(a_file.cmp(&b_file))
+    }
+
+    fn cmp_hits(self, a: &Hit, b: &Hit) -> Ordering {
         self.cmp_keys(a.sort_key.as_ref(), a.file, b.sort_key.as_ref(), b.file)
     }
 }
@@ -597,7 +632,7 @@ impl SearchResponse {
 /// order, so a max-heap's peek is always the *worst* retained hit.
 struct Ranked {
     hit: Hit,
-    sort: SortKey,
+    order: KeyOrder,
 }
 
 impl PartialEq for Ranked {
@@ -616,7 +651,7 @@ impl PartialOrd for Ranked {
 
 impl Ord for Ranked {
     fn cmp(&self, other: &Self) -> Ordering {
-        self.sort.cmp_hits(&self.hit, &other.hit)
+        self.order.cmp_hits(&self.hit, &other.hit)
     }
 }
 
@@ -624,7 +659,7 @@ impl Ord for Ranked {
 /// when `limit` is `None`), evicting the worst via a max-heap. This is the
 /// structure that keeps per-ACG memory at O(k) for limited searches.
 pub struct TopK {
-    sort: SortKey,
+    order: KeyOrder,
     limit: Option<usize>,
     heap: BinaryHeap<Ranked>,
     peak: usize,
@@ -632,8 +667,8 @@ pub struct TopK {
 
 impl TopK {
     /// An accumulator for the given order and limit.
-    pub fn new(sort: SortKey, limit: Option<usize>) -> Self {
-        TopK { sort, limit, heap: BinaryHeap::new(), peak: 0 }
+    pub fn new(sort: &SortKey, limit: Option<usize>) -> Self {
+        TopK { order: sort.order(), limit, heap: BinaryHeap::new(), peak: 0 }
     }
 
     /// Offers a hit; it is retained only if it ranks within the top
@@ -655,14 +690,14 @@ impl TopK {
             if self.heap.len() >= limit {
                 let worst = self.heap.peek().expect("heap non-empty at capacity");
                 let rank =
-                    self.sort.cmp_keys(key, file, worst.hit.sort_key.as_ref(), worst.hit.file);
+                    self.order.cmp_keys(key, file, worst.hit.sort_key.as_ref(), worst.hit.file);
                 if rank != Ordering::Less {
                     return;
                 }
                 self.heap.pop();
             }
         }
-        self.heap.push(Ranked { hit: make(), sort: self.sort.clone() });
+        self.heap.push(Ranked { hit: make(), order: self.order });
         self.peak = self.peak.max(self.heap.len());
     }
 
@@ -714,7 +749,7 @@ impl TopK {
 /// under a read lock against a published worst-rank snapshot; only actual
 /// admissions take the write lock.
 pub struct GlobalCutoff {
-    sort: SortKey,
+    order: KeyOrder,
     limit: usize,
     state: std::sync::RwLock<CutoffState>,
     pruned: std::sync::atomic::AtomicUsize,
@@ -751,7 +786,7 @@ impl CutoffState {
 struct RankedKey {
     key: Option<Value>,
     file: FileId,
-    sort: SortKey,
+    order: KeyOrder,
 }
 
 impl PartialEq for RankedKey {
@@ -770,15 +805,15 @@ impl PartialOrd for RankedKey {
 
 impl Ord for RankedKey {
     fn cmp(&self, other: &Self) -> Ordering {
-        self.sort.cmp_keys(self.key.as_ref(), self.file, other.key.as_ref(), other.file)
+        self.order.cmp_keys(self.key.as_ref(), self.file, other.key.as_ref(), other.file)
     }
 }
 
 impl GlobalCutoff {
     /// A cutoff retaining the best `limit` distinct files under `sort`.
-    pub fn new(sort: SortKey, limit: usize) -> Self {
+    pub fn new(sort: &SortKey, limit: usize) -> Self {
         GlobalCutoff {
-            sort,
+            order: sort.order(),
             limit,
             state: std::sync::RwLock::new(CutoffState::default()),
             pruned: std::sync::atomic::AtomicUsize::new(0),
@@ -810,7 +845,7 @@ impl GlobalCutoff {
                 // pair: real-worst-or-better, so ranking not-better than
                 // it proves the candidate is outside the bound.
                 if let Some(worst) = state.heap.peek() {
-                    let rank = self.sort.cmp_keys(key, file, worst.key.as_ref(), worst.file);
+                    let rank = self.order.cmp_keys(key, file, worst.key.as_ref(), worst.file);
                     if rank != Ordering::Less {
                         drop(state);
                         self.prune_one();
@@ -825,10 +860,10 @@ impl GlobalCutoff {
             // file keeping the better-ranked copy, so only a strictly
             // better re-offer matters — record it without consuming a
             // second slot. A not-better copy can never reach the output.
-            let rank = self.sort.cmp_keys(key, file, best.as_ref(), file);
+            let rank = self.order.cmp_keys(key, file, best.as_ref(), file);
             if rank == Ordering::Less {
                 state.best.insert(file, key.cloned());
-                state.heap.push(RankedKey { key: key.cloned(), file, sort: self.sort.clone() });
+                state.heap.push(RankedKey { key: key.cloned(), file, order: self.order });
                 return true;
             }
             drop(state);
@@ -838,7 +873,7 @@ impl GlobalCutoff {
         if state.best.len() >= self.limit {
             match state.live_worst() {
                 Some((worst_key, worst_file)) => {
-                    let rank = self.sort.cmp_keys(key, file, worst_key.as_ref(), worst_file);
+                    let rank = self.order.cmp_keys(key, file, worst_key.as_ref(), worst_file);
                     if rank != Ordering::Less {
                         drop(state);
                         self.prune_one();
@@ -851,7 +886,7 @@ impl GlobalCutoff {
             }
         }
         state.best.insert(file, key.cloned());
-        state.heap.push(RankedKey { key: key.cloned(), file, sort: self.sort.clone() });
+        state.heap.push(RankedKey { key: key.cloned(), file, order: self.order });
         true
     }
 
@@ -881,7 +916,7 @@ pub fn merge_hit_sources<I>(sources: &mut [I], sort: &SortKey, limit: Option<usi
 where
     I: Iterator<Item = Hit>,
 {
-    let mut merger = HitMerger::new(sort.clone(), limit);
+    let mut merger = HitMerger::new(sort, limit);
     let mut out = Vec::new();
     while let Some(hit) = merger.next_hit(sources) {
         out.push(hit);
@@ -895,7 +930,7 @@ where
 struct MergeHead {
     hit: Hit,
     source: usize,
-    sort: SortKey,
+    order: KeyOrder,
 }
 
 impl PartialEq for MergeHead {
@@ -911,7 +946,7 @@ impl PartialOrd for MergeHead {
 }
 impl Ord for MergeHead {
     fn cmp(&self, other: &Self) -> Ordering {
-        other.sort.cmp_hits(&other.hit, &self.hit)
+        other.order.cmp_hits(&other.hit, &self.hit)
     }
 }
 
@@ -932,7 +967,7 @@ impl Ord for MergeHead {
 /// absorbed inside the source itself (the replica streams do exactly that
 /// for session-expiry reopens and replica failover).
 pub struct HitMerger {
-    sort: SortKey,
+    order: KeyOrder,
     limit: Option<usize>,
     heap: BinaryHeap<MergeHead>,
     seen: std::collections::HashSet<FileId>,
@@ -948,9 +983,9 @@ pub struct HitMerger {
 impl HitMerger {
     /// A merger emitting hits in `sort` order, at most `limit` of them
     /// across all calls.
-    pub fn new(sort: SortKey, limit: Option<usize>) -> Self {
+    pub fn new(sort: &SortKey, limit: Option<usize>) -> Self {
         HitMerger {
-            sort,
+            order: sort.order(),
             limit,
             heap: BinaryHeap::new(),
             seen: std::collections::HashSet::new(),
@@ -983,14 +1018,14 @@ impl HitMerger {
             self.primed = true;
             for (i, iter) in sources.iter_mut().enumerate() {
                 if let Some(hit) = iter.next() {
-                    self.heap.push(MergeHead { hit, source: i, sort: self.sort.clone() });
+                    self.heap.push(MergeHead { hit, source: i, order: self.order });
                 }
             }
         }
         loop {
             if let Some(source) = self.pending_refill.take() {
                 if let Some(next) = sources[source].next() {
-                    self.heap.push(MergeHead { hit: next, source, sort: self.sort.clone() });
+                    self.heap.push(MergeHead { hit: next, source, order: self.order });
                 }
             }
             let MergeHead { hit, source, .. } = self.heap.pop()?;
@@ -1011,7 +1046,7 @@ pub fn run_local_search<I>(records: I, request: &SearchRequest) -> SearchRespons
 where
     I: IntoIterator<Item = FileRecord>,
 {
-    let mut topk = TopK::new(request.sort.clone(), request.limit);
+    let mut topk = TopK::new(&request.sort, request.limit);
     let mut scanned = 0usize;
     for record in records {
         scanned += 1;
@@ -1063,7 +1098,7 @@ mod tests {
     #[test]
     fn topk_retains_best_k_and_tracks_peak() {
         let sort = SortKey::Descending(AttrName::Size);
-        let mut topk = TopK::new(sort, Some(3));
+        let mut topk = TopK::new(&sort, Some(3));
         for i in 0..100u64 {
             topk.push(hit(i, Some(i)));
         }
@@ -1075,7 +1110,7 @@ mod tests {
 
     #[test]
     fn topk_unlimited_keeps_everything_sorted() {
-        let mut topk = TopK::new(SortKey::FileId, None);
+        let mut topk = TopK::new(&SortKey::FileId, None);
         for i in [5u64, 1, 9, 3] {
             topk.push(hit(i, None));
         }
@@ -1102,7 +1137,7 @@ mod tests {
 
         let mut sources: Vec<std::vec::IntoIter<Hit>> =
             vec![a.into_iter(), b.into_iter(), c.into_iter()];
-        let mut merger = HitMerger::new(SortKey::FileId, Some(7));
+        let mut merger = HitMerger::new(&SortKey::FileId, Some(7));
         let mut paged = Vec::new();
         // Pull in pages of 2: the merger's heap and seen-set must carry
         // primed heads across page boundaries.
@@ -1130,7 +1165,7 @@ mod tests {
         let a = vec![hit(1, None), hit(2, None), hit(3, None)];
         let b = vec![hit(10, None), hit(11, None)];
         let mut sources: Vec<std::vec::IntoIter<Hit>> = vec![a.into_iter(), b.into_iter()];
-        let mut merger = HitMerger::new(SortKey::FileId, Some(2));
+        let mut merger = HitMerger::new(&SortKey::FileId, Some(2));
         assert_eq!(merger.next_hit(&mut sources).unwrap().file.raw(), 1);
         assert_eq!(merger.next_hit(&mut sources).unwrap().file.raw(), 2);
         assert!(merger.next_hit(&mut sources).is_none());
@@ -1211,7 +1246,7 @@ mod tests {
             attrs: Vec::new(),
             sort_key: Some(Value::F64(s)),
         };
-        let mut topk = TopK::new(sort.clone(), Some(3));
+        let mut topk = TopK::new(&sort, Some(3));
         for hit in [score(5, 1.0), score(1, 2.5), score(9, 2.5), score(2, 0.1), score(3, 7.0)] {
             topk.push(hit);
         }
@@ -1231,14 +1266,14 @@ mod tests {
 
     #[test]
     fn topk_floor_appears_only_at_capacity() {
-        let mut topk = TopK::new(SortKey::Relevance, Some(2));
+        let mut topk = TopK::new(&SortKey::Relevance, Some(2));
         assert!(topk.floor().is_none(), "empty");
         topk.push(hit(1, None));
         assert!(topk.floor().is_none(), "below capacity");
         topk.push(hit(2, None));
         let (key, file) = topk.floor().expect("at capacity");
         assert_eq!((key, file), (None, FileId::new(2)), "worst retained = highest file id");
-        assert!(TopK::new(SortKey::FileId, None).floor().is_none(), "unlimited has no floor");
+        assert!(TopK::new(&SortKey::FileId, None).floor().is_none(), "unlimited has no floor");
     }
 
     #[test]
@@ -1334,7 +1369,7 @@ mod tests {
 
     #[test]
     fn global_cutoff_prunes_only_provably_outranked_candidates() {
-        let cutoff = GlobalCutoff::new(SortKey::Descending(AttrName::Size), 3);
+        let cutoff = GlobalCutoff::new(&SortKey::Descending(AttrName::Size), 3);
         // First three candidates always admit.
         assert!(cutoff.try_admit(Some(&Value::U64(10)), FileId::new(1)));
         assert!(cutoff.try_admit(Some(&Value::U64(30)), FileId::new(2)));
@@ -1354,7 +1389,7 @@ mod tests {
         // The merge de-duplicates by file id, so two ACGs offering the
         // same file must consume ONE slot of the bound — otherwise a hit
         // that belongs in the merged top-k gets pruned.
-        let cutoff = GlobalCutoff::new(SortKey::Descending(AttrName::Size), 2);
+        let cutoff = GlobalCutoff::new(&SortKey::Descending(AttrName::Size), 2);
         assert!(cutoff.try_admit(Some(&Value::U64(100)), FileId::new(1)), "ACG A's copy of X");
         assert!(
             !cutoff.try_admit(Some(&Value::U64(100)), FileId::new(1)),
@@ -1378,7 +1413,7 @@ mod tests {
 
     #[test]
     fn global_cutoff_limit_zero_prunes_everything() {
-        let cutoff = GlobalCutoff::new(SortKey::FileId, 0);
+        let cutoff = GlobalCutoff::new(&SortKey::FileId, 0);
         assert!(!cutoff.try_admit(None, FileId::new(1)));
         assert_eq!(cutoff.pruned(), 1);
     }

@@ -54,7 +54,7 @@ use std::sync::Arc;
 use propeller_index::AcgEpoch;
 use propeller_types::{AcgId, AttrName, Value};
 
-use crate::exec::{cursor_scan_bounds, ClassicTask, OrderedHitStream};
+use crate::exec::{ClassicTask, OrderedHitStream};
 use crate::plan::{plan_request, AccessPath, Plan};
 use crate::request::{
     merge_hit_sources, merge_sorted_hits, AccessPathKind, Cursor, GlobalCutoff, Hit, SearchRequest,
@@ -190,7 +190,7 @@ impl NodeSearchSession {
 
         let cutoff = match request.limit {
             Some(k) if k > 0 && !tasks.is_empty() => {
-                Some(Arc::new(GlobalCutoff::new(request.sort.clone(), k)))
+                Some(Arc::new(GlobalCutoff::new(&request.sort, k)))
             }
             _ => None,
         };
@@ -207,16 +207,14 @@ impl NodeSearchSession {
                 let Some(group) = groups.iter().find(|g| g.id() == state.acg) else {
                     continue;
                 };
-                let (lo, hi) = cursor_scan_bounds(
-                    request.cursor.as_ref(),
-                    state.lo.clone(),
-                    state.hi.clone(),
+                if let Some(mut stream) = OrderedHitStream::open(
+                    group,
+                    request,
+                    &state.attr,
+                    &state.lo,
+                    &state.hi,
                     state.descending,
-                );
-                if let Some(iter) = group.candidates_ordered(&state.attr, lo, hi, state.descending)
-                {
-                    let mut stream = OrderedHitStream::new(iter, group, request);
-
+                ) {
                     let first = stream.next();
                     state.scanned += stream.scanned();
                     stats.candidates_scanned += stream.scanned();
@@ -390,25 +388,18 @@ impl NodeSearchSession {
                 continue;
             };
             let stream_req: &SearchRequest = prep.req.as_ref().unwrap_or(&req);
-            let (lo, hi) = cursor_scan_bounds(
-                stream_req.cursor.as_ref(),
-                self.ordered[i].lo.clone(),
-                self.ordered[i].hi.clone(),
-                self.ordered[i].descending,
-            );
-            match group.candidates_ordered(
-                &self.ordered[i].attr,
-                lo,
-                hi,
-                self.ordered[i].descending,
+            let state = &self.ordered[i];
+            match OrderedHitStream::open(
+                group,
+                stream_req,
+                &state.attr,
+                &state.lo,
+                &state.hi,
+                state.descending,
             ) {
-                Some(iter) => {
+                Some(stream) => {
                     stream_of.push(i);
-                    let head = prep.head.take();
-                    sources.push(Src::Stream {
-                        head,
-                        stream: OrderedHitStream::new(iter, group, stream_req),
-                    });
+                    sources.push(Src::Stream { head: prep.head.take(), stream });
                 }
                 // The covering index was dropped mid-session: degrade.
                 None => self.ordered[i].done = true,

@@ -131,6 +131,58 @@ fn hedged_search_trace_names_dead_node_and_hedge_winner() {
 /// buckets merge exactly, so cross-node quantiles come from one merged
 /// distribution. Runs in modeled mode so the injected clock (not wall
 /// time) produces the latencies.
+/// The actor→pool hand-off of every deferred search-family request
+/// (`Search`, `OpenSearch`, `PullHits`) shows up as a `PoolJob` span under
+/// that request's node-side service span, so it is no longer hidden in
+/// the parent's self time.
+#[test]
+fn sampled_searches_record_the_pool_hand_off_under_their_service_span() {
+    let cluster = Cluster::start(ClusterConfig {
+        index_nodes: 2,
+        group_capacity: 16,
+        trace_sample_every: 1,
+        ..Default::default()
+    });
+    let mut client = cluster.client().with_search_page_size(4);
+    client.index_files((0..64).map(|i| record(i, (i + 1) << 20)).collect()).unwrap();
+    let request = SearchRequest::parse("size>0", Timestamp::from_secs(1_000))
+        .unwrap()
+        .with_limit(24)
+        .sorted_by(SortKey::Descending(AttrName::Size));
+
+    let pool_job_parents = |tree: &propeller_obs::TraceTree| -> Vec<SpanKind> {
+        let spans = tree.spans();
+        tree.find(SpanKind::PoolJob)
+            .iter()
+            .map(|job| {
+                assert!(matches!(job.lane, Lane::Node(_)), "recorded on the node: {job:?}");
+                assert!(job.start <= job.end);
+                spans.iter().find(|s| s.id == job.parent).expect("parent harvested").kind
+            })
+            .collect()
+    };
+
+    client.search_streamed(&request).unwrap();
+    let tree = client.dump_trace(client.last_trace_id().unwrap()).unwrap();
+    tree.check_well_formed().unwrap();
+    let parents = pool_job_parents(&tree);
+    let opens = tree.find(SpanKind::Search).len();
+    let pulls =
+        tree.find(SpanKind::Pull).iter().filter(|s| matches!(s.lane, Lane::Node(_))).count();
+    assert!(opens >= 2 && pulls >= 1, "4-hit pages force pulls: {}", tree.render());
+    assert_eq!(parents.iter().filter(|k| **k == SpanKind::Search).count(), opens);
+    assert_eq!(parents.iter().filter(|k| **k == SpanKind::Pull).count(), pulls);
+    assert_eq!(parents.len(), opens + pulls, "{}", tree.render());
+
+    client.search_one_shot(&request).unwrap();
+    let tree = client.dump_trace(client.last_trace_id().unwrap()).unwrap();
+    tree.check_well_formed().unwrap();
+    let parents = pool_job_parents(&tree);
+    assert_eq!(parents.len(), tree.find(SpanKind::Search).len());
+    assert!(!parents.is_empty() && parents.iter().all(|k| *k == SpanKind::Search));
+    cluster.shutdown();
+}
+
 #[test]
 fn metrics_report_merges_histograms_across_nodes() {
     let sim = SimClock::new();
