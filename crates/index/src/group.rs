@@ -430,13 +430,26 @@ impl AcgEpoch {
     /// Files with `attr == value`, using a hash-kind index when available,
     /// a B+-tree otherwise, and a full record scan as last resort.
     pub fn lookup_eq(&self, attr: &AttrName, value: &Value) -> Vec<FileId> {
-        if let Some(table) = self.hashes.get(attr) {
-            return table.get(value).map(|l| (**l).clone()).unwrap_or_default();
-        }
-        if let Some(tree) = self.btrees.get(attr) {
-            return tree.get(value).map(|l| (**l).clone()).unwrap_or_default();
+        if let Some(list) = self.posting_list(attr, value) {
+            return list.to_vec();
         }
         self.scan(|record| Self::record_values(record, attr).iter().any(|v| v == value))
+    }
+
+    /// How many files hold `attr == value`: the length of the posting list
+    /// [`AcgEpoch::candidates_eq`] would stream, read with one probe of
+    /// the same index and no record touched. `None` when no index covers
+    /// `attr`.
+    pub fn eq_count(&self, attr: &AttrName, value: &Value) -> Option<usize> {
+        self.posting_list(attr, value).map(<[FileId]>::len)
+    }
+
+    /// The posting list of `attr == value` in the hash-kind index over
+    /// `attr`, else its B+-tree (empty when nothing holds the value);
+    /// `None` when neither exists.
+    fn posting_list(&self, attr: &AttrName, value: &Value) -> Option<&[FileId]> {
+        let tree = self.hashes.get(attr).or_else(|| self.btrees.get(attr))?;
+        Some(tree.get(value).map_or(&[], |list| list.as_slice()))
     }
 
     /// Files with `attr` in the given bounds, using a B+-tree when
@@ -506,14 +519,7 @@ impl AcgEpoch {
         attr: &AttrName,
         value: &Value,
     ) -> Option<impl Iterator<Item = &'a FileRecord> + 'a> {
-        let list: &[FileId] = if let Some(table) = self.hashes.get(attr) {
-            table.get(value).map_or(&[], |l| l.as_slice())
-        } else if let Some(tree) = self.btrees.get(attr) {
-            tree.get(value).map_or(&[], |l| l.as_slice())
-        } else {
-            return None;
-        };
-        Some(self.resolve_sorted(list.iter()))
+        Some(self.resolve_sorted(self.posting_list(attr, value)?.iter()))
     }
 
     /// Streams the records with `attr` in the given bounds off a B+-tree.

@@ -36,7 +36,7 @@ use propeller_index::{
 use propeller_types::{AcgId, AttrName, FileId, Result, Timestamp, Value};
 
 use crate::ast::{CompareOp, ContainsMode, Predicate};
-use crate::plan::{plan, plan_request, AccessPath, Plan};
+use crate::plan::{plan, AccessPath, Analysis, Plan};
 use crate::request::{
     merge_hit_sources, AccessPathKind, Cursor, GlobalCutoff, Hit, SearchRequest, SearchStats,
     SortKey, TopK,
@@ -233,9 +233,11 @@ pub fn execute(group: &AcgEpoch, pred: &Predicate) -> Vec<FileId> {
 /// for committing the group first (the owning Index Node commits before
 /// serving a search).
 pub fn execute_request(group: &AcgEpoch, request: &SearchRequest) -> (Vec<Hit>, SearchStats) {
-    let plan = plan_request(group, request);
+    let (plan, by_count) = Analysis::of(request).choose(group);
     if let AccessPath::OrderedScan { attr, lo, hi, descending } = &plan.path {
-        if let Some(mut stream) = OrderedHitStream::open(group, request, attr, lo, hi, *descending)
+        let resume = request.cursor.as_ref();
+        if let Some(mut stream) =
+            OrderedHitStream::open(group, request, attr, lo, hi, *descending, resume)
         {
             let k = request.limit.unwrap_or(usize::MAX);
             let mut hits: Vec<Hit> = Vec::with_capacity(k.min(1024));
@@ -253,6 +255,7 @@ pub fn execute_request(group: &AcgEpoch, request: &SearchRequest) -> (Vec<Hit>, 
                 candidates_scanned: stream.scanned(),
                 retained_peak: hits.len(),
                 access_paths: vec![(group.id(), AccessPathKind::OrderedScan)],
+                ordered_by_count: usize::from(by_count),
                 // Records in the group the cutoff never had to examine.
                 candidates_skipped: if early {
                     group.len().saturating_sub(stream.scanned())
@@ -844,6 +847,8 @@ pub struct OrderedHitStream<'a> {
     group_id: AcgId,
     group_len: usize,
     request: &'a SearchRequest,
+    /// Where the walk resumes: the request's own cursor, or a session's.
+    resume: Option<&'a Cursor>,
     residual: Residual<'a>,
     scanned: usize,
     exhausted: bool,
@@ -851,8 +856,10 @@ pub struct OrderedHitStream<'a> {
 
 impl<'a> OrderedHitStream<'a> {
     /// Opens `group`'s walk for an [`AccessPath::OrderedScan`] over `attr`
-    /// within the plan's `(lo, hi)`, resumed at the request's cursor.
-    /// `None` when no B+-tree covers `attr`.
+    /// within the plan's `(lo, hi)`, resumed strictly after `resume` — its
+    /// own argument, not `request.cursor`, so the streams of a session
+    /// share one request whatever each resumes from. `None` when no
+    /// B+-tree covers `attr`.
     pub(crate) fn open(
         group: &'a AcgEpoch,
         request: &'a SearchRequest,
@@ -860,15 +867,16 @@ impl<'a> OrderedHitStream<'a> {
         lo: &Bound<Value>,
         hi: &Bound<Value>,
         descending: bool,
+        resume: Option<&'a Cursor>,
     ) -> Option<Self> {
         let residual = Residual::of(&request.predicate, Proof::Range { attr, lo, hi });
-        let (lo, hi) =
-            cursor_scan_bounds(request.cursor.as_ref(), lo.clone(), hi.clone(), descending);
+        let (lo, hi) = cursor_scan_bounds(resume, lo.clone(), hi.clone(), descending);
         Some(OrderedHitStream {
             records: group.candidates_ordered(attr, lo, hi, descending)?,
             group_id: group.id(),
             group_len: group.len(),
             request,
+            resume,
             residual,
             scanned: 0,
             exhausted: false,
@@ -907,7 +915,7 @@ impl Iterator for OrderedHitStream<'_> {
             // the file-id tie-break) is rejected on the cheap key compare
             // without re-evaluating the predicate.
             let key = self.request.sort.key_of(record);
-            if let Some(cursor) = &self.request.cursor {
+            if let Some(cursor) = self.resume {
                 if !cursor.admits(&self.request.sort, key.as_ref(), record.file) {
                     continue;
                 }
@@ -978,11 +986,18 @@ where
     let mut slots: Vec<Slot> = Vec::with_capacity(groups.len());
     let mut tasks: Vec<ClassicTask> = Vec::new();
     let mut streams: Vec<OrderedHitStream<'a>> = Vec::new();
+    let mut ordered_by_count = 0usize;
+    // The predicate is analysed once; each ACG then only answers for its
+    // own indices and posting counts.
+    let analysis = Analysis::of(request);
+    let resume = request.cursor.as_ref();
     for (i, group) in groups.iter().enumerate() {
-        let plan = plan_request(*group, request);
+        let (plan, by_count) = analysis.choose(*group);
         if let AccessPath::OrderedScan { attr, lo, hi, descending } = &plan.path {
-            if let Some(stream) = OrderedHitStream::open(group, request, attr, lo, hi, *descending)
+            if let Some(stream) =
+                OrderedHitStream::open(group, request, attr, lo, hi, *descending, resume)
             {
+                ordered_by_count += usize::from(by_count);
                 slots.push(Slot::Ordered(streams.len()));
                 streams.push(stream);
             } else {
@@ -1060,7 +1075,7 @@ where
     let hits = merge_hit_sources(&mut sources, &request.sort, request.limit);
 
     // Assemble merged stats in group order.
-    let mut stats = SearchStats::default();
+    let mut stats = SearchStats { ordered_by_count, ..SearchStats::default() };
     for slot in &slots {
         match *slot {
             Slot::Classic(j) => stats.absorb(std::mem::take(&mut classic_stats[j])),

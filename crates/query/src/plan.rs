@@ -1,20 +1,64 @@
-//! The query planner: choosing an access path.
+//! The query planner: analyse once, cost per ACG.
 //!
-//! The executor always post-filters candidates with the full predicate, so
-//! a plan's only obligation is to produce a *superset* of the matching
-//! files as cheaply as possible. The planner inspects the conjuncts of the
-//! predicate and the indices available in the target group:
+//! The executor post-filters every candidate with the part of the
+//! predicate its access path does not prove, so a plan's only obligation
+//! is to produce a *superset* of the matching files as cheaply as
+//! possible. Planning is split so each half is paid where it varies:
 //!
-//! 1. full-text `contains` conjuncts with an inverted index → postings
-//!    merge (the only path that can also score relevance),
-//! 2. equality on a hash-indexed attribute → hash probe,
-//! 3. two or more range-constrained attributes covered by one K-D index →
-//!    K-D box query,
-//! 4. a range-constrained attribute with a B+-tree → B+-tree range scan
-//!    (two-sided ranges preferred over one-sided),
-//! 5. otherwise → full scan.
+//! * **Analyse** (`Analysis`, once per request — a node request analyses
+//!   once for all of its ACGs): fold the conjuncts into per-attribute
+//!   intervals, list the equality conjuncts and `contains` terms, and note
+//!   whether the request is a top-k over a builtin sort attribute (a
+//!   *walk* candidate). Nothing here looks at an index.
+//! * **Choose** (`Analysis::choose`, once per ACG): catalogue checks and,
+//!   where a decision hangs on it, one posting-count probe. In priority
+//!   order:
+//!
+//!   1. `contains` conjuncts with an inverted index → postings merge (the
+//!      only path that can also score relevance); no count is read,
+//!   2. a walk candidate whose predicate constrains no *other* indexed
+//!      attribute → ordered scan of the sort attribute's B+-tree, bounded
+//!      by the predicate's interval on it, ending after `limit` hits,
+//!   3. equality on a hash-indexed attribute → hash probe; of several
+//!      such equalities the one with the **shortest posting list**,
+//!   4. two or more constrained attributes under one K-D index → K-D box,
+//!   5. a constrained attribute with a B+-tree → B+-tree range scan
+//!      (two-sided ranges, equalities included, before one-sided ones),
+//!   6. otherwise → full scan,
+//!
+//!   and where 3 or 5 came out as a *point probe* of `n` postings for a
+//!   walk candidate, the counts decide between the probe and the walk.
+//!
+//! ## Probe or walk
+//!
+//! ACGs are access-correlated, so one equality's selectivity differs
+//! wildly between the ACGs of one request: `keyword:app3` is on every
+//! record of the few groups filled from that application's files and on
+//! none of the rest. The probe hands all `n` postings to the top-k heap.
+//! The walk visits records in result order and stops at `limit` admitted
+//! hits; with the `n` holders spread evenly over the sort order of the
+//! group's `len` records it examines about `limit · len / n` of them. The
+//! walk is chosen when `C` times that is still shorter than the list:
+//!
+//! ```text
+//! C · limit · len  <  n²          (C = 4)
+//! ```
+//!
+//! `C` covers what the estimate leaves out: the rest of the residual
+//! (`size>K` beside the keyword) rejecting some holders, and a walked
+//! candidate costing more than a probed one (the whole residual per
+//! record, against one key compare with the top-k floor). `n` and `len`
+//! are exact and free — the length of a list and of a tree in the epoch
+//! the search already pinned — so the choice repeats exactly on equal
+//! data. `n = 0` keeps the probe: an empty list answers without touching
+//! a record.
+//!
+//! **Regret is bounded**: a walk never examines more than the `len`
+//! records of its own ACG, and is only chosen where the probe would have
+//! examined at least `√(C · limit · len)` — against a residual that
+//! matches nothing, at most `√(len / (C · limit))` times the probe (3.5×
+//! for a top-100 over a 5,000-record ACG), in that ACG only.
 
-use std::collections::HashMap;
 use std::ops::Bound;
 
 use propeller_index::{AcgEpoch, IndexKind};
@@ -37,6 +81,13 @@ pub trait IndexCatalog {
     fn kd_attr_sets(&self) -> Vec<Vec<AttrName>>;
     /// Whether an inverted (full-text) index is available.
     fn has_inverted(&self) -> bool;
+    /// Number of records in the group.
+    fn record_count(&self) -> usize;
+    /// Exact number of records holding `value` for `attr` — the length of
+    /// one posting list, read with one index probe and no record touched.
+    /// `None` when no index can say; the planner then decides from the
+    /// predicate's shape alone.
+    fn eq_count(&self, attr: &AttrName, value: &Value) -> Option<usize>;
 }
 
 impl IndexCatalog for AcgEpoch {
@@ -62,6 +113,14 @@ impl IndexCatalog for AcgEpoch {
 
     fn has_inverted(&self) -> bool {
         self.inverted().is_some()
+    }
+
+    fn record_count(&self) -> usize {
+        self.len()
+    }
+
+    fn eq_count(&self, attr: &AttrName, value: &Value) -> Option<usize> {
+        AcgEpoch::eq_count(self, attr, value)
     }
 }
 
@@ -123,6 +182,22 @@ pub enum AccessPath {
     },
     /// Fall back to scanning every record.
     FullScan,
+}
+
+impl AccessPath {
+    /// The `(attr, value)` whose single posting list this path reads: a
+    /// hash probe, or a B+-tree range closed on one value.
+    fn point(&self) -> Option<(&AttrName, &Value)> {
+        match self {
+            AccessPath::HashEq { attr, value } => Some((attr, value)),
+            AccessPath::BTreeRange { attr, lo: Bound::Included(lo), hi: Bound::Included(hi) }
+                if lo == hi =>
+            {
+                Some((attr, lo))
+            }
+            _ => None,
+        }
+    }
 }
 
 /// A completed plan.
@@ -189,6 +264,15 @@ impl Interval {
             || (!matches!(self.lo, Bound::Unbounded) && !matches!(self.hi, Bound::Unbounded))
     }
 
+    /// The scan bounds this interval folds to: the equality's point when
+    /// there is one, the accumulated range otherwise.
+    fn bounds(&self) -> (Bound<Value>, Bound<Value>) {
+        match &self.eq {
+            Some(eq) => (Bound::Included(eq.clone()), Bound::Included(eq.clone())),
+            None => (self.lo.clone(), self.hi.clone()),
+        }
+    }
+
     /// Inclusive f64 projection of this interval for a K-D box (a superset:
     /// exclusive bounds are widened to inclusive).
     fn to_box(&self) -> (f64, f64) {
@@ -215,113 +299,223 @@ fn bound_value(b: &Bound<Value>) -> Option<&Value> {
     }
 }
 
-/// The postings merge serving the predicate's `contains` conjuncts, when
-/// the catalog has an inverted index. Every conjunctive (`All`/`Phrase`)
-/// conjunct folds into one merged conjunctive term set — the intersection
-/// of their postings is still a superset of the full predicate (phrase
-/// adjacency stays in the post-filter). With only disjunctive conjuncts,
-/// the first one drives an `Any` merge (the others post-filter).
-fn postings_path<C: IndexCatalog + ?Sized>(catalog: &C, pred: &Predicate) -> Option<AccessPath> {
-    if !catalog.has_inverted() {
-        return None;
+/// How many times its expected length an ordered walk may cost and still
+/// be preferred to a point probe (see "Probe or walk" in the module docs).
+/// A constant of the cost model, not a tunable.
+const WALK_COST: usize = 4;
+
+/// Whether walking the sort order of a `len`-record group for `limit` hits
+/// is expected to examine fewer records than a point probe's `n` postings:
+/// `WALK_COST · limit · len < n²`.
+fn walk_is_shorter(limit: usize, len: usize, n: usize) -> bool {
+    WALK_COST.saturating_mul(limit).saturating_mul(len) < n.saturating_mul(n)
+}
+
+/// The sort-order walk a limited request sorted by a builtin attribute
+/// could run wherever a B+-tree covers that attribute.
+struct Walk {
+    attr: AttrName,
+    descending: bool,
+    limit: usize,
+}
+
+/// Everything planning reads off the request itself — derived once, then
+/// [`Analysis::choose`]n against each ACG's catalogue.
+pub(crate) struct Analysis {
+    /// Folded bounds per compared attribute, in order of first appearance
+    /// (so equal-scoring choices fall the same way on every call).
+    intervals: Vec<(AttrName, Interval)>,
+    /// Every equality conjunct (`keyword:w`, `attr = v`), in predicate
+    /// order: the candidates for a point probe. A multi-valued attribute
+    /// may appear more than once.
+    eqs: Vec<(AttrName, Value)>,
+    /// The postings merge serving the `contains` conjuncts. Every
+    /// conjunctive (`All`/`Phrase`) conjunct folds into one merged
+    /// conjunctive term set — the intersection of their postings is still
+    /// a superset of the full predicate (phrase adjacency stays in the
+    /// post-filter). With only disjunctive conjuncts, the first one drives
+    /// an `Any` merge (the others post-filter).
+    postings: Option<AccessPath>,
+    walk: Option<Walk>,
+}
+
+impl Analysis {
+    /// Analyses a full request: unlike a bare predicate, its sort and
+    /// limit can make it a walk candidate.
+    pub(crate) fn of(request: &SearchRequest) -> Self {
+        let walk = match (request.limit, request.sort.attr()) {
+            (Some(limit), Some(attr)) if attr.is_inode_attr() => {
+                Some(Walk { attr: attr.clone(), descending: request.sort.is_descending(), limit })
+            }
+            _ => None,
+        };
+        Analysis { walk, ..Analysis::of_predicate(&request.predicate) }
     }
-    let mut conjunctive: Vec<String> = Vec::new();
-    let mut first_any: Option<&[String]> = None;
-    for conjunct in pred.conjuncts() {
-        if let Predicate::Contains { terms, mode } = conjunct {
-            match mode {
-                ContainsMode::All | ContainsMode::Phrase => {
+
+    fn of_predicate(pred: &Predicate) -> Self {
+        let mut intervals: Vec<(AttrName, Interval)> = Vec::new();
+        let mut eqs: Vec<(AttrName, Value)> = Vec::new();
+        let mut conjunctive: Vec<String> = Vec::new();
+        let mut first_any: Option<&[String]> = None;
+        let mut compare = |attr: &AttrName, op: CompareOp, value: &Value| {
+            let at = intervals.iter().position(|(a, _)| a == attr).unwrap_or_else(|| {
+                intervals.push((attr.clone(), Interval::default()));
+                intervals.len() - 1
+            });
+            intervals[at].1.tighten(op, value);
+            if op == CompareOp::Eq {
+                eqs.push((attr.clone(), value.clone()));
+            }
+        };
+        for conjunct in pred.conjuncts() {
+            match conjunct {
+                Predicate::Compare { attr, op, value } => compare(attr, *op, value),
+                Predicate::Keyword(w) => {
+                    compare(&AttrName::Keyword, CompareOp::Eq, &Value::from(w.as_str()));
+                }
+                Predicate::Contains { terms, mode: ContainsMode::Any } => {
+                    first_any = first_any.or(Some(terms));
+                }
+                Predicate::Contains { terms, .. } => {
                     for term in terms {
                         if !conjunctive.contains(term) {
                             conjunctive.push(term.clone());
                         }
                     }
                 }
-                ContainsMode::Any => first_any = first_any.or(Some(terms)),
+                _ => {}
             }
         }
+        let postings = if !conjunctive.is_empty() {
+            Some(AccessPath::Postings { terms: conjunctive, mode: ContainsMode::All })
+        } else {
+            first_any.map(|terms| AccessPath::Postings {
+                terms: terms.to_vec(),
+                mode: ContainsMode::Any,
+            })
+        };
+        Analysis { intervals, eqs, postings, walk: None }
     }
-    if !conjunctive.is_empty() {
-        return Some(AccessPath::Postings { terms: conjunctive, mode: ContainsMode::All });
-    }
-    first_any.map(|terms| AccessPath::Postings { terms: terms.to_vec(), mode: ContainsMode::Any })
-}
 
-/// Default interval map extraction from the predicate's conjuncts.
-fn intervals(pred: &Predicate) -> HashMap<AttrName, Interval> {
-    let mut map: HashMap<AttrName, Interval> = HashMap::new();
-    for conjunct in pred.conjuncts() {
-        match conjunct {
-            Predicate::Compare { attr, op, value } => {
-                map.entry(attr.clone()).or_default().tighten(*op, value);
+    fn interval(&self, attr: &AttrName) -> Option<&Interval> {
+        self.intervals.iter().find(|(a, _)| a == attr).map(|(_, iv)| iv)
+    }
+
+    /// Chooses this request's access path in one ACG, and reports whether
+    /// the posting counts turned a point probe into the ordered walk.
+    pub(crate) fn choose<C: IndexCatalog + ?Sized>(&self, catalog: &C) -> (Plan, bool) {
+        // A term's postings list is typically far shorter than the group,
+        // and only this path can score relevance.
+        if let (Some(path), true) = (&self.postings, catalog.has_inverted()) {
+            return (Plan { path: path.clone() }, false);
+        }
+        let walk = self.walk.as_ref().filter(|walk| catalog.has_btree(&walk.attr));
+        if let Some(walk) = walk {
+            if !self.indexed_elsewhere(catalog, &walk.attr) {
+                return (self.ordered(walk), false);
             }
-            Predicate::Keyword(w) => {
-                map.entry(AttrName::Keyword)
-                    .or_default()
-                    .tighten(CompareOp::Eq, &Value::from(w.as_str()));
+        }
+        let path = match self.shortest_hash_probe(catalog) {
+            Some((attr, value)) => AccessPath::HashEq { attr: attr.clone(), value: value.clone() },
+            None => self.kd_or_range(catalog),
+        };
+        if let (Some(walk), Some((attr, value))) = (walk, path.point()) {
+            let n = catalog.eq_count(attr, value);
+            if n.is_some_and(|n| walk_is_shorter(walk.limit, catalog.record_count(), n)) {
+                return (self.ordered(walk), true);
             }
-            _ => {}
+        }
+        (Plan { path }, false)
+    }
+
+    /// Whether the predicate constrains an attribute other than `sort` that
+    /// an index of this ACG could serve (hash for an equality, B+-tree or
+    /// K-D for any bound). Short of a posting count, "another index
+    /// applies" is the selectivity proxy that keeps the walk away from a
+    /// residual that may match almost nothing. A constraint on `sort`
+    /// itself is fine: it tightens the walk's own bounds.
+    fn indexed_elsewhere<C: IndexCatalog + ?Sized>(&self, catalog: &C, sort: &AttrName) -> bool {
+        self.intervals.iter().any(|(attr, iv)| {
+            attr != sort
+                && iv.is_constrained()
+                && ((iv.eq.is_some() && catalog.has_hash(attr))
+                    || catalog.has_btree(attr)
+                    || catalog.kd_attr_sets().iter().any(|set| set.contains(attr)))
+        })
+    }
+
+    /// The hash-probe-able equality with the shortest posting list (the
+    /// first in predicate order among equals). Lengths are only read once
+    /// there is a choice to make.
+    fn shortest_hash_probe<C: IndexCatalog + ?Sized>(
+        &self,
+        catalog: &C,
+    ) -> Option<&(AttrName, Value)> {
+        let mut hashed = self.eqs.iter().filter(|(attr, _)| catalog.has_hash(attr));
+        let first = hashed.next()?;
+        let Some(second) = hashed.next() else { return Some(first) };
+        let len = |eq: &&(AttrName, Value)| catalog.eq_count(&eq.0, &eq.1).unwrap_or(usize::MAX);
+        [first, second].into_iter().chain(hashed).min_by_key(len)
+    }
+
+    /// The ordered scan of `walk`, bounded by the predicate's interval on
+    /// the sort attribute itself.
+    fn ordered(&self, walk: &Walk) -> Plan {
+        let (lo, hi) = self
+            .interval(&walk.attr)
+            .map_or((Bound::Unbounded, Bound::Unbounded), Interval::bounds);
+        let (attr, descending) = (walk.attr.clone(), walk.descending);
+        Plan { path: AccessPath::OrderedScan { attr, lo, hi, descending } }
+    }
+
+    /// The classic plan below the hash probe: K-D box, B+-tree range, or
+    /// full scan.
+    fn kd_or_range<C: IndexCatalog + ?Sized>(&self, catalog: &C) -> AccessPath {
+        let constrained =
+            |attr: &AttrName| self.interval(attr).is_some_and(Interval::is_constrained);
+        if self.intervals.iter().filter(|(_, iv)| iv.is_constrained()).count() >= 2 {
+            for attrs in catalog.kd_attr_sets() {
+                if attrs.iter().filter(|a| constrained(a)).count() >= 2 {
+                    let unbounded = (f64::NEG_INFINITY, f64::INFINITY);
+                    let (lo, hi) = attrs
+                        .iter()
+                        .map(|a| self.interval(a).map_or(unbounded, Interval::to_box))
+                        .unzip();
+                    return AccessPath::KdBox { attrs, lo, hi };
+                }
+            }
+        }
+        // Two-sided intervals (equalities included) before one-sided ones.
+        let mut best: Option<(&AttrName, &Interval)> = None;
+        for (attr, iv) in &self.intervals {
+            if iv.is_constrained()
+                && catalog.has_btree(attr)
+                && best.is_none_or(|(_, held)| iv.two_sided() && !held.two_sided())
+            {
+                best = Some((attr, iv));
+            }
+        }
+        match best {
+            Some((attr, iv)) => {
+                let (lo, hi) = iv.bounds();
+                AccessPath::BTreeRange { attr: attr.clone(), lo, hi }
+            }
+            None => AccessPath::FullScan,
         }
     }
-    map
 }
 
 /// Chooses an access path for a full [`SearchRequest`], which — unlike
 /// [`plan`] — can exploit the request's sort and limit: a top-k request
-/// sorted by a B+-tree-covered builtin attribute walks that tree in result
-/// order ([`AccessPath::OrderedScan`]) and terminates early, instead of
-/// materializing the whole candidate superset and heap-selecting k. On a
-/// multi-ACG Index Node every ordered-planned group becomes a resumable
-/// lazy stream pulled through one node-global k-way merge (see
-/// `execute_node_request`), so the early termination happens at `k` total
-/// admitted hits across the node, not `k` per group.
+/// sorted by a B+-tree-covered builtin attribute may walk that tree in
+/// result order ([`AccessPath::OrderedScan`]) and terminate early, instead
+/// of materializing the whole candidate superset and heap-selecting k.
 ///
-/// The ordered scan only wins while the predicate is not very selective:
-/// it must walk the sort order until k *residual* matches accumulate,
-/// which is the whole tree when few records match. So the planner bails
-/// to the classic plan whenever the predicate constrains any *other*
-/// attribute an index could serve (hash, B+-tree or K-D) — without
-/// per-attribute statistics, "another index applies" is the selectivity
-/// proxy. A constraint on the sort attribute itself is fine: it tightens
-/// the ordered scan's own bounds instead.
+/// This is "analyse, then choose" for one catalogue; the node-level
+/// executors analyse once and choose per ACG (the module docs have the
+/// rules, the probe-or-walk inequality and its regret bound).
 pub fn plan_request<C: IndexCatalog + ?Sized>(catalog: &C, request: &SearchRequest) -> Plan {
-    if request.limit.is_some() {
-        if let Some(attr) = request.sort.attr() {
-            if attr.is_inode_attr() && catalog.has_btree(attr) {
-                let map = intervals(&request.predicate);
-                let kd_sets = catalog.kd_attr_sets();
-                // A contains conjunct an inverted index can serve is the
-                // same kind of selectivity signal as another indexed
-                // attribute: prefer the postings merge to the sort-order
-                // walk.
-                let selective_contains = postings_path(catalog, &request.predicate).is_some();
-                let selective_elsewhere = selective_contains
-                    || map.iter().any(|(a, iv)| {
-                        a != attr
-                            && iv.is_constrained()
-                            && ((iv.eq.is_some() && catalog.has_hash(a))
-                                || catalog.has_btree(a)
-                                || kd_sets.iter().any(|set| set.contains(a)))
-                    });
-                if !selective_elsewhere {
-                    let iv = map.get(attr).cloned().unwrap_or_default();
-                    let (lo, hi) = match &iv.eq {
-                        Some(eq) => (Bound::Included(eq.clone()), Bound::Included(eq.clone())),
-                        None => (iv.lo, iv.hi),
-                    };
-                    return Plan {
-                        path: AccessPath::OrderedScan {
-                            attr: attr.clone(),
-                            lo,
-                            hi,
-                            descending: request.sort.is_descending(),
-                        },
-                    };
-                }
-            }
-        }
-    }
-    plan(catalog, &request.predicate)
+    Analysis::of(request).choose(catalog).0
 }
 
 /// Chooses an access path for `pred` against `catalog`.
@@ -339,81 +533,7 @@ pub fn plan_request<C: IndexCatalog + ?Sized>(catalog: &C, request: &SearchReque
 /// assert!(matches!(plan.path, AccessPath::HashEq { .. }));
 /// ```
 pub fn plan<C: IndexCatalog + ?Sized>(catalog: &C, pred: &Predicate) -> Plan {
-    let map = intervals(pred);
-
-    // 0. Postings merge for full-text conjuncts. A term's postings list is
-    //    typically far shorter than the group, and only this path can
-    //    score relevance.
-    if let Some(path) = postings_path(catalog, pred) {
-        return Plan { path };
-    }
-
-    // 1. Equality probe on a hash index.
-    for (attr, iv) in &map {
-        if let Some(eq) = &iv.eq {
-            if catalog.has_hash(attr) {
-                return Plan { path: AccessPath::HashEq { attr: attr.clone(), value: eq.clone() } };
-            }
-        }
-    }
-
-    // 2. K-D box over >= 2 constrained attributes.
-    let constrained: Vec<&AttrName> =
-        map.iter().filter(|(_, iv)| iv.is_constrained()).map(|(a, _)| a).collect();
-    if constrained.len() >= 2 {
-        for kd_attrs in catalog.kd_attr_sets() {
-            let covered = kd_attrs
-                .iter()
-                .filter(|a| map.get(a).is_some_and(Interval::is_constrained))
-                .count();
-            if covered >= 2 {
-                let mut lo = Vec::with_capacity(kd_attrs.len());
-                let mut hi = Vec::with_capacity(kd_attrs.len());
-                for attr in &kd_attrs {
-                    let (l, h) = map.get(attr).cloned().unwrap_or_default().to_box();
-                    lo.push(l);
-                    hi.push(h);
-                }
-                return Plan { path: AccessPath::KdBox { attrs: kd_attrs, lo, hi } };
-            }
-        }
-    }
-
-    // 3. B+-tree range: prefer two-sided intervals, then any constrained.
-    let mut best: Option<(&AttrName, &Interval, u8)> = None;
-    for (attr, iv) in &map {
-        if !iv.is_constrained() || !catalog.has_btree(attr) {
-            continue;
-        }
-        let score = if iv.two_sided() { 2 } else { 1 };
-        if best.map(|(_, _, s)| score > s).unwrap_or(true) {
-            best = Some((attr, iv, score));
-        }
-    }
-    if let Some((attr, iv, _)) = best {
-        let (lo, hi) = match &iv.eq {
-            Some(eq) => (Bound::Included(eq.clone()), Bound::Included(eq.clone())),
-            None => (iv.lo.clone(), iv.hi.clone()),
-        };
-        return Plan { path: AccessPath::BTreeRange { attr: attr.clone(), lo, hi } };
-    }
-
-    // 4. Equality via B+-tree (no hash available).
-    for (attr, iv) in &map {
-        if let Some(eq) = &iv.eq {
-            if catalog.has_btree(attr) {
-                return Plan {
-                    path: AccessPath::BTreeRange {
-                        attr: attr.clone(),
-                        lo: Bound::Included(eq.clone()),
-                        hi: Bound::Included(eq.clone()),
-                    },
-                };
-            }
-        }
-    }
-
-    Plan { path: AccessPath::FullScan }
+    Analysis::of_predicate(pred).choose(catalog).0
 }
 
 #[cfg(test)]
@@ -421,11 +541,16 @@ mod tests {
     use super::*;
     use propeller_types::Timestamp;
 
+    #[derive(Default)]
     struct FakeCatalog {
         hash: Vec<AttrName>,
         btree: Vec<AttrName>,
         kd: Vec<Vec<AttrName>>,
         inverted: bool,
+        len: usize,
+        /// Posting-list lengths (a value not listed holds 0); `None` = a
+        /// catalogue that cannot count.
+        counts: Option<Vec<(AttrName, Value, usize)>>,
     }
 
     impl IndexCatalog for FakeCatalog {
@@ -441,6 +566,13 @@ mod tests {
         fn has_inverted(&self) -> bool {
             self.inverted
         }
+        fn record_count(&self) -> usize {
+            self.len
+        }
+        fn eq_count(&self, attr: &AttrName, value: &Value) -> Option<usize> {
+            let counts = self.counts.as_ref()?;
+            Some(counts.iter().find(|(a, v, _)| a == attr && v == value).map_or(0, |c| c.2))
+        }
     }
 
     fn default_catalog() -> FakeCatalog {
@@ -449,6 +581,7 @@ mod tests {
             btree: vec![AttrName::Size, AttrName::Mtime],
             kd: vec![vec![AttrName::Size, AttrName::Mtime]],
             inverted: true,
+            ..FakeCatalog::default()
         }
     }
 
@@ -506,8 +639,7 @@ mod tests {
 
     #[test]
     fn equality_uses_btree_when_no_hash() {
-        let cat =
-            FakeCatalog { hash: vec![], btree: vec![AttrName::Uid], kd: vec![], inverted: false };
+        let cat = FakeCatalog { btree: vec![AttrName::Uid], ..FakeCatalog::default() };
         let p = plan(&cat, &parse("uid=1000"));
         match p.path {
             AccessPath::BTreeRange { attr, lo, hi } => {
@@ -521,7 +653,7 @@ mod tests {
 
     #[test]
     fn unindexed_predicate_scans() {
-        let cat = FakeCatalog { hash: vec![], btree: vec![], kd: vec![], inverted: false };
+        let cat = FakeCatalog::default();
         assert_eq!(plan(&cat, &parse("uid=5")).path, AccessPath::FullScan);
         assert_eq!(plan(&cat, &parse("*")).path, AccessPath::FullScan);
     }
@@ -668,5 +800,128 @@ mod tests {
         let req =
             SearchRequest::new(parse("contains:tax")).with_limit(10).sorted_by(SortKey::Relevance);
         assert!(matches!(plan_request(&default_catalog(), &req).path, AccessPath::Postings { .. }));
+    }
+
+    /// A 5,000-record catalogue holding `keyword:app` on `n` records and
+    /// `uid=7` on `uid7`; top-100 walks break even at √(4·100·5000) ≈ 1414.2.
+    fn counted_catalog(n: usize, uid7: usize) -> FakeCatalog {
+        FakeCatalog {
+            len: 5_000,
+            counts: Some(vec![
+                (AttrName::Keyword, Value::from("app"), n),
+                (AttrName::Uid, Value::U64(7), uid7),
+            ]),
+            ..default_catalog()
+        }
+    }
+
+    #[test]
+    fn counts_decide_between_the_probe_and_the_walk() {
+        use crate::request::{SearchRequest, SortKey};
+        #[derive(Debug, PartialEq)]
+        enum Expect {
+            Walk,
+            Probe,
+            Merge,
+            Point,
+        }
+        let top = |query: &str, limit: Option<usize>, sort: SortKey| {
+            let req = SearchRequest::new(parse(query)).sorted_by(sort);
+            match limit {
+                Some(k) => req.with_limit(k),
+                None => req,
+            }
+        };
+        let mtime = || SortKey::Descending(AttrName::Mtime);
+        let kw = "keyword:app & size>64k";
+        let no_hash = || FakeCatalog {
+            hash: vec![],
+            btree: vec![AttrName::Uid, AttrName::Mtime],
+            ..counted_catalog(0, 5_000)
+        };
+        let table: Vec<(&str, FakeCatalog, SearchRequest, Expect)> = vec![
+            ("empty list", counted_catalog(0, 0), top(kw, Some(100), mtime()), Expect::Probe),
+            ("every record", counted_catalog(5_000, 0), top(kw, Some(100), mtime()), Expect::Walk),
+            ("just below", counted_catalog(1_414, 0), top(kw, Some(100), mtime()), Expect::Probe),
+            ("just above", counted_catalog(1_415, 0), top(kw, Some(100), mtime()), Expect::Walk),
+            ("no limit", counted_catalog(5_000, 0), top(kw, None, mtime()), Expect::Probe),
+            (
+                "custom-attribute sort",
+                counted_catalog(5_000, 0),
+                top(kw, Some(100), SortKey::Ascending(AttrName::custom("energy"))),
+                Expect::Probe,
+            ),
+            (
+                "relevance sort",
+                counted_catalog(5_000, 0),
+                top(kw, Some(100), SortKey::Relevance),
+                Expect::Probe,
+            ),
+            (
+                "contains conjunct",
+                counted_catalog(5_000, 0),
+                top("keyword:app & contains:tax", Some(100), mtime()),
+                Expect::Merge,
+            ),
+            ("count from the b+-tree", no_hash(), top("uid=7", Some(100), mtime()), Expect::Walk),
+            (
+                "short b+-tree list",
+                FakeCatalog { counts: counted_catalog(0, 40).counts, ..no_hash() },
+                top("uid=7", Some(100), mtime()),
+                Expect::Point,
+            ),
+            (
+                "cannot count",
+                FakeCatalog { counts: None, ..counted_catalog(0, 0) },
+                top(kw, Some(100), mtime()),
+                Expect::Probe,
+            ),
+        ];
+        for (case, cat, req, expect) in table {
+            let (plan, by_count) = Analysis::of(&req).choose(&cat);
+            let got = match &plan.path {
+                AccessPath::OrderedScan { attr: AttrName::Mtime, descending: true, .. } => {
+                    Expect::Walk
+                }
+                AccessPath::HashEq { attr: AttrName::Keyword, .. } => Expect::Probe,
+                AccessPath::Postings { .. } => Expect::Merge,
+                AccessPath::BTreeRange { attr: AttrName::Uid, .. } => Expect::Point,
+                other => panic!("{case}: unexpected {other:?}"),
+            };
+            assert_eq!(got, expect, "{case}");
+            assert_eq!(by_count, expect == Expect::Walk, "{case}: only the counts chose the walk");
+            assert_eq!(plan_request(&cat, &req), plan, "{case}: one planner behind both entries");
+        }
+    }
+
+    #[test]
+    fn several_equalities_probe_the_shortest_list_every_time() {
+        use crate::request::{SearchRequest, SortKey};
+        let mut cat = counted_catalog(900, 30);
+        cat.hash.push(AttrName::Uid);
+        cat.counts.as_mut().unwrap().push((AttrName::Keyword, Value::from("rare"), 12));
+        let probed = |cat: &FakeCatalog, query: &str| {
+            let pred = parse(query);
+            let first = plan(cat, &pred);
+            let req = SearchRequest::new(pred.clone())
+                .with_limit(100)
+                .sorted_by(SortKey::Descending(AttrName::Mtime));
+            for _ in 0..200 {
+                assert_eq!(plan(cat, &pred), first, "{query}");
+                assert_eq!(plan_request(cat, &req), first, "{query}: short lists stay probes");
+            }
+            match first.path {
+                AccessPath::HashEq { attr, value } => (attr, value),
+                other => panic!("{query}: expected a hash probe, got {other:?}"),
+            }
+        };
+        let rare = (AttrName::Keyword, Value::from("rare"));
+        assert_eq!(probed(&cat, "keyword:app & keyword:rare"), rare);
+        assert_eq!(probed(&cat, "keyword:rare & keyword:app"), rare);
+        assert_eq!(probed(&cat, "keyword:app & uid=7"), (AttrName::Uid, Value::U64(7)));
+        assert_eq!(probed(&cat, "uid=7 & keyword:rare"), rare);
+        // Equal (here: unknown) lengths fall to the first in predicate order.
+        cat.counts = None;
+        assert_eq!(probed(&cat, "keyword:app & uid=7"), (AttrName::Keyword, Value::from("app")));
     }
 }

@@ -452,6 +452,12 @@ pub struct SearchStats {
     pub retained_peak: usize,
     /// The access path each consulted ACG used.
     pub access_paths: Vec<(AcgId, AccessPathKind)>,
+    /// ACGs whose plan the posting counts turned from a point probe into
+    /// an ordered walk: the equality's list was long enough in that ACG
+    /// that walking the sort order for `limit` hits was expected to
+    /// examine fewer records (the planner's probe-or-walk rule). These
+    /// ACGs report [`AccessPathKind::OrderedScan`] in `access_paths`.
+    pub ordered_by_count: usize,
     /// Records an early-terminated ordered scan never had to examine
     /// (the consulted group's size minus the records actually scanned) —
     /// the witness that the cutoff saved work.
@@ -546,6 +552,7 @@ impl SearchStats {
         self.candidates_scanned += other.candidates_scanned;
         self.retained_peak = self.retained_peak.max(other.retained_peak);
         self.access_paths.extend(other.access_paths);
+        self.ordered_by_count += other.ordered_by_count;
         self.candidates_skipped += other.candidates_skipped;
         self.early_terminated += other.early_terminated;
         self.merge_skipped += other.merge_skipped;
@@ -1283,6 +1290,7 @@ mod tests {
             candidates_scanned: 10,
             retained_peak: 5,
             access_paths: vec![(AcgId::new(1), AccessPathKind::FullScan)],
+            ordered_by_count: 1,
             candidates_skipped: 100,
             early_terminated: 1,
             merge_skipped: 40,
@@ -1305,6 +1313,7 @@ mod tests {
             candidates_scanned: 7,
             retained_peak: 9,
             access_paths: vec![(AcgId::new(2), AccessPathKind::HashEq)],
+            ordered_by_count: 2,
             candidates_skipped: 50,
             early_terminated: 2,
             merge_skipped: 10,
@@ -1326,6 +1335,7 @@ mod tests {
         assert_eq!(a.candidates_scanned, 17);
         assert_eq!(a.retained_peak, 9);
         assert_eq!(a.access_paths.len(), 2);
+        assert_eq!(a.ordered_by_count, 3);
         assert_eq!(a.candidates_skipped, 150);
         assert_eq!(a.early_terminated, 3);
         assert_eq!(a.merge_skipped, 50);

@@ -55,7 +55,7 @@ use propeller_index::AcgEpoch;
 use propeller_types::{AcgId, AttrName, Value};
 
 use crate::exec::{ClassicTask, OrderedHitStream};
-use crate::plan::{plan_request, AccessPath, Plan};
+use crate::plan::{AccessPath, Analysis, Plan};
 use crate::request::{
     merge_hit_sources, merge_sorted_hits, AccessPathKind, Cursor, GlobalCutoff, Hit, SearchRequest,
     SearchStats,
@@ -78,11 +78,9 @@ struct OrderedState {
     /// The stream's first hit, pulled at open to seed the classic bound
     /// and **kept** as a primed head for the first pull — the first page
     /// feeds it into the merge instead of re-deriving it with another tree
-    /// descent and predicate re-check.
+    /// descent and predicate re-check, and resumes the walk strictly after
+    /// it so the head is never yielded twice.
     primed: Option<Hit>,
-    /// Resume point strictly after the primed head: the first pull's walk
-    /// starts here so the head is never yielded twice.
-    seed_cursor: Option<Cursor>,
     /// The stream ran dry (or its ACG/index vanished mid-session).
     done: bool,
 }
@@ -157,35 +155,46 @@ impl NodeSearchSession {
         let mut tasks: Vec<ClassicTask> = Vec::new();
         let mut ordered: Vec<OrderedState> = Vec::new();
         let mut stats = SearchStats::default();
+        // One pass: plan each group (the predicate is analysed once), and
+        // for an ordered plan open its walk and prime it right there — one
+        // tree descent per ordered ACG, as in `execute_node_request`. The
+        // pull is work the first page needs anyway: the hit is *kept* as
+        // the stream's primed head, fed straight into the first page's
+        // merge with the walk resuming past it.
+        let analysis = Analysis::of(request);
+        let resume = request.cursor.as_ref();
         for (i, group) in groups.iter().enumerate() {
-            let plan = plan_request(&**group, request);
-            match plan.path {
-                AccessPath::OrderedScan { attr, lo, hi, descending }
-                    if group
-                        .candidates_ordered(&attr, lo.clone(), hi.clone(), descending)
-                        .is_some() =>
-                {
-                    stats.acgs_consulted += 1;
-                    stats.access_paths.push((group.id(), AccessPathKind::OrderedScan));
-                    ordered.push(OrderedState {
-                        acg: group.id(),
-                        attr,
-                        lo,
-                        hi,
-                        descending,
-                        group_len: group.len(),
-                        scanned: 0,
-                        primed: None,
-                        seed_cursor: None,
-                        done: false,
-                    });
-                }
-                AccessPath::OrderedScan { .. } => {
-                    // Unreachable via the planner; degrade to a full scan.
-                    tasks.push(ClassicTask { group: i, plan: Plan { path: AccessPath::FullScan } });
-                }
-                path => tasks.push(ClassicTask { group: i, plan: Plan { path } }),
-            }
+            let (plan, by_count) = analysis.choose(&**group);
+            let AccessPath::OrderedScan { attr, lo, hi, descending } = plan.path else {
+                tasks.push(ClassicTask { group: i, plan });
+                continue;
+            };
+            let Some(mut stream) =
+                OrderedHitStream::open(group, request, &attr, &lo, &hi, descending, resume)
+            else {
+                // Unreachable via the planner; degrade to a full scan.
+                tasks.push(ClassicTask { group: i, plan: Plan { path: AccessPath::FullScan } });
+                continue;
+            };
+            let prime = request.limit != Some(0);
+            let primed = if prime { stream.next() } else { None };
+            let scanned = stream.scanned();
+            stats.acgs_consulted += 1;
+            stats.access_paths.push((group.id(), AccessPathKind::OrderedScan));
+            stats.ordered_by_count += usize::from(by_count);
+            stats.candidates_scanned += scanned;
+            ordered.push(OrderedState {
+                acg: group.id(),
+                attr,
+                lo,
+                hi,
+                descending,
+                group_len: group.len(),
+                scanned,
+                // A primed walk that yielded nothing is dry: nothing to page.
+                done: prime && primed.is_none(),
+                primed,
+            });
         }
 
         let cutoff = match request.limit {
@@ -194,42 +203,13 @@ impl NodeSearchSession {
             }
             _ => None,
         };
-        // Prime every ordered stream with its first hit. The pull is work
-        // the first page needs anyway; the hit (a) seeds the shared
-        // classic bound — each stream's first admitted hit is the best it
-        // will ever offer the merge — and (b) is *kept* as the stream's
-        // primed head: the first page feeds it straight into the merge,
-        // with a per-stream resume cursor skipping past it, instead of
-        // re-deriving it with an extra tree descent per ordered ACG (the
-        // PR-4 documented tradeoff, now gone).
-        if request.limit != Some(0) {
-            for state in &mut ordered {
-                let Some(group) = groups.iter().find(|g| g.id() == state.acg) else {
-                    continue;
-                };
-                if let Some(mut stream) = OrderedHitStream::open(
-                    group,
-                    request,
-                    &state.attr,
-                    &state.lo,
-                    &state.hi,
-                    state.descending,
-                ) {
-                    let first = stream.next();
-                    state.scanned += stream.scanned();
-                    stats.candidates_scanned += stream.scanned();
-                    match first {
-                        Some(hit) => {
-                            if let Some(cutoff) = &cutoff {
-                                cutoff.try_admit(hit.sort_key.as_ref(), hit.file);
-                            }
-                            state.seed_cursor = Some(Cursor::after(&hit));
-                            state.primed = Some(hit);
-                        }
-                        // The whole stream is dry: nothing to page.
-                        None => state.done = true,
-                    }
-                }
+        // Seed the shared classic bound from the primed heads: each
+        // stream's first admitted hit is the best it will ever offer the
+        // merge, so the classic scans prune against the ordered side's
+        // best keys instead of starting from an empty bound.
+        if let Some(cutoff) = &cutoff {
+            for hit in ordered.iter().filter_map(|state| state.primed.as_ref()) {
+                cutoff.try_admit(hit.sort_key.as_ref(), hit.file);
             }
         }
 
@@ -311,18 +291,16 @@ impl NodeSearchSession {
             return SessionPage { hits: Vec::new(), stats, exhausted: self.exhausted };
         }
 
-        let mut req = self.request.clone();
-        if let Some(resume) = &self.resume {
-            req.cursor = Some(resume.clone());
-        }
+        let request = &self.request;
+        let resume = self.resume.as_ref().or(request.cursor.as_ref());
         // The classic list is consumed strictly in order: everything at or
         // before the resume cursor was either shipped or deduplicated by
         // an earlier page's merge, so the cursor filter *is* the consume
         // pointer — no per-hit provenance tracking needed.
-        if let Some(cursor) = &req.cursor {
+        if let Some(cursor) = resume {
             while self.classic_ix < self.classic.len() {
                 let hit = &self.classic[self.classic_ix];
-                if cursor.admits(&req.sort, hit.sort_key.as_ref(), hit.file) {
+                if cursor.admits(&request.sort, hit.sort_key.as_ref(), hit.file) {
                     break;
                 }
                 self.classic_ix += 1;
@@ -350,30 +328,24 @@ impl NodeSearchSession {
         }
 
         // Per-stream pull plans. A stream still holding its primed head
-        // resumes its walk from the seed cursor (skipping the head it is
-        // about to feed) — only those streams need a request of their own
-        // (first pull only); everyone else shares `req`. An unconsumed
+        // (first pull only) resumes its walk strictly after that head —
+        // the one thing that differs between streams, so it is the one
+        // thing each gets of its own; the request is shared. An unconsumed
         // head is never lost: the merge leaves it strictly after
         // everything shipped, so the session cursor re-derives it on the
         // next pull.
         struct StreamPrep {
             ix: usize,
             head: Option<Hit>,
-            /// `None` = use the shared session request.
-            req: Option<SearchRequest>,
+            /// `None` = resume at the session cursor.
+            seed: Option<Cursor>,
         }
         let mut preps: Vec<StreamPrep> = Vec::new();
-        for i in 0..self.ordered.len() {
-            if self.ordered[i].done {
-                continue;
+        for (ix, state) in self.ordered.iter_mut().enumerate() {
+            if !state.done {
+                let head = state.primed.take();
+                preps.push(StreamPrep { ix, seed: head.as_ref().map(Cursor::after), head });
             }
-            let head = self.ordered[i].primed.take();
-            let sreq = head.is_some().then(|| {
-                let mut sreq = req.clone();
-                sreq.cursor = self.ordered[i].seed_cursor.clone();
-                sreq
-            });
-            preps.push(StreamPrep { ix: i, head, req: sreq });
         }
 
         let classic_tail = &self.classic[self.classic_ix..];
@@ -387,15 +359,15 @@ impl NodeSearchSession {
                 self.ordered[i].done = true;
                 continue;
             };
-            let stream_req: &SearchRequest = prep.req.as_ref().unwrap_or(&req);
             let state = &self.ordered[i];
             match OrderedHitStream::open(
                 group,
-                stream_req,
+                request,
                 &state.attr,
                 &state.lo,
                 &state.hi,
                 state.descending,
+                prep.seed.as_ref().or(resume),
             ) {
                 Some(stream) => {
                     stream_of.push(i);
@@ -406,7 +378,7 @@ impl NodeSearchSession {
             }
         }
 
-        let hits = merge_hit_sources(&mut sources, &req.sort, Some(k_page));
+        let hits = merge_hit_sources(&mut sources, &request.sort, Some(k_page));
 
         for (src, &i) in sources[1..].iter().zip(&stream_of) {
             let Src::Stream { stream, .. } = src else {

@@ -524,3 +524,50 @@ fn wand_counters_reach_the_client_through_the_cluster_path() {
     }
     cluster.shutdown();
 }
+
+#[test]
+fn posting_counts_steer_each_acg_through_the_streamed_path() {
+    use propeller::query::{run_local_search, AccessPathKind};
+
+    // ACGs fill in arrival order, so the first 800 records put `app` on
+    // every record of the groups they land in and on none of the others:
+    // walking mtime order beats probing 400-long lists for a top-10, and
+    // the empty lists elsewhere stay probes.
+    let cluster =
+        Cluster::start(ClusterConfig { index_nodes: 2, group_capacity: 400, ..Default::default() });
+    let mut client = cluster.client().with_search_page_size(4);
+    let records: Vec<FileRecord> = dataset(2_400)
+        .into_iter()
+        .map(|r| {
+            let keyword = if r.file.raw() < 800 { "app" } else { "other" };
+            r.with_keyword(keyword)
+        })
+        .collect();
+    client.index_files(records.clone()).unwrap();
+
+    let request = SearchRequest::parse("keyword:app & size>16m", Timestamp::from_secs(2_000_000))
+        .unwrap()
+        .with_limit(10)
+        .sorted_by(SortKey::Descending(AttrName::Mtime));
+    let brute = run_local_search(records, &request);
+    assert_eq!(brute.hits.len(), 10);
+    for (path, response) in [
+        ("streamed", client.search_streamed(&request).unwrap()),
+        ("one-shot", client.search_one_shot(&request).unwrap()),
+    ] {
+        assert_eq!(response.file_ids(), brute.file_ids(), "{path}");
+        let walked = response.stats.ordered_by_count;
+        assert!(walked > 0, "{path}: no ACG's counts chose the walk");
+        let paths = &response.stats.access_paths;
+        assert_eq!(
+            paths.iter().filter(|(_, kind)| *kind == AccessPathKind::OrderedScan).count(),
+            walked,
+            "{path}: every walk here was chosen by count: {paths:?}"
+        );
+        assert!(
+            paths.iter().any(|(_, kind)| *kind == AccessPathKind::HashEq),
+            "{path}: ACGs without the keyword keep the probe: {paths:?}"
+        );
+    }
+    cluster.shutdown();
+}
