@@ -17,8 +17,8 @@ use propeller_obs::{
     TraceTree,
 };
 use propeller_query::{
-    merge_sorted_hits, next_cursor, Cursor, FanOutPolicy, Hit, HitMerger, Predicate, Query,
-    SearchRequest, SearchResponse, SearchStats,
+    next_cursor, Cursor, FanOutPolicy, Hit, HitMerger, Predicate, Query, SearchRequest,
+    SearchResponse, SearchStats,
 };
 use propeller_sim::Clock;
 use propeller_trace::CausalityTracker;
@@ -654,7 +654,7 @@ impl FileQueryEngine {
     /// The search fan-out plan, from the Master: ACGs grouped by their
     /// **full ordered replica set** (primary first). Grouping by set —
     /// not by primary — matters because a node answers a search only for
-    /// the ACGs it actually hosts ([`Request::Search`] silently skips
+    /// the ACGs it actually hosts ([`Request::OpenSearch`] silently skips
     /// unknown ones): every node in a group hosts *all* of the group's
     /// ACGs, so a search for the group can be served, or failed over, to
     /// any member wholesale. Groups are sorted for deterministic fan-out.
@@ -676,289 +676,83 @@ impl FileQueryEngine {
     }
 
     /// Runs a full [`SearchRequest`] against the cluster — the canonical
-    /// search entry point.
+    /// search entry point: opens a [`ClusterSearchStream`], drains it and
+    /// finishes it.
     ///
-    /// Limited (top-k) searches spanning several Index Nodes run the
-    /// **streamed session protocol** ([`FileQueryEngine::search_streamed`]):
-    /// the cluster-wide merge pulls each node one page at a time and stops
-    /// pulling a node as soon as its next page provably sorts after the
-    /// global k-th hit, so cold nodes ship ~one page instead of `k` hits.
-    /// Unlimited or single-node searches keep the one-shot exchange
-    /// ([`FileQueryEngine::search_one_shot`]). Both paths return
-    /// byte-identical hits.
+    /// The stream opens a search session on every replica group
+    /// (`OpenSearch` returns the first page), k-way merges the per-group
+    /// page streams, and pulls a group's next page **only when its
+    /// previous page has been fully consumed by the merge** — i.e. only
+    /// while the group's hits still compete for the global top-k, so cold
+    /// groups ship ~one page instead of `k` hits. Once `limit` hits are
+    /// merged, unpulled groups are closed where they stand; the node-side
+    /// hits never computed or shipped are witnessed by
+    /// [`SearchStats::node_hits_unsent`] and [`SearchStats::hits_shipped`].
+    /// How much a first page asks for is the paging rule's call
+    /// ([`FileQueryEngine::with_search_page_size`], else sized from the
+    /// request): an unlimited request, or a limited one over a single
+    /// replica group, has nothing to cut off and takes its whole answer in
+    /// the open exchange.
+    ///
+    /// Opens past the hedge budget race a replica; sessions evicted by a
+    /// node mid-search are reopened transparently, resuming after the last
+    /// hit received; a replica dying mid-stream fails over the same way.
     ///
     /// # Errors
     ///
-    /// Under [`FanOutPolicy::RequireAll`] any unreachable node fails the
-    /// search. Under [`FanOutPolicy::AllowPartial`] node failures are
-    /// tolerated as long as at least `min_nodes` nodes still answered;
-    /// below that quorum the first node error is returned. Validation
-    /// errors surface as [`Error::InvalidQuery`].
+    /// Under [`FanOutPolicy::RequireAll`] any replica group with no live
+    /// member fails the search. Under [`FanOutPolicy::AllowPartial`] group
+    /// failures are tolerated — the response is marked incomplete and keeps
+    /// the hits already merged — as long as at least `min_nodes` groups
+    /// still answered; below that quorum the first group error is returned.
+    /// Validation errors surface as [`Error::InvalidQuery`].
     pub fn search_with(&self, request: &SearchRequest) -> Result<SearchResponse> {
-        request.validate()?;
-        let groups = self.locate()?;
-        if groups.is_empty() {
-            return Ok(SearchResponse::empty());
-        }
-        let ctx = self.sample();
-        match request.limit {
-            Some(k) if k > 0 && groups.len() > 1 => self.run_streamed(groups, request, ctx),
-            _ => self.run_one_shot(groups, request, ctx),
-        }
+        self.search_paged(request, None)
     }
 
-    /// The classic one-shot exchange: every relevant node answers with its
-    /// full local top-k in one response; the engine k-way merges the
-    /// lists. The baseline the streamed path is measured against, and the
-    /// path unlimited or single-node searches take.
+    /// [`FileQueryEngine::search_with`] under the paging preset *every
+    /// group ships its whole entitlement in the open exchange*, whatever
+    /// page size is configured: `k` hits from every group, no pulls — the
+    /// baseline the cross-node cutoff is measured against.
     ///
     /// # Errors
     ///
-    /// Same policy-dependent failure modes as
-    /// [`FileQueryEngine::search_with`].
+    /// Same as [`FileQueryEngine::search_with`].
     pub fn search_one_shot(&self, request: &SearchRequest) -> Result<SearchResponse> {
-        request.validate()?;
-        let groups = self.locate()?;
-        if groups.is_empty() {
-            return Ok(SearchResponse::empty());
-        }
-        let ctx = self.sample();
-        self.run_one_shot(groups, request, ctx)
+        self.search_paged(request, Some((usize::MAX, None)))
     }
 
-    /// Wraps the one-shot exchange in the client-side root span and the
-    /// end-to-end latency / hedge-outcome metrics.
-    fn run_one_shot(
+    /// [`FileQueryEngine::search_with`] under its own name: every search
+    /// is streamed.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`FileQueryEngine::search_with`].
+    pub fn search_streamed(&self, request: &SearchRequest) -> Result<SearchResponse> {
+        self.search_with(request)
+    }
+
+    /// Opens a stream paged as `paging` says (`None`: as configured, else
+    /// by [`FileQueryEngine::default_paging`]), draws the whole
+    /// entitlement as one page — the merge stops at `limit` merged hits
+    /// anyway — and finishes it.
+    fn search_paged(
         &self,
-        groups: Vec<(Vec<NodeId>, Vec<AcgId>)>,
         request: &SearchRequest,
-        ctx: TraceContext,
+        paging: Option<(usize, Option<usize>)>,
     ) -> Result<SearchResponse> {
-        let started = self.clock.now();
-        let root = self.obs.spans.begin(ctx, SpanKind::Request, started);
-        let out = self.run_one_shot_inner(groups, request, root.ctx());
-        let finished = self.clock.now();
-        self.h_client_search.record(finished.since(started).as_micros());
-        if let Ok(response) = &out {
-            self.c_replica_failovers.add(response.stats.replica_failovers as u64);
-        }
-        if root.enabled() {
-            let detail = match &out {
-                Ok(r) => format!("one-shot hits={} complete={}", r.hits.len(), r.complete),
-                Err(e) => format!("one-shot failed: {e}"),
-            };
-            self.obs.spans.finish_with(root, finished, detail);
-        }
-        out
-    }
-
-    /// Finishes one one-shot attempt: closes its Open span and turns the
-    /// node's reply into the group's hits and stats.
-    fn settle_one_shot(
-        &self,
-        node: NodeId,
-        open: OpenSpan,
-        reply: Result<Response>,
-    ) -> Result<(Vec<Hit>, SearchStats)> {
-        if open.enabled() {
-            let detail = match &reply {
-                Ok(Response::SearchHits { hits, .. }) => format!("{node} hits={}", hits.len()),
-                Ok(_) => format!("{node} unexpected response"),
-                Err(e) => format!("{node} unreachable: {e}"),
-            };
-            self.obs.spans.finish_with(open, self.clock.now(), detail);
-        }
-        match reply? {
-            Response::SearchHits { hits, stats } => Ok((hits, stats)),
-            other => Err(Error::Rpc(format!("unexpected response {other:?}"))),
-        }
-    }
-
-    fn run_one_shot_inner(
-        &self,
-        groups: Vec<(Vec<NodeId>, Vec<AcgId>)>,
-        request: &SearchRequest,
-        ctx: TraceContext,
-    ) -> Result<SearchResponse> {
-        let now = self.clock.now();
-        let search = |acgs: &[AcgId], open: &OpenSpan| Request::Search {
-            acgs: acgs.to_vec(),
-            request: request.clone(),
-            now,
-            ctx: open.ctx(),
-        };
-        // The first replica of every group is asked at once; slot `i` is
-        // group `i`, settled (its Open span finished) as its reply arrives.
-        let mut gather = self.rpc.gather();
-        let mut opens: Vec<Option<OpenSpan>> = groups
-            .iter()
-            .map(|(replicas, acgs)| {
-                let open = self.obs.spans.begin(ctx, SpanKind::Open, self.clock.now());
-                gather.send(replicas[0], search(acgs, &open));
-                Some(open)
-            })
-            .collect();
-        type GroupHits = Result<(Vec<Hit>, SearchStats)>;
-        let mut first: Vec<Option<GroupHits>> = groups.iter().map(|_| None).collect();
-        while let Some((slot, reply)) = gather.next(None) {
-            let open = opens[slot].take().expect("one reply per slot");
-            first[slot] = Some(self.settle_one_shot(gather.node(slot), open, reply));
-        }
-        // Behind that, each replica group tries its remaining members in
-        // order: a dead primary costs one failed call before the follower —
-        // which holds a byte-identical committed view — answers in its stead.
-        let results: Vec<(Vec<AcgId>, usize, GroupHits)> = groups
-            .into_iter()
-            .zip(first)
-            .map(|((replicas, acgs), first)| {
-                let mut result = first.expect("every slot resolves exactly once");
-                let mut failovers = 0usize;
-                for &node in &replicas[1..] {
-                    if result.is_ok() {
-                        break;
-                    }
-                    failovers += 1;
-                    let open = self.obs.spans.begin(ctx, SpanKind::Open, self.clock.now());
-                    let reply = self.rpc.call(node, search(&acgs, &open));
-                    result = self.settle_one_shot(node, open, reply);
-                }
-                (acgs, failovers, result)
-            })
-            .collect();
-
-        let mut lists = Vec::new();
-        let mut stats = SearchStats::default();
-        let mut failed: Vec<(Vec<AcgId>, Error)> = Vec::new();
-        for (acgs, failovers, result) in results {
-            match result {
-                Ok((hits, node_stats)) => {
-                    stats.absorb(node_stats);
-                    // Only count failovers that *worked* — a group where
-                    // every replica failed is unreachable, not failed-over.
-                    stats.replica_failovers += failovers;
-                    lists.push(hits);
-                }
-                Err(e) => match request.fan_out {
-                    FanOutPolicy::RequireAll => return Err(e),
-                    FanOutPolicy::AllowPartial { .. } => failed.push((acgs, e)),
-                },
-            }
-        }
-        // A search with no failures is complete regardless of how few
-        // groups held relevant ACGs; the quorum only gates degraded runs.
-        // A group counts as answering whichever replica served it, so with
-        // R > 1 the search stays complete as long as *some* replica of
-        // every ACG is alive.
-        if let FanOutPolicy::AllowPartial { min_nodes } = request.fan_out {
-            if !failed.is_empty() && lists.len() < min_nodes {
-                return Err(failed.into_iter().next().map(|(_, e)| e).unwrap_or_else(|| {
-                    Error::Rpc(format!(
-                        "partial search needs {min_nodes} answering nodes, got {}",
-                        lists.len()
-                    ))
-                }));
-            }
-        }
-
-        let merge = self.obs.spans.begin(ctx, SpanKind::Merge, self.clock.now());
-        let lists_merged = lists.len();
-        let hits = merge_sorted_hits(lists, &request.sort, request.limit);
-        if merge.enabled() {
-            let detail = format!("lists={lists_merged} hits={}", hits.len());
-            self.obs.spans.finish_with(merge, self.clock.now(), detail);
-        }
-        // `stats.elapsed` is the max per-node service time (each node
-        // measures against its own injected clock; nodes ran in parallel,
-        // so the slowest one is what this client waited for).
-        let mut unreachable: Vec<AcgId> = failed.into_iter().flat_map(|(acgs, _)| acgs).collect();
-        unreachable.sort_unstable();
+        let mut stream = self.open_cluster_stream(request, paging)?;
+        let hits = stream.next_page(usize::MAX)?;
+        let mut response = stream.finish()?;
         // A continuation cursor is only honest on a *complete* page:
         // paginating past an incomplete one would resume strictly after
         // its last hit and permanently skip every hit the unreachable
-        // nodes held that sorted before the cursor. Incomplete responses
+        // groups held that sorted before the cursor. Incomplete responses
         // therefore carry no cursor — the caller retries the same page
         // (or a fresh search) once the nodes recover — unless the request
         // opted in (`cursor_on_incomplete`): availability-first callers
-        // then resume over the reachable nodes and separately backfill
+        // then resume over the reachable groups and separately backfill
         // the listed unreachable ones.
-        let cursor = if unreachable.is_empty() || request.cursor_on_incomplete {
-            next_cursor(&hits, request.limit)
-        } else {
-            None
-        };
-        Ok(SearchResponse { complete: unreachable.is_empty(), unreachable, hits, stats, cursor })
-    }
-
-    /// Runs the **streamed session protocol** regardless of node count
-    /// (the [`FileQueryEngine::search_with`] dispatcher reserves it for
-    /// limited multi-node searches, where it pays): opens a search
-    /// session on every relevant node (`OpenSearch` returns the first
-    /// page), k-way merges the per-node page streams, and pulls a node's
-    /// next page **only when its previous page has been fully consumed by
-    /// the merge** — i.e. only while the node's hits still compete for
-    /// the global top-k. Once `limit` hits are merged, unpulled nodes are
-    /// closed where they stand; the node-side hits never computed or
-    /// shipped are witnessed by [`SearchStats::node_hits_unsent`] and
-    /// [`SearchStats::hits_shipped`].
-    ///
-    /// Hits are byte-identical to [`FileQueryEngine::search_one_shot`];
-    /// only the stats (and the wire traffic) differ. Sessions evicted by
-    /// a node mid-search are reopened transparently, resuming after the
-    /// last hit received. Under [`FanOutPolicy::AllowPartial`], a node
-    /// failing mid-stream degrades to an incomplete response that keeps
-    /// the hits already merged.
-    ///
-    /// # Errors
-    ///
-    /// Same policy-dependent failure modes as
-    /// [`FileQueryEngine::search_with`].
-    pub fn search_streamed(&self, request: &SearchRequest) -> Result<SearchResponse> {
-        request.validate()?;
-        let groups = self.locate()?;
-        if groups.is_empty() {
-            return Ok(SearchResponse::empty());
-        }
-        let ctx = self.sample();
-        self.run_streamed(groups, request, ctx)
-    }
-
-    /// Opens a **persistent** cluster search stream: node sessions stay
-    /// open across the pages the caller draws, so paginating `p` pages
-    /// deep costs O(p) node pulls total instead of O(p) fresh cursor
-    /// searches each re-skipping everything before the cursor. The stream
-    /// carries the same replica failover and hedging machinery as
-    /// [`FileQueryEngine::search_streamed`]; call
-    /// [`ClusterSearchStream::next_page`] until it returns an empty page,
-    /// then [`ClusterSearchStream::finish`] for the stats and
-    /// completeness verdict.
-    ///
-    /// # Errors
-    ///
-    /// Fails on invalid requests, an unreachable Master, or (under
-    /// [`FanOutPolicy::RequireAll`]) any replica group with no live
-    /// member.
-    pub fn open_search_stream(&self, request: &SearchRequest) -> Result<ClusterSearchStream> {
-        request.validate()?;
-        let groups = self.locate()?;
-        let ctx = self.sample();
-        self.open_cluster_stream(groups, request, ctx)
-    }
-
-    fn run_streamed(
-        &self,
-        groups: Vec<(Vec<NodeId>, Vec<AcgId>)>,
-        request: &SearchRequest,
-        ctx: TraceContext,
-    ) -> Result<SearchResponse> {
-        let mut stream = self.open_cluster_stream(groups, request, ctx)?;
-        // Drain the whole entitlement in one page: the merge stops at
-        // `limit` merged hits anyway, so this is the classic streamed
-        // search (the cluster-wide cutoff still prunes cold nodes).
-        let hits = stream.next_page(usize::MAX)?;
-        let mut response = stream.finish()?;
-        // Same cursor honesty rule as the one-shot path: only a complete
-        // page may carry a continuation — unless the request opted into
-        // partial-resume (see `run_one_shot`).
         response.cursor = if response.complete || request.cursor_on_incomplete {
             next_cursor(&hits, request.limit)
         } else {
@@ -968,28 +762,51 @@ impl FileQueryEngine {
         Ok(response)
     }
 
+    /// Opens a **persistent** cluster search stream: node sessions stay
+    /// open across the pages the caller draws, so paginating `p` pages
+    /// deep costs O(p) node pulls total instead of O(p) fresh cursor
+    /// searches each re-skipping everything before the cursor. This is
+    /// the stream [`FileQueryEngine::search_with`] drains in one call;
+    /// call [`ClusterSearchStream::next_page`] until it returns an empty
+    /// page, then [`ClusterSearchStream::finish`] for the stats and
+    /// completeness verdict.
+    ///
+    /// # Errors
+    ///
+    /// Fails on invalid requests, an unreachable Master, or (under
+    /// [`FanOutPolicy::RequireAll`]) any replica group with no live
+    /// member.
+    pub fn open_search_stream(&self, request: &SearchRequest) -> Result<ClusterSearchStream> {
+        self.open_cluster_stream(request, None)
+    }
+
     /// The `(first page, growth cap)` of a search over `groups` replica
-    /// groups when the caller configured no paging: a limited search
-    /// opens with a fair share of its `k` plus a quarter — most groups
-    /// then never need a pull, where `k / 64` sequential pulls used to
-    /// drain a list the node computed in full at open — and doubles per
-    /// accepted page up to `k`. Small limits keep the 64-hit first page,
+    /// groups when the caller configured no paging. An unlimited search
+    /// has no cutoff to wait for and takes everything in the open
+    /// exchange. A limited one opens with a fair share of its `k` plus a
+    /// quarter — most groups then never need a pull, where `k / 64`
+    /// sequential pulls used to drain a list the node computed in full at
+    /// open — and doubles per accepted page up to `k`; over a single group
+    /// that share is `k` itself. Small limits keep the 64-hit first page,
     /// so a top-100 still ships at most 64 hits from a cold group.
     fn default_paging(limit: Option<usize>, groups: usize) -> (usize, Option<usize>) {
-        let Some(k) = limit else { return (SEARCH_PAGE_SIZE, None) };
+        let Some(k) = limit else { return (usize::MAX, None) };
         let share = k.div_ceil(groups.max(1));
         let first = SEARCH_PAGE_SIZE.max(share.saturating_add(share / 4)).min(k);
         (first.max(1), Some(k.max(1)))
     }
 
-    /// Builds one [`NodePageStream`] per replica group, opens them all in
-    /// parallel and applies the open-time half of the fan-out policy.
+    /// Locates the replica groups, builds one [`NodePageStream`] per
+    /// group, opens them all in parallel and applies the open-time half
+    /// of the fan-out policy.
     fn open_cluster_stream(
         &self,
-        groups: Vec<(Vec<NodeId>, Vec<AcgId>)>,
         request: &SearchRequest,
-        ctx: TraceContext,
+        paging: Option<(usize, Option<usize>)>,
     ) -> Result<ClusterSearchStream> {
+        request.validate()?;
+        let groups = self.locate()?;
+        let ctx = self.sample();
         let now = self.clock.now();
         let root = self.obs.spans.begin(ctx, SpanKind::Request, now);
         // Follower reads are load-aware: the Master aggregates each node's
@@ -1005,10 +822,9 @@ impl FileQueryEngine {
             } else {
                 HashMap::new()
             };
-        let (page, adaptive_max) = match self.search_page {
-            Some(page) => (page, self.adaptive_max_page),
-            None => Self::default_paging(request.limit, groups.len()),
-        };
+        let (page, adaptive_max) = paging
+            .or(self.search_page.map(|page| (page, self.adaptive_max_page)))
+            .unwrap_or_else(|| Self::default_paging(request.limit, groups.len()));
         let mut sources: Vec<NodePageStream> = groups
             .into_iter()
             .map(|(replicas, acgs)| {
@@ -1067,7 +883,7 @@ impl FileQueryEngine {
                 // table slot until LRU eviction.
                 close_sessions(&sources);
                 if root.enabled() {
-                    let detail = format!("streamed open failed: {err}");
+                    let detail = format!("open failed: {err}");
                     self.obs.spans.finish_with(root, self.clock.now(), detail);
                 }
                 return Err(err);
@@ -1314,7 +1130,7 @@ struct NodePageStream {
     resume: Option<Cursor>,
     /// Hits yielded so far — a reopen asks only for the *remaining*
     /// entitlement (`limit - yielded`), so the resumed session's pages
-    /// concatenate with what was already received to exactly the one-shot
+    /// concatenate with what was already received to exactly the unpaged
     /// result and the node never computes hits past the original `k`.
     yielded: usize,
     reopens: usize,
@@ -1660,12 +1476,12 @@ impl Iterator for NodePageStream {
 /// A **persistent** cluster-wide search stream: one open session per
 /// replica group, a running k-way merge, and the caller in control of
 /// page cadence. Produced by [`FileQueryEngine::open_search_stream`];
-/// [`FileQueryEngine::search_streamed`] is the one-page special case.
+/// [`FileQueryEngine::search_with`] is the one-page special case.
 ///
 /// Sessions stay open between [`ClusterSearchStream::next_page`] calls,
 /// so paginating `p` pages deep costs O(p) node pulls in total — not the
 /// O(p) fresh cursor searches (each re-skipping everything before its
-/// cursor) that re-issuing `search_streamed` per page would cost.
+/// cursor) that re-issuing `search_with` per page would cost.
 pub struct ClusterSearchStream {
     sources: Vec<NodePageStream>,
     merger: HitMerger,
@@ -1697,12 +1513,23 @@ impl ClusterSearchStream {
     /// first). Under [`FanOutPolicy::AllowPartial`] the failure is
     /// recorded and surfaces in [`ClusterSearchStream::finish`].
     pub fn next_page(&mut self, n: usize) -> Result<Vec<Hit>> {
+        // The pulls (and failover opens) the merge issues hang under its
+        // span, so the span's self time is the merge alone.
+        let root = self.root.as_ref().map_or(TraceContext::NONE, OpenSpan::ctx);
+        let merge = self.obs.spans.begin(root, SpanKind::Merge, self.clock.now());
+        if merge.enabled() {
+            self.sources.iter_mut().for_each(|source| source.ctx = merge.ctx());
+        }
         let mut hits = Vec::new();
         while hits.len() < n {
             match self.merger.next_hit(&mut self.sources) {
                 Some(hit) => hits.push(hit),
                 None => break,
             }
+        }
+        if merge.enabled() {
+            let detail = format!("sources={} hits={}", self.sources.len(), hits.len());
+            self.obs.spans.finish_with(merge, self.clock.now(), detail);
         }
         // Sources that ran out of replicas park their error; apply the
         // fan-out policy now so RequireAll callers fail fast.
@@ -1727,7 +1554,7 @@ impl ClusterSearchStream {
     /// a dead node is not information the caller can act on).
     ///
     /// The returned response carries no hits (`next_page` already
-    /// delivered them) and no cursor; [`FileQueryEngine::search_streamed`]
+    /// delivered them) and no cursor; [`FileQueryEngine::search_with`]
     /// fills both for the classic one-call path.
     ///
     /// # Errors
@@ -1777,8 +1604,7 @@ impl ClusterSearchStream {
         self.c_replica_failovers.add(stats.replica_failovers as u64);
         if let Some(root) = self.root.take() {
             if root.enabled() {
-                let detail =
-                    format!("streamed groups={} complete={}", answered, unreachable.is_empty());
+                let detail = format!("groups={} complete={}", answered, unreachable.is_empty());
                 self.obs.spans.finish_with(root, now, detail);
             }
         }
@@ -1823,7 +1649,8 @@ mod tests {
         assert_eq!(paging(Some(10), 2), (10, Some(10)), "never past k");
         assert_eq!(paging(Some(0), 2), (1, Some(1)), "a page is at least one hit");
         assert_eq!(paging(Some(usize::MAX), 1), (usize::MAX, Some(usize::MAX)));
-        assert_eq!(paging(None, 2), (64, None), "unlimited streams keep the fixed page");
+        assert_eq!(paging(Some(40), 1), (40, Some(40)), "a lone group ships its k at open");
+        assert_eq!(paging(None, 2), (usize::MAX, None), "no limit, no cutoff to page for");
     }
 
     fn route(n: u64) -> (AcgId, NodeId) {

@@ -27,8 +27,8 @@ use propeller_obs::{
     names, Counter, Histogram, Lane, NodeObs, OpenSpan, SlowQuery, SpanKind, TraceContext,
 };
 use propeller_query::{
-    execute_classic, execute_node_request, ClassicResults, ClassicTask, GlobalCutoff, Hit,
-    NodeSearchSession, SearchRequest, SearchStats, SessionPage,
+    execute_classic, ClassicResults, ClassicTask, GlobalCutoff, Hit, NodeSearchSession,
+    SearchRequest, SearchStats, SessionPage,
 };
 use propeller_sim::{Clock, WallClock};
 use propeller_trace::EdgeUpdate;
@@ -156,10 +156,9 @@ type SearchJob = Box<dyn FnOnce() -> (Vec<Hit>, SearchStats) + Send>;
 /// scan closures then carry zero tracing overhead.
 type AcgTrace = Option<(Arc<NodeObs>, TraceContext, Arc<dyn Clock>)>;
 
-/// The classic-task executor both the one-shot and the streamed search
-/// paths hand to the query layer: every non-ordered per-ACG scan becomes a
-/// job on the node's persistent worker pool, sharing the node-global
-/// cutoff.
+/// The classic-task executor a search open hands to the query layer: every
+/// non-ordered per-ACG scan becomes a job on the node's persistent worker
+/// pool, sharing the node-global cutoff.
 fn run_classic_on_pool<'a>(
     pool: &'a WorkerPool,
     arcs: &'a [Arc<AcgEpoch>],
@@ -803,8 +802,8 @@ impl IndexNode {
         self.sessions.len()
     }
 
-    /// The commit phase shared by one-shot `Search` and `OpenSearch` —
-    /// the paper's consistency rule (commit before search) mutates each
+    /// The commit phase of a search open (`Search`, `OpenSearch`) — the
+    /// paper's consistency rule (commit before search) mutates each
     /// group and stays on the actor thread. The returned pinned epochs
     /// are immutable forever, which is what lets execution leave the
     /// actor entirely: the next `IndexBatch` commits into *new* epochs
@@ -897,147 +896,18 @@ impl IndexNode {
     /// so ingest never blocks reads and reads never block ingest.
     pub fn handle_deferred(&mut self, req: Request, reply: impl FnOnce(Response) + Send + 'static) {
         match req {
+            // The whole answer in one exchange: a session opened with an
+            // unbounded first page, which always exhausts it.
             Request::Search { acgs, request, now, ctx } => {
-                self.searches_served.inc();
-                let started = self.clock.now();
-                let span = self.obs.spans.begin(ctx, SpanKind::Search, started);
-                let epochs = match self.commit_for_search(&acgs, now) {
-                    Ok(epochs) => epochs,
-                    Err(e) => return reply(Response::Err(e)),
-                };
-                // The commit-before-search prefix is the epoch-pin wait:
-                // everything after it reads immutable pins.
-                let pinned = self.clock.now();
-                if self.config.obs_enabled {
-                    self.h_epoch_pin.record(pinned.since(started).as_micros());
-                }
-                if span.enabled() {
-                    let pin = self.obs.spans.begin(span.ctx(), SpanKind::EpochPin, started);
-                    self.obs.spans.finish(pin, pinned);
-                }
-                let pool = Arc::clone(&self.pool);
-                let clock = Arc::clone(&self.clock);
-                let commits = Arc::clone(&self.commits);
-                let commits_before = commits.get();
-                let obs = Arc::clone(&self.obs);
-                let obs_enabled = self.config.obs_enabled;
-                let slow_after = self.config.slow_query_threshold;
-                let h_search = Arc::clone(&self.h_search);
-                let node_id = self.id;
-                let submitted = span.enabled().then(|| clock.now());
-                self.pool.submit(move || {
-                    record_pool_job(&obs, &span, &*clock, submitted);
-                    // Execution phase, under the node-global k cutoff:
-                    // ordered-planned groups become lazy candidate streams
-                    // pulled through one k-way merge (stop at k total
-                    // admitted hits across all ACGs); the remaining groups
-                    // run their bounded scans as pool subjobs, pruning
-                    // against the shared merged bound. Everything reads
-                    // the pinned epochs.
-                    let refs: Vec<&AcgEpoch> = epochs.iter().map(Arc::as_ref).collect();
-                    let request = Arc::new(request);
-                    let acg_trace: AcgTrace =
-                        span.enabled().then(|| (Arc::clone(&obs), span.ctx(), Arc::clone(&clock)));
-                    let (hits, mut stats) = execute_node_request(
-                        &refs,
-                        request.as_ref(),
-                        run_classic_on_pool(&pool, &epochs, &request, acg_trace),
-                    );
-                    // The whole answer ships in this one exchange — the
-                    // baseline the streamed session path is measured
-                    // against.
-                    stats.pages_pulled = 1;
-                    stats.hits_shipped = hits.len();
-                    stats.epoch_pins = epochs.len();
-                    stats.commits_during_search = (commits.get() - commits_before) as usize;
-                    let finished = clock.now();
-                    stats.elapsed = finished.since(started);
-                    stats.node_elapsed = vec![(node_id, stats.elapsed)];
-                    if obs_enabled {
-                        h_search.record(stats.elapsed.as_micros());
-                    }
-                    if span.enabled() {
-                        obs.spans.finish_with(
-                            span,
-                            finished,
-                            format!("acgs={} hits={}", stats.epoch_pins, hits.len()),
-                        );
-                    }
-                    note_if_slow(&obs, slow_after, ctx, finished, &request, &stats);
-                    reply(Response::SearchHits { hits, stats });
-                });
+                let whole =
+                    |_, SessionPage { hits, stats, .. }| Response::SearchHits { hits, stats };
+                self.open_search(acgs, request, 0, usize::MAX, now, ctx, whole, reply);
             }
             Request::OpenSearch { acgs, request, client, page, now, ctx } => {
-                self.searches_served.inc();
-                let started = self.clock.now();
-                let span = self.obs.spans.begin(ctx, SpanKind::Search, started);
-                // Commit-then-search, exactly as for a one-shot Search;
-                // later pulls do NOT re-commit — the session pages the
-                // epochs pinned here for its whole lifetime, so every
-                // page reflects one consistent committed view.
-                let epochs = match self.commit_for_search(&acgs, now) {
-                    Ok(epochs) => epochs,
-                    Err(e) => return reply(Response::Err(e)),
+                let first = |session, SessionPage { hits, stats, exhausted }| {
+                    Response::SearchPage { session, hits, stats, exhausted }
                 };
-                let pinned = self.clock.now();
-                if self.config.obs_enabled {
-                    self.h_epoch_pin.record(pinned.since(started).as_micros());
-                }
-                if span.enabled() {
-                    let pin = self.obs.spans.begin(span.ctx(), SpanKind::EpochPin, started);
-                    self.obs.spans.finish(pin, pinned);
-                }
-                let pool = Arc::clone(&self.pool);
-                let clock = Arc::clone(&self.clock);
-                let commits = Arc::clone(&self.commits);
-                let commits_before = commits.get();
-                let sessions = Arc::clone(&self.sessions);
-                let obs = Arc::clone(&self.obs);
-                let obs_enabled = self.config.obs_enabled;
-                let slow_after = self.config.slow_query_threshold;
-                let h_search = Arc::clone(&self.h_search);
-                let node_id = self.id;
-                let submitted = span.enabled().then(|| clock.now());
-                self.pool.submit(move || {
-                    record_pool_job(&obs, &span, &*clock, submitted);
-                    let request = Arc::new(request);
-                    let acg_trace: AcgTrace =
-                        span.enabled().then(|| (Arc::clone(&obs), span.ctx(), Arc::clone(&clock)));
-                    let (mut session, mut stats) = NodeSearchSession::open(
-                        &epochs,
-                        request.as_ref(),
-                        run_classic_on_pool(&pool, &epochs, &request, acg_trace),
-                    );
-                    let SessionPage { hits, stats: page_stats, exhausted } =
-                        session.pull_pinned(page);
-                    stats.absorb(page_stats);
-                    stats.epoch_pins = epochs.len();
-                    stats.commits_during_search = (commits.get() - commits_before) as usize;
-                    let session_id = if exhausted {
-                        // Nothing left: report the final accounting now and
-                        // never store the session (0 = do not pull or
-                        // close).
-                        stats.absorb(session.close());
-                        0
-                    } else {
-                        sessions.store(client, session)
-                    };
-                    let finished = clock.now();
-                    stats.elapsed = finished.since(started);
-                    stats.node_elapsed = vec![(node_id, stats.elapsed)];
-                    if obs_enabled {
-                        h_search.record(stats.elapsed.as_micros());
-                    }
-                    if span.enabled() {
-                        obs.spans.finish_with(
-                            span,
-                            finished,
-                            format!("open session={session_id} hits={}", hits.len()),
-                        );
-                    }
-                    note_if_slow(&obs, slow_after, ctx, finished, &request, &stats);
-                    reply(Response::SearchPage { session: session_id, hits, stats, exhausted });
-                });
+                self.open_search(acgs, request, client, page, now, ctx, first, reply);
             }
             Request::PullHits { session, page, ctx } => {
                 let started = self.clock.now();
@@ -1058,9 +928,8 @@ impl IndexNode {
                     // mutex, never on the table or the actor.
                     let mut guard = slot.lock().unwrap_or_else(PoisonError::into_inner);
                     let SessionPage { hits, mut stats, exhausted } = guard.pull_pinned(page);
+                    drop(guard);
                     if exhausted {
-                        stats.absorb(guard.close());
-                        drop(guard);
                         sessions.remove(session);
                     }
                     let finished = clock.now();
@@ -1081,6 +950,94 @@ impl IndexNode {
             }
             other => reply(self.handle_sync(other)),
         }
+    }
+
+    /// Serves `Search` and `OpenSearch`: the commit-before-search prefix
+    /// runs here on the actor, everything after it on the worker pool
+    /// against the pinned epochs. `respond` renders the first `page` hits
+    /// and the id of the session suspended behind them — `0` when the page
+    /// exhausted the search: nothing is stored, and the client must
+    /// neither pull nor close. Later pulls do NOT re-commit: a session
+    /// pages the epochs pinned here for its whole lifetime, so every page
+    /// reflects one consistent committed view.
+    #[allow(clippy::too_many_arguments)]
+    fn open_search(
+        &mut self,
+        acgs: Vec<AcgId>,
+        request: SearchRequest,
+        client: u64,
+        page: usize,
+        now: Timestamp,
+        ctx: TraceContext,
+        respond: fn(u64, SessionPage) -> Response,
+        reply: impl FnOnce(Response) + Send + 'static,
+    ) {
+        self.searches_served.inc();
+        let started = self.clock.now();
+        let span = self.obs.spans.begin(ctx, SpanKind::Search, started);
+        let epochs = match self.commit_for_search(&acgs, now) {
+            Ok(epochs) => epochs,
+            Err(e) => return reply(Response::Err(e)),
+        };
+        // The commit-before-search prefix is the epoch-pin wait:
+        // everything after it reads immutable pins.
+        let pinned = self.clock.now();
+        if self.config.obs_enabled {
+            self.h_epoch_pin.record(pinned.since(started).as_micros());
+        }
+        if span.enabled() {
+            let pin = self.obs.spans.begin(span.ctx(), SpanKind::EpochPin, started);
+            self.obs.spans.finish(pin, pinned);
+        }
+        let pool = Arc::clone(&self.pool);
+        let clock = Arc::clone(&self.clock);
+        let commits = Arc::clone(&self.commits);
+        let commits_before = commits.get();
+        let sessions = Arc::clone(&self.sessions);
+        let obs = Arc::clone(&self.obs);
+        let obs_enabled = self.config.obs_enabled;
+        let slow_after = self.config.slow_query_threshold;
+        let h_search = Arc::clone(&self.h_search);
+        let node_id = self.id;
+        let submitted = span.enabled().then(|| clock.now());
+        self.pool.submit(move || {
+            record_pool_job(&obs, &span, &*clock, submitted);
+            // Execution phase, under the node-global k cutoff:
+            // ordered-planned groups become lazy candidate streams pulled
+            // through one k-way merge (stop at `page` total admitted hits
+            // across all ACGs); the remaining groups run their bounded
+            // scans as pool subjobs, pruning against the shared merged
+            // bound. Everything reads the pinned epochs.
+            let request = Arc::new(request);
+            let acg_trace: AcgTrace =
+                span.enabled().then(|| (Arc::clone(&obs), span.ctx(), Arc::clone(&clock)));
+            let (mut first, session) = NodeSearchSession::open(
+                &epochs,
+                request.as_ref(),
+                page,
+                run_classic_on_pool(&pool, &epochs, &request, acg_trace),
+            );
+            let session_id = session.map_or(0, |session| sessions.store(client, session));
+            let stats = &mut first.stats;
+            stats.epoch_pins = epochs.len();
+            stats.commits_during_search = (commits.get() - commits_before) as usize;
+            let finished = clock.now();
+            stats.elapsed = finished.since(started);
+            stats.node_elapsed = vec![(node_id, stats.elapsed)];
+            if obs_enabled {
+                h_search.record(stats.elapsed.as_micros());
+            }
+            if span.enabled() {
+                let detail = format!(
+                    "acgs={} session={session_id} hits={}",
+                    stats.epoch_pins,
+                    first.hits.len()
+                );
+                obs.spans.finish_with(span, finished, detail);
+            }
+            note_if_slow(&obs, slow_after, ctx, finished, &request, stats);
+            reply(respond(session_id, first));
+        });
     }
 
     /// The inline (actor-thread) arms of the request match.
@@ -1266,7 +1223,7 @@ impl IndexNode {
             }
             Request::CloseSearch { session } => match self.sessions.remove(session) {
                 Some(slot) => {
-                    let mut guard = slot.lock().unwrap_or_else(PoisonError::into_inner);
+                    let guard = slot.lock().unwrap_or_else(PoisonError::into_inner);
                     Response::SearchClosed { stats: guard.close() }
                 }
                 // Idempotent: the session was evicted or already closed.

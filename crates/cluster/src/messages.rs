@@ -244,9 +244,11 @@ pub enum Request {
     /// coordinator uses it to pick the freshest live replica as the
     /// catch-up source when a node revives).
     AcgLsns,
-    /// Execute a search against the given ACGs (commit-then-search). The
-    /// node evaluates the full request locally: predicate, per-ACG top-k,
-    /// sort, cursor and projection.
+    /// Execute a search against the given ACGs (commit-then-search) and
+    /// return the whole answer: [`Request::OpenSearch`] with an unbounded
+    /// first page, which never leaves a session behind. The node evaluates
+    /// the full request locally: predicate, node-wide top-k, sort, cursor
+    /// and projection.
     Search {
         /// ACGs hosted on this node to search.
         acgs: Vec<AcgId>,
@@ -505,7 +507,7 @@ pub enum Response {
         acgs: usize,
         /// Suspended streamed search sessions.
         open_sessions: usize,
-        /// Searches served (one-shot plus session opens).
+        /// Searches served (`Search` plus `OpenSearch`).
         searches_served: u64,
         /// Index ops received (primary plus replicated).
         ops_received: u64,

@@ -6,10 +6,9 @@
 //! owns one `WorkerPool`, created once from its configured
 //! `search_parallelism` and reused across every search it serves. The
 //! client side follows the same rule without needing a pool: its fan-out
-//! (ingest dispatch, search opens, one-shot searches, session closes)
-//! sends from the calling thread and gathers on it
-//! ([`Gather`](crate::Gather)), so a warm request creates no thread on
-//! either side of the fabric.
+//! (ingest dispatch, search opens, session closes) sends from the calling
+//! thread and gathers on it ([`Gather`](crate::Gather)), so a warm request
+//! creates no thread on either side of the fabric.
 //!
 //! Design notes:
 //!

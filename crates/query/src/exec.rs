@@ -12,35 +12,36 @@
 //! and execution **terminates after `limit` admitted hits**, witnessed by
 //! [`SearchStats::early_terminated`] and [`SearchStats::candidates_skipped`].
 //!
-//! A multi-ACG Index Node goes one step further with
-//! [`execute_node_request`], the **node-global k cutoff**: every ACG whose
-//! plan is an ordered scan contributes a resumable lazy
-//! [`OrderedHitStream`], all streams are pulled through one k-way merge,
-//! and the node stops after `k` total admitted hits *across* its ACGs
-//! instead of `k` per ACG ([`SearchStats::merge_skipped`]). ACGs on
-//! non-ordered plans still run their bounded top-k scans — in parallel, on
-//! the node's worker pool — but share one [`GlobalCutoff`] so each can
-//! prune candidates that already fell out of the merged node-wide top-k
+//! A multi-ACG Index Node goes one step further with the **node-global k
+//! cutoff** ([`execute_node_request_sequential`]; the sequence itself lives
+//! in [`crate::session`], which every entry point here opens with an
+//! unbounded first page): every ACG whose plan is an ordered scan
+//! contributes a resumable lazy `OrderedHitStream`, all streams are pulled
+//! through one k-way merge, and the node stops after `k` total admitted
+//! hits *across* its ACGs instead of `k` per ACG
+//! ([`SearchStats::merge_skipped`]). ACGs on non-ordered plans still run
+//! their bounded top-k scans ([`execute_classic`]) — in parallel, on the
+//! node's worker pool — but share one [`GlobalCutoff`] so each can prune
+//! candidates that already fell out of the merged node-wide top-k
 //! ([`SearchStats::bound_pruned`]).
 
 use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet};
 use std::ops::Bound;
-use std::sync::Arc;
 
 use propeller_index::{
     bm25_block_bound, bm25_idf, bm25_score, bm25_term_bound, record_contains_all,
-    record_contains_any, record_contains_phrase, record_tokens, AcgEpoch, AcgIndexGroup,
-    Bm25Scorer, FileRecord, PostingsCursor, BLOCK,
+    record_contains_any, record_contains_phrase, record_tokens, AcgEpoch, Bm25Scorer, FileRecord,
+    PostingsCursor, BLOCK,
 };
-use propeller_types::{AcgId, AttrName, FileId, Result, Timestamp, Value};
+use propeller_types::{AcgId, AttrName, FileId, Value};
 
 use crate::ast::{CompareOp, ContainsMode, Predicate};
-use crate::plan::{plan, AccessPath, Analysis, Plan};
+use crate::plan::{plan, AccessPath, Plan};
 use crate::request::{
-    merge_hit_sources, AccessPathKind, Cursor, GlobalCutoff, Hit, SearchRequest, SearchStats,
-    SortKey, TopK,
+    AccessPathKind, Cursor, GlobalCutoff, Hit, SearchRequest, SearchStats, SortKey, TopK,
 };
+use crate::session::open_page;
 
 /// Evaluates the predicate against one record (exact semantics; the access
 /// path only pre-filters). Multi-valued attributes (keywords, repeated
@@ -195,21 +196,6 @@ impl<'a> Residual<'a> {
     }
 }
 
-/// Executes `pred` against a (committed) group: plans an access path,
-/// fetches the candidate superset, post-filters with the exact predicate.
-/// Results are sorted by file id.
-///
-/// This is the thin classic wrapper over [`execute_request`]; new callers
-/// should build a [`SearchRequest`] and use the request path directly.
-///
-/// Callers are responsible for committing the group first; use [`search`]
-/// for the paper-faithful commit-then-search entry point.
-pub fn execute(group: &AcgEpoch, pred: &Predicate) -> Vec<FileId> {
-    let request = SearchRequest::new(pred.clone());
-    let (hits, _) = execute_request(group, &request);
-    hits.into_iter().map(|h| h.file).collect()
-}
-
 /// Executes a [`SearchRequest`] against a (committed) group: plans an
 /// access path, streams the candidate records through the exact predicate
 /// and a bounded top-k accumulator, and projects the survivors into
@@ -229,55 +215,18 @@ pub fn execute(group: &AcgEpoch, pred: &Predicate) -> Vec<FileId> {
 /// scan **stops after `k` admitted hits** — see
 /// [`SearchStats::early_terminated`] / [`SearchStats::candidates_skipped`].
 ///
-/// Hits come back in the request's sort order. Callers are responsible
+/// Hits come back in the request's sort order. This is a node search over
+/// one epoch ([`execute_node_request_sequential`]); callers are responsible
 /// for committing the group first (the owning Index Node commits before
 /// serving a search).
 pub fn execute_request(group: &AcgEpoch, request: &SearchRequest) -> (Vec<Hit>, SearchStats) {
-    let (plan, by_count) = Analysis::of(request).choose(group);
-    if let AccessPath::OrderedScan { attr, lo, hi, descending } = &plan.path {
-        let resume = request.cursor.as_ref();
-        if let Some(mut stream) =
-            OrderedHitStream::open(group, request, attr, lo, hi, *descending, resume)
-        {
-            let k = request.limit.unwrap_or(usize::MAX);
-            let mut hits: Vec<Hit> = Vec::with_capacity(k.min(1024));
-            while hits.len() < k {
-                match stream.next() {
-                    Some(hit) => hits.push(hit),
-                    None => break,
-                }
-            }
-            // The stream is in final result order: the k-th admitted hit
-            // ends the query — everything behind it can only rank lower.
-            let early = !stream.exhausted();
-            let stats = SearchStats {
-                acgs_consulted: 1,
-                candidates_scanned: stream.scanned(),
-                retained_peak: hits.len(),
-                access_paths: vec![(group.id(), AccessPathKind::OrderedScan)],
-                ordered_by_count: usize::from(by_count),
-                // Records in the group the cutoff never had to examine.
-                candidates_skipped: if early {
-                    group.len().saturating_sub(stream.scanned())
-                } else {
-                    0
-                },
-                early_terminated: usize::from(early),
-                ..SearchStats::default()
-            };
-            return (hits, stats);
-        }
-        // Unreachable via the planner (it checks for the tree), but
-        // degrade to a heap-based full scan rather than panic.
-        return execute_classic(group, request, Plan { path: AccessPath::FullScan }, None);
-    }
-    execute_classic(group, request, plan, None)
+    execute_node_request_sequential(&[group], request)
 }
 
 /// Executes one group's share of a search along a classic (non-ordered)
 /// access path: streams the candidates through the exact predicate, the
 /// cursor and a bounded top-k accumulator. When `cutoff` is set (the
-/// node-global retention bound of [`execute_node_request`]), matching
+/// node-global retention bound of a multi-ACG search), matching
 /// candidates that provably fell out of the merged node-wide top-k are
 /// dropped before hit materialization.
 pub fn execute_classic(
@@ -838,14 +787,13 @@ fn execute_postings(
 /// group's ordered candidate walk (a B+-tree traversal in result order)
 /// and yields **hits** — each `next()` advances the walk just far enough
 /// for the residual predicate and cursor to admit one record, then
-/// materializes exactly that record. The node-global k-way merge
-/// ([`execute_node_request`]) holds one of these per ordered-planned ACG
-/// and pulls them on demand, so a stream whose candidates rank poorly is
+/// materializes exactly that record. A node search's k-way merge
+/// ([`crate::session`]) holds one of these per ordered-planned ACG and
+/// pulls them on demand, so a stream whose candidates rank poorly is
 /// barely advanced at all.
-pub struct OrderedHitStream<'a> {
+pub(crate) struct OrderedHitStream<'a> {
     records: Box<dyn Iterator<Item = &'a FileRecord> + 'a>,
     group_id: AcgId,
-    group_len: usize,
     request: &'a SearchRequest,
     /// Where the walk resumes: the request's own cursor, or a session's.
     resume: Option<&'a Cursor>,
@@ -874,7 +822,6 @@ impl<'a> OrderedHitStream<'a> {
         Some(OrderedHitStream {
             records: group.candidates_ordered(attr, lo, hi, descending)?,
             group_id: group.id(),
-            group_len: group.len(),
             request,
             resume,
             residual,
@@ -884,23 +831,13 @@ impl<'a> OrderedHitStream<'a> {
     }
 
     /// Candidates pulled off the underlying walk so far.
-    pub fn scanned(&self) -> usize {
+    pub(crate) fn scanned(&self) -> usize {
         self.scanned
     }
 
     /// Whether the underlying walk ran dry (no cutoff saved anything).
-    pub fn exhausted(&self) -> bool {
+    pub(crate) fn exhausted(&self) -> bool {
         self.exhausted
-    }
-
-    /// The ACG this stream reads from.
-    pub fn group_id(&self) -> AcgId {
-        self.group_id
-    }
-
-    /// Total records in the group (for skip accounting).
-    pub fn group_len(&self) -> usize {
-        self.group_len
     }
 }
 
@@ -936,8 +873,8 @@ impl Iterator for OrderedHitStream<'_> {
 }
 
 /// One group's non-ordered share of a node-level search: an index into the
-/// `groups` slice handed to [`execute_node_request`] plus the classic plan
-/// to execute there (see [`execute_classic`]).
+/// groups the search was opened over plus the classic plan to execute
+/// there (see [`execute_classic`]).
 pub struct ClassicTask {
     /// Index of the target group in the `groups` slice.
     pub group: usize,
@@ -946,178 +883,34 @@ pub struct ClassicTask {
 }
 
 /// What a classic-task executor returns: one `(hits, stats)` pair per
-/// [`ClassicTask`], in task order (see [`execute_node_request`]).
+/// [`ClassicTask`], in task order (see
+/// [`NodeSearchSession::open`](crate::NodeSearchSession::open)).
 pub type ClassicResults = Vec<(Vec<Hit>, SearchStats)>;
 
 /// Executes one search against every (already committed) group of an
-/// Index Node under a **node-global k cutoff**.
+/// Index Node under a **node-global k cutoff**, the classic tasks run
+/// inline on the calling thread — the sequential reference the pooled
+/// Index Node must match byte-for-byte, and the single-threaded entry
+/// point for callers without a worker pool.
 ///
-/// Groups whose plan is an [`AccessPath::OrderedScan`] contribute a lazy
-/// [`OrderedHitStream`] each; all streams — plus the sorted result lists
-/// of the remaining (classic-planned) groups — are pulled through one
+/// This is [`NodeSearchSession::open`](crate::NodeSearchSession::open)
+/// with an unbounded first page, which always exhausts the search: ordered
+/// streams and the classic groups' sorted lists are pulled through one
 /// k-way merge that stops after `limit` total admitted hits across the
 /// whole node, instead of computing `limit` hits per ACG first. The
 /// records the merge never pulled are witnessed by
 /// [`SearchStats::merge_skipped`].
-///
-/// `run_classic` executes the non-ordered tasks — the Index Node runs
-/// them on its persistent worker pool; [`execute_node_request_sequential`]
-/// runs them inline — and must return one `(hits, stats)` pair per task,
-/// in task order. It receives the shared [`GlobalCutoff`] (when the
-/// request is limited) so every classic execution can prune against the
-/// merged worst-retained key; pruning affects only how much work the ACGs
-/// do, never the returned hits, so pooled execution stays byte-identical
-/// to sequential.
-pub fn execute_node_request<'a, F>(
-    groups: &[&'a AcgEpoch],
-    request: &'a SearchRequest,
-    run_classic: F,
-) -> (Vec<Hit>, SearchStats)
-where
-    F: FnOnce(Vec<ClassicTask>, Option<&Arc<GlobalCutoff>>) -> Vec<(Vec<Hit>, SearchStats)>,
-{
-    /// Where each group's result lands: an index into the classic results
-    /// or into the ordered streams.
-    enum Slot {
-        Classic(usize),
-        Ordered(usize),
-    }
-
-    let mut slots: Vec<Slot> = Vec::with_capacity(groups.len());
-    let mut tasks: Vec<ClassicTask> = Vec::new();
-    let mut streams: Vec<OrderedHitStream<'a>> = Vec::new();
-    let mut ordered_by_count = 0usize;
-    // The predicate is analysed once; each ACG then only answers for its
-    // own indices and posting counts.
-    let analysis = Analysis::of(request);
-    let resume = request.cursor.as_ref();
-    for (i, group) in groups.iter().enumerate() {
-        let (plan, by_count) = analysis.choose(*group);
-        if let AccessPath::OrderedScan { attr, lo, hi, descending } = &plan.path {
-            if let Some(stream) =
-                OrderedHitStream::open(group, request, attr, lo, hi, *descending, resume)
-            {
-                ordered_by_count += usize::from(by_count);
-                slots.push(Slot::Ordered(streams.len()));
-                streams.push(stream);
-            } else {
-                // Unreachable via the planner; degrade to a full scan.
-                slots.push(Slot::Classic(tasks.len()));
-                tasks.push(ClassicTask { group: i, plan: Plan { path: AccessPath::FullScan } });
-            }
-        } else {
-            slots.push(Slot::Classic(tasks.len()));
-            tasks.push(ClassicTask { group: i, plan });
-        }
-    }
-
-    let cutoff = match request.limit {
-        Some(k) if !tasks.is_empty() => Some(Arc::new(GlobalCutoff::new(&request.sort, k))),
-        _ => None,
-    };
-    // Seed the classic bound from the ordered streams: each stream's first
-    // admitted hit is, by construction, the best hit that stream will ever
-    // contribute to the merge, so one cheap pull per stream tightens the
-    // shared cutoff *before* the classic scans run — a mixed-plan node
-    // prunes against the ordered side's best keys instead of starting from
-    // an empty bound. The pulled hits stay primed for the merge (which
-    // would have pulled them anyway to prime its heap), so no work is
-    // repeated and results are unchanged.
-    let mut primed: Vec<Option<Hit>> = Vec::with_capacity(streams.len());
-    match &cutoff {
-        Some(cutoff) if request.limit != Some(0) => {
-            for stream in &mut streams {
-                let first = stream.next();
-                if let Some(hit) = &first {
-                    cutoff.try_admit(hit.sort_key.as_ref(), hit.file);
-                }
-                primed.push(first);
-            }
-        }
-        _ => primed.resize_with(streams.len(), || None),
-    }
-    let task_count = tasks.len();
-    let classic = run_classic(tasks, cutoff.as_ref());
-    assert_eq!(classic.len(), task_count, "one result per classic task");
-    let (classic_hits, mut classic_stats): (Vec<Vec<Hit>>, Vec<SearchStats>) =
-        classic.into_iter().unzip();
-
-    // The merge's sources: classic sorted lists first (indices 0..tasks),
-    // then the lazy ordered streams (indices tasks..), each led by its
-    // primed (seed-pulled) head when the bound was seeded.
-    struct PrimedStream<'a> {
-        head: Option<Hit>,
-        stream: OrderedHitStream<'a>,
-    }
-    enum NodeSource<'a> {
-        List(std::vec::IntoIter<Hit>),
-        Stream(PrimedStream<'a>),
-    }
-    impl Iterator for NodeSource<'_> {
-        type Item = Hit;
-        fn next(&mut self) -> Option<Hit> {
-            match self {
-                NodeSource::List(iter) => iter.next(),
-                NodeSource::Stream(primed) => primed.head.take().or_else(|| primed.stream.next()),
-            }
-        }
-    }
-    let mut sources: Vec<NodeSource<'a>> = classic_hits
-        .into_iter()
-        .map(|hits| NodeSource::List(hits.into_iter()))
-        .chain(
-            streams
-                .into_iter()
-                .zip(primed)
-                .map(|(stream, head)| NodeSource::Stream(PrimedStream { head, stream })),
-        )
-        .collect();
-    let hits = merge_hit_sources(&mut sources, &request.sort, request.limit);
-
-    // Assemble merged stats in group order.
-    let mut stats = SearchStats { ordered_by_count, ..SearchStats::default() };
-    for slot in &slots {
-        match *slot {
-            Slot::Classic(j) => stats.absorb(std::mem::take(&mut classic_stats[j])),
-            Slot::Ordered(j) => {
-                let NodeSource::Stream(primed) = &sources[task_count + j] else {
-                    unreachable!("stream sources follow the classic lists")
-                };
-                let stream = &primed.stream;
-                stats.acgs_consulted += 1;
-                stats.candidates_scanned += stream.scanned();
-                stats.access_paths.push((stream.group_id(), AccessPathKind::OrderedScan));
-                if !stream.exhausted() {
-                    let skipped = stream.group_len().saturating_sub(stream.scanned());
-                    stats.candidates_skipped += skipped;
-                    stats.merge_skipped += skipped;
-                    stats.early_terminated += 1;
-                }
-            }
-        }
-    }
-    // The node retains at most the merge output beyond the per-ACG peaks.
-    stats.retained_peak = stats.retained_peak.max(hits.len());
-    if let Some(cutoff) = &cutoff {
-        stats.bound_pruned = cutoff.pruned();
-    }
-    (hits, stats)
-}
-
-/// [`execute_node_request`] with the classic tasks run inline on the
-/// calling thread — the sequential reference the pooled path must match
-/// byte-for-byte, and the single-threaded entry point for callers without
-/// a worker pool.
 pub fn execute_node_request_sequential(
     groups: &[&AcgEpoch],
     request: &SearchRequest,
 ) -> (Vec<Hit>, SearchStats) {
-    execute_node_request(groups, request, |tasks, cutoff| {
+    let (page, _) = open_page(groups, request, usize::MAX, |tasks, cutoff| {
         tasks
             .into_iter()
             .map(|t| execute_classic(groups[t.group], request, t.plan, cutoff.map(|c| &**c)))
             .collect()
-    })
+    });
+    (page.hits, page.stats)
 }
 
 /// An ordered scan resuming from a cursor never needs entries before the
@@ -1158,8 +951,7 @@ fn cursor_scan_bounds(
 /// streaming pipeline): fetch the full candidate-id superset from the
 /// access path, re-resolve each id through the record store, post-filter,
 /// and push everything through the heap. Kept as the equivalence oracle
-/// for tests and as the baseline the `topk_search` bench measures the
-/// streaming pipeline against.
+/// the streaming pipeline is tested against.
 pub fn execute_request_reference(
     group: &AcgEpoch,
     request: &SearchRequest,
@@ -1265,34 +1057,6 @@ pub fn execute_request_reference(
     (topk.into_sorted(), stats)
 }
 
-/// The paper-faithful search entry point: **commit buffered index updates
-/// first** ("it must commit all modifications into the file indices before
-/// performing a file-search request in order to guarantee the consistency
-/// of results", §V-D), then execute.
-///
-/// # Errors
-///
-/// Returns an error if the commit's WAL truncation fails.
-pub fn search(group: &mut AcgIndexGroup, pred: &Predicate, now: Timestamp) -> Result<Vec<FileId>> {
-    group.commit(now)?;
-    Ok(execute(group, pred))
-}
-
-/// The request-path equivalent of [`search`]: commit buffered updates,
-/// then run [`execute_request`].
-///
-/// # Errors
-///
-/// Returns an error if the commit's WAL truncation fails.
-pub fn search_request(
-    group: &mut AcgIndexGroup,
-    request: &SearchRequest,
-    now: Timestamp,
-) -> Result<(Vec<Hit>, SearchStats)> {
-    group.commit(now)?;
-    Ok(execute_request(group, request))
-}
-
 #[cfg(test)]
 mod postings_props;
 
@@ -1300,8 +1064,8 @@ mod postings_props;
 mod tests {
     use super::*;
     use crate::Query;
-    use propeller_index::{GroupConfig, IndexOp};
-    use propeller_types::{AcgId, InodeAttrs};
+    use propeller_index::{AcgIndexGroup, GroupConfig, IndexOp};
+    use propeller_types::{InodeAttrs, Timestamp};
 
     fn now() -> Timestamp {
         Timestamp::from_secs(100 * 86_400)
@@ -1325,9 +1089,13 @@ mod tests {
         g
     }
 
+    /// The whole matching id set, sorted by file id.
+    fn ids(g: &AcgIndexGroup, pred: &Predicate) -> Vec<FileId> {
+        execute_request(g, &SearchRequest::new(pred.clone())).0.iter().map(|h| h.file).collect()
+    }
+
     fn run(g: &AcgIndexGroup, text: &str) -> Vec<FileId> {
-        let q = Query::parse(text, now()).unwrap();
-        execute(g, &q.predicate)
+        ids(g, &Query::parse(text, now()).unwrap().predicate)
     }
 
     fn brute(g: &AcgIndexGroup, text: &str) -> Vec<FileId> {
@@ -1399,19 +1167,6 @@ mod tests {
     }
 
     #[test]
-    fn search_commits_pending_updates_first() {
-        let mut g = seeded_group();
-        let rec = FileRecord::new(FileId::new(9999), InodeAttrs::builder().size(1 << 40).build());
-        g.enqueue(IndexOp::Upsert(rec), now()).unwrap();
-        // Plain execute (no commit) must not see it...
-        assert!(!run(&g, "size>1t").contains(&FileId::new(9999)));
-        // ...but search (commit-then-execute) must.
-        let q = Query::parse("size>=1t", now()).unwrap();
-        let got = search(&mut g, &q.predicate, now()).unwrap();
-        assert_eq!(got, vec![FileId::new(9999)]);
-    }
-
-    #[test]
     fn empty_group_returns_empty() {
         let g = AcgIndexGroup::new(AcgId::new(2), GroupConfig::default());
         assert!(run(&g, "size>0").is_empty());
@@ -1428,7 +1183,7 @@ mod tests {
         }
         g.commit(now()).unwrap();
         let q = Query::parse("energy<-15", now()).unwrap();
-        let got = execute(&g, &q.predicate);
+        let got = ids(&g, &q.predicate);
         assert_eq!(got.len(), 4); // -16..-19
     }
 
@@ -1437,7 +1192,7 @@ mod tests {
         use crate::request::{SearchRequest, SortKey};
         let g = seeded_group();
         let q = Query::parse("size>16m", now()).unwrap();
-        let full = execute(&g, &q.predicate);
+        let full = ids(&g, &q.predicate);
         let req = SearchRequest::new(q.predicate.clone()).with_limit(10);
         let (hits, stats) = execute_request(&g, &req);
         let ids: Vec<FileId> = hits.iter().map(|h| h.file).collect();
@@ -1461,7 +1216,7 @@ mod tests {
         use crate::request::SearchRequest;
         let g = seeded_group();
         let q = Query::parse("size>16m", now()).unwrap();
-        let full = execute(&g, &q.predicate);
+        let full = ids(&g, &q.predicate);
         let mut pages = Vec::new();
         let mut cursor = None;
         loop {

@@ -13,24 +13,27 @@
 //! * [`plan`] — index selection against any [`IndexCatalog`] (hash for
 //!   equality, B+-tree for ranges, K-D tree for multi-attribute boxes,
 //!   full scan as fallback),
-//! * [`execute`] / [`search`] — plan execution with full-predicate
-//!   post-filtering; [`search`] commits the group first, enforcing the
-//!   paper's search-sees-every-acknowledged-update rule,
 //! * [`SearchRequest`] / [`SearchResponse`] — the first-class search API:
-//!   top-k ([`execute_request`] bounds per-group materialization to
-//!   O(limit)), sorting, projection, cursor pagination and fan-out
-//!   failure policy. This is the canonical entry shape; the bare
-//!   `Predicate` functions above are thin compatibility wrappers,
-//! * [`execute_node_request`] — multi-ACG execution with a **node-global
-//!   k cutoff**: per-ACG ordered candidate streams pulled through one
-//!   k-way merge (stop at `k` total admitted hits across all ACGs), and a
-//!   shared [`GlobalCutoff`] pruning non-ordered scans against the merged
-//!   worst-retained key — seeded with each ordered stream's first hit so
-//!   mixed-plan nodes prune from the start,
-//! * [`NodeSearchSession`] — the same node-level search *suspended
-//!   between client pulls*: the cluster extends the k cutoff across the
-//!   wire by pulling each node's merge one small page at a time, so cold
-//!   nodes ship ~one page instead of `k` hits.
+//!   top-k, sorting, projection, cursor pagination and fan-out failure
+//!   policy,
+//! * [`NodeSearchSession::open`] — **the one way a search executes**. A
+//!   search over a node's pinned epochs is a session's *first page*: the
+//!   request is analysed once, every ACG picks its access path, ordered
+//!   scans become lazy streams pulled through one k-way merge (stop at the
+//!   page's total admitted hits across all ACGs — the **node-global k
+//!   cutoff**), the remaining ACGs run bounded top-k scans
+//!   ([`execute_classic`]) under a shared [`GlobalCutoff`] seeded with
+//!   each stream's first hit, and whatever the page left behind is
+//!   suspended by position for the client to pull — the cluster extends
+//!   the k cutoff across the wire by pulling each node one page at a time,
+//!   so cold nodes ship ~one page instead of `k` hits,
+//! * [`execute_node_request_sequential`] / [`execute_request`] — that same
+//!   open with an unbounded first page (nothing suspends) and the classic
+//!   scans run inline; the latter over a single epoch, materializing
+//!   O(limit) per group. Callers commit first: the owning Index Node
+//!   enforces the paper's search-sees-every-acknowledged-update rule,
+//! * [`execute_request_reference`] — the materializing oracle the
+//!   equivalence tests compare all of the above against.
 //!
 //! # Examples
 //!
@@ -55,9 +58,8 @@ mod session;
 
 pub use ast::{CompareOp, ContainsMode, Predicate, Query};
 pub use exec::{
-    execute, execute_classic, execute_node_request, execute_node_request_sequential,
-    execute_request, execute_request_reference, matches_record, search, search_request,
-    ClassicResults, ClassicTask, OrderedHitStream,
+    execute_classic, execute_node_request_sequential, execute_request, execute_request_reference,
+    matches_record, ClassicResults, ClassicTask,
 };
 pub use parser::parse_size;
 pub use plan::{plan, plan_request, AccessPath, IndexCatalog, Plan};

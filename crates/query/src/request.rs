@@ -473,7 +473,7 @@ pub struct SearchStats {
     /// inside a per-ACG execution). On a single-ACG node this coincides
     /// with plain per-ACG early termination; the cross-ACG saving proper
     /// is visible in `candidates_scanned` staying near `k` total instead
-    /// of `k × ACGs` (the `topk_search` bench reports both sides).
+    /// of `k × ACGs` (`tests/streaming_equivalence.rs` pins both sides).
     pub merge_skipped: usize,
     /// Matching candidates pruned by the shared node-global retention
     /// bound ([`GlobalCutoff`]) before hit materialization on non-ordered
@@ -481,10 +481,9 @@ pub struct SearchStats {
     /// interleaving (the bound tightens as ACGs race), so it is a
     /// lower-bound witness, not a deterministic one.
     pub bound_pruned: usize,
-    /// Result pages shipped over the wire. A one-shot node exchange counts
-    /// as one page; a streamed search session counts one per
-    /// `OpenSearch`/`PullHits` round trip, so the merged total across
-    /// nodes witnesses how many pulls the cluster-wide cutoff needed.
+    /// Result pages shipped over the wire: one per `Search`/`OpenSearch`/
+    /// `PullHits` round trip, so the merged total across nodes witnesses
+    /// how many pulls the cluster-wide cutoff needed.
     pub pages_pulled: usize,
     /// Hits actually shipped over the wire (set by the serving node per
     /// response, summed by the client). Under the streamed cross-node
@@ -493,8 +492,8 @@ pub struct SearchStats {
     pub hits_shipped: usize,
     /// Hits a closed streamed session was still entitled to ship (the
     /// node-side `k` minus what the client actually pulled before the
-    /// global top-k filled). This is what the one-shot k-per-node exchange
-    /// would have shipped from that node beyond what the session did —
+    /// global top-k filled). This is what shipping `k` hits from every node
+    /// would have cost from that node beyond what the session did —
     /// assuming the node could fill its `k`; the session's ordered streams
     /// were deliberately never advanced to find out.
     pub node_hits_unsent: usize,
@@ -530,9 +529,9 @@ pub struct SearchStats {
     /// concurrently with the read — the epoch-pinning counterpart to a
     /// lock the search never took.
     pub commits_during_search: usize,
-    /// What the caller waited for. One-shot fan-outs run in parallel, so
-    /// merged stats carry the slowest node's service time; a streamed
-    /// search issues its pulls sequentially from the client merge, so the
+    /// What the caller waited for. Merged node stats carry the slowest
+    /// node's service time; the opens of a cluster search run in parallel
+    /// but its pulls are issued sequentially from the client merge, so the
     /// client overwrites the merged value with its measured wall time
     /// across opens, pulls and closes.
     pub elapsed: Duration,

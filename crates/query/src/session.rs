@@ -1,14 +1,20 @@
-//! Resumable node search sessions — the node half of the **cluster-wide
-//! streaming top-k cutoff**.
+//! Node search sessions — the one way an Index Node answers a search, and
+//! the node half of the **cluster-wide streaming top-k cutoff**.
 //!
-//! A one-shot node exchange ships `k` hits from *every* node and lets the
-//! client merge discard most of them, so cluster-wide work grows linearly
-//! with node count even when one node holds the whole hot range. A
-//! [`NodeSearchSession`] instead suspends a node's search between client
-//! pulls: the client opens a session (`OpenSearch`), receives a first
-//! page, and pulls further pages (`PullHits`) only while the node's hits
-//! still compete for the global top-k — a cold node ships one small page
-//! and is never pulled again.
+//! Every node search is a session's **first page**. [`open_page`] owns
+//! the whole sequence — analyse the request once, choose an access path
+//! per ACG, open and prime the ordered walks, seed the shared
+//! [`GlobalCutoff`], run the classic scans, merge — and serves the first
+//! page *from the walks it just primed*. A page that exhausts the search
+//! (an unbounded page always does: that is the whole-answer exchange
+//! behind [`execute_request`](crate::execute_request),
+//! [`execute_node_request_sequential`](crate::execute_node_request_sequential)
+//! and the node's `Search` message) leaves nothing behind. A shorter page
+//! suspends the rest into a [`NodeSearchSession`]: the client pulls
+//! further pages (`PullHits`) only while the node's hits still compete
+//! for the global top-k, so a cold node ships one small page and is never
+//! pulled again, where shipping `k` hits from *every* node would grow
+//! cluster-wide work linearly with node count.
 //!
 //! ## How suspension works
 //!
@@ -17,13 +23,14 @@
 //!
 //! * the classic (non-ordered) share of the search cannot early-terminate
 //!   anyway, so it runs **once** at open — on the node's worker pool,
-//!   under the shared [`GlobalCutoff`](crate::GlobalCutoff) — and its
-//!   merged, `k`-bounded result list is paged out of memory;
+//!   under the shared [`GlobalCutoff`] — and its merged, `k`-bounded
+//!   result list is paged out of memory;
 //! * each ordered-planned ACG records its scan plan (attribute, bounds,
-//!   direction); every pull re-creates the B+-tree walk **positioned
-//!   after the session's resume cursor** (one tree descent), pulls the
-//!   lazy k-way merge just far enough to fill the page, and lets the walk
-//!   fall away again;
+//!   direction); the first page reads the walk opened at planning time,
+//!   and every later pull re-creates the B+-tree walk **positioned after
+//!   the session's resume cursor** (one tree descent), pulls the lazy
+//!   k-way merge just far enough to fill the page, and lets the walk fall
+//!   away again;
 //! * the resume cursor is simply [`Cursor::after`] the last hit shipped:
 //!   the merge emits in global sort order, so everything not yet shipped
 //!   sorts strictly after it, and the same cursor filter that powers
@@ -54,18 +61,21 @@ use std::sync::Arc;
 use propeller_index::AcgEpoch;
 use propeller_types::{AcgId, AttrName, Value};
 
-use crate::exec::{ClassicTask, OrderedHitStream};
+use crate::exec::{ClassicResults, ClassicTask, OrderedHitStream};
 use crate::plan::{AccessPath, Analysis, Plan};
 use crate::request::{
     merge_hit_sources, merge_sorted_hits, AccessPathKind, Cursor, GlobalCutoff, Hit, SearchRequest,
-    SearchStats,
+    SearchStats, SortKey,
 };
 
-/// One ordered-planned ACG's suspended share of a session: the scan plan
-/// plus cumulative accounting. The actual B+-tree walk is re-created per
-/// pull from the session's resume cursor.
+/// One ordered-planned ACG's share of a search: the scan plan plus
+/// cumulative accounting. After the first page the B+-tree walk is
+/// re-created per pull from the session's resume cursor.
 #[derive(Debug)]
 struct OrderedState {
+    /// The group's position in the slice the search was opened over, and
+    /// so in a session's pins.
+    group: usize,
     acg: AcgId,
     attr: AttrName,
     lo: Bound<Value>,
@@ -73,226 +83,99 @@ struct OrderedState {
     descending: bool,
     /// Group size at open (for the skip witness at close).
     group_len: usize,
-    /// Candidates pulled off this stream across all pulls.
+    /// Candidates pulled off this walk across all pages.
     scanned: usize,
-    /// The stream's first hit, pulled at open to seed the classic bound
-    /// and **kept** as a primed head for the first pull — the first page
-    /// feeds it into the merge instead of re-deriving it with another tree
-    /// descent and predicate re-check, and resumes the walk strictly after
-    /// it so the head is never yielded twice.
-    primed: Option<Hit>,
-    /// The stream ran dry (or its ACG/index vanished mid-session).
+    /// The walk ran dry (or its ACG/index vanished mid-session).
     done: bool,
 }
 
-/// One page of a streamed node search.
+/// One page of a node search.
 pub struct SessionPage {
     /// The page's hits, in request sort order, strictly after everything
-    /// the session shipped before.
+    /// the search shipped before.
     pub hits: Vec<Hit>,
-    /// This pull's share of the execution stats (`pages_pulled` = 1,
-    /// `hits_shipped` = page size; at open, also the classic scans).
+    /// This page's share of the execution stats (`pages_pulled` = 1,
+    /// `hits_shipped` = page size; on the first page also the plan and the
+    /// classic scans, on the last also the closing accounting of
+    /// [`NodeSearchSession::close`]).
     pub stats: SearchStats,
-    /// `true` when the session has nothing left to ship — the node drops
-    /// it and the client must not pull again.
+    /// `true` when the search has nothing left to ship — no session is
+    /// kept and the client must not pull again.
     pub exhausted: bool,
 }
 
-/// A suspended multi-ACG node search, pulled incrementally by the client
-/// (see the module docs for the design).
-pub struct NodeSearchSession {
-    request: SearchRequest,
-    /// The epochs pinned at open, one per group consulted —
-    /// [`NodeSearchSession::pull_pinned`] pages against exactly these.
-    pinned: Vec<Arc<AcgEpoch>>,
+/// One ordered walk feeding a page's merge: the [`OrderedState`] it
+/// reports to, the head pulled off it to seed the classic bound (first
+/// page only) and the live walk behind that head.
+struct Walk<'a> {
+    ix: usize,
+    head: Option<Hit>,
+    stream: OrderedHitStream<'a>,
+}
+
+/// A page merge's sources: the classic list's unshipped tail and the
+/// ordered walks.
+enum Source<'l, 'w> {
+    List(Box<dyn Iterator<Item = Hit> + 'l>),
+    Walk(Walk<'w>),
+}
+
+impl Iterator for Source<'_, '_> {
+    type Item = Hit;
+
+    fn next(&mut self) -> Option<Hit> {
+        match self {
+            Source::List(iter) => iter.next(),
+            Source::Walk(walk) => walk.head.take().or_else(|| walk.stream.next()),
+        }
+    }
+
+    /// Lets a page that is all classic list be collected in one allocation.
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        match self {
+            Source::List(iter) => iter.size_hint(),
+            Source::Walk(_) => (0, None),
+        }
+    }
+}
+
+/// What a node search pages from, positions only: everything of a
+/// [`NodeSearchSession`] but the request, the pins and the resume cursor
+/// — the three things the live walks of a page borrow.
+#[derive(Debug)]
+pub(crate) struct Paging {
     /// The merged, sorted, `k`-bounded result of the classic-planned ACGs
     /// (computed once at open) — paged out via `classic_ix`.
     classic: Vec<Hit>,
     classic_ix: usize,
     ordered: Vec<OrderedState>,
-    /// Resume strictly after the last hit shipped (None before page 1).
-    resume: Option<Cursor>,
-    /// Hits this session may still ship (`limit` minus shipped;
-    /// `usize::MAX` for unlimited requests).
+    /// Hits the search may still ship: `limit` (`usize::MAX` for unlimited
+    /// requests) minus shipped, and 0 once every source ran dry.
     remaining: usize,
-    sent: usize,
-    pages: u64,
-    exhausted: bool,
+    /// Whether the request is limited (an unlimited one has no entitlement
+    /// to leave unsent).
+    limited: bool,
 }
 
-impl std::fmt::Debug for NodeSearchSession {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("NodeSearchSession")
-            .field("sent", &self.sent)
-            .field("pages", &self.pages)
-            .field("ordered", &self.ordered.len())
-            .field("exhausted", &self.exhausted)
-            .finish()
-    }
-}
-
-impl NodeSearchSession {
-    /// Opens a session over the node's (already committed) groups: plans
-    /// every group, runs the classic (non-ordered) share to completion
-    /// through `run_classic` — the Index Node supplies its worker-pool
-    /// executor, exactly as for a one-shot search — and records the
-    /// ordered plans for incremental pulling. The shared classic bound is
-    /// seeded with each ordered stream's first hit, and the pulled hit is
-    /// kept as that stream's **primed head**: the first page feeds it into
-    /// the merge directly (per-stream resume cursors skip past it), so
-    /// session opens never pay a second tree descent per ordered ACG.
-    ///
-    /// Returns the session plus the open-phase stats (the classic scans;
-    /// `acgs_consulted` and `access_paths` cover every group once).
-    pub fn open<F>(
-        groups: &[Arc<AcgEpoch>],
-        request: &SearchRequest,
-        run_classic: F,
-    ) -> (NodeSearchSession, SearchStats)
-    where
-        F: FnOnce(Vec<ClassicTask>, Option<&Arc<GlobalCutoff>>) -> Vec<(Vec<Hit>, SearchStats)>,
-    {
-        let mut tasks: Vec<ClassicTask> = Vec::new();
-        let mut ordered: Vec<OrderedState> = Vec::new();
-        let mut stats = SearchStats::default();
-        // One pass: plan each group (the predicate is analysed once), and
-        // for an ordered plan open its walk and prime it right there — one
-        // tree descent per ordered ACG, as in `execute_node_request`. The
-        // pull is work the first page needs anyway: the hit is *kept* as
-        // the stream's primed head, fed straight into the first page's
-        // merge with the walk resuming past it.
-        let analysis = Analysis::of(request);
-        let resume = request.cursor.as_ref();
-        for (i, group) in groups.iter().enumerate() {
-            let (plan, by_count) = analysis.choose(&**group);
-            let AccessPath::OrderedScan { attr, lo, hi, descending } = plan.path else {
-                tasks.push(ClassicTask { group: i, plan });
-                continue;
-            };
-            let Some(mut stream) =
-                OrderedHitStream::open(group, request, &attr, &lo, &hi, descending, resume)
-            else {
-                // Unreachable via the planner; degrade to a full scan.
-                tasks.push(ClassicTask { group: i, plan: Plan { path: AccessPath::FullScan } });
-                continue;
-            };
-            let prime = request.limit != Some(0);
-            let primed = if prime { stream.next() } else { None };
-            let scanned = stream.scanned();
-            stats.acgs_consulted += 1;
-            stats.access_paths.push((group.id(), AccessPathKind::OrderedScan));
-            stats.ordered_by_count += usize::from(by_count);
-            stats.candidates_scanned += scanned;
-            ordered.push(OrderedState {
-                acg: group.id(),
-                attr,
-                lo,
-                hi,
-                descending,
-                group_len: group.len(),
-                scanned,
-                // A primed walk that yielded nothing is dry: nothing to page.
-                done: prime && primed.is_none(),
-                primed,
-            });
-        }
-
-        let cutoff = match request.limit {
-            Some(k) if k > 0 && !tasks.is_empty() => {
-                Some(Arc::new(GlobalCutoff::new(&request.sort, k)))
-            }
-            _ => None,
-        };
-        // Seed the shared classic bound from the primed heads: each
-        // stream's first admitted hit is the best it will ever offer the
-        // merge, so the classic scans prune against the ordered side's
-        // best keys instead of starting from an empty bound.
-        if let Some(cutoff) = &cutoff {
-            for hit in ordered.iter().filter_map(|state| state.primed.as_ref()) {
-                cutoff.try_admit(hit.sort_key.as_ref(), hit.file);
-            }
-        }
-
-        let classic_results = run_classic(tasks, cutoff.as_ref());
-        let mut lists = Vec::with_capacity(classic_results.len());
-        for (hits, task_stats) in classic_results {
-            stats.absorb(task_stats);
-            lists.push(hits);
-        }
-        if let Some(cutoff) = &cutoff {
-            stats.bound_pruned = cutoff.pruned();
-        }
-        let classic = merge_sorted_hits(lists, &request.sort, request.limit);
-
-        let remaining = request.limit.unwrap_or(usize::MAX);
-        let session = NodeSearchSession {
-            request: request.clone(),
-            pinned: groups.to_vec(),
-            classic,
-            classic_ix: 0,
-            ordered,
-            resume: None,
-            remaining,
-            sent: 0,
-            pages: 0,
-            exhausted: false,
-        };
-        (session, stats)
-    }
-
-    /// Total hits shipped so far.
-    pub fn sent(&self) -> usize {
-        self.sent
-    }
-
-    /// Pages served so far (the open's first page included).
-    pub fn pages(&self) -> u64 {
-        self.pages
-    }
-
-    /// Whether the session has nothing left to ship.
-    pub fn exhausted(&self) -> bool {
-        self.exhausted
-    }
-
-    /// Pulls the next page of at most `page` hits **from the epochs
-    /// pinned at open**: every page of the session reads the same
-    /// committed state regardless of commits, index changes or snapshots
-    /// in between. This is the Index Node's serving path.
-    pub fn pull_pinned(&mut self, page: usize) -> SessionPage {
-        let pinned = self.pinned.clone();
-        self.pull(|acg| pinned.iter().find(|e| e.id() == acg).map(|e| &**e), page)
-    }
-
-    /// Pulls the next page of at most `page` hits against an explicit
-    /// epoch `lookup` (read-committed-per-page when the caller resolves
-    /// live groups); an ACG that no longer resolves — it migrated away
-    /// mid-session — simply stops contributing.
-    ///
-    /// Each pull re-creates the ordered B+-tree walks positioned after the
-    /// session's resume cursor (one tree descent each), pulls everything
-    /// through one lazy k-way merge bounded to the page, and suspends
-    /// again. Pages are globally non-decreasing in the request's sort
-    /// order across pulls.
+impl Paging {
+    /// Serves the next page of at most `page` hits: pulls the classic
+    /// tail and `walks` through one lazy k-way merge bounded to the page
+    /// and settles the accounting. `resume` is where the page starts —
+    /// strictly after the last hit shipped, or the request's own cursor
+    /// on the first page. Pages are globally non-decreasing in the
+    /// request's sort order.
     ///
     /// `page` is clamped to at least 1: a zero-size pull must still make
     /// progress, or a wire caller could ping an empty page forever while
     /// re-stamping the session against LRU eviction.
-    pub fn pull<'g>(
+    fn serve(
         &mut self,
-        lookup: impl Fn(AcgId) -> Option<&'g AcgEpoch>,
+        sort: &SortKey,
+        resume: Option<&Cursor>,
+        walks: Vec<Walk<'_>>,
         page: usize,
     ) -> SessionPage {
-        self.pages += 1;
-        let mut stats = SearchStats { pages_pulled: 1, ..SearchStats::default() };
         let k_page = page.max(1).min(self.remaining);
-        if k_page == 0 {
-            self.exhausted = self.remaining == 0;
-            return SessionPage { hits: Vec::new(), stats, exhausted: self.exhausted };
-        }
-
-        let request = &self.request;
-        let resume = self.resume.as_ref().or(request.cursor.as_ref());
         // The classic list is consumed strictly in order: everything at or
         // before the resume cursor was either shipped or deduplicated by
         // an earlier page's merge, so the cursor filter *is* the consume
@@ -300,126 +183,67 @@ impl NodeSearchSession {
         if let Some(cursor) = resume {
             while self.classic_ix < self.classic.len() {
                 let hit = &self.classic[self.classic_ix];
-                if cursor.admits(&request.sort, hit.sort_key.as_ref(), hit.file) {
+                if cursor.admits(sort, hit.sort_key.as_ref(), hit.file) {
                     break;
                 }
                 self.classic_ix += 1;
             }
         }
 
-        enum Src<'a> {
-            List(std::iter::Cloned<std::slice::Iter<'a, Hit>>),
-            /// An ordered walk, led by its primed head on the first pull
-            /// (the seed hit from open, fed to the merge without another
-            /// tree descent; the walk behind it resumes past the head).
-            Stream {
-                head: Option<Hit>,
-                stream: OrderedHitStream<'a>,
-            },
+        let mut sources: Vec<Source<'_, '_>> = Vec::with_capacity(walks.len() + 1);
+        if self.classic_ix < self.classic.len() {
+            sources.push(Source::List(if k_page == self.remaining {
+                // The search ends with this page: the list is not needed again.
+                Box::new(self.classic.drain(self.classic_ix..))
+            } else {
+                Box::new(self.classic[self.classic_ix..].iter().cloned())
+            }));
         }
-        impl Iterator for Src<'_> {
-            type Item = Hit;
-            fn next(&mut self) -> Option<Hit> {
-                match self {
-                    Src::List(iter) => iter.next(),
-                    Src::Stream { head, stream } => head.take().or_else(|| stream.next()),
-                }
-            }
-        }
+        sources.extend(walks.into_iter().map(Source::Walk));
+        let hits: Vec<Hit> = match sources.as_mut_slice() {
+            // A lone source already is the merged order: the classic list
+            // is de-duplicated and a walk yields each record once.
+            [only] => only.take(k_page).collect(),
+            many => merge_hit_sources(many, sort, Some(k_page)),
+        };
 
-        // Per-stream pull plans. A stream still holding its primed head
-        // (first pull only) resumes its walk strictly after that head —
-        // the one thing that differs between streams, so it is the one
-        // thing each gets of its own; the request is shared. An unconsumed
-        // head is never lost: the merge leaves it strictly after
-        // everything shipped, so the session cursor re-derives it on the
-        // next pull.
-        struct StreamPrep {
-            ix: usize,
-            head: Option<Hit>,
-            /// `None` = resume at the session cursor.
-            seed: Option<Cursor>,
-        }
-        let mut preps: Vec<StreamPrep> = Vec::new();
-        for (ix, state) in self.ordered.iter_mut().enumerate() {
-            if !state.done {
-                let head = state.primed.take();
-                preps.push(StreamPrep { ix, seed: head.as_ref().map(Cursor::after), head });
-            }
-        }
-
-        let classic_tail = &self.classic[self.classic_ix..];
-        let mut sources: Vec<Src<'_>> = vec![Src::List(classic_tail.iter().cloned())];
-        // Which `ordered` entry each stream source (sources[1..]) serves.
-        let mut stream_of: Vec<usize> = Vec::new();
-        for prep in &mut preps {
-            let i = prep.ix;
-            let Some(group) = lookup(self.ordered[i].acg) else {
-                // ACG migrated away mid-session: degrade, keep the rest.
-                self.ordered[i].done = true;
-                continue;
-            };
-            let state = &self.ordered[i];
-            match OrderedHitStream::open(
-                group,
-                request,
-                &state.attr,
-                &state.lo,
-                &state.hi,
-                state.descending,
-                prep.seed.as_ref().or(resume),
-            ) {
-                Some(stream) => {
-                    stream_of.push(i);
-                    sources.push(Src::Stream { head: prep.head.take(), stream });
-                }
-                // The covering index was dropped mid-session: degrade.
-                None => self.ordered[i].done = true,
-            }
-        }
-
-        let hits = merge_hit_sources(&mut sources, &request.sort, Some(k_page));
-
-        for (src, &i) in sources[1..].iter().zip(&stream_of) {
-            let Src::Stream { stream, .. } = src else {
-                unreachable!("streams follow the classic list")
-            };
-            self.ordered[i].scanned += stream.scanned();
-            stats.candidates_scanned += stream.scanned();
-            // `exhausted` implies every pulled hit (the head included) was
-            // consumed by the merge, so nothing unshipped can be lost.
-            if stream.exhausted() {
-                self.ordered[i].done = true;
-            }
+        let mut stats = SearchStats {
+            pages_pulled: 1,
+            hits_shipped: hits.len(),
+            retained_peak: hits.len(),
+            ..SearchStats::default()
+        };
+        for source in &sources {
+            let Source::Walk(walk) = source else { continue };
+            let state = &mut self.ordered[walk.ix];
+            state.scanned += walk.stream.scanned();
+            stats.candidates_scanned += walk.stream.scanned();
+            // An unconsumed head (or a hit the merge pulled but did not
+            // emit) is never lost: it sorts strictly after everything
+            // shipped, so the resume cursor re-derives it on the next
+            // pull. `exhausted` implies the merge consumed them all.
+            state.done = walk.stream.exhausted();
         }
         drop(sources);
-        drop(preps);
 
-        self.sent += hits.len();
-        self.remaining = self.remaining.saturating_sub(hits.len());
-        if let Some(last) = hits.last() {
-            self.resume = Some(Cursor::after(last));
-        }
         // A short page means every source ran dry; a full budget means the
-        // session served its whole entitlement.
-        self.exhausted = hits.len() < k_page || self.remaining == 0;
-        if self.exhausted {
-            self.classic_ix = self.classic.len();
+        // search served its whole entitlement.
+        self.remaining = if hits.len() < k_page { 0 } else { self.remaining - hits.len() };
+        let exhausted = self.remaining == 0;
+        if exhausted {
+            stats.absorb(self.close());
         }
-        stats.hits_shipped = hits.len();
-        stats.retained_peak = hits.len();
-        SessionPage { hits, stats, exhausted: self.exhausted }
+        SessionPage { hits, stats, exhausted }
     }
 
-    /// Closes the session, reporting what the streaming protocol saved:
-    /// [`SearchStats::node_hits_unsent`] (the rest of this node's one-shot
-    /// `k` entitlement, for limited sessions that were not exhausted) and
-    /// the ordered candidates never examined ([`SearchStats::merge_skipped`]
-    /// / [`SearchStats::candidates_skipped`], against each group's size at
-    /// open).
-    pub fn close(&mut self) -> SearchStats {
+    /// What the search saved where it stands: [`SearchStats::node_hits_unsent`]
+    /// (the rest of this node's `k` entitlement, for limited searches) and
+    /// the ordered candidates never examined
+    /// ([`SearchStats::merge_skipped`] / [`SearchStats::candidates_skipped`],
+    /// against each group's size at open).
+    fn close(&self) -> SearchStats {
         let mut stats = SearchStats::default();
-        if !self.exhausted && self.request.limit.is_some() {
+        if self.limited {
             stats.node_hits_unsent = self.remaining;
         }
         for state in &self.ordered {
@@ -431,6 +255,235 @@ impl NodeSearchSession {
             }
         }
         stats
+    }
+}
+
+/// [`NodeSearchSession::open`] over borrowed epochs: the first page, and
+/// — unless it exhausted the search — the positions the rest resumes from.
+/// The one place the plan → prime → seed → classic → merge sequence lives.
+pub(crate) fn open_page<'a, F>(
+    groups: &[&'a AcgEpoch],
+    request: &'a SearchRequest,
+    page: usize,
+    run_classic: F,
+) -> (SessionPage, Option<Paging>)
+where
+    F: FnOnce(Vec<ClassicTask>, Option<&Arc<GlobalCutoff>>) -> ClassicResults,
+{
+    let mut tasks: Vec<ClassicTask> = Vec::new();
+    let mut ordered: Vec<OrderedState> = Vec::new();
+    let mut walks: Vec<Walk<'a>> = Vec::new();
+    let mut stats = SearchStats::default();
+    let analysis = Analysis::of(request);
+    let resume = request.cursor.as_ref();
+    for (i, group) in groups.iter().enumerate() {
+        let (plan, by_count) = analysis.choose(*group);
+        let AccessPath::OrderedScan { attr, lo, hi, descending } = plan.path else {
+            tasks.push(ClassicTask { group: i, plan });
+            continue;
+        };
+        let Some(stream) =
+            OrderedHitStream::open(group, request, &attr, &lo, &hi, descending, resume)
+        else {
+            // Unreachable via the planner (it checks for the tree), but
+            // degrade to a full scan rather than panic.
+            tasks.push(ClassicTask { group: i, plan: Plan { path: AccessPath::FullScan } });
+            continue;
+        };
+        stats.ordered_by_count += usize::from(by_count);
+        walks.push(Walk { ix: ordered.len(), head: None, stream });
+        ordered.push(OrderedState {
+            group: i,
+            acg: group.id(),
+            attr,
+            lo,
+            hi,
+            descending,
+            group_len: group.len(),
+            scanned: 0,
+            done: false,
+        });
+    }
+
+    // A lone group's own top-k heap already is the node-wide bound.
+    let cutoff = match request.limit {
+        Some(k) if k > 0 && groups.len() > 1 && !tasks.is_empty() => {
+            Some(Arc::new(GlobalCutoff::new(&request.sort, k)))
+        }
+        _ => None,
+    };
+    if let Some(cutoff) = &cutoff {
+        for walk in &mut walks {
+            walk.head = walk.stream.next();
+            if let Some(hit) = &walk.head {
+                cutoff.try_admit(hit.sort_key.as_ref(), hit.file);
+            }
+        }
+    }
+
+    let task_count = tasks.len();
+    let results = run_classic(tasks, cutoff.as_ref());
+    assert_eq!(results.len(), task_count, "one result per classic task");
+    // Stats in group order, whichever side serves each group.
+    let mut lists: Vec<Vec<Hit>> = Vec::with_capacity(task_count);
+    let mut results = results.into_iter();
+    let mut walked = ordered.iter().peekable();
+    for i in 0..groups.len() {
+        if let Some(state) = walked.next_if(|state| state.group == i) {
+            stats.acgs_consulted += 1;
+            stats.access_paths.push((state.acg, AccessPathKind::OrderedScan));
+        } else if let Some((hits, task_stats)) = results.next() {
+            stats.absorb(task_stats);
+            lists.push(hits);
+        }
+    }
+
+    // A lone list already is sorted, de-duplicated and within the limit.
+    let classic = match lists.len() {
+        1 => lists.pop().unwrap_or_default(),
+        _ => merge_sorted_hits(lists, &request.sort, request.limit),
+    };
+    let mut paging = Paging {
+        classic,
+        classic_ix: 0,
+        ordered,
+        remaining: request.limit.unwrap_or(usize::MAX),
+        limited: request.limit.is_some(),
+    };
+    let mut first = paging.serve(&request.sort, resume, walks, page);
+    stats.absorb(std::mem::take(&mut first.stats));
+    if let Some(cutoff) = &cutoff {
+        stats.bound_pruned = cutoff.pruned();
+    }
+    first.stats = stats;
+    let rest = (!first.exhausted).then_some(paging);
+    (first, rest)
+}
+
+/// The suspended rest of a multi-ACG node search whose first page did not
+/// exhaust it, pulled incrementally by the client (see the module docs for
+/// the design).
+#[derive(Debug)]
+pub struct NodeSearchSession {
+    request: SearchRequest,
+    /// The epochs pinned at open, one per group consulted —
+    /// [`NodeSearchSession::pull_pinned`] pages against exactly these.
+    pinned: Vec<Arc<AcgEpoch>>,
+    /// Resume strictly after the last hit shipped.
+    resume: Cursor,
+    paging: Paging,
+}
+
+impl NodeSearchSession {
+    /// Opens a search over a node's (already committed, pinned) `groups`
+    /// and serves its first page of at most `page` hits.
+    ///
+    /// Every group is planned (the predicate is analysed once; each ACG
+    /// then only answers for its own indices and posting counts). Groups
+    /// whose plan is an [`AccessPath::OrderedScan`] contribute a lazy
+    /// ordered hit stream each; the rest run to completion through
+    /// `run_classic` — the Index Node supplies its worker-pool executor,
+    /// [`execute_node_request_sequential`](crate::execute_node_request_sequential)
+    /// runs them inline — which must return one `(hits, stats)` pair per
+    /// task, in task order. When at least two groups compete for a limited
+    /// result, the classic scans share one [`GlobalCutoff`], seeded with
+    /// each stream's first hit — by construction the best hit that stream
+    /// will ever offer — so a mixed-plan node prunes against the ordered
+    /// side's best keys from the start. Pruning affects only how much work
+    /// the ACGs do, never the returned hits, so pooled execution stays
+    /// byte-identical to sequential.
+    ///
+    /// The first page is then merged **from the streams just primed** (the
+    /// seed hits lead them; nothing is re-derived), stopping after `page`
+    /// total admitted hits across the whole node instead of `page` per
+    /// ACG. Its stats carry the plan and the classic scans, in group order
+    /// (`acgs_consulted` and `access_paths` name every group once). Beside
+    /// it comes, unless the page exhausted the search, the session holding
+    /// the rest: the pins are cloned and the request copied only then.
+    pub fn open<F>(
+        groups: &[Arc<AcgEpoch>],
+        request: &SearchRequest,
+        page: usize,
+        run_classic: F,
+    ) -> (SessionPage, Option<NodeSearchSession>)
+    where
+        F: FnOnce(Vec<ClassicTask>, Option<&Arc<GlobalCutoff>>) -> ClassicResults,
+    {
+        let refs: Vec<&AcgEpoch> = groups.iter().map(Arc::as_ref).collect();
+        let (first, rest) = open_page(&refs, request, page, run_classic);
+        // A page that left something behind shipped at least one hit.
+        let session = rest.zip(first.hits.last()).map(|(paging, last)| NodeSearchSession {
+            request: request.clone(),
+            pinned: groups.to_vec(),
+            resume: Cursor::after(last),
+            paging,
+        });
+        (first, session)
+    }
+
+    /// Pulls the next page of at most `page` hits **from the epochs
+    /// pinned at open**: every page of the session reads the same
+    /// committed state regardless of commits, index changes or snapshots
+    /// in between. This is the Index Node's serving path.
+    pub fn pull_pinned(&mut self, page: usize) -> SessionPage {
+        let NodeSearchSession { request, pinned, resume, paging } = self;
+        Self::pull_from(request, resume, paging, |state| Some(&*pinned[state.group]), page)
+    }
+
+    /// Pulls the next page of at most `page` hits against an explicit
+    /// epoch `lookup` (read-committed-per-page when the caller resolves
+    /// live groups); an ACG that no longer resolves — it migrated away
+    /// mid-session — simply stops contributing.
+    pub fn pull<'g>(
+        &mut self,
+        lookup: impl Fn(AcgId) -> Option<&'g AcgEpoch>,
+        page: usize,
+    ) -> SessionPage {
+        let NodeSearchSession { request, resume, paging, .. } = self;
+        Self::pull_from(request, resume, paging, |state| lookup(state.acg), page)
+    }
+
+    /// Re-creates the ordered B+-tree walks positioned after the resume
+    /// cursor (one tree descent each), serves one page off them and the
+    /// classic tail, and moves the cursor past it.
+    fn pull_from<'g>(
+        request: &SearchRequest,
+        resume: &mut Cursor,
+        paging: &mut Paging,
+        resolve: impl Fn(&OrderedState) -> Option<&'g AcgEpoch>,
+        page: usize,
+    ) -> SessionPage {
+        let mut walks = Vec::new();
+        for (ix, state) in paging.ordered.iter_mut().enumerate() {
+            if state.done {
+                continue;
+            }
+            let stream = resolve(state).and_then(|group| {
+                let OrderedState { attr, lo, hi, descending, .. } = &*state;
+                OrderedHitStream::open(group, request, attr, lo, hi, *descending, Some(&*resume))
+            });
+            match stream {
+                Some(stream) => walks.push(Walk { ix, head: None, stream }),
+                // The ACG migrated away or its covering index was dropped
+                // mid-session: degrade, keep the rest.
+                None => state.done = true,
+            }
+        }
+        let next = paging.serve(&request.sort, Some(&*resume), walks, page);
+        if let Some(last) = next.hits.last() {
+            *resume = Cursor::after(last);
+        }
+        next
+    }
+
+    /// Closes the session, reporting what the streaming protocol saved:
+    /// [`SearchStats::node_hits_unsent`] (the rest of this node's `k`
+    /// entitlement) and the ordered candidates never examined
+    /// ([`SearchStats::merge_skipped`] / [`SearchStats::candidates_skipped`],
+    /// against each group's size at open). A session that ran to its end
+    /// already reported both on its last page.
+    pub fn close(&self) -> SearchStats {
+        self.paging.close()
     }
 }
 
@@ -485,22 +538,27 @@ mod tests {
         }
     }
 
-    fn drain(
+    fn open(
         groups: &[Arc<AcgEpoch>],
         request: &SearchRequest,
         page: usize,
-    ) -> (Vec<Hit>, NodeSearchSession) {
-        let (mut session, _) =
-            NodeSearchSession::open(groups, request, run_inline(groups, request));
-        let mut all = Vec::new();
-        loop {
-            let p = session.pull_pinned(page);
+    ) -> (SessionPage, Option<NodeSearchSession>) {
+        NodeSearchSession::open(groups, request, page, run_inline(groups, request))
+    }
+
+    /// Every page of the search, `page` hits at a time, concatenated.
+    fn drain(groups: &[Arc<AcgEpoch>], request: &SearchRequest, page: usize) -> Vec<Hit> {
+        let (first, mut session) = open(groups, request, page);
+        assert_eq!(first.exhausted, session.is_none(), "a session is kept iff something is left");
+        let mut all = first.hits;
+        while let Some(open) = &mut session {
+            let p = open.pull_pinned(page);
             all.extend(p.hits);
             if p.exhausted {
-                break;
+                session = None;
             }
         }
-        (all, session)
+        all
     }
 
     #[test]
@@ -521,7 +579,7 @@ mod tests {
             }
             let (one_shot, _) = execute_node_request_sequential(&epochs, &req);
             for page in [1usize, 3, 16, 1000] {
-                let (paged, _) = drain(&refs, &req, page);
+                let paged = drain(&refs, &req, page);
                 assert_eq!(paged, one_shot, "limit {limit:?} page {page}");
             }
         }
@@ -537,10 +595,8 @@ mod tests {
         let req = SearchRequest::new(q.predicate)
             .with_limit(100)
             .sorted_by(SortKey::Descending(propeller_types::AttrName::Size));
-        let (mut session, open_stats) =
-            NodeSearchSession::open(&refs, &req, run_inline(&refs, &req));
-        assert_eq!(open_stats.acgs_consulted, 16);
-        let page = session.pull_pinned(10);
+        let (page, session) = open(&refs, &req, 10);
+        assert_eq!(page.stats.acgs_consulted, 16);
         assert_eq!(page.hits.len(), 10);
         assert!(!page.exhausted);
         assert!(
@@ -548,7 +604,7 @@ mod tests {
             "one page must cost ~page+streams candidates, scanned {}",
             page.stats.candidates_scanned
         );
-        let close = session.close();
+        let close = session.expect("90 hits of the entitlement are left").close();
         assert_eq!(close.node_hits_unsent, 90, "the unshipped entitlement is witnessed");
         assert!(close.merge_skipped > 0);
         assert_eq!(close.early_terminated, 16);
@@ -556,55 +612,48 @@ mod tests {
 
     #[test]
     fn seed_hits_are_primed_into_the_first_page_without_rederivation() {
-        // The double-work the ROADMAP documented: the first pull used to
-        // re-derive every stream's first hit (one tree descent + candidate
-        // scan per ordered ACG) because the open discarded the seed pulls.
-        // With primed heads, the first page's merge starts from the stored
-        // seeds, so the pull scans at most one boundary candidate per
-        // stream it actually refills — `pull ≤ hits`, where the old path
-        // cost `hits + streams`.
+        // The first page reads the walks opened at planning time, so every
+        // candidate behind it is scanned exactly once: `scanned ≤ hits +
+        // streams` (the merge holds one look-ahead per stream). Re-deriving
+        // each stream's head from a cursor — what a later pull has to do —
+        // costs another tree descent and a boundary re-scan per stream.
         let groups = seeded_groups(4, 100, true);
         let refs = pins(&groups);
         let q = crate::Query::parse("size>0", now()).unwrap();
         let req = SearchRequest::new(q.predicate)
             .with_limit(20)
             .sorted_by(SortKey::Descending(propeller_types::AttrName::Size));
-        let (mut session, open_stats) =
-            NodeSearchSession::open(&refs, &req, run_inline(&refs, &req));
-        assert_eq!(open_stats.candidates_scanned, 4, "open pulls exactly one seed per stream");
-        let page = session.pull_pinned(20);
+        let (page, _) = open(&refs, &req, 20);
         assert_eq!(page.hits.len(), 20);
         assert!(
             page.stats.candidates_scanned <= page.hits.len() + refs.len(),
-            "first page cost stays within hits + one boundary scan per stream: \
+            "first page cost stays within hits + one look-ahead per stream: \
              scanned {} for {} hits over {} streams",
             page.stats.candidates_scanned,
             page.hits.len(),
             refs.len()
         );
-        // The cold-stream payoff: 16 streams, a 4-hit first page. The old
-        // path paid one derivation per stream just to prime the merge
-        // (page + streams = 20 scans); primed heads prime it for free, so
-        // only the few refilled streams scan at all.
+        // The cold-stream payoff: 16 streams, a 4-hit first page. Each
+        // stream is read once for its head; only the few the merge refills
+        // are read any further.
         let groups = seeded_groups(16, 100, true);
         let refs = pins(&groups);
         let q = crate::Query::parse("size>0", now()).unwrap();
         let req = SearchRequest::new(q.predicate)
             .with_limit(100)
             .sorted_by(SortKey::Descending(propeller_types::AttrName::Size));
-        let (mut session, open_stats) =
-            NodeSearchSession::open(&refs, &req, run_inline(&refs, &req));
-        assert_eq!(open_stats.candidates_scanned, 16);
-        let page = session.pull_pinned(4);
+        let (page, session) = open(&refs, &req, 4);
         assert_eq!(page.hits.len(), 4);
         assert!(
-            page.stats.candidates_scanned <= 2 * page.hits.len(),
-            "cold streams must not be touched: scanned {} for a 4-hit page over 16 streams",
+            page.stats.candidates_scanned <= page.hits.len() + refs.len(),
+            "cold streams must not be touched past their head: scanned {} for a 4-hit page \
+             over 16 streams",
             page.stats.candidates_scanned
         );
         // Draining the rest still concatenates to the one-shot result.
         let epochs: Vec<&AcgEpoch> = refs.iter().map(|e| &**e).collect();
         let (one_shot, _) = execute_node_request_sequential(&epochs, &req);
+        let mut session = session.expect("96 hits of the entitlement are left");
         let mut all = page.hits.clone();
         loop {
             let p = session.pull_pinned(16);
@@ -624,7 +673,7 @@ mod tests {
         let q = crate::Query::parse("size>100k", now()).unwrap();
         let sort = SortKey::Descending(propeller_types::AttrName::Size);
         let req = SearchRequest::new(q.predicate.clone()).with_limit(50).sorted_by(sort.clone());
-        let (streamed, _) = drain(&refs, &req, 8);
+        let streamed = drain(&refs, &req, 8);
 
         // Cursor pagination over the one-shot node path, page size 8.
         let mut paged = Vec::new();
@@ -674,7 +723,7 @@ mod tests {
             .with_limit(60)
             .sorted_by(SortKey::Descending(propeller_types::AttrName::Size));
         let (one_shot, _) = execute_node_request_sequential(&epochs, &req);
-        let (paged, _) = drain(&refs, &req, 7);
+        let paged = drain(&refs, &req, 7);
         assert_eq!(paged, one_shot);
     }
 
@@ -686,8 +735,8 @@ mod tests {
         let req = SearchRequest::new(q.predicate)
             .with_limit(100)
             .sorted_by(SortKey::Descending(propeller_types::AttrName::Size));
-        let (mut session, _) = NodeSearchSession::open(&refs, &req, run_inline(&refs, &req));
-        let first = session.pull_pinned(10);
+        let (first, session) = open(&refs, &req, 10);
+        let mut session = session.expect("90 hits of the entitlement are left");
         // ACG 2 "migrates away": later lookup-based pulls no longer
         // resolve it (a caller opting out of pinned serving).
         let remaining: Vec<&AcgEpoch> =
@@ -717,10 +766,10 @@ mod tests {
         let refs = pins(&groups);
         let q = crate::Query::parse("size>0", now()).unwrap();
         let req = SearchRequest::new(q.predicate).with_limit(0);
-        let (mut session, _) = NodeSearchSession::open(&refs, &req, run_inline(&refs, &req));
-        let page = session.pull_pinned(16);
+        let (page, session) = open(&refs, &req, 16);
         assert!(page.hits.is_empty());
         assert!(page.exhausted);
-        assert_eq!(session.close().node_hits_unsent, 0);
+        assert!(session.is_none(), "nothing to suspend");
+        assert_eq!(page.stats.node_hits_unsent, 0);
     }
 }

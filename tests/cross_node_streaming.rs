@@ -517,3 +517,115 @@ fn adaptive_paging_matches_fixed_paging_byte_for_byte() {
     assert_eq!(untagged(&paged), untagged(&fixed.hits));
     cluster.shutdown();
 }
+
+#[test]
+fn a_cold_node_ships_at_most_one_page() {
+    // The same placement as above — the whole global top-k on the first
+    // node — seen per node: each serving node reports one `node_elapsed`
+    // row per exchange it served, so a node with a single row was opened,
+    // shipped its first page and was never pulled again.
+    let (nodes, per_node, k, page) = (4usize, 100u64, 100usize, 16usize);
+    let cluster = Cluster::start(ClusterConfig {
+        index_nodes: nodes,
+        group_capacity: per_node as usize,
+        ..ClusterConfig::default()
+    });
+    let mut client = cluster.client().with_search_page_size(page);
+    let total = per_node * nodes as u64;
+    client.index_files((0..total).map(|i| record(i, (total - i) << 20, i, 0)).collect()).unwrap();
+
+    let req = SearchRequest::parse("size>0", now())
+        .unwrap()
+        .with_limit(k)
+        .sorted_by(SortKey::Descending(AttrName::Size));
+    let streamed = client.search_with(&req).unwrap();
+    assert_eq!(streamed.hits.len(), k);
+
+    let exchanges = |node: NodeId| {
+        streamed.stats.node_elapsed.iter().filter(|&&(served, _)| served == node).count()
+    };
+    let mut per_node_exchanges: Vec<usize> =
+        cluster.index_node_ids().iter().map(|&node| exchanges(node)).collect();
+    per_node_exchanges.sort_unstable();
+    assert_eq!(
+        per_node_exchanges,
+        vec![1, 1, 1, k.div_ceil(page)],
+        "three cold nodes answer once, the hot one pages out its whole k"
+    );
+    assert_eq!(streamed.stats.pages_pulled, (nodes - 1) + k.div_ceil(page));
+    assert_eq!(
+        streamed.stats.hits_shipped,
+        k + (nodes - 1) * page,
+        "the hot node ships k, every cold node exactly one page"
+    );
+    assert_eq!(
+        streamed.stats.node_hits_unsent,
+        (nodes - 1) * (k - page),
+        "what the cold nodes were entitled to and never computed"
+    );
+    cluster.shutdown();
+}
+
+/// `(node, open_sessions)` of every Index Node.
+fn open_sessions(cluster: &Cluster) -> Vec<(NodeId, usize)> {
+    let stats = |&n: &NodeId| match cluster.rpc().call(n, Request::NodeStats) {
+        Ok(Response::NodeStatsReport { node, open_sessions, .. }) => (node, open_sessions),
+        other => panic!("{other:?}"),
+    };
+    cluster.index_node_ids().iter().map(stats).collect()
+}
+
+#[test]
+fn a_search_with_nothing_to_cut_off_costs_one_exchange_per_group() {
+    // An unlimited search, and a limited one over a single replica group,
+    // have no cross-node cutoff to wait for: the paging rule asks for the
+    // whole answer in the open exchange, so each costs exactly one message
+    // per replica group, stores no session and leaves nothing unsent.
+    let records: Vec<FileRecord> = (0..300u64)
+        .map(|i| record(i, (i * 37) % 251 + 1, (i * 11) % 251, (i % 4) as u32))
+        .collect();
+    let unlimited = SearchRequest::parse("size>0", now())
+        .unwrap()
+        .sorted_by(SortKey::Descending(AttrName::Size));
+    let limited = unlimited.clone().with_limit(150);
+    for (nodes, request) in [(3usize, &unlimited), (1, &limited)] {
+        let cluster = Cluster::start(ClusterConfig {
+            index_nodes: nodes,
+            group_capacity: 20,
+            ..ClusterConfig::default()
+        });
+        let mut client = cluster.client();
+        client.index_files(records.clone()).unwrap();
+
+        let response = client.search_with(request).unwrap();
+        let brute = run_local_search(records.clone(), request);
+        assert_eq!(untagged(&response.hits), untagged(&brute.hits), "{nodes} nodes");
+        assert!(response.complete);
+        assert_eq!(response.stats.pages_pulled, nodes, "{nodes} nodes: one exchange per group");
+        assert_eq!(response.stats.node_elapsed.len(), nodes, "{nodes} nodes");
+        assert_eq!(response.stats.hits_shipped, response.hits.len(), "{nodes} nodes");
+        assert_eq!(response.stats.node_hits_unsent, 0, "{nodes} nodes");
+        for (node, sessions) in open_sessions(&cluster) {
+            assert_eq!(sessions, 0, "{node}: a search exhausted at open stores no session");
+        }
+
+        // The caller-paced surface pages the same answer: 7 hits per pull.
+        let paged_client = cluster.client().with_search_page_size(7);
+        let mut stream = paged_client.open_search_stream(request).unwrap();
+        let mut paged: Vec<Hit> = Vec::new();
+        loop {
+            let page = stream.next_page(7).unwrap();
+            if page.is_empty() {
+                break;
+            }
+            paged.extend(page);
+        }
+        let paged_stats = stream.finish().unwrap().stats;
+        assert_eq!(paged, response.hits, "{nodes} nodes: pages concatenate to search_with");
+        assert!(paged_stats.pages_pulled > nodes, "{nodes} nodes: 7-hit pages force pulls");
+        for (node, sessions) in open_sessions(&cluster) {
+            assert_eq!(sessions, 0, "{node}: drained sessions are dropped");
+        }
+        cluster.shutdown();
+    }
+}

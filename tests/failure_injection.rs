@@ -422,6 +422,45 @@ fn hedged_opens_beat_an_injected_straggler_and_are_witnessed_in_stats() {
     cluster.shutdown();
 }
 
+#[test]
+fn an_unlimited_search_hedges_past_a_straggler_like_any_other() {
+    // Every search is a stream, so every fan-out gets the replica race —
+    // an unlimited request included, which has no cutoff to stream for and
+    // takes its whole answer in the open exchange. One primary straggles
+    // 200 ms against a 10 ms budget: its groups' tied opens go to the
+    // replica peer, which wins, and the answer is the brute-force one.
+    let cluster = Cluster::start(ClusterConfig {
+        index_nodes: 2,
+        group_capacity: 10,
+        replication: 2,
+        hedge_budget: Some(Duration::from_millis(10)),
+        ..Default::default()
+    });
+    let mut client = cluster.client();
+    let records: Vec<FileRecord> = (0..100u64).map(|i| record(i, (i + 1) << 20)).collect();
+    client.index_files(records.clone()).unwrap();
+    let request = SearchRequest::parse("size>0", Timestamp::from_secs(1_000))
+        .unwrap()
+        .sorted_by(SortKey::Descending(AttrName::Size));
+
+    let straggler =
+        placements(&cluster).first().map(|(_, replicas)| replicas[0]).expect("cluster has ACGs");
+    cluster
+        .rpc()
+        .slowdowns()
+        .set(straggler, propeller::sim::Latency::constant(Duration::from_millis(200)));
+
+    let hedged = client.search_with(&request).unwrap();
+    let brute = run_local_search(records, &request);
+    let files = |hits: &[propeller::query::Hit]| hits.iter().map(|h| h.file).collect::<Vec<_>>();
+    assert_eq!(files(&hedged.hits), files(&brute.hits), "hedging must not change the answer");
+    assert_eq!(hedged.hits.len(), 100);
+    assert!(hedged.complete);
+    assert!(hedged.stats.hedges_fired > 0, "the straggler must trigger a hedge");
+    assert!(hedged.stats.hedges_won > 0, "the fast replica must win the race");
+    cluster.shutdown();
+}
+
 /// One node's last WAL LSN per hosted ACG.
 fn acg_lsns(cluster: &Cluster, node: NodeId) -> HashMap<AcgId, u64> {
     match cluster.rpc().call(node, Request::AcgLsns) {

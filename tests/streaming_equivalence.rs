@@ -342,3 +342,57 @@ proptest! {
         prop_assert_eq!(paged, full, "node pages concatenate to the full result");
     }
 }
+
+/// The count the node-global cutoff exists for: sorted top-100 over 16
+/// ACGs of one node returns exactly what "top-100 per ACG, then merge"
+/// returns, while scanning strictly fewer candidates — the merge stops at
+/// 100 admitted hits node-wide instead of 100 per ACG, and what it never
+/// pulled is witnessed by `merge_skipped`.
+#[test]
+fn node_global_cutoff_scans_fewer_candidates_than_per_acg_then_merge() {
+    let (acg_count, k) = (16usize, 100usize);
+    let records: Vec<FileRecord> = (0..4_000u64)
+        .map(|i| {
+            FileRecord::new(FileId::new(i), InodeAttrs::builder().size((i * 7_919) % 4_096).build())
+        })
+        .collect();
+    let req = SearchRequest::new(Predicate::cmp(AttrName::Size, CompareOp::Gt, Value::U64(0)))
+        .with_limit(k)
+        .sorted_by(SortKey::Descending(AttrName::Size));
+
+    // Per-ACG cutoff: every ACG computes its own top-k, merged afterwards.
+    let (mut lists, mut per_acg_scanned) = (Vec::new(), 0usize);
+    for acg in 0..acg_count {
+        let rows: Vec<FileRecord> = records
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| i % acg_count == acg)
+            .map(|(_, r)| r.clone())
+            .collect();
+        let mut g = AcgIndexGroup::new(AcgId::new(acg as u64 + 1), GroupConfig::default());
+        for rec in rows {
+            g.enqueue(IndexOp::Upsert(rec), now()).unwrap();
+        }
+        g.commit(now()).unwrap();
+        let (hits, stats) = execute_request(&g, &req);
+        assert_eq!(hits.len(), k, "every ACG can fill its own top-{k}");
+        per_acg_scanned += stats.candidates_scanned;
+        lists.push(hits);
+    }
+    let reference = propeller::query::merge_sorted_hits(lists, &req.sort, req.limit);
+
+    for parallelism in [1, 8] {
+        let mut node = seeded_node(&records, acg_count, parallelism);
+        let (hits, stats) = node_search(&mut node, acg_count, &req);
+        assert_eq!(hits, reference, "pool width {parallelism}: per-ACG + merge is the reference");
+        assert!(
+            stats.candidates_scanned < per_acg_scanned,
+            "pool width {parallelism}: the node-global cutoff scanned {} candidates, \
+             the per-ACG cutoff {per_acg_scanned}",
+            stats.candidates_scanned
+        );
+        assert!(stats.candidates_scanned <= k + acg_count, "~k in total: {stats:?}");
+        assert!(stats.merge_skipped > 0, "merge-level skips must be witnessed: {stats:?}");
+        assert_eq!(stats.early_terminated, acg_count, "no ACG's walk ran dry");
+    }
+}
