@@ -70,7 +70,30 @@ fn bench_kdtree(c: &mut Criterion) {
         });
         let tree = KdTree::bulk_load(2, points.clone());
         group.bench_with_input(BenchmarkId::new("box_query", n), &n, |b, _| {
-            b.iter(|| tree.range(&[100.0, 0.0], &[200.0, 10.0]))
+            b.iter(|| tree.range_iter(&[100.0, 0.0], &[200.0, 10.0]).count())
+        });
+        // Insert/remove churn over drifting mtimes: each round adds one
+        // point at the newest mtime and removes the oldest live one.
+        group.bench_with_input(BenchmarkId::new("churn", n), &n, |b, &n| {
+            let mut tree = tree.clone();
+            let point = |i: u64| [(i % 1024) as f64, (i / 1024) as f64];
+            let mut i = n;
+            b.iter(|| {
+                tree.insert(&point(i), FileId::new(i));
+                tree.remove(&point(i - n), FileId::new(i - n));
+                i += 1;
+            })
+        });
+        // One commit on a pinned epoch: clone, then a single insert (the
+        // copy-on-write cost a writer pays while a reader holds the tree).
+        group.bench_with_input(BenchmarkId::new("clone_plus_insert", n), &n, |b, &n| {
+            let mut i = n;
+            b.iter(|| {
+                let mut next = tree.clone();
+                next.insert(&[(i % 1024) as f64, (i / 1024) as f64], FileId::new(i));
+                i += 1;
+                next
+            })
         });
     }
     group.finish();

@@ -75,7 +75,9 @@ impl IndexSpec {
         IndexSpec { name: name.into(), kind: IndexKind::Hash, attrs: vec![attr] }
     }
 
-    /// A K-D-tree index over several attributes.
+    /// A K-D-tree index over several attributes. The planner boxes only
+    /// sets of builtin inode attributes: a record missing a custom
+    /// attribute, or holding several values of it, has no point in the tree.
     pub fn kd(name: impl Into<String>, attrs: Vec<AttrName>) -> Self {
         IndexSpec { name: name.into(), kind: IndexKind::Kd, attrs }
     }
@@ -147,11 +149,12 @@ fn posting_remove(list: &mut PostingList, file: FileId) {
 /// The immutable, published read side of an ACG's index group: the
 /// committed record store plus every index root as of one commit.
 ///
-/// An epoch is a *persistent* (structurally shared) value: its B+-trees,
-/// K-D tree and inverted indices all path-copy on mutation, so cloning an
-/// epoch is O(#indices) refcount bumps and two epochs share all untouched
-/// nodes. [`AcgIndexGroup::commit`] publishes a new epoch with a single
-/// `Arc` swap; readers that pinned the previous epoch (via
+/// An epoch is a *persistent* (structurally shared) value: its B+-trees and
+/// inverted indices path-copy on mutation and its K-D trees copy only the
+/// leaf buckets ops touch, so cloning an epoch is O(#indices) refcount
+/// bumps and two epochs share all untouched nodes and leaves.
+/// [`AcgIndexGroup::commit`] publishes a new epoch with a single `Arc`
+/// swap; readers that pinned the previous epoch (via
 /// [`AcgIndexGroup::pin`]) keep reading it unperturbed until their last
 /// pin drops, at which point its unshared nodes are freed.
 ///
@@ -475,39 +478,24 @@ impl AcgEpoch {
         self.scan(|record| Self::record_values(record, attr).iter().any(|v| in_lo(v) && in_hi(v)))
     }
 
-    /// Multi-attribute inclusive box query via a covering K-D index.
-    /// Returns `None` when no K-D index covers exactly these attributes
-    /// (the planner then falls back to per-attribute lookups).
-    pub fn lookup_kd(&self, attrs: &[AttrName], lo: &[f64], hi: &[f64]) -> Option<Vec<FileId>> {
-        self.kds.values().find_map(
-            |(kd_attrs, tree)| {
-                if kd_attrs == attrs {
-                    Some(tree.range(lo, hi))
-                } else {
-                    None
-                }
-            },
-        )
-    }
-
     // --- Streaming candidate accessors -----------------------------------
     //
     // The iterator-returning variants of the lookups above: they yield
     // `&FileRecord` directly (candidate ids resolve against the record
     // store as the consumer pulls), so the executor never materializes a
-    // `Vec<FileId>` superset.
+    // superset of records (a K-D box only collects and sorts its ids).
 
-    /// Resolves posting ids against the record store through one
-    /// [`LeafCursor`](crate::LeafCursor): a posting list is file-id
-    /// sorted and so is the store, so a run of ids costs one root-to-leaf
-    /// descent per store leaf it touches, not one per id. A new list
-    /// starting over at a smaller id merely re-descends.
+    /// Resolves sorted ids against the record store through one
+    /// [`LeafCursor`](crate::LeafCursor): a posting list or a sorted K-D
+    /// box is in file-id order and so is the store, so a run of ids costs
+    /// one root-to-leaf descent per store leaf it touches, not one per id.
+    /// A new list starting over at a smaller id merely re-descends.
     fn resolve_sorted<'a>(
         &'a self,
-        ids: impl Iterator<Item = &'a FileId> + 'a,
+        ids: impl Iterator<Item = FileId> + 'a,
     ) -> impl Iterator<Item = &'a FileRecord> + 'a {
         let mut cursor = self.records.cursor();
-        ids.filter_map(move |file| cursor.get(file).map(|r| &**r))
+        ids.filter_map(move |file| cursor.get(&file).map(|r| &**r))
     }
 
     /// Streams the records with `attr == value` through a hash-kind index
@@ -519,7 +507,7 @@ impl AcgEpoch {
         attr: &AttrName,
         value: &Value,
     ) -> Option<impl Iterator<Item = &'a FileRecord> + 'a> {
-        Some(self.resolve_sorted(self.posting_list(attr, value)?.iter()))
+        Some(self.resolve_sorted(self.posting_list(attr, value)?.iter().copied()))
     }
 
     /// Streams the records with `attr` in the given bounds off a B+-tree.
@@ -534,20 +522,23 @@ impl AcgEpoch {
         hi: Bound<Value>,
     ) -> Option<impl Iterator<Item = &'a FileRecord> + 'a> {
         let tree = self.btrees.get(attr)?;
-        Some(self.resolve_sorted(tree.range((lo, hi)).flat_map(|(_, list)| list.iter())))
+        Some(self.resolve_sorted(tree.range((lo, hi)).flat_map(|(_, list)| list.iter().copied())))
     }
 
-    /// Streams the records inside a K-D box query. Returns `None` when no
-    /// K-D index covers exactly these attributes. Records are unique (one
-    /// point per file per index).
-    pub fn candidates_kd<'a>(
-        &'a self,
+    /// Streams the records inside a K-D box query, in file-id order: the
+    /// box's ids are collected and sorted so they resolve through one leaf
+    /// cursor. Returns `None` when no K-D index covers exactly these
+    /// attributes. Records are unique (one point per file per index).
+    pub fn candidates_kd(
+        &self,
         attrs: &[AttrName],
-        lo: &'a [f64],
-        hi: &'a [f64],
-    ) -> Option<impl Iterator<Item = &'a FileRecord> + 'a> {
+        lo: &[f64],
+        hi: &[f64],
+    ) -> Option<impl Iterator<Item = &FileRecord> + '_> {
         let (_, tree) = self.kds.values().find(|(kd_attrs, _)| kd_attrs == attrs)?;
-        Some(tree.range_iter(lo, hi).filter_map(move |f| self.records.get(&f).map(|r| &**r)))
+        let mut ids: Vec<FileId> = tree.range_iter(lo, hi).collect();
+        ids.sort_unstable();
+        Some(self.resolve_sorted(ids.into_iter()))
     }
 
     /// Streams *every* record holding `attr` within the bounds, in `attr`
@@ -567,10 +558,10 @@ impl AcgEpoch {
     ) -> Option<Box<dyn Iterator<Item = &'a FileRecord> + 'a>> {
         let tree = self.btrees.get(attr)?;
         if descending {
-            let ids = tree.range_rev((lo, hi)).flat_map(|(_, list)| list.iter());
+            let ids = tree.range_rev((lo, hi)).flat_map(|(_, list)| list.iter().copied());
             Some(Box::new(self.resolve_sorted(ids)))
         } else {
-            let ids = tree.range((lo, hi)).flat_map(|(_, list)| list.iter());
+            let ids = tree.range((lo, hi)).flat_map(|(_, list)| list.iter().copied());
             Some(Box::new(self.resolve_sorted(ids)))
         }
     }
@@ -1317,6 +1308,28 @@ mod tests {
     }
 
     #[test]
+    fn a_one_op_commit_shares_all_but_one_kd_leaf_with_the_pinned_epoch() {
+        let mut g = group();
+        for i in 0..5_000u64 {
+            g.enqueue(IndexOp::Upsert(record(i, i * 7919 % 100_000, i)), t(0)).unwrap();
+        }
+        g.commit(t(0)).unwrap();
+        for i in 5_000..5_040u64 {
+            let pinned = g.pin();
+            g.enqueue(IndexOp::Upsert(record(i, i * 31 % 100_000, i % 5_000)), t(1)).unwrap();
+            g.commit(t(1)).unwrap();
+            let (before, after) = (&pinned.kds["inode_kd"].1, &g.epoch.kds["inode_kd"].1);
+            let (shared, leaves) = crate::kdtree::tests::shared_leaves(before, after);
+            assert!(
+                shared + 1 >= leaves,
+                "commit {i} copied {} of {leaves} leaves",
+                leaves - shared
+            );
+            assert_eq!(after.len(), before.len() + 1);
+        }
+    }
+
+    #[test]
     fn snapshot_job_serializes_the_pinned_epoch_despite_later_commits() {
         let dir = std::env::temp_dir().join(format!("propeller-epoch-snap-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -1496,9 +1509,10 @@ mod tests {
         g.commit(t(0)).unwrap();
         assert!(g.lookup_eq(&AttrName::Size, &Value::U64(4096)).is_empty());
         assert!(g
-            .lookup_kd(&[AttrName::Size, AttrName::Mtime], &[0.0, 0.0], &[1e18, 1e18])
+            .candidates_kd(&[AttrName::Size, AttrName::Mtime], &[0.0, 0.0], &[1e18, 1e18])
             .unwrap()
-            .is_empty());
+            .next()
+            .is_none());
         assert!(g.is_empty());
     }
 
@@ -1520,13 +1534,16 @@ mod tests {
             g.enqueue(IndexOp::Upsert(record(i, (i * 13) % 997, (i * 7) % 91)), t(0)).unwrap();
         }
         g.commit(t(0)).unwrap();
-        let kd = g
-            .lookup_kd(
+        let kd: Vec<FileId> = g
+            .candidates_kd(
                 &[AttrName::Size, AttrName::Mtime],
                 &[100.0, 10.0 * 1e6],
                 &[500.0, 60.0 * 1e6],
             )
-            .unwrap();
+            .unwrap()
+            .map(|r| r.file)
+            .collect();
+        // Candidates arrive in file-id order, like the scan's.
         let scan = g.scan(|r| {
             (100..=500).contains(&r.attrs.size)
                 && (Timestamp::from_secs(10)..=Timestamp::from_secs(60)).contains(&r.attrs.mtime)
@@ -1717,10 +1734,14 @@ mod tests {
 
         let attrs = [AttrName::Size, AttrName::Mtime];
         let (klo, khi) = ([100.0, 10.0 * 1e6], [500.0, 60.0 * 1e6]);
-        let mut kd: Vec<FileId> =
+        let kd: Vec<FileId> =
             g.candidates_kd(&attrs, &klo, &khi).unwrap().map(|r| r.file).collect();
-        kd.sort_unstable();
-        assert_eq!(kd, g.lookup_kd(&attrs, &klo, &khi).unwrap());
+        let in_box = |r: &FileRecord| {
+            (100..=500).contains(&r.attrs.size)
+                && (Timestamp::from_secs(10)..=Timestamp::from_secs(60)).contains(&r.attrs.mtime)
+        };
+        assert_eq!(kd, g.scan(in_box));
+        assert!(!kd.is_empty());
 
         // No covering index => None, so the executor can fall back.
         assert!(g.candidates_eq(&AttrName::custom("nope"), &Value::U64(1)).is_none());

@@ -8,7 +8,7 @@
 //!
 //! * [`BPlusTree`] — ordered index (point + range),
 //! * [`HashIndex`] — exact-match index,
-//! * [`KdTree`] — multi-attribute range index,
+//! * [`KdTree`] — multi-attribute range index (a bucket K-D tree),
 //! * [`Wal`] — CRC-framed write-ahead log with real LSNs (memory or file
 //!   backed),
 //! * [`snapshot`] — checksummed, LSN-anchored checkpoint files of an ACG's
@@ -61,7 +61,7 @@ pub use inverted::{
     tokenize_into, Block, Bm25Scorer, InvertedIndex, Posting, PostingsCursor, TermPostings, BLOCK,
     BM25_B, BM25_K1,
 };
-pub use kdtree::{KdTree, RangeIter};
+pub use kdtree::KdTree;
 pub use ops::{FileRecord, IndexOp};
 pub use snapshot::SnapshotData;
 pub use wal::{crc32, Wal};

@@ -1021,9 +1021,9 @@ pub fn execute_request_reference(
             let candidates: Vec<FileId> = match path {
                 AccessPath::HashEq { attr, value } => group.lookup_eq(&attr, &value),
                 AccessPath::BTreeRange { attr, lo, hi } => group.lookup_range(&attr, lo, hi),
-                AccessPath::KdBox { attrs, lo, hi } => {
-                    group.lookup_kd(&attrs, &lo, &hi).unwrap_or_else(|| group.scan(|_| true))
-                }
+                // Every record, like `FullScan`: no K-D tree involvement in
+                // the oracle, so a box that misses a matching record shows.
+                AccessPath::KdBox { .. } => group.scan(|_| true),
                 // The contains superset via brute record checks — no
                 // inverted-index involvement in the oracle.
                 AccessPath::Postings { terms, mode } => group.scan(|r| match mode {
@@ -1185,6 +1185,56 @@ mod tests {
         let q = Query::parse("energy<-15", now()).unwrap();
         let got = ids(&g, &q.predicate);
         assert_eq!(got.len(), 4); // -16..-19
+    }
+
+    /// A group whose only K-D index is `kd` (the default `(size, mtime)`
+    /// one would be planned first), holding files `0..200` with size
+    /// `5·i`, age `i` hours, owner `user{i:03}`, and `prio` absent, single
+    /// or doubled by `i % 3`.
+    fn kd_group(kd: Vec<AttrName>) -> AcgIndexGroup {
+        let mut g = AcgIndexGroup::new(AcgId::new(4), GroupConfig::default());
+        g.drop_index("inode_kd").unwrap();
+        g.create_index(propeller_index::IndexSpec::kd("custom_kd", kd)).unwrap();
+        for i in 0..200u64 {
+            let attrs = InodeAttrs::builder()
+                .size(i * 5)
+                .mtime(now() - propeller_types::Duration::from_secs(i * 3600))
+                .build();
+            let mut rec = FileRecord::new(FileId::new(i), attrs)
+                .with_custom("owner", Value::from(format!("user{i:03}").as_str()));
+            for p in 0..i % 3 {
+                rec = rec.with_custom("prio", Value::U64(p));
+            }
+            g.enqueue(IndexOp::Upsert(rec), now()).unwrap();
+        }
+        g.commit(now()).unwrap();
+        g
+    }
+
+    fn assert_complete(g: &AcgIndexGroup, text: &str, expected: usize) {
+        let want = brute(g, text);
+        assert_eq!(want.len(), expected, "{text}");
+        assert_eq!(run(g, text), want, "{text}: executor");
+        let req = SearchRequest::new(Query::parse(text, now()).unwrap().predicate);
+        let oracle: Vec<FileId> =
+            execute_request_reference(g, &req).0.iter().map(|h| h.file).collect();
+        assert_eq!(oracle, want, "{text}: oracle");
+    }
+
+    #[test]
+    fn kd_set_with_an_unconstrained_custom_attr_loses_no_hits() {
+        // Files without `prio`, or with two, have no point in a tree over
+        // (size, mtime, prio), so a box over it would drop them.
+        let g = kd_group(vec![AttrName::Size, AttrName::Mtime, AttrName::custom("prio")]);
+        assert_complete(&g, "size>100 & size<500 & mtime<30day", 79);
+    }
+
+    #[test]
+    fn kd_set_with_a_string_bound_loses_no_hits() {
+        // `owner` projects onto its axis through a hash, so no box over
+        // (size, owner) can bound `owner > "user050"`.
+        let g = kd_group(vec![AttrName::Size, AttrName::custom("owner")]);
+        assert_complete(&g, "size>100 & owner>user050", 149);
     }
 
     #[test]

@@ -21,7 +21,8 @@
 //!      by the predicate's interval on it, ending after `limit` hits,
 //!   3. equality on a hash-indexed attribute → hash probe; of several
 //!      such equalities the one with the **shortest posting list**,
-//!   4. two or more constrained attributes under one K-D index → K-D box,
+//!   4. two or more constrained attributes under one K-D index over
+//!      builtin inode attributes, bounded by `U64`s → K-D box,
 //!   5. a constrained attribute with a B+-tree → B+-tree range scan
 //!      (two-sided ranges, equalities included, before one-sided ones),
 //!   6. otherwise → full scan,
@@ -264,6 +265,16 @@ impl Interval {
             || (!matches!(self.lo, Bound::Unbounded) && !matches!(self.hi, Bound::Unbounded))
     }
 
+    /// Whether every bound is a `U64`, the kind every builtin inode
+    /// attribute holds: only then does [`Interval::to_box`] project it
+    /// monotonically (a string hashes; another kind orders by kind tag).
+    fn bounds_are_u64(&self) -> bool {
+        [bound_value(&self.lo), bound_value(&self.hi), self.eq.as_ref()]
+            .into_iter()
+            .flatten()
+            .all(|v| matches!(v, Value::U64(_)))
+    }
+
     /// The scan bounds this interval folds to: the equality's point when
     /// there is one, the accumulated range otherwise.
     fn bounds(&self) -> (Bound<Value>, Bound<Value>) {
@@ -469,13 +480,19 @@ impl Analysis {
     }
 
     /// The classic plan below the hash probe: K-D box, B+-tree range, or
-    /// full scan.
+    /// full scan. A box is a superset only over builtin inode attributes
+    /// (every record has exactly one value for each, so every record is in
+    /// the tree) bounded by `U64`s (so the projection keeps their order).
     fn kd_or_range<C: IndexCatalog + ?Sized>(&self, catalog: &C) -> AccessPath {
         let constrained =
             |attr: &AttrName| self.interval(attr).is_some_and(Interval::is_constrained);
+        let boxable = |attr: &AttrName| {
+            attr.is_inode_attr() && self.interval(attr).is_none_or(Interval::bounds_are_u64)
+        };
         if self.intervals.iter().filter(|(_, iv)| iv.is_constrained()).count() >= 2 {
             for attrs in catalog.kd_attr_sets() {
-                if attrs.iter().filter(|a| constrained(a)).count() >= 2 {
+                if attrs.iter().all(boxable) && attrs.iter().filter(|a| constrained(a)).count() >= 2
+                {
                     let unbounded = (f64::NEG_INFINITY, f64::INFINITY);
                     let (lo, hi) = attrs
                         .iter()
@@ -607,6 +624,25 @@ mod tests {
             }
             other => panic!("expected KdBox, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn kd_boxes_only_builtin_sets_under_u64_bounds() {
+        let kd = |attrs: Vec<AttrName>| FakeCatalog { kd: vec![attrs], ..default_catalog() };
+        let is_box = |cat: &FakeCatalog, q: &str| {
+            matches!(plan(cat, &parse(q)).path, AccessPath::KdBox { .. })
+        };
+        let builtin = kd(vec![AttrName::Size, AttrName::Mtime, AttrName::Uid]);
+        assert!(is_box(&builtin, "size>100 & mtime<30day"), "uid unconstrained is fine");
+        // A record without `prio`, or with two, has no point in the tree.
+        let prio = kd(vec![AttrName::Size, AttrName::Mtime, AttrName::custom("prio")]);
+        assert!(!is_box(&prio, "size>100 & size<500 & mtime<30day"));
+        // A string bound hashes onto the axis: no order survives.
+        let owner = kd(vec![AttrName::Size, AttrName::custom("owner")]);
+        assert!(!is_box(&owner, "size>100 & owner>\"user050\""));
+        // Other kinds order by kind tag, not by value, against a `U64`.
+        assert!(!is_box(&builtin, "size>100 & uid<-5"));
+        assert!(!is_box(&builtin, "size>100 & uid<1.5"));
     }
 
     #[test]

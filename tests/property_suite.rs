@@ -126,7 +126,8 @@ proptest! {
             tree.insert(&[x, y], FileId::new(i as u64));
         }
         let hi = (lo.0 + span.0, lo.1 + span.1);
-        let got = tree.range(&[lo.0, lo.1], &[hi.0, hi.1]);
+        let mut got: Vec<FileId> = tree.range_iter(&[lo.0, lo.1], &[hi.0, hi.1]).collect();
+        got.sort();
         let mut expected: Vec<FileId> = points
             .iter()
             .enumerate()
@@ -135,6 +136,62 @@ proptest! {
             .collect();
         expected.sort();
         prop_assert_eq!(got, expected);
+    }
+
+    /// Insert, duplicate-point, remove and absent-remove sequences over a
+    /// small grid (many equal coordinates) and a drifting axis (monotone
+    /// runs, so leaves split and scapegoats rebuild), turning remove-heavy
+    /// halfway (so sparse trees rebuild): every clone taken along the way
+    /// and the live tree answer every box exactly like brute force.
+    #[test]
+    fn kdtree_clones_and_live_tree_agree_with_brute_force(
+        ops in prop::collection::vec((0u8..10, 0u8..16, 0u8..16, any::<usize>()), 1..900),
+        boxes in prop::collection::vec((0u8..16, 0u8..16, 0u8..12, 0u8..12), 1..6),
+    ) {
+        let mut tree = KdTree::new(2);
+        let mut model: Vec<([f64; 2], FileId)> = Vec::new();
+        let mut versions = Vec::new();
+        let drift = |i: usize| 16.0 + i as f64;
+        for (i, &(kind, x, y, pick)) in ops.iter().enumerate() {
+            let insert = if i < ops.len() / 2 { kind <= 7 } else { kind <= 1 };
+            let fresh = FileId::new(i as u64);
+            if kind == 9 {
+                // Absent: an id never inserted, at a taken or a free point.
+                let point = model.get(pick % model.len().max(1)).map_or([x as f64, 0.5], |e| e.0);
+                prop_assert!(!tree.remove(&point, FileId::new(u64::MAX - i as u64)));
+            } else if insert || model.is_empty() {
+                let point = match model.get(pick % model.len().max(1)) {
+                    Some(entry) if kind % 4 == 1 => entry.0, // a duplicate point
+                    _ if kind % 4 == 2 => [drift(i), y as f64],
+                    _ => [x as f64, y as f64],
+                };
+                tree.insert(&point, fresh);
+                model.push((point, fresh));
+            } else {
+                let (point, id) = model.swap_remove(pick % model.len());
+                prop_assert!(tree.remove(&point, id));
+            }
+            if i % 150 == 75 {
+                versions.push((tree.clone(), model.clone()));
+            }
+        }
+        versions.push((tree, model));
+        for (tree, model) in &versions {
+            prop_assert_eq!(tree.len(), model.len());
+            for &(x, y, w, h) in &boxes {
+                let lo = [x as f64, y as f64];
+                let hi = [lo[0] + w as f64 * 8.0, lo[1] + h as f64];
+                let mut got: Vec<FileId> = tree.range_iter(&lo, &hi).collect();
+                got.sort();
+                let mut expected: Vec<FileId> = model
+                    .iter()
+                    .filter(|(p, _)| (0..2).all(|d| lo[d] <= p[d] && p[d] <= hi[d]))
+                    .map(|&(_, id)| id)
+                    .collect();
+                expected.sort();
+                prop_assert_eq!(got, expected);
+            }
+        }
     }
 
     /// The parser never panics, and parseable queries round-trip through
