@@ -14,14 +14,16 @@
 //! restores every group from the newest valid snapshot plus its WAL
 //! suffix — so a crashed-and-revived node serves its pre-crash hits.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
+use bytes::BufMut;
 use propeller_acg::{bisect, AcgGraph, PartitionConfig};
 use propeller_index::{
-    snapshot, AcgEpoch, AcgIndexGroup, EpochSnapshotJob, FileRecord, GroupConfig, IndexSpec, Wal,
+    durable, snapshot, take_u64, AcgEpoch, AcgIndexGroup, EpochSnapshotJob, FileRecord,
+    GroupConfig, IndexSpec, Wal,
 };
 use propeller_obs::{
     names, Counter, Histogram, Lane, NodeObs, OpenSpan, SlowQuery, SpanKind, TraceContext,
@@ -37,7 +39,7 @@ use propeller_types::{AcgId, Duration, Error, FileId, NodeId, Timestamp};
 use crate::messages::{AcgSummary, Request, Response};
 use crate::pool::WorkerPool;
 
-/// Magic + version header of the durable stale-route tombstone file.
+/// Envelope magic and version of the durable stale-route tombstone file.
 const TOMBSTONE_MAGIC: [u8; 4] = *b"PTMB";
 const TOMBSTONE_VERSION: u32 = 1;
 
@@ -47,104 +49,66 @@ fn tombstone_file_name() -> &'static str {
 }
 
 /// Serializes the tombstone state (the generation counter, the live
-/// per-ACG maps and the FIFO eviction order). Both structures are written
-/// because they diverge: [`Request::InstallAcg`] clears a `moved_away`
-/// entry without touching `tombstone_order`, and replaying the order alone
-/// would resurrect it.
+/// per-ACG maps and the FIFO eviction order) as a sealed envelope. Both
+/// structures are written because they diverge: [`Request::InstallAcg`]
+/// clears a `moved_away` entry without touching `tombstone_order`, and
+/// replaying the order alone would resurrect it.
 fn encode_tombstones(
     gen: u64,
     moved: &HashMap<AcgId, HashMap<FileId, u64>>,
-    order: &std::collections::VecDeque<(AcgId, FileId, u64)>,
+    order: &VecDeque<(AcgId, FileId, u64)>,
 ) -> Vec<u8> {
     let mut payload = Vec::with_capacity(32 + order.len() * 24);
-    payload.extend_from_slice(&gen.to_le_bytes());
+    payload.put_u64_le(gen);
     // Deterministic image: sort ACGs and files so identical state always
     // produces identical bytes (snapshot-diff friendliness).
     let mut acgs: Vec<&AcgId> = moved.keys().collect();
     acgs.sort_unstable();
-    payload.extend_from_slice(&(acgs.len() as u64).to_le_bytes());
+    payload.put_u64_le(acgs.len() as u64);
     for acg in acgs {
         let map = &moved[acg];
-        payload.extend_from_slice(&acg.raw().to_le_bytes());
-        payload.extend_from_slice(&(map.len() as u64).to_le_bytes());
+        payload.put_u64_le(acg.raw());
+        payload.put_u64_le(map.len() as u64);
         let mut files: Vec<(&FileId, &u64)> = map.iter().collect();
         files.sort_unstable();
         for (file, gen) in files {
-            payload.extend_from_slice(&file.raw().to_le_bytes());
-            payload.extend_from_slice(&gen.to_le_bytes());
+            payload.put_u64_le(file.raw());
+            payload.put_u64_le(*gen);
         }
     }
-    payload.extend_from_slice(&(order.len() as u64).to_le_bytes());
+    payload.put_u64_le(order.len() as u64);
     for &(acg, file, gen) in order {
-        payload.extend_from_slice(&acg.raw().to_le_bytes());
-        payload.extend_from_slice(&file.raw().to_le_bytes());
-        payload.extend_from_slice(&gen.to_le_bytes());
+        payload.put_u64_le(acg.raw());
+        payload.put_u64_le(file.raw());
+        payload.put_u64_le(gen);
     }
-    let mut out = Vec::with_capacity(payload.len() + 20);
-    out.extend_from_slice(&TOMBSTONE_MAGIC);
-    out.extend_from_slice(&TOMBSTONE_VERSION.to_le_bytes());
-    out.extend_from_slice(&propeller_index::crc32(&payload).to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(&payload);
-    out
+    durable::seal(TOMBSTONE_MAGIC, TOMBSTONE_VERSION, &payload)
 }
 
 /// The reconstructed tombstone state: `(generation counter, live per-ACG
 /// maps, FIFO eviction order)`.
-type TombstoneState =
-    (u64, HashMap<AcgId, HashMap<FileId, u64>>, std::collections::VecDeque<(AcgId, FileId, u64)>);
+type TombstoneState = (u64, HashMap<AcgId, HashMap<FileId, u64>>, VecDeque<(AcgId, FileId, u64)>);
 
 /// Decodes a tombstone image, rejecting truncation, bad magic and CRC
 /// mismatches (a torn write loses the tombstones, never the node).
 fn decode_tombstones(bytes: &[u8]) -> Option<TombstoneState> {
-    let mut pos = 0usize;
-    let mut chunk = |n: usize| -> Option<&[u8]> {
-        let end = pos.checked_add(n)?;
-        let out = bytes.get(pos..end)?;
-        pos = end;
-        Some(out)
-    };
-    if chunk(4)? != TOMBSTONE_MAGIC {
-        return None;
-    }
-    if u32::from_le_bytes(chunk(4)?.try_into().ok()?) != TOMBSTONE_VERSION {
-        return None;
-    }
-    let crc = u32::from_le_bytes(chunk(4)?.try_into().ok()?);
-    let len = u64::from_le_bytes(chunk(8)?.try_into().ok()?);
-    let payload = chunk(usize::try_from(len).ok()?)?;
-    if propeller_index::crc32(payload) != crc {
-        return None;
-    }
-    let mut pos = 0usize;
-    let mut next_u64 = |payload: &[u8]| -> Option<u64> {
-        let end = pos.checked_add(8)?;
-        let v = u64::from_le_bytes(payload.get(pos..end)?.try_into().ok()?);
-        pos = end;
-        Some(v)
-    };
-    let gen = next_u64(payload)?;
-    let n_acgs = next_u64(payload)?;
-    let mut moved: HashMap<AcgId, HashMap<FileId, u64>> = HashMap::new();
-    for _ in 0..n_acgs {
-        let acg = AcgId::new(next_u64(payload)?);
-        let n_files = next_u64(payload)?;
-        let map = moved.entry(acg).or_default();
-        for _ in 0..n_files {
-            let file = FileId::new(next_u64(payload)?);
-            let g = next_u64(payload)?;
-            map.insert(file, g);
+    let decode = |mut payload: &[u8]| -> Result<TombstoneState, Error> {
+        let p = &mut payload;
+        let gen = take_u64(p)?;
+        let mut moved: HashMap<AcgId, HashMap<FileId, u64>> = HashMap::new();
+        for _ in 0..take_u64(p)? {
+            let map = moved.entry(AcgId::new(take_u64(p)?)).or_default();
+            for _ in 0..take_u64(p)? {
+                map.insert(FileId::new(take_u64(p)?), take_u64(p)?);
+            }
         }
-    }
-    let n_order = next_u64(payload)?;
-    let mut order = std::collections::VecDeque::new();
-    for _ in 0..n_order {
-        let acg = AcgId::new(next_u64(payload)?);
-        let file = FileId::new(next_u64(payload)?);
-        let g = next_u64(payload)?;
-        order.push_back((acg, file, g));
-    }
-    Some((gen, moved, order))
+        let mut order = VecDeque::new();
+        for _ in 0..take_u64(p)? {
+            order.push_back((AcgId::new(take_u64(p)?), FileId::new(take_u64(p)?), take_u64(p)?));
+        }
+        Ok((gen, moved, order))
+    };
+    decode(durable::unseal(TOMBSTONE_MAGIC, TOMBSTONE_VERSION, bytes).ok()?).ok()
 }
 
 /// One pooled per-ACG search execution and its result.
@@ -482,7 +446,7 @@ pub struct IndexNode {
     /// `tombstone_order`; generations keep superseded order entries (a
     /// file re-installed and re-extracted) from evicting a live tombstone.
     moved_away: HashMap<AcgId, HashMap<FileId, u64>>,
-    tombstone_order: std::collections::VecDeque<(AcgId, FileId, u64)>,
+    tombstone_order: VecDeque<(AcgId, FileId, u64)>,
     tombstone_gen: u64,
     /// Suspended streamed searches, bounded by the session caps (see
     /// [`IndexNodeConfig::max_search_sessions`]); shared with the pool
@@ -544,7 +508,7 @@ impl IndexNode {
             graphs: HashMap::new(),
             extra_specs: Vec::new(),
             moved_away: HashMap::new(),
-            tombstone_order: std::collections::VecDeque::new(),
+            tombstone_order: VecDeque::new(),
             tombstone_gen: 0,
             sessions,
             searches_served: obs.metrics.counter(names::SEARCHES_SERVED),
@@ -614,22 +578,15 @@ impl IndexNode {
         Ok(node)
     }
 
-    /// Writes the tombstone image under the data dir (temp file + rename,
-    /// so a crash mid-write leaves the previous image intact). Best-effort
+    /// Writes the tombstone image under the data dir by atomic replace, so
+    /// a crash mid-write leaves the previous image intact. Best-effort
     /// like snapshots: the extraction that grew the tombstones is already
     /// acknowledged, so a failing write must not fail it — the next
     /// mutation retries.
     fn persist_tombstones(&self) {
         let Some(dir) = &self.config.data_dir else { return };
         let bytes = encode_tombstones(self.tombstone_gen, &self.moved_away, &self.tombstone_order);
-        let tmp = dir.join(format!("{}.tmp", tombstone_file_name()));
-        let path = dir.join(tombstone_file_name());
-        let write = || -> std::io::Result<()> {
-            std::fs::write(&tmp, &bytes)?;
-            std::fs::File::open(&tmp)?.sync_all()?;
-            std::fs::rename(&tmp, &path)
-        };
-        let _ = write();
+        let _ = durable::replace(&dir.join(tombstone_file_name()), &bytes);
     }
 
     /// The [`GroupConfig`] a group of this node gets: a file-backed WAL

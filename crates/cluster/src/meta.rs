@@ -13,34 +13,27 @@
 //!
 //! ```text
 //! meta.wal            the control-plane WAL (propeller_index::Wal framing)
-//! meta-<lsn>.snap :=
-//!   [magic "PMET" 4][version u32 LE][payload_crc u32 LE][payload_len u64 LE]
-//!   payload := the full MetaImage (see `MetaImage::encode`)
+//! meta-<lsn>.snap := durable::seal("PMET", 1, MetaImage::encode())
 //! ```
 //!
-//! Retention mirrors the data plane's two-checkpoint rule: the newest two
-//! snapshots are kept, older ones are deleted, and the WAL is truncated to
-//! the suffix after the *older* kept snapshot — so even a torn newest
-//! snapshot still recovers from the previous one plus replay.
+//! The checkpoints and the WAL form a `propeller_index::durable`
+//! checkpoint set, exactly like an ACG's snapshots: the newest valid
+//! checkpoint wins, two are kept with the WAL truncated to the older, so a
+//! torn newest checkpoint still recovers from the previous one plus
+//! replay, and losing every checkpoint of a truncated WAL is refused.
 
 use std::collections::BTreeMap;
-use std::fs::{self, File};
-use std::io::Write as _;
+use std::fs;
 use std::path::{Path, PathBuf};
 
-use bytes::{Buf, BufMut, BytesMut};
+use bytes::{BufMut, BytesMut};
 use propeller_index::snapshot::{decode_spec_from, encode_spec_into};
-use propeller_index::{crc32, IndexSpec, Wal};
+use propeller_index::{durable, put_str, take_str, take_u32, take_u64, take_u8, IndexSpec, Wal};
 use propeller_types::{AcgId, Error, FileId, NodeId, Result};
 
-/// Magic prefix of a Master metadata snapshot file.
+/// Envelope magic and version of a Master metadata checkpoint.
 const MAGIC: [u8; 4] = *b"PMET";
-/// On-disk format version of the metadata snapshot payload.
 const VERSION: u32 = 1;
-/// Fixed header: magic + version + payload CRC + payload length.
-const HEADER_LEN: usize = 4 + 4 + 4 + 8;
-/// How many metadata checkpoints to retain (newest first).
-const KEEP_SNAPSHOTS: usize = 2;
 
 /// One durable Master state transition. Every mutation of hard Master
 /// state is expressed as (a batch of) these, logged before the ack; soft
@@ -154,44 +147,6 @@ pub(crate) struct MetaImage {
 }
 
 // ---------------------------------------------------------------- codec --
-
-fn put_str(buf: &mut BytesMut, s: &str) {
-    buf.put_u32_le(s.len() as u32);
-    buf.put_slice(s.as_bytes());
-}
-
-fn need(data: &[u8], n: usize) -> Result<()> {
-    if data.len() < n {
-        Err(Error::Corrupt(format!("truncated meta frame: need {n} bytes, have {}", data.len())))
-    } else {
-        Ok(())
-    }
-}
-
-fn take_u8(data: &mut &[u8]) -> Result<u8> {
-    need(data, 1)?;
-    Ok(data.get_u8())
-}
-
-fn take_u32(data: &mut &[u8]) -> Result<u32> {
-    need(data, 4)?;
-    Ok(data.get_u32_le())
-}
-
-fn take_u64(data: &mut &[u8]) -> Result<u64> {
-    need(data, 8)?;
-    Ok(data.get_u64_le())
-}
-
-fn take_str(data: &mut &[u8]) -> Result<String> {
-    let len = take_u32(data)? as usize;
-    need(data, len)?;
-    let (s, rest) = data.split_at(len);
-    let out = String::from_utf8(s.to_vec())
-        .map_err(|e| Error::Corrupt(format!("invalid utf-8 in meta frame: {e}")))?;
-    *data = rest;
-    Ok(out)
-}
 
 fn put_files(buf: &mut BytesMut, files: &[FileId]) {
     buf.put_u32_le(files.len() as u32);
@@ -438,46 +393,11 @@ fn parse_meta_snapshot_name(name: &str) -> Option<u64> {
     name.strip_prefix("meta-")?.strip_suffix(".snap")?.parse().ok()
 }
 
-/// Metadata checkpoints under `dir`, newest (highest LSN) first.
-fn list_meta_snapshots(dir: &Path) -> Vec<(u64, PathBuf)> {
-    let mut found: Vec<(u64, PathBuf)> = Vec::new();
-    let Ok(entries) = fs::read_dir(dir) else { return found };
-    for entry in entries.flatten() {
-        if let Some(lsn) = entry.file_name().to_str().and_then(parse_meta_snapshot_name) {
-            found.push((lsn, entry.path()));
-        }
-    }
-    found.sort_by_key(|&(lsn, _)| std::cmp::Reverse(lsn));
-    found
-}
-
-fn read_meta_snapshot(path: &Path) -> Result<(u64, MetaImage)> {
-    let corrupt =
-        |reason: String| Error::SnapshotCorrupt { path: path.display().to_string(), reason };
+fn read_meta_snapshot(path: &Path) -> Result<MetaImage> {
     let raw = fs::read(path)?;
-    if raw.len() < HEADER_LEN || raw[0..4] != MAGIC {
-        return Err(corrupt("missing or truncated header".into()));
-    }
-    let version = u32::from_le_bytes(raw[4..8].try_into().expect("4 bytes"));
-    if version != VERSION {
-        return Err(corrupt(format!("unsupported version {version}")));
-    }
-    let crc = u32::from_le_bytes(raw[8..12].try_into().expect("4 bytes"));
-    let len = u64::from_le_bytes(raw[12..20].try_into().expect("8 bytes")) as usize;
-    let payload = &raw[HEADER_LEN..];
-    if payload.len() != len {
-        return Err(corrupt(format!("payload is {} bytes, header promised {len}", payload.len())));
-    }
-    if crc32(payload) != crc {
-        return Err(corrupt("payload crc mismatch".into()));
-    }
-    let image = MetaImage::decode(payload).map_err(|e| corrupt(e.to_string()))?;
-    let lsn = path
-        .file_name()
-        .and_then(|n| n.to_str())
-        .and_then(parse_meta_snapshot_name)
-        .ok_or_else(|| corrupt("unparsable file name".into()))?;
-    Ok((lsn, image))
+    durable::unseal(MAGIC, VERSION, &raw).and_then(MetaImage::decode).map_err(|e| {
+        Error::SnapshotCorrupt { path: path.display().to_string(), reason: e.to_string() }
+    })
 }
 
 /// What recovery found on disk: the newest valid checkpoint image (if
@@ -496,6 +416,8 @@ pub(crate) struct MetaRecovery {
 pub(crate) struct MetaStore {
     dir: PathBuf,
     wal: Wal,
+    /// LSN of the newest checkpoint written or recovered from.
+    checkpoint_lsn: Option<u64>,
     /// Ops appended since the last checkpoint; drives `checkpoint_due`.
     ops_since_snapshot: usize,
     /// Checkpoint after this many logged ops.
@@ -511,29 +433,23 @@ impl MetaStore {
     /// # Errors
     ///
     /// Returns [`Error::Io`] when the directory or WAL cannot be opened
-    /// and [`Error::Corrupt`] when a WAL suffix frame fails to decode.
+    /// and [`Error::Corrupt`] when a WAL suffix frame fails to decode or
+    /// when no checkpoint validates but the WAL was already truncated
+    /// behind one (the file→ACG map would silently come back partial).
     pub(crate) fn open(dir: &Path, snapshot_every: usize) -> Result<(Self, MetaRecovery)> {
         fs::create_dir_all(dir)?;
         let mut wal = Wal::open(dir.join("meta.wal"))?;
-        let mut image: Option<MetaImage> = None;
-        let mut base_lsn = 0u64;
-        for (_, path) in list_meta_snapshots(dir) {
-            match read_meta_snapshot(&path) {
-                Ok((lsn, img)) => {
-                    image = Some(img);
-                    base_lsn = lsn;
-                    break;
-                }
-                Err(_) => continue, // torn/corrupt: fall back to older
-            }
-        }
+        let (found, _) =
+            durable::load_newest(dir, parse_meta_snapshot_name, &wal, read_meta_snapshot)?;
+        let (checkpoint_lsn, image) = found.unzip();
         let mut suffix = Vec::new();
-        for (_, frame) in wal.replay_from(base_lsn)? {
+        for (_, frame) in wal.replay_from(checkpoint_lsn.unwrap_or(0))? {
             suffix.push(MetaOp::decode(&frame)?);
         }
         let store = MetaStore {
             dir: dir.to_path_buf(),
             wal,
+            checkpoint_lsn,
             ops_since_snapshot: suffix.len(),
             snapshot_every,
         };
@@ -546,6 +462,7 @@ impl MetaStore {
         MetaStore {
             dir: PathBuf::new(),
             wal: Wal::in_memory(),
+            checkpoint_lsn: None,
             ops_since_snapshot: 0,
             snapshot_every: usize::MAX,
         }
@@ -573,53 +490,24 @@ impl MetaStore {
         self.ops_since_snapshot >= self.snapshot_every && self.wal.is_durable()
     }
 
-    /// Writes a checkpoint of `image` covering every logged op, prunes to
-    /// the newest [`KEEP_SNAPSHOTS`] files and truncates the WAL to the
-    /// suffix after the *older* retained checkpoint.
+    /// Writes a checkpoint of `image` covering every logged op and retires
+    /// what it supersedes: the previous checkpoint stays, the WAL is
+    /// truncated to it, and older checkpoints and stale temp files go.
     ///
     /// # Errors
     ///
-    /// Returns [`Error::Io`] on file-system failure; the WAL is untouched
-    /// in that case, so recovery is unaffected.
+    /// Returns [`Error::Io`] on file-system failure; recovery is unaffected
+    /// in that case — the WAL still reaches back to a valid checkpoint.
     pub(crate) fn checkpoint(&mut self, image: &MetaImage) -> Result<()> {
-        if !self.wal.is_durable() {
+        let lsn = self.wal.last_lsn();
+        if !self.wal.is_durable() || self.checkpoint_lsn == Some(lsn) {
             return Ok(());
         }
-        let lsn = self.wal.last_lsn();
-        let payload = image.encode();
-        let mut header = [0u8; HEADER_LEN];
-        header[0..4].copy_from_slice(&MAGIC);
-        header[4..8].copy_from_slice(&VERSION.to_le_bytes());
-        header[8..12].copy_from_slice(&crc32(&payload).to_le_bytes());
-        header[12..20].copy_from_slice(&(payload.len() as u64).to_le_bytes());
-
         let path = self.dir.join(meta_snapshot_name(lsn));
-        let tmp = self.dir.join(format!("{}.tmp", meta_snapshot_name(lsn)));
-        let write = (|| -> Result<()> {
-            let mut out = File::create(&tmp)?;
-            out.write_all(&header)?;
-            out.write_all(&payload)?;
-            out.sync_all()?;
-            fs::rename(&tmp, &path)?;
-            Ok(())
-        })();
-        if let Err(e) = write {
-            let _ = fs::remove_file(&tmp);
-            return Err(e);
-        }
-        if let Ok(d) = File::open(&self.dir) {
-            let _ = d.sync_all();
-        }
+        durable::replace(&path, &durable::seal(MAGIC, VERSION, &image.encode()))?;
         self.ops_since_snapshot = 0;
-
-        // Two-checkpoint retention + WAL truncation to the older kept LSN.
-        let snaps = list_meta_snapshots(&self.dir);
-        for (_, old) in snaps.iter().skip(KEEP_SNAPSHOTS) {
-            let _ = fs::remove_file(old);
-        }
-        if let Some(&(keep_lsn, _)) = snaps.get(KEEP_SNAPSHOTS - 1).or_else(|| snaps.first()) {
-            let _ = self.wal.truncate_upto(keep_lsn);
-        }
+        let older = self.checkpoint_lsn.replace(lsn);
+        durable::retire(&self.dir, parse_meta_snapshot_name, &mut self.wal, older)?;
         Ok(())
     }
 
@@ -644,6 +532,14 @@ mod tests {
     use super::*;
     use propeller_index::IndexKind;
     use propeller_types::AttrName;
+
+    /// Checkpoints retained after a second one: the newest, plus the older
+    /// one the WAL is truncated to.
+    const KEEP_SNAPSHOTS: usize = 2;
+
+    fn list_meta_snapshots(dir: &Path) -> Vec<(u64, PathBuf)> {
+        durable::list_checkpoints(dir, parse_meta_snapshot_name)
+    }
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("propeller-meta-{}-{tag}", std::process::id()));
@@ -785,6 +681,41 @@ mod tests {
         let (_, rec) = MetaStore::open(&dir, 1).unwrap();
         assert_eq!(rec.image, Some(good));
         assert_eq!(rec.suffix, vec![MetaOp::InstallAcked { new_acg: AcgId::new(2) }]);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn losing_every_checkpoint_of_a_truncated_wal_is_refused() {
+        let dir = temp_dir("all-corrupt");
+        {
+            let (mut store, _) = MetaStore::open(&dir, 1).unwrap();
+            for acg in 1..=2 {
+                store.log(&[MetaOp::InstallAcked { new_acg: AcgId::new(acg) }]).unwrap();
+                store.checkpoint(&MetaImage { next_acg: acg + 1, ..Default::default() }).unwrap();
+            }
+            store.log(&[MetaOp::InstallAcked { new_acg: AcgId::new(3) }]).unwrap();
+        }
+        for (_, path) in list_meta_snapshots(&dir) {
+            fs::write(&path, b"PMETgarbage").unwrap();
+        }
+        // The WAL no longer holds op 1, so replaying it alone would bring
+        // the Master back with a silently emptied file->ACG map.
+        let opened = MetaStore::open(&dir, 1).map(|(_, rec)| rec.suffix);
+        assert!(matches!(opened, Err(Error::Corrupt(_))), "got {opened:?}");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn stale_checkpoint_temp_file_is_swept_by_the_next_checkpoint() {
+        let dir = temp_dir("stale-tmp");
+        let (mut store, _) = MetaStore::open(&dir, 1).unwrap();
+        // The residue of a crash between a checkpoint's write and rename.
+        let stale = dir.join("meta-7.snap.tmp");
+        fs::write(&stale, b"torn").unwrap();
+        store.log(&[MetaOp::InstallAcked { new_acg: AcgId::new(1) }]).unwrap();
+        store.checkpoint(&MetaImage::default()).unwrap();
+        assert!(!stale.exists(), "stale temp file survived a checkpoint");
+        assert_eq!(list_meta_snapshots(&dir).len(), 1);
         let _ = fs::remove_dir_all(&dir);
     }
 }

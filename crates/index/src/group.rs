@@ -21,6 +21,7 @@
 //! ([`AcgIndexGroup::recover`]) loads the newest valid snapshot and
 //! replays only the WAL suffix past its LSN, falling back to older
 //! snapshots and ultimately to a full replay when files fail validation.
+//! Retention and recovery are the [`crate::durable`] checkpoint-set rules.
 
 use std::collections::HashMap;
 use std::ops::{Bound, Deref};
@@ -32,6 +33,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::btree::BPlusTree;
 use crate::cache::IndexCache;
+use crate::durable;
 use crate::inverted::InvertedIndex;
 use crate::kdtree::KdTree;
 use crate::ops::{FileRecord, IndexOp};
@@ -791,31 +793,11 @@ impl AcgIndexGroup {
         let mut report = RecoveryReport::default();
         let mut base: Option<SnapshotData> = None;
         if let Some(dir) = &config.snapshot_dir {
-            for (_, path) in snapshot::list_snapshots(dir, id) {
-                match snapshot::read_snapshot(&path) {
-                    Ok(data) if data.acg == id => {
-                        base = Some(data);
-                        break;
-                    }
-                    _ => report.snapshots_skipped += 1,
-                }
-            }
-        }
-        // Refuse a provably partial recovery: a durable WAL's base only
-        // moves past 1 when a snapshot once covered the dropped prefix
-        // (commits never truncate the file backend). If no snapshot
-        // validates now, the prefix is unrecoverable — surfacing the
-        // corruption beats silently serving a truncated group as whole.
-        if base.is_none() && config.snapshot_dir.is_some() && config.wal.is_durable() {
-            let first = config.wal.first_lsn();
-            if first > 1 {
-                return Err(Error::Corrupt(format!(
-                    "acg {} has no valid snapshot but its wal starts at lsn {first}: \
-                     frames 1..{first} were checkpoint-covered and are gone; \
-                     refusing partial recovery",
-                    id.raw()
-                )));
-            }
+            let parse = snapshot::snapshot_lsn_parser(id);
+            let (found, skipped) =
+                durable::load_newest(dir, parse, &config.wal, snapshot::read_snapshot)?;
+            base = found.map(|(_, data)| data);
+            report.snapshots_skipped = skipped;
         }
         let snap_lsn = base.as_ref().map_or(0, |d| d.lsn);
         let frames = config.wal.replay_from(snap_lsn)?;
@@ -893,13 +875,9 @@ impl AcgIndexGroup {
     /// file itself is already safely on disk in that case.
     pub fn finish_snapshot(&mut self, lsn: u64) -> Result<()> {
         self.snapshot_in_flight = false;
-        // Two-checkpoint retention: the log keeps everything the *older*
-        // retained snapshot still needs; before the first snapshot there
-        // is nothing safe to drop.
-        let keep_from = self.snapshot_lsn.unwrap_or(0);
-        self.wal.truncate_upto(keep_from)?;
         if let Some(dir) = &self.snapshot_dir {
-            snapshot::prune_snapshots(dir, self.epoch.id, keep_from);
+            let parse = snapshot::snapshot_lsn_parser(self.epoch.id);
+            durable::retire(dir, parse, &mut self.wal, self.snapshot_lsn)?;
         }
         self.snapshot_lsn = Some(lsn);
         self.wal_ops = self.cache.len() as u64;
@@ -1203,50 +1181,46 @@ impl AcgIndexGroup {
     /// from its primary, aligning the WAL so the next replicated frame is
     /// assigned LSN `lsn + 1` — the seed path for a brand-new or
     /// hopelessly trailing follower. Pending ops are discarded (they are
-    /// part of the history the seed supersedes), every stale checkpoint
-    /// file is deleted, and when snapshots are configured a fresh one is
-    /// written immediately so a crash right after the seed recovers to the
-    /// seeded state rather than anchoring to a checkpoint from the
-    /// pre-seed LSN sequence. The seeded state publishes as a new epoch.
+    /// part of the history the seed supersedes) and the seeded state
+    /// publishes as a new epoch.
+    ///
+    /// When snapshots are configured the disk changes in the one order
+    /// where every crash point recovers: the seed snapshot is written
+    /// first, then every other checkpoint is deleted, then the WAL is
+    /// re-based. A crash right after the seed recovers to the seeded state
+    /// rather than to a checkpoint from the pre-seed LSN sequence.
     ///
     /// # Errors
     ///
-    /// Returns [`Error::Io`] on WAL-reset or snapshot-write failures.
+    /// Returns [`Error::Io`] on snapshot-write or WAL-reset failures; a
+    /// failed snapshot write leaves the group and its files untouched.
     pub fn install_seed(
         &mut self,
         records: Vec<FileRecord>,
         lsn: u64,
         now: Timestamp,
     ) -> Result<()> {
-        let _ = self.cache.drain(now);
-        {
-            let epoch = Arc::make_mut(&mut self.epoch);
-            for file in epoch.files() {
-                epoch.apply(IndexOp::Remove(file));
-            }
-            for record in records {
-                epoch.apply(IndexOp::Upsert(record));
-            }
-            epoch.applied_lsn = lsn;
-            epoch.generation += 1;
-        }
-        self.wal.reset_to(lsn)?;
-        self.wal_ops = 0;
-        self.wal_trigger_bytes = 0;
-        self.snapshot_lsn = None;
-        if let Some(dir) = self.snapshot_dir.clone() {
-            for (_, path) in snapshot::list_snapshots(&dir, self.epoch.id) {
+        let id = self.epoch.id;
+        if let Some(dir) = &self.snapshot_dir {
+            snapshot::write_snapshot(dir, id, lsn, &self.epoch.specs, records.iter())?;
+            for (_, path) in snapshot::list_snapshots(dir, id).into_iter().filter(|s| s.0 != lsn) {
                 let _ = std::fs::remove_file(path);
             }
-            snapshot::write_snapshot(
-                &dir,
-                self.epoch.id,
-                lsn,
-                &self.epoch.specs,
-                self.epoch.records(),
-            )?;
-            self.snapshot_lsn = Some(lsn);
         }
+        self.wal.reset_to(lsn)?;
+        self.snapshot_lsn = self.snapshot_dir.as_ref().map(|_| lsn);
+        self.wal_ops = 0;
+        self.wal_trigger_bytes = 0;
+        let _ = self.cache.drain(now);
+        let epoch = Arc::make_mut(&mut self.epoch);
+        for file in epoch.files() {
+            epoch.apply(IndexOp::Remove(file));
+        }
+        for record in records {
+            epoch.apply(IndexOp::Upsert(record));
+        }
+        epoch.applied_lsn = lsn;
+        epoch.generation += 1;
         Ok(())
     }
 }
@@ -1450,6 +1424,37 @@ mod tests {
         assert_eq!(g.len(), 2);
         assert_eq!(g.last_lsn(), 40);
         assert!(g.lookup_eq(&AttrName::Size, &Value::U64(11)).is_empty());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn failed_seed_write_leaves_the_group_recoverable() {
+        let dir = std::env::temp_dir().join(format!("propeller-seed-fail-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let cfg = || GroupConfig {
+            wal: Wal::open(dir.join("acg-9.wal")).unwrap(),
+            snapshot_dir: Some(dir.clone()),
+            ..GroupConfig::default()
+        };
+        {
+            let mut f = AcgIndexGroup::new(AcgId::new(9), cfg());
+            f.enqueue(IndexOp::Upsert(record(1, 11, 0)), t(0)).unwrap();
+            f.commit(t(0)).unwrap();
+            f.snapshot().unwrap();
+            // Block the seed snapshot's temp path: its write fails.
+            std::fs::create_dir_all(dir.join("acg-9-40.snap.tmp")).unwrap();
+            assert!(f.install_seed(vec![record(2, 22, 0)], 40, t(0)).is_err());
+            assert!(f.record(FileId::new(1)).is_some(), "a failed seed changes nothing");
+            assert_eq!(f.last_lsn(), 1);
+        }
+        // The node must reopen with its pre-seed state, so the seed can
+        // simply be retried; re-basing the WAL before the write made this
+        // a "refusing partial recovery" error.
+        let (g, report) = AcgIndexGroup::recover_with_report(AcgId::new(9), cfg()).unwrap();
+        assert_eq!(report.snapshot_lsn, Some(1));
+        assert_eq!(g.len(), 1);
+        assert_eq!(g.lookup_eq(&AttrName::Size, &Value::U64(11)).len(), 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -13,6 +13,8 @@
 //!   backed),
 //! * [`snapshot`] — checksummed, LSN-anchored checkpoint files of an ACG's
 //!   committed state,
+//! * [`durable`] — the one envelope, atomic replace and checkpoint-set rule
+//!   every persisted file goes through,
 //! * [`IndexCache`] — the lazy-commit buffer,
 //! * [`AcgIndexGroup`] — the per-ACG composition of all of the above, with
 //!   the user-defined named-index table and crash recovery.
@@ -41,6 +43,7 @@
 
 mod btree;
 mod cache;
+pub mod durable;
 mod group;
 mod hash;
 mod inverted;
@@ -62,6 +65,6 @@ pub use inverted::{
     BM25_B, BM25_K1,
 };
 pub use kdtree::KdTree;
-pub use ops::{FileRecord, IndexOp};
+pub use ops::{put_str, take_str, take_u32, take_u64, take_u8, FileRecord, IndexOp};
 pub use snapshot::SnapshotData;
 pub use wal::{crc32, Wal};

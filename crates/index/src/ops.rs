@@ -195,7 +195,9 @@ pub(crate) fn decode_record(data: &mut &[u8]) -> Result<FileRecord> {
     Ok(FileRecord { file, attrs, keywords, custom })
 }
 
-pub(crate) fn put_str(buf: &mut BytesMut, s: &str) {
+/// Appends a `u32`-length-prefixed UTF-8 string — with the `take_*`
+/// readers, the byte codec every on-disk format shares.
+pub fn put_str(buf: &mut BytesMut, s: &str) {
     buf.put_u32_le(s.len() as u32);
     buf.put_slice(s.as_bytes());
 }
@@ -223,33 +225,37 @@ fn put_value(buf: &mut BytesMut, v: &Value) {
 
 pub(crate) fn need(data: &[u8], n: usize) -> Result<()> {
     if data.len() < n {
-        Err(Error::Corrupt(format!("truncated op: need {n} bytes, have {}", data.len())))
+        Err(Error::Corrupt(format!("truncated record: need {n} bytes, have {}", data.len())))
     } else {
         Ok(())
     }
 }
 
-pub(crate) fn take_u8(data: &mut &[u8]) -> Result<u8> {
+/// Reads a `u8`.
+pub fn take_u8(data: &mut &[u8]) -> Result<u8> {
     need(data, 1)?;
     Ok(data.get_u8())
 }
 
-pub(crate) fn take_u32(data: &mut &[u8]) -> Result<u32> {
+/// Reads a little-endian `u32`.
+pub fn take_u32(data: &mut &[u8]) -> Result<u32> {
     need(data, 4)?;
     Ok(data.get_u32_le())
 }
 
-pub(crate) fn take_u64(data: &mut &[u8]) -> Result<u64> {
+/// Reads a little-endian `u64`.
+pub fn take_u64(data: &mut &[u8]) -> Result<u64> {
     need(data, 8)?;
     Ok(data.get_u64_le())
 }
 
-pub(crate) fn take_str(data: &mut &[u8]) -> Result<String> {
+/// Reads a string written by [`put_str`].
+pub fn take_str(data: &mut &[u8]) -> Result<String> {
     let len = take_u32(data)? as usize;
     need(data, len)?;
     let (s, rest) = data.split_at(len);
     let out = String::from_utf8(s.to_vec())
-        .map_err(|e| Error::Corrupt(format!("invalid utf-8 in op: {e}")))?;
+        .map_err(|e| Error::Corrupt(format!("invalid utf-8 string: {e}")))?;
     *data = rest;
     Ok(out)
 }

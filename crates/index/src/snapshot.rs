@@ -2,19 +2,16 @@
 //!
 //! A snapshot serializes one ACG's **committed** state (its records plus
 //! the named-index table; the hash / B+-tree / K-D structures are rebuilt
-//! from those on load) into a single checksummed, versioned file stamped
-//! with the WAL LSN it covers. Files are written to a temp name and
-//! atomically renamed into place, so a crash mid-snapshot leaves either
-//! the previous snapshot set or the new one — never a half-written file
-//! that recovery could mistake for the real thing (and if the rename *did*
-//! race a crash, the CRC rejects the torn payload and recovery falls back
-//! to an older snapshot or a full WAL replay).
+//! from those on load) into one file stamped with the WAL LSN it covers.
+//! The file is a [`crate::durable`] envelope written by atomic replace, so
+//! a crash mid-snapshot leaves the previous snapshot set or the new one,
+//! and a torn payload fails its CRC; the snapshots of one ACG form a
+//! durable checkpoint set over its WAL.
 //!
 //! ## File layout
 //!
 //! ```text
-//! acg-<acg>-<lsn>.snap :=
-//!   [magic "PSNP" 4][version u32 LE][payload_crc u32 LE][payload_len u64 LE]
+//! acg-<acg>-<lsn>.snap := durable::seal("PSNP", 1, payload)
 //!   payload :=
 //!     [acg u64][lsn u64]
 //!     [nspecs u32] { [name str][kind u8][nattrs u32][attr]... }
@@ -26,26 +23,22 @@
 //! cannot silently claim coverage it does not have, because the two are
 //! cross-checked on load.
 
-use std::fs::{self, File};
-use std::io::Write;
+use std::fs;
 use std::path::{Path, PathBuf};
 
 use bytes::{BufMut, BytesMut};
 use propeller_types::{AcgId, AttrName, Error, Result};
 
+use crate::durable;
 use crate::group::{IndexKind, IndexSpec};
 use crate::ops::FileRecord;
 use crate::ops::{
     decode_record, encode_record_into, put_str, take_str, take_u32, take_u64, take_u8,
 };
-use crate::wal::crc32;
 
-/// Magic prefix of a snapshot file.
+/// Envelope magic and version of a snapshot file.
 const MAGIC: [u8; 4] = *b"PSNP";
-/// On-disk snapshot format version.
 const VERSION: u32 = 1;
-/// Fixed header: magic + version + payload CRC + payload length.
-const HEADER_LEN: usize = 4 + 4 + 4 + 8;
 
 /// A decoded snapshot: everything needed to rebuild an
 /// [`crate::AcgIndexGroup`]'s committed state.
@@ -83,30 +76,23 @@ pub fn wal_file_name(acg: AcgId) -> String {
 }
 
 /// Parses a WAL file name back into its ACG; `None` for non-WAL files
-/// (the `.wal.tmp` staging files of [`crate::Wal::truncate_upto`]
-/// included).
+/// (the `.wal.tmp` staging files of a WAL rewrite included).
 pub fn parse_wal_name(name: &str) -> Option<AcgId> {
     let raw = name.strip_prefix("acg-")?.strip_suffix(".wal")?;
     Some(AcgId::new(raw.parse().ok()?))
+}
+
+/// The name parser of `acg`'s checkpoint set: the LSN of each of its
+/// snapshot files, `None` for every other file.
+pub(crate) fn snapshot_lsn_parser(acg: AcgId) -> impl Fn(&str) -> Option<u64> {
+    move |name| parse_snapshot_name(name).filter(|&(of, _)| of == acg).map(|(_, lsn)| lsn)
 }
 
 /// Lists the snapshot files of `acg` under `dir`, newest (highest LSN)
 /// first. Unreadable directories list as empty — recovery then falls back
 /// to a full WAL replay.
 pub fn list_snapshots(dir: &Path, acg: AcgId) -> Vec<(u64, PathBuf)> {
-    let mut found: Vec<(u64, PathBuf)> = Vec::new();
-    let Ok(entries) = fs::read_dir(dir) else { return found };
-    for entry in entries.flatten() {
-        let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        if let Some((file_acg, lsn)) = parse_snapshot_name(name) {
-            if file_acg == acg {
-                found.push((lsn, entry.path()));
-            }
-        }
-    }
-    found.sort_by_key(|&(lsn, _)| std::cmp::Reverse(lsn));
-    found
+    durable::list_checkpoints(dir, snapshot_lsn_parser(acg))
 }
 
 /// The ACG ids that have at least one snapshot file under `dir`.
@@ -206,15 +192,13 @@ pub fn decode_spec_from(data: &mut &[u8]) -> Result<IndexSpec> {
     decode_spec(data)
 }
 
-/// Writes a snapshot of `acg` covering `lsn` to `dir`, returning the final
-/// path. The payload is staged in a `.tmp` file, fsynced, and atomically
-/// renamed into the canonical name; the directory is fsynced best-effort
-/// so the rename itself survives a crash.
+/// Writes a snapshot of `acg` covering `lsn` to `dir` by
+/// [`durable::replace`], returning the final path.
 ///
 /// # Errors
 ///
-/// Returns [`Error::Io`] on any file-system failure; the temp file is
-/// removed best-effort on the error path.
+/// Returns [`Error::Io`] on any file-system failure; no file under the
+/// canonical name is touched in that case.
 pub fn write_snapshot<'a>(
     dir: &Path,
     acg: AcgId,
@@ -238,32 +222,8 @@ pub fn write_snapshot<'a>(
         count += 1;
     }
     payload[count_pos..count_pos + 8].copy_from_slice(&count.to_le_bytes());
-
-    let mut header = [0u8; HEADER_LEN];
-    header[0..4].copy_from_slice(&MAGIC);
-    header[4..8].copy_from_slice(&VERSION.to_le_bytes());
-    header[8..12].copy_from_slice(&crc32(&payload).to_le_bytes());
-    header[12..20].copy_from_slice(&(payload.len() as u64).to_le_bytes());
-
     let path = dir.join(snapshot_file_name(acg, lsn));
-    let tmp = dir.join(format!("{}.tmp", snapshot_file_name(acg, lsn)));
-    let write = (|| -> Result<()> {
-        let mut out = File::create(&tmp)?;
-        out.write_all(&header)?;
-        out.write_all(&payload)?;
-        out.sync_all()?;
-        fs::rename(&tmp, &path)?;
-        Ok(())
-    })();
-    if let Err(e) = write {
-        let _ = fs::remove_file(&tmp);
-        return Err(e);
-    }
-    // Make the rename durable: fsync the directory (best-effort — not
-    // every platform lets a directory be opened as a file).
-    if let Ok(d) = File::open(dir) {
-        let _ = d.sync_all();
-    }
+    durable::replace(&path, &durable::seal(MAGIC, VERSION, &payload))?;
     Ok(path)
 }
 
@@ -279,24 +239,8 @@ pub fn read_snapshot(path: &Path) -> Result<SnapshotData> {
     let corrupt =
         |reason: String| Error::SnapshotCorrupt { path: path.display().to_string(), reason };
     let raw = fs::read(path)?;
-    if raw.len() < HEADER_LEN || raw[0..4] != MAGIC {
-        return Err(corrupt("missing or truncated header".into()));
-    }
-    let version = u32::from_le_bytes(raw[4..8].try_into().expect("4 bytes"));
-    if version != VERSION {
-        return Err(corrupt(format!("unsupported version {version}")));
-    }
-    let crc = u32::from_le_bytes(raw[8..12].try_into().expect("4 bytes"));
-    let len = u64::from_le_bytes(raw[12..20].try_into().expect("8 bytes")) as usize;
-    let payload = &raw[HEADER_LEN..];
-    if payload.len() != len {
-        return Err(corrupt(format!("payload is {} bytes, header promised {len}", payload.len())));
-    }
-    if crc32(payload) != crc {
-        return Err(corrupt("payload crc mismatch".into()));
-    }
     (|| -> Result<SnapshotData> {
-        let mut cursor = payload;
+        let mut cursor = durable::unseal(MAGIC, VERSION, &raw)?;
         let acg = AcgId::new(take_u64(&mut cursor)?);
         let lsn = take_u64(&mut cursor)?;
         let nspecs = take_u32(&mut cursor)? as usize;
@@ -334,22 +278,10 @@ pub fn read_snapshot(path: &Path) -> Result<SnapshotData> {
 }
 
 /// Removes snapshot files of `acg` older than `keep_from_lsn` (exclusive),
-/// plus any stale temp files. Returns how many files were removed.
+/// plus its stale temp files ([`durable::prune`]). Returns how many
+/// snapshots were removed.
 pub fn prune_snapshots(dir: &Path, acg: AcgId, keep_from_lsn: u64) -> usize {
-    let mut removed = 0;
-    for (lsn, path) in list_snapshots(dir, acg) {
-        if lsn < keep_from_lsn && fs::remove_file(&path).is_ok() {
-            removed += 1;
-        }
-    }
-    if let Ok(entries) = fs::read_dir(dir) {
-        for entry in entries.flatten() {
-            if entry.file_name().to_string_lossy().ends_with(".snap.tmp") {
-                let _ = fs::remove_file(entry.path());
-            }
-        }
-    }
-    removed
+    durable::prune(dir, snapshot_lsn_parser(acg), keep_from_lsn)
 }
 
 #[cfg(test)]

@@ -23,6 +23,8 @@ use std::path::{Path, PathBuf};
 use bytes::{Buf, BufMut, BytesMut};
 use propeller_types::{Error, Result};
 
+use crate::durable;
+
 /// CRC-32 (IEEE 802.3, reflected) computed bytewise with a generated table.
 pub fn crc32(data: &[u8]) -> u32 {
     const fn make_table() -> [u32; 256] {
@@ -64,6 +66,14 @@ fn encode_header(base_lsn: u64) -> [u8; HEADER_LEN] {
     let crc = crc32(&buf[4..16]);
     buf[16..20].copy_from_slice(&crc.to_le_bytes());
     buf
+}
+
+/// The base LSN of a log starting with a valid header.
+fn decode_header(raw: &[u8]) -> Option<u64> {
+    let header = raw.get(..HEADER_LEN)?;
+    let crc = u32::from_le_bytes(header[16..20].try_into().ok()?);
+    (header[..4] == MAGIC && crc32(&header[4..16]) == crc)
+        .then(|| u64::from_le_bytes(header[8..16].try_into().expect("8 bytes")))
 }
 
 #[derive(Debug)]
@@ -114,53 +124,38 @@ impl Wal {
     /// where replay (which stops at the first bad frame) can never reach
     /// it, silently losing acknowledged ops on the next recovery.
     ///
-    /// A fresh file gets a CRC-protected header carrying the base LSN;
-    /// headerless files (logs written before LSNs existed) open with base
-    /// LSN 1 and gain a header on their next truncation.
+    /// A fresh file gets a CRC-protected header carrying the base LSN. A
+    /// file shorter than that header whose bytes begin a fresh one is a
+    /// torn first write (nothing can follow a partial header) and resets
+    /// to an empty log.
     ///
     /// # Errors
     ///
     /// Returns [`Error::Io`] if the file cannot be opened, read or
-    /// truncated, and [`Error::Corrupt`] when a full-size header fails its
-    /// CRC (a torn, partial header is treated as an empty log instead —
-    /// the crash happened before the first append could follow it).
+    /// truncated, and [`Error::Corrupt`] for any other file without a
+    /// valid header — a damaged magic or base LSN — which is left on disk
+    /// untouched rather than mistaken for an empty log.
     pub fn open(path: impl AsRef<Path>) -> Result<Self> {
         let path = path.as_ref().to_path_buf();
         let mut file = OpenOptions::new().create(true).read(true).append(true).open(&path)?;
         let mut raw = Vec::new();
-        file.seek(SeekFrom::Start(0))?;
         file.read_to_end(&mut raw)?;
-        let (base_lsn, header_len) = if raw.is_empty() {
-            file.write_all(&encode_header(1))?;
-            (1, HEADER_LEN)
-        } else if raw.starts_with(&MAGIC) {
-            if raw.len() < HEADER_LEN {
-                // Torn header: the crash hit the very first write. Nothing
-                // after a partial header can be a valid frame; reset.
-                file.set_len(0)?;
-                file.seek(SeekFrom::End(0))?;
-                file.write_all(&encode_header(1))?;
-                (1, HEADER_LEN)
-            } else {
-                let crc = u32::from_le_bytes(raw[16..20].try_into().expect("4 bytes"));
-                if crc32(&raw[4..16]) != crc {
-                    return Err(Error::Corrupt(format!(
-                        "wal header crc mismatch in {}",
-                        path.display()
-                    )));
-                }
-                (u64::from_le_bytes(raw[8..16].try_into().expect("8 bytes")), HEADER_LEN)
-            }
+        let fresh = encode_header(1);
+        let base_lsn = if raw.len() < HEADER_LEN && fresh.starts_with(&raw) {
+            file.set_len(0)?;
+            file.write_all(&fresh)?;
+            raw = fresh.to_vec();
+            1
         } else {
-            // Legacy headerless log: every byte is frame data, base LSN 1.
-            (1, 0)
+            decode_header(&raw).ok_or_else(|| {
+                Error::Corrupt(format!("{} has no valid wal header", path.display()))
+            })?
         };
-        let frames = scan_frames(&raw[header_len.min(raw.len())..]);
+        let frames = scan_frames(&raw[HEADER_LEN..]);
         let bytes: u64 = frames.iter().map(|f| f.len() as u64 + 8).sum();
-        if file.metadata()?.len() > header_len as u64 + bytes {
-            file.set_len(header_len as u64 + bytes)?;
+        if raw.len() as u64 > HEADER_LEN as u64 + bytes {
+            file.set_len(HEADER_LEN as u64 + bytes)?;
         }
-        file.seek(SeekFrom::End(0))?;
         Ok(Wal {
             backend: Backend::File { file, path },
             entries: frames.len() as u64,
@@ -212,12 +207,7 @@ impl Wal {
                 let mut v = Vec::new();
                 file.seek(SeekFrom::Start(0))?;
                 file.read_to_end(&mut v)?;
-                file.seek(SeekFrom::End(0))?;
-                if v.starts_with(&MAGIC) && v.len() >= HEADER_LEN {
-                    v.split_off(HEADER_LEN)
-                } else {
-                    v
-                }
+                v.split_off(HEADER_LEN.min(v.len()))
             }
         })
     }
@@ -256,30 +246,15 @@ impl Wal {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::Io`] if the file backend cannot be truncated.
+    /// Returns [`Error::Io`] if the file backend cannot be rewritten.
     pub fn truncate(&mut self) -> Result<()> {
-        self.base_lsn += self.entries;
-        match &mut self.backend {
-            Backend::Memory(buf) => buf.clear(),
-            Backend::File { file, .. } => {
-                file.set_len(0)?;
-                file.seek(SeekFrom::End(0))?;
-                file.write_all(&encode_header(self.base_lsn))?;
-            }
-        }
-        self.entries = 0;
-        self.bytes = 0;
-        Ok(())
+        self.rewrite(self.base_lsn + self.entries, &[], 0)
     }
 
     /// Discards every frame with LSN `≤ lsn`, keeping the suffix with its
     /// original sequence numbers — called after a snapshot covering `lsn`
     /// has been made durable, so the log holds only what recovery still
     /// needs to replay. LSNs at or below the current base are a no-op.
-    ///
-    /// The file backend rewrites the log through a temp file renamed into
-    /// place, so a crash mid-truncation leaves either the old or the new
-    /// log, never a torn hybrid.
     ///
     /// # Errors
     ///
@@ -291,35 +266,13 @@ impl Wal {
         let frames = self.replay()?;
         let drop_n = ((lsn + 1).saturating_sub(self.base_lsn) as usize).min(frames.len());
         let kept = &frames[drop_n..];
-        let new_base = self.base_lsn + drop_n as u64;
         let mut content = BytesMut::new();
         for payload in kept {
             content.put_u32_le(payload.len() as u32);
             content.put_u32_le(crc32(payload));
             content.put_slice(payload);
         }
-        let bytes = content.len() as u64;
-        match &mut self.backend {
-            Backend::Memory(buf) => *buf = content,
-            Backend::File { file, path } => {
-                let tmp = path.with_extension("wal.tmp");
-                {
-                    let mut out = File::create(&tmp)?;
-                    out.write_all(&encode_header(new_base))?;
-                    out.write_all(&content)?;
-                    out.sync_data()?;
-                }
-                std::fs::rename(&tmp, &*path)?;
-                let mut reopened =
-                    OpenOptions::new().create(true).read(true).append(true).open(&*path)?;
-                reopened.seek(SeekFrom::End(0))?;
-                *file = reopened;
-            }
-        }
-        self.base_lsn = new_base;
-        self.entries = kept.len() as u64;
-        self.bytes = bytes;
-        Ok(())
+        self.rewrite(self.base_lsn + drop_n as u64, &content, kept.len() as u64)
     }
 
     /// Discards all log content and **re-bases** the sequence so the next
@@ -331,19 +284,29 @@ impl Wal {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::Io`] if the file backend cannot be truncated.
+    /// Returns [`Error::Io`] if the file backend cannot be rewritten.
     pub fn reset_to(&mut self, last_lsn: u64) -> Result<()> {
-        self.base_lsn = last_lsn + 1;
+        self.rewrite(last_lsn + 1, &[], 0)
+    }
+
+    /// Replaces the log with `entries` frames encoded in `frames` under
+    /// base LSN `base`. The file backend goes through
+    /// [`durable::replace`], so a crash mid-rewrite leaves either the old
+    /// or the new log, never a torn hybrid.
+    fn rewrite(&mut self, base: u64, frames: &[u8], entries: u64) -> Result<()> {
         match &mut self.backend {
-            Backend::Memory(buf) => buf.clear(),
-            Backend::File { file, .. } => {
-                file.set_len(0)?;
-                file.seek(SeekFrom::End(0))?;
-                file.write_all(&encode_header(self.base_lsn))?;
+            Backend::Memory(buf) => {
+                buf.clear();
+                buf.extend_from_slice(frames);
+            }
+            Backend::File { file, path } => {
+                durable::replace(path, &[&encode_header(base)[..], frames].concat())?;
+                *file = OpenOptions::new().read(true).append(true).open(&*path)?;
             }
         }
-        self.entries = 0;
-        self.bytes = 0;
+        self.base_lsn = base;
+        self.entries = entries;
+        self.bytes = frames.len() as u64;
         Ok(())
     }
 
@@ -675,23 +638,22 @@ mod tests {
     }
 
     #[test]
-    fn legacy_headerless_log_opens_with_base_one() {
-        let path = temp_path("legacy");
+    fn damaged_magic_is_refused_and_left_on_disk() {
+        let path = temp_path("bad-magic");
         {
-            // A pre-LSN log: raw frames, no header.
-            let mut raw = Vec::new();
-            for payload in [b"one".as_slice(), b"two"] {
-                raw.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-                raw.extend_from_slice(&crc32(payload).to_le_bytes());
-                raw.extend_from_slice(payload);
+            let mut wal = Wal::open(&path).unwrap();
+            for payload in [b"one".as_slice(), b"two", b"three"] {
+                wal.append(payload).unwrap();
             }
-            std::fs::write(&path, raw).unwrap();
+            wal.sync().unwrap();
         }
-        let mut wal = Wal::open(&path).unwrap();
-        assert_eq!(wal.entry_count(), 2);
-        assert_eq!(wal.first_lsn(), 1);
-        assert_eq!(wal.replay().unwrap(), vec![b"one".to_vec(), b"two".to_vec()]);
-        assert_eq!(wal.append(b"three").unwrap(), 3);
+        // One flipped bit in the magic must not read as an empty log that
+        // the next open truncates: the three frames stay on disk.
+        let mut damaged = std::fs::read(&path).unwrap();
+        damaged[1] ^= 0x01;
+        std::fs::write(&path, &damaged).unwrap();
+        assert!(matches!(Wal::open(&path), Err(Error::Corrupt(_))));
+        assert_eq!(std::fs::read(&path).unwrap(), damaged);
         let _ = std::fs::remove_file(&path);
     }
 
