@@ -40,8 +40,9 @@ impl BruteForce {
         BruteForce { storage }
     }
 
-    /// Answers the same [`SearchRequest`] API as Propeller with a full
-    /// scan — the ground-truth implementation of the request semantics.
+    /// Answers the same [`SearchRequest`](propeller_query::SearchRequest)
+    /// API as Propeller with a full scan — the ground-truth implementation
+    /// of the request semantics.
     pub fn search_with(
         &self,
         request: &propeller_query::SearchRequest,

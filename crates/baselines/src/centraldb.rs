@@ -152,10 +152,10 @@ impl CentralDb {
         self.files.values()
     }
 
-    /// Answers the same [`SearchRequest`] API as Propeller (top-k, sort,
-    /// projection, cursor), so system comparisons stay apples-to-apples.
-    /// Centralized stores always answer completely or not at all, so the
-    /// response is always `complete`.
+    /// Answers the same [`SearchRequest`](propeller_query::SearchRequest)
+    /// API as Propeller (top-k, sort, projection, cursor), so system
+    /// comparisons stay apples-to-apples. Centralized stores always answer
+    /// completely or not at all, so the response is always `complete`.
     pub fn search_with(
         &self,
         request: &propeller_query::SearchRequest,

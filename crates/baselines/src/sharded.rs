@@ -78,8 +78,9 @@ impl ShardedDb {
         self.shards[s].remove(file)
     }
 
-    /// Answers the same [`SearchRequest`] API as Propeller: scatter–gather
-    /// over every shard, merged into one shaped result set.
+    /// Answers the same [`SearchRequest`](propeller_query::SearchRequest)
+    /// API as Propeller: scatter–gather over every shard, merged into one
+    /// shaped result set.
     pub fn search_with(
         &self,
         request: &propeller_query::SearchRequest,

@@ -164,10 +164,11 @@ impl SpotlightEngine {
         out
     }
 
-    /// Answers the same [`SearchRequest`] API as Propeller against the
-    /// *crawled* view at `now`. The response claims `complete` even while
-    /// the crawl queue is behind or a re-index is running — which is
-    /// precisely the recall lie the paper measures this baseline on.
+    /// Answers the same [`SearchRequest`](propeller_query::SearchRequest)
+    /// API as Propeller against the *crawled* view at `now`. The response
+    /// claims `complete` even while the crawl queue is behind or a re-index
+    /// is running — which is precisely the recall lie the paper measures
+    /// this baseline on.
     pub fn search_with(
         &mut self,
         request: &propeller_query::SearchRequest,

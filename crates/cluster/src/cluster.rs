@@ -309,11 +309,6 @@ impl Cluster {
         &self.index_nodes
     }
 
-    /// The shared storage beneath the cluster.
-    pub fn shared_storage(&self) -> &Arc<SharedStorage> {
-        &self.shared
-    }
-
     /// Restarts a previously killed Index Node under the same id. On a
     /// durable cluster ([`ClusterConfig::data_dir`]) the revived node
     /// **restores every hosted group from disk** — newest valid snapshot

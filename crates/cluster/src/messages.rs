@@ -75,7 +75,7 @@ pub enum Request {
     ResolveFiles {
         /// Files about to be indexed.
         files: Vec<FileId>,
-        /// The routing generation of the last [`RouteHints`] this client
+        /// The routing generation of the last `RouteHints` this client
         /// applied (0 for a fresh client); the response's hints cover
         /// everything since.
         hints_since: u64,

@@ -31,7 +31,7 @@ use std::sync::Arc;
 use propeller_types::{AcgId, AttrName, Duration, Error, FileId, Result, Timestamp, Value};
 use serde::{Deserialize, Serialize};
 
-use crate::btree::BPlusTree;
+use crate::btree::{BPlusTree, LeafCursor};
 use crate::cache::IndexCache;
 use crate::durable;
 use crate::inverted::InvertedIndex;
@@ -441,18 +441,17 @@ impl AcgEpoch {
         self.scan(|record| Self::record_values(record, attr).iter().any(|v| v == value))
     }
 
-    /// How many files hold `attr == value`: the length of the posting list
-    /// [`AcgEpoch::candidates_eq`] would stream, read with one probe of
-    /// the same index and no record touched. `None` when no index covers
-    /// `attr`.
+    /// How many files hold `attr == value`: the length of
+    /// [`AcgEpoch::posting_list`], read with no record touched. `None` when
+    /// no index covers `attr`.
     pub fn eq_count(&self, attr: &AttrName, value: &Value) -> Option<usize> {
         self.posting_list(attr, value).map(<[FileId]>::len)
     }
 
     /// The posting list of `attr == value` in the hash-kind index over
-    /// `attr`, else its B+-tree (empty when nothing holds the value);
-    /// `None` when neither exists.
-    fn posting_list(&self, attr: &AttrName, value: &Value) -> Option<&[FileId]> {
+    /// `attr`, else its B+-tree (empty when nothing holds the value):
+    /// sorted, unique file ids. `None` when neither index exists.
+    pub fn posting_list(&self, attr: &AttrName, value: &Value) -> Option<&[FileId]> {
         let tree = self.hashes.get(attr).or_else(|| self.btrees.get(attr))?;
         Some(tree.get(value).map_or(&[], |list| list.as_slice()))
     }
@@ -480,92 +479,57 @@ impl AcgEpoch {
         self.scan(|record| Self::record_values(record, attr).iter().any(|v| in_lo(v) && in_hi(v)))
     }
 
-    // --- Streaming candidate accessors -----------------------------------
+    // --- Index walks --------------------------------------------------------
     //
-    // The iterator-returning variants of the lookups above: they yield
-    // `&FileRecord` directly (candidate ids resolve against the record
-    // store as the consumer pulls), so the executor never materializes a
-    // superset of records (a K-D box only collects and sorts its ids).
+    // What the executor streams candidates from: index entries, never
+    // records. A candidate's record is resolved through
+    // `AcgEpoch::record_cursor` only when the search reads it.
 
-    /// Resolves sorted ids against the record store through one
-    /// [`LeafCursor`](crate::LeafCursor): a posting list or a sorted K-D
-    /// box is in file-id order and so is the store, so a run of ids costs
-    /// one root-to-leaf descent per store leaf it touches, not one per id.
-    /// A new list starting over at a smaller id merely re-descends.
-    fn resolve_sorted<'a>(
-        &'a self,
-        ids: impl Iterator<Item = FileId> + 'a,
-    ) -> impl Iterator<Item = &'a FileRecord> + 'a {
-        let mut cursor = self.records.cursor();
-        ids.filter_map(move |file| cursor.get(&file).map(|r| &**r))
+    /// A point-lookup cursor over the record store. Posting lists and
+    /// sorted K-D boxes are in file-id order and so is the store, so a run
+    /// of ids costs one root-to-leaf descent per store leaf it touches,
+    /// not one per id; a run starting over at a smaller id merely
+    /// re-descends.
+    pub fn record_cursor(&self) -> LeafCursor<'_, FileId, Arc<FileRecord>> {
+        self.records.cursor()
     }
 
-    /// Streams the records with `attr == value` through a hash-kind index
-    /// (or a B+-tree point probe as fallback). Returns `None` when no
-    /// index covers `attr` — the caller falls back to a full scan. Records
-    /// are unique: a posting list holds each file at most once.
-    pub fn candidates_eq<'a>(
-        &'a self,
-        attr: &AttrName,
-        value: &Value,
-    ) -> Option<impl Iterator<Item = &'a FileRecord> + 'a> {
-        Some(self.resolve_sorted(self.posting_list(attr, value)?.iter().copied()))
-    }
-
-    /// Streams the records with `attr` in the given bounds off a B+-tree.
-    /// Returns `None` when no B+-tree covers `attr`. A record holding
-    /// several values for a multi-valued attribute may be yielded once per
-    /// in-range value; single-valued (builtin) attributes yield each
-    /// record at most once.
-    pub fn candidates_range<'a>(
-        &'a self,
-        attr: &AttrName,
-        lo: Bound<Value>,
-        hi: Bound<Value>,
-    ) -> Option<impl Iterator<Item = &'a FileRecord> + 'a> {
-        let tree = self.btrees.get(attr)?;
-        Some(self.resolve_sorted(tree.range((lo, hi)).flat_map(|(_, list)| list.iter().copied())))
-    }
-
-    /// Streams the records inside a K-D box query, in file-id order: the
-    /// box's ids are collected and sorted so they resolve through one leaf
-    /// cursor. Returns `None` when no K-D index covers exactly these
-    /// attributes. Records are unique (one point per file per index).
-    pub fn candidates_kd(
-        &self,
-        attrs: &[AttrName],
-        lo: &[f64],
-        hi: &[f64],
-    ) -> Option<impl Iterator<Item = &FileRecord> + '_> {
-        let (_, tree) = self.kds.values().find(|(kd_attrs, _)| kd_attrs == attrs)?;
-        let mut ids: Vec<FileId> = tree.range_iter(lo, hi).collect();
-        ids.sort_unstable();
-        Some(self.resolve_sorted(ids.into_iter()))
-    }
-
-    /// Streams *every* record holding `attr` within the bounds, in `attr`
-    /// order (ascending or descending), tie-broken by ascending file id
-    /// within equal values. Returns `None` when no B+-tree covers `attr`.
+    /// Walks the B+-tree over `attr` within the bounds: its entries
+    /// `(value, file)` in `attr` order (ascending or descending), equal
+    /// values by ascending file id, with no record touched. `None` when no
+    /// B+-tree covers `attr`.
     ///
-    /// For single-valued builtin attributes this walks the group in exact
-    /// result order for a sort over `attr`, which is what lets the
-    /// executor terminate after `k` admitted hits (posting lists are
-    /// file-id sorted, matching the sort's tie-break).
-    pub fn candidates_ordered<'a>(
+    /// For a single-valued builtin attribute the entry's value *is* the
+    /// record's value (`index` inserts exactly `record.attrs.get(attr)`),
+    /// so the walk is in exact result order for a sort over `attr` and
+    /// carries every hit's sort key. A multi-valued attribute yields a
+    /// file once per in-range value.
+    pub fn entries<'a>(
         &'a self,
         attr: &AttrName,
         lo: Bound<Value>,
         hi: Bound<Value>,
         descending: bool,
-    ) -> Option<Box<dyn Iterator<Item = &'a FileRecord> + 'a>> {
+    ) -> Option<Box<dyn Iterator<Item = (&'a Value, FileId)> + 'a>> {
         let tree = self.btrees.get(attr)?;
-        if descending {
-            let ids = tree.range_rev((lo, hi)).flat_map(|(_, list)| list.iter().copied());
-            Some(Box::new(self.resolve_sorted(ids)))
+        let entry = |(value, list): (&'a Value, &'a Arc<PostingList>)| {
+            list.iter().map(move |&file| (value, file))
+        };
+        Some(if descending {
+            Box::new(tree.range_rev((lo, hi)).flat_map(entry))
         } else {
-            let ids = tree.range((lo, hi)).flat_map(|(_, list)| list.iter().copied());
-            Some(Box::new(self.resolve_sorted(ids)))
-        }
+            Box::new(tree.range((lo, hi)).flat_map(entry))
+        })
+    }
+
+    /// The files inside a K-D box query, sorted by file id. `None` when no
+    /// K-D index covers exactly these attributes. Files are unique (one
+    /// point per file per index).
+    pub fn candidates_kd(&self, attrs: &[AttrName], lo: &[f64], hi: &[f64]) -> Option<Vec<FileId>> {
+        let (_, tree) = self.kds.values().find(|(kd_attrs, _)| kd_attrs == attrs)?;
+        let mut ids: Vec<FileId> = tree.range_iter(lo, hi).collect();
+        ids.sort_unstable();
+        Some(ids)
     }
 
     /// Full scan with a predicate (the executor's fallback path). Results
@@ -587,11 +551,6 @@ impl AcgEpoch {
     /// Files currently indexed (sorted).
     pub fn files(&self) -> Vec<FileId> {
         self.records.iter().map(|(f, _)| *f).collect()
-    }
-
-    /// Depth of the B+-tree over `attr` (for analytic disk-cost models).
-    pub fn btree_depth(&self, attr: &AttrName) -> Option<usize> {
-        self.btrees.get(attr).map(|t| t.depth())
     }
 
     /// The epoch's inverted text index, if one exists (several specs would
@@ -638,7 +597,7 @@ impl EpochSnapshotJob {
 /// [`AcgEpoch`].
 ///
 /// The group derefs to its current epoch, so all search-side accessors
-/// ([`AcgEpoch::lookup_eq`], [`AcgEpoch::candidates_range`], …) are
+/// ([`AcgEpoch::lookup_eq`], [`AcgEpoch::entries`], …) are
 /// callable directly on the group. Concurrent readers call
 /// [`AcgIndexGroup::pin`] to hold the epoch across a whole search or
 /// paginated session; [`AcgIndexGroup::commit`] publishes the next epoch
@@ -975,11 +934,6 @@ impl AcgIndexGroup {
         (self.epoch.len() as i64 + delta).max(0) as usize
     }
 
-    /// Commit statistics: `(commits, drained_ops)`.
-    pub fn commit_stats(&self) -> (u64, u64) {
-        (self.cache.commit_count(), self.cache.drained_ops())
-    }
-
     /// Creates a user-defined index, backfills it from existing records
     /// and publishes the resulting epoch.
     ///
@@ -1121,15 +1075,9 @@ impl AcgIndexGroup {
         self.wal_ops
     }
 
-    /// Frame bytes currently retained in the WAL (raw log size; includes
-    /// the previous inter-checkpoint window the retention policy keeps).
-    pub fn wal_bytes(&self) -> u64 {
-        self.wal.byte_size()
-    }
-
     /// Frame bytes logged since the last snapshot — the Index Node's
-    /// bytes-threshold trigger metric. Unlike [`AcgIndexGroup::wal_bytes`]
-    /// this resets at every snapshot, so one oversized checkpoint window
+    /// bytes-threshold trigger metric. Unlike the WAL's retained size it
+    /// resets at every snapshot, so one oversized checkpoint window
     /// cannot re-fire the trigger into back-to-back full-group snapshots.
     pub fn wal_bytes_since_snapshot(&self) -> u64 {
         self.wal_trigger_bytes
@@ -1146,14 +1094,6 @@ impl AcgIndexGroup {
     /// staleness in frames.
     pub fn last_lsn(&self) -> u64 {
         self.wal.last_lsn()
-    }
-
-    /// LSN of the oldest frame still retained in the WAL. Frames below it
-    /// were checkpoint-truncated (or committed, on the in-memory backend)
-    /// and can no longer be shipped to a trailing follower — catch-up past
-    /// this point needs a full snapshot seed instead.
-    pub fn first_retained_lsn(&self) -> u64 {
-        self.wal.first_lsn()
     }
 
     /// Whether every frame past `after_lsn` is still retained in the WAL,
@@ -1516,8 +1456,7 @@ mod tests {
         assert!(g
             .candidates_kd(&[AttrName::Size, AttrName::Mtime], &[0.0, 0.0], &[1e18, 1e18])
             .unwrap()
-            .next()
-            .is_none());
+            .is_empty());
         assert!(g.is_empty());
     }
 
@@ -1545,9 +1484,7 @@ mod tests {
                 &[100.0, 10.0 * 1e6],
                 &[500.0, 60.0 * 1e6],
             )
-            .unwrap()
-            .map(|r| r.file)
-            .collect();
+            .unwrap();
         // Candidates arrive in file-id order, like the scan's.
         let scan = g.scan(|r| {
             (100..=500).contains(&r.attrs.size)
@@ -1686,7 +1623,7 @@ mod tests {
         }
         g.commit(t(0)).unwrap();
         assert_eq!(g.ops_applied(), 10);
-        let (commits, drained) = g.commit_stats();
+        let (commits, drained) = (g.cache.commit_count(), g.cache.drained_ops());
         assert_eq!(commits, 1);
         assert_eq!(drained, 10);
     }
@@ -1720,27 +1657,21 @@ mod tests {
         }
         g.commit(t(0)).unwrap();
 
-        let mut eq: Vec<FileId> = g
-            .candidates_eq(&AttrName::Keyword, &Value::from("fizz"))
-            .unwrap()
-            .map(|r| r.file)
-            .collect();
-        eq.sort_unstable();
+        let eq = g.posting_list(&AttrName::Keyword, &Value::from("fizz")).unwrap();
         assert_eq!(eq, g.lookup_eq(&AttrName::Keyword, &Value::from("fizz")));
 
         let (lo, hi) = (Bound::Included(Value::U64(100)), Bound::Excluded(Value::U64(500)));
         let mut range: Vec<FileId> = g
-            .candidates_range(&AttrName::Size, lo.clone(), hi.clone())
+            .entries(&AttrName::Size, lo.clone(), hi.clone(), false)
             .unwrap()
-            .map(|r| r.file)
+            .map(|(_, file)| file)
             .collect();
         range.sort_unstable();
         assert_eq!(range, g.lookup_range(&AttrName::Size, lo, hi));
 
         let attrs = [AttrName::Size, AttrName::Mtime];
         let (klo, khi) = ([100.0, 10.0 * 1e6], [500.0, 60.0 * 1e6]);
-        let kd: Vec<FileId> =
-            g.candidates_kd(&attrs, &klo, &khi).unwrap().map(|r| r.file).collect();
+        let kd = g.candidates_kd(&attrs, &klo, &khi).unwrap();
         let in_box = |r: &FileRecord| {
             (100..=500).contains(&r.attrs.size)
                 && (Timestamp::from_secs(10)..=Timestamp::from_secs(60)).contains(&r.attrs.mtime)
@@ -1749,47 +1680,48 @@ mod tests {
         assert!(!kd.is_empty());
 
         // No covering index => None, so the executor can fall back.
-        assert!(g.candidates_eq(&AttrName::custom("nope"), &Value::U64(1)).is_none());
+        assert!(g.posting_list(&AttrName::custom("nope"), &Value::U64(1)).is_none());
         assert!(g
-            .candidates_range(&AttrName::custom("nope"), Bound::Unbounded, Bound::Unbounded)
+            .entries(&AttrName::custom("nope"), Bound::Unbounded, Bound::Unbounded, false)
             .is_none());
         assert!(g.candidates_kd(&[AttrName::Uid], &[0.0], &[1.0]).is_none());
     }
 
     #[test]
-    fn candidates_ordered_walks_in_sort_order_both_ways() {
+    fn entries_walk_in_sort_order_both_ways() {
         let mut g = group();
         for i in 0..100 {
             // Duplicate sizes exercise the file-id tie-break.
             g.enqueue(IndexOp::Upsert(record(i, (i % 10) * 64, 0)), t(0)).unwrap();
         }
         g.commit(t(0)).unwrap();
-        let asc: Vec<(u64, FileId)> = g
-            .candidates_ordered(&AttrName::Size, Bound::Unbounded, Bound::Unbounded, false)
-            .unwrap()
-            .map(|r| (r.attrs.size, r.file))
-            .collect();
+        let walk = |lo, hi, descending| -> Vec<(u64, FileId)> {
+            let entries = g.entries(&AttrName::Size, lo, hi, descending).unwrap();
+            entries
+                .map(|(value, file)| {
+                    // The entry carries the record's own value: the sort key.
+                    assert_eq!(
+                        Some(value.clone()),
+                        g.record(file).unwrap().attrs.get(&AttrName::Size)
+                    );
+                    (value.as_u64().unwrap(), file)
+                })
+                .collect()
+        };
+        let asc = walk(Bound::Unbounded, Bound::Unbounded, false);
         assert_eq!(asc.len(), 100);
         assert!(asc.windows(2).all(|w| w[0] <= w[1]), "ascending (size, file) order");
-        let desc: Vec<(u64, FileId)> = g
-            .candidates_ordered(&AttrName::Size, Bound::Unbounded, Bound::Unbounded, true)
-            .unwrap()
-            .map(|r| (r.attrs.size, r.file))
-            .collect();
+        let desc = walk(Bound::Unbounded, Bound::Unbounded, true);
+        assert_eq!(desc.len(), 100);
         // Descending by size, ascending file id within equal sizes.
         assert!(desc.windows(2).all(|w| w[0].0 > w[1].0 || (w[0].0 == w[1].0 && w[0].1 < w[1].1)));
-        let bounded: Vec<u64> = g
-            .candidates_ordered(
-                &AttrName::Size,
-                Bound::Included(Value::U64(128)),
-                Bound::Excluded(Value::U64(320)),
-                false,
-            )
-            .unwrap()
-            .map(|r| r.attrs.size)
-            .collect();
-        assert!(bounded.iter().all(|&s| (128..320).contains(&s)));
+        let (lo, hi) = (Bound::Included(Value::U64(128)), Bound::Excluded(Value::U64(320)));
+        let bounded = walk(lo.clone(), hi.clone(), false);
+        assert!(bounded.iter().all(|&(s, _)| (128..320).contains(&s)));
         assert_eq!(bounded.len(), 30, "sizes 128, 192, 256 x 10 files each");
+        let mut reversed = walk(lo, hi, true);
+        reversed.sort_unstable();
+        assert_eq!(reversed, bounded, "both directions walk the same entries");
     }
 
     #[test]
@@ -2053,6 +1985,5 @@ mod tests {
         assert!(g.record(FileId::new(3)).is_some());
         assert!(g.record(FileId::new(9)).is_none());
         assert_eq!(g.records().count(), 2);
-        assert!(g.btree_depth(&AttrName::Size).unwrap() >= 1);
     }
 }

@@ -509,11 +509,6 @@ impl InvertedIndex {
         }
     }
 
-    /// Number of distinct terms.
-    pub fn term_count(&self) -> usize {
-        self.terms.len()
-    }
-
     /// The BM25 idf of a term against this corpus.
     pub fn idf(&self, term: &str) -> f64 {
         bm25_idf(self.doc_count(), self.df(term))
@@ -659,7 +654,7 @@ mod tests {
         assert_eq!(inv.doc_count(), 1);
         inv.remove(&b);
         assert_eq!(inv, InvertedIndex::new(), "empty again");
-        assert_eq!(inv.term_count(), 0);
+        assert!(inv.terms.is_empty());
     }
 
     #[test]

@@ -277,13 +277,6 @@ pub fn read_snapshot(path: &Path) -> Result<SnapshotData> {
     })
 }
 
-/// Removes snapshot files of `acg` older than `keep_from_lsn` (exclusive),
-/// plus its stale temp files ([`durable::prune`]). Returns how many
-/// snapshots were removed.
-pub fn prune_snapshots(dir: &Path, acg: AcgId, keep_from_lsn: u64) -> usize {
-    durable::prune(dir, snapshot_lsn_parser(acg), keep_from_lsn)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -387,7 +380,7 @@ mod tests {
             write_snapshot(&dir, AcgId::new(1), lsn, &[], [].iter()).unwrap();
         }
         fs::write(dir.join("acg-1-99.snap.tmp"), b"stale").unwrap();
-        let removed = prune_snapshots(&dir, AcgId::new(1), 20);
+        let removed = durable::prune(&dir, snapshot_lsn_parser(AcgId::new(1)), 20);
         assert_eq!(removed, 1, "only the lsn-10 file falls outside the window");
         let listed: Vec<u64> =
             list_snapshots(&dir, AcgId::new(1)).into_iter().map(|(l, _)| l).collect();

@@ -321,11 +321,6 @@ impl Wal {
         self.base_lsn
     }
 
-    /// The LSN the next appended frame will be assigned.
-    pub fn next_lsn(&self) -> u64 {
-        self.base_lsn + self.entries
-    }
-
     /// LSN of the most recently appended frame still relevant to the log's
     /// sequence (0 when nothing has ever been appended).
     pub fn last_lsn(&self) -> u64 {
@@ -429,7 +424,7 @@ mod tests {
         let mut wal = Wal::in_memory();
         assert_eq!(wal.append(b"a").unwrap(), 1);
         assert_eq!(wal.append(b"b").unwrap(), 2);
-        assert_eq!(wal.next_lsn(), 3);
+        assert_eq!(wal.first_lsn() + wal.entry_count(), 3, "the next lsn");
         assert_eq!(wal.first_lsn(), 1);
         assert_eq!(wal.last_lsn(), 2);
     }

@@ -1,12 +1,13 @@
 //! Plan execution with full-predicate post-filtering.
 //!
 //! The request path ([`execute_request`]) is a *streaming* pipeline:
-//! candidates flow straight from the index structures as `&FileRecord`
-//! (no `Vec<FileId>` superset; sorted posting ids resolve through a leaf
-//! cursor on the record store), only the conjuncts the access path does
-//! not already prove are evaluated (`Residual`), in place (no per-candidate
-//! clones), and hits are only materialized once the bounded top-k
-//! accumulator decides they will be retained. When the planner emits an
+//! index paths yield **index entries** — a posting list's ids, a B+-tree
+//! walk's `(value, file)` pairs — and a candidate's record is resolved
+//! (through a leaf cursor on the record store) only when its sort key,
+//! an unproved conjunct (`Residual`) or the projection reads it
+//! ([`SearchStats::records_resolved`]). Predicates are evaluated in place
+//! and hits are only materialized once the bounded top-k accumulator
+//! decides they will be retained. When the planner emits an
 //! [`AccessPath::OrderedScan`] — a limited request sorted by a
 //! B+-tree-covered attribute — candidates arrive in final result order
 //! and execution **terminates after `limit` admitted hits**, witnessed by
@@ -28,18 +29,20 @@
 use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet};
 use std::ops::Bound;
+use std::sync::Arc;
 
 use propeller_index::{
     bm25_block_bound, bm25_idf, bm25_score, bm25_term_bound, record_contains_all,
     record_contains_any, record_contains_phrase, record_tokens, AcgEpoch, Bm25Scorer, FileRecord,
-    PostingsCursor, BLOCK,
+    LeafCursor, PostingsCursor, BLOCK,
 };
-use propeller_types::{AcgId, AttrName, FileId, Value};
+use propeller_types::{AttrName, FileId, Value};
 
 use crate::ast::{CompareOp, ContainsMode, Predicate};
 use crate::plan::{plan, AccessPath, Plan};
 use crate::request::{
-    AccessPathKind, Cursor, GlobalCutoff, Hit, SearchRequest, SearchStats, SortKey, TopK,
+    AccessPathKind, Cursor, GlobalCutoff, Hit, Projection, SearchRequest, SearchStats, SortKey,
+    TopK,
 };
 use crate::session::open_page;
 
@@ -187,12 +190,106 @@ impl<'a> Residual<'a> {
     }
 
     fn matches(self, record: &FileRecord) -> bool {
+        self.all(|conjunct| matches_record(record, conjunct))
+    }
+
+    /// Whether the access path proves every conjunct, so that its
+    /// candidates need no check at all.
+    fn is_empty(self) -> bool {
+        self.all(|_| false)
+    }
+
+    /// Whether `check` holds for every conjunct the path does not prove.
+    fn all(self, mut check: impl FnMut(&Predicate) -> bool) -> bool {
         let mut i = 0u32;
         self.pred.all_conjuncts(&mut |conjunct| {
             let skip = i < u64::BITS && self.proved >> i & 1 == 1;
             i += 1;
-            skip || matches_record(record, conjunct)
+            skip || check(conjunct)
         })
+    }
+}
+
+/// One candidate as its access path yields it.
+struct Candidate<'a> {
+    file: FileId,
+    /// The value of the index entry the walk found the file under (`None`
+    /// off a K-D box or a full scan).
+    entry: Option<&'a Value>,
+    /// The record, once read (a full scan holds it from the start).
+    record: Option<&'a FileRecord>,
+}
+
+impl<'a> Candidate<'a> {
+    fn entry(file: FileId, entry: Option<&'a Value>) -> Self {
+        Candidate { file, entry, record: None }
+    }
+}
+
+/// The record side of one access path's candidates: when a candidate needs
+/// its record, and the leaf cursor on the epoch's record store that
+/// resolves it. It is needed when the sort key is not the entry's value,
+/// when the [`Residual`] leaves a conjunct to check, or when the
+/// projection reads attributes; otherwise the hit is the entry alone.
+struct Fetch<'a> {
+    group: &'a AcgEpoch,
+    request: &'a SearchRequest,
+    residual: Residual<'a>,
+    /// The sort is over the walked attribute, a single-valued builtin, so
+    /// an entry's value is its record's sort key.
+    key_in_entry: bool,
+    /// The residual or the projection reads the record.
+    needs_record: bool,
+    cursor: Option<LeafCursor<'a, FileId, Arc<FileRecord>>>,
+    resolved: usize,
+}
+
+impl<'a> Fetch<'a> {
+    /// The rule for a walk over the entries of `walked`'s index (`None`:
+    /// the path's candidates carry no entry value).
+    fn new(
+        group: &'a AcgEpoch,
+        request: &'a SearchRequest,
+        residual: Residual<'a>,
+        walked: Option<&AttrName>,
+    ) -> Self {
+        let sort = request.sort.attr();
+        Fetch {
+            group,
+            request,
+            residual,
+            key_in_entry: walked.is_some_and(|attr| attr.is_inode_attr() && sort == Some(attr)),
+            needs_record: !residual.is_empty() || request.projection != Projection::Ids,
+            cursor: None,
+            resolved: 0,
+        }
+    }
+
+    /// The candidate's record, resolved at most once.
+    fn record(&mut self, candidate: &mut Candidate<'a>) -> Option<&'a FileRecord> {
+        if candidate.record.is_none() {
+            let cursor = self.cursor.get_or_insert_with(|| self.group.record_cursor());
+            candidate.record = cursor.get(&candidate.file).map(|r| &**r);
+            self.resolved += 1;
+        }
+        candidate.record
+    }
+
+    /// The candidate's sort key: its entry's value, or read off its record.
+    fn key(&mut self, candidate: &mut Candidate<'a>) -> Option<Value> {
+        let sort = &self.request.sort;
+        match sort.attr() {
+            None => None,
+            Some(_) if self.key_in_entry => candidate.entry.cloned(),
+            Some(_) => self.record(candidate).and_then(|r| sort.key_of(r)),
+        }
+    }
+
+    /// Whether the candidate satisfies the residual, resolving its record
+    /// only if the residual or the projection reads it.
+    fn admits(&mut self, candidate: &mut Candidate<'a>) -> bool {
+        let residual = self.residual;
+        !self.needs_record || self.record(candidate).is_some_and(|r| residual.matches(r))
     }
 }
 
@@ -205,14 +302,14 @@ impl<'a> Residual<'a> {
 /// moment (witnessed by [`SearchStats::retained_peak`]) — the full result
 /// set is never materialized, which is what makes cluster-scale top-k
 /// searches affordable. The request's cursor is applied here too, so
-/// pagination enjoys the same bound. Candidates stream as `&FileRecord`
-/// directly off the index structures and hits are built only once the
-/// accumulator admits them, so rejected candidates allocate nothing.
+/// pagination enjoys the same bound. Candidates stream directly off the
+/// index structures and hits are built only once the accumulator admits
+/// them, so rejected candidates allocate nothing.
 ///
 /// A limited request sorted by a B+-tree-covered builtin attribute runs as
-/// an [`AccessPath::OrderedScan`]: the tree is walked in result order, the
-/// residual predicate is checked per record (exact semantics), and the
-/// scan **stops after `k` admitted hits** — see
+/// an [`AccessPath::OrderedScan`]: the tree's entries are walked in result
+/// order, the residual predicate is checked per candidate (exact
+/// semantics), and the scan **stops after `k` admitted hits** — see
 /// [`SearchStats::early_terminated`] / [`SearchStats::candidates_skipped`].
 ///
 /// Hits come back in the request's sort order. This is a node search over
@@ -242,110 +339,127 @@ pub fn execute_classic(
     // contains term sits under an OR) needs explicit scoring: the sort key
     // is not a record attribute.
     if request.sort == SortKey::Relevance {
-        return execute_relevance_scan(group, request, cutoff);
+        let terms = relevance_terms(&request.predicate);
+        let scorer = RelevanceScorer::of_group(group, &terms);
+        return execute_relevance_scan(group, request, &terms, scorer, cutoff);
     }
     let kind = AccessPathKind::from(&plan.path);
     let pred = &request.predicate;
     let whole = Residual::whole(pred);
-    let scan_all = || stream_topk(group.records(), group, request, whole, false, cutoff);
+    let scan_all = || {
+        let records =
+            group.records().map(|r| Candidate { file: r.file, entry: None, record: Some(r) });
+        let (hits, stats) = stream_topk(records, group, request, whole, None, false, cutoff);
+        // A full scan reads every record it scans.
+        (hits, SearchStats { records_resolved: stats.candidates_scanned, ..stats })
+    };
 
     // Each arm derives its residual from what its own candidate source
     // proves; the index-less fallbacks scan everything and prove nothing.
-    let (hits, scanned, retained_peak) = match plan.path {
+    let (hits, stats) = match plan.path {
         // An ordered plan reaching the classic executor means the covering
         // tree vanished between planning and execution; scan everything.
         AccessPath::FullScan | AccessPath::OrderedScan { .. } => scan_all(),
         AccessPath::Postings { .. } => unreachable!("dispatched to execute_postings above"),
-        AccessPath::HashEq { attr, value } => match group.candidates_eq(&attr, &value) {
-            Some(iter) => {
+        AccessPath::HashEq { attr, value } => match group.posting_list(&attr, &value) {
+            Some(list) => {
                 let residual = Residual::of(pred, Proof::Eq { attr: &attr, value: &value });
-                stream_topk(iter, group, request, residual, false, cutoff)
+                let entries = list.iter().map(|&file| Candidate::entry(file, Some(&value)));
+                stream_topk(entries, group, request, residual, Some(&attr), false, cutoff)
             }
             None => scan_all(),
         },
         AccessPath::BTreeRange { attr, lo, hi } => {
             let residual = Residual::of(pred, Proof::Range { attr: &attr, lo: &lo, hi: &hi });
-            // A range over a multi-valued attribute may yield a record
-            // once per in-range value; builtin attrs are single-valued.
+            // A range over a multi-valued attribute may yield a file once
+            // per in-range value; builtin attrs are single-valued.
             let dedup = !attr.is_inode_attr();
-            match group.candidates_range(&attr, lo, hi) {
-                Some(iter) => stream_topk(iter, group, request, residual, dedup, cutoff),
+            match group.entries(&attr, lo, hi, false) {
+                Some(entries) => {
+                    let entries = entries.map(|(value, file)| Candidate::entry(file, Some(value)));
+                    stream_topk(entries, group, request, residual, Some(&attr), dedup, cutoff)
+                }
                 None => scan_all(),
             }
         }
         AccessPath::KdBox { attrs, lo, hi } => match group.candidates_kd(&attrs, &lo, &hi) {
-            Some(iter) => stream_topk(iter, group, request, whole, false, cutoff),
+            Some(ids) => {
+                let ids = ids.into_iter().map(|file| Candidate::entry(file, None));
+                stream_topk(ids, group, request, whole, None, false, cutoff)
+            }
             None => scan_all(),
         },
     };
 
-    let stats = SearchStats {
-        acgs_consulted: 1,
-        candidates_scanned: scanned,
-        retained_peak,
-        access_paths: vec![(group.id(), kind)],
-        ..SearchStats::default()
-    };
+    let stats = SearchStats { acgs_consulted: 1, access_paths: vec![(group.id(), kind)], ..stats };
     (hits, stats)
 }
 
 /// Streams candidates through the local top-k floor, the residual
 /// predicate, the cursor, the optional node-global bound and the bounded
-/// top-k accumulator. `dedup` guards the one access path (range over a
-/// multi-valued attribute) that can yield a record more than once.
-/// Returns the hits, the candidates scanned and the retained peak.
-fn stream_topk<'a, I>(
-    records: I,
-    group: &AcgEpoch,
-    request: &SearchRequest,
-    residual: Residual<'_>,
+/// top-k accumulator, resolving a candidate's record only when something
+/// reads it (see [`Fetch`]). `dedup` guards the one access path (range
+/// over a multi-valued attribute) that can yield a file more than once.
+/// The stats carry the candidates scanned, records resolved and retained
+/// peak.
+fn stream_topk<'a>(
+    candidates: impl Iterator<Item = Candidate<'a>>,
+    group: &'a AcgEpoch,
+    request: &'a SearchRequest,
+    residual: Residual<'a>,
+    walked: Option<&AttrName>,
     dedup: bool,
     cutoff: Option<&GlobalCutoff>,
-) -> (Vec<Hit>, usize, usize)
-where
-    I: Iterator<Item = &'a FileRecord>,
-{
+) -> (Vec<Hit>, SearchStats) {
+    let mut fetch = Fetch::new(group, request, residual, walked);
     let mut topk = TopK::new(&request.sort, request.limit);
     let mut seen: HashSet<FileId> = HashSet::new();
     let mut scanned = 0usize;
-    for record in records {
-        if dedup && !seen.insert(record.file) {
+    for mut candidate in candidates {
+        if dedup && !seen.insert(candidate.file) {
             continue;
         }
         scanned += 1;
-        let key = request.sort.key_of(record);
+        let key = fetch.key(&mut candidate);
         // Floor first: a candidate that does not beat the worst of a full
         // accumulator would be dropped by `offer` whether or not it matches
         // — and by the shared bound too, outranked as it is by `limit` hits
         // this scan already offered it. Most of a long scan leaves here on
         // one key compare, without the predicate or the bound's lock.
         if let Some((worst_key, worst_file)) = topk.floor() {
-            let rank = request.sort.cmp_keys(key.as_ref(), record.file, worst_key, worst_file);
+            let rank = request.sort.cmp_keys(key.as_ref(), candidate.file, worst_key, worst_file);
             if rank != Ordering::Less {
                 continue;
             }
         }
-        if !residual.matches(record) {
+        if !fetch.admits(&mut candidate) {
             continue;
         }
-        offer_hit(&mut topk, group, request, cutoff, key, record);
+        offer_hit(&mut topk, group, request, cutoff, key, candidate.file, candidate.record);
     }
-    let peak = topk.peak_retained();
-    (topk.into_sorted(), scanned, peak)
+    let stats = SearchStats {
+        candidates_scanned: scanned,
+        records_resolved: fetch.resolved,
+        retained_peak: topk.peak_retained(),
+        ..SearchStats::default()
+    };
+    (topk.into_sorted(), stats)
 }
 
-/// The tail every candidate loop shares once a record matched: the cursor,
-/// the optional node-global bound, then the bounded accumulator — the hit
-/// is only built if it will be retained.
+/// The tail every candidate loop shares once a candidate matched: the
+/// cursor, the optional node-global bound, then the bounded accumulator —
+/// the hit is only built if it will be retained. `record` is `None` only
+/// when the projection reads nothing of it.
 fn offer_hit(
     topk: &mut TopK,
     group: &AcgEpoch,
     request: &SearchRequest,
     cutoff: Option<&GlobalCutoff>,
     key: Option<Value>,
-    record: &FileRecord,
+    file: FileId,
+    record: Option<&FileRecord>,
 ) {
-    let (key, file) = (key.as_ref(), record.file);
+    let key = key.as_ref();
     if request.cursor.as_ref().is_some_and(|cursor| !cursor.admits(&request.sort, key, file))
         || cutoff.is_some_and(|cutoff| !cutoff.try_admit(key, file))
     {
@@ -354,7 +468,7 @@ fn offer_hit(
     topk.offer(key, file, || Hit {
         file,
         acg: Some(group.id()),
-        attrs: request.projection.project(record),
+        attrs: record.map_or_else(Vec::new, |r| request.projection.project(r)),
         sort_key: key.cloned(),
     });
 }
@@ -459,14 +573,16 @@ impl<'a> RelevanceScorer<'a> {
 /// The relevance fallback for non-postings plans: a full scan that scores
 /// every matching record against the group's corpus statistics. Correct on
 /// any predicate (plans are candidate supersets; the full scan is the
-/// widest one) — just never as fast as the postings merge.
+/// widest one) — just never as fast as the postings merge. Under a
+/// [`RelevanceScorer::brute`] it is also the reference executor's ranking
+/// oracle, with no inverted index involved.
 fn execute_relevance_scan(
     group: &AcgEpoch,
     request: &SearchRequest,
+    terms: &[String],
+    scorer: RelevanceScorer<'_>,
     cutoff: Option<&GlobalCutoff>,
 ) -> (Vec<Hit>, SearchStats) {
-    let terms = relevance_terms(&request.predicate);
-    let scorer = RelevanceScorer::of_group(group, &terms);
     let mut topk = TopK::new(&request.sort, request.limit);
     let mut scanned = 0usize;
     for record in group.records() {
@@ -474,12 +590,13 @@ fn execute_relevance_scan(
         if !matches_record(record, &request.predicate) {
             continue;
         }
-        let key = Some(Value::F64(scorer.score(record, &terms)));
-        offer_hit(&mut topk, group, request, cutoff, key, record);
+        let key = Some(Value::F64(scorer.score(record, terms)));
+        offer_hit(&mut topk, group, request, cutoff, key, record.file, Some(record));
     }
     let stats = SearchStats {
         acgs_consulted: 1,
         candidates_scanned: scanned,
+        records_resolved: scanned,
         retained_peak: topk.peak_retained(),
         access_paths: vec![(group.id(), AccessPathKind::FullScan)],
         ..SearchStats::default()
@@ -543,9 +660,10 @@ fn execute_postings(
     mode: ContainsMode,
     cutoff: Option<&GlobalCutoff>,
 ) -> (Vec<Hit>, SearchStats) {
-    let stats_for = |scanned, peak, blocks, docs| SearchStats {
+    let stats_for = |scanned, resolved, peak, blocks, docs| SearchStats {
         acgs_consulted: 1,
         candidates_scanned: scanned,
+        records_resolved: resolved,
         retained_peak: peak,
         access_paths: vec![(group.id(), AccessPathKind::Postings)],
         wand_blocks_skipped: blocks,
@@ -553,14 +671,11 @@ fn execute_postings(
         ..SearchStats::default()
     };
     if request.limit == Some(0) {
-        return (Vec::new(), stats_for(0, 0, 0, 0));
+        return (Vec::new(), stats_for(0, 0, 0, 0, 0));
     }
     let Some(inv) = group.inverted() else {
         // The index vanished between planning and execution; degrade to
         // the full-scan paths, which are always correct.
-        if request.sort == SortKey::Relevance {
-            return execute_relevance_scan(group, request, cutoff);
-        }
         return execute_classic(group, request, Plan { path: AccessPath::FullScan }, cutoff);
     };
 
@@ -589,12 +704,12 @@ fn execute_postings(
                     slot: scoring_terms.iter().position(|t| t == *term),
                 });
             }
-            None if conjunctive => return (Vec::new(), stats_for(0, 0, 0, 0)),
+            None if conjunctive => return (Vec::new(), stats_for(0, 0, 0, 0, 0)),
             None => {}
         }
     }
     if cursors.is_empty() {
-        return (Vec::new(), stats_for(0, 0, 0, 0));
+        return (Vec::new(), stats_for(0, 0, 0, 0, 0));
     }
     // Conjunctive merges lead with the rarest term: fewest alignment
     // candidates, and the cursor that jumps furthest on a galloping seek.
@@ -616,6 +731,7 @@ fn execute_postings(
 
     let mut topk = TopK::new(&request.sort, request.limit);
     let mut scanned = 0usize;
+    let mut resolved = 0usize;
     let mut blocks_skipped = 0usize;
     let mut docs_pruned = 0usize;
 
@@ -663,11 +779,12 @@ fn execute_postings(
             }
         }
         let Some(record) = group.record(file) else { return };
+        resolved += 1;
         let key = if relevance { score } else { request.sort.key_of(record) };
         if !residual.matches(record) {
             return;
         }
-        offer_hit(topk, group, request, cutoff, key, record);
+        offer_hit(topk, group, request, cutoff, key, file, Some(record));
     };
 
     if conjunctive {
@@ -780,24 +897,24 @@ fn execute_postings(
     }
 
     let peak = topk.peak_retained();
-    (topk.into_sorted(), stats_for(scanned, peak, blocks_skipped, docs_pruned))
+    (topk.into_sorted(), stats_for(scanned, resolved, peak, blocks_skipped, docs_pruned))
 }
 
 /// A resumable, lazily-pulled per-ACG ordered hit stream: wraps the
-/// group's ordered candidate walk (a B+-tree traversal in result order)
+/// group's B+-tree entry walk over the sort attribute (in result order)
 /// and yields **hits** — each `next()` advances the walk just far enough
-/// for the residual predicate and cursor to admit one record, then
-/// materializes exactly that record. A node search's k-way merge
+/// for the cursor and residual predicate to admit one entry. The entry
+/// carries the hit's file and sort key; its record is resolved (through
+/// the record store's leaf cursor) only when a conjunct is left unproved
+/// or the projection reads attributes. A node search's k-way merge
 /// ([`crate::session`]) holds one of these per ordered-planned ACG and
 /// pulls them on demand, so a stream whose candidates rank poorly is
 /// barely advanced at all.
 pub(crate) struct OrderedHitStream<'a> {
-    records: Box<dyn Iterator<Item = &'a FileRecord> + 'a>,
-    group_id: AcgId,
-    request: &'a SearchRequest,
+    entries: Box<dyn Iterator<Item = (&'a Value, FileId)> + 'a>,
+    fetch: Fetch<'a>,
     /// Where the walk resumes: the request's own cursor, or a session's.
     resume: Option<&'a Cursor>,
-    residual: Residual<'a>,
     scanned: usize,
     exhausted: bool,
 }
@@ -820,11 +937,9 @@ impl<'a> OrderedHitStream<'a> {
         let residual = Residual::of(&request.predicate, Proof::Range { attr, lo, hi });
         let (lo, hi) = cursor_scan_bounds(resume, lo.clone(), hi.clone(), descending);
         Some(OrderedHitStream {
-            records: group.candidates_ordered(attr, lo, hi, descending)?,
-            group_id: group.id(),
-            request,
+            entries: group.entries(attr, lo, hi, descending)?,
+            fetch: Fetch::new(group, request, residual, Some(attr)),
             resume,
-            residual,
             scanned: 0,
             exhausted: false,
         })
@@ -833,6 +948,11 @@ impl<'a> OrderedHitStream<'a> {
     /// Candidates pulled off the underlying walk so far.
     pub(crate) fn scanned(&self) -> usize {
         self.scanned
+    }
+
+    /// Records the walk resolved so far.
+    pub(crate) fn resolved(&self) -> usize {
+        self.fetch.resolved
     }
 
     /// Whether the underlying walk ran dry (no cutoff saved anything).
@@ -845,26 +965,25 @@ impl Iterator for OrderedHitStream<'_> {
     type Item = Hit;
 
     fn next(&mut self) -> Option<Hit> {
-        for record in self.records.by_ref() {
+        let request = self.fetch.request;
+        for (key, file) in self.entries.by_ref() {
             self.scanned += 1;
             // Cursor before predicate: the cursor-equal boundary candidate
             // a resumed walk re-yields (scan bounds keep equal keys for
             // the file-id tie-break) is rejected on the cheap key compare
-            // without re-evaluating the predicate.
-            let key = self.request.sort.key_of(record);
-            if let Some(cursor) = self.resume {
-                if !cursor.admits(&self.request.sort, key.as_ref(), record.file) {
-                    continue;
-                }
+            // without resolving its record.
+            if self.resume.is_some_and(|cursor| !cursor.admits(&request.sort, Some(key), file)) {
+                continue;
             }
-            if !self.residual.matches(record) {
+            let mut candidate = Candidate::entry(file, Some(key));
+            if !self.fetch.admits(&mut candidate) {
                 continue;
             }
             return Some(Hit {
-                file: record.file,
-                acg: Some(self.group_id),
-                attrs: self.request.projection.project(record),
-                sort_key: key,
+                file,
+                acg: Some(self.fetch.group.id()),
+                attrs: candidate.record.map_or_else(Vec::new, |r| request.projection.project(r)),
+                sort_key: Some(key.clone()),
             });
         }
         self.exhausted = true;
@@ -963,34 +1082,7 @@ pub fn execute_request_reference(
     if request.sort == SortKey::Relevance {
         let terms = relevance_terms(&request.predicate);
         let scorer = RelevanceScorer::brute(group.records(), &terms);
-        let mut topk = TopK::new(&request.sort, request.limit);
-        let mut scanned = 0usize;
-        for record in group.records() {
-            scanned += 1;
-            if !matches_record(record, &request.predicate) {
-                continue;
-            }
-            let key = Some(Value::F64(scorer.score(record, &terms)));
-            if let Some(cursor) = &request.cursor {
-                if !cursor.admits(&request.sort, key.as_ref(), record.file) {
-                    continue;
-                }
-            }
-            topk.push(Hit {
-                file: record.file,
-                acg: Some(group.id()),
-                attrs: request.projection.project(record),
-                sort_key: key,
-            });
-        }
-        let stats = SearchStats {
-            acgs_consulted: 1,
-            candidates_scanned: scanned,
-            retained_peak: topk.peak_retained(),
-            access_paths: vec![(group.id(), AccessPathKind::FullScan)],
-            ..SearchStats::default()
-        };
-        return (topk.into_sorted(), stats);
+        return execute_relevance_scan(group, request, &terms, scorer, None);
     }
     let plan = plan(group, &request.predicate);
     let kind = AccessPathKind::from(&plan.path);
@@ -1065,7 +1157,7 @@ mod tests {
     use super::*;
     use crate::Query;
     use propeller_index::{AcgIndexGroup, GroupConfig, IndexOp};
-    use propeller_types::{InodeAttrs, Timestamp};
+    use propeller_types::{AcgId, InodeAttrs, Timestamp};
 
     fn now() -> Timestamp {
         Timestamp::from_secs(100 * 86_400)
@@ -1334,6 +1426,68 @@ mod tests {
             );
             assert_eq!(stats.access_paths[0].1, crate::request::AccessPathKind::OrderedScan);
         }
+    }
+
+    #[test]
+    fn ordered_walk_resolves_a_record_only_when_something_reads_it() {
+        use crate::request::{next_cursor, Projection, SortKey};
+        let g = seeded_group();
+        let window = |text: &str, projection: Projection| {
+            SearchRequest::new(Query::parse(text, now()).unwrap().predicate)
+                .with_limit(10)
+                .sorted_by(SortKey::Descending(AttrName::Mtime))
+                .with_projection(projection)
+        };
+        let run = |req: &SearchRequest| {
+            let (hits, stats) = execute_request(&g, req);
+            assert_eq!(hits, execute_request_reference(&g, req).0, "{req:?}");
+            assert_eq!(stats.access_paths[0].1, AccessPathKind::OrderedScan);
+            (hits, stats.candidates_scanned, stats.records_resolved)
+        };
+        // The walk's bounds prove every conjunct and only ids are asked
+        // for: the hits are the index entries themselves.
+        let (_, scanned, resolved) = run(&window("mtime<1week & mtime>2day", Projection::Ids));
+        assert_eq!((scanned, resolved), (10, 0));
+        // A full projection resolves exactly the candidates the walk admits…
+        let req = window("mtime<1week & mtime>2day", Projection::Full);
+        let (full, scanned, resolved) = run(&req);
+        assert_eq!((scanned, resolved), (10, 10));
+        assert!(full
+            .iter()
+            .all(|h| h.attrs == Projection::Full.project(g.record(h.file).unwrap())));
+        // …and not the cursor-equal boundary entry a resumed walk re-yields.
+        let (_, scanned, resolved) = run(&req.after(next_cursor(&full, Some(10)).unwrap()));
+        assert_eq!((scanned, resolved), (11, 10));
+        // An unproved conjunct resolves every candidate the walk scans.
+        let (hits, scanned, resolved) =
+            run(&window("mtime<1week & mtime>2day & uid=1", Projection::Ids));
+        assert_eq!(hits.len(), 10);
+        assert!(scanned > 30, "three in four candidates fail uid=1: scanned {scanned}");
+        assert_eq!(resolved, scanned);
+    }
+
+    #[test]
+    fn posting_list_paths_resolve_no_record_when_their_entries_answer() {
+        use crate::request::SortKey;
+        let g = seeded_group();
+        let run = |text: &str, sort: SortKey| {
+            let req =
+                SearchRequest::new(Query::parse(text, now()).unwrap().predicate).sorted_by(sort);
+            let (hits, stats) = execute_request(&g, &req);
+            assert_eq!(hits, execute_request_reference(&g, &req).0, "{text}");
+            let kind = stats.access_paths[0].1;
+            (kind, hits.len(), stats.candidates_scanned, stats.records_resolved)
+        };
+        let (hash, range) = (AccessPathKind::HashEq, AccessPathKind::BTreeRange);
+        // Proved predicate, ids by file id: the hits are the posting ids.
+        assert_eq!(run("keyword:firefox", SortKey::FileId), (hash, 50, 50, 0));
+        assert_eq!(run("size>400m", SortKey::FileId), (range, 99, 99, 0));
+        // A range's entries carry its own attribute's sort key.
+        assert_eq!(run("size>400m", SortKey::Descending(AttrName::Size)), (range, 99, 99, 0));
+        // Sorted by another attribute, the key is read off the record.
+        assert_eq!(run("keyword:firefox", SortKey::Ascending(AttrName::Mtime)), (hash, 50, 50, 50));
+        // An unproved conjunct: every candidate is resolved.
+        assert_eq!(run("keyword:firefox & uid=2", SortKey::FileId), (hash, 25, 50, 50));
     }
 
     #[test]

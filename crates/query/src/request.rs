@@ -443,9 +443,15 @@ impl From<&AccessPath> for AccessPathKind {
 pub struct SearchStats {
     /// Index groups consulted.
     pub acgs_consulted: usize,
-    /// Candidate records fetched past the access paths and evaluated
-    /// against the full predicate.
+    /// Candidates the access paths yielded and the executor examined.
     pub candidates_scanned: usize,
+    /// Candidate records the executor read: every record a full scan or a
+    /// postings merge examined, and each index-walk candidate whose sort
+    /// key, residual or projection needed its record (resolved through
+    /// the record store's leaf cursor). A walk that proves every
+    /// conjunct, carries the sort key in its entries and projects ids
+    /// reads none: its hits are the index entries themselves.
+    pub records_resolved: usize,
     /// The largest number of hits any single ACG retained at once while
     /// computing its result (bounded by the limit when one is set — the
     /// top-k path never materializes a full result set).
@@ -549,6 +555,7 @@ impl SearchStats {
     pub fn absorb(&mut self, other: SearchStats) {
         self.acgs_consulted += other.acgs_consulted;
         self.candidates_scanned += other.candidates_scanned;
+        self.records_resolved += other.records_resolved;
         self.retained_peak = self.retained_peak.max(other.retained_peak);
         self.access_paths.extend(other.access_paths);
         self.ordered_by_count += other.ordered_by_count;
@@ -1287,6 +1294,7 @@ mod tests {
         let mut a = SearchStats {
             acgs_consulted: 1,
             candidates_scanned: 10,
+            records_resolved: 6,
             retained_peak: 5,
             access_paths: vec![(AcgId::new(1), AccessPathKind::FullScan)],
             ordered_by_count: 1,
@@ -1310,6 +1318,7 @@ mod tests {
         a.absorb(SearchStats {
             acgs_consulted: 2,
             candidates_scanned: 7,
+            records_resolved: 0,
             retained_peak: 9,
             access_paths: vec![(AcgId::new(2), AccessPathKind::HashEq)],
             ordered_by_count: 2,
@@ -1332,6 +1341,7 @@ mod tests {
         });
         assert_eq!(a.acgs_consulted, 3);
         assert_eq!(a.candidates_scanned, 17);
+        assert_eq!(a.records_resolved, 6);
         assert_eq!(a.retained_peak, 9);
         assert_eq!(a.access_paths.len(), 2);
         assert_eq!(a.ordered_by_count, 3);

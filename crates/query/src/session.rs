@@ -42,18 +42,13 @@
 //!
 //! ## Consistency
 //!
-//! A session **pins** each group's published [`AcgEpoch`] at open and, on
-//! the default [`NodeSearchSession::pull_pinned`] path, serves every page
-//! from those pinned epochs: all pages of one session read the same
-//! committed state no matter how many commits land in between
-//! (cross-page consistent pagination). Pinning is just an `Arc` clone —
-//! the owning Index Node keeps committing new epochs concurrently; the
-//! pinned ones are reclaimed when the session closes. The lower-level
-//! [`NodeSearchSession::pull`] takes an explicit epoch lookup instead,
-//! for callers that *want* read-committed-per-page semantics or need to
-//! drop an ACG mid-session (e.g. after a migration): an ACG that no
-//! longer resolves, or whose covering index is dropped, simply stops
-//! contributing; nothing panics and the remaining sources stay exact.
+//! A session **pins** each group's published [`AcgEpoch`] at open and
+//! [`NodeSearchSession::pull_pinned`] serves every page from those pinned
+//! epochs: all pages of one session read the same committed state no
+//! matter how many commits land in between (cross-page consistent
+//! pagination). Pinning is just an `Arc` clone — the owning Index Node
+//! keeps committing new epochs concurrently; the pinned ones are
+//! reclaimed when the session closes.
 
 use std::ops::Bound;
 use std::sync::Arc;
@@ -117,7 +112,7 @@ struct Walk<'a> {
 /// ordered walks.
 enum Source<'l, 'w> {
     List(Box<dyn Iterator<Item = Hit> + 'l>),
-    Walk(Walk<'w>),
+    Walk(&'l mut Walk<'w>),
 }
 
 impl Iterator for Source<'_, '_> {
@@ -172,7 +167,7 @@ impl Paging {
         &mut self,
         sort: &SortKey,
         resume: Option<&Cursor>,
-        walks: Vec<Walk<'_>>,
+        mut walks: Vec<Walk<'_>>,
         page: usize,
     ) -> SessionPage {
         let k_page = page.max(1).min(self.remaining);
@@ -199,13 +194,14 @@ impl Paging {
                 Box::new(self.classic[self.classic_ix..].iter().cloned())
             }));
         }
-        sources.extend(walks.into_iter().map(Source::Walk));
+        sources.extend(walks.iter_mut().map(Source::Walk));
         let hits: Vec<Hit> = match sources.as_mut_slice() {
             // A lone source already is the merged order: the classic list
             // is de-duplicated and a walk yields each record once.
             [only] => only.take(k_page).collect(),
             many => merge_hit_sources(many, sort, Some(k_page)),
         };
+        drop(sources);
 
         let mut stats = SearchStats {
             pages_pulled: 1,
@@ -213,18 +209,17 @@ impl Paging {
             retained_peak: hits.len(),
             ..SearchStats::default()
         };
-        for source in &sources {
-            let Source::Walk(walk) = source else { continue };
+        for walk in &walks {
             let state = &mut self.ordered[walk.ix];
             state.scanned += walk.stream.scanned();
             stats.candidates_scanned += walk.stream.scanned();
+            stats.records_resolved += walk.stream.resolved();
             // An unconsumed head (or a hit the merge pulled but did not
             // emit) is never lost: it sorts strictly after everything
             // shipped, so the resume cursor re-derives it on the next
             // pull. `exhausted` implies the merge consumed them all.
             state.done = walk.stream.exhausted();
         }
-        drop(sources);
 
         // A short page means every source ran dry; a full budget means the
         // search served its whole entitlement.
@@ -425,47 +420,23 @@ impl NodeSearchSession {
     /// pinned at open**: every page of the session reads the same
     /// committed state regardless of commits, index changes or snapshots
     /// in between. This is the Index Node's serving path.
+    ///
+    /// The ordered B+-tree walks are re-created positioned after the
+    /// resume cursor (one tree descent each); the page is served off them
+    /// and the classic tail, and the cursor moves past it.
     pub fn pull_pinned(&mut self, page: usize) -> SessionPage {
         let NodeSearchSession { request, pinned, resume, paging } = self;
-        Self::pull_from(request, resume, paging, |state| Some(&*pinned[state.group]), page)
-    }
-
-    /// Pulls the next page of at most `page` hits against an explicit
-    /// epoch `lookup` (read-committed-per-page when the caller resolves
-    /// live groups); an ACG that no longer resolves — it migrated away
-    /// mid-session — simply stops contributing.
-    pub fn pull<'g>(
-        &mut self,
-        lookup: impl Fn(AcgId) -> Option<&'g AcgEpoch>,
-        page: usize,
-    ) -> SessionPage {
-        let NodeSearchSession { request, resume, paging, .. } = self;
-        Self::pull_from(request, resume, paging, |state| lookup(state.acg), page)
-    }
-
-    /// Re-creates the ordered B+-tree walks positioned after the resume
-    /// cursor (one tree descent each), serves one page off them and the
-    /// classic tail, and moves the cursor past it.
-    fn pull_from<'g>(
-        request: &SearchRequest,
-        resume: &mut Cursor,
-        paging: &mut Paging,
-        resolve: impl Fn(&OrderedState) -> Option<&'g AcgEpoch>,
-        page: usize,
-    ) -> SessionPage {
         let mut walks = Vec::new();
         for (ix, state) in paging.ordered.iter_mut().enumerate() {
             if state.done {
                 continue;
             }
-            let stream = resolve(state).and_then(|group| {
-                let OrderedState { attr, lo, hi, descending, .. } = &*state;
-                OrderedHitStream::open(group, request, attr, lo, hi, *descending, Some(&*resume))
-            });
-            match stream {
+            let OrderedState { group, attr, lo, hi, descending, .. } = &*state;
+            let (group, resume) = (&*pinned[*group], Some(&*resume));
+            match OrderedHitStream::open(group, request, attr, lo, hi, *descending, resume) {
                 Some(stream) => walks.push(Walk { ix, head: None, stream }),
-                // The ACG migrated away or its covering index was dropped
-                // mid-session: degrade, keep the rest.
+                // A pinned epoch keeps its indices, and the walk was opened
+                // over it at planning time; degrade rather than panic.
                 None => state.done = true,
             }
         }
@@ -728,36 +699,39 @@ mod tests {
     }
 
     #[test]
-    fn vanished_acg_mid_session_degrades_without_panic() {
-        let groups = seeded_groups(3, 80, true);
+    fn window_topk_over_ordered_acgs_resolves_no_record() {
+        // The window template's shape over 16 ordered ACGs: the walks'
+        // bounds prove the predicate and only ids ship, so every page is
+        // built from B+-tree entries alone. A walk that fetched each
+        // candidate's record would resolve `candidates_scanned` of them.
+        let groups = seeded_groups(16, 200, true);
         let refs = pins(&groups);
-        let q = crate::Query::parse("size>0", now()).unwrap();
-        let req = SearchRequest::new(q.predicate)
-            .with_limit(100)
-            .sorted_by(SortKey::Descending(propeller_types::AttrName::Size));
+        let request = |text: &str| {
+            SearchRequest::new(crate::Query::parse(text, now()).unwrap().predicate)
+                .with_limit(100)
+                .sorted_by(SortKey::Descending(propeller_types::AttrName::Size))
+        };
+        let req = request("size>100k & size<3000k");
         let (first, session) = open(&refs, &req, 10);
+        assert_eq!(first.stats.access_paths.len(), 16);
+        let (mut scanned, mut resolved) =
+            (first.stats.candidates_scanned, first.stats.records_resolved);
         let mut session = session.expect("90 hits of the entitlement are left");
-        // ACG 2 "migrates away": later lookup-based pulls no longer
-        // resolve it (a caller opting out of pinned serving).
-        let remaining: Vec<&AcgEpoch> =
-            refs.iter().filter(|e| e.id() != AcgId::new(2)).map(|e| &**e).collect();
-        let mut rest = first.hits.clone();
         loop {
-            let p = session.pull(|acg| remaining.iter().copied().find(|g| g.id() == acg), 10);
-            rest.extend(p.hits);
+            let p = session.pull_pinned(10);
+            (scanned, resolved) =
+                (scanned + p.stats.candidates_scanned, resolved + p.stats.records_resolved);
             if p.exhausted {
                 break;
             }
         }
-        // Still sorted, unique, and a superset of the surviving groups'
-        // contribution past the first page.
-        assert!(rest
-            .windows(2)
-            .all(|w| req.sort.cmp_hits(&w[0], &w[1]) == std::cmp::Ordering::Less));
-        let mut files: Vec<FileId> = rest.iter().map(|h| h.file).collect();
-        files.sort_unstable();
-        files.dedup();
-        assert_eq!(files.len(), rest.len(), "no duplicates across pages");
+        assert!(scanned >= 100, "the walks scanned the whole top-100: {scanned}");
+        assert_eq!(resolved, 0);
+        // `uid` has no index, so its conjunct stays in the residual and
+        // every scanned candidate is resolved.
+        let (first, _) = open(&refs, &request("size>100k & size<3000k & uid=0"), 10);
+        assert!(first.stats.candidates_scanned >= 10);
+        assert_eq!(first.stats.records_resolved, first.stats.candidates_scanned);
     }
 
     #[test]

@@ -1,9 +1,18 @@
 //! Additional property-based coverage: WAL framing, index-op codec,
-//! B+-tree/K-D tree invariants under arbitrary inputs, and query-parser
-//! robustness.
+//! B+-tree/K-D tree invariants under arbitrary inputs, query-parser
+//! robustness, and index-only walks against the reference executor under
+//! churn.
 
-use propeller::index::{BPlusTree, FileRecord, IndexOp, KdTree, Wal};
-use propeller::types::{FileId, InodeAttrs, Timestamp, Value};
+use std::sync::Arc;
+
+use propeller::index::{
+    AcgEpoch, AcgIndexGroup, BPlusTree, FileRecord, GroupConfig, IndexOp, IndexSpec, KdTree, Wal,
+};
+use propeller::query::{
+    execute_classic, execute_request_reference, merge_sorted_hits, CompareOp, Hit,
+    NodeSearchSession, Predicate, Projection, SearchRequest, SortKey,
+};
+use propeller::types::{AcgId, AttrName, FileId, InodeAttrs, Timestamp, Value};
 use propeller::Query;
 use proptest::prelude::*;
 
@@ -42,8 +51,120 @@ fn arb_record() -> impl Strategy<Value = FileRecord> {
         })
 }
 
+/// A file of the churn corpus: `(size, mtime, ctime, uid)` over small
+/// ranges, so sort keys tie and windows split the data.
+fn churn_record(file: u64, (size, mtime, ctime, uid): (u64, u64, u64, u64)) -> FileRecord {
+    let attrs = InodeAttrs::builder()
+        .size(size)
+        .mtime(Timestamp::from_micros(mtime))
+        .ctime(Timestamp::from_micros(ctime))
+        .uid(uid as u32)
+        .build();
+    FileRecord::new(FileId::new(file), attrs)
+}
+
+/// Every page of a node search over `epochs`, `page` hits at a time.
+fn drain_session(epochs: &[Arc<AcgEpoch>], req: &SearchRequest, page: usize) -> Vec<Hit> {
+    let (first, mut session) = NodeSearchSession::open(epochs, req, page, |tasks, cutoff| {
+        let cutoff = cutoff.map(|c| &**c);
+        tasks.into_iter().map(|t| execute_classic(&epochs[t.group], req, t.plan, cutoff)).collect()
+    });
+    let mut hits = first.hits;
+    while let Some(open) = &mut session {
+        let next = open.pull_pinned(page);
+        hits.extend(next.hits);
+        if next.exhausted {
+            session = None;
+        }
+    }
+    hits
+}
+
+/// The reference executor's answer for a node: each epoch alone, merged.
+fn node_reference(epochs: &[Arc<AcgEpoch>], req: &SearchRequest) -> Vec<Hit> {
+    let per_acg = epochs.iter().map(|e| execute_request_reference(e, req).0).collect();
+    merge_sorted_hits(per_acg, &req.sort, req.limit)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Index-only walks change no hit. A node of two ACGs (one with a
+    /// ctime B+-tree, so ctime sorts walk there and scan in the other) is
+    /// searched by sort-attribute windows, some with an unproved `uid` or
+    /// `size` conjunct, under every projection, paged by 1, 3 and 64 and
+    /// resumed from a cursor. The streamed pages must equal the reference
+    /// executor's merged answer — on the epochs pinned before a churn of
+    /// removes and same-file re-upserts with a moved mtime, and on those
+    /// after it.
+    #[test]
+    fn index_only_walks_match_the_reference_under_churn(
+        rows in prop::collection::vec((0u64..40, 0u64..40, 0u64..40, 0u64..3), 1..80),
+        churn in prop::collection::vec((any::<usize>(), 0u64..40, 0u64..8), 0..30),
+        (sort_attr, descending, lo, hi) in (0usize..3, any::<bool>(), 0u64..45, 0u64..45),
+        (uid, size_gt) in (0u64..5, 0u64..50),
+        (projection, limit, page) in (0usize..3, 1usize..25, 0usize..3),
+        (resume, cursor_at) in (any::<bool>(), any::<usize>()),
+    ) {
+        let mut groups: Vec<AcgIndexGroup> = (1..=2)
+            .map(|acg| AcgIndexGroup::new(AcgId::new(acg), GroupConfig::default()))
+            .collect();
+        groups[0].create_index(IndexSpec::btree("ctime_btree", AttrName::Ctime)).unwrap();
+        let t = Timestamp::from_secs(1);
+        for (file, row) in rows.iter().enumerate() {
+            let op = IndexOp::Upsert(churn_record(file as u64, *row));
+            groups[file % 2].enqueue(op, t).unwrap();
+        }
+        let commit_and_pin = |groups: &mut Vec<AcgIndexGroup>| -> Vec<Arc<AcgEpoch>> {
+            groups.iter_mut().for_each(|g| assert!(g.commit(t).is_ok()));
+            groups.iter().map(|g| g.pin()).collect()
+        };
+        let before = commit_and_pin(&mut groups);
+        for &(pick, mtime, kind) in &churn {
+            let file = pick % rows.len();
+            let (size, _, ctime, uid) = rows[file];
+            let op = match kind {
+                0 => IndexOp::Remove(FileId::new(file as u64)),
+                _ => IndexOp::Upsert(churn_record(file as u64, (size, mtime, ctime, uid))),
+            };
+            groups[file % 2].enqueue(op, t).unwrap();
+        }
+        let after = commit_and_pin(&mut groups);
+
+        let attr = [AttrName::Size, AttrName::Mtime, AttrName::Ctime][sort_attr].clone();
+        let mut conjuncts = vec![
+            Predicate::cmp(attr.clone(), CompareOp::Ge, Value::U64(lo.min(hi))),
+            Predicate::cmp(attr.clone(), CompareOp::Lt, Value::U64(lo.max(hi))),
+        ];
+        // Out-of-range draws leave the conjunct out.
+        if uid < 3 {
+            conjuncts.push(Predicate::cmp(AttrName::Uid, CompareOp::Eq, Value::U64(uid)));
+        }
+        if size_gt < 40 {
+            conjuncts.push(Predicate::cmp(AttrName::Size, CompareOp::Gt, Value::U64(size_gt)));
+        }
+        let sort =
+            if descending { SortKey::Descending(attr.clone()) } else { SortKey::Ascending(attr.clone()) };
+        let projection = match projection {
+            0 => Projection::Ids,
+            1 => Projection::Attrs(vec![attr]),
+            _ => Projection::Full,
+        };
+        let req = SearchRequest::new(Predicate::And(conjuncts))
+            .with_limit(limit)
+            .sorted_by(sort)
+            .with_projection(projection);
+        let page = [1, 3, 64][page];
+        for pinned in [&before, &after] {
+            let mut req = req.clone();
+            let first = node_reference(pinned, &req);
+            if resume && !first.is_empty() {
+                req = req.after(propeller::Cursor::after(&first[cursor_at % first.len()]));
+            }
+            let streamed = drain_session(pinned, &req, page);
+            prop_assert_eq!(&streamed, &node_reference(pinned, &req), "page {}: {:?}", page, req);
+        }
+    }
 
     /// Any op encodes and decodes to itself.
     #[test]
