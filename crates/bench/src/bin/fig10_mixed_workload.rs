@@ -1,23 +1,20 @@
-//! Figure 10: mixed workload on a 50M-file dataset — 10 000 updates to one
-//! 1000-file group with a search every 1 024 updates and a background
-//! commit every 500. Propeller's per-request latency is *measured* on the
-//! real single-node service; the centralized baseline's is modeled against
-//! the global 50M-entry index (building 50M real rows is not feasible, and
-//! the paper's point is structural).
+//! Figure 10: mixed workload on one 1000-file ACG group — 10 000 updates
+//! with a search every 1 024 updates and a background commit every 500.
+//! Propeller's per-request latency is measured on the real single-node
+//! service. The paper's numbers (taken on a 50M-file dataset against a
+//! MySQL baseline) are printed for reference only.
 
 use std::time::Instant;
 
 use propeller_bench::{scales, table};
 use propeller_core::{FileRecord, Propeller, PropellerConfig};
 use propeller_query::Query;
-use propeller_storage::{Disk, DiskProfile, PageIoModel};
 use propeller_types::{FileId, InodeAttrs, Timestamp};
 use propeller_workloads::{MixedOp, MixedWorkload};
 
 fn main() {
-    table::banner("Figure 10: mixed workload (50M files), per-request latency");
+    table::banner("Figure 10: mixed workload (one 1000-file group), per-request latency");
 
-    // --- Propeller: real execution over one 1000-file group -------------
     let mut service = Propeller::new(PropellerConfig::default());
     let group: Vec<FileId> = (0..scales::GROUP_FILES).map(FileId::new).collect();
     service.bind_group(&group).unwrap();
@@ -55,47 +52,27 @@ fn main() {
         }
     }
 
-    // --- Centralized baseline: modeled per-update latency ----------------
-    let model = PageIoModel::default();
-    let mut disk = Disk::new(DiskProfile::hdd_7200());
-    let mut db_update_lat = Vec::new();
-    for _ in 0..10_000u64 {
-        let t = model.update_run_cost(scales::M50, 1, &mut disk);
-        db_update_lat.push(t.as_secs_f64() * 1e6);
-    }
-
     let avg = |v: &[f64]| v.iter().sum::<f64>() / v.len().max(1) as f64;
-    let pp_avg = avg(&pp_update_lat);
-    let db_avg = avg(&db_update_lat);
-
-    table::header(&["series", "requests", "avg latency (us)", "p99 (us)"]);
     let p99 = |v: &[f64]| {
         let mut s = v.to_vec();
         s.sort_by(f64::total_cmp);
         s[(s.len() as f64 * 0.99) as usize]
     };
-    table::row(&[
-        "propeller updates".into(),
-        format!("{}", pp_update_lat.len()),
-        format!("{pp_avg:.1}"),
-        format!("{:.1}", p99(&pp_update_lat)),
-    ]);
-    table::row(&[
-        "propeller searches".into(),
-        format!("{}", pp_search_lat.len()),
-        format!("{:.1}", avg(&pp_search_lat)),
-        format!("{:.1}", p99(&pp_search_lat)),
-    ]);
-    table::row(&[
-        "centralized updates".into(),
-        format!("{}", db_update_lat.len()),
-        format!("{db_avg:.1}"),
-        format!("{:.1}", p99(&db_update_lat)),
-    ]);
-    println!("\nre-indexing latency ratio (centralized / propeller): {:.0}x", db_avg / pp_avg);
+    table::header(&["series", "requests", "avg latency (us)", "p99 (us)"]);
+    for (series, lat) in
+        [("propeller updates", &pp_update_lat), ("propeller searches", &pp_search_lat)]
+    {
+        table::row(&[
+            series.into(),
+            format!("{}", lat.len()),
+            format!("{:.1}", avg(lat)),
+            format!("{:.1}", p99(lat)),
+        ]);
+    }
     println!(
-        "paper reference: Propeller 15.6 us vs MySQL 3980.9 us average \
-         re-indexing latency (250x); Propeller's commit-before-search penalty \
-         stays small because the index scale is the group, not the dataset"
+        "\npaper reference (50M files): Propeller 15.6 us vs MySQL 3980.9 us \
+         average re-indexing latency (250x); Propeller's commit-before-search \
+         penalty stays small because the index scale is the group, not the \
+         dataset"
     );
 }

@@ -6,18 +6,12 @@ use std::process::Command;
 
 const EXPERIMENTS: &[(&str, &[&str])] = &[
     ("table1_app_overlap", &[]),
-    ("fig2a_partition_size", &[]),
-    ("fig2b_inter_partition", &[]),
     ("fig7_thrift_acg", &[]),
     ("table2_partitioning", &["--quick"]),
     ("fig1_spotlight_recall", &[]),
-    ("fig8_indexing_scale", &[]),
-    ("table3_global_search", &[]),
-    ("table4_cluster_scaling", &[]),
     ("fig10_mixed_workload", &[]),
     ("table5_spotlight_static", &["--quick"]),
     ("fig11_dynamic_namespace", &["--quick"]),
-    ("table6_postmark", &[]),
     ("ablation_partitioning", &[]),
     ("ablation_cache", &[]),
 ];
@@ -48,5 +42,29 @@ fn main() {
     } else {
         println!("{} experiment(s) failed: {failures:?}", failures.len());
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::BTreeSet;
+    use std::path::Path;
+
+    use super::EXPERIMENTS;
+
+    #[test]
+    fn experiments_list_every_bin_and_nothing_else() {
+        let bin_dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("src/bin");
+        let on_disk: BTreeSet<String> = std::fs::read_dir(&bin_dir)
+            .expect("read src/bin")
+            .map(|entry| entry.expect("dir entry").path())
+            .filter(|path| path.extension().is_some_and(|ext| ext == "rs"))
+            .map(|path| path.file_stem().unwrap().to_string_lossy().into_owned())
+            .filter(|name| name != "run_all")
+            .collect();
+        let listed: BTreeSet<String> =
+            EXPERIMENTS.iter().map(|(name, _)| name.to_string()).collect();
+        assert_eq!(listed.len(), EXPERIMENTS.len(), "EXPERIMENTS names a bin twice");
+        assert_eq!(on_disk, listed);
     }
 }

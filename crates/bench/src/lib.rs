@@ -1,28 +1,19 @@
 //! Shared harness code for the experiment binaries.
 //!
-//! Each table and figure of the paper has a binary under `src/bin/`
-//! (`fig1_spotlight_recall`, `table4_cluster_scaling`, …). This library
-//! holds the pieces they share: the cluster-search cost model calibrated to
-//! the paper's testbed, dataset-size constants, and small table-printing
-//! helpers. Run everything with `cargo run --release -p propeller-bench
-//! --bin run_all`.
+//! Each reproduced table and figure of the paper has a binary under
+//! `src/bin/` (`fig1_spotlight_recall`, `table5_spotlight_static`, …), and
+//! each one runs the partitioner, the single-node `Propeller` service or the
+//! baselines. This library holds what they share: the ACG group size and
+//! small table-printing helpers. Run everything with `cargo run --release -p
+//! propeller-bench --bin run_all`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod model;
 pub mod table;
 
-pub use model::ClusterSearchModel;
-
-/// The paper's dataset scales (§V-B/§V-C).
+/// The paper's dataset scales (§V-B).
 pub mod scales {
-    /// Small single-node comparison dataset.
-    pub const M10: u64 = 10_000_000;
-    /// The 50-million-file dataset.
-    pub const M50: u64 = 50_000_000;
-    /// The 100-million-file dataset.
-    pub const M100: u64 = 100_000_000;
     /// Files per ACG group in the single-node experiments.
     pub const GROUP_FILES: u64 = 1_000;
 }

@@ -19,16 +19,6 @@ pub fn row(cells: &[String]) {
     println!("{}", row.join(" "));
 }
 
-/// Formats seconds with 3 fractional digits.
-pub fn secs(s: f64) -> String {
-    format!("{s:.3}")
-}
-
-/// Formats a ratio like `61.3x`.
-pub fn ratio(r: f64) -> String {
-    format!("{r:.1}x")
-}
-
 /// Prints an experiment banner.
 pub fn banner(title: &str) {
     println!();

@@ -3,8 +3,8 @@
 use propeller_types::Duration;
 use rand::Rng;
 
-/// A distribution of latencies, sampled per operation by the disk, network
-/// and file-system cost models.
+/// A distribution of latencies, sampled per message by the network cost
+/// model and by injected node slowdowns.
 ///
 /// # Examples
 ///

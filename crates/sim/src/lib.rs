@@ -2,8 +2,8 @@
 //!
 //! The Propeller paper evaluates on 50–100 million-file datasets stored on
 //! 7200 RPM disks in a 9-node GbE cluster. Reproducing those figures on a
-//! laptop requires running the *same code paths* while accounting disk,
-//! network and CPU costs on a **virtual clock** instead of the wall clock.
+//! laptop requires running the *same code paths* while accounting network
+//! costs on a **virtual clock** instead of the wall clock.
 //! This crate provides that substrate:
 //!
 //! * [`SimClock`] — a shareable, thread-safe virtual clock,

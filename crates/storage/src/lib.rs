@@ -1,31 +1,18 @@
-//! Storage substrate: analytic cost models and the shared namespace.
+//! Storage substrate: the network model and the shared namespace.
 //!
-//! The paper's testbed is physical: 7200 RPM HDDs under Ext4, a GbE switch,
-//! and several comparison file systems (Table VI). This crate rebuilds that
-//! layer as *cost models* driven by the virtual clock, plus a real in-memory
-//! shared-storage namespace:
+//! The paper's cluster shares one file system over a GbE switch. This crate
+//! holds the two pieces of that layer the cluster runs on:
 //!
-//! * [`Disk`] / [`DiskProfile`] — seek + rotation + transfer HDD/SSD model,
-//! * [`PageIoModel`] — B+-tree/page-level I/O cost math used to model index
-//!   maintenance at 50–100 M-file scale (Figures 2 and 8, Table III),
-//! * [`FsModel`] / [`FsCostProfile`] — per-operation cost profiles for the
-//!   Table VI file systems (Ext4, Btrfs, PTFS, NTFS-3g, ZFS-fuse, and the
-//!   Propeller FUSE client with inline indexing),
 //! * [`Network`] — GbE latency/bandwidth model for the cluster fabric,
+//!   charged on the virtual clock in modeled-mode runs of the RPC fabric,
 //! * [`SharedStorage`] — the shared namespace under the Propeller cluster
 //!   (paths, attributes, snapshots).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod costs;
-mod disk;
-mod fsmodel;
 mod net;
 mod shared;
 
-pub use costs::{GroupIndexModel, PageIoModel};
-pub use disk::{Disk, DiskProfile};
-pub use fsmodel::{FsCostProfile, FsModel, FsOp};
 pub use net::Network;
 pub use shared::SharedStorage;

@@ -11,8 +11,6 @@
 //!   files-per-second intensity (Figures 1 and 11),
 //! * [`MixedWorkload`] — the Figure 10 stream: updates with a search every
 //!   `r` updates and background commits every `c` updates,
-//! * [`PostMark`] — a complete PostMark implementation (Table VI) driven
-//!   against the [`propeller_storage::FsModel`] cost profiles,
 //! * [`ZipfTerms`] — Zipf-skewed keyword vocabularies for the ranked
 //!   content-search (top-k postings) experiment.
 
@@ -22,11 +20,9 @@
 mod fps;
 mod mixed;
 mod namespace;
-mod postmark;
 mod terms;
 
 pub use fps::FpsCopier;
 pub use mixed::{MixedOp, MixedWorkload};
 pub use namespace::NamespaceSpec;
-pub use postmark::{PostMark, PostMarkConfig, PostMarkReport};
 pub use terms::ZipfTerms;

@@ -55,10 +55,10 @@
 //! | [`acg`] | the ACG, components, multilevel 2-way partitioner |
 //! | [`index`] | B+-tree, hash, K-D tree, WAL, lazy cache, index groups |
 //! | [`query`] | query language, planner, executor |
-//! | [`storage`] | disk/network/FS cost models, shared storage |
+//! | [`storage`] | network model, shared namespace |
 //! | [`cluster`] | Master Node, Index Nodes, client engine, RPC fabric |
 //! | [`baselines`] | MySQL-like store, Spotlight-like crawler, brute force |
-//! | [`workloads`] | namespaces, FPS copiers, mixed loads, PostMark |
+//! | [`workloads`] | namespaces, FPS copiers, mixed loads, Zipf term vocabularies |
 //! | [`sim`] | virtual clock, event queue, deterministic RNG |
 //!
 //! The distributed service lives in [`cluster::Cluster`]; the single-node
