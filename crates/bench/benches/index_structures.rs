@@ -1,8 +1,8 @@
-//! Criterion micro-benchmarks for the index substrate: B+-tree, hash
-//! index and K-D tree inserts and queries at several scales.
+//! Criterion micro-benchmarks for the index substrate: B+-tree and K-D
+//! tree inserts and queries at several scales.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use propeller_index::{BPlusTree, HashIndex, KdTree};
+use propeller_index::{BPlusTree, KdTree};
 use propeller_types::FileId;
 
 fn bench_btree(c: &mut Criterion) {
@@ -30,30 +30,6 @@ fn bench_btree(c: &mut Criterion) {
             b.iter(|| {
                 k = (k + 7919) % n;
                 tree.range(k..k + 100).count()
-            })
-        });
-    }
-    group.finish();
-}
-
-fn bench_hash(c: &mut Criterion) {
-    let mut group = c.benchmark_group("hash");
-    for &n in &[1_000u64, 100_000] {
-        group.bench_with_input(BenchmarkId::new("insert", n), &n, |b, &n| {
-            b.iter(|| {
-                let mut h = HashIndex::new();
-                for i in 0..n {
-                    h.insert(i, i);
-                }
-                h
-            })
-        });
-        let table: HashIndex<u64, u64> = (0..n).map(|i| (i, i)).collect();
-        group.bench_with_input(BenchmarkId::new("probe", n), &n, |b, &n| {
-            let mut k = 0;
-            b.iter(|| {
-                k = (k + 7919) % n;
-                table.get(&k)
             })
         });
     }
@@ -99,5 +75,5 @@ fn bench_kdtree(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_btree, bench_hash, bench_kdtree);
+criterion_group!(benches, bench_btree, bench_kdtree);
 criterion_main!(benches);

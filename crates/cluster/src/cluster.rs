@@ -78,10 +78,6 @@ pub struct ClusterConfig {
     /// bounded slow-query ring, dumpable via [`Cluster::slow_queries`].
     /// `None` (the default) disables capture.
     pub slow_query_threshold: Option<Duration>,
-    /// Master switch for node-side metrics recording on the hot paths
-    /// (histograms; counters always run — they feed `NodeStats`). On by
-    /// default; benchmarks flip it off to measure the overhead.
-    pub obs_enabled: bool,
 }
 
 impl Default for ClusterConfig {
@@ -102,7 +98,6 @@ impl Default for ClusterConfig {
             follower_reads: false,
             trace_sample_every: 0,
             slow_query_threshold: None,
-            obs_enabled: true,
         }
     }
 }
@@ -233,7 +228,6 @@ impl Cluster {
             data_dir: config.data_dir.as_ref().map(|d| d.join(format!("node-{}", id.raw()))),
             snapshot_wal_ops: config.snapshot_wal_ops,
             slow_query_threshold: config.slow_query_threshold,
-            obs_enabled: config.obs_enabled,
             ..IndexNodeConfig::default()
         }
     }

@@ -9,10 +9,12 @@
 //! With a [`IndexNodeConfig::data_dir`] configured the node is **durable**:
 //! every hosted group gets a file-backed WAL (`acg-<id>.wal`) and
 //! LSN-anchored snapshots (`acg-<id>-<lsn>.snap`) in that directory,
-//! batches are fsynced before they are acknowledged, snapshots fire off a
-//! WAL-bytes/ops threshold (and after migrations), and [`IndexNode::open`]
-//! restores every group from the newest valid snapshot plus its WAL
-//! suffix — so a crashed-and-revived node serves its pre-crash hits.
+//! batches are fsynced before they are acknowledged, snapshots fire once a
+//! group's WAL holds `SNAPSHOT_WAL_BYTES` (4 MiB) of frames or
+//! [`IndexNodeConfig::snapshot_wal_ops`] ops (and after migrations), and
+//! [`IndexNode::open`] restores every group from the newest valid snapshot
+//! plus its WAL suffix — so a crashed-and-revived node serves its
+//! pre-crash hits.
 
 use std::collections::{HashMap, VecDeque};
 use std::path::PathBuf;
@@ -23,7 +25,7 @@ use bytes::BufMut;
 use propeller_acg::{bisect, AcgGraph, PartitionConfig};
 use propeller_index::{
     durable, snapshot, take_u64, AcgEpoch, AcgIndexGroup, EpochSnapshotJob, FileRecord,
-    GroupConfig, IndexSpec, Wal,
+    GroupConfig, IndexOp, IndexSpec, Wal,
 };
 use propeller_obs::{
     names, Counter, Histogram, Lane, NodeObs, OpenSpan, SlowQuery, SpanKind, TraceContext,
@@ -38,6 +40,11 @@ use propeller_types::{AcgId, Duration, Error, FileId, NodeId, Timestamp};
 
 use crate::messages::{AcgSummary, Request, Response};
 use crate::pool::WorkerPool;
+
+/// Snapshot a durable group once this many WAL frame bytes have been
+/// logged since its last snapshot, so its log stays bounded whatever the
+/// op size (the op-count threshold is [`IndexNodeConfig::snapshot_wal_ops`]).
+const SNAPSHOT_WAL_BYTES: u64 = 4 << 20;
 
 /// Envelope magic and version of the durable stale-route tombstone file.
 const TOMBSTONE_MAGIC: [u8; 4] = *b"PTMB";
@@ -381,20 +388,14 @@ pub struct IndexNodeConfig {
     /// recovers from them. `None` (the default) keeps everything in
     /// memory — the historical, simulation-friendly behaviour.
     pub data_dir: Option<PathBuf>,
-    /// Snapshot a durable group once this many frame bytes have been
-    /// logged since its last snapshot (the log stays bounded regardless
-    /// of op size).
-    pub snapshot_wal_bytes: u64,
     /// Snapshot a durable group once this many ops have been logged since
-    /// its last snapshot (recovery replay stays O(delta)).
+    /// its last snapshot (recovery replay stays O(delta)); it also
+    /// snapshots past the fixed `SNAPSHOT_WAL_BYTES` (4 MiB) of frames.
     pub snapshot_wal_ops: u64,
     /// Capture any search whose node-side service time reaches this
     /// threshold into the slow-query ring (plan, stats, spans; see
     /// `Request::DumpSlowQueries`). `None` (the default) disables capture.
     pub slow_query_threshold: Option<Duration>,
-    /// Record per-request metrics (latency histograms) on the hot paths.
-    /// On by default; benches turn it off to measure the baseline.
-    pub obs_enabled: bool,
 }
 
 impl Default for IndexNodeConfig {
@@ -409,10 +410,8 @@ impl Default for IndexNodeConfig {
             max_search_sessions: 1024,
             max_search_sessions_per_client: 8,
             data_dir: None,
-            snapshot_wal_bytes: 4 << 20,
             snapshot_wal_ops: 10_000,
             slow_query_threshold: None,
-            obs_enabled: true,
         }
     }
 }
@@ -738,14 +737,13 @@ impl IndexNode {
     /// ingest nor searches.
     fn maybe_snapshot(&mut self, acg: AcgId, now: Timestamp) {
         self.drain_snapshot_completions();
-        let (ops_thr, bytes_thr) = (self.config.snapshot_wal_ops, self.config.snapshot_wal_bytes);
-        let commits = Arc::clone(&self.commits);
         let Some(group) = self.groups.get_mut(&acg) else { return };
         if !group.is_durable() {
             return;
         }
-        if (group.wal_ops() >= ops_thr || group.wal_bytes_since_snapshot() >= bytes_thr)
-            && Self::commit_group(&commits, group, now).is_ok()
+        if (group.wal_ops() >= self.config.snapshot_wal_ops
+            || group.wal_bytes_since_snapshot() >= SNAPSHOT_WAL_BYTES)
+            && Self::commit_group(&self.commits, group, now).is_ok()
         {
             if let Some(job) = group.begin_snapshot() {
                 self.snapshots_offloaded.inc();
@@ -770,10 +768,9 @@ impl IndexNode {
         acgs: &[AcgId],
         now: Timestamp,
     ) -> Result<Vec<Arc<AcgEpoch>>, Error> {
-        let commits = Arc::clone(&self.commits);
         for acg in acgs {
             if let Some(group) = self.groups.get_mut(acg) {
-                Self::commit_group(&commits, group, now)?;
+                Self::commit_group(&self.commits, group, now)?;
             }
         }
         Ok(acgs.iter().filter_map(|acg| self.groups.get(acg)).map(AcgIndexGroup::pin).collect())
@@ -803,6 +800,53 @@ impl IndexNode {
             }
         }
         self.persist_tombstones();
+    }
+
+    /// Lifts the stale-route tombstones of `records`' files in `acg`: they
+    /// live here again (installed or seeded), so batches routing them here
+    /// are valid. Persisted on change, or a revival would resurrect the
+    /// tombstones and reject valid batches forever.
+    fn lift_tombstones(&mut self, acg: AcgId, records: &[FileRecord]) {
+        let Some(moved) = self.moved_away.get_mut(&acg) else { return };
+        let before = moved.len();
+        for record in records {
+            moved.remove(&record.file);
+        }
+        let changed = moved.len() != before;
+        if moved.is_empty() {
+            self.moved_away.remove(&acg);
+        }
+        if changed {
+            self.persist_tombstones();
+        }
+    }
+
+    /// The node's one write path (paper §IV): appends `ops` to `acg`'s
+    /// group, created on first use, as ONE group-committed WAL frame
+    /// buffered all-or-nothing. On a durable group the frame is fsynced
+    /// before this returns, so no caller acknowledges a batch a crash
+    /// could lose; the fsync is timed into `wal_fsync_us` and recorded as
+    /// a `WalFsync` child of `parent`. Returns the frame's LSN.
+    fn log_batch(
+        &mut self,
+        acg: AcgId,
+        ops: Vec<IndexOp>,
+        now: Timestamp,
+        parent: TraceContext,
+    ) -> Result<u64, Error> {
+        let clock = Arc::clone(&self.clock);
+        let group = self.group_mut(acg)?;
+        group.enqueue_batch(ops, now)?;
+        let lsn = group.last_lsn();
+        if group.is_durable() {
+            let f0 = clock.now();
+            group.sync_wal()?;
+            let f1 = clock.now();
+            self.h_fsync.record(f1.since(f0).as_micros());
+            let fsync = self.obs.spans.begin(parent, SpanKind::WalFsync, f0);
+            self.obs.spans.finish(fsync, f1);
+        }
+        Ok(lsn)
     }
 
     fn summaries(&self) -> Vec<AcgSummary> {
@@ -872,7 +916,6 @@ impl IndexNode {
                 let clock = Arc::clone(&self.clock);
                 let sessions = Arc::clone(&self.sessions);
                 let obs = Arc::clone(&self.obs);
-                let obs_enabled = self.config.obs_enabled;
                 let h_pull = Arc::clone(&self.h_pull);
                 let node_id = self.id;
                 let submitted = span.enabled().then(|| clock.now());
@@ -892,9 +935,7 @@ impl IndexNode {
                     let finished = clock.now();
                     stats.elapsed = finished.since(started);
                     stats.node_elapsed = vec![(node_id, stats.elapsed)];
-                    if obs_enabled {
-                        h_pull.record(stats.elapsed.as_micros());
-                    }
+                    h_pull.record(stats.elapsed.as_micros());
                     if span.enabled() {
                         obs.spans.finish_with(
                             span,
@@ -939,9 +980,7 @@ impl IndexNode {
         // The commit-before-search prefix is the epoch-pin wait:
         // everything after it reads immutable pins.
         let pinned = self.clock.now();
-        if self.config.obs_enabled {
-            self.h_epoch_pin.record(pinned.since(started).as_micros());
-        }
+        self.h_epoch_pin.record(pinned.since(started).as_micros());
         if span.enabled() {
             let pin = self.obs.spans.begin(span.ctx(), SpanKind::EpochPin, started);
             self.obs.spans.finish(pin, pinned);
@@ -952,7 +991,6 @@ impl IndexNode {
         let commits_before = commits.get();
         let sessions = Arc::clone(&self.sessions);
         let obs = Arc::clone(&self.obs);
-        let obs_enabled = self.config.obs_enabled;
         let slow_after = self.config.slow_query_threshold;
         let h_search = Arc::clone(&self.h_search);
         let node_id = self.id;
@@ -981,9 +1019,7 @@ impl IndexNode {
             let finished = clock.now();
             stats.elapsed = finished.since(started);
             stats.node_elapsed = vec![(node_id, stats.elapsed)];
-            if obs_enabled {
-                h_search.record(stats.elapsed.as_micros());
-            }
+            h_search.record(stats.elapsed.as_micros());
             if span.enabled() {
                 let detail = format!(
                     "acgs={} session={session_id} hits={}",
@@ -1011,48 +1047,18 @@ impl IndexNode {
                 }
                 let started = self.clock.now();
                 let span = self.obs.spans.begin(ctx, SpanKind::Ingest, started);
-                let obs = Arc::clone(&self.obs);
-                let clock = Arc::clone(&self.clock);
-                let obs_enabled = self.config.obs_enabled;
-                let h_ingest = Arc::clone(&self.h_ingest);
-                let h_fsync = Arc::clone(&self.h_fsync);
                 let n_ops = ops.len();
                 self.ops_received.add(n_ops as u64);
-                let group = match self.group_mut(acg) {
-                    Ok(group) => group,
+                let lsn = match self.log_batch(acg, ops, now, span.ctx()) {
+                    Ok(lsn) => lsn,
                     Err(e) => return Response::Err(e),
                 };
-                // Group commit: the whole batch becomes ONE WAL frame (one
-                // syscall on the file backend) and is buffered
-                // all-or-nothing.
-                if let Err(e) = group.enqueue_batch(ops, now) {
-                    return Response::Err(e);
-                }
-                let lsn = group.last_lsn();
-                // Durability point: a durable node acknowledges a batch
-                // only once its frame is on stable storage.
-                let durable = group.is_durable();
-                if durable {
-                    let f0 = clock.now();
-                    if let Err(e) = group.sync_wal() {
-                        return Response::Err(e);
-                    }
-                    let f1 = clock.now();
-                    if obs_enabled {
-                        h_fsync.record(f1.since(f0).as_micros());
-                    }
-                    if span.enabled() {
-                        let fsync = obs.spans.begin(span.ctx(), SpanKind::WalFsync, f0);
-                        obs.spans.finish(fsync, f1);
-                    }
-                    self.maybe_snapshot(acg, now);
-                }
-                let finished = clock.now();
-                if obs_enabled {
-                    h_ingest.record(finished.since(started).as_micros());
-                }
+                self.maybe_snapshot(acg, now);
+                let finished = self.clock.now();
+                self.h_ingest.record(finished.since(started).as_micros());
                 if span.enabled() {
-                    obs.spans.finish_with(span, finished, format!("{acg} ops={n_ops} lsn={lsn}"));
+                    let detail = format!("{acg} ops={n_ops} lsn={lsn}");
+                    self.obs.spans.finish_with(span, finished, detail);
                 }
                 Response::BatchLogged { lsn }
             }
@@ -1060,20 +1066,13 @@ impl IndexNode {
                 // No stale-route check here: the primary already validated
                 // the batch's routes when it logged the frame; a replicated
                 // frame must apply verbatim or replicas diverge.
-                let started = self.clock.now();
-                let span = self.obs.spans.begin(ctx, SpanKind::Replicate, started);
-                let obs = Arc::clone(&self.obs);
-                let clock = Arc::clone(&self.clock);
-                let obs_enabled = self.config.obs_enabled;
-                let h_fsync = Arc::clone(&self.h_fsync);
+                let span = self.obs.spans.begin(ctx, SpanKind::Replicate, self.clock.now());
                 let n_ops = ops.len();
                 self.ops_received.add(n_ops as u64);
-                let commits = Arc::clone(&self.commits);
-                let group = match self.group_mut(acg) {
-                    Ok(group) => group,
+                let have = match self.group_mut(acg) {
+                    Ok(group) => group.last_lsn(),
                     Err(e) => return Response::Err(e),
                 };
-                let have = group.last_lsn();
                 if lsn <= have {
                     // Duplicate delivery (sender retry): already applied.
                     return Response::ReplicaApplied { lsn: have };
@@ -1083,42 +1082,26 @@ impl IndexNode {
                     // make the sender run catch-up first.
                     return Response::ReplicaLagging { lsn: have };
                 }
-                if let Err(e) = group.enqueue_batch(ops, now) {
+                if let Err(e) = self.log_batch(acg, ops, now, span.ctx()) {
                     return Response::Err(e);
-                }
-                if group.is_durable() {
-                    let f0 = clock.now();
-                    if let Err(e) = group.sync_wal() {
-                        return Response::Err(e);
-                    }
-                    let f1 = clock.now();
-                    if obs_enabled {
-                        h_fsync.record(f1.since(f0).as_micros());
-                    }
-                    if span.enabled() {
-                        let fsync = obs.spans.begin(span.ctx(), SpanKind::WalFsync, f0);
-                        obs.spans.finish(fsync, f1);
-                    }
                 }
                 // Followers commit eagerly: a replica is only useful if a
                 // failover search finds the acknowledged frames in it, and
                 // the commit also keeps `applied == logged` so the ack LSN
                 // reflects searchable state.
-                if let Err(e) = Self::commit_group(&commits, group, now) {
+                let group = self.groups.get_mut(&acg).expect("logged above");
+                if let Err(e) = Self::commit_group(&self.commits, group, now) {
                     return Response::Err(e);
                 }
                 let lsn = group.last_lsn();
-                if group.is_durable() {
-                    self.maybe_snapshot(acg, now);
-                }
+                self.maybe_snapshot(acg, now);
                 if span.enabled() {
-                    let finished = clock.now();
-                    obs.spans.finish_with(span, finished, format!("{acg} ops={n_ops} lsn={lsn}"));
+                    let detail = format!("{acg} ops={n_ops} lsn={lsn}");
+                    self.obs.spans.finish_with(span, self.clock.now(), detail);
                 }
                 Response::ReplicaApplied { lsn }
             }
             Request::FetchAcgFrames { acg, after_lsn, now } => {
-                let commits = Arc::clone(&self.commits);
                 let Some(group) = self.groups.get_mut(&acg) else {
                     return Response::Err(Error::AcgNotFound(acg));
                 };
@@ -1132,7 +1115,7 @@ impl IndexNode {
                     // (truncated by commit or snapshot): fall back to a
                     // full seed. Commit first so the record set reflects
                     // every logged frame and the seed LSN is exact.
-                    if let Err(e) = Self::commit_group(&commits, group, now) {
+                    if let Err(e) = Self::commit_group(&self.commits, group, now) {
                         return Response::Err(e);
                     }
                     Response::AcgSeed {
@@ -1147,22 +1130,7 @@ impl IndexNode {
                 // an in-flight write of the pre-seed epoch must not land
                 // after (and contradict) the seed's on-disk image.
                 self.flush_snapshots();
-                // Seeded files live here now: clear their tombstones (same
-                // rule as InstallAcg) or a revival would reject valid
-                // batches forever.
-                if let Some(moved) = self.moved_away.get_mut(&acg) {
-                    let before = moved.len();
-                    for record in &records {
-                        moved.remove(&record.file);
-                    }
-                    let changed = moved.len() != before;
-                    if moved.is_empty() {
-                        self.moved_away.remove(&acg);
-                    }
-                    if changed {
-                        self.persist_tombstones();
-                    }
-                }
+                self.lift_tombstones(acg, &records);
                 let group = match self.group_mut(acg) {
                     Ok(group) => group,
                     Err(e) => return Response::Err(e),
@@ -1240,12 +1208,11 @@ impl IndexNode {
                 Response::Ok
             }
             Request::SplitAcg { acg } => {
-                let commits = Arc::clone(&self.commits);
                 let Some(group) = self.groups.get_mut(&acg) else {
                     return Response::Err(Error::AcgNotFound(acg));
                 };
                 // Commit so the split sees every acknowledged file.
-                if let Err(e) = Self::commit_group(&commits, group, Timestamp::EPOCH) {
+                if let Err(e) = Self::commit_group(&self.commits, group, Timestamp::EPOCH) {
                     return Response::Err(e);
                 }
                 let files = group.files();
@@ -1268,12 +1235,11 @@ impl IndexNode {
                 // the coordinator issues the explicit RemoveAcgPart — a
                 // crash anywhere in between loses nothing, and re-running
                 // the extraction returns the identical payload.
-                let commits = Arc::clone(&self.commits);
                 let Some(group) = self.groups.get_mut(&acg) else {
                     return Response::Err(Error::AcgNotFound(acg));
                 };
                 // Commit so extracted records reflect every acknowledged op.
-                if let Err(e) = Self::commit_group(&commits, group, Timestamp::EPOCH) {
+                if let Err(e) = Self::commit_group(&self.commits, group, Timestamp::EPOCH) {
                     return Response::Err(e);
                 }
                 let wanted: std::collections::HashSet<FileId> = files.iter().copied().collect();
@@ -1312,36 +1278,33 @@ impl IndexNode {
                 // post-removal snapshot below must not race an in-flight
                 // write of the pre-removal epoch.
                 self.flush_snapshots();
-                let commits = Arc::clone(&self.commits);
                 let Some(group) = self.groups.get_mut(&acg) else {
                     // The group itself is gone (already migrated away
                     // wholesale); nothing retained, nothing to remove.
                     return Response::Ok;
                 };
-                if let Err(e) = Self::commit_group(&commits, group, Timestamp::EPOCH) {
+                if let Err(e) = Self::commit_group(&self.commits, group, Timestamp::EPOCH) {
                     return Response::Err(e);
                 }
                 let present: std::collections::HashSet<FileId> =
                     group.files().into_iter().collect();
-                let removes: Vec<propeller_index::IndexOp> = files
+                let removes: Vec<IndexOp> = files
                     .iter()
                     .filter(|f| present.contains(f))
-                    .map(|&f| propeller_index::IndexOp::Remove(f))
+                    .map(|&f| IndexOp::Remove(f))
                     .collect();
                 if !removes.is_empty() {
-                    if let Err(e) = group.enqueue_batch(removes, Timestamp::EPOCH) {
-                        return Response::Err(e);
-                    }
                     // Unlike the extract, the remove is fsynced and
                     // snapshot-covered *strictly* — an un-durable remove
                     // acked to the coordinator would let a later revival
                     // resurrect files the cluster has already rerouted.
-                    if group.is_durable() {
-                        if let Err(e) = group.sync_wal() {
-                            return Response::Err(e);
-                        }
+                    if let Err(e) =
+                        self.log_batch(acg, removes, Timestamp::EPOCH, TraceContext::NONE)
+                    {
+                        return Response::Err(e);
                     }
-                    if let Err(e) = Self::commit_group(&commits, group, Timestamp::EPOCH) {
+                    let group = self.groups.get_mut(&acg).expect("logged above");
+                    if let Err(e) = Self::commit_group(&self.commits, group, Timestamp::EPOCH) {
                         return Response::Err(e);
                     }
                     let _ = group.snapshot();
@@ -1353,42 +1316,17 @@ impl IndexNode {
             }
             Request::InstallAcg { acg, records, edges } => {
                 // Quiesce the background writer (same reasoning as
-                // ExtractAcgPart: the sync snapshot below must win).
+                // RemoveAcgPart: the sync snapshot below must win).
                 self.flush_snapshots();
-                let commits = Arc::clone(&self.commits);
-                // A file migrating (back) into an ACG hosted here is no
-                // longer moved-away from it — durably, or a revival would
-                // resurrect the tombstone and reject valid batches forever.
-                if let Some(moved) = self.moved_away.get_mut(&acg) {
-                    let before = moved.len();
-                    for record in &records {
-                        moved.remove(&record.file);
-                    }
-                    let changed = moved.len() != before;
-                    if moved.is_empty() {
-                        self.moved_away.remove(&acg);
-                    }
-                    if changed {
-                        self.persist_tombstones();
-                    }
-                }
-                let group = match self.group_mut(acg) {
-                    Ok(group) => group,
-                    Err(e) => return Response::Err(e),
-                };
-                let ops: Vec<propeller_index::IndexOp> =
-                    records.into_iter().map(propeller_index::IndexOp::Upsert).collect();
+                self.lift_tombstones(acg, &records);
                 // One group-committed frame (and one fsync on a durable
                 // node) covers the whole installed part.
-                if let Err(e) = group.enqueue_batch(ops, Timestamp::EPOCH) {
+                let ops = records.into_iter().map(IndexOp::Upsert).collect();
+                if let Err(e) = self.log_batch(acg, ops, Timestamp::EPOCH, TraceContext::NONE) {
                     return Response::Err(e);
                 }
-                if group.is_durable() {
-                    if let Err(e) = group.sync_wal() {
-                        return Response::Err(e);
-                    }
-                }
-                if let Err(e) = Self::commit_group(&commits, group, Timestamp::EPOCH) {
+                let group = self.groups.get_mut(&acg).expect("logged above");
+                if let Err(e) = Self::commit_group(&self.commits, group, Timestamp::EPOCH) {
                     return Response::Err(e);
                 }
                 // Migrated-in state is snapshot-covered right away
@@ -1399,12 +1337,11 @@ impl IndexNode {
                 Response::Ok
             }
             Request::Tick { now } => {
-                let commits = Arc::clone(&self.commits);
                 let acgs: Vec<AcgId> = self.groups.keys().copied().collect();
                 for acg in acgs {
                     let group = self.groups.get_mut(&acg).expect("key just listed");
                     if group.commit_due(now) {
-                        if let Err(e) = Self::commit_group(&commits, group, now) {
+                        if let Err(e) = Self::commit_group(&self.commits, group, now) {
                             return Response::Err(e);
                         }
                     }
@@ -1459,7 +1396,6 @@ impl IndexNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use propeller_index::IndexOp;
     use propeller_query::Query;
     use propeller_types::InodeAttrs;
 
@@ -2460,41 +2396,82 @@ mod tests {
 
     #[test]
     fn install_back_clears_the_durable_tombstone() {
-        let dir = temp_dir("tombstone-install");
-        let config =
-            || IndexNodeConfig { data_dir: Some(dir.clone()), ..IndexNodeConfig::default() };
-        let acg = AcgId::new(1);
-        {
-            let mut n = IndexNode::open(NodeId::new(1), config()).unwrap();
-            n.handle(Request::IndexBatch {
+        // The extracted part comes back by install (a rolled-back split)
+        // or by seed (replica catch-up): either way the tombstones must
+        // clear durably.
+        for by_seed in [false, true] {
+            let dir = temp_dir(if by_seed { "tombstone-seed" } else { "tombstone-install" });
+            let config =
+                || IndexNodeConfig { data_dir: Some(dir.clone()), ..IndexNodeConfig::default() };
+            let acg = AcgId::new(1);
+            {
+                let mut n = IndexNode::open(NodeId::new(1), config()).unwrap();
+                n.handle(Request::IndexBatch {
+                    acg,
+                    ops: (0..10).map(|i| IndexOp::Upsert(rec(i, i))).collect(),
+                    now: t(0),
+                    ctx: propeller_obs::TraceContext::NONE,
+                });
+                let files: Vec<FileId> = (5..10).map(FileId::new).collect();
+                let records = match n.handle(Request::ExtractAcgPart { acg, files }) {
+                    Response::AcgPart { records, .. } => records,
+                    other => panic!("{other:?}"),
+                };
+                let resp = if by_seed {
+                    // A seed carries the group's whole record set.
+                    let records = (0..5).map(|i| rec(i, i)).chain(records).collect();
+                    n.handle(Request::SeedAcg { acg, lsn: 1, records, now: t(0) })
+                } else {
+                    n.handle(Request::InstallAcg { acg, records, edges: Vec::new() })
+                };
+                assert!(
+                    matches!(resp, Response::Ok | Response::ReplicaApplied { lsn: 1 }),
+                    "{resp:?}"
+                );
+            }
+            let mut revived = IndexNode::open(NodeId::new(1), config()).unwrap();
+            let resp = revived.handle(Request::IndexBatch {
                 acg,
-                ops: (0..10).map(|i| IndexOp::Upsert(rec(i, i))).collect(),
-                now: t(0),
+                ops: vec![IndexOp::Upsert(rec(7, 1))],
+                now: t(1),
                 ctx: propeller_obs::TraceContext::NONE,
             });
-            let files: Vec<FileId> = (5..10).map(FileId::new).collect();
-            let records = match n.handle(Request::ExtractAcgPart { acg, files }) {
-                Response::AcgPart { records, .. } => records,
-                other => panic!("{other:?}"),
-            };
-            // The part migrates back (e.g. a rolled-back split): the
-            // tombstones must clear durably.
-            assert!(matches!(
-                n.handle(Request::InstallAcg { acg, records, edges: Vec::new() }),
-                Response::Ok
-            ));
+            assert!(
+                matches!(resp, Response::BatchLogged { .. }),
+                "re-{} file must index: {resp:?}",
+                if by_seed { "seeded" } else { "installed" }
+            );
+            let _ = std::fs::remove_dir_all(&dir);
         }
-        let mut revived = IndexNode::open(NodeId::new(1), config()).unwrap();
-        let resp = revived.handle(Request::IndexBatch {
-            acg,
-            ops: vec![IndexOp::Upsert(rec(7, 1))],
-            now: t(1),
+    }
+
+    #[test]
+    fn every_durable_write_records_its_fsync() {
+        // An ingest batch, the install half of a migration and the remove
+        // that retires the source's copy each fsync one WAL frame; the
+        // fsync histogram must count all three.
+        let dir = temp_dir("fsync-count");
+        let config = IndexNodeConfig { data_dir: Some(dir.clone()), ..IndexNodeConfig::default() };
+        let mut n = IndexNode::open(NodeId::new(1), config).unwrap();
+        let (source, target) = (AcgId::new(1), AcgId::new(2));
+        let resp = n.handle(Request::IndexBatch {
+            acg: source,
+            ops: (0..10).map(|i| IndexOp::Upsert(rec(i, i))).collect(),
+            now: t(0),
             ctx: propeller_obs::TraceContext::NONE,
         });
-        assert!(
-            matches!(resp, Response::BatchLogged { .. }),
-            "re-installed file must index: {resp:?}"
-        );
+        assert!(matches!(resp, Response::BatchLogged { lsn: 1 }), "{resp:?}");
+        let files: Vec<FileId> = (5..10).map(FileId::new).collect();
+        let records = match n.handle(Request::ExtractAcgPart { acg: source, files: files.clone() })
+        {
+            Response::AcgPart { records, .. } => records,
+            other => panic!("{other:?}"),
+        };
+        let install = Request::InstallAcg { acg: target, records, edges: Vec::new() };
+        assert!(matches!(n.handle(install), Response::Ok));
+        assert!(matches!(n.handle(Request::RemoveAcgPart { acg: source, files }), Response::Ok));
+        let fsyncs = n.obs().metrics.histogram(names::WAL_FSYNC).count();
+        assert_eq!(fsyncs, 3, "one wal_fsync_us sample per fsynced frame");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

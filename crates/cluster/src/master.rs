@@ -13,9 +13,10 @@
 //! commits, replica adoption, the index-spec registry, in-flight
 //! migrations, the next-ACG counter and the routing generation — is a
 //! state machine over [`crate::meta::MetaOp`] transitions. Every
-//! transition is appended to a control-plane WAL and fsynced *before* the
-//! request is acked ([`MasterNode::open`] + `log_ops`); periodic
-//! checksummed checkpoints bound recovery to O(delta) suffix replay.
+//! transition is appended to a control-plane WAL and fsynced *before* it
+//! is applied and the request acked (`log_then_apply`; [`MasterNode::open`]
+//! replays the log); periodic checksummed checkpoints bound recovery to
+//! O(delta) suffix replay.
 //! **Soft state** — node liveness, heartbeat-refreshed file counts, split
 //! *pressure* — is never logged: one heartbeat round rebuilds it.
 
@@ -340,18 +341,34 @@ impl MasterNode {
         }
     }
 
-    /// Durably logs `ops` (fsync before returning) and cuts a checkpoint
-    /// when one is due. The caller must not have mutated state it cannot
-    /// roll back if this errors.
+    /// Durably logs `ops` (fsync before returning) that the caller has
+    /// already applied, and cuts a checkpoint when one is due. The caller
+    /// must not have mutated state it cannot roll back if this errors.
     fn log_ops(&mut self, ops: &[MetaOp]) -> Result<(), Error> {
         self.meta.log(ops)?;
+        self.checkpoint_if_due();
+        Ok(())
+    }
+
+    /// The Master's write rule (paper §IV): durably log one transition,
+    /// then apply it — nothing is observable that a restart would not
+    /// replay. A checkpoint due at this op is cut after the apply, so its
+    /// image covers every op its LSN claims.
+    fn log_then_apply(&mut self, op: MetaOp) -> Result<(), Error> {
+        self.meta.log(std::slice::from_ref(&op))?;
+        self.apply_op(&op);
+        self.checkpoint_if_due();
+        Ok(())
+    }
+
+    /// Writes a checkpoint of the current state when enough ops were
+    /// logged since the last one. Failure is not fatal: the WAL still
+    /// holds every transition, recovery just replays a longer suffix.
+    fn checkpoint_if_due(&mut self) {
         if self.meta.checkpoint_due() {
             let image = self.image();
-            // Checkpoint failure is not fatal: the WAL still holds every
-            // transition, recovery just replays a longer suffix.
             let _ = self.meta.checkpoint(&image);
         }
-        Ok(())
     }
 
     /// The `r` nodes with the fewest hosted files (replica-set placement
@@ -504,12 +521,10 @@ impl MasterNode {
                 continue;
             }
             let known = self.acg_replicas.get(&summary.acg).is_some_and(|r| r.contains(&node));
-            if !known {
-                let op = MetaOp::AdoptReplica { acg: summary.acg, node };
-                if self.log_ops(std::slice::from_ref(&op)).is_err() {
-                    continue;
-                }
-                self.apply_op(&op);
+            if !known
+                && self.log_then_apply(MetaOp::AdoptReplica { acg: summary.acg, node }).is_err()
+            {
+                continue;
             }
             self.acg_files.insert(summary.acg, summary.files);
             if summary.files > self.config.split_threshold && !self.splitting.contains(&summary.acg)
@@ -626,11 +641,9 @@ impl MasterNode {
                 if self.index_specs.iter().any(|s| s.name == spec.name) {
                     return Response::Err(Error::IndexExists(spec.name));
                 }
-                let op = MetaOp::CreateIndexSpec { spec };
-                if let Err(e) = self.log_ops(std::slice::from_ref(&op)) {
+                if let Err(e) = self.log_then_apply(MetaOp::CreateIndexSpec { spec }) {
                     return Response::Err(e);
                 }
-                self.apply_op(&op);
                 Response::Ok
             }
             Request::DropIndex { name } => {
@@ -638,11 +651,9 @@ impl MasterNode {
                 // propagated must always succeed. Only an actual removal
                 // is a transition worth logging.
                 if self.index_specs.iter().any(|s| s.name == name) {
-                    let op = MetaOp::DropIndexSpec { name };
-                    if let Err(e) = self.log_ops(std::slice::from_ref(&op)) {
+                    if let Err(e) = self.log_then_apply(MetaOp::DropIndexSpec { name }) {
                         return Response::Err(e);
                     }
-                    self.apply_op(&op);
                 }
                 Response::Ok
             }
@@ -704,11 +715,9 @@ impl MasterNode {
                 if placements.is_empty() {
                     return Response::Ok;
                 }
-                let op = MetaOp::PlaceFiles { placements };
-                if let Err(e) = self.log_ops(std::slice::from_ref(&op)) {
+                if let Err(e) = self.log_then_apply(MetaOp::PlaceFiles { placements }) {
                     return Response::Err(e);
                 }
-                self.apply_op(&op);
                 Response::Ok
             }
             Request::BeginMigration { acg, moved } => {
@@ -725,16 +734,14 @@ impl MasterNode {
                     return Response::Err(Error::Config("cluster has no index nodes".into()));
                 }
                 let new_acg = AcgId::new(self.next_acg);
-                let op = MetaOp::BeginMigration {
+                if let Err(e) = self.log_then_apply(MetaOp::BeginMigration {
                     source: acg,
                     new_acg,
                     moved,
                     targets: targets.clone(),
-                };
-                if let Err(e) = self.log_ops(std::slice::from_ref(&op)) {
+                }) {
                     return Response::Err(e);
                 }
-                self.apply_op(&op);
                 Response::MigrationBegun { new_acg, targets }
             }
             Request::InstallAcked { new_acg } => {
@@ -742,11 +749,9 @@ impl MasterNode {
                     return Response::Err(Error::AcgNotFound(new_acg));
                 };
                 if !m.installed {
-                    let op = MetaOp::InstallAcked { new_acg };
-                    if let Err(e) = self.log_ops(std::slice::from_ref(&op)) {
+                    if let Err(e) = self.log_then_apply(MetaOp::InstallAcked { new_acg }) {
                         return Response::Err(e);
                     }
-                    self.apply_op(&op);
                 }
                 Response::Ok
             }
@@ -759,20 +764,18 @@ impl MasterNode {
                         "migration into {new_acg} committed before its install was acked"
                     )));
                 }
-                let op = MetaOp::CommitSplit {
-                    acg: m.source,
-                    new_acg,
-                    moved: m.moved.clone(),
-                    targets: m.targets.clone(),
-                };
-                if let Err(e) = self.log_ops(std::slice::from_ref(&op)) {
-                    return Response::Err(e);
-                }
                 // Applying remaps the moved files, makes the new group
                 // routable, advances the routing generation and retires
                 // the migration — atomically from any observer's view,
                 // because it all happens inside this one request.
-                self.apply_op(&op);
+                if let Err(e) = self.log_then_apply(MetaOp::CommitSplit {
+                    acg: m.source,
+                    new_acg,
+                    moved: m.moved.clone(),
+                    targets: m.targets.clone(),
+                }) {
+                    return Response::Err(e);
+                }
                 self.flush_metadata();
                 Response::Ok
             }
@@ -780,11 +783,11 @@ impl MasterNode {
                 // Legacy single-shot commit (coordinator-computed splits
                 // whose extract/install already happened). Same logged
                 // transition as a two-phase commit.
-                let op = MetaOp::CommitSplit { acg, new_acg, moved, targets };
-                if let Err(e) = self.log_ops(std::slice::from_ref(&op)) {
+                if let Err(e) =
+                    self.log_then_apply(MetaOp::CommitSplit { acg, new_acg, moved, targets })
+                {
                     return Response::Err(e);
                 }
-                self.apply_op(&op);
                 self.flush_metadata();
                 Response::Ok
             }
@@ -1327,28 +1330,35 @@ mod tests {
 
     #[test]
     fn master_checkpoints_bound_recovery_replay() {
-        let dir = durable_dir("ckpt");
-        let config = || MasterConfig { meta_snapshot_every: 4, ..durable_config(&dir) };
-        let mut m = MasterNode::open(nodes(2), config()).unwrap();
-        // Dozens of logged ops: placements plus spec churn force several
-        // checkpoint cycles (every 4 ops).
-        for round in 0..6u64 {
-            resolve(&mut m, round * 10..round * 10 + 10);
-            let name = format!("idx_{round}");
-            let spec = IndexSpec::btree(&name, propeller_types::AttrName::Uid);
-            assert!(matches!(m.handle(Request::CreateIndex { spec }), Response::Ok));
+        // Every 4 ops, and after every op: then each checkpoint's LSN names
+        // the op just logged, and recovery replays only past it, so the
+        // checkpoint image must already hold that op.
+        for every in [4, 1] {
+            let dir = durable_dir(&format!("ckpt-{every}"));
+            let config = || MasterConfig { meta_snapshot_every: every, ..durable_config(&dir) };
+            let mut m = MasterNode::open(nodes(2), config()).unwrap();
+            // Dozens of logged ops: placements plus spec churn force
+            // several checkpoint cycles.
+            for round in 0..6u64 {
+                resolve(&mut m, round * 10..round * 10 + 10);
+                let name = format!("idx_{round}");
+                let spec = IndexSpec::btree(&name, propeller_types::AttrName::Uid);
+                assert!(matches!(m.handle(Request::CreateIndex { spec }), Response::Ok));
+            }
+            let before = resolve(&mut m, 0..60);
+            drop(m);
+            // The WAL was truncated behind the checkpoints — recovery
+            // replays a short suffix, not the whole history — and still
+            // lands on the exact same state.
+            let mut m = MasterNode::open(nodes(2), config()).unwrap();
+            assert_eq!(resolve(&mut m, 0..60), before);
+            match m.handle(Request::ListIndexSpecs) {
+                Response::IndexSpecs(specs) => {
+                    assert_eq!(specs.len(), 6, "checkpoint every {every}")
+                }
+                other => panic!("{other:?}"),
+            }
+            let _ = std::fs::remove_dir_all(&dir);
         }
-        let before = resolve(&mut m, 0..60);
-        drop(m);
-        // The WAL was truncated behind the checkpoints — recovery replays
-        // a short suffix, not the whole history — and still lands on the
-        // exact same state.
-        let mut m = MasterNode::open(nodes(2), config()).unwrap();
-        assert_eq!(resolve(&mut m, 0..60), before);
-        match m.handle(Request::ListIndexSpecs) {
-            Response::IndexSpecs(specs) => assert_eq!(specs.len(), 6),
-            other => panic!("{other:?}"),
-        }
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -3,7 +3,7 @@
 //! Every ACG owns one [`AcgIndexGroup`] on its Index Node (paper §IV): a
 //! record store plus a *named index table* mapping user-chosen index names
 //! to concrete structures (B+-tree, hash table or K-D tree — "each ACG can
-//! have all three types"). Updates flow through the WAL and the lazy
+//! have all three types"; a hash table is an equality-only B+-tree). Updates flow through the WAL and the lazy
 //! [`IndexCache`]; a commit applies buffered ops to every index. Searches
 //! must observe all acknowledged updates, so the owning node commits
 //! before serving a search (the paper's consistency rule).

@@ -6,8 +6,10 @@
 //! in-memory index cache that commits on a timeout or on the next search.
 //! Every piece is built from scratch in this crate:
 //!
-//! * [`BPlusTree`] — ordered index (point + range),
-//! * [`HashIndex`] — exact-match index,
+//! * [`BPlusTree`] — ordered index (point + range). It also backs the
+//!   paper's hash tables: a Hash-kind index ([`IndexKind::Hash`]) is an
+//!   equality-only B+-tree posting map, because an epoch publishes
+//!   copy-on-write in O(batch) and a bucket table would deep-clone,
 //! * [`KdTree`] — multi-attribute range index (a bucket K-D tree),
 //! * [`Wal`] — CRC-framed write-ahead log with real LSNs (memory or file
 //!   backed),
@@ -45,7 +47,6 @@ mod btree;
 mod cache;
 pub mod durable;
 mod group;
-mod hash;
 mod inverted;
 mod kdtree;
 mod ops;
@@ -57,7 +58,6 @@ pub use cache::IndexCache;
 pub use group::{
     AcgEpoch, AcgIndexGroup, EpochSnapshotJob, GroupConfig, IndexKind, IndexSpec, RecoveryReport,
 };
-pub use hash::HashIndex;
 pub use inverted::{
     bm25_block_bound, bm25_idf, bm25_score, bm25_term_bound, record_contains_all,
     record_contains_any, record_contains_phrase, record_text_fields, record_tokens, tokenize,
