@@ -46,7 +46,7 @@ fn bench_kdtree(c: &mut Criterion) {
         });
         let tree = KdTree::bulk_load(2, points.clone());
         group.bench_with_input(BenchmarkId::new("box_query", n), &n, |b, _| {
-            b.iter(|| tree.range_iter(&[100.0, 0.0], &[200.0, 10.0]).count())
+            b.iter(|| tree.range_iter(&[100.0, 0.0], &[200.0, 10.0]).filter(|p| p.interior).count())
         });
         // Insert/remove churn over drifting mtimes: each round adds one
         // point at the newest mtime and removes the oldest live one.

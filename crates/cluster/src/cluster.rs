@@ -186,7 +186,6 @@ impl Cluster {
         } else {
             MasterNode::new(self.index_nodes.clone(), master_cfg)
         }
-        .with_shared_storage(self.shared.clone())
         .with_clock(self.clock.clone());
         self.handles.push(
             std::thread::Builder::new()

@@ -23,11 +23,9 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use bytes::{Buf, BufMut, BytesMut};
 use propeller_index::IndexSpec;
 use propeller_obs::{names, Lane, NodeObs, SpanKind};
 use propeller_sim::{Clock, WallClock};
-use propeller_storage::SharedStorage;
 use propeller_types::{AcgId, Duration, Error, FileId, NodeId, Timestamp};
 
 use crate::messages::{AcgSummary, MigrationJob, Request, Response, RouteHints};
@@ -63,8 +61,6 @@ pub struct MasterConfig {
     /// File count above which an ACG is scheduled for a split (paper
     /// example: 50 000).
     pub split_threshold: usize,
-    /// Flush metadata to shared storage every this many heartbeats.
-    pub flush_every_heartbeats: u64,
     /// How many committed splits the Master keeps in its route-hint log.
     /// A client further behind than this receives `complete: false` hints
     /// and drops its whole route cache (safe, just less surgical).
@@ -88,7 +84,6 @@ impl Default for MasterConfig {
         MasterConfig {
             group_capacity: 1000,
             split_threshold: 50_000,
-            flush_every_heartbeats: 16,
             split_log_capacity: 64,
             replication: 1,
             data_dir: None,
@@ -114,8 +109,6 @@ pub struct MasterNode {
     pending_splits: Vec<(AcgId, NodeId)>,
     splitting: std::collections::HashSet<AcgId>,
     index_specs: Vec<IndexSpec>,
-    shared: Option<Arc<SharedStorage>>,
-    heartbeats_seen: u64,
     /// Monotonic count of committed splits — the routing generation
     /// clients synchronize their caches against.
     routing_gen: u64,
@@ -163,8 +156,6 @@ impl MasterNode {
             pending_splits: Vec::new(),
             splitting: std::collections::HashSet::new(),
             index_specs: Vec::new(),
-            shared: None,
-            heartbeats_seen: 0,
             routing_gen: 0,
             split_log: std::collections::VecDeque::new(),
             migrations: HashMap::new(),
@@ -208,12 +199,6 @@ impl MasterNode {
             master.apply_op(op);
         }
         Ok(master)
-    }
-
-    /// Attaches shared storage for periodic metadata flushes.
-    pub fn with_shared_storage(mut self, shared: Arc<SharedStorage>) -> Self {
-        self.shared = Some(shared);
-        self
     }
 
     /// Installs a recovered checkpoint image as the current hard state.
@@ -500,7 +485,6 @@ impl MasterNode {
     }
 
     fn on_heartbeat(&mut self, node: NodeId, acgs: Vec<AcgSummary>, load: u64, now: Timestamp) {
-        self.heartbeats_seen += 1;
         let (files, count) = (acgs.iter().map(|a| a.files).sum(), acgs.len());
         self.node_status.insert(node, NodeStatus { last_heartbeat: now, files, acgs: count, load });
         for summary in acgs {
@@ -536,43 +520,6 @@ impl MasterNode {
                 self.pending_splits.push((summary.acg, primary));
             }
         }
-        if self.heartbeats_seen.is_multiple_of(self.config.flush_every_heartbeats) {
-            self.flush_metadata();
-        }
-    }
-
-    /// Serialises the file→ACG map to shared storage (crash protection for
-    /// index metadata, paper §IV "Master Node").
-    fn flush_metadata(&self) {
-        let Some(shared) = &self.shared else { return };
-        let mut buf = BytesMut::with_capacity(8 + self.file_to_acg.len() * 16);
-        buf.put_u64_le(self.file_to_acg.len() as u64);
-        let mut rows: Vec<(&FileId, &AcgId)> = self.file_to_acg.iter().collect();
-        rows.sort();
-        for (file, acg) in rows {
-            buf.put_u64_le(file.raw());
-            buf.put_u64_le(acg.raw());
-        }
-        shared.put_blob("master/file_to_acg", buf.to_vec());
-    }
-
-    /// Reloads the file→ACG map from a metadata blob (recovery path).
-    pub fn load_metadata(&mut self, blob: &[u8]) -> Result<usize, Error> {
-        let mut cursor = blob;
-        if cursor.len() < 8 {
-            return Err(Error::Corrupt("metadata blob too short".into()));
-        }
-        let n = cursor.get_u64_le() as usize;
-        if cursor.len() < n * 16 {
-            return Err(Error::Corrupt("metadata blob truncated".into()));
-        }
-        for _ in 0..n {
-            let file = FileId::new(cursor.get_u64_le());
-            let acg = AcgId::new(cursor.get_u64_le());
-            self.file_to_acg.insert(file, acg);
-            self.next_acg = self.next_acg.max(acg.raw() + 1);
-        }
-        Ok(n)
     }
 
     /// The route invalidations a client at generation `since` is missing.
@@ -776,7 +723,6 @@ impl MasterNode {
                 }) {
                     return Response::Err(e);
                 }
-                self.flush_metadata();
                 Response::Ok
             }
             Request::CommitSplit { acg, kept: _, new_acg, moved, targets } => {
@@ -788,7 +734,6 @@ impl MasterNode {
                 {
                     return Response::Err(e);
                 }
-                self.flush_metadata();
                 Response::Ok
             }
             Request::DumpTrace { trace } => Response::TraceSpans(self.obs.spans.harvest(trace)),
@@ -1057,37 +1002,6 @@ mod tests {
             Response::Err(Error::Config(_)) => {}
             other => panic!("{other:?}"),
         }
-    }
-
-    #[test]
-    fn metadata_flush_and_reload() {
-        let shared = Arc::new(SharedStorage::new());
-        let mut m = MasterNode::new(
-            nodes(2),
-            MasterConfig { flush_every_heartbeats: 1, ..MasterConfig::default() },
-        )
-        .with_shared_storage(shared.clone());
-        resolve(&mut m, 0..50);
-        m.handle(Request::Heartbeat {
-            node: NodeId::new(1),
-            acgs: vec![],
-            load: 0,
-            now: Timestamp::from_secs(1),
-        });
-        let blob = shared.get_blob("master/file_to_acg").expect("flushed");
-        let mut fresh = MasterNode::new(nodes(2), MasterConfig::default());
-        let loaded = fresh.load_metadata(&blob).unwrap();
-        assert_eq!(loaded, 50);
-        assert_eq!(fresh.file_to_acg.get(&FileId::new(7)), m.file_to_acg.get(&FileId::new(7)));
-    }
-
-    #[test]
-    fn corrupt_metadata_rejected() {
-        let mut m = master(1, 10);
-        assert!(m.load_metadata(&[1, 2, 3]).is_err());
-        let mut blob = vec![0u8; 8];
-        blob[0] = 200; // claims 200 rows, provides none
-        assert!(m.load_metadata(&blob).is_err());
     }
 
     #[test]

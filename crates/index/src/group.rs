@@ -35,7 +35,7 @@ use crate::btree::{BPlusTree, LeafCursor};
 use crate::cache::IndexCache;
 use crate::durable;
 use crate::inverted::InvertedIndex;
-use crate::kdtree::KdTree;
+use crate::kdtree::{BoxPoint, KdTree};
 use crate::ops::{FileRecord, IndexOp};
 use crate::snapshot::{self, SnapshotData};
 use crate::wal::Wal;
@@ -432,13 +432,10 @@ impl AcgEpoch {
     // --- Search-side accessors (the owning node commits before opening a
     // search, then executes against a pinned epoch) ----------------------
 
-    /// Files with `attr == value`, using a hash-kind index when available,
-    /// a B+-tree otherwise, and a full record scan as last resort.
+    /// Files with `attr == value`: [`AcgEpoch::posting_list`] copied out,
+    /// empty when no index covers `attr`.
     pub fn lookup_eq(&self, attr: &AttrName, value: &Value) -> Vec<FileId> {
-        if let Some(list) = self.posting_list(attr, value) {
-            return list.to_vec();
-        }
-        self.scan(|record| Self::record_values(record, attr).iter().any(|v| v == value))
+        self.posting_list(attr, value).unwrap_or_default().to_vec()
     }
 
     /// How many files hold `attr == value`: the length of
@@ -456,27 +453,15 @@ impl AcgEpoch {
         Some(tree.get(value).map_or(&[], |list| list.as_slice()))
     }
 
-    /// Files with `attr` in the given bounds, using a B+-tree when
-    /// available, a full scan otherwise.
+    /// Files with `attr` in the given bounds, sorted and unique, off the
+    /// B+-tree over `attr`; empty when there is none.
     pub fn lookup_range(&self, attr: &AttrName, lo: Bound<Value>, hi: Bound<Value>) -> Vec<FileId> {
-        if let Some(tree) = self.btrees.get(attr) {
-            let mut out: Vec<FileId> =
-                tree.range((lo, hi)).flat_map(|(_, list)| list.iter().copied()).collect();
-            out.sort_unstable();
-            out.dedup();
-            return out;
-        }
-        let in_lo = |v: &Value| match &lo {
-            Bound::Included(b) => v >= b,
-            Bound::Excluded(b) => v > b,
-            Bound::Unbounded => true,
-        };
-        let in_hi = |v: &Value| match &hi {
-            Bound::Included(b) => v <= b,
-            Bound::Excluded(b) => v < b,
-            Bound::Unbounded => true,
-        };
-        self.scan(|record| Self::record_values(record, attr).iter().any(|v| in_lo(v) && in_hi(v)))
+        let Some(tree) = self.btrees.get(attr) else { return Vec::new() };
+        let mut out: Vec<FileId> =
+            tree.range((lo, hi)).flat_map(|(_, list)| list.iter().copied()).collect();
+        out.sort_unstable();
+        out.dedup();
+        out
     }
 
     // --- Index walks --------------------------------------------------------
@@ -522,14 +507,21 @@ impl AcgEpoch {
         })
     }
 
-    /// The files inside a K-D box query, sorted by file id. `None` when no
-    /// K-D index covers exactly these attributes. Files are unique (one
-    /// point per file per index).
-    pub fn candidates_kd(&self, attrs: &[AttrName], lo: &[f64], hi: &[f64]) -> Option<Vec<FileId>> {
+    /// The points inside a K-D box query ([`KdTree::range_iter`]), sorted
+    /// by file id, each flagged [`BoxPoint::interior`] when it lies
+    /// strictly inside the box, with no record touched. `None` when no K-D
+    /// index covers exactly these attributes. Files are unique (one point
+    /// per file per index).
+    pub fn candidates_kd(
+        &self,
+        attrs: &[AttrName],
+        lo: &[f64],
+        hi: &[f64],
+    ) -> Option<Vec<BoxPoint>> {
         let (_, tree) = self.kds.values().find(|(kd_attrs, _)| kd_attrs == attrs)?;
-        let mut ids: Vec<FileId> = tree.range_iter(lo, hi).collect();
-        ids.sort_unstable();
-        Some(ids)
+        let mut points: Vec<BoxPoint> = tree.range_iter(lo, hi).collect();
+        points.sort_unstable_by_key(|p| p.id);
+        Some(points)
     }
 
     /// Full scan with a predicate (the executor's fallback path). Results
@@ -1477,8 +1469,11 @@ mod tests {
         for i in 0..200 {
             g.enqueue(IndexOp::Upsert(record(i, (i * 13) % 997, (i * 7) % 91)), t(0)).unwrap();
         }
+        // Two points on the box's bounds: size = lo, mtime = hi.
+        g.enqueue(IndexOp::Upsert(record(200, 100, 30)), t(0)).unwrap();
+        g.enqueue(IndexOp::Upsert(record(201, 300, 60)), t(0)).unwrap();
         g.commit(t(0)).unwrap();
-        let kd: Vec<FileId> = g
+        let kd = g
             .candidates_kd(
                 &[AttrName::Size, AttrName::Mtime],
                 &[100.0, 10.0 * 1e6],
@@ -1490,8 +1485,17 @@ mod tests {
             (100..=500).contains(&r.attrs.size)
                 && (Timestamp::from_secs(10)..=Timestamp::from_secs(60)).contains(&r.attrs.mtime)
         });
-        assert_eq!(kd, scan);
+        assert_eq!(kd.iter().copied().collect::<Vec<FileId>>(), scan);
         assert!(!kd.is_empty());
+        // A point is interior exactly when it ties no bound of the box
+        // (sizes are whole bytes, mtimes whole seconds).
+        let interior = g.scan(|r| {
+            (101..500).contains(&r.attrs.size)
+                && (Timestamp::from_secs(11)..Timestamp::from_secs(60)).contains(&r.attrs.mtime)
+        });
+        let flagged: Vec<FileId> = kd.iter().filter(|p| p.interior).map(|p| p.id).collect();
+        assert_eq!(flagged, interior);
+        assert_eq!(flagged.len() + 2, kd.len());
     }
 
     #[test]
@@ -1629,7 +1633,7 @@ mod tests {
     }
 
     #[test]
-    fn scan_fallback_for_unindexed_attr() {
+    fn lookups_over_an_unindexed_attr_are_empty() {
         let mut g = group();
         g.enqueue(
             IndexOp::Upsert(record(1, 1, 0).with_custom("owner_tag", Value::from("alice"))),
@@ -1637,11 +1641,12 @@ mod tests {
         )
         .unwrap();
         g.commit(t(0)).unwrap();
-        // No index over "owner_tag": lookup_eq must still find it via scan.
-        assert_eq!(
-            g.lookup_eq(&AttrName::custom("owner_tag"), &Value::from("alice")),
-            vec![FileId::new(1)]
-        );
+        // No index over "owner_tag": the lookups read indexes only (the
+        // planner sends a predicate over an unindexed attribute to a scan).
+        let owner = AttrName::custom("owner_tag");
+        assert!(g.lookup_eq(&owner, &Value::from("alice")).is_empty());
+        assert!(g.lookup_range(&owner, Bound::Unbounded, Bound::Unbounded).is_empty());
+        assert_eq!(g.scan(|r| r.custom.iter().any(|(n, _)| n == "owner_tag")), [FileId::new(1)]);
     }
 
     #[test]
@@ -1671,7 +1676,7 @@ mod tests {
 
         let attrs = [AttrName::Size, AttrName::Mtime];
         let (klo, khi) = ([100.0, 10.0 * 1e6], [500.0, 60.0 * 1e6]);
-        let kd = g.candidates_kd(&attrs, &klo, &khi).unwrap();
+        let kd: Vec<FileId> = g.candidates_kd(&attrs, &klo, &khi).unwrap().into_iter().collect();
         let in_box = |r: &FileRecord| {
             (100..=500).contains(&r.attrs.size)
                 && (Timestamp::from_secs(10)..=Timestamp::from_secs(60)).contains(&r.attrs.mtime)

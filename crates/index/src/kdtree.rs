@@ -133,21 +133,44 @@ fn put<T>(items: &mut Vec<T>, free: &mut Vec<u32>, item: T) -> u32 {
 /// Split-node and leaf slots a rebuild freed, for its build to reuse.
 type Free = (Vec<u32>, Vec<u32>);
 
+/// One point of a box query ([`KdTree::range_iter`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BoxPoint {
+    /// The point's payload.
+    pub id: FileId,
+    /// Whether the point lies strictly inside every bound of the box
+    /// (`lo < p < hi` on each axis); `false` when it ties one.
+    pub interior: bool,
+}
+
+/// A box query read as a plain id set: collecting its points drops the
+/// interior flags.
+impl FromIterator<BoxPoint> for Vec<FileId> {
+    fn from_iter<I: IntoIterator<Item = BoxPoint>>(points: I) -> Self {
+        points.into_iter().map(|p| p.id).collect()
+    }
+}
+
 /// A `k`-dimensional tree mapping points to [`FileId`]s.
 ///
 /// # Examples
 ///
 /// ```
-/// use propeller_index::KdTree;
+/// use propeller_index::{BoxPoint, KdTree};
 /// use propeller_types::FileId;
 ///
 /// let mut tree = KdTree::new(2); // (size, mtime)
 /// tree.insert(&[100.0, 5.0], FileId::new(1));
 /// tree.insert(&[900.0, 2.0], FileId::new(2));
+/// tree.insert(&[500.0, 1.0], FileId::new(3));
 ///
-/// // Files with size in [500, 1000] and mtime in [0, 3]:
-/// let hits: Vec<FileId> = tree.range_iter(&[500.0, 0.0], &[1000.0, 3.0]).collect();
-/// assert_eq!(hits, vec![FileId::new(2)]);
+/// // Files with size in [500, 1000] and mtime in [0, 3], by file id:
+/// let mut hits: Vec<BoxPoint> = tree.range_iter(&[500.0, 0.0], &[1000.0, 3.0]).collect();
+/// hits.sort_unstable_by_key(|p| p.id);
+/// assert_eq!(hits, [
+///     BoxPoint { id: FileId::new(2), interior: true },
+///     BoxPoint { id: FileId::new(3), interior: false }, // on the size bound
+/// ]);
 /// ```
 #[derive(Debug, Clone)]
 pub struct KdTree {
@@ -332,13 +355,17 @@ impl KdTree {
         LEAF | put(Arc::make_mut(&mut self.leaves), &mut free.1, Arc::new(leaf))
     }
 
-    /// Lazily yields the live payloads whose points lie in the inclusive
-    /// box `[lo, hi]`, in unspecified order. Panics on a dimension mismatch.
+    /// Lazily yields the live points that lie in the inclusive box
+    /// `[lo, hi]`, in unspecified order, each with its payload and whether
+    /// it lies strictly inside the box ([`BoxPoint::interior`]: the
+    /// coordinates are at hand, so the flag costs no lookup). Collect into
+    /// a `Vec<FileId>` for the plain id set. Panics on a dimension
+    /// mismatch.
     pub fn range_iter<'a>(
         &'a self,
         lo: &'a [f64],
         hi: &'a [f64],
-    ) -> impl Iterator<Item = FileId> + 'a {
+    ) -> impl Iterator<Item = BoxPoint> + 'a {
         assert_eq!(lo.len(), self.dims, "lower bound dimensionality mismatch");
         assert_eq!(hi.len(), self.dims, "upper bound dimensionality mismatch");
         let mut stack = vec![self.root];
@@ -357,11 +384,15 @@ impl KdTree {
                 stack.push(n.left);
             }
         });
-        let inside =
-            move |p: &[f64]| p.iter().zip(lo.iter().zip(hi)).all(|(p, (l, h))| l <= p && p <= h);
+        // `Some(interior)` for a point inside the box, `None` outside it.
+        let place = move |p: &[f64]| {
+            p.iter().zip(lo.iter().zip(hi)).try_fold(true, |interior, (p, (l, h))| {
+                (l <= p && p <= h).then_some(interior && l < p && p < h)
+            })
+        };
         leaves
             .flat_map(move |leaf| leaf.entries(self.dims))
-            .filter_map(move |(point, payload)| inside(point).then_some(payload))
+            .filter_map(move |(point, id)| Some(BoxPoint { id, interior: place(point)? }))
     }
 
     /// Builds a balanced tree from a point set (bulk load).

@@ -64,7 +64,7 @@ pub use inverted::{
     tokenize_into, Block, Bm25Scorer, InvertedIndex, Posting, PostingsCursor, TermPostings, BLOCK,
     BM25_B, BM25_K1,
 };
-pub use kdtree::KdTree;
+pub use kdtree::{BoxPoint, KdTree};
 pub use ops::{put_str, take_str, take_u32, take_u64, take_u8, FileRecord, IndexOp};
 pub use snapshot::SnapshotData;
 pub use wal::{crc32, Wal};

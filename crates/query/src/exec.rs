@@ -2,16 +2,17 @@
 //!
 //! The request path ([`execute_request`]) is a *streaming* pipeline:
 //! index paths yield **index entries** — a posting list's ids, a B+-tree
-//! walk's `(value, file)` pairs — and a candidate's record is resolved
-//! (through a leaf cursor on the record store) only when its sort key,
-//! an unproved conjunct (`Residual`) or the projection reads it
-//! ([`SearchStats::records_resolved`]). Predicates are evaluated in place
-//! and hits are only materialized once the bounded top-k accumulator
-//! decides they will be retained. When the planner emits an
-//! [`AccessPath::OrderedScan`] — a limited request sorted by a
-//! B+-tree-covered attribute — candidates arrive in final result order
-//! and execution **terminates after `limit` admitted hits**, witnessed by
-//! [`SearchStats::early_terminated`] and [`SearchStats::candidates_skipped`].
+//! walk's `(value, file)` pairs, a K-D box's points — and a candidate's
+//! record is resolved (through a leaf cursor on the record store) only
+//! when its sort key, an unproved conjunct (`Residual`) or the projection
+//! reads it ([`SearchStats::records_resolved`]), or when it is a box point
+//! on a bound of the box. Predicates are evaluated in place and hits are
+//! only materialized once the bounded top-k accumulator decides they will
+//! be retained. When the planner emits an [`AccessPath::OrderedScan`] — a
+//! limited request sorted by a B+-tree-covered attribute — candidates
+//! arrive in final result order and execution **terminates after `limit`
+//! admitted hits**, witnessed by [`SearchStats::early_terminated`] and
+//! [`SearchStats::candidates_skipped`].
 //!
 //! A multi-ACG Index Node goes one step further with the **node-global k
 //! cutoff** ([`execute_node_request_sequential`]; the sequence itself lives
@@ -92,9 +93,9 @@ fn compare_attr(record: &FileRecord, attr: &AttrName, op: CompareOp, rhs: &Value
     }
 }
 
-/// What an access path proves about every candidate it yields. Full scans
-/// prove nothing, and neither do K-D boxes (a widened superset of the
-/// predicate's intervals): they evaluate [`Residual::whole`].
+/// What an access path proves about every candidate it yields (a K-D box:
+/// every point strictly inside it). Full scans prove nothing: they
+/// evaluate [`Residual::whole`].
 #[derive(Clone, Copy)]
 pub(crate) enum Proof<'a> {
     /// The posting list of `attr == value`: the record holds `value`
@@ -111,6 +112,12 @@ pub(crate) enum Proof<'a> {
     /// built from its records), so a conjunctive candidate contains every
     /// merge term and a disjunctive one at least one.
     Merge { terms: &'a [String], conjunctive: bool },
+    /// A K-D box over `attrs`, for a point strictly inside it
+    /// ([`propeller_index::BoxPoint::interior`]). `u64 → f64` rounding is
+    /// monotone, so a builtin's value projected strictly beyond a bound is
+    /// beyond the `U64` bounds of every conjunct that bound implies. A
+    /// point on a bound may have rounded onto it from either side.
+    Box { attrs: &'a [AttrName], lo: &'a [f64], hi: &'a [f64] },
 }
 
 impl Proof<'_> {
@@ -126,6 +133,13 @@ impl Proof<'_> {
             ) => a == attr && v == value,
             (Proof::Range { attr, lo, hi }, Predicate::Compare { attr: a, op, value }) => {
                 a == attr && attr.is_inode_attr() && range_implies(lo, hi, *op, value)
+            }
+            (Proof::Box { attrs, lo, hi }, Predicate::Compare { attr, op, value }) => {
+                let axis = attrs.iter().position(|a| a == attr).filter(|_| attr.is_inode_attr());
+                let (Some(i), Value::U64(_)) = (axis, value) else { return false };
+                let v = value.axis_projection();
+                (matches!(op, CompareOp::Gt | CompareOp::Ge) && lo[i] >= v)
+                    || (matches!(op, CompareOp::Lt | CompareOp::Le) && hi[i] <= v)
             }
             // `Phrase` adjacency is not in the postings; any other
             // `Contains` shape is not what the merge computed.
@@ -218,19 +232,24 @@ struct Candidate<'a> {
     entry: Option<&'a Value>,
     /// The record, once read (a full scan holds it from the start).
     record: Option<&'a FileRecord>,
+    /// The path's [`Proof`] covers the candidate: always, but for a K-D box
+    /// point that ties a bound, which is checked against the whole
+    /// predicate.
+    proved: bool,
 }
 
 impl<'a> Candidate<'a> {
     fn entry(file: FileId, entry: Option<&'a Value>) -> Self {
-        Candidate { file, entry, record: None }
+        Candidate { file, entry, record: None, proved: true }
     }
 }
 
 /// The record side of one access path's candidates: when a candidate needs
 /// its record, and the leaf cursor on the epoch's record store that
 /// resolves it. It is needed when the sort key is not the entry's value,
-/// when the [`Residual`] leaves a conjunct to check, or when the
-/// projection reads attributes; otherwise the hit is the entry alone.
+/// when the [`Residual`] leaves a conjunct to check, when the path's proof
+/// does not cover the candidate, or when the projection reads attributes;
+/// otherwise the hit is the entry alone.
 struct Fetch<'a> {
     group: &'a AcgEpoch,
     request: &'a SearchRequest,
@@ -285,11 +304,16 @@ impl<'a> Fetch<'a> {
         }
     }
 
-    /// Whether the candidate satisfies the residual, resolving its record
-    /// only if the residual or the projection reads it.
+    /// Whether the candidate satisfies the residual (the whole predicate
+    /// when the path's proof does not cover it), resolving its record only
+    /// if that or the projection reads it.
     fn admits(&mut self, candidate: &mut Candidate<'a>) -> bool {
         let residual = self.residual;
-        !self.needs_record || self.record(candidate).is_some_and(|r| residual.matches(r))
+        if candidate.proved {
+            !self.needs_record || self.record(candidate).is_some_and(|r| residual.matches(r))
+        } else {
+            self.record(candidate).is_some_and(|r| matches_record(r, residual.pred))
+        }
     }
 }
 
@@ -347,8 +371,9 @@ pub fn execute_classic(
     let pred = &request.predicate;
     let whole = Residual::whole(pred);
     let scan_all = || {
-        let records =
-            group.records().map(|r| Candidate { file: r.file, entry: None, record: Some(r) });
+        let records = group
+            .records()
+            .map(|r| Candidate { record: Some(r), ..Candidate::entry(r.file, None) });
         let (hits, stats) = stream_topk(records, group, request, whole, None, false, cutoff);
         // A full scan reads every record it scans.
         (hits, SearchStats { records_resolved: stats.candidates_scanned, ..stats })
@@ -383,9 +408,12 @@ pub fn execute_classic(
             }
         }
         AccessPath::KdBox { attrs, lo, hi } => match group.candidates_kd(&attrs, &lo, &hi) {
-            Some(ids) => {
-                let ids = ids.into_iter().map(|file| Candidate::entry(file, None));
-                stream_topk(ids, group, request, whole, None, false, cutoff)
+            Some(points) => {
+                let residual = Residual::of(pred, Proof::Box { attrs: &attrs, lo: &lo, hi: &hi });
+                let points = points
+                    .into_iter()
+                    .map(|p| Candidate { proved: p.interior, ..Candidate::entry(p.id, None) });
+                stream_topk(points, group, request, residual, None, false, cutoff)
             }
             None => scan_all(),
         },
@@ -1488,6 +1516,38 @@ mod tests {
         assert_eq!(run("keyword:firefox", SortKey::Ascending(AttrName::Mtime)), (hash, 50, 50, 50));
         // An unproved conjunct: every candidate is resolved.
         assert_eq!(run("keyword:firefox & uid=2", SortKey::FileId), (hash, 25, 50, 50));
+    }
+
+    #[test]
+    fn kd_box_resolves_a_record_only_for_boundary_points_and_unproved_conjuncts() {
+        let g = seeded_group();
+        let run = |text: &str, projection: Projection| {
+            let req = SearchRequest::new(Query::parse(text, now()).unwrap().predicate)
+                .with_projection(projection);
+            let (hits, stats) = execute_request(&g, &req);
+            assert_eq!(hits, execute_request_reference(&g, &req).0, "{text}");
+            assert_eq!(stats.access_paths[0].1, AccessPathKind::KdBox, "{text}");
+            (hits, stats.candidates_scanned, stats.records_resolved)
+        };
+        // Sizes are whole MiB and ages whole hours, so no point ties a
+        // bound of this box: it proves every conjunct, and its points are
+        // the hits (files 11..=98).
+        let inside = "size>10500k & size<100500k & mtime<1week";
+        let (hits, scanned, resolved) = run(inside, Projection::Ids);
+        assert_eq!((hits.len(), scanned, resolved), (88, 88, 0));
+        // Files 10 and 100 lie on the size bounds: exactly they are read
+        // (and rejected).
+        let (hits, scanned, resolved) = run("size>10m & size<100m & mtime<1week", Projection::Ids);
+        assert_eq!((hits.len(), scanned, resolved), (89, 91, 2));
+        // An unproved conjunct reads every point.
+        let (hits, scanned, resolved) = run(&format!("{inside} & uid=1"), Projection::Ids);
+        assert_eq!((hits.len(), scanned, resolved), (22, 88, 88));
+        // A full projection reads exactly the admitted hits.
+        let (hits, scanned, resolved) = run(inside, Projection::Full);
+        assert_eq!((hits.len(), scanned, resolved), (88, 88, 88));
+        assert!(hits
+            .iter()
+            .all(|h| h.attrs == Projection::Full.project(g.record(h.file).unwrap())));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Additional property-based coverage: WAL framing, index-op codec,
 //! B+-tree/K-D tree invariants under arbitrary inputs, query-parser
-//! robustness, and index-only walks against the reference executor under
-//! churn.
+//! robustness, and index-only walks and K-D boxes against the reference
+//! executor (under churn, and where `u64 → f64` rounding merges values).
 
 use std::sync::Arc;
 
@@ -9,8 +9,8 @@ use propeller::index::{
     AcgEpoch, AcgIndexGroup, BPlusTree, FileRecord, GroupConfig, IndexOp, IndexSpec, KdTree, Wal,
 };
 use propeller::query::{
-    execute_classic, execute_request_reference, merge_sorted_hits, CompareOp, Hit,
-    NodeSearchSession, Predicate, Projection, SearchRequest, SortKey,
+    execute_classic, execute_request, execute_request_reference, merge_sorted_hits, AccessPathKind,
+    CompareOp, Hit, NodeSearchSession, Predicate, Projection, SearchRequest, SortKey,
 };
 use propeller::types::{AcgId, AttrName, FileId, InodeAttrs, Timestamp, Value};
 use propeller::Query;
@@ -326,4 +326,47 @@ proptest! {
             prop_assert!(reparsed.is_ok(), "display form must reparse: {printed}");
         }
     }
+}
+
+/// K-D boxes stay exact where `u64 → f64` rounding is not: 2^53 and 2^53+1
+/// project onto one f64, and so do the values just under `u64::MAX`. Over a
+/// grid of files holding those sizes and mtimes, every box bounded strictly
+/// or inclusively on them must answer exactly like the reference executor:
+/// a point that ties a bound in f64 is checked on its record.
+#[test]
+fn kd_boxes_are_exact_where_f64_merges_neighbouring_values() {
+    const P53: u64 = 1 << 53;
+    let edges =
+        [P53 - 1, P53, P53 + 1, P53 + 2, u64::MAX - 2048, u64::MAX - 1024, u64::MAX - 1, u64::MAX];
+    let mut group = AcgIndexGroup::new(AcgId::new(1), GroupConfig::default());
+    let t = Timestamp::from_secs(1);
+    let grid = edges.iter().flat_map(|&size| edges.iter().map(move |&mtime| (size, mtime)));
+    for (file, (size, mtime)) in grid.enumerate() {
+        group.enqueue(IndexOp::Upsert(churn_record(file as u64, (size, mtime, 0, 0))), t).unwrap();
+    }
+    group.commit(t).unwrap();
+    let epoch = group.pin();
+    // Every strict and inclusive bound on every edge value.
+    let bounds = |attr: AttrName, ops: &[CompareOp]| -> Vec<Predicate> {
+        let at = |op| edges.map(|v| Predicate::cmp(attr.clone(), op, Value::U64(v)));
+        ops.iter().flat_map(|&op| at(op)).collect()
+    };
+    let (lower, upper) = ([CompareOp::Gt, CompareOp::Ge], [CompareOp::Lt, CompareOp::Le]);
+    let (size_lo, size_hi) = (bounds(AttrName::Size, &lower), bounds(AttrName::Size, &upper));
+    let mtime = bounds(AttrName::Mtime, &[lower, upper].concat());
+    let mut answered_from_the_index = 0;
+    for lo in &size_lo {
+        for hi in &size_hi {
+            for at in &mtime {
+                let conjuncts = vec![lo.clone(), hi.clone(), at.clone()];
+                let req = SearchRequest::new(Predicate::And(conjuncts));
+                let (hits, stats) = execute_request(&epoch, &req);
+                assert_eq!(stats.access_paths[0].1, AccessPathKind::KdBox, "{req:?}");
+                assert_eq!(hits, execute_request_reference(&epoch, &req).0, "{req:?}");
+                answered_from_the_index += stats.candidates_scanned - stats.records_resolved;
+            }
+        }
+    }
+    // Interior points were admitted with no record read.
+    assert!(answered_from_the_index > 0);
 }
