@@ -26,6 +26,7 @@ use propeller_types::{
     AcgId, Error, FileId, NodeId, OpenMode, ProcessId, Result, Timestamp, TraceEvent,
 };
 
+use crate::cluster::sync_replica;
 use crate::messages::{Request, Response, RouteHints};
 use crate::rpc::{Gather, Rpc};
 
@@ -192,7 +193,7 @@ pub struct FileQueryEngine {
     acg_replicas: HashMap<AcgId, Vec<NodeId>>,
     /// Spread streamed session opens across each replica set, preferring
     /// the least-loaded replica (see
-    /// [`crate::ClusterConfig::follower_reads`]). `false` always opens at
+    /// [`FileQueryEngine::with_follower_reads`]). `false` always opens at
     /// the primary.
     follower_reads: bool,
     /// Tie-break cursor for follower reads, advanced per opened group.
@@ -271,7 +272,8 @@ impl FileQueryEngine {
     /// landing on the primary. Replicas serve byte-identical committed
     /// hits, so this spreads read load without changing any result; the
     /// failover order still walks the remaining replicas if the chosen
-    /// one is down.
+    /// one is down. Needs replication R >= 2 to change anything. Off by
+    /// default: the primary has the freshest un-replicated state.
     #[must_use]
     pub fn with_follower_reads(mut self, enabled: bool) -> Self {
         self.follower_reads = enabled;
@@ -504,7 +506,7 @@ impl FileQueryEngine {
     /// — freshly resolved batches ship without any extra clone.
     ///
     /// A freshly resolved route can still race an in-flight split (the
-    /// window between `ExtractAcgPart` and `CommitSplit` at the Master):
+    /// window between `ExtractAcgPart` and `CommitMigration` at the Master):
     /// that narrow case surfaces as [`Error::StaleRoute`] and the caller
     /// may simply retry the batch.
     fn apply_ops(&mut self, ops: Vec<IndexOp>) -> Result<()> {
@@ -646,7 +648,8 @@ impl FileQueryEngine {
         // Catch-up is rare and sequential; it runs after every frame has
         // been acknowledged so a lagging follower never delays the rest.
         for (primary, follower, acg, have) in lagging {
-            let _ = sync_replica(&self.rpc, primary, follower, acg, have, now);
+            let call = &mut |node, req| self.rpc.call(node, req);
+            let _ = sync_replica(call, primary, follower, acg, have, now);
         }
         failures
     }
@@ -1032,52 +1035,6 @@ impl FileQueryEngine {
     /// Number of causality edges currently buffered client-side.
     pub fn buffered_edges(&self) -> usize {
         self.tracker.edge_count()
-    }
-}
-
-/// Brings `target`'s copy of `acg` up to date with `source`'s, shipping
-/// WAL frames after `after_lsn` when the source still retains them and a
-/// full snapshot seed once the source's WAL has been truncated past the
-/// gap. Returns the LSN the target acknowledged.
-///
-/// The sync is **client/coordinator-driven** — the source and target
-/// never talk to each other — so the actor graph cannot deadlock on two
-/// nodes catching each other up.
-pub(crate) fn sync_replica(
-    rpc: &Rpc,
-    source: NodeId,
-    target: NodeId,
-    acg: AcgId,
-    after_lsn: u64,
-    now: Timestamp,
-) -> Result<u64> {
-    match rpc.call(source, Request::FetchAcgFrames { acg, after_lsn, now })? {
-        Response::AcgFrames(frames) => {
-            let mut applied = after_lsn;
-            for (lsn, frame) in frames {
-                let ops = IndexOp::decode_frame(&frame)?;
-                // Catch-up traffic is never sampled: it runs outside any
-                // client request.
-                let req = Request::ReplicateBatch { acg, lsn, ops, now, ctx: TraceContext::NONE };
-                match rpc.call(target, req)? {
-                    Response::ReplicaApplied { lsn } => applied = lsn,
-                    Response::ReplicaLagging { lsn } => {
-                        return Err(Error::Rpc(format!(
-                            "replica {target:?} still lagging at lsn {lsn} during catch-up"
-                        )));
-                    }
-                    other => return Err(Error::Rpc(format!("unexpected response {other:?}"))),
-                }
-            }
-            Ok(applied)
-        }
-        Response::AcgSeed { lsn, records } => {
-            match rpc.call(target, Request::SeedAcg { acg, lsn, records, now })? {
-                Response::ReplicaApplied { lsn } => Ok(lsn),
-                other => Err(Error::Rpc(format!("unexpected response {other:?}"))),
-            }
-        }
-        other => Err(Error::Rpc(format!("unexpected response {other:?}"))),
     }
 }
 

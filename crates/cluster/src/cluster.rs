@@ -1,11 +1,14 @@
-//! Cluster assembly: spawning node actors and running maintenance.
+//! Cluster assembly: spawning node actors, and the maintenance
+//! coordinator ([`maintain`]) that both deployment shapes drive.
 
 use std::sync::Arc;
 
 use propeller_acg::PartitionConfig;
+use propeller_index::IndexOp;
+use propeller_obs::TraceContext;
 use propeller_sim::{Clock, SimClock, WallClock};
 use propeller_storage::{Network, SharedStorage};
-use propeller_types::{Duration, Error, NodeId, Result};
+use propeller_types::{AcgId, Duration, Error, NodeId, Result, Timestamp};
 
 use crate::client::FileQueryEngine;
 use crate::index_node::{IndexNode, IndexNodeConfig};
@@ -51,28 +54,6 @@ pub struct ClusterConfig {
     /// followers — and searches fail over across the set. `1` (the
     /// default) reproduces the unreplicated cluster exactly.
     pub replication: usize,
-    /// Client-side latency budget for streamed search opens: past it the
-    /// client **hedges** — fires a tied duplicate request at the next
-    /// live replica and takes the first answer (paper-adjacent tail
-    /// tolerance; needs `replication >= 2` to have anywhere to hedge).
-    /// `None` (the default) never hedges.
-    pub hedge_budget: Option<Duration>,
-    /// Spread streamed session opens across each ACG's live replica set
-    /// instead of always asking the primary, preferring the
-    /// least-loaded replica (suspended-session counts ride the
-    /// heartbeats; ties rotate round-robin). Replicas apply the same
-    /// committed WAL frames, so any of them serves byte-identical hits;
-    /// follower reads turn that redundancy into read throughput and
-    /// drain opens away from a degraded replica.
-    /// Needs `replication >= 2` to change anything. Off by default: the
-    /// primary has the freshest un-replicated state, so single-replica
-    /// deployments and strict-freshness tests keep the old behaviour.
-    pub follower_reads: bool,
-    /// Trace sampling rate for clients built by [`Cluster::client`]: one
-    /// request in every `trace_sample_every` records a propagated trace
-    /// (see [`FileQueryEngine::with_trace_sampling`]). `0` (the default)
-    /// never samples.
-    pub trace_sample_every: u64,
     /// Node-side slow-query threshold: a search whose measured service
     /// time reaches it is captured (plan, stats, spans) in the node's
     /// bounded slow-query ring, dumpable via [`Cluster::slow_queries`].
@@ -94,9 +75,6 @@ impl Default for ClusterConfig {
             data_dir: None,
             snapshot_wal_ops: 10_000,
             replication: 1,
-            hedge_budget: None,
-            follower_reads: false,
-            trace_sample_every: 0,
             slow_query_threshold: None,
         }
     }
@@ -231,22 +209,18 @@ impl Cluster {
         }
     }
 
-    /// A new client handle. Inherits the cluster's hedge budget, if any
-    /// ([`ClusterConfig::hedge_budget`]).
+    /// A new client handle with the default client options; set hedging,
+    /// follower reads and trace sampling through its builders
+    /// ([`FileQueryEngine::with_hedge_budget`],
+    /// [`FileQueryEngine::with_follower_reads`],
+    /// [`FileQueryEngine::with_trace_sampling`]).
     pub fn client(&self) -> FileQueryEngine {
-        let engine = FileQueryEngine::new(
+        FileQueryEngine::new(
             self.rpc.clone(),
             self.master,
             self.index_nodes.clone(),
             self.clock.clone(),
-        );
-        let engine = match self.config.hedge_budget {
-            Some(budget) => engine.with_hedge_budget(budget),
-            None => engine,
-        };
-        engine
-            .with_follower_reads(self.config.follower_reads)
-            .with_trace_sampling(self.config.trace_sample_every)
+        )
     }
 
     /// Snapshots every reachable lane's metrics registry (the Master and
@@ -339,10 +313,9 @@ impl Cluster {
     /// valid checkpoint), each Index Node restores its groups from disk,
     /// and the Master's index-spec catalogue is re-broadcast to every
     /// node. In-flight two-phase migrations stay parked until the next
-    /// [`Cluster::run_maintenance`] (or [`Cluster::resume_migrations`])
-    /// call resumes them from their logged phase; searches are already
-    /// correct before that because an uncommitted migration's new ACG is
-    /// never routable.
+    /// [`Cluster::run_maintenance`] resumes them from their logged phase;
+    /// searches are already correct before that because an uncommitted
+    /// migration's new ACG is never routable.
     ///
     /// On a non-durable cluster (`data_dir: None`) this degrades to a
     /// whole-cluster power loss: everything comes back empty.
@@ -376,33 +349,23 @@ impl Cluster {
     fn rebroadcast_index_specs_to(&self, nodes: &[NodeId]) -> Result<()> {
         let specs = match self.rpc.call(self.master, Request::ListIndexSpecs)? {
             Response::IndexSpecs(specs) => specs,
-            other => return Err(Error::Rpc(format!("unexpected response {other:?}"))),
+            other => return Err(unexpected(other)),
         };
         for spec in specs {
             for &node in nodes {
                 match self.rpc.call(node, Request::CreateIndex { spec: spec.clone() })? {
                     Response::Ok => {}
                     Response::Err(e) => return Err(e),
-                    other => return Err(Error::Rpc(format!("unexpected response {other:?}"))),
+                    other => return Err(unexpected(other)),
                 }
             }
         }
         Ok(())
     }
 
-    /// One maintenance round, played by the external coordinator (the
-    /// paper's "background" tasks):
-    ///
-    /// 1. `Tick` every Index Node — commits timed-out caches and collects
-    ///    ACG summaries plus the node's current search load,
-    /// 2. forward each summary to the Master as that node's heartbeat,
-    /// 3. resume any two-phase migration an earlier coordinator (or
-    ///    crash) left in flight,
-    /// 4. drain the Master's split queue and run each split as a fresh
-    ///    two-phase migration: bisect on the owner, `BeginMigration` at
-    ///    the Master (durably logged intent), then drive the phases.
-    ///
-    /// Returns the number of migrations completed (resumed + fresh).
+    /// One maintenance round over the fabric: [`maintain`] with
+    /// [`Rpc::call`] as the dispatch. Returns the number of migrations
+    /// completed (resumed + fresh).
     ///
     /// # Errors
     ///
@@ -410,157 +373,8 @@ impl Cluster {
     /// migration phase is idempotent and the Master re-hands unfinished
     /// work via `TakeMigrationWork`.
     pub fn run_maintenance(&self) -> Result<usize> {
-        let now = self.clock.now();
-        // 1 + 2: tick, gather, heartbeat.
-        for &node in &self.index_nodes {
-            let status = self.rpc.call(node, Request::Tick { now })?;
-            if let Response::Status { acgs, load } = status {
-                self.rpc.call(self.master, Request::Heartbeat { node, acgs, load, now })?;
-            }
-        }
-        // 3: finish what a predecessor started before opening new work.
-        let mut done = self.resume_migrations()?;
-        // 4: fresh splits, each as a two-phase migration.
-        let work = match self.rpc.call(self.master, Request::TakeSplitWork)? {
-            Response::SplitWork(work) => work,
-            other => return Err(Error::Rpc(format!("unexpected response {other:?}"))),
-        };
-        for (acg, owner) in work {
-            let (left, right) = match self.rpc.call(owner, Request::SplitAcg { acg })? {
-                Response::SplitHalves { left, right } => (left, right),
-                Response::Err(e) => return Err(e),
-                other => return Err(Error::Rpc(format!("unexpected response {other:?}"))),
-            };
-            if left.is_empty() || right.is_empty() {
-                continue;
-            }
-            let (new_acg, targets) = match self
-                .rpc
-                .call(self.master, Request::BeginMigration { acg, moved: right.clone() })?
-            {
-                Response::MigrationBegun { new_acg, targets } => (new_acg, targets),
-                Response::Err(e) => return Err(e),
-                other => return Err(Error::Rpc(format!("unexpected response {other:?}"))),
-            };
-            let job = MigrationJob {
-                source: acg,
-                source_node: owner,
-                new_acg,
-                moved: right,
-                targets,
-                installed: false,
-            };
-            self.execute_migration(&job, now)?;
-            done += 1;
-        }
-        Ok(done)
-    }
-
-    /// Resumes every two-phase migration the Master still holds open —
-    /// the recovery path after a coordinator or whole-cluster crash. Each
-    /// job restarts from its durably logged phase: an un-acked install
-    /// re-runs extract + install (both idempotent — the source *retains*
-    /// extracted records until told to remove, and installs are upserts),
-    /// an acked one skips straight to the remove + commit tail.
-    ///
-    /// Returns the number of migrations driven to commit.
-    ///
-    /// # Errors
-    ///
-    /// Fails if a participant is unreachable; re-run once it is back.
-    pub fn resume_migrations(&self) -> Result<usize> {
-        let now = self.clock.now();
-        let jobs = match self.rpc.call(self.master, Request::TakeMigrationWork)? {
-            Response::MigrationWork(jobs) => jobs,
-            other => return Err(Error::Rpc(format!("unexpected response {other:?}"))),
-        };
-        let mut done = 0;
-        for job in jobs {
-            self.execute_migration(&job, now)?;
-            done += 1;
-        }
-        Ok(done)
-    }
-
-    /// Drives one two-phase migration from whatever phase the Master has
-    /// durably recorded through to commit:
-    ///
-    /// 1. **Extract** the moved half on the source primary — it fences
-    ///    the files behind tombstones but **retains** the records,
-    /// 2. **Install** the part on every target replica (idempotent
-    ///    upserts; identical frames in identical order keep the targets
-    ///    bit-identical),
-    /// 3. **InstallAcked** at the Master — the durable point of no
-    ///    return; from here recovery never re-extracts,
-    /// 4. **Remove** the moved half from the source, with a strict WAL
-    ///    sync — only now does the source give the records up,
-    /// 5. re-sync the source's followers so the remove frame reaches them
-    ///    (best-effort: a dead follower re-syncs on revival),
-    /// 6. **CommitMigration** at the Master — remaps the files, registers
-    ///    the new ACG's replicas and bumps the routing generation in one
-    ///    logged step.
-    ///
-    /// A crash between any two steps leaves exactly one routable home for
-    /// every moved file: before step 6 the new ACG is not in the routing
-    /// table, and the source keeps (fenced) custody until step 4.
-    fn execute_migration(&self, job: &MigrationJob, now: propeller_types::Timestamp) -> Result<()> {
-        if !job.installed {
-            let extract = Request::ExtractAcgPart { acg: job.source, files: job.moved.clone() };
-            let (records, edges) = match self.rpc.call(job.source_node, extract)? {
-                Response::AcgPart { records, edges } => (records, edges),
-                Response::Err(e) => return Err(e),
-                other => return Err(Error::Rpc(format!("unexpected response {other:?}"))),
-            };
-            for &target in &job.targets {
-                let install = Request::InstallAcg {
-                    acg: job.new_acg,
-                    records: records.clone(),
-                    edges: edges.clone(),
-                };
-                self.rpc.call(target, install)?;
-            }
-            self.rpc.call(self.master, Request::InstallAcked { new_acg: job.new_acg })?;
-        }
-        match self.rpc.call(
-            job.source_node,
-            Request::RemoveAcgPart { acg: job.source, files: job.moved.clone() },
-        )? {
-            Response::Ok => {}
-            Response::Err(e) => return Err(e),
-            other => return Err(Error::Rpc(format!("unexpected response {other:?}"))),
-        }
-        if let Ok(Response::Located(rows)) = self.rpc.call(self.master, Request::LocateAcgs) {
-            if let Some((_, set)) = rows.into_iter().find(|(a, _)| *a == job.source) {
-                for &follower in set.iter().filter(|&&n| n != job.source_node) {
-                    let _ = self.sync_follower(job.source_node, follower, job.source, now);
-                }
-            }
-        }
-        self.rpc.call(self.master, Request::CommitMigration { new_acg: job.new_acg })?;
-        Ok(())
-    }
-
-    /// Brings `follower`'s copy of `acg` up to date with `source`'s:
-    /// asks the follower where its log ends, then replays the source's
-    /// WAL tail (or a snapshot seed) through the coordinator.
-    ///
-    /// # Errors
-    ///
-    /// Fails if either node is unreachable or answers out of protocol.
-    fn sync_follower(
-        &self,
-        source: NodeId,
-        follower: NodeId,
-        acg: propeller_types::AcgId,
-        now: propeller_types::Timestamp,
-    ) -> Result<u64> {
-        let have = match self.rpc.call(follower, Request::AcgLsns)? {
-            Response::AcgLsnReport(rows) => {
-                rows.into_iter().find(|(a, _)| *a == acg).map(|(_, lsn)| lsn).unwrap_or(0)
-            }
-            other => return Err(Error::Rpc(format!("unexpected response {other:?}"))),
-        };
-        crate::client::sync_replica(&self.rpc, source, follower, acg, have, now)
+        let call = &mut |node, req| self.rpc.call(node, req);
+        maintain(call, self.master, &self.index_nodes, self.clock.now())
     }
 
     /// Catches a node up with its replica peers: for every ACG the node
@@ -581,8 +395,9 @@ impl Cluster {
         let now = self.clock.now();
         let rows = match self.rpc.call(self.master, Request::LocateAcgs)? {
             Response::Located(rows) => rows,
-            other => return Err(Error::Rpc(format!("unexpected response {other:?}"))),
+            other => return Err(unexpected(other)),
         };
+        let call = &mut |node, req| self.rpc.call(node, req);
         let mut synced = 0;
         for (acg, replicas) in rows {
             if !replicas.contains(&id) {
@@ -593,16 +408,14 @@ impl Cluster {
             // cascaded failures the longest log is the freshest.
             let mut best: Option<(NodeId, u64)> = None;
             for &peer in replicas.iter().filter(|&&n| n != id) {
-                if let Ok(Response::AcgLsnReport(rows)) = self.rpc.call(peer, Request::AcgLsns) {
-                    let lsn =
-                        rows.into_iter().find(|(a, _)| *a == acg).map(|(_, l)| l).unwrap_or(0);
-                    if best.map(|(_, b)| lsn > b).unwrap_or(true) {
+                if let Ok(lsn) = acg_lsn(call, peer, acg) {
+                    if best.is_none_or(|(_, b)| lsn > b) {
                         best = Some((peer, lsn));
                     }
                 }
             }
             if let Some((peer, _)) = best {
-                if self.sync_follower(peer, id, acg, now).is_ok() {
+                if sync_follower(call, peer, id, acg, now).is_ok() {
                     synced += 1;
                 }
             }
@@ -619,6 +432,212 @@ impl Cluster {
             let _ = handle.join();
         }
     }
+}
+
+/// One request to one node, answered: [`Rpc::call`] in a cluster, the
+/// in-process [`MasterNode::handle`] / [`IndexNode::handle`] in single-node
+/// mode. A handler's [`Response::Err`] may come back as `Ok`; the
+/// coordinator below folds it into `Err` itself.
+pub type Call<'a> = &'a mut dyn FnMut(NodeId, Request) -> Result<Response>;
+
+/// One maintenance round, played by the external coordinator (the
+/// paper's "background" tasks) through `call`:
+///
+/// 1. `Tick` every Index Node in `nodes` — commits timed-out caches and
+///    collects ACG summaries plus the node's current search load,
+/// 2. forward each summary to `master` as that node's heartbeat,
+/// 3. resume every two-phase migration the Master still holds open — an
+///    earlier coordinator (or a crash) left it in flight, and each job
+///    restarts from its durably logged phase,
+/// 4. drain the Master's split queue and run each split as a fresh
+///    two-phase migration: bisect on the owner, `BeginMigration` at the
+///    Master (durably logged intent), then drive the phases.
+///
+/// Returns the number of migrations completed (resumed + fresh).
+///
+/// # Errors
+///
+/// Fails if any node is unreachable or refuses a step mid-round. Safe to
+/// re-run: every migration phase is idempotent and the Master re-hands
+/// unfinished work via `TakeMigrationWork`.
+pub fn maintain(call: Call<'_>, master: NodeId, nodes: &[NodeId], now: Timestamp) -> Result<usize> {
+    let call = &mut |node, req| call(node, req).and_then(Response::into_result);
+    // 1 + 2: tick, gather, heartbeat.
+    for &node in nodes {
+        if let Response::Status { acgs, load } = call(node, Request::Tick { now })? {
+            call(master, Request::Heartbeat { node, acgs, load, now })?;
+        }
+    }
+    // 3: finish what a predecessor started before opening new work.
+    let jobs = match call(master, Request::TakeMigrationWork)? {
+        Response::MigrationWork(jobs) => jobs,
+        other => return Err(unexpected(other)),
+    };
+    let mut done = 0;
+    for job in jobs {
+        execute_migration(call, master, &job, now)?;
+        done += 1;
+    }
+    // 4: fresh splits, each as a two-phase migration.
+    let work = match call(master, Request::TakeSplitWork)? {
+        Response::SplitWork(work) => work,
+        other => return Err(unexpected(other)),
+    };
+    for (acg, owner) in work {
+        let right = match call(owner, Request::SplitAcg { acg })? {
+            Response::SplitHalves { left, right } if !left.is_empty() && !right.is_empty() => right,
+            Response::SplitHalves { .. } => continue,
+            other => return Err(unexpected(other)),
+        };
+        let begin = Request::BeginMigration { acg, moved: right.clone() };
+        let (new_acg, targets) = match call(master, begin)? {
+            Response::MigrationBegun { new_acg, targets } => (new_acg, targets),
+            other => return Err(unexpected(other)),
+        };
+        let job = MigrationJob {
+            source: acg,
+            source_node: owner,
+            new_acg,
+            moved: right,
+            targets,
+            installed: false,
+        };
+        execute_migration(call, master, &job, now)?;
+        done += 1;
+    }
+    Ok(done)
+}
+
+/// Drives one two-phase migration from whatever phase the Master has
+/// durably recorded through to commit:
+///
+/// 1. **Extract** the moved half on the source primary — it fences
+///    the files behind tombstones but **retains** the records,
+/// 2. **Install** the part on every target replica (idempotent
+///    upserts; identical frames in identical order keep the targets
+///    bit-identical),
+/// 3. **InstallAcked** at the Master — the durable point of no
+///    return; from here recovery never re-extracts,
+/// 4. **Remove** the moved half from the source, with a strict WAL
+///    sync — only now does the source give the records up,
+/// 5. re-sync the source's followers so the remove frame reaches them
+///    (best-effort: a dead follower re-syncs on revival),
+/// 6. **CommitMigration** at the Master — remaps the files, registers
+///    the new ACG's replicas and bumps the routing generation in one
+///    logged step.
+///
+/// A crash between any two steps leaves exactly one routable home for
+/// every moved file: before step 6 the new ACG is not in the routing
+/// table, and the source keeps (fenced) custody until step 4.
+fn execute_migration(
+    call: Call<'_>,
+    master: NodeId,
+    job: &MigrationJob,
+    now: Timestamp,
+) -> Result<()> {
+    if !job.installed {
+        let extract = Request::ExtractAcgPart { acg: job.source, files: job.moved.clone() };
+        let (records, edges) = match call(job.source_node, extract)? {
+            Response::AcgPart { records, edges } => (records, edges),
+            other => return Err(unexpected(other)),
+        };
+        for &target in &job.targets {
+            let install = Request::InstallAcg {
+                acg: job.new_acg,
+                records: records.clone(),
+                edges: edges.clone(),
+            };
+            call(target, install)?;
+        }
+        call(master, Request::InstallAcked { new_acg: job.new_acg })?;
+    }
+    call(job.source_node, Request::RemoveAcgPart { acg: job.source, files: job.moved.clone() })?;
+    if let Ok(Response::Located(rows)) = call(master, Request::LocateAcgs) {
+        if let Some((_, set)) = rows.into_iter().find(|(a, _)| *a == job.source) {
+            for &follower in set.iter().filter(|&&n| n != job.source_node) {
+                let _ = sync_follower(call, job.source_node, follower, job.source, now);
+            }
+        }
+    }
+    call(master, Request::CommitMigration { new_acg: job.new_acg })?;
+    Ok(())
+}
+
+/// The LSN `node`'s copy of `acg` ends at (`0` when it holds none).
+fn acg_lsn(call: Call<'_>, node: NodeId, acg: AcgId) -> Result<u64> {
+    match call(node, Request::AcgLsns)? {
+        Response::AcgLsnReport(rows) => {
+            Ok(rows.into_iter().find(|(a, _)| *a == acg).map_or(0, |(_, lsn)| lsn))
+        }
+        other => Err(unexpected(other)),
+    }
+}
+
+/// Brings `follower`'s copy of `acg` up to date with `source`'s: asks the
+/// follower where its log ends, then [`sync_replica`]s the tail.
+///
+/// # Errors
+///
+/// Fails if either node is unreachable or answers out of protocol.
+fn sync_follower(
+    call: Call<'_>,
+    source: NodeId,
+    follower: NodeId,
+    acg: AcgId,
+    now: Timestamp,
+) -> Result<u64> {
+    let have = acg_lsn(call, follower, acg)?;
+    sync_replica(call, source, follower, acg, have, now)
+}
+
+/// Brings `target`'s copy of `acg` up to date with `source`'s, shipping
+/// WAL frames after `after_lsn` when the source still retains them and a
+/// full snapshot seed once the source's WAL has been truncated past the
+/// gap. Returns the LSN the target acknowledged.
+///
+/// The sync is **client/coordinator-driven** — the source and target
+/// never talk to each other — so the actor graph cannot deadlock on two
+/// nodes catching each other up.
+pub(crate) fn sync_replica(
+    call: Call<'_>,
+    source: NodeId,
+    target: NodeId,
+    acg: AcgId,
+    after_lsn: u64,
+    now: Timestamp,
+) -> Result<u64> {
+    match call(source, Request::FetchAcgFrames { acg, after_lsn, now })? {
+        Response::AcgFrames(frames) => {
+            let mut applied = after_lsn;
+            for (lsn, frame) in frames {
+                let ops = IndexOp::decode_frame(&frame)?;
+                // Catch-up traffic is never sampled: it runs outside any
+                // client request.
+                let req = Request::ReplicateBatch { acg, lsn, ops, now, ctx: TraceContext::NONE };
+                match call(target, req)? {
+                    Response::ReplicaApplied { lsn } => applied = lsn,
+                    Response::ReplicaLagging { lsn } => {
+                        return Err(Error::Rpc(format!(
+                            "replica {target:?} still lagging at lsn {lsn} during catch-up"
+                        )));
+                    }
+                    other => return Err(unexpected(other)),
+                }
+            }
+            Ok(applied)
+        }
+        Response::AcgSeed { lsn, records } => {
+            match call(target, Request::SeedAcg { acg, lsn, records, now })? {
+                Response::ReplicaApplied { lsn } => Ok(lsn),
+                other => Err(unexpected(other)),
+            }
+        }
+        other => Err(unexpected(other)),
+    }
+}
+
+fn unexpected(other: Response) -> Error {
+    Error::Rpc(format!("unexpected response {other:?}"))
 }
 
 #[cfg(test)]
@@ -732,13 +751,9 @@ mod tests {
 
     #[test]
     fn follower_reads_spread_session_opens_across_replicas() {
-        let cluster = Cluster::start(ClusterConfig {
-            index_nodes: 2,
-            replication: 2,
-            follower_reads: true,
-            ..Default::default()
-        });
-        let mut client = cluster.client();
+        let cluster =
+            Cluster::start(ClusterConfig { index_nodes: 2, replication: 2, ..Default::default() });
+        let mut client = cluster.client().with_follower_reads(true);
         client.index_files((0..50).map(|i| record(i, 10)).collect()).unwrap();
         let located = match cluster.rpc().call(cluster.master_id(), Request::LocateAcgs) {
             Ok(Response::Located(rows)) => rows,
@@ -772,13 +787,9 @@ mod tests {
 
     #[test]
     fn follower_reads_drain_opens_from_a_degraded_replica() {
-        let cluster = Cluster::start(ClusterConfig {
-            index_nodes: 2,
-            replication: 2,
-            follower_reads: true,
-            ..Default::default()
-        });
-        let mut client = cluster.client();
+        let cluster =
+            Cluster::start(ClusterConfig { index_nodes: 2, replication: 2, ..Default::default() });
+        let mut client = cluster.client().with_follower_reads(true);
         client.index_files((0..50).map(|i| record(i, 10)).collect()).unwrap();
         let located = match cluster.rpc().call(cluster.master_id(), Request::LocateAcgs) {
             Ok(Response::Located(rows)) => rows,

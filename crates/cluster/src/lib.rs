@@ -75,7 +75,7 @@ mod pool;
 mod rpc;
 
 pub use client::{ClusterSearchStream, FileQueryEngine};
-pub use cluster::{Cluster, ClusterConfig};
+pub use cluster::{maintain, Call, Cluster, ClusterConfig};
 pub use index_node::{IndexNode, IndexNodeConfig};
 pub use master::{MasterConfig, MasterNode, NodeStatus};
 pub use messages::{AcgSummary, MigrationJob, Request, Response};

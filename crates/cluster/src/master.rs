@@ -335,13 +335,15 @@ impl MasterNode {
         Ok(())
     }
 
-    /// The Master's write rule (paper §IV): durably log one transition,
-    /// then apply it — nothing is observable that a restart would not
-    /// replay. A checkpoint due at this op is cut after the apply, so its
-    /// image covers every op its LSN claims.
-    fn log_then_apply(&mut self, op: MetaOp) -> Result<(), Error> {
-        self.meta.log(std::slice::from_ref(&op))?;
-        self.apply_op(&op);
+    /// The Master's write rule (paper §IV): durably log one batch of
+    /// transitions, then apply it — nothing is observable that a restart
+    /// would not replay. A checkpoint due at this batch is cut after the
+    /// apply, so its image covers every op its LSN claims.
+    fn log_then_apply(&mut self, ops: &[MetaOp]) -> Result<(), Error> {
+        self.meta.log(ops)?;
+        for op in ops {
+            self.apply_op(op);
+        }
         self.checkpoint_if_due();
         Ok(())
     }
@@ -378,24 +380,22 @@ impl MasterNode {
         self.config.replication.max(1).min(self.index_nodes.len().max(1))
     }
 
-    fn allocate_acg(&mut self) -> Result<(AcgId, Vec<NodeId>), Error> {
+    /// The next ACG id and the least-loaded replica set to place it on,
+    /// neither taken yet: the logged op that creates the group takes them.
+    fn next_placement(&self) -> Result<(AcgId, Vec<NodeId>), Error> {
         let nodes = self.least_loaded(self.effective_replication());
         if nodes.is_empty() {
             return Err(Error::Config("cluster has no index nodes".into()));
         }
-        let acg = AcgId::new(self.next_acg);
+        Ok((AcgId::new(self.next_acg), nodes))
+    }
+
+    fn allocate_acg(&mut self) -> Result<(AcgId, Vec<NodeId>), Error> {
+        let (acg, nodes) = self.next_placement()?;
         self.next_acg += 1;
         self.acg_replicas.insert(acg, nodes.clone());
         self.acg_files.insert(acg, 0);
         Ok((acg, nodes))
-    }
-
-    /// Undoes an [`MasterNode::allocate_acg`] whose transition failed to
-    /// log: the id is un-minted, so the next allocation re-uses it.
-    fn unallocate_acg(&mut self, acg: AcgId) {
-        self.acg_replicas.remove(&acg);
-        self.acg_files.remove(&acg);
-        self.next_acg = acg.raw();
     }
 
     /// The replica sets of every distinct ACG named in `rows`, for the
@@ -506,7 +506,7 @@ impl MasterNode {
             }
             let known = self.acg_replicas.get(&summary.acg).is_some_and(|r| r.contains(&node));
             if !known
-                && self.log_then_apply(MetaOp::AdoptReplica { acg: summary.acg, node }).is_err()
+                && self.log_then_apply(&[MetaOp::AdoptReplica { acg: summary.acg, node }]).is_err()
             {
                 continue;
             }
@@ -588,7 +588,7 @@ impl MasterNode {
                 if self.index_specs.iter().any(|s| s.name == spec.name) {
                     return Response::Err(Error::IndexExists(spec.name));
                 }
-                if let Err(e) = self.log_then_apply(MetaOp::CreateIndexSpec { spec }) {
+                if let Err(e) = self.log_then_apply(&[MetaOp::CreateIndexSpec { spec }]) {
                     return Response::Err(e);
                 }
                 Response::Ok
@@ -598,7 +598,7 @@ impl MasterNode {
                 // propagated must always succeed. Only an actual removal
                 // is a transition worth logging.
                 if self.index_specs.iter().any(|s| s.name == name) {
-                    if let Err(e) = self.log_then_apply(MetaOp::DropIndexSpec { name }) {
+                    if let Err(e) = self.log_then_apply(&[MetaOp::DropIndexSpec { name }]) {
                         return Response::Err(e);
                     }
                 }
@@ -639,33 +639,21 @@ impl MasterNode {
                 jobs.sort_by_key(|j| j.new_acg);
                 Response::MigrationWork(jobs)
             }
-            Request::AllocateAcg => match self.allocate_acg() {
-                Ok((acg, nodes)) => {
-                    let op = MetaOp::CreateAcg { acg, replicas: nodes.clone(), open: false };
-                    if let Err(e) = self.log_ops(std::slice::from_ref(&op)) {
-                        self.unallocate_acg(acg);
-                        return Response::Err(e);
-                    }
-                    Response::AcgAllocated(acg, nodes)
+            Request::BindFiles { files } => {
+                let (acg, replicas) = match self.next_placement() {
+                    Ok(placement) => placement,
+                    Err(e) => return Response::Err(e),
+                };
+                let mut ops =
+                    vec![MetaOp::CreateAcg { acg, replicas: replicas.clone(), open: false }];
+                if !files.is_empty() {
+                    let placements = files.into_iter().map(|f| (f, acg)).collect();
+                    ops.push(MetaOp::PlaceFiles { placements });
                 }
-                Err(e) => Response::Err(e),
-            },
-            Request::BindFiles { acg, files } => {
-                if !self.acg_replicas.contains_key(&acg) {
-                    return Response::Err(Error::AcgNotFound(acg));
+                match self.log_then_apply(&ops) {
+                    Ok(()) => Response::AcgAllocated(acg, replicas),
+                    Err(e) => Response::Err(e),
                 }
-                let placements: Vec<(FileId, AcgId)> = files
-                    .iter()
-                    .filter(|f| self.file_to_acg.get(f) != Some(&acg))
-                    .map(|&f| (f, acg))
-                    .collect();
-                if placements.is_empty() {
-                    return Response::Ok;
-                }
-                if let Err(e) = self.log_then_apply(MetaOp::PlaceFiles { placements }) {
-                    return Response::Err(e);
-                }
-                Response::Ok
             }
             Request::BeginMigration { acg, moved } => {
                 if !self.acg_replicas.contains_key(&acg) {
@@ -676,17 +664,16 @@ impl MasterNode {
                         "a migration out of {acg} is already in flight"
                     )));
                 }
-                let targets = self.least_loaded(self.effective_replication());
-                if targets.is_empty() {
-                    return Response::Err(Error::Config("cluster has no index nodes".into()));
-                }
-                let new_acg = AcgId::new(self.next_acg);
-                if let Err(e) = self.log_then_apply(MetaOp::BeginMigration {
+                let (new_acg, targets) = match self.next_placement() {
+                    Ok(placement) => placement,
+                    Err(e) => return Response::Err(e),
+                };
+                if let Err(e) = self.log_then_apply(&[MetaOp::BeginMigration {
                     source: acg,
                     new_acg,
                     moved,
                     targets: targets.clone(),
-                }) {
+                }]) {
                     return Response::Err(e);
                 }
                 Response::MigrationBegun { new_acg, targets }
@@ -696,7 +683,7 @@ impl MasterNode {
                     return Response::Err(Error::AcgNotFound(new_acg));
                 };
                 if !m.installed {
-                    if let Err(e) = self.log_then_apply(MetaOp::InstallAcked { new_acg }) {
+                    if let Err(e) = self.log_then_apply(&[MetaOp::InstallAcked { new_acg }]) {
                         return Response::Err(e);
                     }
                 }
@@ -715,23 +702,12 @@ impl MasterNode {
                 // routable, advances the routing generation and retires
                 // the migration — atomically from any observer's view,
                 // because it all happens inside this one request.
-                if let Err(e) = self.log_then_apply(MetaOp::CommitSplit {
+                if let Err(e) = self.log_then_apply(&[MetaOp::CommitSplit {
                     acg: m.source,
                     new_acg,
                     moved: m.moved.clone(),
                     targets: m.targets.clone(),
-                }) {
-                    return Response::Err(e);
-                }
-                Response::Ok
-            }
-            Request::CommitSplit { acg, kept: _, new_acg, moved, targets } => {
-                // Legacy single-shot commit (coordinator-computed splits
-                // whose extract/install already happened). Same logged
-                // transition as a two-phase commit.
-                if let Err(e) =
-                    self.log_then_apply(MetaOp::CommitSplit { acg, new_acg, moved, targets })
-                {
+                }]) {
                     return Response::Err(e);
                 }
                 Response::Ok
@@ -837,24 +813,24 @@ mod tests {
         }
     }
 
+    /// Runs a metadata-only split of `moved` out of `acg` through the
+    /// two-phase protocol: begin, ack the install, commit.
+    fn migrate(m: &mut MasterNode, acg: AcgId, moved: Vec<FileId>) -> (AcgId, Vec<NodeId>) {
+        let (new_acg, targets) = match m.handle(Request::BeginMigration { acg, moved }) {
+            Response::MigrationBegun { new_acg, targets } => (new_acg, targets),
+            other => panic!("{other:?}"),
+        };
+        assert!(matches!(m.handle(Request::InstallAcked { new_acg }), Response::Ok));
+        assert!(matches!(m.handle(Request::CommitMigration { new_acg }), Response::Ok));
+        (new_acg, targets)
+    }
+
     #[test]
     fn commit_split_remaps_files() {
         let mut m = master(2, 1000);
         let rows = resolve(&mut m, 0..10);
         let acg = rows[0].1;
-        let (new_acg, targets) = match m.handle(Request::AllocateAcg) {
-            Response::AcgAllocated(a, n) => (a, n),
-            other => panic!("{other:?}"),
-        };
-        let moved: Vec<FileId> = (5..10).map(FileId::new).collect();
-        let kept: Vec<FileId> = (0..5).map(FileId::new).collect();
-        m.handle(Request::CommitSplit {
-            acg,
-            kept: kept.clone(),
-            new_acg,
-            moved: moved.clone(),
-            targets: targets.clone(),
-        });
+        let (new_acg, targets) = migrate(&mut m, acg, (5..10).map(FileId::new).collect());
         let after = resolve(&mut m, 0..10);
         for (file, a, n) in after {
             if file.raw() < 5 {
@@ -870,22 +846,18 @@ mod tests {
     fn bind_files_moves_mappings() {
         let mut m = master(1, 1000);
         resolve(&mut m, 0..4);
-        let acg = match m.handle(Request::AllocateAcg) {
+        let acg = match m.handle(Request::BindFiles { files: vec![FileId::new(2), FileId::new(3)] })
+        {
             Response::AcgAllocated(a, _) => a,
             other => panic!("{other:?}"),
         };
-        m.handle(Request::BindFiles { acg, files: vec![FileId::new(2), FileId::new(3)] });
         let rows = resolve(&mut m, [2, 3]);
         assert!(rows.iter().all(|(_, a, _)| *a == acg));
     }
 
     fn commit_a_split(m: &mut MasterNode, moved: Vec<FileId>) {
         let acg = *m.file_to_acg.get(&moved[0]).unwrap();
-        let (new_acg, targets) = match m.handle(Request::AllocateAcg) {
-            Response::AcgAllocated(a, n) => (a, n),
-            other => panic!("{other:?}"),
-        };
-        m.handle(Request::CommitSplit { acg, kept: Vec::new(), new_acg, moved, targets });
+        migrate(m, acg, moved);
     }
 
     #[test]
@@ -1075,18 +1047,8 @@ mod tests {
             MasterNode::new(nodes(3), MasterConfig { replication: 2, ..MasterConfig::default() });
         resolve(&mut m, 0..10);
         let acg = *m.file_to_acg.get(&FileId::new(0)).unwrap();
-        let (new_acg, targets) = match m.handle(Request::AllocateAcg) {
-            Response::AcgAllocated(a, n) => (a, n),
-            other => panic!("{other:?}"),
-        };
+        let (new_acg, targets) = migrate(&mut m, acg, (5..10).map(FileId::new).collect());
         assert_eq!(targets.len(), 2);
-        m.handle(Request::CommitSplit {
-            acg,
-            kept: (0..5).map(FileId::new).collect(),
-            new_acg,
-            moved: (5..10).map(FileId::new).collect(),
-            targets: targets.clone(),
-        });
         assert_eq!(m.acg_replicas.get(&new_acg), Some(&targets));
     }
 
@@ -1145,7 +1107,7 @@ mod tests {
         // The allocation cursor continued: a fresh ACG id never collides
         // with a recovered one.
         let taken: std::collections::HashSet<AcgId> = before.iter().map(|(_, a, _)| *a).collect();
-        match m.handle(Request::AllocateAcg) {
+        match m.handle(Request::BindFiles { files: vec![FileId::new(100)] }) {
             Response::AcgAllocated(a, _) => assert!(!taken.contains(&a), "{a:?} reused"),
             other => panic!("{other:?}"),
         }

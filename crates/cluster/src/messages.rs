@@ -113,22 +113,6 @@ pub enum Request {
     /// Ask the Master for split work discovered via heartbeats (driven by
     /// the external coordinator, keeping node threads call-free).
     TakeSplitWork,
-    /// Record the outcome of a completed split/migration.
-    CommitSplit {
-        /// The ACG that was split.
-        acg: AcgId,
-        /// Files that remained.
-        kept: Vec<FileId>,
-        /// The new ACG created from the moved half.
-        new_acg: AcgId,
-        /// Files that moved.
-        moved: Vec<FileId>,
-        /// The replica set now hosting `new_acg`, primary first.
-        targets: Vec<NodeId>,
-    },
-    /// Allocate a fresh ACG id on a least-loaded replica set of
-    /// `replication` nodes (coordinator use).
-    AllocateAcg,
     /// Phase one of a two-phase migration: durably reserve a new ACG id
     /// and a target replica set for `moved` files of `acg`, **without**
     /// making the new group routable. The Master logs the intent before
@@ -166,11 +150,12 @@ pub enum Request {
     /// Fetch the latest heartbeat-reported load of every node the Master
     /// considers live.
     NodeLoads,
-    /// Explicitly bind files to an ACG (used when ACG clustering has
-    /// computed partitions out-of-band).
+    /// Bind files to a fresh ACG (used when ACG clustering has computed
+    /// partitions out-of-band): the Master creates the group on a
+    /// least-loaded replica set and places every file in it as one logged
+    /// step, then answers [`Response::AcgAllocated`]. The group is never
+    /// the open one, so unbound files do not fill it.
     BindFiles {
-        /// The ACG to bind to.
-        acg: AcgId,
         /// Files to bind.
         files: Vec<FileId>,
     },
@@ -432,8 +417,8 @@ pub enum Response {
     },
     /// Pending split work from the Master: `(acg, owner)` pairs.
     SplitWork(Vec<(AcgId, NodeId)>),
-    /// A freshly allocated ACG and its assigned replica set, primary
-    /// first.
+    /// The ACG a [`Request::BindFiles`] created and its replica set,
+    /// primary first.
     AcgAllocated(AcgId, Vec<NodeId>),
     /// A primary logged an [`Request::IndexBatch`] as one WAL frame.
     BatchLogged {

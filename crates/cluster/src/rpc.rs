@@ -157,7 +157,7 @@ impl Rpc {
                 64 + 160 * records.len() as u64 + 20 * edges.len() as u64
             }
             Request::ExtractAcgPart { files, .. } => 64 + 12 * files.len() as u64,
-            Request::BindFiles { files, .. } => 64 + 12 * files.len() as u64,
+            Request::BindFiles { files } => 64 + 12 * files.len() as u64,
             _ => 128,
         }
     }

@@ -11,7 +11,11 @@
 //! Both expose the same conceptual API: create named indices, feed file
 //! records (inline indexing), feed access traces (ACG capture), search with
 //! always-consistent results through the [`SearchRequest`] /
-//! [`SearchResponse`] pair (top-k, sorting, projection, pagination).
+//! [`SearchResponse`] pair (top-k, sorting, projection, pagination). Both
+//! also split oversized ACGs the same way: [`Propeller::maintenance`] runs
+//! the cluster's coordinator, [`propeller_cluster::maintain`], against its
+//! in-process Master and Index Node, so a split is the same logged
+//! two-phase migration in either shape.
 //!
 //! # Examples
 //!

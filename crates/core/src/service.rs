@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use propeller_cluster::{IndexNode, MasterNode, Request, Response};
+use propeller_cluster::{maintain, IndexNode, MasterNode, Request, Response};
 use propeller_index::{FileRecord, IndexOp, IndexSpec};
 use propeller_obs::TraceContext;
 use propeller_query::{next_cursor, Predicate, Query, SearchRequest, SearchResponse};
@@ -16,6 +16,9 @@ use propeller_types::{
 // mode simply calls their handlers in-process instead of over the fabric,
 // which is exactly the paper's "Master Node and a single instance of Index
 // Node run on the same Linux machine" setup.
+
+/// The Master's address in the in-process dispatch (the cluster's too).
+const MASTER: NodeId = NodeId::new(0);
 
 /// Configuration for the single-node service.
 #[derive(Debug, Clone)]
@@ -323,69 +326,33 @@ impl Propeller {
 
     /// Explicitly binds a file group to a fresh ACG — used when partitions
     /// are computed out-of-band (e.g. by offline ACG clustering) or when an
-    /// experiment wants one-application-per-group placement.
+    /// experiment wants one-application-per-group placement. One
+    /// [`Request::BindFiles`] creates the group and places the files in it.
     ///
     /// # Errors
     ///
     /// Propagates allocation failures.
     pub fn bind_group(&mut self, files: &[FileId]) -> Result<AcgId> {
-        let (acg, _) = match self.master_call(Request::AllocateAcg)? {
-            Response::AcgAllocated(a, n) => (a, n),
-            other => return Err(Error::Rpc(format!("unexpected response {other:?}"))),
-        };
-        self.master_call(Request::BindFiles { acg, files: files.to_vec() })?;
-        Ok(acg)
+        match self.master_call(Request::BindFiles { files: files.to_vec() })? {
+            Response::AcgAllocated(acg, _) => Ok(acg),
+            other => Err(Error::Rpc(format!("unexpected response {other:?}"))),
+        }
     }
 
     /// One maintenance round: commits timed-out caches, processes
-    /// heartbeats and performs due ACG splits. Returns the number of
-    /// splits performed.
+    /// heartbeats and performs due ACG splits, each as the same logged
+    /// two-phase migration a cluster runs — this is
+    /// [`propeller_cluster::maintain`] with the Master and the Index Node
+    /// called in-process. Returns the number of splits performed.
     ///
     /// # Errors
     ///
     /// Propagates split-orchestration failures.
     pub fn maintenance(&mut self) -> Result<usize> {
-        let now = self.clock.now();
-        let status = self.node_call(Request::Tick { now })?;
-        if let Response::Status { acgs, load } = status {
-            self.master_call(Request::Heartbeat { node: self.node_id, acgs, load, now })?;
-        }
-        let work = match self.master_call(Request::TakeSplitWork)? {
-            Response::SplitWork(w) => w,
-            other => return Err(Error::Rpc(format!("unexpected response {other:?}"))),
-        };
-        let mut done = 0;
-        for (acg, _) in work {
-            let (left, right) = match self.node_call(Request::SplitAcg { acg })? {
-                Response::SplitHalves { left, right } => (left, right),
-                other => return Err(Error::Rpc(format!("unexpected response {other:?}"))),
-            };
-            if left.is_empty() || right.is_empty() {
-                continue;
-            }
-            let (new_acg, targets) = match self.master_call(Request::AllocateAcg)? {
-                Response::AcgAllocated(a, n) => (a, n),
-                other => return Err(Error::Rpc(format!("unexpected response {other:?}"))),
-            };
-            let (records, edges) =
-                match self.node_call(Request::ExtractAcgPart { acg, files: right.clone() })? {
-                    Response::AcgPart { records, edges } => (records, edges),
-                    other => return Err(Error::Rpc(format!("unexpected response {other:?}"))),
-                };
-            self.node_call(Request::InstallAcg { acg: new_acg, records, edges })?;
-            // Two-phase hand-off: the extract retained (and tombstoned)
-            // the part on the source; drop it only now that the install
-            // landed, then commit the remap.
-            self.node_call(Request::RemoveAcgPart { acg, files: right.clone() })?;
-            self.master_call(Request::CommitSplit {
-                acg,
-                kept: left,
-                new_acg,
-                moved: right,
-                targets,
-            })?;
-            done += 1;
-        }
+        let (master, node) = (&mut self.master, &mut self.node);
+        let call =
+            &mut |to, req| Ok(if to == MASTER { master.handle(req) } else { node.handle(req) });
+        let done = maintain(call, MASTER, &[self.node_id], self.clock.now())?;
         self.stats.splits += done as u64;
         Ok(done)
     }

@@ -417,18 +417,13 @@ fn commit_split_hints_evict_stale_routes_eagerly() {
         Response::Resolved { rows, .. } => rows[0].1,
         other => panic!("{other:?}"),
     };
-    let (new_acg, targets) = match cluster.rpc().call(master, Request::AllocateAcg).unwrap() {
-        Response::AcgAllocated(a, n) => (a, n),
+    let begin = Request::BeginMigration { acg, moved: vec![FileId::new(3)] };
+    let new_acg = match cluster.rpc().call(master, begin).unwrap() {
+        Response::MigrationBegun { new_acg, .. } => new_acg,
         other => panic!("{other:?}"),
     };
-    let kept: Vec<FileId> = (0..10u64).filter(|&i| i != 3).map(FileId::new).collect();
-    cluster
-        .rpc()
-        .call(
-            master,
-            Request::CommitSplit { acg, kept, new_acg, moved: vec![FileId::new(3)], targets },
-        )
-        .unwrap();
+    cluster.rpc().call(master, Request::InstallAcked { new_acg }).unwrap();
+    cluster.rpc().call(master, Request::CommitMigration { new_acg }).unwrap();
 
     // The stale route survives until the client next talks to the
     // Master...

@@ -4,7 +4,10 @@
 use propeller::baselines::{BruteForce, CentralDb};
 use propeller::storage::SharedStorage;
 use propeller::types::{AttrName, FileId, InodeAttrs, Timestamp};
-use propeller::{Cluster, ClusterConfig, FileRecord, IndexSpec, Propeller, PropellerConfig, Query};
+use propeller::{
+    Cluster, ClusterConfig, FileRecord, Hit, IndexSpec, Propeller, PropellerConfig, Query,
+    SearchRequest,
+};
 use std::sync::Arc;
 
 fn record(file: u64, size: u64, mtime_s: u64, uid: u32) -> FileRecord {
@@ -181,6 +184,36 @@ fn cluster_survives_maintenance_and_splits_under_load() {
     // Nothing lost, nothing duplicated.
     let hits = client.search_text("size>0").unwrap();
     assert_eq!(hits.len(), 1_000);
+    cluster.shutdown();
+}
+
+/// Single-node mode and a one-node cluster drive the same maintenance
+/// coordinator: the same splits happen in the same rounds, and every file
+/// ends up in the same ACG.
+#[test]
+fn single_node_and_one_node_cluster_split_identically() {
+    let records = || (0..300u64).map(|i| record(i, (i + 1) << 10, i, 0)).collect::<Vec<_>>();
+    let mut single = Propeller::new(PropellerConfig { split_threshold: 100, ..Default::default() });
+    single.index_batch(records()).unwrap();
+    let cluster = Cluster::start(ClusterConfig {
+        index_nodes: 1,
+        split_threshold: 100,
+        ..Default::default()
+    });
+    let mut client = cluster.client();
+    client.index_files(records()).unwrap();
+
+    let single_splits: Vec<usize> = (0..3).map(|_| single.maintenance().unwrap()).collect();
+    let cluster_splits: Vec<usize> = (0..3).map(|_| cluster.run_maintenance().unwrap()).collect();
+    assert_eq!(single_splits, cluster_splits);
+    assert!(single_splits.iter().sum::<usize>() >= 2, "300 files over 100 must split twice");
+
+    let request = SearchRequest::parse("size>=0", Timestamp::EPOCH).unwrap();
+    let homes = |hits: Vec<Hit>| hits.into_iter().map(|h| (h.file, h.acg)).collect::<Vec<_>>();
+    let from_single = homes(single.search_with(&request).unwrap().hits);
+    let from_cluster = homes(client.search_with(&request).unwrap().hits);
+    assert_eq!(from_single.len(), 300);
+    assert_eq!(from_single, from_cluster);
     cluster.shutdown();
 }
 

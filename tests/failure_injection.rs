@@ -393,10 +393,10 @@ fn hedged_opens_beat_an_injected_straggler_and_are_witnessed_in_stats() {
         index_nodes: 2,
         group_capacity: 10,
         replication: 2,
-        hedge_budget: Some(Duration::from_millis(10)),
         ..Default::default()
     });
-    let mut client = cluster.client().with_search_page_size(8);
+    let mut client =
+        cluster.client().with_search_page_size(8).with_hedge_budget(Duration::from_millis(10));
     let records: Vec<FileRecord> = (0..100u64).map(|i| record(i, (i + 1) << 20)).collect();
     client.index_files(records).unwrap();
 
@@ -433,10 +433,9 @@ fn an_unlimited_search_hedges_past_a_straggler_like_any_other() {
         index_nodes: 2,
         group_capacity: 10,
         replication: 2,
-        hedge_budget: Some(Duration::from_millis(10)),
         ..Default::default()
     });
-    let mut client = cluster.client();
+    let mut client = cluster.client().with_hedge_budget(Duration::from_millis(10));
     let records: Vec<FileRecord> = (0..100u64).map(|i| record(i, (i + 1) << 20)).collect();
     client.index_files(records.clone()).unwrap();
     let request = SearchRequest::parse("size>0", Timestamp::from_secs(1_000))
@@ -541,10 +540,10 @@ fn two_straggling_primaries_hedge_side_by_side_and_their_losers_are_reaped() {
         index_nodes: 4,
         group_capacity: 10,
         replication: 2,
-        hedge_budget: Some(Duration::from_millis(10)),
         ..Default::default()
     });
-    let mut client = cluster.client().with_search_page_size(8);
+    let mut client =
+        cluster.client().with_search_page_size(8).with_hedge_budget(Duration::from_millis(10));
     client.index_files((0..100u64).map(|i| record(i, (i + 1) << 20)).collect()).unwrap();
     let request = SearchRequest::parse("size>0", Timestamp::from_secs(1_000))
         .unwrap()

@@ -39,11 +39,13 @@ fn hedged_search_trace_names_dead_node_and_hedge_winner() {
         index_nodes: 4,
         group_capacity: 12,
         replication: 2,
-        hedge_budget: Some(Duration::from_millis(10)),
-        trace_sample_every: 1,
         ..Default::default()
     });
-    let mut client = cluster.client().with_search_page_size(8);
+    let mut client = cluster
+        .client()
+        .with_search_page_size(8)
+        .with_hedge_budget(Duration::from_millis(10))
+        .with_trace_sampling(1);
     client.index_files((0..96).map(|i| record(i, (i + 1) << 20)).collect()).unwrap();
 
     // Pick a (straggler, victim) pair from the placement map such that
@@ -137,13 +139,9 @@ fn hedged_search_trace_names_dead_node_and_hedge_winner() {
 /// the parent's self time.
 #[test]
 fn sampled_searches_record_the_pool_hand_off_under_their_service_span() {
-    let cluster = Cluster::start(ClusterConfig {
-        index_nodes: 2,
-        group_capacity: 16,
-        trace_sample_every: 1,
-        ..Default::default()
-    });
-    let mut client = cluster.client().with_search_page_size(4);
+    let cluster =
+        Cluster::start(ClusterConfig { index_nodes: 2, group_capacity: 16, ..Default::default() });
+    let mut client = cluster.client().with_search_page_size(4).with_trace_sampling(1);
     client.index_files((0..64).map(|i| record(i, (i + 1) << 20)).collect()).unwrap();
     let request = SearchRequest::parse("size>0", Timestamp::from_secs(1_000))
         .unwrap()
@@ -191,7 +189,6 @@ fn metrics_report_merges_histograms_across_nodes() {
         group_capacity: 16,
         sim_clock: Some(sim.clone()),
         charge_network: true,
-        trace_sample_every: 0,
         ..Default::default()
     });
     let mut client = cluster.client();
@@ -249,11 +246,10 @@ fn slow_query_log_captures_plan_stats_and_spans() {
         index_nodes: 2,
         group_capacity: 16,
         sim_clock: Some(sim.clone()),
-        trace_sample_every: 1,
         slow_query_threshold: Some(Duration::ZERO),
         ..Default::default()
     });
-    let mut client = cluster.client();
+    let mut client = cluster.client().with_trace_sampling(1);
     client.index_files((0..40).map(|i| record(i, 1 << 20)).collect()).unwrap();
 
     let request = SearchRequest::parse("size>0", Timestamp::from_secs(10)).unwrap().with_limit(10);
@@ -433,14 +429,13 @@ proptest! {
         let cluster = Cluster::start(ClusterConfig {
             index_nodes: 2,
             group_capacity: 16,
-            trace_sample_every: 1,
             ..Default::default()
         });
-        let mut seeder = cluster.client();
+        let mut seeder = cluster.client().with_trace_sampling(1);
         seeder.index_files((0..40).map(|i| record(i, (i + 1) << 10)).collect()).unwrap();
 
-        let mut ingest_client = cluster.client();
-        let search_client = cluster.client();
+        let mut ingest_client = cluster.client().with_trace_sampling(1);
+        let search_client = cluster.client().with_trace_sampling(1);
         let request = SearchRequest::parse("size>0", Timestamp::from_secs(10))
             .unwrap()
             .with_limit(limit);
