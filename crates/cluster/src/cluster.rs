@@ -4,10 +4,11 @@
 use std::sync::Arc;
 
 use propeller_acg::PartitionConfig;
+use propeller_index::durable::Codec;
 use propeller_index::IndexOp;
 use propeller_obs::TraceContext;
 use propeller_sim::{Clock, SimClock, WallClock};
-use propeller_storage::{Network, SharedStorage};
+use propeller_storage::Network;
 use propeller_types::{AcgId, Duration, Error, NodeId, Result, Timestamp};
 
 use crate::client::FileQueryEngine;
@@ -80,8 +81,7 @@ impl Default for ClusterConfig {
     }
 }
 
-/// A running Propeller cluster: one Master actor, N Index Node actors and
-/// the shared storage beneath them.
+/// A running Propeller cluster: one Master actor and N Index Node actors.
 ///
 /// See the crate-level example for a full index-then-search round trip.
 pub struct Cluster {
@@ -89,7 +89,6 @@ pub struct Cluster {
     master: NodeId,
     index_nodes: Vec<NodeId>,
     clock: Arc<dyn Clock>,
-    shared: Arc<SharedStorage>,
     /// Kept so revived nodes get the same per-node settings as `start`
     /// gave the originals.
     config: ClusterConfig,
@@ -123,7 +122,6 @@ impl Cluster {
             }
             _ => Rpc::new(),
         };
-        let shared = Arc::new(SharedStorage::new());
 
         let master_id = NodeId::new(0);
         let index_ids: Vec<NodeId> = (1..=config.index_nodes as u32).map(NodeId::new).collect();
@@ -133,7 +131,6 @@ impl Cluster {
             master: master_id,
             index_nodes: index_ids,
             clock,
-            shared,
             config,
             handles: Vec::new(),
         };
@@ -307,9 +304,8 @@ impl Cluster {
     }
 
     /// Stops every actor thread, waits for them, and boots the whole
-    /// cluster again from its durable state on the **same** RPC fabric,
-    /// clock and shared storage — existing clients keep working across the
-    /// restart. The Master replays its metadata WAL (on top of its newest
+    /// cluster again from its durable state on the **same** RPC fabric
+    /// and clock — existing clients keep working across the restart. The Master replays its metadata WAL (on top of its newest
     /// valid checkpoint), each Index Node restores its groups from disk,
     /// and the Master's index-spec catalogue is re-broadcast to every
     /// node. In-flight two-phase migrations stay parked until the next
@@ -331,7 +327,6 @@ impl Cluster {
             master: self.master,
             index_nodes: self.index_nodes.clone(),
             clock: self.clock.clone(),
-            shared: self.shared.clone(),
             config: self.config.clone(),
             handles: Vec::new(),
         };
@@ -610,7 +605,7 @@ pub(crate) fn sync_replica(
         Response::AcgFrames(frames) => {
             let mut applied = after_lsn;
             for (lsn, frame) in frames {
-                let ops = IndexOp::decode_frame(&frame)?;
+                let ops = Vec::<IndexOp>::decode(&frame)?;
                 // Catch-up traffic is never sampled: it runs outside any
                 // client request.
                 let req = Request::ReplicateBatch { acg, lsn, ops, now, ctx: TraceContext::NONE };

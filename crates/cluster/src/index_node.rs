@@ -21,11 +21,11 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
-use bytes::BufMut;
 use propeller_acg::{bisect, AcgGraph, PartitionConfig};
+use propeller_index::durable::{self, Codec};
 use propeller_index::{
-    durable, snapshot, take_u64, AcgEpoch, AcgIndexGroup, EpochSnapshotJob, FileRecord,
-    GroupConfig, IndexOp, IndexSpec, Wal,
+    codec_struct, snapshot, AcgEpoch, AcgIndexGroup, EpochSnapshotJob, FileRecord, GroupConfig,
+    IndexOp, IndexSpec, Wal,
 };
 use propeller_obs::{
     names, Counter, Histogram, Lane, NodeObs, OpenSpan, SlowQuery, SpanKind, TraceContext,
@@ -48,75 +48,37 @@ const SNAPSHOT_WAL_BYTES: u64 = 4 << 20;
 
 /// Envelope magic and version of the durable stale-route tombstone file.
 const TOMBSTONE_MAGIC: [u8; 4] = *b"PTMB";
-const TOMBSTONE_VERSION: u32 = 1;
+const TOMBSTONE_VERSION: u32 = 2;
 
 /// File name of the node-wide tombstone image inside the data dir.
 fn tombstone_file_name() -> &'static str {
     "tombstones.tomb"
 }
 
-/// Serializes the tombstone state (the generation counter, the live
-/// per-ACG maps and the FIFO eviction order) as a sealed envelope. Both
-/// structures are written because they diverge: [`Request::InstallAcg`]
-/// clears a `moved_away` entry without touching `tombstone_order`, and
-/// replaying the order alone would resurrect it.
-fn encode_tombstones(
-    gen: u64,
-    moved: &HashMap<AcgId, HashMap<FileId, u64>>,
-    order: &VecDeque<(AcgId, FileId, u64)>,
-) -> Vec<u8> {
-    let mut payload = Vec::with_capacity(32 + order.len() * 24);
-    payload.put_u64_le(gen);
-    // Deterministic image: sort ACGs and files so identical state always
-    // produces identical bytes (snapshot-diff friendliness).
-    let mut acgs: Vec<&AcgId> = moved.keys().collect();
-    acgs.sort_unstable();
-    payload.put_u64_le(acgs.len() as u64);
-    for acg in acgs {
-        let map = &moved[acg];
-        payload.put_u64_le(acg.raw());
-        payload.put_u64_le(map.len() as u64);
-        let mut files: Vec<(&FileId, &u64)> = map.iter().collect();
-        files.sort_unstable();
-        for (file, gen) in files {
-            payload.put_u64_le(file.raw());
-            payload.put_u64_le(*gen);
-        }
-    }
-    payload.put_u64_le(order.len() as u64);
-    for &(acg, file, gen) in order {
-        payload.put_u64_le(acg.raw());
-        payload.put_u64_le(file.raw());
-        payload.put_u64_le(gen);
-    }
-    durable::seal(TOMBSTONE_MAGIC, TOMBSTONE_VERSION, &payload)
+/// The node's stale-route tombstones: files migrated *out* of each ACG
+/// hosted here, mapped to the generation of their latest tombstone. A
+/// later batch that still routes one of these files to the old ACG is a
+/// stale client route and is rejected with [`Error::StaleRoute`] so the
+/// client can re-resolve instead of silently resurrecting the file in the
+/// wrong group. Bounded by `max_tombstones` via FIFO eviction of `order`;
+/// generations keep superseded order entries (a file re-installed and
+/// re-extracted) from evicting a live tombstone.
+///
+/// Its [`Codec`] bytes are the durable tombstone image. Both structures
+/// are written because they diverge: [`Request::InstallAcg`] clears a
+/// `moved_away` entry without touching `order`, and replaying the order
+/// alone would resurrect it.
+#[derive(Debug, Default, PartialEq)]
+pub struct Tombstones {
+    /// The generation of the newest tombstone.
+    pub gen: u64,
+    /// The live tombstones: per ACG, each moved file's generation.
+    pub moved_away: HashMap<AcgId, HashMap<FileId, u64>>,
+    /// Every tombstone added, oldest first, for FIFO eviction.
+    pub order: VecDeque<(AcgId, FileId, u64)>,
 }
 
-/// The reconstructed tombstone state: `(generation counter, live per-ACG
-/// maps, FIFO eviction order)`.
-type TombstoneState = (u64, HashMap<AcgId, HashMap<FileId, u64>>, VecDeque<(AcgId, FileId, u64)>);
-
-/// Decodes a tombstone image, rejecting truncation, bad magic and CRC
-/// mismatches (a torn write loses the tombstones, never the node).
-fn decode_tombstones(bytes: &[u8]) -> Option<TombstoneState> {
-    let decode = |mut payload: &[u8]| -> Result<TombstoneState, Error> {
-        let p = &mut payload;
-        let gen = take_u64(p)?;
-        let mut moved: HashMap<AcgId, HashMap<FileId, u64>> = HashMap::new();
-        for _ in 0..take_u64(p)? {
-            let map = moved.entry(AcgId::new(take_u64(p)?)).or_default();
-            for _ in 0..take_u64(p)? {
-                map.insert(FileId::new(take_u64(p)?), take_u64(p)?);
-            }
-        }
-        let mut order = VecDeque::new();
-        for _ in 0..take_u64(p)? {
-            order.push_back((AcgId::new(take_u64(p)?), FileId::new(take_u64(p)?), take_u64(p)?));
-        }
-        Ok((gen, moved, order))
-    };
-    decode(durable::unseal(TOMBSTONE_MAGIC, TOMBSTONE_VERSION, bytes).ok()?).ok()
-}
+codec_struct!(Tombstones { gen, moved_away, order });
 
 /// One pooled per-ACG search execution and its result.
 type SearchJob = Box<dyn FnOnce() -> (Vec<Hit>, SearchStats) + Send>;
@@ -436,17 +398,8 @@ pub struct IndexNode {
     graphs: HashMap<AcgId, AcgGraph>,
     /// Indices to create on every (current and future) group.
     extra_specs: Vec<IndexSpec>,
-    /// Files migrated *out* of each ACG hosted here, mapped to the
-    /// generation of their latest tombstone. A later batch that still
-    /// routes one of these files to the old ACG is a stale client route
-    /// and is rejected with [`Error::StaleRoute`] so the client can
-    /// re-resolve instead of silently resurrecting the file in the wrong
-    /// group. Bounded by `config.max_tombstones` via FIFO eviction of
-    /// `tombstone_order`; generations keep superseded order entries (a
-    /// file re-installed and re-extracted) from evicting a live tombstone.
-    moved_away: HashMap<AcgId, HashMap<FileId, u64>>,
-    tombstone_order: VecDeque<(AcgId, FileId, u64)>,
-    tombstone_gen: u64,
+    /// Stale-route tombstones of files migrated out of hosted ACGs.
+    tombstones: Tombstones,
     /// Suspended streamed searches, bounded by the session caps (see
     /// [`IndexNodeConfig::max_search_sessions`]); shared with the pool
     /// jobs that open and pull them.
@@ -506,9 +459,7 @@ impl IndexNode {
             pool,
             graphs: HashMap::new(),
             extra_specs: Vec::new(),
-            moved_away: HashMap::new(),
-            tombstone_order: VecDeque::new(),
-            tombstone_gen: 0,
+            tombstones: Tombstones::default(),
             sessions,
             searches_served: obs.metrics.counter(names::SEARCHES_SERVED),
             ops_received: obs.metrics.counter(names::OPS_RECEIVED),
@@ -566,13 +517,9 @@ impl IndexNode {
         // a revived node must keep rejecting batches routed to files it
         // migrated away before the crash. A missing or corrupt image
         // degrades to pre-tombstone behaviour, never a failed open.
-        if let Some((gen, moved, order)) = std::fs::read(dir.join(tombstone_file_name()))
-            .ok()
-            .and_then(|bytes| decode_tombstones(&bytes))
-        {
-            node.tombstone_gen = gen;
-            node.moved_away = moved;
-            node.tombstone_order = order;
+        if let Ok(bytes) = std::fs::read(dir.join(tombstone_file_name())) {
+            let image = durable::unseal(TOMBSTONE_MAGIC, TOMBSTONE_VERSION, &bytes);
+            node.tombstones = image.and_then(Tombstones::decode).unwrap_or_default();
         }
         Ok(node)
     }
@@ -584,7 +531,7 @@ impl IndexNode {
     /// mutation retries.
     fn persist_tombstones(&self) {
         let Some(dir) = &self.config.data_dir else { return };
-        let bytes = encode_tombstones(self.tombstone_gen, &self.moved_away, &self.tombstone_order);
+        let bytes = durable::seal(TOMBSTONE_MAGIC, TOMBSTONE_VERSION, &self.tombstones.encode());
         let _ = durable::replace(&dir.join(tombstone_file_name()), &bytes);
     }
 
@@ -782,20 +729,21 @@ impl IndexNode {
     /// entry — superseded entries (the file was re-installed and
     /// re-extracted since) pop as no-ops.
     fn add_tombstones(&mut self, acg: AcgId, files: &[FileId]) {
-        let map = self.moved_away.entry(acg).or_default();
+        let t = &mut self.tombstones;
+        let map = t.moved_away.entry(acg).or_default();
         for &file in files {
-            self.tombstone_gen += 1;
-            map.insert(file, self.tombstone_gen);
-            self.tombstone_order.push_back((acg, file, self.tombstone_gen));
+            t.gen += 1;
+            map.insert(file, t.gen);
+            t.order.push_back((acg, file, t.gen));
         }
-        while self.tombstone_order.len() > self.config.max_tombstones {
-            let Some((acg, file, gen)) = self.tombstone_order.pop_front() else { break };
-            if let Some(map) = self.moved_away.get_mut(&acg) {
+        while t.order.len() > self.config.max_tombstones {
+            let Some((acg, file, gen)) = t.order.pop_front() else { break };
+            if let Some(map) = t.moved_away.get_mut(&acg) {
                 if map.get(&file) == Some(&gen) {
                     map.remove(&file);
                 }
                 if map.is_empty() {
-                    self.moved_away.remove(&acg);
+                    t.moved_away.remove(&acg);
                 }
             }
         }
@@ -807,14 +755,14 @@ impl IndexNode {
     /// are valid. Persisted on change, or a revival would resurrect the
     /// tombstones and reject valid batches forever.
     fn lift_tombstones(&mut self, acg: AcgId, records: &[FileRecord]) {
-        let Some(moved) = self.moved_away.get_mut(&acg) else { return };
+        let Some(moved) = self.tombstones.moved_away.get_mut(&acg) else { return };
         let before = moved.len();
         for record in records {
             moved.remove(&record.file);
         }
         let changed = moved.len() != before;
         if moved.is_empty() {
-            self.moved_away.remove(&acg);
+            self.tombstones.moved_away.remove(&acg);
         }
         if changed {
             self.persist_tombstones();
@@ -1040,7 +988,7 @@ impl IndexNode {
                 // Reject ops for files migrated out of this ACG: the client
                 // is using a route that moved. It drops its cache entry,
                 // re-resolves through the Master and retries.
-                if let Some(moved) = self.moved_away.get(&acg) {
+                if let Some(moved) = self.tombstones.moved_away.get(&acg) {
                     if let Some(op) = ops.iter().find(|op| moved.contains_key(&op.file())) {
                         return Response::Err(Error::StaleRoute { acg, file: op.file() });
                     }
@@ -1796,7 +1744,7 @@ mod tests {
             ctx: propeller_obs::TraceContext::NONE,
         });
         n.handle(Request::ExtractAcgPart { acg, files: (0..10).map(FileId::new).collect() });
-        assert_eq!(n.tombstone_order.len(), 5, "cap enforced");
+        assert_eq!(n.tombstones.order.len(), 5, "cap enforced");
         // The oldest tombstones were evicted: a stale batch for file 0 is
         // accepted again (degrades to pre-tombstone behaviour)...
         let resp = n.handle(Request::IndexBatch {
@@ -2645,7 +2593,7 @@ mod tests {
         };
         assert_eq!(frames.len(), 3);
         for (lsn, payload) in frames {
-            let ops = propeller_index::IndexOp::decode_frame(&payload).unwrap();
+            let ops = Vec::<IndexOp>::decode(&payload).unwrap();
             assert!(matches!(
                 follower.handle(Request::ReplicateBatch {
                     acg,
@@ -2671,25 +2619,26 @@ mod tests {
 
     #[test]
     fn tombstone_round_trip_encodes_gen_maps_and_order() {
-        let mut moved: HashMap<AcgId, HashMap<FileId, u64>> = HashMap::new();
-        moved.entry(AcgId::new(1)).or_default().insert(FileId::new(7), 3);
-        moved.entry(AcgId::new(2)).or_default().insert(FileId::new(9), 5);
-        let mut order = std::collections::VecDeque::new();
-        order.push_back((AcgId::new(1), FileId::new(7), 3));
-        order.push_back((AcgId::new(2), FileId::new(9), 5));
+        let mut t = Tombstones { gen: 5, ..Tombstones::default() };
+        t.moved_away.entry(AcgId::new(1)).or_default().insert(FileId::new(7), 3);
+        t.moved_away.entry(AcgId::new(2)).or_default().insert(FileId::new(9), 5);
+        t.order.push_back((AcgId::new(1), FileId::new(7), 3));
+        t.order.push_back((AcgId::new(2), FileId::new(9), 5));
         // An InstallAcg-style divergence: file 8 is in the order (its
         // tombstone was superseded) but no longer in the live maps.
-        order.push_back((AcgId::new(1), FileId::new(8), 4));
-        let bytes = encode_tombstones(5, &moved, &order);
-        let (gen, moved2, order2) = decode_tombstones(&bytes).expect("round trip");
-        assert_eq!(gen, 5);
-        assert_eq!(moved2, moved);
-        assert_eq!(order2, order);
+        t.order.push_back((AcgId::new(1), FileId::new(8), 4));
+        let bytes = durable::seal(TOMBSTONE_MAGIC, TOMBSTONE_VERSION, &t.encode());
+        let decode = |bytes: &[u8]| {
+            durable::unseal(TOMBSTONE_MAGIC, TOMBSTONE_VERSION, bytes).and_then(Tombstones::decode)
+        };
+        assert_eq!(decode(&bytes).expect("round trip"), t);
         // Truncation and bit flips are rejected, not mis-decoded.
-        assert!(decode_tombstones(&bytes[..bytes.len() - 1]).is_none());
+        assert!(decode(&bytes[..bytes.len() - 1]).is_err());
         let mut flipped = bytes.clone();
         *flipped.last_mut().unwrap() ^= 0xff;
-        assert!(decode_tombstones(&flipped).is_none());
+        assert!(decode(&flipped).is_err());
+        // So is a version-1 image.
+        assert!(decode(&durable::seal(TOMBSTONE_MAGIC, 1, &t.encode())).is_err());
     }
 
     fn crec(file: u64, text: &str) -> FileRecord {

@@ -76,9 +76,10 @@ mod rpc;
 
 pub use client::{ClusterSearchStream, FileQueryEngine};
 pub use cluster::{maintain, Call, Cluster, ClusterConfig};
-pub use index_node::{IndexNode, IndexNodeConfig};
+pub use index_node::{IndexNode, IndexNodeConfig, Tombstones};
 pub use master::{MasterConfig, MasterNode, NodeStatus};
 pub use messages::{AcgSummary, MigrationJob, Request, Response};
+pub use meta::{MetaImage, MetaOp, Migration};
 pub use pool::WorkerPool;
 pub use propeller_obs::{MetricsSnapshot, SlowQuery, TraceContext, TraceTree};
 pub use rpc::{Gather, Rpc};

@@ -29,7 +29,7 @@ use propeller_sim::{Clock, WallClock};
 use propeller_types::{AcgId, Duration, Error, FileId, NodeId, Timestamp};
 
 use crate::messages::{AcgSummary, MigrationJob, Request, Response, RouteHints};
-use crate::meta::{sorted_pairs, MetaImage, MetaOp, MetaStore, Migration};
+use crate::meta::{MetaImage, MetaOp, MetaStore, Migration};
 
 /// Liveness/load record for one Index Node.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -119,9 +119,9 @@ pub struct MasterNode {
     /// A migration's new group is **not routable** (absent from
     /// `acg_replicas`, shielded from heartbeat adoption) until commit.
     migrations: HashMap<AcgId, Migration>,
-    /// The control-plane WAL + checkpoint store (in-memory for
-    /// [`MasterNode::new`] Masters).
-    meta: MetaStore,
+    /// The control-plane WAL + checkpoint store; `None` for a
+    /// [`MasterNode::new`] Master, which logs nothing.
+    meta: Option<MetaStore>,
     /// Time source for resolve spans (the cluster injects its own).
     clock: Arc<dyn Clock>,
     /// The Master lane's metrics registry + span buffer.
@@ -159,7 +159,7 @@ impl MasterNode {
             routing_gen: 0,
             split_log: std::collections::VecDeque::new(),
             migrations: HashMap::new(),
-            meta: MetaStore::in_memory(),
+            meta: None,
             clock: Arc::new(WallClock::new()),
             obs: Arc::new(NodeObs::new(Lane::Master)),
         }
@@ -191,7 +191,7 @@ impl MasterNode {
         let snapshot_every = config.meta_snapshot_every.max(1);
         let (meta, recovery) = MetaStore::open(&dir, snapshot_every)?;
         let mut master = MasterNode::new(index_nodes, config);
-        master.meta = meta;
+        master.meta = Some(meta);
         if let Some(image) = recovery.image {
             master.load_image(image);
         }
@@ -206,8 +206,8 @@ impl MasterNode {
         self.next_acg = image.next_acg.max(1);
         self.routing_gen = image.routing_gen;
         self.open_acg = image.open_acg;
-        self.file_to_acg = image.file_to_acg.into_iter().collect();
-        self.acg_replicas = image.acg_replicas.into_iter().collect();
+        self.file_to_acg = image.file_to_acg;
+        self.acg_replicas = image.acg_replicas;
         // File counts are heartbeat-refreshed soft state; seed them from
         // the authoritative placement map so capacity/split decisions are
         // sane before the first heartbeat round.
@@ -220,27 +220,23 @@ impl MasterNode {
         }
         self.acg_files = counts;
         self.index_specs = image.specs;
-        self.split_log = image.split_log.into_iter().collect();
-        for migration in image.migrations {
-            self.splitting.insert(migration.source);
-            self.migrations.insert(migration.new_acg, migration);
-        }
+        self.split_log = image.split_log;
+        self.splitting.extend(image.migrations.values().map(|m| m.source));
+        self.migrations = image.migrations;
     }
 
-    /// The full hard-state image (checkpoint payload), deterministic for
-    /// a given state.
+    /// The full hard-state image (checkpoint payload); its encoding is
+    /// deterministic for a given state.
     fn image(&self) -> MetaImage {
-        let mut migrations: Vec<Migration> = self.migrations.values().cloned().collect();
-        migrations.sort_by_key(|m| m.new_acg);
         MetaImage {
             next_acg: self.next_acg,
             routing_gen: self.routing_gen,
             open_acg: self.open_acg,
-            file_to_acg: sorted_pairs(&self.file_to_acg),
-            acg_replicas: sorted_pairs(&self.acg_replicas),
+            file_to_acg: self.file_to_acg.clone(),
+            acg_replicas: self.acg_replicas.clone(),
             specs: self.index_specs.clone(),
-            split_log: self.split_log.iter().cloned().collect(),
-            migrations,
+            split_log: self.split_log.clone(),
+            migrations: self.migrations.clone(),
         }
     }
 
@@ -330,7 +326,9 @@ impl MasterNode {
     /// already applied, and cuts a checkpoint when one is due. The caller
     /// must not have mutated state it cannot roll back if this errors.
     fn log_ops(&mut self, ops: &[MetaOp]) -> Result<(), Error> {
-        self.meta.log(ops)?;
+        if let Some(meta) = &mut self.meta {
+            meta.log(ops)?;
+        }
         self.checkpoint_if_due();
         Ok(())
     }
@@ -340,7 +338,9 @@ impl MasterNode {
     /// would not replay. A checkpoint due at this batch is cut after the
     /// apply, so its image covers every op its LSN claims.
     fn log_then_apply(&mut self, ops: &[MetaOp]) -> Result<(), Error> {
-        self.meta.log(ops)?;
+        if let Some(meta) = &mut self.meta {
+            meta.log(ops)?;
+        }
         for op in ops {
             self.apply_op(op);
         }
@@ -352,9 +352,11 @@ impl MasterNode {
     /// logged since the last one. Failure is not fatal: the WAL still
     /// holds every transition, recovery just replays a longer suffix.
     fn checkpoint_if_due(&mut self) {
-        if self.meta.checkpoint_due() {
+        if self.meta.as_ref().is_some_and(MetaStore::checkpoint_due) {
             let image = self.image();
-            let _ = self.meta.checkpoint(&image);
+            if let Some(meta) = &mut self.meta {
+                let _ = meta.checkpoint(&image);
+            }
         }
     }
 
@@ -1092,6 +1094,21 @@ mod tests {
             data_dir: Some(dir.to_path_buf()),
             ..MasterConfig::default()
         }
+    }
+
+    #[test]
+    fn memory_only_master_keeps_no_log() {
+        let logged = |m: &MasterNode| m.meta.as_ref().map_or(0, MetaStore::entry_count);
+        let mut memory = master(2, 10);
+        let rows = resolve(&mut memory, 0..25);
+        assert_eq!(logged(&memory), 0, "a memory-only Master encodes and keeps no frame");
+        assert_eq!(resolve(&mut memory, 0..25), rows, "its state lives in memory alone");
+        // The same resolves on a durable Master do log frames.
+        let dir = durable_dir("memory-only");
+        let mut durable = MasterNode::open(nodes(2), durable_config(&dir)).unwrap();
+        resolve(&mut durable, 0..25);
+        assert!(logged(&durable) > 0);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -12,9 +12,13 @@
 //! ## On-disk layout (under `<data_dir>/master/`)
 //!
 //! ```text
-//! meta.wal            the control-plane WAL (propeller_index::Wal framing)
-//! meta-<lsn>.snap := durable::seal("PMET", 1, MetaImage::encode())
+//! meta.wal          the control-plane WAL: one encoded MetaOp per frame
+//! meta-<lsn>.snap := durable::seal("PMET", 2, MetaImage)
 //! ```
+//!
+//! Both payloads are `propeller_index::durable::Codec` values: a `MetaOp`
+//! is its `u8` tag and then its fields, and a `MetaImage` is its fields in
+//! declaration order, each map as its `(key, value)` pairs in key order.
 //!
 //! The checkpoints and the WAL form a `propeller_index::durable`
 //! checkpoint set, exactly like an ACG's snapshots: the newest valid
@@ -22,18 +26,18 @@
 //! torn newest checkpoint still recovers from the previous one plus
 //! replay, and losing every checkpoint of a truncated WAL is refused.
 
-use std::collections::BTreeMap;
+use std::collections::{HashMap, VecDeque};
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use bytes::{BufMut, BytesMut};
-use propeller_index::snapshot::{decode_spec_from, encode_spec_into};
-use propeller_index::{durable, put_str, take_str, take_u32, take_u64, take_u8, IndexSpec, Wal};
+use bytes::BytesMut;
+use propeller_index::durable::{self, Codec};
+use propeller_index::{codec_struct, IndexSpec, Wal};
 use propeller_types::{AcgId, Error, FileId, NodeId, Result};
 
 /// Envelope magic and version of a Master metadata checkpoint.
 const MAGIC: [u8; 4] = *b"PMET";
-const VERSION: u32 = 1;
+const VERSION: u32 = 2;
 
 /// One durable Master state transition. Every mutation of hard Master
 /// state is expressed as (a batch of) these, logged before the ack; soft
@@ -41,7 +45,7 @@ const VERSION: u32 = 1;
 /// logged because a restarted Master re-learns it from the next heartbeat
 /// round.
 #[derive(Debug, Clone, PartialEq)]
-pub(crate) enum MetaOp {
+pub enum MetaOp {
     /// Files were placed into ACGs (fresh `resolve` assignments and
     /// explicit `BindFiles` calls).
     PlaceFiles {
@@ -110,7 +114,7 @@ pub(crate) enum MetaOp {
 
 /// An in-flight two-phase migration, exactly as the Master persists it.
 #[derive(Debug, Clone, PartialEq)]
-pub(crate) struct Migration {
+pub struct Migration {
     /// The group the part is being carved out of.
     pub source: AcgId,
     /// The reserved id of the new group (not routable until commit).
@@ -127,257 +131,98 @@ pub(crate) struct Migration {
 /// A full image of the Master's hard state — everything a checkpoint must
 /// capture for recovery to be snapshot + O(delta) suffix replay.
 #[derive(Debug, Clone, Default, PartialEq)]
-pub(crate) struct MetaImage {
+pub struct MetaImage {
     /// The next ACG id to mint.
     pub next_acg: u64,
-    /// The routing generation (monotone across restarts — satellite fix).
+    /// The routing generation (monotone across restarts).
     pub routing_gen: u64,
     /// The current open fill target, if any.
     pub open_acg: Option<AcgId>,
     /// The authoritative `file → acg` map.
-    pub file_to_acg: Vec<(FileId, AcgId)>,
+    pub file_to_acg: HashMap<FileId, AcgId>,
     /// Placement: each ACG's replica set (primary first).
-    pub acg_replicas: Vec<(AcgId, Vec<NodeId>)>,
+    pub acg_replicas: HashMap<AcgId, Vec<NodeId>>,
     /// The cluster-wide named-index registry.
     pub specs: Vec<IndexSpec>,
     /// The recent-splits log backing `RouteHints` (gen, moved files).
-    pub split_log: Vec<(u64, Vec<FileId>)>,
-    /// In-flight two-phase migrations keyed implicitly by `new_acg`.
-    pub migrations: Vec<Migration>,
+    pub split_log: VecDeque<(u64, Vec<FileId>)>,
+    /// In-flight two-phase migrations keyed by `new_acg`.
+    pub migrations: HashMap<AcgId, Migration>,
 }
 
-// ---------------------------------------------------------------- codec --
+codec_struct!(Migration { source, new_acg, moved, targets, installed });
+codec_struct!(MetaImage {
+    next_acg,
+    routing_gen,
+    open_acg,
+    file_to_acg,
+    acg_replicas,
+    specs,
+    split_log,
+    migrations,
+});
 
-fn put_files(buf: &mut BytesMut, files: &[FileId]) {
-    buf.put_u32_le(files.len() as u32);
-    for f in files {
-        buf.put_u64_le(f.raw());
-    }
-}
-
-fn take_files(data: &mut &[u8]) -> Result<Vec<FileId>> {
-    let n = take_u32(data)? as usize;
-    let mut files = Vec::with_capacity(n.min(1 << 16));
-    for _ in 0..n {
-        files.push(FileId::new(take_u64(data)?));
-    }
-    Ok(files)
-}
-
-fn put_nodes(buf: &mut BytesMut, nodes: &[NodeId]) {
-    buf.put_u32_le(nodes.len() as u32);
-    for n in nodes {
-        buf.put_u32_le(n.raw());
-    }
-}
-
-fn take_nodes(data: &mut &[u8]) -> Result<Vec<NodeId>> {
-    let n = take_u32(data)? as usize;
-    let mut nodes = Vec::with_capacity(n.min(1 << 10));
-    for _ in 0..n {
-        nodes.push(NodeId::new(take_u32(data)?));
-    }
-    Ok(nodes)
-}
-
-impl MetaOp {
-    /// Encodes the op as one WAL frame payload (the WAL adds LSN + CRC).
-    pub(crate) fn encode(&self) -> Vec<u8> {
-        let mut buf = BytesMut::new();
+/// `[tag u8]` then the variant's fields in declaration order.
+impl Codec for MetaOp {
+    fn put(&self, buf: &mut BytesMut) {
         match self {
             MetaOp::PlaceFiles { placements } => {
-                buf.put_u8(1);
-                buf.put_u32_le(placements.len() as u32);
-                for (file, acg) in placements {
-                    buf.put_u64_le(file.raw());
-                    buf.put_u64_le(acg.raw());
-                }
+                1u8.put(buf);
+                placements.put(buf);
             }
             MetaOp::CreateAcg { acg, replicas, open } => {
-                buf.put_u8(2);
-                buf.put_u64_le(acg.raw());
-                buf.put_u8(u8::from(*open));
-                put_nodes(&mut buf, replicas);
+                (2u8, *acg).put(buf);
+                replicas.put(buf);
+                open.put(buf);
             }
             MetaOp::CommitSplit { acg, new_acg, moved, targets } => {
-                buf.put_u8(3);
-                buf.put_u64_le(acg.raw());
-                buf.put_u64_le(new_acg.raw());
-                put_nodes(&mut buf, targets);
-                put_files(&mut buf, moved);
+                (3u8, *acg, *new_acg).put(buf);
+                moved.put(buf);
+                targets.put(buf);
             }
-            MetaOp::AdoptReplica { acg, node } => {
-                buf.put_u8(4);
-                buf.put_u64_le(acg.raw());
-                buf.put_u32_le(node.raw());
-            }
+            MetaOp::AdoptReplica { acg, node } => (4u8, *acg, *node).put(buf),
             MetaOp::CreateIndexSpec { spec } => {
-                buf.put_u8(5);
-                encode_spec_into(&mut buf, spec);
+                5u8.put(buf);
+                spec.put(buf);
             }
             MetaOp::DropIndexSpec { name } => {
-                buf.put_u8(6);
-                put_str(&mut buf, name);
+                6u8.put(buf);
+                name.put(buf);
             }
             MetaOp::BeginMigration { source, new_acg, moved, targets } => {
-                buf.put_u8(7);
-                buf.put_u64_le(source.raw());
-                buf.put_u64_le(new_acg.raw());
-                put_nodes(&mut buf, targets);
-                put_files(&mut buf, moved);
+                (7u8, *source, *new_acg).put(buf);
+                moved.put(buf);
+                targets.put(buf);
             }
-            MetaOp::InstallAcked { new_acg } => {
-                buf.put_u8(8);
-                buf.put_u64_le(new_acg.raw());
-            }
+            MetaOp::InstallAcked { new_acg } => (8u8, *new_acg).put(buf),
         }
-        buf.to_vec()
     }
 
-    /// Decodes a frame written by [`MetaOp::encode`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Corrupt`] on an unknown tag, truncation, or
-    /// trailing bytes.
-    pub(crate) fn decode(mut data: &[u8]) -> Result<Self> {
-        let cursor = &mut data;
-        let op = match take_u8(cursor)? {
-            1 => {
-                let n = take_u32(cursor)? as usize;
-                let mut placements = Vec::with_capacity(n.min(1 << 16));
-                for _ in 0..n {
-                    let file = FileId::new(take_u64(cursor)?);
-                    let acg = AcgId::new(take_u64(cursor)?);
-                    placements.push((file, acg));
-                }
-                MetaOp::PlaceFiles { placements }
-            }
-            2 => {
-                let acg = AcgId::new(take_u64(cursor)?);
-                let open = take_u8(cursor)? != 0;
-                let replicas = take_nodes(cursor)?;
-                MetaOp::CreateAcg { acg, replicas, open }
-            }
-            3 => {
-                let acg = AcgId::new(take_u64(cursor)?);
-                let new_acg = AcgId::new(take_u64(cursor)?);
-                let targets = take_nodes(cursor)?;
-                let moved = take_files(cursor)?;
-                MetaOp::CommitSplit { acg, new_acg, moved, targets }
-            }
-            4 => {
-                let acg = AcgId::new(take_u64(cursor)?);
-                let node = NodeId::new(take_u32(cursor)?);
-                MetaOp::AdoptReplica { acg, node }
-            }
-            5 => MetaOp::CreateIndexSpec { spec: decode_spec_from(cursor)? },
-            6 => MetaOp::DropIndexSpec { name: take_str(cursor)? },
-            7 => {
-                let source = AcgId::new(take_u64(cursor)?);
-                let new_acg = AcgId::new(take_u64(cursor)?);
-                let targets = take_nodes(cursor)?;
-                let moved = take_files(cursor)?;
-                MetaOp::BeginMigration { source, new_acg, moved, targets }
-            }
-            8 => MetaOp::InstallAcked { new_acg: AcgId::new(take_u64(cursor)?) },
-            other => return Err(Error::Corrupt(format!("unknown meta op tag {other}"))),
-        };
-        if !cursor.is_empty() {
-            return Err(Error::Corrupt(format!("{} trailing bytes in meta frame", cursor.len())));
-        }
-        Ok(op)
-    }
-}
-
-impl MetaImage {
-    fn encode(&self) -> BytesMut {
-        let mut buf = BytesMut::new();
-        buf.put_u64_le(self.next_acg);
-        buf.put_u64_le(self.routing_gen);
-        buf.put_u64_le(self.open_acg.map_or(0, |a| a.raw()));
-        buf.put_u64_le(self.file_to_acg.len() as u64);
-        for (file, acg) in &self.file_to_acg {
-            buf.put_u64_le(file.raw());
-            buf.put_u64_le(acg.raw());
-        }
-        buf.put_u32_le(self.acg_replicas.len() as u32);
-        for (acg, replicas) in &self.acg_replicas {
-            buf.put_u64_le(acg.raw());
-            put_nodes(&mut buf, replicas);
-        }
-        buf.put_u32_le(self.specs.len() as u32);
-        for spec in &self.specs {
-            encode_spec_into(&mut buf, spec);
-        }
-        buf.put_u32_le(self.split_log.len() as u32);
-        for (gen, moved) in &self.split_log {
-            buf.put_u64_le(*gen);
-            put_files(&mut buf, moved);
-        }
-        buf.put_u32_le(self.migrations.len() as u32);
-        for m in &self.migrations {
-            buf.put_u64_le(m.source.raw());
-            buf.put_u64_le(m.new_acg.raw());
-            buf.put_u8(u8::from(m.installed));
-            put_nodes(&mut buf, &m.targets);
-            put_files(&mut buf, &m.moved);
-        }
-        buf
-    }
-
-    fn decode(mut data: &[u8]) -> Result<Self> {
-        let cursor = &mut data;
-        let next_acg = take_u64(cursor)?;
-        let routing_gen = take_u64(cursor)?;
-        let open_raw = take_u64(cursor)?;
-        let open_acg = if open_raw == 0 { None } else { Some(AcgId::new(open_raw)) };
-        let nfiles = take_u64(cursor)? as usize;
-        let mut file_to_acg = Vec::with_capacity(nfiles.min(1 << 20));
-        for _ in 0..nfiles {
-            let file = FileId::new(take_u64(cursor)?);
-            let acg = AcgId::new(take_u64(cursor)?);
-            file_to_acg.push((file, acg));
-        }
-        let nacgs = take_u32(cursor)? as usize;
-        let mut acg_replicas = Vec::with_capacity(nacgs.min(1 << 16));
-        for _ in 0..nacgs {
-            let acg = AcgId::new(take_u64(cursor)?);
-            acg_replicas.push((acg, take_nodes(cursor)?));
-        }
-        let nspecs = take_u32(cursor)? as usize;
-        let mut specs = Vec::with_capacity(nspecs.min(256));
-        for _ in 0..nspecs {
-            specs.push(decode_spec_from(cursor)?);
-        }
-        let nsplits = take_u32(cursor)? as usize;
-        let mut split_log = Vec::with_capacity(nsplits.min(1 << 12));
-        for _ in 0..nsplits {
-            let gen = take_u64(cursor)?;
-            split_log.push((gen, take_files(cursor)?));
-        }
-        let nmig = take_u32(cursor)? as usize;
-        let mut migrations = Vec::with_capacity(nmig.min(1 << 10));
-        for _ in 0..nmig {
-            let source = AcgId::new(take_u64(cursor)?);
-            let new_acg = AcgId::new(take_u64(cursor)?);
-            let installed = take_u8(cursor)? != 0;
-            let targets = take_nodes(cursor)?;
-            let moved = take_files(cursor)?;
-            migrations.push(Migration { source, new_acg, moved, targets, installed });
-        }
-        if !cursor.is_empty() {
-            return Err(Error::Corrupt(format!("{} trailing bytes in meta image", cursor.len())));
-        }
-        Ok(MetaImage {
-            next_acg,
-            routing_gen,
-            open_acg,
-            file_to_acg,
-            acg_replicas,
-            specs,
-            split_log,
-            migrations,
+    fn take(data: &mut &[u8]) -> Result<Self> {
+        Ok(match u8::take(data)? {
+            1 => MetaOp::PlaceFiles { placements: Codec::take(data)? },
+            2 => MetaOp::CreateAcg {
+                acg: Codec::take(data)?,
+                replicas: Codec::take(data)?,
+                open: Codec::take(data)?,
+            },
+            3 => MetaOp::CommitSplit {
+                acg: Codec::take(data)?,
+                new_acg: Codec::take(data)?,
+                moved: Codec::take(data)?,
+                targets: Codec::take(data)?,
+            },
+            4 => MetaOp::AdoptReplica { acg: Codec::take(data)?, node: Codec::take(data)? },
+            5 => MetaOp::CreateIndexSpec { spec: Codec::take(data)? },
+            6 => MetaOp::DropIndexSpec { name: Codec::take(data)? },
+            7 => MetaOp::BeginMigration {
+                source: Codec::take(data)?,
+                new_acg: Codec::take(data)?,
+                moved: Codec::take(data)?,
+                targets: Codec::take(data)?,
+            },
+            8 => MetaOp::InstallAcked { new_acg: Codec::take(data)? },
+            tag => return Err(durable::unknown_tag("meta op", tag)),
         })
     }
 }
@@ -456,18 +301,6 @@ impl MetaStore {
         Ok((store, MetaRecovery { image, suffix }))
     }
 
-    /// An ephemeral store for memory-only Masters: logging is a no-op-cost
-    /// in-memory append and checkpoints never trigger.
-    pub(crate) fn in_memory() -> Self {
-        MetaStore {
-            dir: PathBuf::new(),
-            wal: Wal::in_memory(),
-            checkpoint_lsn: None,
-            ops_since_snapshot: 0,
-            snapshot_every: usize::MAX,
-        }
-    }
-
     /// Appends `ops` as individual frames and makes them durable. The
     /// caller must **roll back** its in-memory mutation if this errors —
     /// an unlogged transition must not be acked.
@@ -487,7 +320,7 @@ impl MetaStore {
     /// Whether enough ops accumulated since the last checkpoint that the
     /// Master should cut a new one.
     pub(crate) fn checkpoint_due(&self) -> bool {
-        self.ops_since_snapshot >= self.snapshot_every && self.wal.is_durable()
+        self.ops_since_snapshot >= self.snapshot_every
     }
 
     /// Writes a checkpoint of `image` covering every logged op and retires
@@ -500,7 +333,7 @@ impl MetaStore {
     /// in that case — the WAL still reaches back to a valid checkpoint.
     pub(crate) fn checkpoint(&mut self, image: &MetaImage) -> Result<()> {
         let lsn = self.wal.last_lsn();
-        if !self.wal.is_durable() || self.checkpoint_lsn == Some(lsn) {
+        if self.checkpoint_lsn == Some(lsn) {
             return Ok(());
         }
         let path = self.dir.join(meta_snapshot_name(lsn));
@@ -516,15 +349,6 @@ impl MetaStore {
     pub(crate) fn entry_count(&self) -> u64 {
         self.wal.entry_count()
     }
-}
-
-/// Builds a `BTreeMap` view of `pairs` — a convenience for callers that
-/// snapshot `HashMap` state into the deterministic image encoding.
-pub(crate) fn sorted_pairs<K: Ord + Copy, V: Clone>(
-    map: &std::collections::HashMap<K, V>,
-) -> Vec<(K, V)> {
-    let ordered: BTreeMap<K, V> = map.iter().map(|(k, v)| (*k, v.clone())).collect();
-    ordered.into_iter().collect()
 }
 
 #[cfg(test)]
@@ -599,33 +423,58 @@ mod tests {
         assert!(MetaOp::decode(&bytes).is_err());
     }
 
-    #[test]
-    fn image_round_trips() {
-        let image = MetaImage {
+    fn sample_image() -> MetaImage {
+        MetaImage {
             next_acg: 5,
             routing_gen: 3,
             open_acg: Some(AcgId::new(4)),
-            file_to_acg: vec![(FileId::new(1), AcgId::new(1)), (FileId::new(2), AcgId::new(4))],
-            acg_replicas: vec![
+            file_to_acg: [(FileId::new(1), AcgId::new(1)), (FileId::new(2), AcgId::new(4))].into(),
+            acg_replicas: [
                 (AcgId::new(1), vec![NodeId::new(1), NodeId::new(2)]),
                 (AcgId::new(4), vec![NodeId::new(2)]),
-            ],
+            ]
+            .into(),
             specs: vec![IndexSpec {
                 name: "kw".into(),
                 kind: IndexKind::Inverted,
                 attrs: vec![AttrName::Keyword],
             }],
-            split_log: vec![(1, vec![FileId::new(2)]), (2, vec![])],
-            migrations: vec![Migration {
-                source: AcgId::new(1),
-                new_acg: AcgId::new(5),
-                moved: vec![FileId::new(1)],
-                targets: vec![NodeId::new(3)],
-                installed: false,
-            }],
-        };
+            split_log: [(1, vec![FileId::new(2)]), (2, vec![])].into(),
+            migrations: [(
+                AcgId::new(5),
+                Migration {
+                    source: AcgId::new(1),
+                    new_acg: AcgId::new(5),
+                    moved: vec![FileId::new(1)],
+                    targets: vec![NodeId::new(3)],
+                    installed: false,
+                },
+            )]
+            .into(),
+        }
+    }
+
+    #[test]
+    fn image_round_trips() {
+        let image = sample_image();
         let decoded = MetaImage::decode(&image.encode()).unwrap();
         assert_eq!(decoded, image);
+        // Maps encode in key order: equal state, equal bytes.
+        let map = |keys: &mut dyn Iterator<Item = u64>| -> HashMap<FileId, AcgId> {
+            keys.map(|i| (FileId::new(i), AcgId::new(i))).collect()
+        };
+        assert_eq!(map(&mut (0..64)).encode(), map(&mut (0..64).rev()).encode());
+    }
+
+    #[test]
+    fn version_1_checkpoint_is_refused() {
+        let dir = temp_dir("version-1");
+        let path = dir.join(meta_snapshot_name(1));
+        fs::write(&path, durable::seal(MAGIC, 1, &sample_image().encode())).unwrap();
+        assert!(matches!(read_meta_snapshot(&path), Err(Error::SnapshotCorrupt { .. })));
+        fs::write(&path, durable::seal(MAGIC, VERSION, &sample_image().encode())).unwrap();
+        assert_eq!(read_meta_snapshot(&path).unwrap(), sample_image());
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

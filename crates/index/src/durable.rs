@@ -1,8 +1,19 @@
-//! Durable files: the one way every file Propeller persists is written,
-//! read back and retired.
+//! Durable files: the one way every file Propeller persists is encoded,
+//! written, read back and retired.
 //!
-//! Three rules, each written once:
+//! Four rules, each written once:
 //!
+//! * **Codec.** Every persisted payload — WAL frames, ACG snapshots, the
+//!   Master's log frames and checkpoints, the node tombstone image — is a
+//!   value of a [`Codec`] type, encoded by one implementation per type.
+//!   Integers and floats are little-endian at their width, a `bool` is one
+//!   byte (0 or 1), an enum is a `u8` tag then its fields, a struct or tuple
+//!   is its fields in order, an `Option` is a `u8` tag (0 none, 1 some) then
+//!   the value, and every string, sequence and map is a `u32` LE count
+//!   followed by its UTF-8 bytes or items (maps in key order, so equal
+//!   state encodes to equal bytes). [`Codec::decode`] rejects truncation,
+//!   unknown tags, invalid UTF-8 and trailing bytes, and no decoder
+//!   preallocates more bytes than remain in its input.
 //! * **Envelope.** [`seal`] frames a payload as
 //!   `[magic 4][version u32 LE][payload_crc u32 LE][payload_len u64 LE][payload]`
 //!   and [`unseal`] rejects anything else. ACG snapshots (`PSNP`), Master
@@ -17,16 +28,314 @@
 //!   truncating the WAL to the older.
 //!
 //! The WAL keeps its own frame format and `PWAL` prefix header
-//! ([`crate::Wal`]); its rewrites go through [`replace`].
+//! ([`crate::Wal`]); its frame payloads are [`Codec`] values and its
+//! rewrites go through [`replace`].
 
+use std::collections::{HashMap, VecDeque};
 use std::fs::{self, File};
+use std::hash::Hash;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-use propeller_types::{Error, Result};
+use bytes::{BufMut, BytesMut};
+use propeller_types::{AcgId, AttrName, Error, FileId, NodeId, Result, Timestamp, Value};
 
-use crate::ops::{take_u32, take_u64};
 use crate::wal::{crc32, Wal};
+
+/// A type with one byte encoding, shared by every file that persists it
+/// (the layout rules are in the [module docs](self)).
+pub trait Codec: Sized {
+    /// Appends the encoding of `self` to `buf`.
+    fn put(&self, buf: &mut BytesMut);
+
+    /// Reads one value from the front of `data`, advancing it.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::Corrupt`] on truncation, an unknown tag or invalid
+    /// UTF-8.
+    fn take(data: &mut &[u8]) -> Result<Self>;
+
+    /// The encoding of `self` as one buffer.
+    fn encode(&self) -> Vec<u8> {
+        let mut buf = BytesMut::new();
+        self.put(&mut buf);
+        buf.into()
+    }
+
+    /// Decodes a value that must span all of `data`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::Corrupt`] where [`Codec::take`] does, and when
+    /// bytes are left over after the value.
+    fn decode(mut data: &[u8]) -> Result<Self> {
+        let value = Self::take(&mut data)?;
+        if !data.is_empty() {
+            return Err(Error::Corrupt(format!("{} trailing bytes", data.len())));
+        }
+        Ok(value)
+    }
+}
+
+/// Implements [`Codec`] for a struct as its fields in the listed order;
+/// every field must be listed. The expansion names `bytes` and
+/// `propeller_types`, which the implementing crate depends on.
+#[macro_export]
+macro_rules! codec_struct {
+    ($ty:ty { $($field:ident),+ $(,)? }) => {
+        impl $crate::durable::Codec for $ty {
+            fn put(&self, buf: &mut ::bytes::BytesMut) {
+                $($crate::durable::Codec::put(&self.$field, buf);)+
+            }
+
+            fn take(data: &mut &[u8]) -> ::propeller_types::Result<Self> {
+                Ok(Self { $($field: $crate::durable::Codec::take(data)?),+ })
+            }
+        }
+    };
+}
+
+/// Appends `items` as one sequence — a `u32` count, then each item — the
+/// encoding of a `Vec` of them, from any iterator (a streamed snapshot's
+/// records, a slice of ops).
+pub fn put_iter<'a, T: Codec + 'a>(buf: &mut BytesMut, items: impl IntoIterator<Item = &'a T>) {
+    let at = buf.len();
+    put_len(buf, 0);
+    let mut count = 0;
+    for item in items {
+        item.put(buf);
+        count += 1;
+    }
+    buf[at..at + 4].copy_from_slice(&len_u32(count).to_le_bytes());
+}
+
+/// The error for an enum tag no variant uses.
+pub fn unknown_tag(what: &str, tag: u8) -> Error {
+    Error::Corrupt(format!("unknown {what} tag {tag}"))
+}
+
+fn len_u32(len: usize) -> u32 {
+    u32::try_from(len).expect("a persisted string or collection holds under 2^32 items")
+}
+
+/// The one length rule: a `u32` LE count in front of every string and
+/// collection.
+fn put_len(buf: &mut BytesMut, len: usize) {
+    len_u32(len).put(buf);
+}
+
+fn take_bytes<'a>(data: &mut &'a [u8], n: usize) -> Result<&'a [u8]> {
+    if data.len() < n {
+        return Err(Error::Corrupt(format!("truncated: need {n} bytes, have {}", data.len())));
+    }
+    let (head, rest) = data.split_at(n);
+    *data = rest;
+    Ok(head)
+}
+
+macro_rules! codec_le {
+    ($($ty:ty),*) => {$(
+        impl Codec for $ty {
+            fn put(&self, buf: &mut BytesMut) {
+                buf.put_slice(&self.to_le_bytes());
+            }
+
+            fn take(data: &mut &[u8]) -> Result<Self> {
+                let bytes = take_bytes(data, std::mem::size_of::<$ty>())?;
+                Ok(<$ty>::from_le_bytes(bytes.try_into().expect("width checked")))
+            }
+        }
+    )*};
+}
+
+codec_le!(u8, u32, u64, i64, f64);
+
+/// Ids and timestamps encode as their raw integer.
+macro_rules! codec_newtype {
+    ($($ty:ident($raw:ty): $get:ident, $new:path;)*) => {$(
+        impl Codec for $ty {
+            fn put(&self, buf: &mut BytesMut) {
+                self.$get().put(buf);
+            }
+
+            fn take(data: &mut &[u8]) -> Result<Self> {
+                <$raw>::take(data).map($new)
+            }
+        }
+    )*};
+}
+
+codec_newtype! {
+    AcgId(u64): raw, AcgId::new;
+    FileId(u64): raw, FileId::new;
+    NodeId(u32): raw, NodeId::new;
+    Timestamp(u64): as_micros, Timestamp::from_micros;
+}
+
+impl Codec for bool {
+    fn put(&self, buf: &mut BytesMut) {
+        u8::from(*self).put(buf);
+    }
+
+    fn take(data: &mut &[u8]) -> Result<Self> {
+        match u8::take(data)? {
+            0 => Ok(false),
+            1 => Ok(true),
+            tag => Err(unknown_tag("bool", tag)),
+        }
+    }
+}
+
+impl Codec for String {
+    fn put(&self, buf: &mut BytesMut) {
+        put_len(buf, self.len());
+        buf.put_slice(self.as_bytes());
+    }
+
+    fn take(data: &mut &[u8]) -> Result<Self> {
+        let len = u32::take(data)? as usize;
+        String::from_utf8(take_bytes(data, len)?.to_vec())
+            .map_err(|e| Error::Corrupt(format!("invalid utf-8 string: {e}")))
+    }
+}
+
+impl<T: Codec> Codec for Option<T> {
+    fn put(&self, buf: &mut BytesMut) {
+        self.is_some().put(buf);
+        if let Some(value) = self {
+            value.put(buf);
+        }
+    }
+
+    fn take(data: &mut &[u8]) -> Result<Self> {
+        Ok(if bool::take(data)? { Some(T::take(data)?) } else { None })
+    }
+}
+
+impl<T: Codec> Codec for Vec<T> {
+    fn put(&self, buf: &mut BytesMut) {
+        put_iter(buf, self);
+    }
+
+    fn take(data: &mut &[u8]) -> Result<Self> {
+        let n = u32::take(data)? as usize;
+        // Preallocate no more bytes than remain in the input, so a forged
+        // count in a few bytes cannot make a decoder allocate beyond it.
+        let mut items = Vec::with_capacity(n.min(data.len() / std::mem::size_of::<T>().max(1)));
+        for _ in 0..n {
+            items.push(T::take(data)?);
+        }
+        Ok(items)
+    }
+}
+
+impl<T: Codec> Codec for VecDeque<T> {
+    fn put(&self, buf: &mut BytesMut) {
+        put_iter(buf, self);
+    }
+
+    fn take(data: &mut &[u8]) -> Result<Self> {
+        Vec::take(data).map(VecDeque::from)
+    }
+}
+
+/// A map encodes as the sequence of its `(key, value)` pairs in key order.
+impl<K: Codec + Ord + Hash, V: Codec> Codec for HashMap<K, V> {
+    fn put(&self, buf: &mut BytesMut) {
+        let mut entries: Vec<(&K, &V)> = self.iter().collect();
+        entries.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        put_len(buf, entries.len());
+        for (key, value) in entries {
+            key.put(buf);
+            value.put(buf);
+        }
+    }
+
+    fn take(data: &mut &[u8]) -> Result<Self> {
+        Vec::<(K, V)>::take(data).map(|pairs| pairs.into_iter().collect())
+    }
+}
+
+macro_rules! codec_tuple {
+    ($($name:ident),+) => {
+        impl<$($name: Codec),+> Codec for ($($name,)+) {
+            #[allow(non_snake_case)]
+            fn put(&self, buf: &mut BytesMut) {
+                let ($($name,)+) = self;
+                $($name.put(buf);)+
+            }
+
+            fn take(data: &mut &[u8]) -> Result<Self> {
+                Ok(($($name::take(data)?,)+))
+            }
+        }
+    };
+}
+
+codec_tuple!(A, B);
+codec_tuple!(A, B, C);
+
+impl Codec for Value {
+    fn put(&self, buf: &mut BytesMut) {
+        match self {
+            Value::U64(x) => (0u8, *x).put(buf),
+            Value::I64(x) => (1u8, *x).put(buf),
+            Value::F64(x) => (2u8, *x).put(buf),
+            Value::Str(s) => {
+                3u8.put(buf);
+                s.put(buf);
+            }
+        }
+    }
+
+    fn take(data: &mut &[u8]) -> Result<Self> {
+        Ok(match u8::take(data)? {
+            0 => Value::U64(Codec::take(data)?),
+            1 => Value::I64(Codec::take(data)?),
+            2 => Value::F64(Codec::take(data)?),
+            3 => Value::Str(Codec::take(data)?),
+            tag => return Err(unknown_tag("value", tag)),
+        })
+    }
+}
+
+/// The builtin attributes, each encoded as its index here; a custom name
+/// is tag 8 then the name. A tag rather than the display string: a custom
+/// attribute whose name collides with a builtin ("size") must round-trip
+/// as custom.
+const BUILTIN_ATTRS: [AttrName; 8] = [
+    AttrName::Size,
+    AttrName::Mtime,
+    AttrName::Ctime,
+    AttrName::Uid,
+    AttrName::Gid,
+    AttrName::Mode,
+    AttrName::Nlink,
+    AttrName::Keyword,
+];
+
+impl Codec for AttrName {
+    fn put(&self, buf: &mut BytesMut) {
+        match self {
+            AttrName::Custom(name) => {
+                8u8.put(buf);
+                name.put(buf);
+            }
+            builtin => {
+                let tag = BUILTIN_ATTRS.iter().position(|b| b == builtin).expect("a builtin");
+                (tag as u8).put(buf);
+            }
+        }
+    }
+
+    fn take(data: &mut &[u8]) -> Result<Self> {
+        match u8::take(data)? {
+            8 => String::take(data).map(AttrName::Custom),
+            tag => BUILTIN_ATTRS.get(tag as usize).cloned().ok_or_else(|| unknown_tag("attr", tag)),
+        }
+    }
+}
 
 /// Envelope header: magic + version + payload CRC + payload length.
 const HEADER_LEN: usize = 4 + 4 + 4 + 8;
@@ -53,12 +362,12 @@ pub fn unseal(magic: [u8; 4], version: u32, bytes: &[u8]) -> Result<&[u8]> {
         return Err(Error::Corrupt("missing or truncated header".into()));
     }
     let mut header = &bytes[4..HEADER_LEN];
-    let found = take_u32(&mut header)?;
+    let found = u32::take(&mut header)?;
     if found != version {
         return Err(Error::Corrupt(format!("unsupported version {found}")));
     }
-    let crc = take_u32(&mut header)?;
-    let len = take_u64(&mut header)?;
+    let crc = u32::take(&mut header)?;
+    let len = u64::take(&mut header)?;
     let payload = &bytes[HEADER_LEN..];
     if payload.len() as u64 != len {
         return Err(Error::Corrupt(format!(
@@ -197,6 +506,28 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
         fs::create_dir_all(&dir).unwrap();
         dir
+    }
+
+    #[test]
+    fn codec_writes_the_documented_layout() {
+        let value: (Option<u32>, Vec<String>, bool) = (Some(7), vec!["ab".into()], true);
+        let golden = [1, 7, 0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0, b'a', b'b', 1];
+        assert_eq!(value.encode(), golden);
+        assert_eq!(Codec::decode(&golden).ok(), Some(value));
+        let custom = AttrName::Custom("size".into());
+        assert_eq!(AttrName::decode(&custom.encode()).unwrap(), custom, "not the builtin");
+    }
+
+    #[test]
+    fn codec_rejects_what_it_never_writes() {
+        let corrupt = |r: Result<()>| matches!(r, Err(Error::Corrupt(_)));
+        assert!(corrupt(<(u32, u8)>::decode(&[0; 6]).map(drop)), "trailing bytes");
+        assert!(corrupt(u64::decode(&[0; 7]).map(drop)), "truncated integer");
+        assert!(corrupt(bool::decode(&[2]).map(drop)), "bool byte");
+        assert!(corrupt(String::decode(&[2, 0, 0, 0, 0xFF, 0xFE]).map(drop)), "invalid utf-8");
+        assert!(corrupt(String::decode(&[3, 0, 0, 0, b'a']).map(drop)), "truncated string");
+        assert!(corrupt(Value::decode(&[4]).map(drop)), "value tag");
+        assert!(corrupt(AttrName::decode(&[9]).map(drop)), "attr tag");
     }
 
     #[test]

@@ -33,7 +33,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::btree::{BPlusTree, LeafCursor};
 use crate::cache::IndexCache;
-use crate::durable;
+use crate::durable::{self, Codec};
 use crate::inverted::InvertedIndex;
 use crate::kdtree::{BoxPoint, KdTree};
 use crate::ops::{FileRecord, IndexOp};
@@ -765,9 +765,7 @@ impl AcgIndexGroup {
         {
             let epoch = Arc::make_mut(&mut group.epoch);
             for (lsn, frame) in frames {
-                // A frame is either one classic single-op record or a
-                // group-committed batch; recovery replays both.
-                for op in IndexOp::decode_frame(&frame)? {
+                for op in Vec::<IndexOp>::decode(&frame)? {
                     epoch.apply(op);
                     report.replayed_ops += 1;
                 }
@@ -954,33 +952,22 @@ impl AcgIndexGroup {
         Ok(())
     }
 
-    /// Appends an op to the WAL and buffers it in the cache; commits
-    /// automatically if the cache has timed out. Returns `true` if a
-    /// commit happened.
+    /// Appends one op to the WAL and buffers it in the cache:
+    /// [`AcgIndexGroup::enqueue_batch`] of a one-op batch.
     ///
     /// # Errors
     ///
     /// Returns [`Error::Io`] if the WAL append fails; the op is *not*
     /// buffered in that case (no acknowledged-but-unlogged state).
     pub fn enqueue(&mut self, op: IndexOp, now: Timestamp) -> Result<bool> {
-        let before = self.wal.byte_size();
-        self.wal.append(&op.encode())?;
-        self.wal_ops += 1;
-        self.wal_trigger_bytes += self.wal.byte_size() - before;
-        self.cache.push(op, now);
-        if self.cache.timed_out(now) {
-            self.commit(now)?;
-            return Ok(true);
-        }
-        Ok(false)
+        self.enqueue_batch(vec![op], now)
     }
 
     /// Appends a whole batch to the WAL as **one** group-committed frame
     /// and buffers every op — one framed write (one syscall on the file
-    /// backend) instead of one per op. Single-op batches keep the classic
-    /// per-op frame, so logs stay readable by pre-batch recovery. Commits
-    /// automatically if the cache has timed out; returns `true` if a
-    /// commit happened.
+    /// backend) instead of one per op. An empty batch logs nothing.
+    /// Commits automatically if the cache has timed out; returns `true` if
+    /// a commit happened.
     ///
     /// The batch is all-or-nothing: if the WAL append fails, *no* op is
     /// buffered (no acknowledged-but-unlogged state).
@@ -989,22 +976,19 @@ impl AcgIndexGroup {
     ///
     /// Returns [`Error::Io`] if the WAL append fails.
     pub fn enqueue_batch(&mut self, ops: Vec<IndexOp>, now: Timestamp) -> Result<bool> {
-        match ops.len() {
-            0 => Ok(false),
-            1 => self.enqueue(ops.into_iter().next().expect("len checked"), now),
-            _ => {
-                let before = self.wal.byte_size();
-                self.wal.append(&IndexOp::encode_batch(&ops))?;
-                self.wal_ops += ops.len() as u64;
-                self.wal_trigger_bytes += self.wal.byte_size() - before;
-                self.cache.push_batch(ops, now);
-                if self.cache.timed_out(now) {
-                    self.commit(now)?;
-                    return Ok(true);
-                }
-                Ok(false)
-            }
+        if ops.is_empty() {
+            return Ok(false);
         }
+        let before = self.wal.byte_size();
+        self.wal.append(&IndexOp::encode_batch(&ops))?;
+        self.wal_ops += ops.len() as u64;
+        self.wal_trigger_bytes += self.wal.byte_size() - before;
+        self.cache.push_batch(ops, now);
+        if self.cache.timed_out(now) {
+            self.commit(now)?;
+            return Ok(true);
+        }
+        Ok(false)
     }
 
     /// Commits all buffered ops and **publishes a new epoch**: the batch
@@ -1288,7 +1272,7 @@ mod tests {
         assert_eq!(frames.len(), 3, "one frame per replicated batch");
         for (lsn, payload) in frames {
             assert_eq!(lsn, follower.last_lsn() + 1, "shipped frames stay contiguous");
-            let ops = IndexOp::decode_frame(&payload).unwrap();
+            let ops = Vec::<IndexOp>::decode(&payload).unwrap();
             follower.enqueue_batch(ops, t(0)).unwrap();
             follower.commit(t(0)).unwrap();
             assert_eq!(follower.last_lsn(), lsn, "follower assigns the primary's LSN");
@@ -1573,7 +1557,7 @@ mod tests {
         assert_eq!(g.pending_ops(), 50);
         g.commit(t(0)).unwrap();
         assert_eq!(g.len(), 50);
-        // A single-op batch keeps the classic per-op frame.
+        // A single-op batch is a one-op batch frame too.
         g.enqueue_batch(vec![IndexOp::Remove(FileId::new(0))], t(1)).unwrap();
         assert_eq!(g.wal.entry_count(), 1);
         // Timed-out caches still auto-commit through the batch path.
@@ -1589,13 +1573,11 @@ mod tests {
     #[test]
     fn recovery_replays_mixed_single_and_batch_frames() {
         let mut wal = Wal::in_memory();
-        // A classic single-op frame, then a group-committed batch, then
-        // another single frame — the shape of a log written across the
-        // format transition.
-        wal.append(&IndexOp::Upsert(record(1, 10, 0)).encode()).unwrap();
+        // A one-op batch, then a four-op batch, then another one-op batch.
+        wal.append(&IndexOp::encode_batch(&[IndexOp::Upsert(record(1, 10, 0))])).unwrap();
         let batch: Vec<IndexOp> = (2..6).map(|i| IndexOp::Upsert(record(i, i * 10, 0))).collect();
         wal.append(&IndexOp::encode_batch(&batch)).unwrap();
-        wal.append(&IndexOp::Remove(FileId::new(1)).encode()).unwrap();
+        wal.append(&IndexOp::encode_batch(&[IndexOp::Remove(FileId::new(1))])).unwrap();
         let config = GroupConfig { wal, ..GroupConfig::default() };
         let (g, recovered) = AcgIndexGroup::recover(AcgId::new(9), config).unwrap();
         assert_eq!(recovered, 6);
@@ -1608,9 +1590,9 @@ mod tests {
     fn recovery_replays_acknowledged_ops() {
         let mut wal = Wal::in_memory();
         for i in 0..5 {
-            wal.append(&IndexOp::Upsert(record(i, i * 10, 0)).encode()).unwrap();
+            wal.append(&IndexOp::encode_batch(&[IndexOp::Upsert(record(i, i * 10, 0))])).unwrap();
         }
-        wal.append(&IndexOp::Remove(FileId::new(0)).encode()).unwrap();
+        wal.append(&IndexOp::encode_batch(&[IndexOp::Remove(FileId::new(0))])).unwrap();
         let config = GroupConfig { wal, ..GroupConfig::default() };
         let (g, recovered) = AcgIndexGroup::recover(AcgId::new(9), config).unwrap();
         assert_eq!(recovered, 6);

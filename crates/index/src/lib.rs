@@ -15,8 +15,8 @@
 //!   backed),
 //! * [`snapshot`] — checksummed, LSN-anchored checkpoint files of an ACG's
 //!   committed state,
-//! * [`durable`] — the one envelope, atomic replace and checkpoint-set rule
-//!   every persisted file goes through,
+//! * [`durable`] — the one byte codec, envelope, atomic replace and
+//!   checkpoint-set rule every persisted file goes through,
 //! * [`IndexCache`] — the lazy-commit buffer,
 //! * [`AcgIndexGroup`] — the per-ACG composition of all of the above, with
 //!   the user-defined named-index table and crash recovery.
@@ -65,6 +65,6 @@ pub use inverted::{
     BM25_B, BM25_K1,
 };
 pub use kdtree::{BoxPoint, KdTree};
-pub use ops::{put_str, take_str, take_u32, take_u64, take_u8, FileRecord, IndexOp};
+pub use ops::{FileRecord, IndexOp};
 pub use snapshot::SnapshotData;
 pub use wal::{crc32, Wal};

@@ -11,11 +11,12 @@
 //! ## File layout
 //!
 //! ```text
-//! acg-<acg>-<lsn>.snap := durable::seal("PSNP", 1, payload)
-//!   payload :=
+//! acg-<acg>-<lsn>.snap := durable::seal("PSNP", 2, SnapshotData)
+//!   SnapshotData :=
 //!     [acg u64][lsn u64]
-//!     [nspecs u32] { [name str][kind u8][nattrs u32][attr]... }
-//!     [nrecords u64] { record }...          // the ops.rs record codec
+//!     [nspecs u32] { [name str][kind u8][nattrs u32] { attr }... }...
+//!     [nrecords u32] { record }...          // the ops.rs record bytes
+//!   attr := [tag u8 0..=7] | [8 u8] str     // builtin | custom name
 //! ```
 //!
 //! The LSN in the *name* is what recovery sorts by (newest first); the LSN
@@ -26,23 +27,22 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use bytes::{BufMut, BytesMut};
-use propeller_types::{AcgId, AttrName, Error, Result};
+use bytes::BytesMut;
+use propeller_types::{AcgId, Error, Result};
 
-use crate::durable;
+use crate::codec_struct;
+use crate::durable::{self, Codec};
 use crate::group::{IndexKind, IndexSpec};
 use crate::ops::FileRecord;
-use crate::ops::{
-    decode_record, encode_record_into, put_str, take_str, take_u32, take_u64, take_u8,
-};
 
 /// Envelope magic and version of a snapshot file.
 const MAGIC: [u8; 4] = *b"PSNP";
-const VERSION: u32 = 1;
+const VERSION: u32 = 2;
 
 /// A decoded snapshot: everything needed to rebuild an
-/// [`crate::AcgIndexGroup`]'s committed state.
-#[derive(Debug)]
+/// [`crate::AcgIndexGroup`]'s committed state. Its [`Codec`] bytes are
+/// the snapshot payload.
+#[derive(Debug, PartialEq)]
 pub struct SnapshotData {
     /// The ACG this snapshot belongs to.
     pub acg: AcgId,
@@ -109,88 +109,24 @@ pub fn snapshot_acgs(dir: &Path) -> Vec<AcgId> {
     acgs
 }
 
-fn encode_attr(buf: &mut BytesMut, attr: &AttrName) {
-    // A tagged encoding rather than the display string: a custom attribute
-    // whose name collides with a builtin ("size") must round-trip as
-    // custom, which string parsing cannot guarantee.
-    match attr {
-        AttrName::Size => buf.put_u8(0),
-        AttrName::Mtime => buf.put_u8(1),
-        AttrName::Ctime => buf.put_u8(2),
-        AttrName::Uid => buf.put_u8(3),
-        AttrName::Gid => buf.put_u8(4),
-        AttrName::Mode => buf.put_u8(5),
-        AttrName::Nlink => buf.put_u8(6),
-        AttrName::Keyword => buf.put_u8(7),
-        AttrName::Custom(name) => {
-            buf.put_u8(8);
-            put_str(buf, name);
-        }
+/// Each kind is encoded as its index here.
+const KINDS: [IndexKind; 4] =
+    [IndexKind::BTree, IndexKind::Hash, IndexKind::Kd, IndexKind::Inverted];
+
+impl Codec for IndexKind {
+    fn put(&self, buf: &mut BytesMut) {
+        (KINDS.iter().position(|k| k == self).expect("every kind is listed") as u8).put(buf);
+    }
+
+    fn take(data: &mut &[u8]) -> Result<Self> {
+        let tag = u8::take(data)?;
+        KINDS.get(tag as usize).copied().ok_or_else(|| durable::unknown_tag("index kind", tag))
     }
 }
 
-fn decode_attr(data: &mut &[u8]) -> Result<AttrName> {
-    Ok(match take_u8(data)? {
-        0 => AttrName::Size,
-        1 => AttrName::Mtime,
-        2 => AttrName::Ctime,
-        3 => AttrName::Uid,
-        4 => AttrName::Gid,
-        5 => AttrName::Mode,
-        6 => AttrName::Nlink,
-        7 => AttrName::Keyword,
-        8 => AttrName::Custom(take_str(data)?),
-        other => return Err(Error::Corrupt(format!("unknown attr tag {other}"))),
-    })
-}
-
-fn encode_spec(buf: &mut BytesMut, spec: &IndexSpec) {
-    put_str(buf, &spec.name);
-    buf.put_u8(match spec.kind {
-        IndexKind::BTree => 0,
-        IndexKind::Hash => 1,
-        IndexKind::Kd => 2,
-        IndexKind::Inverted => 3,
-    });
-    buf.put_u32_le(spec.attrs.len() as u32);
-    for attr in &spec.attrs {
-        encode_attr(buf, attr);
-    }
-}
-
-fn decode_spec(data: &mut &[u8]) -> Result<IndexSpec> {
-    let name = take_str(data)?;
-    let kind = match take_u8(data)? {
-        0 => IndexKind::BTree,
-        1 => IndexKind::Hash,
-        2 => IndexKind::Kd,
-        3 => IndexKind::Inverted,
-        other => return Err(Error::Corrupt(format!("unknown index kind tag {other}"))),
-    };
-    let nattrs = take_u32(data)? as usize;
-    let mut attrs = Vec::with_capacity(nattrs.min(64));
-    for _ in 0..nattrs {
-        attrs.push(decode_attr(data)?);
-    }
-    Ok(IndexSpec { name, kind, attrs })
-}
-
-/// Encodes a named-index spec with the snapshot codec. Public so the
-/// cluster control plane can persist its index-spec registry with the
-/// exact bytes the data-plane snapshot files use.
-pub fn encode_spec_into(buf: &mut BytesMut, spec: &IndexSpec) {
-    encode_spec(buf, spec);
-}
-
-/// Decodes a spec written by [`encode_spec_into`] (or found inside a
-/// snapshot payload), advancing the cursor past it.
-///
-/// # Errors
-///
-/// Returns [`Error::Corrupt`] on a truncated or mistagged spec.
-pub fn decode_spec_from(data: &mut &[u8]) -> Result<IndexSpec> {
-    decode_spec(data)
-}
+// The Master's index-spec registry persists specs with these same bytes.
+codec_struct!(IndexSpec { name, kind, attrs });
+codec_struct!(SnapshotData { acg, lsn, specs, records });
 
 /// Writes a snapshot of `acg` covering `lsn` to `dir` by
 /// [`durable::replace`], returning the final path.
@@ -207,21 +143,12 @@ pub fn write_snapshot<'a>(
     records: impl Iterator<Item = &'a FileRecord>,
 ) -> Result<PathBuf> {
     fs::create_dir_all(dir)?;
+    // The bytes of the `SnapshotData` that `read_snapshot` decodes, with
+    // the records streamed rather than collected.
     let mut payload = BytesMut::new();
-    payload.put_u64_le(acg.raw());
-    payload.put_u64_le(lsn);
-    payload.put_u32_le(specs.len() as u32);
-    for spec in specs {
-        encode_spec(&mut payload, spec);
-    }
-    let count_pos = payload.len();
-    payload.put_u64_le(0); // record count, patched below
-    let mut count: u64 = 0;
-    for record in records {
-        encode_record_into(&mut payload, record);
-        count += 1;
-    }
-    payload[count_pos..count_pos + 8].copy_from_slice(&count.to_le_bytes());
+    (acg, lsn).put(&mut payload);
+    durable::put_iter(&mut payload, specs);
+    durable::put_iter(&mut payload, records);
     let path = dir.join(snapshot_file_name(acg, lsn));
     durable::replace(&path, &durable::seal(MAGIC, VERSION, &payload))?;
     Ok(path)
@@ -240,36 +167,21 @@ pub fn read_snapshot(path: &Path) -> Result<SnapshotData> {
         |reason: String| Error::SnapshotCorrupt { path: path.display().to_string(), reason };
     let raw = fs::read(path)?;
     (|| -> Result<SnapshotData> {
-        let mut cursor = durable::unseal(MAGIC, VERSION, &raw)?;
-        let acg = AcgId::new(take_u64(&mut cursor)?);
-        let lsn = take_u64(&mut cursor)?;
-        let nspecs = take_u32(&mut cursor)? as usize;
-        let mut specs = Vec::with_capacity(nspecs.min(256));
-        for _ in 0..nspecs {
-            specs.push(decode_spec(&mut cursor)?);
-        }
-        let nrecords = take_u64(&mut cursor)? as usize;
-        let mut records = Vec::with_capacity(nrecords.min(1 << 20));
-        for _ in 0..nrecords {
-            records.push(decode_record(&mut cursor)?);
-        }
-        if !cursor.is_empty() {
-            return Err(Error::Corrupt(format!("{} trailing payload bytes", cursor.len())));
-        }
+        let data = SnapshotData::decode(durable::unseal(MAGIC, VERSION, &raw)?)?;
         if let Some((name_acg, name_lsn)) =
             path.file_name().and_then(|n| n.to_str()).and_then(parse_snapshot_name)
         {
-            if name_acg != acg || name_lsn != lsn {
+            if name_acg != data.acg || name_lsn != data.lsn {
                 return Err(Error::Corrupt(format!(
                     "file name claims acg {} lsn {}, payload says acg {} lsn {}",
                     name_acg.raw(),
                     name_lsn,
-                    acg.raw(),
-                    lsn
+                    data.acg.raw(),
+                    data.lsn
                 )));
             }
         }
-        Ok(SnapshotData { acg, lsn, specs, records })
+        Ok(data)
     })()
     .map_err(|e| match e {
         Error::SnapshotCorrupt { .. } => e,
@@ -280,7 +192,7 @@ pub fn read_snapshot(path: &Path) -> Result<SnapshotData> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use propeller_types::{FileId, InodeAttrs, Value};
+    use propeller_types::{AttrName, FileId, InodeAttrs, Value};
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir =
@@ -370,6 +282,16 @@ mod tests {
         let lie = dir.join(snapshot_file_name(AcgId::new(1), 999));
         fs::rename(&path, &lie).unwrap();
         assert!(matches!(read_snapshot(&lie), Err(Error::SnapshotCorrupt { .. })));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn version_1_snapshot_is_refused() {
+        let dir = temp_dir("version-1");
+        let path = write_snapshot(&dir, AcgId::new(1), 3, &sample_specs(), [].iter()).unwrap();
+        let payload = read_snapshot(&path).unwrap().encode();
+        fs::write(&path, durable::seal(MAGIC, 1, &payload)).unwrap();
+        assert!(matches!(read_snapshot(&path), Err(Error::SnapshotCorrupt { .. })));
         let _ = fs::remove_dir_all(&dir);
     }
 

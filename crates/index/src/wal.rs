@@ -52,8 +52,9 @@ pub fn crc32(data: &[u8]) -> u32 {
 
 /// Magic prefix of a headered WAL file.
 const MAGIC: [u8; 4] = *b"PWAL";
-/// On-disk format version.
-const VERSION: u32 = 1;
+/// On-disk format version: 2 since every frame became one encoded
+/// `Vec<IndexOp>` (or one Master op); a log in another version is refused.
+const VERSION: u32 = 2;
 /// Header layout: `[magic 4][version u32][base_lsn u64][crc32 u32]` where
 /// the CRC covers the version and base LSN bytes.
 const HEADER_LEN: usize = 4 + 4 + 8 + 4;
@@ -68,11 +69,11 @@ fn encode_header(base_lsn: u64) -> [u8; HEADER_LEN] {
     buf
 }
 
-/// The base LSN of a log starting with a valid header.
+/// The base LSN of a log starting with a valid header of this version.
 fn decode_header(raw: &[u8]) -> Option<u64> {
     let header = raw.get(..HEADER_LEN)?;
     let crc = u32::from_le_bytes(header[16..20].try_into().ok()?);
-    (header[..4] == MAGIC && crc32(&header[4..16]) == crc)
+    (header[..4] == MAGIC && header[4..8] == VERSION.to_le_bytes() && crc32(&header[4..16]) == crc)
         .then(|| u64::from_le_bytes(header[8..16].try_into().expect("8 bytes")))
 }
 
@@ -133,8 +134,9 @@ impl Wal {
     ///
     /// Returns [`Error::Io`] if the file cannot be opened, read or
     /// truncated, and [`Error::Corrupt`] for any other file without a
-    /// valid header — a damaged magic or base LSN — which is left on disk
-    /// untouched rather than mistaken for an empty log.
+    /// valid header — a damaged magic or base LSN, or another format
+    /// version — which is left on disk untouched rather than mistaken for
+    /// an empty log or misread.
     pub fn open(path: impl AsRef<Path>) -> Result<Self> {
         let path = path.as_ref().to_path_buf();
         let mut file = OpenOptions::new().create(true).read(true).append(true).open(&path)?;
@@ -649,6 +651,23 @@ mod tests {
         std::fs::write(&path, &damaged).unwrap();
         assert!(matches!(Wal::open(&path), Err(Error::Corrupt(_))));
         assert_eq!(std::fs::read(&path).unwrap(), damaged);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn another_version_is_refused_and_left_on_disk() {
+        let path = temp_path("version-1");
+        // A version-1 log: its header is intact under its own CRC.
+        let mut old = encode_header(1).to_vec();
+        old[4..8].copy_from_slice(&1u32.to_le_bytes());
+        let crc = crc32(&old[4..16]);
+        old[16..20].copy_from_slice(&crc.to_le_bytes());
+        old.extend_from_slice(&[3, 0, 0, 0]);
+        old.extend_from_slice(&crc32(b"op1").to_le_bytes());
+        old.extend_from_slice(b"op1");
+        std::fs::write(&path, &old).unwrap();
+        assert!(matches!(Wal::open(&path), Err(Error::Corrupt(_))));
+        assert_eq!(std::fs::read(&path).unwrap(), old);
         let _ = std::fs::remove_file(&path);
     }
 

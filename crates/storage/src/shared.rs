@@ -5,7 +5,7 @@
 //! owns the index layer. [`SharedStorage`] is that underlying layer: a
 //! thread-safe path → (id, attributes) namespace with snapshot import
 //! (used by the dynamic-namespace experiments, which import an 89 k-file
-//! Ubuntu image) and a blob area for persisted Master metadata.
+//! Ubuntu image).
 
 use std::collections::HashMap;
 
@@ -17,8 +17,6 @@ struct Inner {
     by_path: HashMap<String, FileId>,
     by_id: HashMap<FileId, (String, InodeAttrs)>,
     next_id: u64,
-    /// Named blobs (Master Node metadata flushes land here).
-    blobs: HashMap<String, Vec<u8>>,
 }
 
 /// A thread-safe shared file-system namespace.
@@ -161,16 +159,6 @@ impl SharedStorage {
     pub fn import<I: IntoIterator<Item = (String, InodeAttrs)>>(&self, rows: I) -> Vec<FileId> {
         rows.into_iter().map(|(path, attrs)| self.upsert(&path, attrs)).collect()
     }
-
-    /// Stores a named metadata blob (Master Node periodic flush target).
-    pub fn put_blob(&self, name: &str, data: Vec<u8>) {
-        self.inner.write().blobs.insert(name.to_owned(), data);
-    }
-
-    /// Fetches a named metadata blob.
-    pub fn get_blob(&self, name: &str) -> Option<Vec<u8>> {
-        self.inner.read().blobs.get(name).cloned()
-    }
 }
 
 #[cfg(test)]
@@ -226,14 +214,6 @@ mod tests {
         let snap = s.snapshot();
         assert_eq!(snap.len(), 100);
         assert!(snap.windows(2).all(|w| w[0].0 < w[1].0), "sorted by id");
-    }
-
-    #[test]
-    fn blobs_round_trip() {
-        let s = SharedStorage::new();
-        assert_eq!(s.get_blob("meta"), None);
-        s.put_blob("meta", vec![1, 2, 3]);
-        assert_eq!(s.get_blob("meta"), Some(vec![1, 2, 3]));
     }
 
     #[test]

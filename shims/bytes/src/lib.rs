@@ -73,6 +73,12 @@ impl From<Vec<u8>> for BytesMut {
     }
 }
 
+impl From<BytesMut> for Vec<u8> {
+    fn from(buf: BytesMut) -> Self {
+        buf.inner
+    }
+}
+
 /// Write-side accessors (little-endian).
 pub trait BufMut {
     /// Appends raw bytes.

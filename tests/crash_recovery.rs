@@ -97,7 +97,7 @@ fn torn_final_frame_is_discarded_on_recovery() {
     {
         let mut wal = Wal::open(&path).unwrap();
         for i in 0..10 {
-            wal.append(&IndexOp::Upsert(record(i, 7)).encode()).unwrap();
+            wal.append(&IndexOp::encode_batch(&[IndexOp::Upsert(record(i, 7))])).unwrap();
         }
         wal.sync().unwrap();
     }
@@ -130,7 +130,7 @@ fn ops_acknowledged_after_a_torn_tail_survive_the_next_crash() {
     {
         let mut wal = Wal::open(&path).unwrap();
         for i in 0..10 {
-            wal.append(&IndexOp::Upsert(record(i, 7)).encode()).unwrap();
+            wal.append(&IndexOp::encode_batch(&[IndexOp::Upsert(record(i, 7))])).unwrap();
         }
         wal.sync().unwrap();
         // Crash #1, mid-append of the 11th frame.
@@ -145,7 +145,7 @@ fn ops_acknowledged_after_a_torn_tail_survive_the_next_crash() {
         let mut wal = Wal::open(&path).unwrap();
         assert_eq!(wal.entry_count(), 10, "valid prefix counted on reopen");
         for i in 100..110 {
-            wal.append(&IndexOp::Upsert(record(i, 9)).encode()).unwrap();
+            wal.append(&IndexOp::encode_batch(&[IndexOp::Upsert(record(i, 9))])).unwrap();
         }
         wal.sync().unwrap();
         // Crash #2.

@@ -1,18 +1,25 @@
-//! Additional property-based coverage: WAL framing, index-op codec,
-//! B+-tree/K-D tree invariants under arbitrary inputs, query-parser
-//! robustness, and index-only walks and K-D boxes against the reference
-//! executor (under churn, and where `u64 → f64` rounding merges values).
+//! Additional property-based coverage: WAL framing, the byte codec of
+//! every persisted payload (WAL batch frames, snapshots, the Master's log
+//! ops and checkpoint image, the tombstone image), B+-tree/K-D tree
+//! invariants under arbitrary inputs, query-parser robustness, and
+//! index-only walks and K-D boxes against the reference executor (under
+//! churn, and where `u64 → f64` rounding merges values).
 
+use std::fmt::Debug;
 use std::sync::Arc;
 
+use propeller::cluster::{MetaImage, MetaOp, Migration, Tombstones};
+use propeller::index::durable::Codec;
+use propeller::index::snapshot::{read_snapshot, write_snapshot, SnapshotData};
 use propeller::index::{
-    AcgEpoch, AcgIndexGroup, BPlusTree, FileRecord, GroupConfig, IndexOp, IndexSpec, KdTree, Wal,
+    AcgEpoch, AcgIndexGroup, BPlusTree, FileRecord, GroupConfig, IndexKind, IndexOp, IndexSpec,
+    KdTree, Wal,
 };
 use propeller::query::{
     execute_classic, execute_request, execute_request_reference, merge_sorted_hits, AccessPathKind,
     CompareOp, Hit, NodeSearchSession, Predicate, Projection, SearchRequest, SortKey,
 };
-use propeller::types::{AcgId, AttrName, FileId, InodeAttrs, Timestamp, Value};
+use propeller::types::{AcgId, AttrName, FileId, InodeAttrs, NodeId, Timestamp, Value};
 use propeller::Query;
 use proptest::prelude::*;
 
@@ -49,6 +56,141 @@ fn arb_record() -> impl Strategy<Value = FileRecord> {
             rec.custom = custom;
             rec
         })
+}
+
+fn arb_op() -> impl Strategy<Value = IndexOp> {
+    (arb_record(), prop::bool::ANY).prop_map(|(rec, remove)| {
+        if remove {
+            IndexOp::Remove(rec.file)
+        } else {
+            IndexOp::Upsert(rec)
+        }
+    })
+}
+
+fn arb_acg() -> impl Strategy<Value = AcgId> {
+    any::<u64>().prop_map(AcgId::new)
+}
+
+fn arb_files() -> impl Strategy<Value = Vec<FileId>> {
+    prop::collection::vec(any::<u64>().prop_map(FileId::new), 0..4)
+}
+
+fn arb_nodes() -> impl Strategy<Value = Vec<NodeId>> {
+    prop::collection::vec(any::<u32>().prop_map(NodeId::new), 0..4)
+}
+
+fn arb_spec() -> impl Strategy<Value = IndexSpec> {
+    let attr = (0usize..9, "[a-z_]{0,8}").prop_map(|(tag, name)| {
+        let builtin = [
+            AttrName::Size,
+            AttrName::Mtime,
+            AttrName::Ctime,
+            AttrName::Uid,
+            AttrName::Gid,
+            AttrName::Mode,
+            AttrName::Nlink,
+            AttrName::Keyword,
+        ];
+        builtin.get(tag).cloned().unwrap_or(AttrName::Custom(name))
+    });
+    ("[a-z_]{1,10}", 0usize..4, prop::collection::vec(attr, 0..3)).prop_map(
+        |(name, kind, attrs)| {
+            let kind =
+                [IndexKind::BTree, IndexKind::Hash, IndexKind::Kd, IndexKind::Inverted][kind];
+            IndexSpec { name, kind, attrs }
+        },
+    )
+}
+
+fn arb_meta_op() -> impl Strategy<Value = MetaOp> {
+    let placement = (any::<u64>().prop_map(FileId::new), arb_acg());
+    prop_oneof![
+        prop::collection::vec(placement, 0..4)
+            .prop_map(|placements| MetaOp::PlaceFiles { placements }),
+        (arb_acg(), arb_nodes(), prop::bool::ANY)
+            .prop_map(|(acg, replicas, open)| MetaOp::CreateAcg { acg, replicas, open }),
+        (arb_acg(), arb_acg(), arb_files(), arb_nodes()).prop_map(
+            |(acg, new_acg, moved, targets)| MetaOp::CommitSplit { acg, new_acg, moved, targets }
+        ),
+        (arb_acg(), any::<u32>())
+            .prop_map(|(acg, node)| MetaOp::AdoptReplica { acg, node: NodeId::new(node) }),
+        arb_spec().prop_map(|spec| MetaOp::CreateIndexSpec { spec }),
+        "[a-z_]{0,10}".prop_map(|name| MetaOp::DropIndexSpec { name }),
+        (arb_acg(), arb_acg(), arb_files(), arb_nodes()).prop_map(
+            |(source, new_acg, moved, targets)| MetaOp::BeginMigration {
+                source,
+                new_acg,
+                moved,
+                targets
+            }
+        ),
+        arb_acg().prop_map(|new_acg| MetaOp::InstallAcked { new_acg }),
+    ]
+}
+
+fn arb_meta_image() -> impl Strategy<Value = MetaImage> {
+    let migration = (arb_acg(), arb_acg(), arb_files(), arb_nodes(), prop::bool::ANY).prop_map(
+        |(source, new_acg, moved, targets, installed)| Migration {
+            source,
+            new_acg,
+            moved,
+            targets,
+            installed,
+        },
+    );
+    (
+        (any::<u64>(), any::<u64>(), prop::bool::ANY, arb_acg()),
+        prop::collection::vec((any::<u64>().prop_map(FileId::new), arb_acg()), 0..6),
+        prop::collection::vec((arb_acg(), arb_nodes()), 0..4),
+        prop::collection::vec(arb_spec(), 0..3),
+        prop::collection::vec((any::<u64>(), arb_files()), 0..3),
+        prop::collection::vec(migration, 0..3),
+    )
+        .prop_map(
+            |((next_acg, routing_gen, open, acg), files, replicas, specs, splits, migrations)| {
+                MetaImage {
+                    next_acg,
+                    routing_gen,
+                    open_acg: open.then_some(acg),
+                    file_to_acg: files.into_iter().collect(),
+                    acg_replicas: replicas.into_iter().collect(),
+                    specs,
+                    split_log: splits.into(),
+                    migrations: migrations.into_iter().map(|m| (m.new_acg, m)).collect(),
+                }
+            },
+        )
+}
+
+fn arb_tombstones() -> impl Strategy<Value = Tombstones> {
+    let gens = prop::collection::vec((any::<u64>().prop_map(FileId::new), any::<u64>()), 0..4);
+    let order = (arb_acg(), any::<u64>().prop_map(FileId::new), any::<u64>());
+    (
+        any::<u64>(),
+        prop::collection::vec((arb_acg(), gens), 0..3),
+        prop::collection::vec(order, 0..6),
+    )
+        .prop_map(|(gen, moved, order)| Tombstones {
+            gen,
+            moved_away: moved.into_iter().map(|(acg, g)| (acg, g.into_iter().collect())).collect(),
+            order: order.into(),
+        })
+}
+
+/// `value` round-trips; every strict prefix of its bytes is refused as
+/// truncated; and its bytes with the byte at `at` overwritten by `with`
+/// decode to a value or an error, never a panic.
+fn check_codec<T: Codec + PartialEq + Debug>(value: &T, at: usize, with: u8) {
+    let bytes = value.encode();
+    assert_eq!(&T::decode(&bytes).unwrap(), value);
+    for cut in 0..bytes.len() {
+        assert!(T::decode(&bytes[..cut]).is_err(), "a {cut}-byte prefix decoded");
+    }
+    let mut damaged = bytes;
+    let at = at % damaged.len();
+    damaged[at] = with;
+    let _ = T::decode(&damaged);
 }
 
 /// A file of the churn corpus: `(size, mtime, ctime, uid)` over small
@@ -168,10 +310,8 @@ proptest! {
 
     /// Any op encodes and decodes to itself.
     #[test]
-    fn index_op_codec_round_trips(rec in arb_record(), remove in prop::bool::ANY) {
-        let op = if remove { IndexOp::Remove(rec.file) } else { IndexOp::Upsert(rec) };
-        let decoded = IndexOp::decode(&op.encode()).unwrap();
-        prop_assert_eq!(decoded, op);
+    fn index_op_codec_round_trips(op in arb_op(), at in any::<usize>(), with in any::<u8>()) {
+        check_codec(&op, at, with);
     }
 
     /// Decoding never panics on arbitrary bytes — it returns an error or a
@@ -179,6 +319,72 @@ proptest! {
     #[test]
     fn index_op_decode_is_total(bytes in prop::collection::vec(any::<u8>(), 0..256)) {
         let _ = IndexOp::decode(&bytes);
+    }
+
+    /// A WAL frame is the encoded `Vec<IndexOp>` and reads back whole.
+    #[test]
+    fn wal_batch_frames_round_trip(
+        ops in prop::collection::vec(arb_op(), 0..5),
+        at in any::<usize>(),
+        with in any::<u8>(),
+    ) {
+        prop_assert_eq!(IndexOp::encode_batch(&ops), ops.encode());
+        check_codec(&ops, at, with);
+    }
+
+    /// A snapshot's payload round-trips, and `write_snapshot`, which
+    /// streams its records, writes exactly what `read_snapshot` decodes.
+    #[test]
+    fn snapshot_payloads_round_trip(
+        (acg, lsn) in (arb_acg(), any::<u64>()),
+        specs in prop::collection::vec(arb_spec(), 0..3),
+        records in prop::collection::vec(arb_record(), 0..4),
+        at in any::<usize>(),
+        with in any::<u8>(),
+    ) {
+        let data = SnapshotData { acg, lsn, specs, records };
+        check_codec(&data, at, with);
+        let dir = std::env::temp_dir()
+            .join(format!("propeller-prop-snap-{}-{}", std::process::id(), acg.raw()));
+        let path = write_snapshot(&dir, acg, lsn, &data.specs, data.records.iter()).unwrap();
+        prop_assert_eq!(read_snapshot(&path).unwrap(), data);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Every Master log op round-trips.
+    #[test]
+    fn meta_ops_round_trip(op in arb_meta_op(), at in any::<usize>(), with in any::<u8>()) {
+        check_codec(&op, at, with);
+    }
+
+    /// The Master's checkpoint image round-trips.
+    #[test]
+    fn meta_images_round_trip(
+        image in arb_meta_image(),
+        at in any::<usize>(),
+        with in any::<u8>(),
+    ) {
+        check_codec(&image, at, with);
+    }
+
+    /// The node tombstone image round-trips.
+    #[test]
+    fn tombstone_images_round_trip(
+        tombstones in arb_tombstones(),
+        at in any::<usize>(),
+        with in any::<u8>(),
+    ) {
+        check_codec(&tombstones, at, with);
+    }
+
+    /// No persisted payload's decoder panics on arbitrary bytes.
+    #[test]
+    fn persisted_decoders_are_total(bytes in prop::collection::vec(any::<u8>(), 0..256)) {
+        let _ = Vec::<IndexOp>::decode(&bytes);
+        let _ = SnapshotData::decode(&bytes);
+        let _ = MetaOp::decode(&bytes);
+        let _ = MetaImage::decode(&bytes);
+        let _ = Tombstones::decode(&bytes);
     }
 
     /// WAL replay returns exactly the appended payloads, in order, for any
@@ -369,4 +575,21 @@ fn kd_boxes_are_exact_where_f64_merges_neighbouring_values() {
     }
     // Interior points were admitted with no record read.
     assert!(answered_from_the_index > 0);
+}
+
+/// A count prefix claiming 2^32 - 1 items in a few bytes is refused as
+/// truncated. Decoders preallocate no more bytes than remain in their
+/// input; one that trusted the count would ask for hundreds of gigabytes
+/// here and abort the test process.
+#[test]
+fn huge_length_prefix_is_refused_without_preallocating() {
+    let huge = [0xFF, 0xFF, 0xFF, 0xFF, 1, 0, 0];
+    let header = |width: usize| [vec![0; width], huge.to_vec()].concat();
+    assert!(Vec::<IndexOp>::decode(&huge).is_err(), "wal batch frame");
+    assert!(SnapshotData::decode(&header(16)).is_err(), "snapshot specs");
+    assert!(SnapshotData::decode(&header(20)).is_err(), "snapshot records");
+    assert!(MetaOp::decode(&[&[1u8][..], &huge].concat()).is_err(), "placements");
+    assert!(MetaImage::decode(&header(17)).is_err(), "file map");
+    assert!(Tombstones::decode(&header(8)).is_err(), "tombstone maps");
+    assert!(String::decode(&huge).is_err(), "string");
 }
