@@ -178,12 +178,6 @@ impl<K: Ord + Clone, V> BPlusTree<K, V> {
     pub fn iter(&self) -> Range<'_, K, V> {
         self.range(..)
     }
-
-    /// First (smallest) key, if any. Robust to leaves emptied by lazy
-    /// deletion.
-    pub fn first_key(&self) -> Option<&K> {
-        self.iter().next().map(|(k, _)| k)
-    }
 }
 
 // Mutators path-copy shared nodes, so they need `V: Clone` (a spine clone
@@ -788,15 +782,6 @@ mod tests {
         let keys: Vec<u32> = t.range_rev(..).map(|(k, _)| *k).collect();
         let expected: Vec<u32> = (0..100).chain(900..1000).rev().collect();
         assert_eq!(keys, expected);
-    }
-
-    #[test]
-    fn first_key_nonempty() {
-        let mut t = BPlusTree::new();
-        for i in (5..100u32).rev() {
-            t.insert(i, ());
-        }
-        assert_eq!(t.first_key(), Some(&5));
     }
 
     #[test]

@@ -1935,7 +1935,7 @@ mod tests {
     fn snapshot_restores_inverted_postings_and_df() {
         let dir = temp_dir("inverted");
         let acg = AcgId::new(7);
-        let fingerprint = {
+        let live = {
             let mut g = AcgIndexGroup::new(acg, durable_config(&dir, 7));
             for i in 0..40 {
                 let rec = record(i, i, 0)
@@ -1950,13 +1950,13 @@ mod tests {
             g.enqueue(IndexOp::Remove(FileId::new(0)), t(1)).unwrap();
             g.commit(t(1)).unwrap();
             g.sync_wal().unwrap();
-            g.inverted().unwrap().fingerprint()
+            g.inverted().unwrap().clone()
         };
         let (g, report) = AcgIndexGroup::recover_with_report(acg, durable_config(&dir, 7)).unwrap();
         assert!(report.snapshot_lsn.is_some());
         assert_eq!(report.replayed_ops, 2);
         let inv = g.inverted().expect("inverted index recovered from the spec table");
-        assert_eq!(inv.fingerprint(), fingerprint, "identical postings and df tables");
+        assert_eq!(*inv, live, "identical postings, positions, df and length tables");
         assert_eq!(inv.df("common"), 39, "40 docs minus the removed one");
         assert_eq!(inv.df("tail"), 1, "wal suffix replayed into the postings");
         let _ = std::fs::remove_dir_all(&dir);

@@ -2,31 +2,37 @@
 //!
 //! Propeller's paper indexes metadata only; this module adds the fourth
 //! index family: term → sorted postings of [`FileId`] with per-posting
-//! term frequency (tf) and per-term document frequency (df), plus the
-//! per-document token counts BM25 ranking needs. The structure is
-//! maintained incrementally through [`crate::AcgIndexGroup`] ops exactly
-//! like the B+-tree/hash/K-D families, so the WAL + snapshot machinery
-//! persists it for free (postings are rebuilt deterministically from the
-//! records at recovery).
+//! term frequency (tf) and token positions, per-term document frequency
+//! (df), plus the per-document token counts BM25 ranking needs. The
+//! structure is maintained incrementally through [`crate::AcgIndexGroup`]
+//! ops exactly like the B+-tree/hash/K-D families, so the WAL + snapshot
+//! machinery persists it for free (postings are rebuilt deterministically
+//! from the records at recovery).
 //!
-//! ## Tokens
+//! ## Tokens and positions
 //!
 //! A record's indexable text is its keyword list plus every string-valued
 //! custom attribute (the `"content"` attribute by convention, see
 //! [`crate::FileRecord::with_content`]), each split into lowercase
 //! alphanumeric runs by [`tokenize`]. Phrase matching treats every source
 //! string as its own field: a phrase must be adjacent *within* one
-//! keyword or one custom value, never across two.
+//! keyword or one custom value, never across two. Positions number the
+//! tokens field after field with a gap of one between two fields, so
+//! [`phrase_at`] answers a phrase by [`record_contains_phrase`]'s rule.
 //!
-//! ## Block skip metadata
+//! ## Layout
 //!
-//! Every [`BLOCK`]-sized run of a term's postings records its last file id
-//! and maximum tf ([`Block`]). A top-k search derives a per-block score
-//! upper bound from that max tf ([`bm25_block_bound`]) and skips whole
-//! blocks provably below the current top-k floor — the WAND-style pruning
-//! the query executor witnesses with its `wand_*` stats counters.
+//! A term holds its file-sorted postings and one byte arena of their
+//! positions in posting order, each the LEB128 varint of its gap to the
+//! one before. A [`Posting`] keeps its arena offset in what was padding,
+//! or its position itself when it has only one (and no arena bytes).
+//! Every [`BLOCK`]-sized run of postings records its last file id and
+//! maximum tf ([`Block`]). A top-k search derives a per-block score upper
+//! bound from that max tf ([`bm25_block_bound`]) and skips whole blocks
+//! provably below the current top-k floor — the WAND-style pruning the
+//! query executor witnesses with its `wand_*` stats counters.
 
-use std::collections::HashMap;
+use std::borrow::Cow;
 use std::sync::Arc;
 
 use propeller_types::{FileId, Value};
@@ -51,16 +57,16 @@ pub const BLOCK: usize = 64;
 /// assert_eq!(out, ["foo", "bar", "2", "baz", "rs"]);
 /// ```
 pub fn tokenize_into(text: &str, out: &mut Vec<String>) {
-    let mut token = String::new();
-    for ch in text.chars() {
-        if ch.is_alphanumeric() {
-            token.extend(ch.to_lowercase());
-        } else if !token.is_empty() {
-            out.push(std::mem::take(&mut token));
-        }
-    }
-    if !token.is_empty() {
-        out.push(token);
+    out.extend(alnum_runs(text).map(|run| token(run).into_owned()));
+}
+
+/// The token of one alphanumeric run: the run itself when it is lowercase
+/// ASCII already (borrowed), else its `char::to_lowercase` expansion.
+fn token(run: &str) -> Cow<'_, str> {
+    if run.is_ascii() && !run.bytes().any(|b| b.is_ascii_uppercase()) {
+        Cow::Borrowed(run)
+    } else {
+        Cow::Owned(run.chars().flat_map(char::to_lowercase).collect())
     }
 }
 
@@ -182,8 +188,10 @@ pub fn bm25_block_bound(idf: f64, max_tf: u32) -> f64 {
 pub struct Posting {
     /// The document.
     pub file: FileId,
-    /// How many times the term occurs in it.
+    /// How many times the term occurs in it: its position count.
     pub tf: u32,
+    /// Its one position when `tf` is 1, else its offset in the term's arena.
+    at: u32,
 }
 
 /// Skip metadata over one [`BLOCK`]-sized run of postings.
@@ -196,11 +204,12 @@ pub struct Block {
     pub max_tf: u32,
 }
 
-/// A term's posting list plus its block skip metadata.
+/// A term's posting list plus its block skip metadata and position arena.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TermPostings {
     postings: Vec<Posting>,
     blocks: Vec<Block>,
+    positions: Vec<u8>,
 }
 
 impl TermPostings {
@@ -209,68 +218,75 @@ impl TermPostings {
         self.postings.len()
     }
 
-    /// The postings, sorted by file id.
-    pub fn postings(&self) -> &[Posting] {
-        &self.postings
-    }
-
-    /// The block skip metadata (one entry per [`BLOCK`] postings).
-    pub fn blocks(&self) -> &[Block] {
-        &self.blocks
-    }
-
-    /// The largest tf across all postings of the term.
-    pub fn max_tf(&self) -> u32 {
-        self.blocks.iter().map(|b| b.max_tf).max().unwrap_or(0)
-    }
-
     /// How many times the term occurs in `file` (0 when it does not).
     pub fn tf(&self, file: FileId) -> u32 {
         self.postings.binary_search_by_key(&file, |p| p.file).map_or(0, |pos| self.postings[pos].tf)
     }
 
-    fn insert(&mut self, file: FileId, tf: u32) {
-        match self.postings.binary_search_by_key(&file, |p| p.file) {
-            Ok(pos) => {
-                // A tf update leaves the partition boundaries alone — only
-                // the touched block's max_tf can change.
-                self.postings[pos].tf = tf;
-                self.rebuild_block(pos / BLOCK);
-            }
-            Err(pos) => {
-                // Everything before the insertion point keeps its chunk;
-                // blocks from the touched one onward shift and rebuild.
-                // Appends (the common case: file ids arrive in order) touch
-                // only the final partial block, so a bulk build stays
-                // linear instead of rescanning the whole list per posting.
-                self.postings.insert(pos, Posting { file, tf });
-                self.rebuild_blocks_from(pos / BLOCK);
-            }
+    /// Sets the file's posting to its ascending token `positions`.
+    fn insert(&mut self, file: FileId, positions: &[u32]) {
+        let pos = self.postings.binary_search_by_key(&file, |p| p.file).unwrap_or_else(|pos| {
+            self.postings.insert(pos, Posting { file, tf: 0, at: 0 });
+            pos
+        });
+        self.set_positions(pos, positions);
+        self.rebuild_blocks_from(pos / BLOCK);
+    }
+
+    /// Removes the file's posting.
+    fn remove(&mut self, file: FileId) {
+        if let Ok(pos) = self.postings.binary_search_by_key(&file, |p| p.file) {
+            self.set_positions(pos, &[]);
+            self.postings.remove(pos);
+            self.rebuild_blocks_from(pos / BLOCK);
         }
     }
 
-    /// Removes the file's posting; returns `true` when it was present.
-    fn remove(&mut self, file: FileId) -> bool {
-        match self.postings.binary_search_by_key(&file, |p| p.file) {
-            Ok(pos) => {
-                self.postings.remove(pos);
-                self.rebuild_blocks_from(pos / BLOCK);
-                true
-            }
-            Err(_) => false,
+    /// Replaces posting `pos`'s positions: a lone one goes in its `at`,
+    /// more into the arena, moving the arena offsets after them.
+    fn set_positions(&mut self, pos: usize, positions: &[u32]) {
+        let p = self.postings[pos];
+        let tf = positions.len() as u32;
+        if p.tf < 2 && tf < 2 {
+            // At most one position before and after: the arena is untouched.
+            let at = positions.first().copied().unwrap_or(0);
+            self.postings[pos] = Posting { tf, at, ..p };
+            return;
         }
-    }
-
-    fn rebuild_block(&mut self, block: usize) {
-        let start = block * BLOCK;
-        let end = (start + BLOCK).min(self.postings.len());
-        let chunk = &self.postings[start..end];
-        self.blocks[block] = Block {
-            last_file: chunk.last().expect("block indices cover a posting").file,
-            max_tf: chunk.iter().map(|p| p.tf).max().expect("block indices cover a posting"),
+        let (at, old) = if p.tf > 1 {
+            let ends =
+                self.positions[p.at as usize..].iter().enumerate().filter(|&(_, &b)| b < 0x80);
+            (p.at as usize, ends.map(|(i, _)| i + 1).nth(p.tf as usize - 1).expect("tf varints"))
+        } else {
+            // Where the next arena posting's bytes start.
+            let later = self.postings[pos + 1..].iter().find(|p| p.tf > 1);
+            (later.map_or(self.positions.len(), |p| p.at as usize), 0)
         };
+        self.positions.drain(at..at + old);
+        let end = self.positions.len();
+        // Two or more: each the LEB128 varint of its gap to the one before.
+        let mut last = 0;
+        for &position in positions.iter().filter(|_| tf > 1) {
+            let mut gap = position - std::mem::replace(&mut last, position);
+            while gap >= 0x80 {
+                self.positions.push(gap as u8 | 0x80);
+                gap >>= 7;
+            }
+            self.positions.push(gap as u8);
+        }
+        let new = self.positions.len() - end;
+        self.positions[at..].rotate_right(new);
+        assert!(u32::try_from(self.positions.len()).is_ok(), "arena offsets are u32");
+        for p in self.postings[pos + 1..].iter_mut().filter(|p| p.tf > 1) {
+            p.at = (p.at as usize + new - old) as u32;
+        }
+        let at = if let [only] = positions { *only } else { at as u32 };
+        self.postings[pos] = Posting { tf, at, ..p };
     }
 
+    /// Rebuilds the blocks from `first` on. Appends (the common case: file
+    /// ids arrive in order) touch only the final partial block, so a bulk
+    /// build stays linear instead of rescanning the list per posting.
     fn rebuild_blocks_from(&mut self, first: usize) {
         self.blocks.truncate(first);
         for chunk in self.postings[first * BLOCK..].chunks(BLOCK) {
@@ -330,30 +346,37 @@ impl<'a> PostingsCursor<'a> {
         self.current()
     }
 
+    /// The token positions of the posting under the cursor, ascending
+    /// (none when exhausted).
+    pub fn positions(&self) -> impl Iterator<Item = u32> + 'a {
+        let (tf, mut bytes, mut at) = match self.current() {
+            Some(p) if p.tf > 1 => (p.tf, &self.term.positions[p.at as usize..], 0),
+            // A lone position is the posting's `at`: no bytes to decode.
+            Some(p) => (p.tf, &[][..], p.at),
+            None => (0, &[][..], 0),
+        };
+        (0..tf).map(move |_| {
+            let len = bytes.iter().position(|&b| b < 0x80).map_or(bytes.len(), |i| i + 1);
+            let (varint, rest) = bytes.split_at(len);
+            bytes = rest;
+            at += varint.iter().rev().fold(0, |gap, &b| gap << 7 | u32::from(b & 0x7F));
+            at
+        })
+    }
+
+    /// The block the cursor is in, if any.
+    fn block(&self) -> Option<&'a Block> {
+        self.term.blocks.get(self.pos / BLOCK).filter(|_| !self.is_exhausted())
+    }
+
     /// The max-tf of the block the cursor is in (0 when exhausted).
     pub fn block_max_tf(&self) -> u32 {
-        if self.is_exhausted() {
-            return 0;
-        }
-        self.term.blocks.get(self.pos / BLOCK).map_or(0, |b| b.max_tf)
+        self.block().map_or(0, |b| b.max_tf)
     }
 
     /// The last file id of the cursor's current block, if any.
     pub fn block_last_file(&self) -> Option<FileId> {
-        if self.is_exhausted() {
-            return None;
-        }
-        self.term.blocks.get(self.pos / BLOCK).map(|b| b.last_file)
-    }
-
-    /// Jumps past the cursor's current block. Returns the number of
-    /// postings skipped without being examined.
-    pub fn skip_block(&mut self) -> usize {
-        let next = ((self.pos / BLOCK) + 1) * BLOCK;
-        let end = next.min(self.term.postings.len());
-        let skipped = end - self.pos;
-        self.pos = end;
-        skipped
+        self.block().map(|b| b.last_file)
     }
 
     /// Whether the cursor has run off the end of the postings.
@@ -371,6 +394,27 @@ impl<'a> PostingsCursor<'a> {
     pub fn remaining(&self) -> usize {
         self.term.postings.len().saturating_sub(self.pos)
     }
+}
+
+/// Whether a phrase occurs in the document its cursors stand on:
+/// `cursors` yields the `j`-th phrase term's cursor `j`-th (a repeated
+/// term once per occurrence), and the phrase occurs when some position
+/// `p` of the first term has the `j`-th at `p + j`. `starts` is scratch.
+pub fn phrase_at<'a, 'c: 'a>(
+    mut cursors: impl Iterator<Item = &'a PostingsCursor<'c>>,
+    starts: &mut Vec<u32>,
+) -> bool {
+    starts.clear();
+    let Some(first) = cursors.next() else { return true };
+    starts.extend(first.positions());
+    for (offset, cursor) in (1..).zip(cursors) {
+        let mut next = cursor.positions().peekable();
+        starts.retain(|&p| {
+            while next.next_if(|&q| q < p + offset).is_some() {}
+            next.peek() == Some(&(p + offset))
+        });
+    }
+    !starts.is_empty()
 }
 
 /// The inverted index of one ACG: term → [`TermPostings`], plus the
@@ -428,40 +472,44 @@ impl InvertedIndex {
     /// Indexes a record's tokens. The caller removes any previous record
     /// for the same file first (the group's upsert path does).
     pub fn insert(&mut self, record: &FileRecord) {
-        let tokens = record_tokens(record);
-        if tokens.is_empty() {
+        // Every token with its position: field `i`'s are shifted by `i`,
+        // the gaps that keep a phrase inside one field.
+        let mut occurrences = Vec::new();
+        for (gap, field) in (0u32..).zip(record_text_fields(record)) {
+            let first = occurrences.len() as u32 + gap;
+            occurrences.extend(alnum_runs(field).map(token).zip(first..));
+        }
+        if occurrences.is_empty() {
             return;
         }
-        let mut counts: HashMap<&str, u32> = HashMap::new();
-        for token in &tokens {
-            *counts.entry(token.as_str()).or_insert(0) += 1;
-        }
-        for (token, tf) in counts {
+        let len = occurrences.len() as u32;
+        occurrences.sort_unstable();
+        let mut positions = Vec::new();
+        for run in occurrences.chunk_by(|a, b| a.0 == b.0) {
+            positions.clear();
+            positions.extend(run.iter().map(|&(_, p)| p));
+            let token = &*run[0].0;
             match self.terms.get_mut(token) {
-                Some(postings) => Arc::make_mut(postings).insert(record.file, tf),
+                Some(postings) => Arc::make_mut(postings).insert(record.file, &positions),
                 None => {
                     let mut postings = TermPostings::default();
-                    postings.insert(record.file, tf);
+                    postings.insert(record.file, &positions);
                     self.terms.insert(token.to_owned(), Arc::new(postings));
                 }
             }
         }
-        if let Some(old) = self.doc_len.insert(record.file, tokens.len() as u32) {
+        if let Some(old) = self.doc_len.insert(record.file, len) {
             self.total_tokens -= old as u64;
         }
-        self.total_tokens += tokens.len() as u64;
+        self.total_tokens += len as u64;
     }
 
     /// Removes a record's tokens (the record as it was indexed).
     pub fn remove(&mut self, record: &FileRecord) {
-        let tokens = record_tokens(record);
-        if tokens.is_empty() {
-            return;
-        }
-        let mut seen: Vec<&str> = tokens.iter().map(String::as_str).collect();
-        seen.sort_unstable();
-        seen.dedup();
-        for token in seen {
+        let mut tokens = record_tokens(record);
+        tokens.sort_unstable();
+        tokens.dedup();
+        for token in &tokens {
             if let Some(postings) = self.terms.get_mut(token) {
                 let postings = Arc::make_mut(postings);
                 postings.remove(record.file);
@@ -495,14 +543,9 @@ impl InvertedIndex {
         self.doc_len.get(&file).copied().unwrap_or(0)
     }
 
-    /// Returns `true` when no document is indexed.
-    fn no_docs(&self) -> bool {
-        self.doc_len.is_empty()
-    }
-
     /// Mean document token count (0 for an empty index).
     pub fn avg_doc_len(&self) -> f64 {
-        if self.no_docs() {
+        if self.doc_len.is_empty() {
             0.0
         } else {
             self.total_tokens as f64 / self.doc_len.len() as f64
@@ -526,17 +569,6 @@ impl InvertedIndex {
     /// contribute zero.
     pub fn score_doc(&self, file: FileId, terms: &[String]) -> f64 {
         self.scorer(terms).score(file)
-    }
-
-    /// A deterministic fingerprint of the postings and df tables — what
-    /// crash-recovery tests compare across a rebuild: every term with its
-    /// df and full `(file, tf)` posting list, sorted by term.
-    pub fn fingerprint(&self) -> Vec<(String, Vec<(FileId, u32)>)> {
-        // The term tree iterates in sorted order already.
-        self.terms
-            .iter()
-            .map(|(t, p)| (t.clone(), p.postings.iter().map(|p| (p.file, p.tf)).collect()))
-            .collect()
     }
 }
 
@@ -583,6 +615,7 @@ impl Bm25Scorer<'_> {
 mod tests {
     use super::*;
     use propeller_types::InodeAttrs;
+    use std::collections::BTreeMap;
 
     fn rec(file: u64, keywords: &[&str], content: Option<&str>) -> FileRecord {
         let mut r = FileRecord::new(FileId::new(file), InodeAttrs::default());
@@ -603,12 +636,24 @@ mod tests {
         assert_eq!(tokenize("x2y"), ["x2y"]);
     }
 
+    /// The positions of the posting for `file` in `term`.
+    fn positions_of(term: &TermPostings, file: FileId) -> Vec<u32> {
+        let mut cursor = PostingsCursor::new(term);
+        cursor
+            .seek(file)
+            .filter(|p| p.file == file)
+            .map_or_else(Vec::new, |_| cursor.positions().collect())
+    }
+
     #[test]
     fn incremental_block_maintenance_matches_a_full_rebuild() {
         // Deterministic pseudo-random interleaving of out-of-order inserts,
         // tf updates and removes; after every mutation the incrementally
-        // maintained blocks must equal a from-scratch partition.
+        // maintained blocks, arena and offsets must equal a from-scratch
+        // build of the same postings, and every posting must decode to the
+        // positions it was given.
         let mut term = TermPostings::default();
+        let mut model: BTreeMap<FileId, Vec<u32>> = BTreeMap::new();
         let mut state = 0x9E37_79B9_7F4A_7C15u64;
         for _ in 0..600 {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
@@ -616,14 +661,46 @@ mod tests {
             let tf = ((state >> 48) & 0x7) as u32 + 1;
             if state & 0xF == 0 {
                 term.remove(file);
+                model.remove(&file);
             } else {
-                term.insert(file, tf);
+                // Gaps of 1 to ~2^14 exercise one-, two- and three-byte varints.
+                let at = (0..tf).map(|i| i * ((state >> 20) as u32 & 0x3FFF | 1) + i).collect();
+                term.insert(file, model.entry(file).insert_entry(at).get());
             }
-            let mut full = TermPostings { postings: term.postings.clone(), blocks: Vec::new() };
-            full.rebuild_blocks_from(0);
-            assert_eq!(term.blocks, full.blocks, "after mutating file {file}");
+            let mut full = TermPostings::default();
+            for (&file, at) in &model {
+                full.insert(file, at);
+            }
+            assert_eq!(term, full, "after mutating file {file}");
+            assert_eq!(positions_of(&term, file), model.get(&file).cloned().unwrap_or_default());
         }
         assert!(term.blocks.len() > 1, "corpus must span multiple blocks");
+        assert!(term.positions.len() > 2 * term.postings.len(), "multi-byte varints");
+    }
+
+    #[test]
+    fn a_posting_is_sixteen_bytes_with_its_arena_offset() {
+        assert_eq!(std::mem::size_of::<Posting>(), 16);
+    }
+
+    #[test]
+    fn positions_number_tokens_across_fields_with_a_gap() {
+        let mut inv = InvertedIndex::new();
+        // Fields: "a b" (0, 1), "b" (3), content "a a b" (5, 6, 7).
+        inv.insert(&rec(1, &["a b", "b"], Some("a a b")));
+        let at = |term: &str| positions_of(inv.term(term).unwrap(), FileId::new(1));
+        assert_eq!(at("a"), [0, 5, 6]);
+        assert_eq!(at("b"), [1, 3, 7]);
+        assert_eq!(inv.doc_len(FileId::new(1)), 6, "gaps are not tokens");
+        let r = rec(1, &["a b", "b"], Some("a a b"));
+        let mut starts = Vec::new();
+        for phrase in ["a b", "b a", "a a b", "b b", "a b b", "a a", "b", ""] {
+            let terms = tokenize(phrase);
+            let cursors: Vec<PostingsCursor<'_>> =
+                terms.iter().map(|t| PostingsCursor::new(inv.term(t).unwrap())).collect();
+            let found = phrase_at(cursors.iter(), &mut starts);
+            assert_eq!(found, record_contains_phrase(&r, &terms), "{phrase:?}");
+        }
     }
 
     #[test]
@@ -635,7 +712,7 @@ mod tests {
         assert_eq!(inv.df("sales"), 2);
         assert_eq!(inv.df("missing"), 0);
         let p = inv.term("report").unwrap();
-        assert_eq!(p.postings(), &[Posting { file: FileId::new(1), tf: 3 }]);
+        assert_eq!(p.postings, &[Posting { file: FileId::new(1), tf: 3, at: 0 }]);
         assert_eq!(inv.doc_len(FileId::new(1)), 4);
         assert_eq!(inv.doc_count(), 2);
         assert!((inv.avg_doc_len() - 3.5).abs() < 1e-9);
@@ -664,7 +741,7 @@ mod tests {
             inv.insert(&rec(file, &["zed"], None));
         }
         let files: Vec<u64> =
-            inv.term("zed").unwrap().postings().iter().map(|p| p.file.raw()).collect();
+            inv.term("zed").unwrap().postings.iter().map(|p| p.file.raw()).collect();
         assert_eq!(files, [1, 3, 5, 7, 9]);
     }
 
@@ -678,11 +755,10 @@ mod tests {
         }
         let tp = inv.term("term").unwrap();
         assert_eq!(tp.df(), 150);
-        assert_eq!(tp.blocks().len(), 3, "150 postings in 64-blocks");
-        assert_eq!(tp.blocks()[0].max_tf, 1);
-        assert_eq!(tp.blocks()[1].max_tf, 3, "file 100 lives in the second block");
-        assert_eq!(tp.blocks()[2].last_file, FileId::new(149));
-        assert_eq!(tp.max_tf(), 3);
+        assert_eq!(tp.blocks.len(), 3, "150 postings in 64-blocks");
+        assert_eq!(tp.blocks[0].max_tf, 1);
+        assert_eq!(tp.blocks[1].max_tf, 3, "file 100 lives in the second block");
+        assert_eq!(tp.blocks[2].last_file, FileId::new(149));
     }
 
     #[test]
@@ -699,24 +775,6 @@ mod tests {
         assert_eq!(cur.seek(FileId::new(598)).unwrap().file, FileId::new(598));
         assert!(cur.seek(FileId::new(599)).is_none());
         assert!(cur.is_exhausted());
-    }
-
-    #[test]
-    fn cursor_skip_block_jumps_to_the_next_boundary() {
-        let mut inv = InvertedIndex::new();
-        for file in 0..130u64 {
-            inv.insert(&rec(file, &["t"], None));
-        }
-        let mut cur = PostingsCursor::new(inv.term("t").unwrap());
-        cur.seek(FileId::new(10));
-        let skipped = cur.skip_block();
-        assert_eq!(skipped, BLOCK - 10);
-        assert_eq!(cur.current().unwrap().file, FileId::new(BLOCK as u64));
-        cur.skip_block();
-        assert_eq!(cur.current().unwrap().file, FileId::new(2 * BLOCK as u64));
-        assert_eq!(cur.skip_block(), 2, "the last partial block");
-        assert!(cur.is_exhausted());
-        assert_eq!(cur.block_max_tf(), 0);
     }
 
     #[test]
@@ -859,24 +917,24 @@ mod tests {
         // The group removes the old record before re-inserting; a direct
         // re-insert must still leave consistent tf/length state.
         inv.insert(&rec(1, &[], Some("a c")));
-        assert_eq!(inv.term("a").unwrap().postings()[0].tf, 1);
+        assert_eq!(inv.term("a").unwrap().postings[0].tf, 1);
         assert_eq!(inv.doc_len(FileId::new(1)), 2);
         assert_eq!(inv.doc_count(), 1);
         assert!((inv.avg_doc_len() - 2.0).abs() < 1e-9);
     }
 
     #[test]
-    fn fingerprint_is_deterministic_and_complete() {
+    fn insert_order_does_not_change_the_index() {
         let mut a = InvertedIndex::new();
         let mut b = InvertedIndex::new();
         for file in [3u64, 1, 2] {
-            a.insert(&rec(file, &["x y"], None));
+            a.insert(&rec(file, &["x y"], Some(&"x ".repeat(file as usize))));
         }
         for file in [1u64, 2, 3] {
-            b.insert(&rec(file, &["x y"], None));
+            b.insert(&rec(file, &["x y"], Some(&"x ".repeat(file as usize))));
         }
-        assert_eq!(a.fingerprint(), b.fingerprint());
-        assert_eq!(a.fingerprint().len(), 2);
-        assert_eq!(a.fingerprint()[0].1.len(), 3);
+        assert_eq!(a, b, "same postings, arena bytes and offsets");
+        assert_eq!(a.term("x").unwrap().df(), 3);
+        assert_eq!(positions_of(a.term("x").unwrap(), FileId::new(3)), [0, 3, 4, 5]);
     }
 }

@@ -59,7 +59,7 @@ pub use group::{
     AcgEpoch, AcgIndexGroup, EpochSnapshotJob, GroupConfig, IndexKind, IndexSpec, RecoveryReport,
 };
 pub use inverted::{
-    bm25_block_bound, bm25_idf, bm25_score, bm25_term_bound, record_contains_all,
+    bm25_block_bound, bm25_idf, bm25_score, bm25_term_bound, phrase_at, record_contains_all,
     record_contains_any, record_contains_phrase, record_text_fields, record_tokens, tokenize,
     tokenize_into, Block, Bm25Scorer, InvertedIndex, Posting, PostingsCursor, TermPostings, BLOCK,
     BM25_B, BM25_K1,

@@ -1,14 +1,14 @@
 //! Property tests for the inverted-index subsystem: random corpora with
-//! upserts and removes must keep the postings equivalent to a brute-force
-//! scan oracle, and a crash-recovered group must rebuild byte-identical
-//! postings and document-frequency tables.
+//! upserts and removes must keep the postings and their positions
+//! equivalent to a brute-force scan oracle, and a crash-recovered group
+//! must rebuild an identical index.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use propeller_index::{
-    record_contains_all, record_contains_any, record_contains_phrase, record_tokens, AcgIndexGroup,
-    FileRecord, GroupConfig, IndexOp, InvertedIndex, PostingsCursor, Wal,
+    phrase_at, record_contains_all, record_contains_any, record_contains_phrase, record_tokens,
+    AcgIndexGroup, FileRecord, GroupConfig, IndexOp, InvertedIndex, PostingsCursor, Wal,
 };
 use propeller_types::{AcgId, FileId, InodeAttrs, Timestamp};
 use proptest::prelude::*;
@@ -25,6 +25,14 @@ fn doc_text(words: &[usize]) -> String {
 fn record(file: u64, words: &[usize]) -> FileRecord {
     FileRecord::new(FileId::new(file), InodeAttrs::default()).with_content(doc_text(words))
 }
+
+/// A record with two keyword fields before its content: phrases must not
+/// match across any two of the three.
+fn multi_field_record(file: u64, (kw1, kw2, content): &Fields) -> FileRecord {
+    record(file, content).with_keyword(doc_text(kw1)).with_keyword(doc_text(kw2))
+}
+
+type Fields = (Vec<usize>, Vec<usize>, Vec<usize>);
 
 fn terms_of(ids: &[usize]) -> Vec<String> {
     let mut terms: Vec<String> = ids.iter().map(|&w| VOCAB[w % VOCAB.len()].to_string()).collect();
@@ -44,6 +52,24 @@ fn postings_files(inv: &InvertedIndex, term: &str) -> Vec<FileId> {
     out
 }
 
+/// The files holding `terms` as a phrase, answered from the index alone:
+/// one cursor per phrase term (a repeated term gets one per occurrence)
+/// aligned on each file of the first term's postings, then its positions.
+fn phrase_files(inv: &InvertedIndex, terms: &[String]) -> Vec<FileId> {
+    let Some(lists) = terms.iter().map(|t| inv.term(t)).collect::<Option<Vec<_>>>() else {
+        return Vec::new();
+    };
+    let mut cursors: Vec<PostingsCursor<'_>> = lists.into_iter().map(PostingsCursor::new).collect();
+    let mut starts = Vec::new();
+    postings_files(inv, &terms[0])
+        .into_iter()
+        .filter(|&file| {
+            cursors.iter_mut().all(|c| c.seek(file).is_some_and(|p| p.file == file))
+                && phrase_at(cursors.iter(), &mut starts)
+        })
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -53,20 +79,31 @@ proptest! {
     #[test]
     fn inverted_matches_the_brute_force_oracle(
         docs in prop::collection::vec(
-            (0u64..48, prop::collection::vec(0usize..VOCAB.len(), 0..10)),
+            (0u64..48, (
+                prop::collection::vec(0usize..VOCAB.len(), 0..3),
+                prop::collection::vec(0usize..VOCAB.len(), 0..3),
+                prop::collection::vec(0usize..VOCAB.len(), 0..10),
+            )),
             1..60,
         ),
         removes in prop::collection::vec(0u64..48, 0..24),
         query in prop::collection::vec(0usize..VOCAB.len(), 1..4),
     ) {
+        // Ids arrive in any order, so upserts land mid-list and re-insert
+        // or drop postings in front of others' positions.
         let mut inv = InvertedIndex::new();
         let mut live: HashMap<u64, FileRecord> = HashMap::new();
-        for (file, words) in &docs {
-            let rec = record(*file, words);
+        for (i, (file, fields)) in docs.iter().enumerate() {
+            let rec = multi_field_record(*file, fields);
             if let Some(old) = live.insert(*file, rec.clone()) {
                 inv.remove(&old);
             }
             inv.insert(&rec);
+            if let Some(file) = removes.get(i).filter(|_| i % 3 == 0) {
+                if let Some(old) = live.remove(file) {
+                    inv.remove(&old);
+                }
+            }
         }
         for file in &removes {
             if let Some(old) = live.remove(file) {
@@ -103,24 +140,18 @@ proptest! {
         any.dedup();
         prop_assert_eq!(any, oracle(&|r| record_contains_any(r, &terms)), "disjunction");
 
-        // Phrase: the conjunctive candidates are a superset; adjacency
-        // post-filtering over them must equal the brute phrase oracle.
-        let mut phrase: Option<Vec<FileId>> = None;
-        for term in &terms {
-            let files = postings_files(&inv, term);
-            phrase = Some(match phrase {
-                None => files,
-                Some(prev) => {
-                    prev.into_iter().filter(|f| files.binary_search(f).is_ok()).collect()
-                }
-            });
+        // Phrases, answered from the positions: the query as drawn (terms
+        // may repeat), reversed, and every term doubled.
+        let drawn: Vec<String> = query.iter().map(|&w| VOCAB[w].to_string()).collect();
+        let reversed: Vec<String> = drawn.iter().rev().cloned().collect();
+        let doubled: Vec<String> = drawn.iter().flat_map(|t| [t.clone(), t.clone()]).collect();
+        for phrase in [drawn, reversed, doubled] {
+            prop_assert_eq!(
+                phrase_files(&inv, &phrase),
+                oracle(&|r| record_contains_phrase(r, &phrase)),
+                "phrase {:?}", phrase
+            );
         }
-        let phrase: Vec<FileId> = phrase
-            .unwrap_or_default()
-            .into_iter()
-            .filter(|f| record_contains_phrase(&live[&f.raw()], &terms))
-            .collect();
-        prop_assert_eq!(phrase, oracle(&|r| record_contains_phrase(r, &terms)), "phrase");
 
         // Statistics: df, doc count and per-doc lengths match a recount.
         for term in VOCAB {
@@ -143,8 +174,8 @@ proptest! {
     }
 
     /// Crash-recovery round trip: a group rebuilt from its snapshot + WAL
-    /// suffix carries an inverted index with byte-identical postings, df
-    /// tables and corpus statistics.
+    /// suffix carries an inverted index equal to the live one — postings,
+    /// positions, df tables, document lengths and corpus statistics.
     #[test]
     fn crash_recovery_rebuilds_identical_postings(
         batches in prop::collection::vec(
@@ -192,21 +223,13 @@ proptest! {
                 g.snapshot().unwrap();
             }
         }
-        let inv = g.inverted().expect("default content index");
-        let fingerprint = inv.fingerprint();
-        let doc_count = inv.doc_count();
-        let avg_doc_len = inv.avg_doc_len();
+        let live = g.inverted().expect("default content index").clone();
         drop(g);
 
         let (recovered, _report) =
             AcgIndexGroup::recover_with_report(AcgId::new(1), config()).unwrap();
         let rinv = recovered.inverted().expect("recovered content index");
-        prop_assert_eq!(rinv.fingerprint(), fingerprint, "postings diverged across recovery");
-        prop_assert_eq!(rinv.doc_count(), doc_count);
-        prop_assert!(
-            (rinv.avg_doc_len() - avg_doc_len).abs() < f64::EPSILON,
-            "avgdl {} != {}", rinv.avg_doc_len(), avg_doc_len
-        );
+        prop_assert_eq!(rinv, &live, "the index diverged across recovery");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

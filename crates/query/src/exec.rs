@@ -33,7 +33,7 @@ use std::ops::Bound;
 use std::sync::Arc;
 
 use propeller_index::{
-    bm25_block_bound, bm25_idf, bm25_score, bm25_term_bound, record_contains_all,
+    bm25_block_bound, bm25_idf, bm25_score, bm25_term_bound, phrase_at, record_contains_all,
     record_contains_any, record_contains_phrase, record_tokens, AcgEpoch, Bm25Scorer, FileRecord,
     LeafCursor, PostingsCursor, BLOCK,
 };
@@ -110,7 +110,8 @@ pub(crate) enum Proof<'a> {
     /// exactly when [`record_tokens`] of its record contains it (index and
     /// record matchers share `tokenize_into`, and an epoch's postings are
     /// built from its records), so a conjunctive candidate contains every
-    /// merge term and a disjunctive one at least one.
+    /// merge term and a disjunctive one at least one. A conjunctive merge
+    /// also checks each phrase of merge terms on the postings' positions.
     Merge { terms: &'a [String], conjunctive: bool },
     /// A K-D box over `attrs`, for a point strictly inside it
     /// ([`propeller_index::BoxPoint::interior`]). `u64 → f64` rounding is
@@ -141,11 +142,11 @@ impl Proof<'_> {
                 (matches!(op, CompareOp::Gt | CompareOp::Ge) && lo[i] >= v)
                     || (matches!(op, CompareOp::Lt | CompareOp::Le) && hi[i] <= v)
             }
-            // `Phrase` adjacency is not in the postings; any other
-            // `Contains` shape is not what the merge computed.
+            // A conjunctive merge checks phrase adjacency on its cursors'
+            // positions; any other `Contains` shape is not what it computed.
             (
                 Proof::Merge { terms, conjunctive: true },
-                Predicate::Contains { terms: ts, mode: ContainsMode::All },
+                Predicate::Contains { terms: ts, mode: ContainsMode::All | ContainsMode::Phrase },
             ) => ts.iter().all(|t| terms.contains(t)),
             (
                 Proof::Merge { terms, conjunctive: false },
@@ -634,20 +635,18 @@ fn execute_relevance_scan(
 
 /// One query term's read state in a postings merge.
 struct TermCursor<'a> {
+    term: &'a str,
     cursor: PostingsCursor<'a>,
     idf: f64,
-    /// `bm25_term_bound(idf)` — the term's score ceiling over any document.
-    bound: f64,
     /// The term's index among the request's scoring terms, when it is one.
     slot: Option<usize>,
 }
 
 /// Executes an [`AccessPath::Postings`] plan: a document-at-a-time merge
 /// of the inverted index's postings lists for `terms` — conjunctive
-/// (`All`; `Phrase` adjacency stays in the post-filter) or disjunctive
-/// (`Any`) — streaming survivors through the residual predicate, the
-/// cursor, the optional node-global bound and the bounded top-k
-/// accumulator.
+/// (`All`/`Phrase`) or disjunctive (`Any`) — streaming survivors through
+/// the residual predicate, the cursor, the optional node-global bound and
+/// the bounded top-k accumulator.
 ///
 /// **Per-candidate kernel.** A merged document is scored from the cursors
 /// standing on it: one [`Bm25Scorer`] per call holds every scoring term's
@@ -656,10 +655,10 @@ struct TermCursor<'a> {
 /// candidate whose `(score, file)` does not beat [`TopK::floor`] is dropped
 /// there, before its record is even fetched.
 ///
-/// **Residual rule.** The record is checked against the request's
-/// [`Residual`] under [`Proof::Merge`]: its conjuncts *minus* the
-/// `Contains` conjuncts the merge already proved. `Phrase` conjuncts, any
-/// other `Contains` and every non-content conjunct stay in.
+/// **Residual rule.** Past the floor, a candidate must hold each phrase of
+/// merge terms on the aligned cursors' positions ([`phrase_at`]), then the
+/// [`Residual`] under [`Proof::Merge`]. Its record is resolved only when
+/// the residual, the projection or an attribute sort key reads it.
 ///
 /// Under a relevance sort with a limit, the merge prunes with WAND-style
 /// max-score bounds: once the top-k heap is full, its worst retained score
@@ -688,18 +687,13 @@ fn execute_postings(
     mode: ContainsMode,
     cutoff: Option<&GlobalCutoff>,
 ) -> (Vec<Hit>, SearchStats) {
-    let stats_for = |scanned, resolved, peak, blocks, docs| SearchStats {
+    let mut stats = SearchStats {
         acgs_consulted: 1,
-        candidates_scanned: scanned,
-        records_resolved: resolved,
-        retained_peak: peak,
         access_paths: vec![(group.id(), AccessPathKind::Postings)],
-        wand_blocks_skipped: blocks,
-        wand_docs_pruned: docs,
         ..SearchStats::default()
     };
     if request.limit == Some(0) {
-        return (Vec::new(), stats_for(0, 0, 0, 0, 0));
+        return (Vec::new(), stats);
     }
     let Some(inv) = group.inverted() else {
         // The index vanished between planning and execution; degrade to
@@ -726,18 +720,18 @@ fn execute_postings(
             Some(postings) => {
                 let idf = inv.idf(term);
                 cursors.push(TermCursor {
+                    term,
                     cursor: PostingsCursor::new(postings),
                     idf,
-                    bound: bm25_term_bound(idf),
                     slot: scoring_terms.iter().position(|t| t == *term),
                 });
             }
-            None if conjunctive => return (Vec::new(), stats_for(0, 0, 0, 0, 0)),
+            None if conjunctive => return (Vec::new(), stats),
             None => {}
         }
     }
     if cursors.is_empty() {
-        return (Vec::new(), stats_for(0, 0, 0, 0, 0));
+        return (Vec::new(), stats);
     }
     // Conjunctive merges lead with the rarest term: fewest alignment
     // candidates, and the cursor that jumps furthest on a galloping seek.
@@ -755,42 +749,48 @@ fn execute_postings(
         && unique.len() == scoring_terms.len()
         && unique.iter().all(|t| scoring_terms.contains(t));
 
-    let residual = Residual::of(&request.predicate, Proof::Merge { terms, conjunctive });
+    let proof = Proof::Merge { terms, conjunctive };
+    let mut fetch = Fetch::new(group, request, Residual::of(&request.predicate, proof), None);
+    // The phrases the proof covers, each as its terms' cursor indices.
+    let mut phrases: Vec<Vec<usize>> = Vec::new();
+    request.predicate.all_conjuncts(&mut |conjunct| {
+        if let Predicate::Contains { terms, mode: ContainsMode::Phrase } = conjunct {
+            if proof.proves(conjunct) {
+                let at = |t| cursors.iter().position(|c| c.term == t).expect("a merge term");
+                phrases.push(terms.iter().map(at).collect());
+            }
+        }
+        true
+    });
+    let mut starts = Vec::new();
 
     let mut topk = TopK::new(&request.sort, request.limit);
-    let mut scanned = 0usize;
-    let mut resolved = 0usize;
-    let mut blocks_skipped = 0usize;
-    let mut docs_pruned = 0usize;
 
     // θ: the score a candidate must (weakly) beat — the worst retained
     // top-k score once the heap is full. Bounds below θ are prunable;
     // bounds equal to θ are not (an equal score can still win its file-id
     // tie-break).
-    let theta = |topk: &TopK| -> Option<f64> {
-        if !bounds_sound {
-            return None;
-        }
-        topk.floor().and_then(|(key, _)| key.and_then(Value::as_f64))
+    let theta = |topk: &TopK| {
+        topk.floor().filter(|_| bounds_sound).and_then(|(key, _)| key.and_then(Value::as_f64))
     };
 
     // Per scoring term, what the merge knows of its tf in the document being
     // evaluated: `Some(0)` until a cursor standing on the document reports
     // it, `None` for a term outside the merge (the scorer looks it up).
-    let mut fed: Vec<Option<u32>> = vec![None; scoring_terms.len()];
-    for slot in cursors.iter().filter_map(|t| t.slot) {
-        fed[slot] = Some(0);
-    }
+    let fed: Vec<Option<u32>> = (0..scoring_terms.len())
+        .map(|slot| cursors.iter().any(|t| t.slot == Some(slot)).then_some(0))
+        .collect();
     let mut tfs = fed.clone();
 
     // Evaluates one merged document: score off the cursors (or attribute
-    // key), local floor, residual predicate, cursor, node bound, offer.
-    // Every list holding the document has its cursor on it — aligned in a
-    // conjunctive merge, and a disjunctive one only jumps postings that can
-    // never be the pivot.
+    // key), local floor, phrases, residual predicate, cursor, node bound,
+    // offer. Every list holding the document has its cursor on it —
+    // aligned in a conjunctive merge, and a disjunctive one only jumps
+    // postings that can never be the pivot.
     let mut eval = |file: FileId, cursors: &[TermCursor<'_>], topk: &mut TopK| {
-        scanned += 1;
-        let score = relevance.then(|| {
+        stats.candidates_scanned += 1;
+        let mut candidate = Candidate::entry(file, None);
+        let key = if relevance {
             tfs.copy_from_slice(&fed);
             for tc in cursors {
                 if let (Some(slot), Some(p)) = (tc.slot, tc.cursor.current()) {
@@ -799,40 +799,34 @@ fn execute_postings(
                     }
                 }
             }
-            Value::F64(scorer.score_with(file, |i| tfs[i]))
-        });
-        if let (Some(score), Some((worst_key, worst_file))) = (&score, topk.floor()) {
-            if request.sort.cmp_keys(Some(score), file, worst_key, worst_file) != Ordering::Less {
+            Some(Value::F64(scorer.score_with(file, |i| tfs[i])))
+        } else {
+            fetch.key(&mut candidate)
+        };
+        if let Some((worst_key, worst_file)) = topk.floor() {
+            if request.sort.cmp_keys(key.as_ref(), file, worst_key, worst_file) != Ordering::Less {
                 return;
             }
         }
-        let Some(record) = group.record(file) else { return };
-        resolved += 1;
-        let key = if relevance { score } else { request.sort.key_of(record) };
-        if !residual.matches(record) {
-            return;
+        let mut phrase_cursors = phrases.iter().map(|at| at.iter().map(|&i| &cursors[i].cursor));
+        if phrase_cursors.all(|phrase| phrase_at(phrase, &mut starts))
+            && fetch.admits(&mut candidate)
+        {
+            offer_hit(topk, group, request, cutoff, key, file, candidate.record);
         }
-        offer_hit(topk, group, request, cutoff, key, file, Some(record));
     };
 
     if conjunctive {
-        // Align every cursor on one candidate document (galloping).
+        // Align every cursor on one candidate document (galloping): the
+        // first cursor to seek past the candidate names the next one.
         'merge: while let Some(mut candidate) = cursors[0].cursor.current().map(|p| p.file) {
             loop {
-                let mut aligned = true;
-                for tc in cursors.iter_mut() {
-                    match tc.cursor.seek(candidate) {
-                        None => break 'merge,
-                        Some(p) if p.file > candidate => {
-                            candidate = p.file;
-                            aligned = false;
-                            break;
-                        }
-                        Some(_) => {}
-                    }
-                }
-                if aligned {
-                    break;
+                let mut seeks =
+                    cursors.iter_mut().map(|tc| tc.cursor.seek(candidate).map(|p| p.file));
+                match seeks.find(|&file| file != Some(candidate)) {
+                    Some(None) => break 'merge,
+                    Some(Some(ahead)) => candidate = ahead,
+                    None => break,
                 }
             }
             // Block-max bound: within the current blocks (valid up to the
@@ -854,8 +848,8 @@ fn execute_postings(
                     let before = lead.position();
                     lead.seek(FileId::new(boundary.raw() + 1));
                     let after = lead.position();
-                    docs_pruned += after - before;
-                    blocks_skipped += after / BLOCK - before / BLOCK;
+                    stats.wand_docs_pruned += after - before;
+                    stats.wand_blocks_skipped += after / BLOCK - before / BLOCK;
                     continue;
                 }
             }
@@ -871,61 +865,50 @@ fn execute_postings(
                 break;
             }
             cursors.sort_by_key(|t| t.cursor.current().expect("retained above").file);
-            match theta(&topk) {
+            let pivot = match theta(&topk) {
+                // WAND pivot: the first document whose prefix of term
+                // bounds could reach θ. Everything before it is provably
+                // outranked.
                 Some(theta) => {
-                    // WAND pivot: the first document whose prefix of term
-                    // bounds could reach θ. Everything before it is
-                    // provably outranked.
                     let mut acc = 0.0;
-                    let mut pivot = None;
-                    for (i, tc) in cursors.iter().enumerate() {
-                        acc += tc.bound;
-                        if acc >= theta {
-                            pivot = Some(i);
-                            break;
-                        }
-                    }
-                    let Some(pivot) = pivot else {
+                    let Some(pivot) = cursors.iter().position(|tc| {
+                        acc += bm25_term_bound(tc.idf);
+                        acc >= theta
+                    }) else {
                         // Even all remaining terms together cannot reach
                         // θ: every unexamined posting is outranked.
-                        docs_pruned += cursors.iter().map(|t| t.cursor.remaining()).sum::<usize>();
+                        stats.wand_docs_pruned +=
+                            cursors.iter().map(|t| t.cursor.remaining()).sum::<usize>();
                         break;
                     };
-                    let pivot_doc = cursors[pivot].cursor.current().expect("retained above").file;
-                    let first_doc = cursors[0].cursor.current().expect("retained above").file;
-                    if first_doc == pivot_doc {
-                        eval(pivot_doc, &cursors, &mut topk);
-                        for tc in cursors.iter_mut() {
-                            if tc.cursor.current().is_some_and(|p| p.file == pivot_doc) {
-                                tc.cursor.advance();
-                            }
-                        }
-                    } else {
-                        let lead = &mut cursors[0].cursor;
-                        let before = lead.position();
-                        lead.seek(pivot_doc);
-                        let after = lead.position();
-                        docs_pruned += after - before;
-                        blocks_skipped += after / BLOCK - before / BLOCK;
+                    pivot
+                }
+                // Plain DAAT-OR: the smallest current document.
+                None => 0,
+            };
+            let pivot_doc = cursors[pivot].cursor.current().expect("retained above").file;
+            if cursors[0].cursor.current().expect("retained above").file == pivot_doc {
+                // Evaluate it, advancing every cursor sitting on it.
+                eval(pivot_doc, &cursors, &mut topk);
+                for tc in cursors.iter_mut() {
+                    if tc.cursor.current().is_some_and(|p| p.file == pivot_doc) {
+                        tc.cursor.advance();
                     }
                 }
-                None => {
-                    // Plain DAAT-OR: evaluate the smallest current
-                    // document, advancing every cursor sitting on it.
-                    let doc = cursors[0].cursor.current().expect("retained above").file;
-                    eval(doc, &cursors, &mut topk);
-                    for tc in cursors.iter_mut() {
-                        if tc.cursor.current().is_some_and(|p| p.file == doc) {
-                            tc.cursor.advance();
-                        }
-                    }
-                }
+            } else {
+                let lead = &mut cursors[0].cursor;
+                let before = lead.position();
+                lead.seek(pivot_doc);
+                let after = lead.position();
+                stats.wand_docs_pruned += after - before;
+                stats.wand_blocks_skipped += after / BLOCK - before / BLOCK;
             }
         }
     }
 
-    let peak = topk.peak_retained();
-    (topk.into_sorted(), stats_for(scanned, resolved, peak, blocks_skipped, docs_pruned))
+    stats.records_resolved = fetch.resolved;
+    stats.retained_peak = topk.peak_retained();
+    (topk.into_sorted(), stats)
 }
 
 /// A resumable, lazily-pulled per-ACG ordered hit stream: wraps the
@@ -1071,26 +1054,14 @@ fn cursor_scan_bounds(
     descending: bool,
 ) -> (Bound<Value>, Bound<Value>) {
     let Some(key) = cursor.and_then(|c| c.sort_key()) else { return (lo, hi) };
-    if descending {
-        let tighter = match &hi {
-            Bound::Included(v) | Bound::Excluded(v) => v <= key,
-            Bound::Unbounded => false,
-        };
-        if tighter {
-            (lo, hi)
-        } else {
-            (lo, Bound::Included(key.clone()))
-        }
-    } else {
-        let tighter = match &lo {
-            Bound::Included(v) | Bound::Excluded(v) => v >= key,
-            Bound::Unbounded => false,
-        };
-        if tighter {
-            (lo, hi)
-        } else {
-            (Bound::Included(key.clone()), hi)
-        }
+    let tighter = |bound: &Bound<Value>, beyond: Ordering| match bound {
+        Bound::Included(v) | Bound::Excluded(v) => v.cmp(key) != beyond,
+        Bound::Unbounded => false,
+    };
+    match descending {
+        true if !tighter(&hi, Ordering::Greater) => (lo, Bound::Included(key.clone())),
+        false if !tighter(&lo, Ordering::Less) => (Bound::Included(key.clone()), hi),
+        _ => (lo, hi),
     }
 }
 
@@ -1822,15 +1793,22 @@ mod tests {
             ("!(keyword:a) & keyword:a", eq(&kw, &a), &["!(keyword:a)"]),
             ("keyword:a", eq(&kw, &a), &[]),
             ("*", eq(&kw, &a), &["*"]),
+            // A conjunctive merge checks phrases of its own terms on their
+            // positions, whatever their order or repeats.
             (
-                "contains:\"a b\" & contains:a & contains:c & phrase:\"a b\" & size>5",
+                "contains:\"a b\" & contains:a & contains:c & phrase:\"b a a\" & size>5",
                 Proof::Merge { terms: &ab, conjunctive: true },
-                &["contains:c", "phrase:\"a b\"", "size>5"],
+                &["contains:c", "size>5"],
             ),
             (
-                "contains-any:\"a b\" & contains-any:a & contains:a",
+                "phrase:\"a c\" & (phrase:\"a b\" | size>5)",
+                Proof::Merge { terms: &ab, conjunctive: true },
+                &["phrase:\"a c\"", "phrase:\"a b\" | size>5"],
+            ),
+            (
+                "contains-any:\"a b\" & contains-any:a & contains:a & phrase:\"a b\"",
                 Proof::Merge { terms: &ab, conjunctive: false },
-                &["contains-any:a", "contains:a"],
+                &["contains-any:a", "contains:a", "phrase:\"a b\""],
             ),
         ];
         for (text, proof, kept) in table {
@@ -1911,7 +1889,7 @@ mod tests {
         for text in [
             "contains:\"quick fox\"",     // conjunctive merge
             "contains-any:\"fox zebra\"", // disjunctive merge
-            "phrase:\"quick brown\"",     // adjacency post-filter
+            "phrase:\"quick brown\"",     // adjacency on positions
             "phrase:\"brown quick\"",     // wrong order: superset pruned to empty
             "contains:zebra & size>100k", // residual attribute conjunct
             "contains:\"quick the fox\"", // three-way intersection
@@ -1932,6 +1910,40 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn postings_merge_resolves_a_record_only_when_something_reads_it() {
+        use crate::request::SortKey;
+        // Every seventh file holds "the" and "fox" (58 candidates); "the
+        // fox" is a phrase in those without "quick brown" between the two.
+        let g = content_group(1, 0, 400);
+        let run = |text: &str, limit: Option<usize>, sort: &SortKey, projection: Projection| {
+            let mut req = SearchRequest::new(Query::parse(text, now()).unwrap().predicate)
+                .sorted_by(sort.clone())
+                .with_projection(projection);
+            if let Some(k) = limit {
+                req = req.with_limit(k);
+            }
+            let (hits, stats) = execute_request(&g, &req);
+            assert_eq!(hits, execute_request_reference(&g, &req).0, "{text}");
+            assert_eq!(stats.access_paths[0].1, AccessPathKind::Postings, "{text}");
+            (hits.len(), stats.candidates_scanned, stats.records_resolved)
+        };
+        let (ranked, by_id, phrase) = (&SortKey::Relevance, &SortKey::FileId, "phrase:\"the fox\"");
+        // The positions answer the phrase, and ids are all a hit carries.
+        assert_eq!(run(phrase, Some(10), ranked, Projection::Ids), (10, 58, 0));
+        assert_eq!(run(phrase, Some(10), by_id, Projection::Ids), (10, 58, 0));
+        assert_eq!(run("contains:\"quick fox\"", Some(10), ranked, Projection::Ids), (10, 20, 0));
+        // An attribute conjunct reads the candidates that pass the floor:
+        // files 0, 7, …, 168, the tenth with size>100k (105..=168) filling it.
+        let sized = "contains:\"the fox\" & size>100k";
+        assert_eq!(run(sized, Some(10), by_id, Projection::Ids), (10, 58, 25));
+        // A full projection reads the admitted hits: 7, 14, 28, …, 98.
+        assert_eq!(run(phrase, Some(10), by_id, Projection::Full), (10, 58, 10));
+        // A phrase under an OR is the residual's: every candidate is read.
+        let or = "contains:fox & (phrase:\"the fox\" | size<5k)";
+        assert_eq!(run(or, None, by_id, Projection::Ids), (39, 58, 58));
     }
 
     #[test]

@@ -156,7 +156,7 @@ pub enum AccessPath {
     },
     /// Merge the inverted index's postings lists for the given terms —
     /// document-at-a-time, conjunctive (`All`/`Phrase`, whose adjacency
-    /// check stays in the post-filter) or disjunctive (`Any`). Under a
+    /// the merge checks on positions) or disjunctive (`Any`). Under a
     /// relevance sort the executor scores each admitted document with
     /// BM25 and prunes postings blocks with WAND-style max-score bounds.
     Postings {
@@ -343,8 +343,8 @@ pub(crate) struct Analysis {
     /// The postings merge serving the `contains` conjuncts. Every
     /// conjunctive (`All`/`Phrase`) conjunct folds into one merged
     /// conjunctive term set — the intersection of their postings is still
-    /// a superset of the full predicate (phrase adjacency stays in the
-    /// post-filter). With only disjunctive conjuncts, the first one drives
+    /// a superset of the full predicate (the merge checks phrase adjacency
+    /// on positions). With only disjunctive conjuncts, the first one drives
     /// an `Any` merge (the others post-filter).
     postings: Option<AccessPath>,
     walk: Option<Walk>,
@@ -795,7 +795,7 @@ mod tests {
             other => panic!("expected Postings, got {other:?}"),
         }
         // Phrase conjuncts merge into the conjunctive term set; adjacency
-        // is the post-filter's job.
+        // is checked on the merge's positions.
         let p = plan(&default_catalog(), &parse("phrase:\"sales report\" & contains:tax"));
         match p.path {
             AccessPath::Postings { terms, mode } => {
