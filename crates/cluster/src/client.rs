@@ -648,8 +648,7 @@ impl FileQueryEngine {
         // Catch-up is rare and sequential; it runs after every frame has
         // been acknowledged so a lagging follower never delays the rest.
         for (primary, follower, acg, have) in lagging {
-            let call = &mut |node, req| self.rpc.call(node, req);
-            let _ = sync_replica(call, primary, follower, acg, have, now);
+            let _ = sync_replica(&self.rpc, primary, follower, acg, have, now);
         }
         failures
     }
@@ -977,6 +976,17 @@ impl FileQueryEngine {
         match rejected {
             Some(e) => Err(e),
             None => Err(Error::PartialIndexBroadcast { index: spec.name, missed }),
+        }
+    }
+
+    /// Binds `files` to a fresh ACG at the Master (placement computed out
+    /// of band) and drops their cached routes, so the next batch resolves
+    /// to the group. Fails if the Master cannot place it.
+    pub fn bind_group(&mut self, files: &[FileId]) -> Result<AcgId> {
+        files.iter().for_each(|file| self.route_cache.remove(file));
+        match self.rpc.call(self.master, Request::BindFiles { files: files.to_vec() })? {
+            Response::AcgAllocated(acg, _) => Ok(acg),
+            other => Err(Error::Rpc(format!("unexpected response {other:?}"))),
         }
     }
 

@@ -15,7 +15,7 @@ use crate::client::FileQueryEngine;
 use crate::index_node::{IndexNode, IndexNodeConfig};
 use crate::master::{MasterConfig, MasterNode};
 use crate::messages::{MigrationJob, Request, Response};
-use crate::rpc::{run_actor, run_actor_deferred, Rpc};
+use crate::rpc::{run_actor, ReplyTo, Rpc};
 
 /// Configuration for [`Cluster::start`].
 #[derive(Debug, Clone)]
@@ -92,6 +92,8 @@ pub struct Cluster {
     /// Kept so revived nodes get the same per-node settings as `start`
     /// gave the originals.
     config: ClusterConfig,
+    /// Nodes are served on the posting thread ([`Cluster::start_inline`]).
+    inline: bool,
     handles: Vec<std::thread::JoinHandle<()>>,
 }
 
@@ -111,6 +113,23 @@ impl Cluster {
     ///
     /// Panics if `config.index_nodes` is zero.
     pub fn start(config: ClusterConfig) -> Cluster {
+        Self::boot(config, false)
+    }
+
+    /// Boots a cluster whose nodes are served **inline**: a request runs
+    /// its node's handler on the thread that sends it (an Index Node's
+    /// searches still finish on its worker pool), so booting starts no
+    /// thread. With one Index Node this is the paper's single-machine
+    /// setup (§V-B), driven by the same client as any cluster.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config.index_nodes` is zero.
+    pub fn start_inline(config: ClusterConfig) -> Cluster {
+        Self::boot(config, true)
+    }
+
+    fn boot(config: ClusterConfig, inline: bool) -> Cluster {
         assert!(config.index_nodes > 0, "a cluster needs at least one index node");
         let clock: Arc<dyn Clock> = match &config.sim_clock {
             Some(sim) => Arc::new(sim.clone()),
@@ -122,18 +141,16 @@ impl Cluster {
             }
             _ => Rpc::new(),
         };
+        Self::assemble(rpc, clock, config, inline)
+    }
 
-        let master_id = NodeId::new(0);
-        let index_ids: Vec<NodeId> = (1..=config.index_nodes as u32).map(NodeId::new).collect();
-
-        let mut cluster = Cluster {
-            rpc,
-            master: master_id,
-            index_nodes: index_ids,
-            clock,
-            config,
-            handles: Vec::new(),
-        };
+    /// Serves the Master and every Index Node on `rpc` (node ids 0 and
+    /// 1..=N), recovering any durable state `config` points at.
+    fn assemble(rpc: Rpc, clock: Arc<dyn Clock>, config: ClusterConfig, inline: bool) -> Cluster {
+        let index_nodes = (1..=config.index_nodes as u32).map(NodeId::new).collect();
+        let master = NodeId::new(0);
+        let mut cluster =
+            Cluster { rpc, master, index_nodes, clock, config, inline, handles: Vec::new() };
         cluster.spawn_master();
         for i in 0..cluster.index_nodes.len() {
             cluster.spawn_index_node(i);
@@ -147,45 +164,52 @@ impl Cluster {
     /// from the `master` subdirectory's checkpoint + WAL suffix before
     /// serving its first request.
     fn spawn_master(&mut self) {
-        let rx = self.rpc.register(self.master);
-        let master_cfg = MasterConfig {
-            group_capacity: self.config.group_capacity,
-            split_threshold: self.config.split_threshold,
-            replication: self.config.replication,
-            data_dir: self.config.data_dir.as_ref().map(|d| d.join("master")),
-            ..MasterConfig::default()
-        };
-        let durable = master_cfg.data_dir.is_some();
-        let mut master = if durable {
-            MasterNode::open(self.index_nodes.clone(), master_cfg).expect("recover master metadata")
-        } else {
-            MasterNode::new(self.index_nodes.clone(), master_cfg)
-        }
-        .with_clock(self.clock.clone());
-        self.handles.push(
-            std::thread::Builder::new()
-                .name("propeller-master".into())
-                .spawn(move || run_actor(rx, move |req| master.handle(req)))
-                .expect("spawn master"),
-        );
+        self.serve(self.master, "propeller-master".into(), |cluster| {
+            let master_cfg = MasterConfig {
+                group_capacity: cluster.config.group_capacity,
+                split_threshold: cluster.config.split_threshold,
+                replication: cluster.config.replication,
+                data_dir: cluster.config.data_dir.as_ref().map(|d| d.join("master")),
+                ..MasterConfig::default()
+            };
+            let nodes = cluster.index_nodes.clone();
+            let mut master = if master_cfg.data_dir.is_some() {
+                MasterNode::open(nodes, master_cfg).expect("recover master metadata")
+            } else {
+                MasterNode::new(nodes, master_cfg)
+            }
+            .with_clock(cluster.clock.clone());
+            move |req, reply: ReplyTo| reply.send(master.handle(req))
+        });
     }
 
     /// Spawns (or respawns) the `i`-th Index Node actor. `open` restores
     /// any durable state a previous run left under the node's data dir.
     fn spawn_index_node(&mut self, i: usize) {
         let id = self.index_nodes[i];
-        let rx = self.rpc.register(id);
-        let mut node = IndexNode::open(id, Self::index_node_config(&self.config, id, i))
-            .expect("recover index node state")
-            .with_clock(self.clock.clone());
-        self.handles.push(
-            std::thread::Builder::new()
-                .name(format!("propeller-in-{}", id.raw()))
-                .spawn(move || {
-                    run_actor_deferred(rx, move |req, reply| node.handle_deferred(req, reply))
-                })
-                .expect("spawn index node"),
-        );
+        self.serve(id, format!("propeller-in-{}", id.raw()), |cluster| {
+            let mut node = IndexNode::open(id, Self::index_node_config(&cluster.config, id, i))
+                .expect("recover index node state")
+                .with_clock(cluster.clock.clone());
+            move |req, reply: ReplyTo| node.handle_deferred(req, move |resp| reply.send(resp))
+        });
+    }
+
+    /// Serves `node` with the handler `build` makes: inline, or on an
+    /// actor thread named `name` whose mailbox is registered before
+    /// `build` runs, so requests sent while a node recovers queue instead
+    /// of failing.
+    fn serve<H>(&mut self, node: NodeId, name: String, build: impl FnOnce(&Self) -> H)
+    where
+        H: FnMut(Request, ReplyTo) + Send + 'static,
+    {
+        if self.inline {
+            return self.rpc.register_inline(node, build(self));
+        }
+        let rx = self.rpc.register(node);
+        let handler = build(self);
+        let actor = std::thread::Builder::new().name(name).spawn(move || run_actor(rx, handler));
+        self.handles.push(actor.expect("spawn node actor"));
     }
 
     /// The per-node config the `i`-th Index Node was started with (shared
@@ -273,6 +297,29 @@ impl Cluster {
         &self.index_nodes
     }
 
+    /// The cluster's current time (wall or virtual).
+    pub fn now(&self) -> Timestamp {
+        self.clock.now()
+    }
+
+    /// Number of routable ACGs (0 while the Master is unreachable).
+    pub fn acg_count(&self) -> usize {
+        match self.rpc.call(self.master, Request::LocateAcgs) {
+            Ok(Response::Located(rows)) => rows.len(),
+            _ => 0,
+        }
+    }
+
+    /// Index ops acknowledged but not yet committed, summed over the
+    /// Index Nodes (dead nodes are skipped).
+    pub fn pending_ops(&self) -> usize {
+        let pending = |&node: &NodeId| match self.rpc.call(node, Request::NodeStats) {
+            Ok(Response::NodeStatsReport { pending_ops, .. }) => pending_ops,
+            _ => 0,
+        };
+        self.index_nodes.iter().map(pending).sum()
+    }
+
     /// Restarts a previously killed Index Node under the same id. On a
     /// durable cluster ([`ClusterConfig::data_dir`]) the revived node
     /// **restores every hosted group from disk** — newest valid snapshot
@@ -322,18 +369,12 @@ impl Cluster {
         for handle in self.handles.drain(..) {
             let _ = handle.join();
         }
-        let mut cluster = Cluster {
-            rpc: self.rpc.clone(),
-            master: self.master,
-            index_nodes: self.index_nodes.clone(),
-            clock: self.clock.clone(),
-            config: self.config.clone(),
-            handles: Vec::new(),
-        };
-        cluster.spawn_master();
-        for i in 0..cluster.index_nodes.len() {
-            cluster.spawn_index_node(i);
-        }
+        let cluster = Cluster::assemble(
+            self.rpc.clone(),
+            self.clock.clone(),
+            self.config.clone(),
+            self.inline,
+        );
         let _ = cluster.rebroadcast_index_specs_to(&cluster.index_nodes.clone());
         cluster
     }
@@ -358,9 +399,8 @@ impl Cluster {
         Ok(())
     }
 
-    /// One maintenance round over the fabric: [`maintain`] with
-    /// [`Rpc::call`] as the dispatch. Returns the number of migrations
-    /// completed (resumed + fresh).
+    /// One maintenance round over the fabric ([`maintain`]). Returns the
+    /// number of migrations completed (resumed + fresh).
     ///
     /// # Errors
     ///
@@ -368,8 +408,7 @@ impl Cluster {
     /// migration phase is idempotent and the Master re-hands unfinished
     /// work via `TakeMigrationWork`.
     pub fn run_maintenance(&self) -> Result<usize> {
-        let call = &mut |node, req| self.rpc.call(node, req);
-        maintain(call, self.master, &self.index_nodes, self.clock.now())
+        maintain(&self.rpc, self.master, &self.index_nodes, self.clock.now())
     }
 
     /// Catches a node up with its replica peers: for every ACG the node
@@ -392,7 +431,6 @@ impl Cluster {
             Response::Located(rows) => rows,
             other => return Err(unexpected(other)),
         };
-        let call = &mut |node, req| self.rpc.call(node, req);
         let mut synced = 0;
         for (acg, replicas) in rows {
             if !replicas.contains(&id) {
@@ -403,14 +441,14 @@ impl Cluster {
             // cascaded failures the longest log is the freshest.
             let mut best: Option<(NodeId, u64)> = None;
             for &peer in replicas.iter().filter(|&&n| n != id) {
-                if let Ok(lsn) = acg_lsn(call, peer, acg) {
+                if let Ok(lsn) = acg_lsn(&self.rpc, peer, acg) {
                     if best.is_none_or(|(_, b)| lsn > b) {
                         best = Some((peer, lsn));
                     }
                 }
             }
             if let Some((peer, _)) = best {
-                if sync_follower(call, peer, id, acg, now).is_ok() {
+                if sync_follower(&self.rpc, peer, id, acg, now).is_ok() {
                     synced += 1;
                 }
             }
@@ -429,14 +467,9 @@ impl Cluster {
     }
 }
 
-/// One request to one node, answered: [`Rpc::call`] in a cluster, the
-/// in-process [`MasterNode::handle`] / [`IndexNode::handle`] in single-node
-/// mode. A handler's [`Response::Err`] may come back as `Ok`; the
-/// coordinator below folds it into `Err` itself.
-pub type Call<'a> = &'a mut dyn FnMut(NodeId, Request) -> Result<Response>;
-
 /// One maintenance round, played by the external coordinator (the
-/// paper's "background" tasks) through `call`:
+/// paper's "background" tasks) over `rpc` — actor threads or inline nodes
+/// alike, so a single-node service splits exactly as a cluster does:
 ///
 /// 1. `Tick` every Index Node in `nodes` — commits timed-out caches and
 ///    collects ACG summaries plus the node's current search load,
@@ -455,37 +488,36 @@ pub type Call<'a> = &'a mut dyn FnMut(NodeId, Request) -> Result<Response>;
 /// Fails if any node is unreachable or refuses a step mid-round. Safe to
 /// re-run: every migration phase is idempotent and the Master re-hands
 /// unfinished work via `TakeMigrationWork`.
-pub fn maintain(call: Call<'_>, master: NodeId, nodes: &[NodeId], now: Timestamp) -> Result<usize> {
-    let call = &mut |node, req| call(node, req).and_then(Response::into_result);
+pub fn maintain(rpc: &Rpc, master: NodeId, nodes: &[NodeId], now: Timestamp) -> Result<usize> {
     // 1 + 2: tick, gather, heartbeat.
     for &node in nodes {
-        if let Response::Status { acgs, load } = call(node, Request::Tick { now })? {
-            call(master, Request::Heartbeat { node, acgs, load, now })?;
+        if let Response::Status { acgs, load } = rpc.call(node, Request::Tick { now })? {
+            rpc.call(master, Request::Heartbeat { node, acgs, load, now })?;
         }
     }
     // 3: finish what a predecessor started before opening new work.
-    let jobs = match call(master, Request::TakeMigrationWork)? {
+    let jobs = match rpc.call(master, Request::TakeMigrationWork)? {
         Response::MigrationWork(jobs) => jobs,
         other => return Err(unexpected(other)),
     };
     let mut done = 0;
     for job in jobs {
-        execute_migration(call, master, &job, now)?;
+        execute_migration(rpc, master, &job, now)?;
         done += 1;
     }
     // 4: fresh splits, each as a two-phase migration.
-    let work = match call(master, Request::TakeSplitWork)? {
+    let work = match rpc.call(master, Request::TakeSplitWork)? {
         Response::SplitWork(work) => work,
         other => return Err(unexpected(other)),
     };
     for (acg, owner) in work {
-        let right = match call(owner, Request::SplitAcg { acg })? {
+        let right = match rpc.call(owner, Request::SplitAcg { acg })? {
             Response::SplitHalves { left, right } if !left.is_empty() && !right.is_empty() => right,
             Response::SplitHalves { .. } => continue,
             other => return Err(unexpected(other)),
         };
         let begin = Request::BeginMigration { acg, moved: right.clone() };
-        let (new_acg, targets) = match call(master, begin)? {
+        let (new_acg, targets) = match rpc.call(master, begin)? {
             Response::MigrationBegun { new_acg, targets } => (new_acg, targets),
             other => return Err(unexpected(other)),
         };
@@ -497,7 +529,7 @@ pub fn maintain(call: Call<'_>, master: NodeId, nodes: &[NodeId], now: Timestamp
             targets,
             installed: false,
         };
-        execute_migration(call, master, &job, now)?;
+        execute_migration(rpc, master, &job, now)?;
         done += 1;
     }
     Ok(done)
@@ -524,15 +556,10 @@ pub fn maintain(call: Call<'_>, master: NodeId, nodes: &[NodeId], now: Timestamp
 /// A crash between any two steps leaves exactly one routable home for
 /// every moved file: before step 6 the new ACG is not in the routing
 /// table, and the source keeps (fenced) custody until step 4.
-fn execute_migration(
-    call: Call<'_>,
-    master: NodeId,
-    job: &MigrationJob,
-    now: Timestamp,
-) -> Result<()> {
+fn execute_migration(rpc: &Rpc, master: NodeId, job: &MigrationJob, now: Timestamp) -> Result<()> {
     if !job.installed {
         let extract = Request::ExtractAcgPart { acg: job.source, files: job.moved.clone() };
-        let (records, edges) = match call(job.source_node, extract)? {
+        let (records, edges) = match rpc.call(job.source_node, extract)? {
             Response::AcgPart { records, edges } => (records, edges),
             other => return Err(unexpected(other)),
         };
@@ -542,25 +569,28 @@ fn execute_migration(
                 records: records.clone(),
                 edges: edges.clone(),
             };
-            call(target, install)?;
+            rpc.call(target, install)?;
         }
-        call(master, Request::InstallAcked { new_acg: job.new_acg })?;
+        rpc.call(master, Request::InstallAcked { new_acg: job.new_acg })?;
     }
-    call(job.source_node, Request::RemoveAcgPart { acg: job.source, files: job.moved.clone() })?;
-    if let Ok(Response::Located(rows)) = call(master, Request::LocateAcgs) {
+    rpc.call(
+        job.source_node,
+        Request::RemoveAcgPart { acg: job.source, files: job.moved.clone() },
+    )?;
+    if let Ok(Response::Located(rows)) = rpc.call(master, Request::LocateAcgs) {
         if let Some((_, set)) = rows.into_iter().find(|(a, _)| *a == job.source) {
             for &follower in set.iter().filter(|&&n| n != job.source_node) {
-                let _ = sync_follower(call, job.source_node, follower, job.source, now);
+                let _ = sync_follower(rpc, job.source_node, follower, job.source, now);
             }
         }
     }
-    call(master, Request::CommitMigration { new_acg: job.new_acg })?;
+    rpc.call(master, Request::CommitMigration { new_acg: job.new_acg })?;
     Ok(())
 }
 
 /// The LSN `node`'s copy of `acg` ends at (`0` when it holds none).
-fn acg_lsn(call: Call<'_>, node: NodeId, acg: AcgId) -> Result<u64> {
-    match call(node, Request::AcgLsns)? {
+fn acg_lsn(rpc: &Rpc, node: NodeId, acg: AcgId) -> Result<u64> {
+    match rpc.call(node, Request::AcgLsns)? {
         Response::AcgLsnReport(rows) => {
             Ok(rows.into_iter().find(|(a, _)| *a == acg).map_or(0, |(_, lsn)| lsn))
         }
@@ -575,14 +605,14 @@ fn acg_lsn(call: Call<'_>, node: NodeId, acg: AcgId) -> Result<u64> {
 ///
 /// Fails if either node is unreachable or answers out of protocol.
 fn sync_follower(
-    call: Call<'_>,
+    rpc: &Rpc,
     source: NodeId,
     follower: NodeId,
     acg: AcgId,
     now: Timestamp,
 ) -> Result<u64> {
-    let have = acg_lsn(call, follower, acg)?;
-    sync_replica(call, source, follower, acg, have, now)
+    let have = acg_lsn(rpc, follower, acg)?;
+    sync_replica(rpc, source, follower, acg, have, now)
 }
 
 /// Brings `target`'s copy of `acg` up to date with `source`'s, shipping
@@ -594,14 +624,14 @@ fn sync_follower(
 /// never talk to each other — so the actor graph cannot deadlock on two
 /// nodes catching each other up.
 pub(crate) fn sync_replica(
-    call: Call<'_>,
+    rpc: &Rpc,
     source: NodeId,
     target: NodeId,
     acg: AcgId,
     after_lsn: u64,
     now: Timestamp,
 ) -> Result<u64> {
-    match call(source, Request::FetchAcgFrames { acg, after_lsn, now })? {
+    match rpc.call(source, Request::FetchAcgFrames { acg, after_lsn, now })? {
         Response::AcgFrames(frames) => {
             let mut applied = after_lsn;
             for (lsn, frame) in frames {
@@ -609,7 +639,7 @@ pub(crate) fn sync_replica(
                 // Catch-up traffic is never sampled: it runs outside any
                 // client request.
                 let req = Request::ReplicateBatch { acg, lsn, ops, now, ctx: TraceContext::NONE };
-                match call(target, req)? {
+                match rpc.call(target, req)? {
                     Response::ReplicaApplied { lsn } => applied = lsn,
                     Response::ReplicaLagging { lsn } => {
                         return Err(Error::Rpc(format!(
@@ -622,7 +652,7 @@ pub(crate) fn sync_replica(
             Ok(applied)
         }
         Response::AcgSeed { lsn, records } => {
-            match call(target, Request::SeedAcg { acg, lsn, records, now })? {
+            match rpc.call(target, Request::SeedAcg { acg, lsn, records, now })? {
                 Response::ReplicaApplied { lsn } => Ok(lsn),
                 other => Err(unexpected(other)),
             }

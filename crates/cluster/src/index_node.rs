@@ -817,8 +817,8 @@ impl IndexNode {
         v
     }
 
-    /// Handles one request synchronously. Unit tests, benches and inline
-    /// embeddings drive this; it routes through
+    /// Handles one request synchronously. Unit tests and benches drive
+    /// this; it routes through
     /// [`IndexNode::handle_deferred`] and waits for the reply, so sync
     /// callers observe exactly the deferred semantics.
     pub fn handle(&mut self, req: Request) -> Response {
@@ -1073,6 +1073,10 @@ impl IndexNode {
                 }
             }
             Request::SeedAcg { acg, lsn, records, now } => {
+                // A seed no LSN can follow is refused before anything moves.
+                if let Err(e) = Wal::lsn_after(lsn) {
+                    return Response::Err(e);
+                }
                 // Quiesce the background snapshot writer first: a seed
                 // resets the WAL and rewrites the durable checkpoint, and
                 // an in-flight write of the pre-seed epoch must not land
@@ -1305,6 +1309,7 @@ impl IndexNode {
                     node: self.id,
                     acgs: self.groups.len(),
                     open_sessions: self.sessions.len(),
+                    pending_ops: self.groups.values().map(AcgIndexGroup::pending_ops).sum(),
                     searches_served: self.searches_served.get(),
                     ops_received: self.ops_received.get(),
                     commits_published: self.commits.get(),
@@ -1327,16 +1332,6 @@ impl IndexNode {
                 Response::Err(Error::Rpc("index node does not accept heartbeats".into()))
             }
             other => Response::Err(Error::Rpc(format!("index node cannot handle {other:?}"))),
-        }
-    }
-
-    /// Produces this node's heartbeat payload.
-    pub fn heartbeat(&self, now: Timestamp) -> Request {
-        Request::Heartbeat {
-            node: self.id,
-            acgs: self.summaries(),
-            load: self.sessions.len() as u64,
-            now,
         }
     }
 }
@@ -1385,6 +1380,31 @@ mod tests {
         });
         let hits = search(&mut n, vec![acg], "size>16m");
         assert_eq!(hits.len(), 33, "sizes 17..49 MiB");
+    }
+
+    #[test]
+    fn a_seed_no_lsn_can_follow_is_refused_and_changes_nothing() {
+        let mut n = node();
+        let acg = AcgId::new(1);
+        let batch = |files: std::ops::Range<u64>| Request::IndexBatch {
+            acg,
+            ops: files.map(|i| IndexOp::Upsert(rec(i, 1 << 20))).collect(),
+            now: t(0),
+            ctx: propeller_obs::TraceContext::NONE,
+        };
+        assert!(matches!(n.handle(batch(0..5)), Response::BatchLogged { lsn: 1 }));
+        let before = search(&mut n, vec![acg], "size>0");
+        assert_eq!(before.len(), 5);
+        let seed = Request::SeedAcg { acg, lsn: u64::MAX, records: vec![rec(99, 1)], now: t(1) };
+        let resp = n.handle(seed);
+        assert!(matches!(resp, Response::Err(Error::Corrupt(_))), "{resp:?}");
+        assert!(
+            matches!(n.handle(Request::NodeStats), Response::NodeStatsReport { acgs: 1, .. }),
+            "the node still answers"
+        );
+        assert_eq!(search(&mut n, vec![acg], "size>0"), before, "the pre-seed hits stay");
+        // The log goes on where it was, not wrapped round to LSN 0.
+        assert!(matches!(n.handle(batch(5..6)), Response::BatchLogged { lsn: 2 }));
     }
 
     #[test]
@@ -1548,9 +1568,10 @@ mod tests {
             now: t(0),
             ctx: propeller_obs::TraceContext::NONE,
         });
-        match n.heartbeat(t(1)) {
-            Request::Heartbeat { node, acgs, .. } => {
-                assert_eq!(node, NodeId::new(1));
+        // The tick's status is what the coordinator forwards as the
+        // node's heartbeat; at t(1) no commit is due yet.
+        match n.handle(Request::Tick { now: t(1) }) {
+            Response::Status { acgs, .. } => {
                 assert_eq!(acgs.len(), 1);
                 // Ops are still pending (not committed): the heartbeat
                 // exposes both the projected scale and the backlog.
@@ -1587,8 +1608,8 @@ mod tests {
             now: t(1),
             ctx: propeller_obs::TraceContext::NONE,
         });
-        match n.heartbeat(t(2)) {
-            Request::Heartbeat { acgs, .. } => {
+        match n.handle(Request::Tick { now: t(2) }) {
+            Response::Status { acgs, .. } => {
                 assert_eq!(acgs[0].pending_ops, 25, "the raw backlog is still visible");
                 assert_eq!(
                     acgs[0].files, 19,

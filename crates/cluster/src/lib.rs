@@ -15,8 +15,10 @@
 //!   (paper: "there is no cross-ACG or cross-IN transaction").
 //!
 //! The wire is an in-process RPC fabric ([`rpc::Rpc`]): every node runs a
-//! real thread with a mailbox; an optional GbE cost model charges virtual
-//! time per message so modeled-mode experiments account network costs.
+//! real thread with a mailbox ([`Cluster::start`]), or is served inline on
+//! the sending thread ([`Cluster::start_inline`], the single-node shape);
+//! an optional GbE cost model charges virtual time per message so
+//! modeled-mode experiments account network costs.
 //! Clients fan out through a [`rpc::Gather`] — every request sent from the
 //! calling thread, every reply collected on it — so parallelism across
 //! nodes costs no thread per request.
@@ -75,7 +77,7 @@ mod pool;
 mod rpc;
 
 pub use client::{ClusterSearchStream, FileQueryEngine};
-pub use cluster::{maintain, Call, Cluster, ClusterConfig};
+pub use cluster::{maintain, Cluster, ClusterConfig};
 pub use index_node::{IndexNode, IndexNodeConfig, Tombstones};
 pub use master::{MasterConfig, MasterNode, NodeStatus};
 pub use messages::{AcgSummary, MigrationJob, Request, Response};

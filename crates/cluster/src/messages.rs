@@ -492,6 +492,8 @@ pub enum Response {
         acgs: usize,
         /// Suspended streamed search sessions.
         open_sessions: usize,
+        /// Index ops acknowledged but not yet committed, over all groups.
+        pending_ops: usize,
         /// Searches served (`Search` plus `OpenSearch`).
         searches_served: u64,
         /// Index ops received (primary plus replicated).

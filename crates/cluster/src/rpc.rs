@@ -1,10 +1,12 @@
 //! The in-process RPC fabric.
 //!
-//! Every node (Master or Index Node) owns a mailbox drained by its own
-//! thread, so node state needs no locking — the actor pattern. Callers do
-//! synchronous request/response through [`Rpc::call`], or fan a request
-//! out to many nodes from one thread through a [`Gather`]; an optional GbE
-//! cost model charges virtual time per message for modeled-mode runs.
+//! A node (Master or Index Node) is registered either with a mailbox
+//! drained by its own actor thread, or **inline**: its handler sits behind
+//! a mutex and runs on whichever thread posts the request. Either way it
+//! answers through the request's [`ReplyTo`], so callers see one fabric:
+//! synchronous request/response through [`Rpc::call`], or a fan-out from
+//! one thread through a [`Gather`]; an optional GbE cost model charges
+//! virtual time per message for modeled-mode runs.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -15,6 +17,8 @@ use parking_lot::{Mutex, RwLock};
 use propeller_sim::{NodeSlowdowns, SimClock};
 use propeller_storage::Network;
 use propeller_types::{Error, NodeId, Result};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 use crate::messages::{Request, Response};
 
@@ -49,21 +53,36 @@ impl Drop for ReplyTo {
     }
 }
 
-#[derive(Default)]
-struct Registry {
-    mailboxes: HashMap<NodeId, Sender<Envelope>>,
+/// Where a registered node's requests go.
+#[derive(Clone)]
+enum Endpoint {
+    /// Queued for the node's actor thread.
+    Mailbox(Sender<Envelope>),
+    /// Handled on the delivering thread (see [`Rpc::register_inline`]).
+    Inline(Arc<Mutex<dyn FnMut(Request, ReplyTo) + Send>>),
 }
+
+impl Endpoint {
+    fn deliver(self, envelope: Envelope) {
+        match self {
+            Endpoint::Mailbox(mailbox) => drop(mailbox.send(envelope)),
+            Endpoint::Inline(handler) => (handler.lock())(envelope.0, envelope.1),
+        }
+    }
+}
+
+type Registry = HashMap<NodeId, Endpoint>;
 
 /// Handle to the cluster fabric. Cloning shares the same fabric.
 #[derive(Clone)]
 pub struct Rpc {
     registry: Arc<RwLock<Registry>>,
     /// Virtual network accounting: (model, clock, rng-state).
-    charge: Option<Arc<(Network, SimClock, Mutex<rand::rngs::StdRng>)>>,
+    charge: Option<Arc<(Network, SimClock, Mutex<StdRng>)>>,
     /// Injected per-node delivery delays (tail-latency experiments) and
     /// the rng that samples them.
     slowdowns: Arc<NodeSlowdowns>,
-    slow_rng: Arc<Mutex<rand::rngs::StdRng>>,
+    slow_rng: Arc<Mutex<StdRng>>,
     /// Lazily-started executor for delayed sends: one long-lived thread
     /// sleeps out each injected delay, so the sender keeps running (a
     /// hedged open must be free to fire its duplicate while the slow
@@ -74,14 +93,14 @@ pub struct Rpc {
 /// One send waiting out its injected delivery delay.
 struct DelayedSend {
     deadline: Instant,
-    mailbox: Sender<Envelope>,
+    endpoint: Endpoint,
     envelope: Envelope,
 }
 
 impl std::fmt::Debug for Rpc {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Rpc")
-            .field("nodes", &self.registry.read().mailboxes.len())
+            .field("nodes", &self.registry.read().len())
             .field("charging", &self.charge.is_some())
             .finish()
     }
@@ -91,30 +110,21 @@ impl Rpc {
     /// A fabric with free (uncharged) message delivery — the right choice
     /// for wall-clock measured runs.
     pub fn new() -> Self {
-        Rpc {
-            registry: Arc::new(RwLock::new(Registry::default())),
-            charge: None,
-            slowdowns: Arc::new(NodeSlowdowns::new()),
-            slow_rng: Arc::new(Mutex::new(
-                <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(0x510),
-            )),
-            delayer: Arc::new(Mutex::new(None)),
-        }
+        Self::build(None, 0)
     }
 
     /// A fabric that charges each message's cost to a virtual clock.
     pub fn with_network(network: Network, clock: SimClock, seed: u64) -> Self {
+        let rng = Mutex::new(StdRng::seed_from_u64(seed));
+        Self::build(Some(Arc::new((network, clock, rng))), seed)
+    }
+
+    fn build(charge: Option<Arc<(Network, SimClock, Mutex<StdRng>)>>, seed: u64) -> Self {
         Rpc {
             registry: Arc::new(RwLock::new(Registry::default())),
-            charge: Some(Arc::new((
-                network,
-                clock,
-                Mutex::new(<rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(seed)),
-            ))),
+            charge,
             slowdowns: Arc::new(NodeSlowdowns::new()),
-            slow_rng: Arc::new(Mutex::new(
-                <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(seed ^ 0x510),
-            )),
+            slow_rng: Arc::new(Mutex::new(StdRng::seed_from_u64(seed ^ 0x510))),
             delayer: Arc::new(Mutex::new(None)),
         }
     }
@@ -132,13 +142,36 @@ impl Rpc {
     /// Registers a node, returning the receiver its thread should drain.
     pub(crate) fn register(&self, node: NodeId) -> Receiver<Envelope> {
         let (tx, rx) = unbounded();
-        self.registry.write().mailboxes.insert(node, tx);
+        self.registry.write().insert(node, Endpoint::Mailbox(tx));
         rx
+    }
+
+    /// Registers a node served **inline**: every request runs `handler` on
+    /// the thread that delivers it, under a per-node mutex but outside the
+    /// registry lock. The handler answers through the [`ReplyTo`] — at
+    /// once, or later from another thread (an Index Node's pool job).
+    /// `Shutdown` is acknowledged and drops the handler, as an actor's
+    /// thread would exit; later requests then fail as a dead node's do.
+    pub(crate) fn register_inline(
+        &self,
+        node: NodeId,
+        handler: impl FnMut(Request, ReplyTo) + Send + 'static,
+    ) {
+        let mut live = Some(handler);
+        let endpoint = move |req: Request, reply: ReplyTo| match live.as_mut() {
+            Some(_) if matches!(req, Request::Shutdown) => {
+                live = None;
+                reply.send(Response::Ok);
+            }
+            Some(handler) => handler(req, reply),
+            None => drop(reply),
+        };
+        self.registry.write().insert(node, Endpoint::Inline(Arc::new(Mutex::new(endpoint))));
     }
 
     /// Removes a node from the fabric (failure injection in tests).
     pub fn deregister(&self, node: NodeId) {
-        self.registry.write().mailboxes.remove(&node);
+        self.registry.write().remove(&node);
     }
 
     /// Rough wire size of a request, for the network cost model.
@@ -170,13 +203,13 @@ impl Rpc {
         }
     }
 
-    /// The one way a request leaves: mailbox lookup, send charge, then
-    /// delivery — straight into the mailbox, or through the delay executor
-    /// when `node` has an injected slowdown. A request that cannot be
-    /// delivered (unknown or dead node) drops its [`ReplyTo`], which is
-    /// what tells the caller.
+    /// The one way a request leaves: endpoint lookup, send charge, then
+    /// delivery — into the mailbox or through the inline handler, at once
+    /// or via the delay executor when `node` has an injected slowdown. A
+    /// request that cannot be delivered (unknown or dead node) drops its
+    /// [`ReplyTo`], which is what tells the caller.
     fn post(&self, node: NodeId, req: Request, reply: ReplyTo) {
-        let Some(mailbox) = self.registry.read().mailboxes.get(&node).cloned() else { return };
+        let Some(endpoint) = self.registry.read().get(&node).cloned() else { return };
         self.charge_message(Self::wire_size(&req));
         let delay = if self.slowdowns.is_empty() {
             None
@@ -185,10 +218,10 @@ impl Rpc {
         };
         let envelope = (req, reply);
         match delay {
-            None => drop(mailbox.send(envelope)),
+            None => endpoint.deliver(envelope),
             Some(delay) => {
                 let deadline = Instant::now() + delay.to_std();
-                drop(self.delayer_tx().send(DelayedSend { deadline, mailbox, envelope }));
+                drop(self.delayer_tx().send(DelayedSend { deadline, endpoint, envelope }));
             }
         }
     }
@@ -208,7 +241,7 @@ impl Rpc {
                 if send.deadline > now {
                     std::thread::sleep(send.deadline - now);
                 }
-                let _ = send.mailbox.send(send.envelope);
+                send.endpoint.deliver(send.envelope);
             }
         });
         *guard = Some(tx.clone());
@@ -257,7 +290,7 @@ impl Rpc {
 
     /// The registered node ids.
     pub fn nodes(&self) -> Vec<NodeId> {
-        let mut v: Vec<NodeId> = self.registry.read().mailboxes.keys().copied().collect();
+        let mut v: Vec<NodeId> = self.registry.read().keys().copied().collect();
         v.sort();
         v
     }
@@ -346,39 +379,17 @@ impl Gather {
     }
 }
 
-/// Runs a node actor: drains the mailbox, feeding each request to the
-/// handler, until a `Shutdown` request arrives (which is acknowledged
-/// before the loop exits).
-pub(crate) fn run_actor<H>(rx: Receiver<Envelope>, mut handler: H)
-where
-    H: FnMut(Request) -> Response,
-{
-    while let Ok((req, reply)) = rx.recv() {
-        let is_shutdown = matches!(req, Request::Shutdown);
-        let resp = if is_shutdown { Response::Ok } else { handler(req) };
-        reply.send(resp);
-        if is_shutdown {
-            break;
-        }
-    }
-}
-
-/// Runs a node actor whose handler may defer replies to worker threads:
-/// each request comes with a `reply` closure owning the envelope's
-/// response channel, so the handler can return before the response exists
-/// and keep draining the mailbox (searches execute off-actor; ingest
-/// proceeds meanwhile). `Shutdown` is acknowledged inline before the loop
-/// exits.
-pub(crate) fn run_actor_deferred<H>(rx: Receiver<Envelope>, mut handler: H)
-where
-    H: FnMut(Request, Box<dyn FnOnce(Response) + Send>),
-{
+/// Runs a node actor: drains the mailbox, handing each request and its
+/// [`ReplyTo`] to the handler — which may answer later from another
+/// thread (an Index Node's searches reply from its worker pool) — until a
+/// `Shutdown` request arrives, acknowledged before the loop exits.
+pub(crate) fn run_actor(rx: Receiver<Envelope>, mut handler: impl FnMut(Request, ReplyTo)) {
     while let Ok((req, reply)) = rx.recv() {
         if matches!(req, Request::Shutdown) {
             reply.send(Response::Ok);
             break;
         }
-        handler(req, Box::new(move |resp| reply.send(resp)));
+        handler(req, reply);
     }
 }
 
@@ -386,24 +397,72 @@ where
 mod tests {
     use super::*;
 
-    fn echo_node(rpc: &Rpc, id: NodeId) -> std::thread::JoinHandle<()> {
-        let rx = rpc.register(id);
-        std::thread::spawn(move || {
-            run_actor(rx, |req| match req {
+    /// The ways a node can sit on the fabric.
+    #[derive(Debug, Clone, Copy)]
+    enum Serve {
+        /// A mailbox drained by an actor thread.
+        Actor,
+        /// Inline: the handler runs on the posting thread.
+        Inline,
+        /// Inline, answering from a worker pool — the shape of an Index
+        /// Node whose pool job replies after its handler returned.
+        InlineDeferred,
+    }
+
+    const EVERY_SERVE: [Serve; 3] = [Serve::Actor, Serve::Inline, Serve::InlineDeferred];
+
+    /// Registers `handler` for `id` as `how` says; `Some` actor thread to
+    /// join after its `Shutdown`.
+    fn serve(
+        rpc: &Rpc,
+        id: NodeId,
+        how: Serve,
+        handler: impl FnMut(Request, ReplyTo) + Send + 'static,
+    ) -> Option<std::thread::JoinHandle<()>> {
+        match how {
+            Serve::Actor => {
+                let rx = rpc.register(id);
+                return Some(std::thread::spawn(move || run_actor(rx, handler)));
+            }
+            Serve::Inline => rpc.register_inline(id, handler),
+            Serve::InlineDeferred => {
+                let (pool, handler) = (crate::WorkerPool::new(1), Arc::new(Mutex::new(handler)));
+                rpc.register_inline(id, move |req, reply| {
+                    let handler = Arc::clone(&handler);
+                    pool.submit(move || (handler.lock())(req, reply));
+                });
+            }
+        }
+        None
+    }
+
+    fn echo_node(rpc: &Rpc, id: NodeId, how: Serve) -> Option<std::thread::JoinHandle<()>> {
+        serve(rpc, id, how, |req, reply| {
+            reply.send(match req {
                 Request::LocateAcgs => Response::Located(vec![]),
                 _ => Response::Ok,
             })
         })
     }
 
+    fn echo_actor(rpc: &Rpc, id: NodeId) -> std::thread::JoinHandle<()> {
+        echo_node(rpc, id, Serve::Actor).expect("an actor has a thread")
+    }
+
     #[test]
     fn call_round_trip() {
-        let rpc = Rpc::new();
-        let h = echo_node(&rpc, NodeId::new(1));
-        let resp = rpc.call(NodeId::new(1), Request::LocateAcgs).unwrap();
-        assert!(matches!(resp, Response::Located(_)));
-        rpc.call(NodeId::new(1), Request::Shutdown).unwrap();
-        h.join().unwrap();
+        for how in EVERY_SERVE {
+            let rpc = Rpc::new();
+            let h = echo_node(&rpc, NodeId::new(1), how);
+            let resp = rpc.call(NodeId::new(1), Request::LocateAcgs).unwrap();
+            assert!(matches!(resp, Response::Located(_)), "{how:?}");
+            rpc.call(NodeId::new(1), Request::Shutdown).unwrap();
+            if let Some(h) = h {
+                h.join().unwrap();
+            }
+            let after = rpc.call(NodeId::new(1), Request::LocateAcgs);
+            assert!(matches!(after, Err(Error::NodeUnavailable(_))), "{how:?}: {after:?}");
+        }
     }
 
     #[test]
@@ -416,7 +475,7 @@ mod tests {
     #[test]
     fn concurrent_callers_are_serialized_by_the_actor() {
         let rpc = Rpc::new();
-        let h = echo_node(&rpc, NodeId::new(1));
+        let h = echo_actor(&rpc, NodeId::new(1));
         std::thread::scope(|s| {
             for _ in 0..8 {
                 let rpc = rpc.clone();
@@ -435,7 +494,7 @@ mod tests {
     fn network_charging_advances_virtual_clock() {
         let clock = SimClock::new();
         let rpc = Rpc::with_network(Network::gigabit_ethernet(), clock.clone(), 7);
-        let h = echo_node(&rpc, NodeId::new(1));
+        let h = echo_actor(&rpc, NodeId::new(1));
         let before = clock.now();
         rpc.call(NodeId::new(1), Request::LocateAcgs).unwrap();
         assert!(clock.now() > before, "message cost must be charged");
@@ -447,7 +506,7 @@ mod tests {
     fn injected_slowdown_stalls_delivery_but_not_the_sender() {
         use propeller_sim::Latency;
         let rpc = Rpc::new();
-        let h = echo_node(&rpc, NodeId::new(1));
+        let h = echo_actor(&rpc, NodeId::new(1));
         rpc.slowdowns()
             .set(NodeId::new(1), Latency::constant(propeller_types::Duration::from_millis(80)));
         let started = Instant::now();
@@ -465,43 +524,40 @@ mod tests {
         h.join().unwrap();
     }
 
-    /// An actor answering `LocateAcgs` with its own id, failing `AcgLsns`
-    /// and swallowing everything else unanswered (the envelope is kept, so
-    /// the caller sees silence, not a dead node).
-    fn scripted_node(rpc: &Rpc, id: NodeId) -> std::thread::JoinHandle<()> {
-        let rx = rpc.register(id);
-        std::thread::spawn(move || {
-            let mut swallowed = Vec::new();
-            while let Ok((req, reply)) = rx.recv() {
-                match req {
-                    Request::Shutdown => {
-                        reply.send(Response::Ok);
-                        break;
-                    }
-                    Request::LocateAcgs => reply.send(Response::Located(vec![(
-                        propeller_types::AcgId::new(u64::from(id.raw())),
-                        vec![id],
-                    )])),
-                    Request::AcgLsns => reply.send(Response::Err(Error::Shutdown)),
-                    _ => swallowed.push(reply),
-                }
-            }
+    /// A node answering `LocateAcgs` with its own id, failing `AcgLsns`,
+    /// dropping the reply to `NodeLoads` unanswered (the caller must see a
+    /// dead handler at once) and swallowing everything else (the reply is
+    /// kept, so the caller sees silence, not a dead node).
+    fn scripted_node(rpc: &Rpc, id: NodeId, how: Serve) -> Option<std::thread::JoinHandle<()>> {
+        let mut swallowed = Vec::new();
+        serve(rpc, id, how, move |req, reply| match req {
+            Request::LocateAcgs => reply.send(Response::Located(vec![(
+                propeller_types::AcgId::new(u64::from(id.raw())),
+                vec![id],
+            )])),
+            Request::AcgLsns => reply.send(Response::Err(Error::Shutdown)),
+            Request::NodeLoads => drop(reply),
+            _ => swallowed.push(reply),
         })
     }
 
+    type Actors = Vec<Option<std::thread::JoinHandle<()>>>;
+
     /// `(fabric, clock, actors)` with nodes 1..=3 scripted and node 9
     /// unknown.
-    fn scripted_fabric(seed: u64) -> (Rpc, SimClock, Vec<std::thread::JoinHandle<()>>) {
+    fn scripted_fabric(seed: u64, how: Serve) -> (Rpc, SimClock, Actors) {
         let clock = SimClock::new();
         let rpc = Rpc::with_network(Network::gigabit_ethernet(), clock.clone(), seed);
-        let actors = (1..=3).map(|n| scripted_node(&rpc, NodeId::new(n))).collect();
+        let actors = (1..=3).map(|n| scripted_node(&rpc, NodeId::new(n), how)).collect();
         (rpc, clock, actors)
     }
 
-    fn stop(rpc: &Rpc, actors: Vec<std::thread::JoinHandle<()>>) {
+    fn stop(rpc: &Rpc, actors: Actors) {
         for (n, actor) in (1..).zip(actors) {
             rpc.call(NodeId::new(n), Request::Shutdown).unwrap();
-            actor.join().unwrap();
+            if let Some(actor) = actor {
+                actor.join().unwrap();
+            }
         }
     }
 
@@ -513,41 +569,50 @@ mod tests {
                 (NodeId::new(1), Request::AcgLsns),
                 (NodeId::new(9), Request::LocateAcgs),
                 (NodeId::new(2), Request::LocateAcgs),
+                (NodeId::new(2), Request::NodeLoads),
                 (NodeId::new(1), Request::LocateAcgs),
             ]
         };
         let show = |r: &Result<Response>| format!("{r:?}");
-        let (rpc, clock, actors) = scripted_fabric(7);
-        let gathered = rpc.call_all(targets());
-        let gathered_time = clock.now();
-        let sequential: Vec<Result<Response>> =
-            targets().into_iter().map(|(node, req)| rpc.call(node, req)).collect();
-        assert_eq!(
-            gathered.iter().map(show).collect::<Vec<_>>(),
-            sequential.iter().map(show).collect::<Vec<_>>(),
-            "same responses, in target order"
-        );
-        assert!(
-            matches!(gathered[0], Ok(Response::Located(ref rows)) if rows[0].1 == [NodeId::new(3)])
-        );
-        assert!(matches!(gathered[1], Err(Error::Shutdown)), "Response::Err lifted per slot");
-        assert!(
-            matches!(gathered[2], Err(Error::NodeUnavailable(n)) if n == NodeId::new(9)),
-            "the unknown node fails its own slot only"
-        );
-        stop(&rpc, actors);
+        for how in EVERY_SERVE {
+            let (rpc, clock, actors) = scripted_fabric(7, how);
+            let started = Instant::now();
+            let gathered = rpc.call_all(targets());
+            let gathered_time = clock.now();
+            let sequential: Vec<Result<Response>> =
+                targets().into_iter().map(|(node, req)| rpc.call(node, req)).collect();
+            assert!(started.elapsed() < Duration::from_secs(5), "{how:?}: no timeout waited out");
+            assert_eq!(
+                gathered.iter().map(show).collect::<Vec<_>>(),
+                sequential.iter().map(show).collect::<Vec<_>>(),
+                "{how:?}: same responses, in target order"
+            );
+            assert!(
+                matches!(gathered[0], Ok(Response::Located(ref rows)) if rows[0].1 == [NodeId::new(3)])
+            );
+            assert!(matches!(gathered[1], Err(Error::Shutdown)), "Response::Err lifted per slot");
+            assert!(
+                matches!(gathered[2], Err(Error::NodeUnavailable(n)) if n == NodeId::new(9)),
+                "the unknown node fails its own slot only"
+            );
+            assert!(
+                matches!(gathered[4], Err(Error::NodeUnavailable(n)) if n == NodeId::new(2)),
+                "{how:?}: a reply dropped unanswered fails its slot"
+            );
+            stop(&rpc, actors);
 
-        // The modelled clock is charged per message, not per arrival
-        // order: an identically seeded fabric reads the identical time.
-        let (rpc2, clock2, actors2) = scripted_fabric(7);
-        rpc2.call_all(targets());
-        assert_eq!(clock2.now(), gathered_time);
-        stop(&rpc2, actors2);
+            // The modelled clock is charged per message, not per arrival
+            // order: an identically seeded fabric reads the identical time.
+            let (rpc2, clock2, actors2) = scripted_fabric(7, how);
+            rpc2.call_all(targets());
+            assert_eq!(clock2.now(), gathered_time, "{how:?}");
+            stop(&rpc2, actors2);
+        }
     }
 
     #[test]
     fn silent_nodes_time_out_together_not_one_after_another() {
-        let (rpc, _clock, actors) = scripted_fabric(1);
+        let (rpc, _clock, actors) = scripted_fabric(1, Serve::Actor);
         let timeout = Duration::from_millis(150);
         let mut gather = rpc.gather_with_timeout(timeout);
         let started = Instant::now();
@@ -591,11 +656,15 @@ mod tests {
 
     #[test]
     fn deregistered_node_unreachable() {
-        let rpc = Rpc::new();
-        let h = echo_node(&rpc, NodeId::new(1));
-        rpc.call(NodeId::new(1), Request::Shutdown).unwrap();
-        h.join().unwrap();
-        rpc.deregister(NodeId::new(1));
-        assert!(rpc.call(NodeId::new(1), Request::LocateAcgs).is_err());
+        for how in EVERY_SERVE {
+            let rpc = Rpc::new();
+            let h = echo_node(&rpc, NodeId::new(1), how);
+            rpc.call(NodeId::new(1), Request::Shutdown).unwrap();
+            if let Some(h) = h {
+                h.join().unwrap();
+            }
+            rpc.deregister(NodeId::new(1));
+            assert!(rpc.call(NodeId::new(1), Request::LocateAcgs).is_err(), "{how:?}");
+        }
     }
 }

@@ -3,19 +3,19 @@
 //! Two deployment shapes, matching the paper's evaluation setups:
 //!
 //! * [`Propeller`] — **single-node mode** (§V-B): the Master Node and one
-//!   Index Node run in the same process with no RPC layer. This is the
-//!   configuration the paper benchmarks against MySQL and Spotlight.
+//!   Index Node in the same process, served inline on the caller's thread
+//!   ([`propeller_cluster::Cluster::start_inline`]) and driven by the
+//!   cluster's client. This is the configuration the paper benchmarks
+//!   against MySQL and Spotlight.
 //! * [`propeller_cluster::Cluster`] — the full distributed service (§V-C):
-//!   one Master, N Index Nodes, parallel client fan-out.
+//!   one Master, N Index Nodes on actor threads, parallel client fan-out.
 //!
-//! Both expose the same conceptual API: create named indices, feed file
-//! records (inline indexing), feed access traces (ACG capture), search with
-//! always-consistent results through the [`SearchRequest`] /
-//! [`SearchResponse`] pair (top-k, sorting, projection, pagination). Both
-//! also split oversized ACGs the same way: [`Propeller::maintenance`] runs
-//! the cluster's coordinator, [`propeller_cluster::maintain`], against its
-//! in-process Master and Index Node, so a split is the same logged
-//! two-phase migration in either shape.
+//! Both expose the same conceptual API — named indices, inline indexing,
+//! access-trace capture, and always-consistent search through the
+//! [`SearchRequest`] / [`SearchResponse`] pair (top-k, sorting,
+//! projection, pagination) — because both run the same client and the
+//! same maintenance coordinator, [`propeller_cluster::maintain`]: a split
+//! is the same logged two-phase migration in either shape.
 //!
 //! # Examples
 //!

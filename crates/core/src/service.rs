@@ -1,24 +1,13 @@
-//! The single-node Propeller service.
+//! The single-node Propeller service: a one-node cluster whose Master
+//! and Index Node are served inline, driven by that cluster's client —
+//! the paper's "Master Node and a single instance of Index Node run on
+//! the same Linux machine" setup.
 
-use std::sync::Arc;
-
-use propeller_cluster::{maintain, IndexNode, MasterNode, Request, Response};
-use propeller_index::{FileRecord, IndexOp, IndexSpec};
-use propeller_obs::TraceContext;
-use propeller_query::{next_cursor, Predicate, Query, SearchRequest, SearchResponse};
-use propeller_sim::{Clock, SimClock, WallClock};
-use propeller_trace::CausalityTracker;
-use propeller_types::{
-    AcgId, Duration, Error, FileId, NodeId, OpenMode, ProcessId, Result, TraceEvent,
-};
-
-// The cluster crate's node state machines are reused verbatim; single-node
-// mode simply calls their handlers in-process instead of over the fabric,
-// which is exactly the paper's "Master Node and a single instance of Index
-// Node run on the same Linux machine" setup.
-
-/// The Master's address in the in-process dispatch (the cluster's too).
-const MASTER: NodeId = NodeId::new(0);
+use propeller_cluster::{Cluster, ClusterConfig, FileQueryEngine};
+use propeller_index::{FileRecord, IndexSpec};
+use propeller_query::{Predicate, Query, SearchRequest, SearchResponse};
+use propeller_sim::SimClock;
+use propeller_types::{AcgId, Duration, FileId, OpenMode, ProcessId, Result, TraceEvent};
 
 /// Configuration for the single-node service.
 #[derive(Debug, Clone)]
@@ -64,62 +53,33 @@ pub struct ServiceStats {
 /// The single-node Propeller file-search service.
 ///
 /// See the crate-level docs for an example.
+#[derive(Debug)]
 pub struct Propeller {
-    master: MasterNode,
-    node: IndexNode,
-    node_id: NodeId,
-    clock: Arc<dyn Clock>,
-    tracker: CausalityTracker,
+    cluster: Cluster,
+    client: FileQueryEngine,
     stats: ServiceStats,
 }
 
-impl std::fmt::Debug for Propeller {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Propeller").field("stats", &self.stats).finish()
-    }
-}
-
 impl Propeller {
-    /// Creates a single-node service.
+    /// Creates a single-node service. It starts no thread: the nodes run
+    /// on the caller's, and the Index Node's search pool starts on first
+    /// use.
     pub fn new(config: PropellerConfig) -> Self {
-        let clock: Arc<dyn Clock> = match &config.sim_clock {
-            Some(sim) => Arc::new(sim.clone()),
-            None => Arc::new(WallClock::new()),
-        };
-        let node_id = NodeId::new(1);
-        let master = MasterNode::new(
-            vec![node_id],
-            propeller_cluster::MasterConfig {
-                group_capacity: config.group_capacity,
-                split_threshold: config.split_threshold,
-                ..Default::default()
-            },
-        );
-        let node = IndexNode::new(
-            node_id,
-            propeller_cluster::IndexNodeConfig {
-                commit_timeout: config.commit_timeout,
-                partition: propeller_acg::PartitionConfig {
-                    seed: config.seed,
-                    ..Default::default()
-                },
-                ..Default::default()
-            },
-        )
-        .with_clock(clock.clone());
-        Propeller {
-            master,
-            node,
-            node_id,
-            clock,
-            tracker: CausalityTracker::new(),
-            stats: ServiceStats::default(),
-        }
+        let cluster = Cluster::start_inline(ClusterConfig {
+            index_nodes: 1,
+            commit_timeout: config.commit_timeout,
+            split_threshold: config.split_threshold,
+            group_capacity: config.group_capacity,
+            seed: config.seed,
+            sim_clock: config.sim_clock,
+            ..ClusterConfig::default()
+        });
+        Propeller { client: cluster.client(), cluster, stats: ServiceStats::default() }
     }
 
     /// The current service time.
     pub fn now(&self) -> propeller_types::Timestamp {
-        self.clock.now()
+        self.cluster.now()
     }
 
     /// Service statistics so far.
@@ -127,248 +87,114 @@ impl Propeller {
         &self.stats
     }
 
-    fn master_call(&mut self, req: Request) -> Result<Response> {
-        self.master.handle(req).into_result()
-    }
-
-    fn node_call(&mut self, req: Request) -> Result<Response> {
-        self.node.handle(req).into_result()
-    }
-
-    /// Creates a user-defined named index (B+-tree, hash or K-D). If the
-    /// Index Node rejects the spec, the Master registration is rolled
+    /// Creates a user-defined named index (B+-tree, hash or K-D); fails
+    /// with [`propeller_types::Error::IndexExists`] on a duplicate name. If
+    /// the Index Node rejects the spec, the Master registration is rolled
     /// back so the name stays retryable.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::IndexExists`] for duplicate names.
     pub fn create_index(&mut self, spec: IndexSpec) -> Result<()> {
-        self.master_call(Request::CreateIndex { spec: spec.clone() })?;
-        if let Err(e) = self.node_call(Request::CreateIndex { spec: spec.clone() }) {
-            let _ = self.master_call(Request::DropIndex { name: spec.name });
-            return Err(e);
-        }
-        Ok(())
+        self.client.create_index(spec)
     }
 
-    /// Indexes (or re-indexes) one file record inline.
-    ///
-    /// # Errors
-    ///
-    /// Propagates WAL failures.
+    /// Indexes (or re-indexes) one file record inline; fails on routing
+    /// or WAL errors.
     pub fn index_file(&mut self, record: FileRecord) -> Result<()> {
         self.index_batch(vec![record])
     }
 
-    /// Indexes a batch of file records.
-    ///
-    /// # Errors
-    ///
-    /// Propagates routing and WAL failures.
+    /// Indexes a batch of file records; fails on routing or WAL errors.
     pub fn index_batch(&mut self, records: Vec<FileRecord>) -> Result<()> {
-        let files: Vec<FileId> = records.iter().map(|r| r.file).collect();
-        let routes = match self.master_call(Request::ResolveFiles {
-            files,
-            hints_since: u64::MAX,
-            ctx: TraceContext::NONE,
-        })? {
-            Response::Resolved { rows, .. } => rows,
-            other => return Err(Error::Rpc(format!("unexpected response {other:?}"))),
-        };
-        let now = self.clock.now();
-        let mut by_acg: std::collections::HashMap<AcgId, Vec<IndexOp>> =
-            std::collections::HashMap::new();
-        for (record, (_, acg, _)) in records.into_iter().zip(routes) {
-            by_acg.entry(acg).or_default().push(IndexOp::Upsert(record));
-        }
-        for (acg, ops) in by_acg {
-            self.stats.ops += ops.len() as u64;
-            self.node_call(Request::IndexBatch { acg, ops, now, ctx: TraceContext::NONE })?;
-        }
+        let ops = records.len() as u64;
+        self.client.index_files(records)?;
+        self.stats.ops += ops;
         Ok(())
     }
 
-    /// Removes a file from the index.
-    ///
-    /// # Errors
-    ///
-    /// Propagates routing and WAL failures.
+    /// Removes a file from the index; fails on routing or WAL errors.
     pub fn remove_file(&mut self, file: FileId) -> Result<()> {
-        let routes = match self.master_call(Request::ResolveFiles {
-            files: vec![file],
-            hints_since: u64::MAX,
-            ctx: TraceContext::NONE,
-        })? {
-            Response::Resolved { rows, .. } => rows,
-            other => return Err(Error::Rpc(format!("unexpected response {other:?}"))),
-        };
-        let now = self.clock.now();
-        let (_, acg, _) = routes[0];
+        self.client.remove_files(vec![file])?;
         self.stats.ops += 1;
-        self.node_call(Request::IndexBatch {
-            acg,
-            ops: vec![IndexOp::Remove(file)],
-            now,
-            ctx: TraceContext::NONE,
-        })?;
         Ok(())
     }
 
-    /// Runs a full [`SearchRequest`] — the canonical search entry point.
-    /// Results always reflect every acknowledged index operation
-    /// (commit-then-search). Single-node mode always answers completely,
-    /// so [`SearchResponse::complete`] is `true` regardless of the
-    /// request's fan-out policy.
-    ///
-    /// # Errors
-    ///
-    /// Propagates commit failures and request validation errors.
+    /// Runs a full [`SearchRequest`] — the canonical search entry point:
+    /// [`FileQueryEngine::search_with`] over the one Index Node, so results
+    /// reflect every acknowledged index operation (commit-then-search) and
+    /// completeness follows the client's fan-out rules, which a live node
+    /// always satisfies. Fails on invalid requests and commit errors.
     pub fn search_with(&mut self, request: &SearchRequest) -> Result<SearchResponse> {
-        request.validate()?;
+        let response = self.client.search_with(request)?;
         self.stats.searches += 1;
-        let located = match self.master_call(Request::LocateAcgs)? {
-            Response::Located(rows) => rows,
-            other => return Err(Error::Rpc(format!("unexpected response {other:?}"))),
-        };
-        let acgs: Vec<AcgId> = located.into_iter().map(|(a, _)| a).collect();
-        let now = self.clock.now();
-        let req = Request::Search { acgs, request: request.clone(), now, ctx: TraceContext::NONE };
-        // `stats.elapsed` comes measured from the (single) Index Node.
-        let (hits, stats) = match self.node_call(req)? {
-            Response::SearchHits { hits, stats } => (hits, stats),
-            other => return Err(Error::Rpc(format!("unexpected response {other:?}"))),
-        };
-        let cursor = next_cursor(&hits, request.limit);
-        Ok(SearchResponse { hits, complete: true, unreachable: Vec::new(), stats, cursor })
+        Ok(response)
     }
 
     /// Classic searches: the whole matching id set, sorted by file id
     /// (a thin wrapper over [`Propeller::search_with`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates commit failures.
     pub fn search(&mut self, predicate: &Predicate) -> Result<Vec<FileId>> {
         Ok(self.search_with(&SearchRequest::new(predicate.clone()))?.file_ids())
     }
 
-    /// Parses and runs a textual query.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::InvalidQuery`] on parse errors.
+    /// Parses and runs a textual query; a parse error is
+    /// [`propeller_types::Error::InvalidQuery`].
     pub fn search_text(&mut self, text: &str) -> Result<Vec<FileId>> {
-        let q = Query::parse(text, self.clock.now())?;
-        self.search(&q.predicate)
+        self.search(&Query::parse(text, self.now())?.predicate)
     }
 
-    /// Runs a query-directory request (`/foo/bar/?size>1m`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::InvalidQuery`] on parse errors.
+    /// Runs a query-directory request (`/foo/bar/?size>1m`); a parse error
+    /// is [`propeller_types::Error::InvalidQuery`].
     pub fn search_dir(&mut self, path: &str) -> Result<Vec<FileId>> {
-        let q = Query::parse_dir(path, self.clock.now())?;
-        self.search(&q.predicate)
+        self.search(&Query::parse_dir(path, self.now())?.predicate)
     }
-
-    // ---- access capture & ACG management -------------------------------
 
     /// Observes one trace event (the FUSE interposer feed).
     pub fn observe(&mut self, event: TraceEvent) {
-        self.tracker.observe(event);
+        self.client.observe(event);
     }
 
     /// Convenience: observes an open at the current service time.
     pub fn observe_open(&mut self, pid: ProcessId, file: FileId, mode: OpenMode) {
-        let now = self.clock.now();
-        self.tracker.open(pid, file, mode, now);
+        self.client.observe_open(pid, file, mode);
     }
 
     /// Marks a traced process as exited.
     pub fn end_process(&mut self, pid: ProcessId) {
-        self.tracker.end_process(pid);
+        self.client.end_process(pid);
     }
 
-    /// Flushes captured causality edges into the owning ACG graphs.
-    /// Returns the number of edges flushed.
-    ///
-    /// # Errors
-    ///
-    /// Propagates routing failures (delivery itself is weakly consistent).
+    /// Flushes captured causality edges into the owning ACG graphs and
+    /// returns how many; fails only on routing errors (delivery itself is
+    /// weakly consistent).
     pub fn flush_acg(&mut self) -> Result<usize> {
-        let updates = self.tracker.drain_updates();
-        if updates.is_empty() {
-            return Ok(0);
-        }
-        let dst: Vec<FileId> = updates.iter().map(|u| u.dst).collect();
-        let routes = match self.master_call(Request::ResolveFiles {
-            files: dst,
-            hints_since: u64::MAX,
-            ctx: TraceContext::NONE,
-        })? {
-            Response::Resolved { rows, .. } => rows,
-            other => return Err(Error::Rpc(format!("unexpected response {other:?}"))),
-        };
-        let mut by_acg: std::collections::HashMap<AcgId, Vec<propeller_trace::EdgeUpdate>> =
-            std::collections::HashMap::new();
-        for (update, (_, acg, _)) in updates.into_iter().zip(routes) {
-            by_acg.entry(acg).or_default().push(update);
-        }
-        let mut total = 0;
-        for (acg, edges) in by_acg {
-            total += edges.len();
-            let _ = self.node_call(Request::FlushAcgDelta { acg, edges });
-        }
-        self.stats.edges_flushed += total as u64;
-        Ok(total)
+        let flushed = self.client.flush_acg()?;
+        self.stats.edges_flushed += flushed as u64;
+        Ok(flushed)
     }
 
     /// Explicitly binds a file group to a fresh ACG — used when partitions
     /// are computed out-of-band (e.g. by offline ACG clustering) or when an
-    /// experiment wants one-application-per-group placement. One
-    /// [`Request::BindFiles`] creates the group and places the files in it.
-    ///
-    /// # Errors
-    ///
-    /// Propagates allocation failures.
+    /// experiment wants one-application-per-group placement.
     pub fn bind_group(&mut self, files: &[FileId]) -> Result<AcgId> {
-        match self.master_call(Request::BindFiles { files: files.to_vec() })? {
-            Response::AcgAllocated(acg, _) => Ok(acg),
-            other => Err(Error::Rpc(format!("unexpected response {other:?}"))),
-        }
+        self.client.bind_group(files)
     }
 
-    /// One maintenance round: commits timed-out caches, processes
-    /// heartbeats and performs due ACG splits, each as the same logged
-    /// two-phase migration a cluster runs — this is
-    /// [`propeller_cluster::maintain`] with the Master and the Index Node
-    /// called in-process. Returns the number of splits performed.
-    ///
-    /// # Errors
-    ///
-    /// Propagates split-orchestration failures.
+    /// One maintenance round — commits timed-out caches, processes
+    /// heartbeats and runs due ACG splits, each as the logged two-phase
+    /// migration a cluster runs ([`Cluster::run_maintenance`]). Returns
+    /// the number of splits performed.
     pub fn maintenance(&mut self) -> Result<usize> {
-        let (master, node) = (&mut self.master, &mut self.node);
-        let call =
-            &mut |to, req| Ok(if to == MASTER { master.handle(req) } else { node.handle(req) });
-        let done = maintain(call, MASTER, &[self.node_id], self.clock.now())?;
+        let done = self.cluster.run_maintenance()?;
         self.stats.splits += done as u64;
         Ok(done)
     }
 
     /// Number of ACGs currently allocated.
     pub fn acg_count(&self) -> usize {
-        self.master.acg_count()
+        self.cluster.acg_count()
     }
 
     /// Total index operations buffered (acknowledged but not yet committed)
     /// across all groups.
     pub fn pending_ops(&self) -> usize {
-        match self.node.heartbeat(self.clock.now()) {
-            Request::Heartbeat { acgs, .. } => acgs.iter().map(|a| a.pending_ops).sum(),
-            _ => 0,
-        }
+        self.cluster.pending_ops()
     }
 }
 

@@ -1109,13 +1109,15 @@ impl AcgIndexGroup {
     /// # Errors
     ///
     /// Returns [`Error::Io`] on snapshot-write or WAL-reset failures; a
-    /// failed snapshot write leaves the group and its files untouched.
+    /// failed snapshot write leaves the group and its files untouched, as
+    /// does the [`Wal::lsn_after`] error for a seed at `u64::MAX`.
     pub fn install_seed(
         &mut self,
         records: Vec<FileRecord>,
         lsn: u64,
         now: Timestamp,
     ) -> Result<()> {
+        Wal::lsn_after(lsn)?;
         let id = self.epoch.id;
         if let Some(dir) = &self.snapshot_dir {
             snapshot::write_snapshot(dir, id, lsn, &self.epoch.specs, records.iter())?;

@@ -286,9 +286,16 @@ impl Wal {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::Io`] if the file backend cannot be rewritten.
+    /// Returns [`Error::Io`] if the file backend cannot be rewritten, and
+    /// the [`Wal::lsn_after`] error for `u64::MAX`.
     pub fn reset_to(&mut self, last_lsn: u64) -> Result<()> {
-        self.rewrite(last_lsn + 1, &[], 0)
+        self.rewrite(Self::lsn_after(last_lsn)?, &[], 0)
+    }
+
+    /// The LSN a frame logged after `lsn` gets; [`Error::Corrupt`] for
+    /// `u64::MAX`, which no LSN follows.
+    pub fn lsn_after(lsn: u64) -> Result<u64> {
+        lsn.checked_add(1).ok_or_else(|| Error::Corrupt(format!("no LSN follows {lsn}")))
     }
 
     /// Replaces the log with `entries` frames encoded in `frames` under

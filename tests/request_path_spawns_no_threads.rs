@@ -1,5 +1,7 @@
 //! Regression guard for the thread-free client fan-out: once a cluster is
-//! warm, no search and no ingest batch creates a thread. Thread ids are
+//! warm, no search and no ingest batch creates a thread; and single-node
+//! `Propeller`, whose nodes are served inline, starts none to boot and none
+//! once warm for ingest, search or maintenance. Thread ids are
 //! handed out by one process-wide counter, so two probe threads spawned
 //! either side of the workload have consecutive ids exactly when nothing
 //! in between spawned one. This file holds a single `#[test]` on purpose —
@@ -9,7 +11,7 @@ use propeller::cluster::{Cluster, ClusterConfig};
 use propeller::query::{SearchRequest, SortKey};
 use propeller::sim::Latency;
 use propeller::types::{AttrName, Duration, FileId, InodeAttrs, Timestamp};
-use propeller::FileRecord;
+use propeller::{FileRecord, Propeller, PropellerConfig};
 
 fn record(file: u64, size: u64) -> FileRecord {
     FileRecord::new(FileId::new(file), InodeAttrs::builder().size(size).build())
@@ -95,4 +97,42 @@ fn warm_searches_and_ingest_batches_create_no_threads() {
         after - before - 1
     );
     cluster.shutdown();
+
+    // Single-node mode: booting serves both nodes inline, on this thread.
+    let before = probe_thread_id();
+    let mut service = Propeller::new(PropellerConfig {
+        group_capacity: 100,
+        split_threshold: 40,
+        ..PropellerConfig::default()
+    });
+    let after = probe_thread_id();
+    assert_eq!(after, before + 1, "Propeller::new created {} thread(s)", after - before - 1);
+
+    // Warm-up: the Index Node's search pool starts on the first search.
+    service.index_batch((0..100).map(|i| record(i, (i + 1) << 20)).collect()).unwrap();
+    // Splits move hits between ACGs, so rounds compare the files alone.
+    let ids = |hits: Vec<propeller::query::Hit>| hits.into_iter().map(|h| h.file).collect();
+    let top: Vec<FileId> = ids(service.search_with(&top_k).unwrap().hits);
+    assert_eq!(top.len(), 40);
+    assert!(service.maintenance().unwrap() >= 1, "the warm-up must split");
+
+    let before = probe_thread_id();
+    let mut splits = 0;
+    for round in 0..20u64 {
+        let files = 1_000 + round * 50..1_050 + round * 50;
+        service.index_batch(files.map(|i| record(i, 1)).collect()).unwrap();
+        assert_eq!(ids(service.search_with(&top_k).unwrap().hits), top);
+        let unlimited_hits = service.search_with(&unlimited).unwrap().hits.len() as u64;
+        assert_eq!(unlimited_hits, 150 + round * 50);
+        splits += service.maintenance().unwrap();
+    }
+    assert!(splits > 0, "maintenance must split on the warm service too");
+    let after = probe_thread_id();
+    assert_eq!(
+        after,
+        before + 1,
+        "{} thread(s) were created by 20 rounds of ingest, search and maintenance on a warm \
+         single-node service",
+        after - before - 1
+    );
 }
