@@ -175,15 +175,10 @@ pub struct FileQueryEngine {
     route_gen: u64,
     /// This client's identity for per-client session caps on Index Nodes.
     client_id: u64,
-    /// Hits per page for streamed cross-node searches (the *initial* page
-    /// when adaptive sizing is on). `None` (the default) sizes pages from
-    /// each request's limit, see [`FileQueryEngine::default_paging`].
+    /// Fixed hits per page for streamed cross-node searches. `None` (the
+    /// default) sizes pages from each request's limit, see
+    /// [`FileQueryEngine::default_paging`].
     search_page: Option<usize>,
-    /// Adaptive page growth cap: when set, a node's page size doubles on
-    /// every accepted page up to this bound — cold nodes ship one small
-    /// page, nodes that keep winning the merge amortize round trips.
-    /// `None` keeps every page at an explicitly set `search_page`.
-    adaptive_max_page: Option<usize>,
     /// Latency budget for streamed session opens: past it a **hedged**
     /// duplicate open goes to the next live replica and the first answer
     /// wins. `None` (the default) never hedges.
@@ -248,7 +243,6 @@ impl FileQueryEngine {
             route_gen: 0,
             client_id,
             search_page: None,
-            adaptive_max_page: None,
             hedge_budget: None,
             acg_replicas: HashMap::new(),
             follower_reads: false,
@@ -308,19 +302,6 @@ impl FileQueryEngine {
     #[must_use]
     pub fn with_search_page_size(mut self, page: usize) -> Self {
         self.search_page = Some(page.max(1));
-        self
-    }
-
-    /// Enables adaptive page sizing (builder style): streamed searches
-    /// start every node at `initial` hits per page and double a node's
-    /// page on each accepted page up to `max`. Nodes that stop winning
-    /// the merge are never pulled again, so the small first page bounds
-    /// what a cold node ships while hot nodes converge to `max`-sized
-    /// pulls (fewer round trips for the same hits).
-    #[must_use]
-    pub fn with_adaptive_paging(mut self, initial: usize, max: usize) -> Self {
-        self.search_page = Some(initial.max(1));
-        self.adaptive_max_page = Some(max.max(initial.max(1)));
         self
     }
 
@@ -709,41 +690,9 @@ impl FileQueryEngine {
     /// still answered; below that quorum the first group error is returned.
     /// Validation errors surface as [`Error::InvalidQuery`].
     pub fn search_with(&self, request: &SearchRequest) -> Result<SearchResponse> {
-        self.search_paged(request, None)
-    }
-
-    /// [`FileQueryEngine::search_with`] under the paging preset *every
-    /// group ships its whole entitlement in the open exchange*, whatever
-    /// page size is configured: `k` hits from every group, no pulls — the
-    /// baseline the cross-node cutoff is measured against.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`FileQueryEngine::search_with`].
-    pub fn search_one_shot(&self, request: &SearchRequest) -> Result<SearchResponse> {
-        self.search_paged(request, Some((usize::MAX, None)))
-    }
-
-    /// [`FileQueryEngine::search_with`] under its own name: every search
-    /// is streamed.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`FileQueryEngine::search_with`].
-    pub fn search_streamed(&self, request: &SearchRequest) -> Result<SearchResponse> {
-        self.search_with(request)
-    }
-
-    /// Opens a stream paged as `paging` says (`None`: as configured, else
-    /// by [`FileQueryEngine::default_paging`]), draws the whole
-    /// entitlement as one page — the merge stops at `limit` merged hits
-    /// anyway — and finishes it.
-    fn search_paged(
-        &self,
-        request: &SearchRequest,
-        paging: Option<(usize, Option<usize>)>,
-    ) -> Result<SearchResponse> {
-        let mut stream = self.open_cluster_stream(request, paging)?;
+        // One page holds the whole entitlement: the merge stops at
+        // `limit` merged hits anyway.
+        let mut stream = self.open_search_stream(request)?;
         let hits = stream.next_page(usize::MAX)?;
         let mut response = stream.finish()?;
         // A continuation cursor is only honest on a *complete* page:
@@ -764,24 +713,6 @@ impl FileQueryEngine {
         Ok(response)
     }
 
-    /// Opens a **persistent** cluster search stream: node sessions stay
-    /// open across the pages the caller draws, so paginating `p` pages
-    /// deep costs O(p) node pulls total instead of O(p) fresh cursor
-    /// searches each re-skipping everything before the cursor. This is
-    /// the stream [`FileQueryEngine::search_with`] drains in one call;
-    /// call [`ClusterSearchStream::next_page`] until it returns an empty
-    /// page, then [`ClusterSearchStream::finish`] for the stats and
-    /// completeness verdict.
-    ///
-    /// # Errors
-    ///
-    /// Fails on invalid requests, an unreachable Master, or (under
-    /// [`FanOutPolicy::RequireAll`]) any replica group with no live
-    /// member.
-    pub fn open_search_stream(&self, request: &SearchRequest) -> Result<ClusterSearchStream> {
-        self.open_cluster_stream(request, None)
-    }
-
     /// The `(first page, growth cap)` of a search over `groups` replica
     /// groups when the caller configured no paging. An unlimited search
     /// has no cutoff to wait for and takes everything in the open
@@ -798,14 +729,21 @@ impl FileQueryEngine {
         (first.max(1), Some(k.max(1)))
     }
 
-    /// Locates the replica groups, builds one [`NodePageStream`] per
-    /// group, opens them all in parallel and applies the open-time half
-    /// of the fan-out policy.
-    fn open_cluster_stream(
-        &self,
-        request: &SearchRequest,
-        paging: Option<(usize, Option<usize>)>,
-    ) -> Result<ClusterSearchStream> {
+    /// Opens a **persistent** cluster search stream: node sessions stay
+    /// open across the pages the caller draws, so paginating `p` pages
+    /// deep costs O(p) node pulls total instead of O(p) fresh cursor
+    /// searches each re-skipping everything before the cursor. This is
+    /// the stream [`FileQueryEngine::search_with`] drains in one call;
+    /// call [`ClusterSearchStream::next_page`] until it returns an empty
+    /// page, then [`ClusterSearchStream::finish`] for the stats and
+    /// completeness verdict.
+    ///
+    /// # Errors
+    ///
+    /// Fails on invalid requests, an unreachable Master, or (under
+    /// [`FanOutPolicy::RequireAll`]) any replica group with no live
+    /// member.
+    pub fn open_search_stream(&self, request: &SearchRequest) -> Result<ClusterSearchStream> {
         request.validate()?;
         let groups = self.locate()?;
         let ctx = self.sample();
@@ -824,9 +762,10 @@ impl FileQueryEngine {
             } else {
                 HashMap::new()
             };
-        let (page, adaptive_max) = paging
-            .or(self.search_page.map(|page| (page, self.adaptive_max_page)))
-            .unwrap_or_else(|| Self::default_paging(request.limit, groups.len()));
+        let (page, adaptive_max) = match self.search_page {
+            Some(page) => (page, None),
+            None => Self::default_paging(request.limit, groups.len()),
+        };
         let mut sources: Vec<NodePageStream> = groups
             .into_iter()
             .map(|(replicas, acgs)| {
@@ -1367,15 +1306,15 @@ impl NodePageStream {
     }
 
     /// Applies one `SearchPage`, whichever request produced it, growing
-    /// the page size when adaptive sizing is on — a group that keeps
-    /// winning the merge amortizes its round trips.
+    /// the page size under default paging — a group that keeps winning
+    /// the merge amortizes its round trips.
     fn accept_page(&mut self, session: u64, hits: Vec<Hit>, stats: SearchStats, exhausted: bool) {
         self.stats.absorb(stats);
         self.session = if exhausted { 0 } else { session };
         self.exhausted = exhausted;
         self.buffer = hits.into_iter();
         if let Some(max) = self.adaptive_max {
-            self.page = (self.page * 2).min(max);
+            self.page = self.page.saturating_mul(2).min(max);
         }
     }
 }

@@ -8,7 +8,6 @@ use propeller_index::durable::Codec;
 use propeller_index::IndexOp;
 use propeller_obs::TraceContext;
 use propeller_sim::{Clock, SimClock, WallClock};
-use propeller_storage::Network;
 use propeller_types::{AcgId, Duration, Error, NodeId, Result, Timestamp};
 
 use crate::client::FileQueryEngine;
@@ -28,13 +27,12 @@ pub struct ClusterConfig {
     pub split_threshold: usize,
     /// Files per default-allocated ACG.
     pub group_capacity: usize,
-    /// Seed for partitioning and network jitter.
+    /// Seed for each Index Node's partitioner (node `i` takes `seed + i`).
     pub seed: u64,
-    /// Virtual clock: `Some` runs the cluster in modeled mode (network
-    /// costs charged to this clock); `None` uses the wall clock.
+    /// Virtual clock: `Some` times the cluster (commit timeouts, spans,
+    /// histograms) on this clock, which only its owner advances; `None`
+    /// uses the wall clock.
     pub sim_clock: Option<SimClock>,
-    /// Charge GbE message costs (modeled mode only).
-    pub charge_network: bool,
     /// Per-node cap on suspended streamed search sessions (see
     /// [`IndexNodeConfig::max_search_sessions`]).
     pub max_search_sessions: usize,
@@ -71,7 +69,6 @@ impl Default for ClusterConfig {
             group_capacity: 1000,
             seed: 42,
             sim_clock: None,
-            charge_network: false,
             max_search_sessions: 1024,
             data_dir: None,
             snapshot_wal_ops: 10_000,
@@ -135,13 +132,7 @@ impl Cluster {
             Some(sim) => Arc::new(sim.clone()),
             None => Arc::new(WallClock::new()),
         };
-        let rpc = match (&config.sim_clock, config.charge_network) {
-            (Some(sim), true) => {
-                Rpc::with_network(Network::gigabit_ethernet(), sim.clone(), config.seed)
-            }
-            _ => Rpc::new(),
-        };
-        Self::assemble(rpc, clock, config, inline)
+        Self::assemble(Rpc::new(), clock, config, inline)
     }
 
     /// Serves the Master and every Index Node on `rpc` (node ids 0 and
@@ -790,7 +781,7 @@ mod tests {
         let now = cluster.clock.now();
         let request = propeller_query::SearchRequest::parse("size>1m", now).unwrap();
         for _ in 0..6 {
-            assert_eq!(client.search_streamed(&request).unwrap().hits.len(), 50);
+            assert_eq!(client.search_with(&request).unwrap().hits.len(), 50);
         }
         // Round-robin opens must land searches on BOTH replicas, not just
         // the primary; replicas hold identical committed state so every
@@ -861,7 +852,7 @@ mod tests {
         // with byte-identical answers, since replicas hold the same
         // committed state.
         for _ in 0..6 {
-            assert_eq!(client.search_streamed(&request).unwrap().hits.len(), 50);
+            assert_eq!(client.search_with(&request).unwrap().hits.len(), 50);
         }
         assert_eq!(count(follower) - before, 6, "all opens should land on the unloaded follower");
         cluster.shutdown();
@@ -881,7 +872,7 @@ mod tests {
         let now = cluster.clock.now();
         let request = propeller_query::SearchRequest::parse("size>1m", now).unwrap();
         for _ in 0..4 {
-            assert_eq!(client.search_streamed(&request).unwrap().hits.len(), 50);
+            assert_eq!(client.search_with(&request).unwrap().hits.len(), 50);
         }
         let count = |node| match cluster.rpc().call(node, Request::NodeStats) {
             Ok(Response::NodeStatsReport { searches_served, .. }) => searches_served,
@@ -995,22 +986,6 @@ mod tests {
         });
         let client = cluster.client();
         assert_eq!(client.search_text("size>16m").unwrap().len(), 400);
-        cluster.shutdown();
-    }
-
-    #[test]
-    fn modeled_mode_charges_network_time() {
-        let sim = SimClock::new();
-        let cluster = Cluster::start(ClusterConfig {
-            index_nodes: 2,
-            sim_clock: Some(sim.clone()),
-            charge_network: true,
-            ..Default::default()
-        });
-        let mut client = cluster.client();
-        let before = sim.now();
-        client.index_files((0..10).map(|i| record(i, 1)).collect()).unwrap();
-        assert!(sim.now() > before, "network costs must accrue on the sim clock");
         cluster.shutdown();
     }
 }

@@ -1901,7 +1901,6 @@ mod tests {
                 let t = self.0.fetch_add(1_000, std::sync::atomic::Ordering::SeqCst);
                 Timestamp::from_micros(t)
             }
-            fn charge(&self, _d: Duration) {}
         }
         let mut n = IndexNode::new(NodeId::new(1), IndexNodeConfig::default())
             .with_clock(Arc::new(TickingClock(std::sync::atomic::AtomicU64::new(0))));

@@ -16,9 +16,9 @@
 //!
 //! The wire is an in-process RPC fabric ([`rpc::Rpc`]): every node runs a
 //! real thread with a mailbox ([`Cluster::start`]), or is served inline on
-//! the sending thread ([`Cluster::start_inline`], the single-node shape);
-//! an optional GbE cost model charges virtual time per message so
-//! modeled-mode experiments account network costs.
+//! the sending thread ([`Cluster::start_inline`], the single-node shape).
+//! A message costs what delivering it costs on the host; tail-latency
+//! tests stall chosen nodes on the wall clock ([`rpc::Rpc::slowdowns`]).
 //! Clients fan out through a [`rpc::Gather`] — every request sent from the
 //! calling thread, every reply collected on it — so parallelism across
 //! nodes costs no thread per request.

@@ -5,8 +5,9 @@
 //! a mutex and runs on whichever thread posts the request. Either way it
 //! answers through the request's [`ReplyTo`], so callers see one fabric:
 //! synchronous request/response through [`Rpc::call`], or a fan-out from
-//! one thread through a [`Gather`]; an optional GbE cost model charges
-//! virtual time per message for modeled-mode runs.
+//! one thread through a [`Gather`]. Delivery costs what it costs on the
+//! host, plus any wall-clock stall injected per node through
+//! [`Rpc::slowdowns`].
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -14,8 +15,7 @@ use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::{Mutex, RwLock};
-use propeller_sim::{NodeSlowdowns, SimClock};
-use propeller_storage::Network;
+use propeller_sim::NodeSlowdowns;
 use propeller_types::{Error, NodeId, Result};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -77,8 +77,6 @@ type Registry = HashMap<NodeId, Endpoint>;
 #[derive(Clone)]
 pub struct Rpc {
     registry: Arc<RwLock<Registry>>,
-    /// Virtual network accounting: (model, clock, rng-state).
-    charge: Option<Arc<(Network, SimClock, Mutex<StdRng>)>>,
     /// Injected per-node delivery delays (tail-latency experiments) and
     /// the rng that samples them.
     slowdowns: Arc<NodeSlowdowns>,
@@ -99,32 +97,17 @@ struct DelayedSend {
 
 impl std::fmt::Debug for Rpc {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Rpc")
-            .field("nodes", &self.registry.read().len())
-            .field("charging", &self.charge.is_some())
-            .finish()
+        f.debug_struct("Rpc").field("nodes", &self.registry.read().len()).finish()
     }
 }
 
 impl Rpc {
-    /// A fabric with free (uncharged) message delivery — the right choice
-    /// for wall-clock measured runs.
+    /// An empty fabric.
     pub fn new() -> Self {
-        Self::build(None, 0)
-    }
-
-    /// A fabric that charges each message's cost to a virtual clock.
-    pub fn with_network(network: Network, clock: SimClock, seed: u64) -> Self {
-        let rng = Mutex::new(StdRng::seed_from_u64(seed));
-        Self::build(Some(Arc::new((network, clock, rng))), seed)
-    }
-
-    fn build(charge: Option<Arc<(Network, SimClock, Mutex<StdRng>)>>, seed: u64) -> Self {
         Rpc {
             registry: Arc::new(RwLock::new(Registry::default())),
-            charge,
             slowdowns: Arc::new(NodeSlowdowns::new()),
-            slow_rng: Arc::new(Mutex::new(StdRng::seed_from_u64(seed ^ 0x510))),
+            slow_rng: Arc::new(Mutex::new(StdRng::seed_from_u64(0x510))),
             delayer: Arc::new(Mutex::new(None)),
         }
     }
@@ -174,43 +157,13 @@ impl Rpc {
         self.registry.write().remove(&node);
     }
 
-    /// Rough wire size of a request, for the network cost model.
-    fn wire_size(req: &Request) -> u64 {
-        match req {
-            Request::IndexBatch { ops, .. } | Request::ReplicateBatch { ops, .. } => {
-                64 + 128 * ops.len() as u64
-            }
-            Request::SeedAcg { records, .. } => 64 + 160 * records.len() as u64,
-            Request::FetchAcgFrames { .. } | Request::AcgLsns => 64,
-            Request::ResolveFiles { files, .. } => 64 + 12 * files.len() as u64,
-            // Session control messages are tiny; the hits ride responses.
-            Request::PullHits { .. } | Request::CloseSearch { .. } => 64,
-            Request::FlushAcgDelta { edges, .. } => 64 + 20 * edges.len() as u64,
-            Request::InstallAcg { records, edges, .. } => {
-                64 + 160 * records.len() as u64 + 20 * edges.len() as u64
-            }
-            Request::ExtractAcgPart { files, .. } => 64 + 12 * files.len() as u64,
-            Request::BindFiles { files } => 64 + 12 * files.len() as u64,
-            _ => 128,
-        }
-    }
-
-    fn charge_message(&self, bytes: u64) {
-        if let Some(charge) = &self.charge {
-            let (network, clock, rng) = (&charge.0, &charge.1, &charge.2);
-            let cost = network.message_cost(bytes, &mut *rng.lock());
-            clock.advance(cost);
-        }
-    }
-
-    /// The one way a request leaves: endpoint lookup, send charge, then
-    /// delivery — into the mailbox or through the inline handler, at once
-    /// or via the delay executor when `node` has an injected slowdown. A
-    /// request that cannot be delivered (unknown or dead node) drops its
-    /// [`ReplyTo`], which is what tells the caller.
+    /// The one way a request leaves: endpoint lookup, then delivery —
+    /// into the mailbox or through the inline handler, at once or via the
+    /// delay executor when `node` has an injected slowdown. A request that
+    /// cannot be delivered (unknown or dead node) drops its [`ReplyTo`],
+    /// which is what tells the caller.
     fn post(&self, node: NodeId, req: Request, reply: ReplyTo) {
         let Some(endpoint) = self.registry.read().get(&node).cloned() else { return };
-        self.charge_message(Self::wire_size(&req));
         let delay = if self.slowdowns.is_empty() {
             None
         } else {
@@ -309,7 +262,7 @@ impl Default for Rpc {
 /// target, and a race between two outstanding requests (a hedged open)
 /// is a plain blocking receive. Every slot resolves exactly once, with
 /// [`Rpc::call`]'s semantics: the node's reply (a [`Response::Err`] lifted
-/// into `Err`, the reply charged to the modelled clock), or
+/// into `Err`), or
 /// [`Error::NodeUnavailable`] for an unknown node or one that died
 /// mid-call, or [`Error::Rpc`] after 30 s of silence **from that slot's
 /// send** — timeouts run concurrently, however the replies are collected.
@@ -369,11 +322,7 @@ impl Gather {
             };
             // A reply to a slot that already timed out is dropped.
             if self.slots[slot].1.take().is_some() {
-                let result = reply.and_then(|resp| {
-                    self.rpc.charge_message(128);
-                    resp.into_result()
-                });
-                return Some((slot, result));
+                return Some((slot, reply.and_then(Response::into_result)));
             }
         }
     }
@@ -491,18 +440,6 @@ mod tests {
     }
 
     #[test]
-    fn network_charging_advances_virtual_clock() {
-        let clock = SimClock::new();
-        let rpc = Rpc::with_network(Network::gigabit_ethernet(), clock.clone(), 7);
-        let h = echo_actor(&rpc, NodeId::new(1));
-        let before = clock.now();
-        rpc.call(NodeId::new(1), Request::LocateAcgs).unwrap();
-        assert!(clock.now() > before, "message cost must be charged");
-        rpc.call(NodeId::new(1), Request::Shutdown).unwrap();
-        h.join().unwrap();
-    }
-
-    #[test]
     fn injected_slowdown_stalls_delivery_but_not_the_sender() {
         use propeller_sim::Latency;
         let rpc = Rpc::new();
@@ -543,13 +480,11 @@ mod tests {
 
     type Actors = Vec<Option<std::thread::JoinHandle<()>>>;
 
-    /// `(fabric, clock, actors)` with nodes 1..=3 scripted and node 9
-    /// unknown.
-    fn scripted_fabric(seed: u64, how: Serve) -> (Rpc, SimClock, Actors) {
-        let clock = SimClock::new();
-        let rpc = Rpc::with_network(Network::gigabit_ethernet(), clock.clone(), seed);
+    /// `(fabric, actors)` with nodes 1..=3 scripted and node 9 unknown.
+    fn scripted_fabric(how: Serve) -> (Rpc, Actors) {
+        let rpc = Rpc::new();
         let actors = (1..=3).map(|n| scripted_node(&rpc, NodeId::new(n), how)).collect();
-        (rpc, clock, actors)
+        (rpc, actors)
     }
 
     fn stop(rpc: &Rpc, actors: Actors) {
@@ -575,10 +510,9 @@ mod tests {
         };
         let show = |r: &Result<Response>| format!("{r:?}");
         for how in EVERY_SERVE {
-            let (rpc, clock, actors) = scripted_fabric(7, how);
+            let (rpc, actors) = scripted_fabric(how);
             let started = Instant::now();
             let gathered = rpc.call_all(targets());
-            let gathered_time = clock.now();
             let sequential: Vec<Result<Response>> =
                 targets().into_iter().map(|(node, req)| rpc.call(node, req)).collect();
             assert!(started.elapsed() < Duration::from_secs(5), "{how:?}: no timeout waited out");
@@ -601,18 +535,22 @@ mod tests {
             );
             stop(&rpc, actors);
 
-            // The modelled clock is charged per message, not per arrival
-            // order: an identically seeded fabric reads the identical time.
-            let (rpc2, clock2, actors2) = scripted_fabric(7, how);
-            rpc2.call_all(targets());
-            assert_eq!(clock2.now(), gathered_time, "{how:?}");
+            // Replies land in arrival order but resolve by slot: a fresh
+            // fabric gathers the identical responses.
+            let (rpc2, actors2) = scripted_fabric(how);
+            let regathered = rpc2.call_all(targets());
+            assert_eq!(
+                regathered.iter().map(show).collect::<Vec<_>>(),
+                gathered.iter().map(show).collect::<Vec<_>>(),
+                "{how:?}"
+            );
             stop(&rpc2, actors2);
         }
     }
 
     #[test]
     fn silent_nodes_time_out_together_not_one_after_another() {
-        let (rpc, _clock, actors) = scripted_fabric(1, Serve::Actor);
+        let (rpc, actors) = scripted_fabric(Serve::Actor);
         let timeout = Duration::from_millis(150);
         let mut gather = rpc.gather_with_timeout(timeout);
         let started = Instant::now();

@@ -8,18 +8,13 @@ use propeller_types::{Duration, Timestamp};
 
 /// A source of time.
 ///
-/// Library code that needs to *observe* or *account* time takes a
-/// `&dyn Clock` (or a concrete clock) so the same code runs in measured
-/// (wall-clock) and modeled (virtual-clock) experiments.
+/// Library code that needs to *observe* time takes a `&dyn Clock` (or a
+/// concrete clock) so the same code runs on the wall clock or on a
+/// [`SimClock`] that only its owner advances (tests, commit-timeout
+/// experiments).
 pub trait Clock: Send + Sync {
     /// The current time.
     fn now(&self) -> Timestamp;
-
-    /// Accounts `d` of elapsed activity.
-    ///
-    /// On a [`SimClock`] this advances virtual time; on a [`WallClock`] it
-    /// is a no-op (real activity advances real time by itself).
-    fn charge(&self, d: Duration);
 }
 
 /// A shareable, thread-safe virtual clock.
@@ -87,10 +82,6 @@ impl Clock for SimClock {
     fn now(&self) -> Timestamp {
         SimClock::now(self)
     }
-
-    fn charge(&self, d: Duration) {
-        self.advance(d);
-    }
 }
 
 /// The real (monotonic) wall clock, reported relative to the clock's
@@ -128,10 +119,6 @@ impl Clock for WallClock {
     fn now(&self) -> Timestamp {
         Timestamp::from_micros(self.origin.elapsed().as_micros() as u64)
     }
-
-    fn charge(&self, _d: Duration) {
-        // Real activity advances real time; nothing to account.
-    }
 }
 
 #[cfg(test)]
@@ -161,19 +148,6 @@ mod tests {
         assert_eq!(c.now(), Timestamp::from_secs(100));
         c.advance_to(Timestamp::from_secs(200));
         assert_eq!(c.now(), Timestamp::from_secs(200));
-    }
-
-    #[test]
-    fn charge_advances_sim_clock_only() {
-        let sim = SimClock::new();
-        Clock::charge(&sim, Duration::from_secs(3));
-        assert_eq!(Clock::now(&sim), Timestamp::from_secs(3));
-
-        let wall = WallClock::new();
-        let before = wall.now();
-        wall.charge(Duration::from_secs(3600));
-        // Charging a wall clock is a no-op; time moves on its own.
-        assert!(wall.now().since(before) < Duration::from_secs(1));
     }
 
     #[test]

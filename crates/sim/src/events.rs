@@ -35,9 +35,9 @@ impl<E> Ord for Scheduled<E> {
 
 /// A min-ordered event queue keyed by [`Timestamp`], with FIFO tie-breaking.
 ///
-/// The queue is the heart of modeled-mode experiments: workload generators
-/// schedule operations, the driver pops them in time order and charges their
-/// costs to a [`crate::SimClock`].
+/// The queue is the scheduler of a discrete-event run: workload generators
+/// schedule operations, the driver pops them in time order and advances a
+/// [`crate::SimClock`] to each.
 ///
 /// # Examples
 ///

@@ -1,10 +1,10 @@
-//! Latency distributions for cost models.
+//! Latency distributions for injected delays.
 
 use propeller_types::Duration;
 use rand::Rng;
 
-/// A distribution of latencies, sampled per message by the network cost
-/// model and by injected node slowdowns.
+/// A distribution of latencies, sampled per delivery by injected node
+/// slowdowns.
 ///
 /// # Examples
 ///

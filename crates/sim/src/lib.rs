@@ -1,14 +1,13 @@
 //! Virtual time and discrete-event simulation substrate.
 //!
-//! The Propeller paper evaluates on 50–100 million-file datasets stored on
-//! 7200 RPM disks in a 9-node GbE cluster. Reproducing those figures on a
-//! laptop requires running the *same code paths* while accounting network
-//! costs on a **virtual clock** instead of the wall clock.
-//! This crate provides that substrate:
+//! Every figure here comes from code that ran on the wall clock; virtual
+//! time serves tests and experiments that must step time deterministically
+//! (commit timeouts). This crate provides that substrate:
 //!
-//! * [`SimClock`] — a shareable, thread-safe virtual clock,
+//! * [`SimClock`] — a shareable, thread-safe virtual clock that only its
+//!   owner advances,
 //! * [`Clock`] — the abstraction over virtual and wall time so library code
-//!   is agnostic to the execution mode,
+//!   reads time the same way on either,
 //! * [`EventQueue`] — a deterministic discrete-event scheduler,
 //! * [`Latency`] — latency distributions (constant/uniform/exponential),
 //! * [`NodeSlowdowns`] — injected per-node delivery delays for

@@ -4,9 +4,8 @@
 //! testable against a cluster that actually has a slow node. This module
 //! provides the injection point: a thread-safe table mapping nodes to
 //! [`Latency`] distributions that the RPC layer samples on every delivery
-//! to an afflicted node — stalling the message in flight (wall-clock mode)
-//! or charging the virtual clock (modeled mode) without touching the
-//! node's own code paths.
+//! to an afflicted node, stalling the message in flight on the wall clock
+//! without touching the node's own code paths.
 
 use std::collections::HashMap;
 use std::sync::RwLock;

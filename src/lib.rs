@@ -55,7 +55,7 @@
 //! | [`acg`] | the ACG, components, multilevel 2-way partitioner |
 //! | [`index`] | B+-tree, hash, K-D tree, WAL, lazy cache, index groups |
 //! | [`query`] | query language, planner, executor |
-//! | [`storage`] | network model, shared namespace |
+//! | [`storage`] | shared namespace |
 //! | [`cluster`] | Master Node, Index Nodes, client engine, RPC fabric |
 //! | [`baselines`] | MySQL-like store, Spotlight-like crawler, brute force |
 //! | [`workloads`] | namespaces, FPS copiers, mixed loads, Zipf term vocabularies |

@@ -302,8 +302,8 @@ fn killed_and_revived_node_serves_its_precrash_state_from_disk() {
 
     // The streamed (session) path agrees too.
     let topk = request.clone().with_limit(64);
-    let streamed = client.search_streamed(&topk).unwrap();
-    let one_shot = client.search_one_shot(&topk).unwrap();
+    let streamed = client.search_with(&topk).unwrap();
+    let one_shot = cluster.client().with_search_page_size(usize::MAX).search_with(&topk).unwrap();
     assert_eq!(streamed.hits, one_shot.hits);
     assert_eq!(&streamed.hits[..], &revived.hits[..64]);
     cluster.shutdown();
@@ -452,10 +452,11 @@ fn resumed_search_session_survives_node_revival_without_losing_hits() {
         .with_limit(80)
         .sorted_by(SortKey::Descending(AttrName::Size))
         .with_fan_out(FanOutPolicy::AllowPartial { min_nodes: 1 });
-    let streamed = client.search_streamed(&cluster_req).unwrap();
+    let streamed = client.search_with(&cluster_req).unwrap();
     assert!(streamed.complete);
     assert_eq!(streamed.hits.len(), 80);
-    let one_shot = client.search_one_shot(&cluster_req).unwrap();
+    let one_shot =
+        cluster.client().with_search_page_size(usize::MAX).search_with(&cluster_req).unwrap();
     assert_eq!(streamed.hits, one_shot.hits);
     cluster.shutdown();
     let _ = std::fs::remove_dir_all(&dir);

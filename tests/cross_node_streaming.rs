@@ -118,8 +118,11 @@ proptest! {
         let mut client = cluster.client().with_search_page_size(page);
         client.index_files(records.clone()).unwrap();
 
-        let one_shot = client.search_one_shot(&req).unwrap();
-        let streamed = client.search_streamed(&req).unwrap();
+        // The one-shot exchange: every group ships its whole entitlement
+        // at open, no pulls.
+        let one_shot =
+            cluster.client().with_search_page_size(usize::MAX).search_with(&req).unwrap();
+        let streamed = client.search_with(&req).unwrap();
         prop_assert_eq!(&streamed.hits, &one_shot.hits, "streamed vs one-shot hits");
         prop_assert_eq!(streamed.complete, one_shot.complete);
         prop_assert_eq!(&streamed.cursor, &one_shot.cursor, "continuation cursors agree");
@@ -127,9 +130,9 @@ proptest! {
         let brute = run_local_search(records, &req);
         prop_assert_eq!(untagged(&streamed.hits), untagged(&brute.hits), "streamed vs brute");
 
-        // The default dispatcher picks one of the two paths; either way
-        // the answer is the same.
-        let dispatched = client.search_with(&req).unwrap();
+        // Default paging (sized from the limit, doubling per page) gives
+        // the same answer.
+        let dispatched = cluster.client().search_with(&req).unwrap();
         prop_assert_eq!(&dispatched.hits, &one_shot.hits);
         cluster.shutdown();
     }
@@ -161,7 +164,7 @@ fn streamed_topk_ships_fewer_hits_than_k_times_nodes() {
         .unwrap()
         .with_limit(k)
         .sorted_by(SortKey::Descending(AttrName::Size));
-    let one_shot = client.search_one_shot(&req).unwrap();
+    let one_shot = cluster.client().with_search_page_size(usize::MAX).search_with(&req).unwrap();
     assert_eq!(one_shot.hits.len(), k);
     assert_eq!(
         one_shot.stats.hits_shipped,
@@ -169,7 +172,7 @@ fn streamed_topk_ships_fewer_hits_than_k_times_nodes() {
         "the one-shot exchange ships k hits from every node"
     );
 
-    let streamed = client.search_streamed(&req).unwrap();
+    let streamed = client.search_with(&req).unwrap();
     assert_eq!(streamed.hits, one_shot.hits, "same answer, different wire traffic");
     assert!(
         streamed.stats.hits_shipped < k * nodes / 2,
@@ -219,14 +222,14 @@ fn dead_node_degrades_streamed_search_per_fan_out_policy() {
         .unwrap()
         .with_limit(50)
         .sorted_by(SortKey::Descending(AttrName::Size));
-    let err = client.search_streamed(&req);
+    let err = client.search_with(&req);
     assert!(matches!(err, Err(Error::NodeUnavailable(n)) if n == victim), "{err:?}");
 
     // allow_partial: the survivors stream their hits, the response is
     // labelled incomplete, and — as for one-shot partial pages — no
     // continuation cursor is handed out.
     let req = req.with_fan_out(FanOutPolicy::AllowPartial { min_nodes: 1 });
-    let partial = client.search_streamed(&req).unwrap();
+    let partial = client.search_with(&req).unwrap();
     assert!(!partial.complete);
     assert_eq!(partial.unreachable, victim_acgs);
     assert!(!partial.hits.is_empty());
@@ -238,7 +241,7 @@ fn dead_node_degrades_streamed_search_per_fan_out_policy() {
 
     // ...but an unreachable quorum still errors.
     let req = req.with_fan_out(FanOutPolicy::AllowPartial { min_nodes: 3 });
-    assert!(client.search_streamed(&req).is_err());
+    assert!(client.search_with(&req).is_err());
     cluster.shutdown();
 }
 
@@ -263,7 +266,7 @@ fn session_eviction_thrash_is_transparent_to_the_client() {
         .unwrap()
         .with_limit(40)
         .sorted_by(SortKey::Descending(AttrName::Size));
-    let one_shot = client.search_one_shot(&req).unwrap();
+    let one_shot = cluster.client().with_search_page_size(usize::MAX).search_with(&req).unwrap();
 
     let rpc = cluster.rpc().clone();
     let targets: Vec<NodeId> = cluster.index_node_ids().to_vec();
@@ -289,7 +292,7 @@ fn session_eviction_thrash_is_transparent_to_the_client() {
             }
         });
         for round in 0..10 {
-            let streamed = client.search_streamed(&req).unwrap();
+            let streamed = client.search_with(&req).unwrap();
             assert_eq!(
                 streamed.hits, one_shot.hits,
                 "round {round}: eviction churn must never change the answer"
@@ -455,7 +458,8 @@ fn deep_pagination_reuses_node_sessions_across_pages() {
     let request = SearchRequest::parse("size>=0", now())
         .unwrap()
         .sorted_by(SortKey::Descending(AttrName::Size));
-    let baseline = client.search_one_shot(&request).unwrap();
+    let baseline =
+        cluster.client().with_search_page_size(usize::MAX).search_with(&request).unwrap();
     assert_eq!(baseline.hits.len(), 200);
 
     let mut stream = client.open_search_stream(&request).unwrap();
@@ -479,9 +483,9 @@ fn deep_pagination_reuses_node_sessions_across_pages() {
 
 #[test]
 fn adaptive_paging_matches_fixed_paging_byte_for_byte() {
-    // Adaptive page sizing (start small, double per accepted page) is a
-    // wire-cost optimization only: the merged hit sequence must be
-    // identical to fixed-size paging for any query shape.
+    // Default paging (a first page sized from the limit, doubling per
+    // accepted page) is a wire-cost optimization only: the merged hit
+    // sequence must be identical to fixed-size paging for any query shape.
     let cluster =
         Cluster::start(ClusterConfig { index_nodes: 3, group_capacity: 10, ..Default::default() });
     let mut loader = cluster.client();
@@ -493,8 +497,8 @@ fn adaptive_paging_matches_fixed_paging_byte_for_byte() {
         .unwrap()
         .sorted_by(SortKey::Ascending(AttrName::Mtime))
         .with_limit(120);
-    let fixed = cluster.client().with_search_page_size(16).search_one_shot(&request).unwrap();
-    let adaptive = cluster.client().with_adaptive_paging(4, 64);
+    let fixed = cluster.client().with_search_page_size(16).search_with(&request).unwrap();
+    let adaptive = cluster.client();
     let streamed = adaptive.search_with(&request).unwrap();
     assert!(streamed.complete);
     assert_eq!(untagged(&streamed.hits), untagged(&fixed.hits));

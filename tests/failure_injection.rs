@@ -105,25 +105,6 @@ fn acg_flush_failures_are_swallowed_but_indexing_failures_are_not() {
 }
 
 #[test]
-fn cluster_modeled_mode_accrues_network_time_per_operation() {
-    let sim = propeller::sim::SimClock::new();
-    let cluster = Cluster::start(ClusterConfig {
-        index_nodes: 4,
-        sim_clock: Some(sim.clone()),
-        charge_network: true,
-        ..Default::default()
-    });
-    let mut client = cluster.client();
-    let t0 = sim.now();
-    client.index_files((0..100).map(|i| record(i, 1)).collect()).unwrap();
-    let after_index = sim.now();
-    assert!(after_index > t0);
-    client.search_text("size>=0").unwrap();
-    assert!(sim.now() > after_index);
-    cluster.shutdown();
-}
-
-#[test]
 fn stale_route_after_split_is_invalidated_and_retried() {
     // One oversized ACG on a 2-node cluster: maintenance splits it and
     // migrates half the files to the other node. A client that indexed
@@ -349,7 +330,8 @@ fn killing_one_replica_of_every_acg_mid_pagination_loses_nothing() {
         .unwrap()
         .sorted_by(SortKey::Descending(AttrName::Size));
     // Healthy baseline, before anything dies.
-    let baseline = client.search_one_shot(&request).unwrap();
+    let baseline =
+        cluster.client().with_search_page_size(usize::MAX).search_with(&request).unwrap();
     assert_eq!(baseline.hits.len(), 100);
 
     let mut stream = client.open_search_stream(&request).unwrap();
@@ -404,7 +386,12 @@ fn hedged_opens_beat_an_injected_straggler_and_are_witnessed_in_stats() {
         .unwrap()
         .with_limit(40)
         .sorted_by(SortKey::Descending(AttrName::Size));
-    let baseline = client.search_one_shot(&request).unwrap();
+    let baseline = cluster
+        .client()
+        .with_search_page_size(usize::MAX)
+        .with_hedge_budget(Duration::from_millis(10))
+        .search_with(&request)
+        .unwrap();
 
     // Straggle a node that serves as primary for at least one ACG.
     let straggler =
@@ -414,7 +401,7 @@ fn hedged_opens_beat_an_injected_straggler_and_are_witnessed_in_stats() {
         .slowdowns()
         .set(straggler, propeller::sim::Latency::constant(Duration::from_millis(200)));
 
-    let hedged = client.search_streamed(&request).unwrap();
+    let hedged = client.search_with(&request).unwrap();
     assert_eq!(hedged.hits, baseline.hits, "hedging must not change the answer");
     assert!(hedged.complete);
     assert!(hedged.stats.hedges_fired > 0, "the straggler must trigger a hedge");
@@ -549,7 +536,12 @@ fn two_straggling_primaries_hedge_side_by_side_and_their_losers_are_reaped() {
         .unwrap()
         .with_limit(40)
         .sorted_by(SortKey::Descending(AttrName::Size));
-    let baseline = client.search_one_shot(&request).unwrap();
+    let baseline = cluster
+        .client()
+        .with_search_page_size(usize::MAX)
+        .with_hedge_budget(Duration::from_millis(10))
+        .search_with(&request)
+        .unwrap();
 
     // Two stragglers, each the primary of some replica group, neither the
     // hedge target of the other: every group they lead hedges to a fast
@@ -584,7 +576,7 @@ fn two_straggling_primaries_hedge_side_by_side_and_their_losers_are_reaped() {
     let mut fastest = std::time::Duration::MAX;
     for _ in 0..5 {
         let started = std::time::Instant::now();
-        let hedged = client.search_streamed(&request).unwrap();
+        let hedged = client.search_with(&request).unwrap();
         fastest = fastest.min(started.elapsed());
         assert_eq!(hedged.hits, baseline.hits, "hedging must not change the answer");
         assert!(hedged.complete);

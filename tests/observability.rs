@@ -86,7 +86,7 @@ fn hedged_search_trace_names_dead_node_and_hedge_winner() {
         .unwrap()
         .with_limit(40)
         .sorted_by(SortKey::Descending(AttrName::Size));
-    let resp = client.search_streamed(&request).unwrap();
+    let resp = client.search_with(&request).unwrap();
     assert!(resp.complete, "replication must absorb the dead node");
     assert!(resp.stats.hedges_fired > 0, "the straggler must trigger a hedge");
 
@@ -129,10 +129,6 @@ fn hedged_search_trace_names_dead_node_and_hedge_winner() {
     cluster.shutdown();
 }
 
-/// `Cluster::metrics_snapshot` merges every node's registry; histogram
-/// buckets merge exactly, so cross-node quantiles come from one merged
-/// distribution. Runs in modeled mode so the injected clock (not wall
-/// time) produces the latencies.
 /// The actor→pool hand-off of every deferred search-family request
 /// (`Search`, `OpenSearch`, `PullHits`) shows up as a `PoolJob` span under
 /// that request's node-side service span, so it is no longer hidden in
@@ -160,7 +156,7 @@ fn sampled_searches_record_the_pool_hand_off_under_their_service_span() {
             .collect()
     };
 
-    client.search_streamed(&request).unwrap();
+    client.search_with(&request).unwrap();
     let tree = client.dump_trace(client.last_trace_id().unwrap()).unwrap();
     tree.check_well_formed().unwrap();
     let parents = pool_job_parents(&tree);
@@ -172,8 +168,10 @@ fn sampled_searches_record_the_pool_hand_off_under_their_service_span() {
     assert_eq!(parents.iter().filter(|k| **k == SpanKind::Pull).count(), pulls);
     assert_eq!(parents.len(), opens + pulls, "{}", tree.render());
 
-    client.search_one_shot(&request).unwrap();
-    let tree = client.dump_trace(client.last_trace_id().unwrap()).unwrap();
+    // Whole entitlement at open: no pulls, so every pool job is an open's.
+    let one_shot = cluster.client().with_trace_sampling(1).with_search_page_size(usize::MAX);
+    one_shot.search_with(&request).unwrap();
+    let tree = one_shot.dump_trace(one_shot.last_trace_id().unwrap()).unwrap();
     tree.check_well_formed().unwrap();
     let parents = pool_job_parents(&tree);
     assert_eq!(parents.len(), tree.find(SpanKind::Search).len());
@@ -181,23 +179,20 @@ fn sampled_searches_record_the_pool_hand_off_under_their_service_span() {
     cluster.shutdown();
 }
 
+/// `Cluster::metrics_snapshot` merges every node's registry; histogram
+/// buckets merge exactly, so cross-node quantiles come from one merged
+/// distribution of wall-clock latencies.
 #[test]
 fn metrics_report_merges_histograms_across_nodes() {
-    let sim = SimClock::new();
-    let cluster = Cluster::start(ClusterConfig {
-        index_nodes: 4,
-        group_capacity: 16,
-        sim_clock: Some(sim.clone()),
-        charge_network: true,
-        ..Default::default()
-    });
-    let mut client = cluster.client();
+    let cluster =
+        Cluster::start(ClusterConfig { index_nodes: 4, group_capacity: 16, ..Default::default() });
+    let mut client = cluster.client().with_search_page_size(usize::MAX);
     client.index_files((0..200).map(|i| record(i, (i + 1) << 10)).collect()).unwrap();
 
     let request = SearchRequest::parse("size>0", Timestamp::from_secs(10)).unwrap().with_limit(20);
     let searches = 5u64;
     for _ in 0..searches {
-        client.search_one_shot(&request).unwrap();
+        client.search_with(&request).unwrap();
     }
 
     // The merged snapshot must equal the per-node snapshots folded by
@@ -219,14 +214,14 @@ fn metrics_report_merges_histograms_across_nodes() {
     assert_eq!(merged.counters[names::SEARCHES_SERVED], served);
     assert_eq!(merged.histograms[names::SEARCH_LATENCY].count, latency_count);
 
-    // Client-lane latencies ride the virtual clock: network costs are
-    // charged per message, so p50/p99 are nonzero and purely modeled.
+    // Client-lane latencies ride the wall clock: a search crosses the
+    // fabric to four node threads, so p50/p99 measure real elapsed time.
     let mut with_client = merged.clone();
     with_client.merge(&client.obs().metrics.snapshot());
     let h = &with_client.histograms[names::CLIENT_SEARCH_LATENCY];
     assert_eq!(h.count, searches);
     let (p50, p99) = (h.quantile(0.50), h.quantile(0.99));
-    assert!(p50 > 0, "modeled network time must be visible");
+    assert!(p50 > 0, "real elapsed time must be visible");
     assert!(p99 >= p50, "quantiles are monotone");
 
     // The rendered report carries the merged series.
@@ -249,11 +244,11 @@ fn slow_query_log_captures_plan_stats_and_spans() {
         slow_query_threshold: Some(Duration::ZERO),
         ..Default::default()
     });
-    let mut client = cluster.client().with_trace_sampling(1);
+    let mut client = cluster.client().with_trace_sampling(1).with_search_page_size(usize::MAX);
     client.index_files((0..40).map(|i| record(i, 1 << 20)).collect()).unwrap();
 
     let request = SearchRequest::parse("size>0", Timestamp::from_secs(10)).unwrap().with_limit(10);
-    client.search_one_shot(&request).unwrap();
+    client.search_with(&request).unwrap();
 
     let slow = cluster.slow_queries();
     assert!(!slow.is_empty(), "a zero threshold captures every search");
@@ -278,11 +273,11 @@ fn slow_query_log_captures_plan_stats_and_spans() {
 fn one_shot_search_reports_per_node_latency_breakdown() {
     let cluster =
         Cluster::start(ClusterConfig { index_nodes: 4, group_capacity: 16, ..Default::default() });
-    let mut client = cluster.client();
+    let mut client = cluster.client().with_search_page_size(usize::MAX);
     client.index_files((0..120).map(|i| record(i, 1 << 20)).collect()).unwrap();
 
     let request = SearchRequest::parse("size>0", Timestamp::from_secs(10)).unwrap().with_limit(50);
-    let resp = client.search_one_shot(&request).unwrap();
+    let resp = client.search_with(&request).unwrap();
 
     let rows = &resp.stats.node_elapsed;
     assert_eq!(rows.len(), 4, "every contacted node reports a row: {rows:?}");
@@ -316,8 +311,6 @@ impl Clock for TickClock {
     fn now(&self) -> Timestamp {
         Timestamp::from_micros(self.t.fetch_add(self.step, Ordering::SeqCst))
     }
-
-    fn charge(&self, _d: Duration) {}
 }
 
 /// Satellite witness, fully deterministic: two Index Nodes on injected
@@ -435,7 +428,8 @@ proptest! {
         seeder.index_files((0..40).map(|i| record(i, (i + 1) << 10)).collect()).unwrap();
 
         let mut ingest_client = cluster.client().with_trace_sampling(1);
-        let search_client = cluster.client().with_trace_sampling(1);
+        let search_client =
+            cluster.client().with_trace_sampling(1).with_search_page_size(usize::MAX);
         let request = SearchRequest::parse("size>0", Timestamp::from_secs(10))
             .unwrap()
             .with_limit(limit);
@@ -457,7 +451,7 @@ proptest! {
         let search = std::thread::spawn(move || -> Result<usize, String> {
             let mut checked = 0;
             for _ in 0..searches {
-                search_client.search_one_shot(&request).map_err(|e| e.to_string())?;
+                search_client.search_with(&request).map_err(|e| e.to_string())?;
                 let trace = search_client.last_trace_id().ok_or("search not sampled")?;
                 let tree = search_client.dump_trace(trace).map_err(|e| e.to_string())?;
                 tree.check_well_formed()?;

@@ -47,7 +47,7 @@ fn warm_searches_and_ingest_batches_create_no_threads() {
     let unlimited = SearchRequest::parse("size>0", Timestamp::from_secs(1_000)).unwrap();
     let hedged_search = |hedging: &propeller::cluster::FileQueryEngine| {
         cluster.rpc().slowdowns().set(straggler, Latency::constant(Duration::from_millis(25)));
-        let out = hedging.search_streamed(&top_k).unwrap();
+        let out = hedging.search_with(&top_k).unwrap();
         cluster.rpc().slowdowns().clear(straggler);
         out
     };

@@ -512,10 +512,10 @@ fn wand_counters_reach_the_client_through_the_cluster_path() {
     }
     assert!(docs_pruned > 0 && blocks_skipped > 0, "the corpus must make WAND prune");
 
+    let one_shot = cluster.client().with_search_page_size(usize::MAX);
     for (path, response) in [
         ("search_with", client.search_with(&request).unwrap()),
-        ("streamed", client.search_streamed(&request).unwrap()),
-        ("one-shot", client.search_one_shot(&request).unwrap()),
+        ("one-shot", one_shot.search_with(&request).unwrap()),
     ] {
         assert_eq!(response.hits.len(), 10, "{path}");
         assert_eq!(response.stats.wand_docs_pruned, docs_pruned, "{path}");
@@ -551,9 +551,10 @@ fn posting_counts_steer_each_acg_through_the_streamed_path() {
         .sorted_by(SortKey::Descending(AttrName::Mtime));
     let brute = run_local_search(records, &request);
     assert_eq!(brute.hits.len(), 10);
+    let one_shot = cluster.client().with_search_page_size(usize::MAX);
     for (path, response) in [
-        ("streamed", client.search_streamed(&request).unwrap()),
-        ("one-shot", client.search_one_shot(&request).unwrap()),
+        ("streamed", client.search_with(&request).unwrap()),
+        ("one-shot", one_shot.search_with(&request).unwrap()),
     ] {
         assert_eq!(response.file_ids(), brute.file_ids(), "{path}");
         let walked = response.stats.ordered_by_count;
@@ -569,5 +570,32 @@ fn posting_counts_steer_each_acg_through_the_streamed_path() {
             "{path}: ACGs without the keyword keep the probe: {paths:?}"
         );
     }
+    cluster.shutdown();
+}
+
+/// A `usize::MAX` limit over one replica group takes the whole answer in
+/// the open exchange; doubling that page for the next pull must saturate,
+/// not overflow — on single-node `Propeller` and on a 1-node cluster.
+#[test]
+fn unbounded_limit_over_one_replica_group_does_not_overflow_the_page() {
+    let records: Vec<FileRecord> = (0..50u64).map(|i| record(i, (i + 1) << 20, i, 0)).collect();
+    let request = SearchRequest::parse("size>0", Timestamp::from_secs(1_000))
+        .unwrap()
+        .with_limit(usize::MAX)
+        .sorted_by(SortKey::Descending(AttrName::Size));
+    let expected: Vec<FileId> = (0..50u64).rev().map(FileId::new).collect();
+
+    let mut service = Propeller::new(PropellerConfig::default());
+    service.index_batch(records.clone()).unwrap();
+    let single = service.search_with(&request).unwrap();
+    assert!(single.complete);
+    assert_eq!(single.file_ids(), expected);
+
+    let cluster = Cluster::start(ClusterConfig { index_nodes: 1, ..Default::default() });
+    let mut client = cluster.client();
+    client.index_files(records).unwrap();
+    let clustered = client.search_with(&request).unwrap();
+    assert!(clustered.complete);
+    assert_eq!(clustered.file_ids(), expected);
     cluster.shutdown();
 }
