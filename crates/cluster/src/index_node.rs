@@ -1408,6 +1408,26 @@ mod tests {
     }
 
     #[test]
+    fn fetching_frames_after_the_last_lsn_ships_nothing() {
+        let mut n = node();
+        let acg = AcgId::new(1);
+        n.handle(Request::IndexBatch {
+            acg,
+            ops: (0..5).map(|i| IndexOp::Upsert(rec(i, 1 << 20))).collect(),
+            now: t(0),
+            ctx: propeller_obs::TraceContext::NONE,
+        });
+        // No frame follows `u64::MAX`: the answer is an empty suffix, not
+        // an overflow computing the position after it.
+        let resp = n.handle(Request::FetchAcgFrames { acg, after_lsn: u64::MAX, now: t(1) });
+        assert!(matches!(&resp, Response::AcgFrames(frames) if frames.is_empty()), "{resp:?}");
+        assert!(
+            matches!(n.handle(Request::NodeStats), Response::NodeStatsReport { acgs: 1, .. }),
+            "the node still answers"
+        );
+    }
+
+    #[test]
     fn search_commits_pending_ops() {
         let mut n = node();
         let acg = AcgId::new(1);

@@ -9,21 +9,24 @@
 //!
 //! ## Durability: the Master as a logged state machine
 //!
-//! The Master's **hard state** — file placement, ACG creation, split
-//! commits, replica adoption, the index-spec registry, in-flight
-//! migrations, the next-ACG counter and the routing generation — is a
-//! state machine over [`crate::meta::MetaOp`] transitions. Every
-//! transition is appended to a control-plane WAL and fsynced *before* it
-//! is applied and the request acked (`log_then_apply`; [`MasterNode::open`]
-//! replays the log); periodic checksummed checkpoints bound recovery to
+//! The Master's **hard state** — file placement, ACG replica sets, the
+//! index-spec registry, in-flight migrations, the recent-splits log, the
+//! next-ACG counter and the routing generation — is one
+//! [`MetaImage`](crate::meta::MetaImage), the very value a checkpoint
+//! encodes. One function, `apply_op`, changes it, one
+//! [`crate::meta::MetaOp`] transition at a time: a live request plans its
+//! ops without touching state and hands them to `log_then_apply`, which
+//! appends them to a control-plane WAL and fsyncs *before* it applies them
+//! and the request is acked; [`MasterNode::open`] replays the log through
+//! the same function. Periodic checksummed checkpoints bound recovery to
 //! O(delta) suffix replay.
 //! **Soft state** — node liveness, heartbeat-refreshed file counts, split
 //! *pressure* — is never logged: one heartbeat round rebuilds it.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use propeller_index::IndexSpec;
 use propeller_obs::{names, Lane, NodeObs, SpanKind};
 use propeller_sim::{Clock, WallClock};
 use propeller_types::{AcgId, Duration, Error, FileId, NodeId, Timestamp};
@@ -97,28 +100,13 @@ impl Default for MasterConfig {
 pub struct MasterNode {
     config: MasterConfig,
     index_nodes: Vec<NodeId>,
-    file_to_acg: HashMap<FileId, AcgId>,
-    /// Each ACG's replica set, primary first. Splits and migrations
-    /// replace the whole set; individual nodes are never swapped out of
-    /// it silently, so clients can cache `(acg, replicas)` rows.
-    acg_replicas: HashMap<AcgId, Vec<NodeId>>,
+    /// The hard state, exactly what a checkpoint encodes. Only `apply_op`
+    /// changes it: live behind `log_then_apply`, on recovery by replay.
+    hard: MetaImage,
     acg_files: HashMap<AcgId, usize>,
     node_status: HashMap<NodeId, NodeStatus>,
-    next_acg: u64,
-    open_acg: Option<AcgId>,
     pending_splits: Vec<(AcgId, NodeId)>,
     splitting: std::collections::HashSet<AcgId>,
-    index_specs: Vec<IndexSpec>,
-    /// Monotonic count of committed splits — the routing generation
-    /// clients synchronize their caches against.
-    routing_gen: u64,
-    /// The last `split_log_capacity` splits: `(generation, moved files)`,
-    /// oldest first. Served as [`RouteHints`] on every resolve.
-    split_log: std::collections::VecDeque<(u64, Vec<FileId>)>,
-    /// In-flight two-phase migrations, keyed by the reserved new-ACG id.
-    /// A migration's new group is **not routable** (absent from
-    /// `acg_replicas`, shielded from heartbeat adoption) until commit.
-    migrations: HashMap<AcgId, Migration>,
     /// The control-plane WAL + checkpoint store; `None` for a
     /// [`MasterNode::new`] Master, which logs nothing.
     meta: Option<MetaStore>,
@@ -132,11 +120,17 @@ impl std::fmt::Debug for MasterNode {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MasterNode")
             .field("index_nodes", &self.index_nodes)
-            .field("acgs", &self.acg_replicas.len())
-            .field("files", &self.file_to_acg.len())
-            .field("routing_gen", &self.routing_gen)
+            .field("acgs", &self.hard.acg_replicas.len())
+            .field("files", &self.hard.file_to_acg.len())
+            .field("routing_gen", &self.hard.routing_gen)
             .finish()
     }
+}
+
+/// The `next_acg` floor once `acg` exists: the id after it. The last id
+/// has none, so it is never minted or adopted.
+fn successor(acg: AcgId) -> Result<u64, Error> {
+    acg.raw().checked_add(1).ok_or_else(|| Error::Config(format!("ACG ids exhausted at {acg}")))
 }
 
 impl MasterNode {
@@ -147,18 +141,11 @@ impl MasterNode {
         MasterNode {
             config,
             index_nodes,
-            file_to_acg: HashMap::new(),
-            acg_replicas: HashMap::new(),
+            hard: MetaImage { next_acg: 1, ..MetaImage::default() },
             acg_files: HashMap::new(),
             node_status: HashMap::new(),
-            next_acg: 1,
-            open_acg: None,
             pending_splits: Vec::new(),
             splitting: std::collections::HashSet::new(),
-            index_specs: Vec::new(),
-            routing_gen: 0,
-            split_log: std::collections::VecDeque::new(),
-            migrations: HashMap::new(),
             meta: None,
             clock: Arc::new(WallClock::new()),
             obs: Arc::new(NodeObs::new(Lane::Master)),
@@ -193,7 +180,17 @@ impl MasterNode {
         let mut master = MasterNode::new(index_nodes, config);
         master.meta = Some(meta);
         if let Some(image) = recovery.image {
-            master.load_image(image);
+            master.hard = MetaImage { next_acg: image.next_acg.max(1), ..image };
+            // File counts are heartbeat-refreshed soft state; seed them
+            // from the authoritative placement map so capacity/split
+            // decisions are sane before the first heartbeat round.
+            for acg in master.hard.acg_replicas.keys() {
+                master.acg_files.insert(*acg, 0);
+            }
+            for acg in master.hard.file_to_acg.values() {
+                *master.acg_files.entry(*acg).or_insert(0) += 1;
+            }
+            master.splitting.extend(master.hard.migrations.values().map(|m| m.source));
         }
         for op in &recovery.suffix {
             master.apply_op(op);
@@ -201,53 +198,18 @@ impl MasterNode {
         Ok(master)
     }
 
-    /// Installs a recovered checkpoint image as the current hard state.
-    fn load_image(&mut self, image: MetaImage) {
-        self.next_acg = image.next_acg.max(1);
-        self.routing_gen = image.routing_gen;
-        self.open_acg = image.open_acg;
-        self.file_to_acg = image.file_to_acg;
-        self.acg_replicas = image.acg_replicas;
-        // File counts are heartbeat-refreshed soft state; seed them from
-        // the authoritative placement map so capacity/split decisions are
-        // sane before the first heartbeat round.
-        let mut counts: HashMap<AcgId, usize> = HashMap::new();
-        for acg in self.file_to_acg.values() {
-            *counts.entry(*acg).or_insert(0) += 1;
-        }
-        for acg in self.acg_replicas.keys() {
-            counts.entry(*acg).or_insert(0);
-        }
-        self.acg_files = counts;
-        self.index_specs = image.specs;
-        self.split_log = image.split_log;
-        self.splitting.extend(image.migrations.values().map(|m| m.source));
-        self.migrations = image.migrations;
-    }
-
-    /// The full hard-state image (checkpoint payload); its encoding is
-    /// deterministic for a given state.
-    fn image(&self) -> MetaImage {
-        MetaImage {
-            next_acg: self.next_acg,
-            routing_gen: self.routing_gen,
-            open_acg: self.open_acg,
-            file_to_acg: self.file_to_acg.clone(),
-            acg_replicas: self.acg_replicas.clone(),
-            specs: self.index_specs.clone(),
-            split_log: self.split_log.clone(),
-            migrations: self.migrations.clone(),
-        }
-    }
-
-    /// Applies one logged transition to the in-memory state. Recovery
-    /// replay and the live mutating arms share this, so a replayed Master
-    /// is the live Master by construction.
+    /// Applies one logged transition to the in-memory state — the only
+    /// code that changes hard state. Recovery replay and `log_then_apply`
+    /// share it, so a replayed Master is the live Master by construction.
     fn apply_op(&mut self, op: &MetaOp) {
+        // Saturating, so a log that adopted the last id still replays.
+        let lift =
+            |next: &mut u64, acg: AcgId| *next = (*next).max(successor(acg).unwrap_or(u64::MAX));
+        let hard = &mut self.hard;
         match op {
             MetaOp::PlaceFiles { placements } => {
                 for (file, acg) in placements {
-                    let old = self.file_to_acg.insert(*file, *acg);
+                    let old = hard.file_to_acg.insert(*file, *acg);
                     if old != Some(*acg) {
                         *self.acg_files.entry(*acg).or_insert(0) += 1;
                         if let Some(old_acg) = old {
@@ -259,51 +221,51 @@ impl MasterNode {
                 }
             }
             MetaOp::CreateAcg { acg, replicas, open } => {
-                self.acg_replicas.insert(*acg, replicas.clone());
+                hard.acg_replicas.insert(*acg, replicas.clone());
                 self.acg_files.entry(*acg).or_insert(0);
-                self.next_acg = self.next_acg.max(acg.raw() + 1);
+                lift(&mut hard.next_acg, *acg);
                 if *open {
-                    self.open_acg = Some(*acg);
+                    hard.open_acg = Some(*acg);
                 }
             }
             MetaOp::CommitSplit { acg, new_acg, moved, targets } => {
                 for file in moved {
-                    self.file_to_acg.insert(*file, *new_acg);
+                    hard.file_to_acg.insert(*file, *new_acg);
                 }
-                self.acg_replicas.insert(*new_acg, targets.clone());
+                hard.acg_replicas.insert(*new_acg, targets.clone());
                 self.acg_files.insert(*new_acg, moved.len());
                 if let Some(c) = self.acg_files.get_mut(acg) {
                     *c = c.saturating_sub(moved.len());
                 }
-                self.next_acg = self.next_acg.max(new_acg.raw() + 1);
+                lift(&mut hard.next_acg, *new_acg);
                 self.splitting.remove(acg);
-                self.migrations.remove(new_acg);
-                self.routing_gen += 1;
-                self.split_log.push_back((self.routing_gen, moved.clone()));
-                while self.split_log.len() > self.config.split_log_capacity.max(1) {
-                    self.split_log.pop_front();
+                hard.migrations.remove(new_acg);
+                hard.routing_gen += 1;
+                hard.split_log.push_back((hard.routing_gen, moved.clone()));
+                while hard.split_log.len() > self.config.split_log_capacity.max(1) {
+                    hard.split_log.pop_front();
                 }
             }
             MetaOp::AdoptReplica { acg, node } => {
-                let replicas = self.acg_replicas.entry(*acg).or_default();
+                let replicas = hard.acg_replicas.entry(*acg).or_default();
                 if !replicas.contains(node) {
                     replicas.push(*node);
                 }
                 self.acg_files.entry(*acg).or_insert(0);
-                self.next_acg = self.next_acg.max(acg.raw() + 1);
+                lift(&mut hard.next_acg, *acg);
             }
             MetaOp::CreateIndexSpec { spec } => {
-                if !self.index_specs.iter().any(|s| s.name == spec.name) {
-                    self.index_specs.push(spec.clone());
+                if !hard.specs.iter().any(|s| s.name == spec.name) {
+                    hard.specs.push(spec.clone());
                 }
             }
             MetaOp::DropIndexSpec { name } => {
-                self.index_specs.retain(|s| s.name != *name);
+                hard.specs.retain(|s| s.name != *name);
             }
             MetaOp::BeginMigration { source, new_acg, moved, targets } => {
-                self.next_acg = self.next_acg.max(new_acg.raw() + 1);
+                lift(&mut hard.next_acg, *new_acg);
                 self.splitting.insert(*source);
-                self.migrations.insert(
+                hard.migrations.insert(
                     *new_acg,
                     Migration {
                         source: *source,
@@ -315,28 +277,19 @@ impl MasterNode {
                 );
             }
             MetaOp::InstallAcked { new_acg } => {
-                if let Some(m) = self.migrations.get_mut(new_acg) {
+                if let Some(m) = hard.migrations.get_mut(new_acg) {
                     m.installed = true;
                 }
             }
         }
     }
 
-    /// Durably logs `ops` (fsync before returning) that the caller has
-    /// already applied, and cuts a checkpoint when one is due. The caller
-    /// must not have mutated state it cannot roll back if this errors.
-    fn log_ops(&mut self, ops: &[MetaOp]) -> Result<(), Error> {
-        if let Some(meta) = &mut self.meta {
-            meta.log(ops)?;
-        }
-        self.checkpoint_if_due();
-        Ok(())
-    }
-
     /// The Master's write rule (paper §IV): durably log one batch of
     /// transitions, then apply it — nothing is observable that a restart
     /// would not replay. A checkpoint due at this batch is cut after the
-    /// apply, so its image covers every op its LSN claims.
+    /// apply, so its image covers every op its LSN claims. A failed
+    /// checkpoint is not fatal: the WAL still holds every transition,
+    /// recovery just replays a longer suffix.
     fn log_then_apply(&mut self, ops: &[MetaOp]) -> Result<(), Error> {
         if let Some(meta) = &mut self.meta {
             meta.log(ops)?;
@@ -344,59 +297,46 @@ impl MasterNode {
         for op in ops {
             self.apply_op(op);
         }
-        self.checkpoint_if_due();
+        if let Some(meta) = self.meta.as_mut().filter(|meta| meta.checkpoint_due()) {
+            let _ = meta.checkpoint(&self.hard);
+        }
         Ok(())
     }
 
-    /// Writes a checkpoint of the current state when enough ops were
-    /// logged since the last one. Failure is not fatal: the WAL still
-    /// holds every transition, recovery just replays a longer suffix.
-    fn checkpoint_if_due(&mut self) {
-        if self.meta.as_ref().is_some_and(MetaStore::checkpoint_due) {
-            let image = self.image();
-            if let Some(meta) = &mut self.meta {
-                let _ = meta.checkpoint(&image);
-            }
-        }
-    }
-
-    /// The `r` nodes with the fewest hosted files (replica-set placement
-    /// target), least-loaded first. Load counts every replica a node
-    /// hosts: an ACG's files weigh on all R of its nodes.
-    fn least_loaded(&self, r: usize) -> Vec<NodeId> {
+    /// Files hosted per node. Load counts every replica a node hosts: an
+    /// ACG's files weigh on all R of its nodes.
+    fn node_loads(&self) -> HashMap<NodeId, usize> {
         let mut load: HashMap<NodeId, usize> = self.index_nodes.iter().map(|&n| (n, 0)).collect();
         for (acg, files) in &self.acg_files {
-            for node in self.acg_replicas.get(acg).map(Vec::as_slice).unwrap_or(&[]) {
+            for node in self.hard.acg_replicas.get(acg).map(Vec::as_slice).unwrap_or(&[]) {
                 *load.entry(*node).or_insert(0) += files;
             }
         }
-        let mut ranked = self.index_nodes.clone();
-        ranked.sort_by_key(|n| (load.get(n).copied().unwrap_or(0), n.raw()));
-        ranked.truncate(r);
-        ranked
+        load
     }
 
-    /// The effective replication factor: the configured R, clamped to the
-    /// cluster size (a 2-node cluster cannot hold 3 distinct replicas).
-    fn effective_replication(&self) -> usize {
-        self.config.replication.max(1).min(self.index_nodes.len().max(1))
-    }
-
-    /// The next ACG id and the least-loaded replica set to place it on,
-    /// neither taken yet: the logged op that creates the group takes them.
-    fn next_placement(&self) -> Result<(AcgId, Vec<NodeId>), Error> {
-        let nodes = self.least_loaded(self.effective_replication());
+    /// ACG id `next`, the R least-loaded nodes under `loads` to place it
+    /// on (least-loaded first, R clamped to the cluster size) and the id
+    /// after it — nothing taken yet: the logged op that creates the group
+    /// takes them.
+    fn placement(
+        &self,
+        next: u64,
+        loads: &HashMap<NodeId, usize>,
+    ) -> Result<(AcgId, Vec<NodeId>, u64), Error> {
+        let mut nodes = self.index_nodes.clone();
+        nodes.sort_by_key(|n| (loads.get(n).copied().unwrap_or(0), n.raw()));
+        nodes.truncate(self.config.replication.max(1));
         if nodes.is_empty() {
             return Err(Error::Config("cluster has no index nodes".into()));
         }
-        Ok((AcgId::new(self.next_acg), nodes))
+        let acg = AcgId::new(next);
+        Ok((acg, nodes, successor(acg)?))
     }
 
-    fn allocate_acg(&mut self) -> Result<(AcgId, Vec<NodeId>), Error> {
-        let (acg, nodes) = self.next_placement()?;
-        self.next_acg += 1;
-        self.acg_replicas.insert(acg, nodes.clone());
-        self.acg_files.insert(acg, 0);
+    /// The next ACG id and its replica set, for a group created on its own.
+    fn next_placement(&self) -> Result<(AcgId, Vec<NodeId>), Error> {
+        let (acg, nodes, _) = self.placement(self.hard.next_acg, &self.node_loads())?;
         Ok((acg, nodes))
     }
 
@@ -407,83 +347,71 @@ impl MasterNode {
         acgs.sort();
         acgs.dedup();
         acgs.into_iter()
-            .filter_map(|a| self.acg_replicas.get(&a).map(|nodes| (a, nodes.clone())))
+            .filter_map(|a| self.hard.acg_replicas.get(&a).map(|nodes| (a, nodes.clone())))
             .collect()
     }
 
+    /// Routes `files`, placing the unplaced ones: new files fill the open
+    /// ACG and roll over to a new group at `group_capacity`. The ops are
+    /// planned without touching state and go through `log_then_apply`, so
+    /// a batch whose rows cannot all be routed logs and applies nothing.
     fn resolve(&mut self, files: Vec<FileId>) -> Result<Vec<(FileId, AcgId, NodeId)>, Error> {
-        // Mutate optimistically while recording enough to (a) log the
-        // transition and (b) undo everything if the log write fails — an
-        // unlogged placement must never be acked.
-        let prev_open = self.open_acg;
-        let prev_next = self.next_acg;
-        let mut created: Vec<(AcgId, Vec<NodeId>)> = Vec::new();
-        let mut placed: Vec<(FileId, AcgId)> = Vec::new();
-        let mut out = Vec::with_capacity(files.len());
-        let result = (|| -> Result<(), Error> {
-            for file in files {
-                let acg = match self.file_to_acg.get(&file) {
-                    Some(&acg) => acg,
-                    None => {
-                        // Fill the open ACG; roll over at capacity.
-                        let need_new = match self.open_acg {
-                            Some(acg) => {
-                                self.acg_files.get(&acg).copied().unwrap_or(0)
-                                    >= self.config.group_capacity
-                            }
-                            None => true,
-                        };
-                        if need_new {
-                            let (acg, nodes) = self.allocate_acg()?;
-                            self.open_acg = Some(acg);
-                            created.push((acg, nodes));
-                        }
-                        let acg = self.open_acg.expect("just ensured");
-                        self.file_to_acg.insert(file, acg);
-                        *self.acg_files.entry(acg).or_insert(0) += 1;
-                        placed.push((file, acg));
-                        acg
-                    }
-                };
-                let node = *self
-                    .acg_replicas
-                    .get(&acg)
-                    .and_then(|r| r.first())
-                    .ok_or(Error::AcgNotFound(acg))?;
-                out.push((file, acg, node));
-            }
-            let mut ops: Vec<MetaOp> = created
-                .iter()
-                .map(|(acg, replicas)| MetaOp::CreateAcg {
-                    acg: *acg,
-                    replicas: replicas.clone(),
-                    open: true,
-                })
-                .collect();
-            if !placed.is_empty() {
-                ops.push(MetaOp::PlaceFiles { placements: placed.clone() });
-            }
-            if !ops.is_empty() {
-                self.log_ops(&ops)?;
-            }
-            Ok(())
-        })();
-        if let Err(e) = result {
-            for (file, acg) in placed {
-                self.file_to_acg.remove(&file);
-                if let Some(c) = self.acg_files.get_mut(&acg) {
-                    *c = c.saturating_sub(1);
+        let mut ops = Vec::new();
+        let mut placements = Vec::new();
+        // This batch's placements, for ids that repeat within it.
+        let mut placed: HashMap<FileId, (AcgId, NodeId)> = HashMap::with_capacity(files.len());
+        let mut next = self.hard.next_acg;
+        let mut open = self
+            .hard
+            .open_acg
+            .map(|acg| (acg, self.hard.acg_replicas.get(&acg).cloned().unwrap_or_default()));
+        let mut fill =
+            self.hard.open_acg.and_then(|acg| self.acg_files.get(&acg).copied()).unwrap_or(0);
+        // Node loads including this batch's placements so far: counted at
+        // the first rollover, then kept up to date by `unsettled`.
+        let mut loads: Option<HashMap<NodeId, usize>> = None;
+        let mut unsettled = 0;
+        let mut rows = Vec::with_capacity(files.len());
+        for file in files {
+            let row = match self.hard.file_to_acg.get(&file) {
+                Some(&acg) => {
+                    let primary = self.hard.acg_replicas.get(&acg).and_then(|r| r.first());
+                    (acg, *primary.ok_or(Error::AcgNotFound(acg))?)
                 }
-            }
-            for (acg, _) in created {
-                self.acg_replicas.remove(&acg);
-                self.acg_files.remove(&acg);
-            }
-            self.open_acg = prev_open;
-            self.next_acg = prev_next;
-            return Err(e);
+                None => match placed.entry(file) {
+                    Entry::Occupied(seen) => *seen.get(),
+                    Entry::Vacant(slot) => {
+                        if open.is_none() || fill >= self.config.group_capacity {
+                            let loads = loads.get_or_insert_with(|| self.node_loads());
+                            for node in open.iter().flat_map(|(_, nodes)| nodes) {
+                                *loads.entry(*node).or_insert(0) += unsettled;
+                            }
+                            let (acg, nodes, after) = self.placement(next, loads)?;
+                            ops.push(MetaOp::CreateAcg {
+                                acg,
+                                replicas: nodes.clone(),
+                                open: true,
+                            });
+                            (open, fill, unsettled, next) = (Some((acg, nodes)), 0, 0, after);
+                        }
+                        let (acg, nodes) = open.as_ref().expect("just ensured");
+                        let row = (*acg, *nodes.first().ok_or(Error::AcgNotFound(*acg))?);
+                        fill += 1;
+                        unsettled += 1;
+                        placements.push((file, *acg));
+                        *slot.insert(row)
+                    }
+                },
+            };
+            rows.push((file, row.0, row.1));
         }
-        Ok(out)
+        if !placements.is_empty() {
+            ops.push(MetaOp::PlaceFiles { placements });
+        }
+        if !ops.is_empty() {
+            self.log_then_apply(&ops)?;
+        }
+        Ok(rows)
     }
 
     fn on_heartbeat(&mut self, node: NodeId, acgs: Vec<AcgSummary>, load: u64, now: Timestamp) {
@@ -497,18 +425,23 @@ impl MasterNode {
             // fan-out reaches the recovered data again. Adoption is a
             // hard-state change — it extends a replica set — so it is
             // logged like any other transition; if the log write fails
-            // the adoption is skipped and the next heartbeat retries.
+            // the adoption is skipped and the next heartbeat retries. The
+            // last ACG id is never adopted: it has no successor to mint
+            // next, so it is refused before anything is logged.
             //
             // The guard: a mid-migration new group is *installed* on its
             // targets (it heartbeats!) but must not become routable until
             // the migration commits, or its files would briefly be served
             // from two homes. Its summaries are ignored wholesale here.
-            if self.migrations.contains_key(&summary.acg) {
+            if self.hard.migrations.contains_key(&summary.acg) {
                 continue;
             }
-            let known = self.acg_replicas.get(&summary.acg).is_some_and(|r| r.contains(&node));
+            let known = self.hard.acg_replicas.get(&summary.acg).is_some_and(|r| r.contains(&node));
             if !known
-                && self.log_then_apply(&[MetaOp::AdoptReplica { acg: summary.acg, node }]).is_err()
+                && (successor(summary.acg).is_err()
+                    || self
+                        .log_then_apply(&[MetaOp::AdoptReplica { acg: summary.acg, node }])
+                        .is_err())
             {
                 continue;
             }
@@ -517,7 +450,7 @@ impl MasterNode {
             {
                 // Split work always runs on the primary (it has the
                 // authoritative WAL the followers chain from).
-                let primary = self.acg_replicas[&summary.acg][0];
+                let primary = self.hard.acg_replicas[&summary.acg][0];
                 self.splitting.insert(summary.acg);
                 self.pending_splits.push((summary.acg, primary));
             }
@@ -529,14 +462,15 @@ impl MasterNode {
     /// `since + 1`; a client further behind gets `complete: false` and
     /// drops its whole cache.
     fn route_hints(&self, since: u64) -> RouteHints {
-        let upto = self.routing_gen;
+        let upto = self.hard.routing_gen;
         if since >= upto {
             return RouteHints { upto, moved: Vec::new(), complete: true };
         }
-        match self.split_log.front() {
+        match self.hard.split_log.front() {
             Some((oldest, _)) if *oldest <= since + 1 => RouteHints {
                 upto,
                 moved: self
+                    .hard
                     .split_log
                     .iter()
                     .filter(|(gen, _)| *gen > since)
@@ -555,7 +489,7 @@ impl MasterNode {
 
     /// Number of distinct ACGs allocated.
     pub fn acg_count(&self) -> usize {
-        self.acg_replicas.len()
+        self.hard.acg_replicas.len()
     }
 
     /// Handles one request (the actor body).
@@ -582,12 +516,12 @@ impl MasterNode {
             }
             Request::LocateAcgs => {
                 let mut rows: Vec<(AcgId, Vec<NodeId>)> =
-                    self.acg_replicas.iter().map(|(&a, n)| (a, n.clone())).collect();
+                    self.hard.acg_replicas.iter().map(|(&a, n)| (a, n.clone())).collect();
                 rows.sort();
                 Response::Located(rows)
             }
             Request::CreateIndex { spec } => {
-                if self.index_specs.iter().any(|s| s.name == spec.name) {
+                if self.hard.specs.iter().any(|s| s.name == spec.name) {
                     return Response::Err(Error::IndexExists(spec.name));
                 }
                 if let Err(e) = self.log_then_apply(&[MetaOp::CreateIndexSpec { spec }]) {
@@ -599,14 +533,14 @@ impl MasterNode {
                 // Idempotent: rolling back a registration that partially
                 // propagated must always succeed. Only an actual removal
                 // is a transition worth logging.
-                if self.index_specs.iter().any(|s| s.name == name) {
+                if self.hard.specs.iter().any(|s| s.name == name) {
                     if let Err(e) = self.log_then_apply(&[MetaOp::DropIndexSpec { name }]) {
                         return Response::Err(e);
                     }
                 }
                 Response::Ok
             }
-            Request::ListIndexSpecs => Response::IndexSpecs(self.index_specs.clone()),
+            Request::ListIndexSpecs => Response::IndexSpecs(self.hard.specs.clone()),
             Request::Heartbeat { node, acgs, load, now } => {
                 self.on_heartbeat(node, acgs, load, now);
                 Response::Ok
@@ -623,11 +557,12 @@ impl MasterNode {
             }
             Request::TakeMigrationWork => {
                 let mut jobs: Vec<MigrationJob> = self
+                    .hard
                     .migrations
                     .values()
                     .filter_map(|m| {
                         let source_node =
-                            *self.acg_replicas.get(&m.source).and_then(|r| r.first())?;
+                            *self.hard.acg_replicas.get(&m.source).and_then(|r| r.first())?;
                         Some(MigrationJob {
                             source: m.source,
                             source_node,
@@ -658,10 +593,10 @@ impl MasterNode {
                 }
             }
             Request::BeginMigration { acg, moved } => {
-                if !self.acg_replicas.contains_key(&acg) {
+                if !self.hard.acg_replicas.contains_key(&acg) {
                     return Response::Err(Error::AcgNotFound(acg));
                 }
-                if self.migrations.values().any(|m| m.source == acg) {
+                if self.hard.migrations.values().any(|m| m.source == acg) {
                     return Response::Err(Error::Rpc(format!(
                         "a migration out of {acg} is already in flight"
                     )));
@@ -681,7 +616,7 @@ impl MasterNode {
                 Response::MigrationBegun { new_acg, targets }
             }
             Request::InstallAcked { new_acg } => {
-                let Some(m) = self.migrations.get(&new_acg) else {
+                let Some(m) = self.hard.migrations.get(&new_acg) else {
                     return Response::Err(Error::AcgNotFound(new_acg));
                 };
                 if !m.installed {
@@ -692,7 +627,7 @@ impl MasterNode {
                 Response::Ok
             }
             Request::CommitMigration { new_acg } => {
-                let Some(m) = self.migrations.get(&new_acg) else {
+                let Some(m) = self.hard.migrations.get(&new_acg) else {
                     return Response::Err(Error::AcgNotFound(new_acg));
                 };
                 if !m.installed {
@@ -716,7 +651,7 @@ impl MasterNode {
             }
             Request::DumpTrace { trace } => Response::TraceSpans(self.obs.spans.harvest(trace)),
             Request::Metrics => {
-                self.obs.metrics.gauge("routing_gen").set(self.routing_gen);
+                self.obs.metrics.gauge("routing_gen").set(self.hard.routing_gen);
                 Response::Metrics(Box::new(self.obs.metrics.snapshot()))
             }
             Request::DumpSlowQueries => Response::SlowQueries(self.obs.slow.dump()),
@@ -728,6 +663,7 @@ impl MasterNode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use propeller_index::IndexSpec;
 
     fn nodes(n: u32) -> Vec<NodeId> {
         (1..=n).map(NodeId::new).collect()
@@ -790,8 +726,8 @@ mod tests {
         let mut m = master(2, 1000);
         m.config.split_threshold = 50;
         resolve(&mut m, 0..10);
-        let acg = *m.file_to_acg.get(&FileId::new(0)).unwrap();
-        let node = m.acg_replicas.get(&acg).unwrap()[0];
+        let acg = *m.hard.file_to_acg.get(&FileId::new(0)).unwrap();
+        let node = m.hard.acg_replicas.get(&acg).unwrap()[0];
         m.handle(Request::Heartbeat {
             node,
             acgs: vec![AcgSummary { acg, files: 60, pending_ops: 0 }],
@@ -858,7 +794,7 @@ mod tests {
     }
 
     fn commit_a_split(m: &mut MasterNode, moved: Vec<FileId>) {
-        let acg = *m.file_to_acg.get(&moved[0]).unwrap();
+        let acg = *m.hard.file_to_acg.get(&moved[0]).unwrap();
         migrate(m, acg, moved);
     }
 
@@ -967,15 +903,22 @@ mod tests {
 
     #[test]
     fn no_index_nodes_is_a_config_error() {
-        let mut m = MasterNode::new(vec![], MasterConfig::default());
-        match m.handle(Request::ResolveFiles {
-            files: vec![FileId::new(1)],
-            hints_since: 0,
-            ctx: propeller_obs::TraceContext::NONE,
-        }) {
-            Response::Err(Error::Config(_)) => {}
-            other => panic!("{other:?}"),
+        let dir = durable_dir("no-nodes");
+        let durable = MasterNode::open(vec![], durable_config(&dir)).unwrap();
+        for mut m in [MasterNode::new(vec![], MasterConfig::default()), durable] {
+            let before = m.hard.clone();
+            match m.handle(Request::ResolveFiles {
+                files: vec![FileId::new(1)],
+                hints_since: 0,
+                ctx: propeller_obs::TraceContext::NONE,
+            }) {
+                Response::Err(Error::Config(_)) => {}
+                other => panic!("{other:?}"),
+            }
+            assert_eq!(m.hard, before, "a resolve that cannot route applies nothing");
+            assert_eq!(logged(&m), 0, "and logs nothing");
         }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1048,10 +991,10 @@ mod tests {
         let mut m =
             MasterNode::new(nodes(3), MasterConfig { replication: 2, ..MasterConfig::default() });
         resolve(&mut m, 0..10);
-        let acg = *m.file_to_acg.get(&FileId::new(0)).unwrap();
+        let acg = *m.hard.file_to_acg.get(&FileId::new(0)).unwrap();
         let (new_acg, targets) = migrate(&mut m, acg, (5..10).map(FileId::new).collect());
         assert_eq!(targets.len(), 2);
-        assert_eq!(m.acg_replicas.get(&new_acg), Some(&targets));
+        assert_eq!(m.hard.acg_replicas.get(&new_acg), Some(&targets));
     }
 
     #[test]
@@ -1066,8 +1009,8 @@ mod tests {
                 now: Timestamp::from_secs(1),
             });
         }
-        assert_eq!(m.acg_replicas.get(&acg), Some(&vec![NodeId::new(2), NodeId::new(3)]));
-        assert!(m.next_acg > 7);
+        assert_eq!(m.hard.acg_replicas.get(&acg), Some(&vec![NodeId::new(2), NodeId::new(3)]));
+        assert!(m.hard.next_acg > 7);
     }
 
     #[test]
@@ -1096,9 +1039,20 @@ mod tests {
         }
     }
 
+    /// The frames a Master's control-plane WAL holds (none without one).
+    fn logged(m: &MasterNode) -> u64 {
+        m.meta.as_ref().map_or(0, MetaStore::entry_count)
+    }
+
+    fn locate(m: &mut MasterNode) -> Vec<(AcgId, Vec<NodeId>)> {
+        match m.handle(Request::LocateAcgs) {
+            Response::Located(rows) => rows,
+            other => panic!("{other:?}"),
+        }
+    }
+
     #[test]
     fn memory_only_master_keeps_no_log() {
-        let logged = |m: &MasterNode| m.meta.as_ref().map_or(0, MetaStore::entry_count);
         let mut memory = master(2, 10);
         let rows = resolve(&mut memory, 0..25);
         assert_eq!(logged(&memory), 0, "a memory-only Master encodes and keeps no frame");
@@ -1213,7 +1167,7 @@ mod tests {
         // Committed: files remapped, the group routable, the job retired.
         let after = resolve(&mut m, 5..10);
         assert!(after.iter().all(|(_, a, _)| *a == new_acg), "{after:?}");
-        assert_eq!(m.acg_replicas.get(&new_acg), Some(&targets));
+        assert_eq!(m.hard.acg_replicas.get(&new_acg), Some(&targets));
         match m.handle(Request::TakeMigrationWork) {
             Response::MigrationWork(jobs) => assert!(jobs.is_empty()),
             other => panic!("{other:?}"),
@@ -1251,6 +1205,157 @@ mod tests {
                 }
                 other => panic!("{other:?}"),
             }
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    #[test]
+    fn adopting_the_last_acg_id_is_refused_before_it_is_logged() {
+        let dir = durable_dir("last-id");
+        let mut m = MasterNode::open(nodes(2), durable_config(&dir)).unwrap();
+        resolve(&mut m, 0..3);
+        let before = locate(&mut m);
+        // No id follows `u64::MAX`, so adopting it would leave none to
+        // mint next: the heartbeat is served, the adoption never logged.
+        let last = AcgSummary { acg: AcgId::new(u64::MAX), files: 1, pending_ops: 0 };
+        let heartbeat = Request::Heartbeat {
+            node: NodeId::new(1),
+            acgs: vec![last],
+            load: 0,
+            now: Timestamp::from_secs(1),
+        };
+        assert!(matches!(m.handle(heartbeat), Response::Ok));
+        assert_eq!(locate(&mut m), before);
+        drop(m);
+        let mut m = MasterNode::open(nodes(2), durable_config(&dir)).unwrap();
+        assert_eq!(locate(&mut m), before, "the reopened Master replays its log");
+        assert!(matches!(
+            m.handle(Request::BindFiles { files: vec![] }),
+            Response::AcgAllocated(..)
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_logged_adoption_of_the_last_acg_id_replays_and_mints_no_more() {
+        // A log that already holds the adoption still opens; the id space
+        // is then spent, which minting reports instead of wrapping.
+        let dir = durable_dir("last-id-logged");
+        let (mut store, _) = MetaStore::open(&dir, 64).unwrap();
+        let last = AcgId::new(u64::MAX);
+        store.log(&[MetaOp::AdoptReplica { acg: last, node: NodeId::new(1) }]).unwrap();
+        drop(store);
+        let mut m = MasterNode::open(nodes(2), durable_config(&dir)).unwrap();
+        assert_eq!(locate(&mut m), vec![(last, vec![NodeId::new(1)])]);
+        assert_eq!(m.hard.next_acg, u64::MAX);
+        let bind = m.handle(Request::BindFiles { files: vec![FileId::new(1)] });
+        assert!(matches!(bind, Response::Err(Error::Config(_))), "{bind:?}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// One random request against a Master of `n` nodes whose ACG ids run
+    /// below `next`: resolves with repeated ids and batches large enough
+    /// to roll over, binds, heartbeats that adopt unknown groups, every
+    /// migration phase and index-spec churn.
+    fn random_request(rng: &mut rand::rngs::StdRng, m: &MasterNode, n: u32) -> Request {
+        use rand::Rng;
+        let acgs: Vec<AcgId> = m.hard.acg_replicas.keys().copied().collect();
+        let some_acg = |rng: &mut rand::rngs::StdRng| {
+            if acgs.is_empty() || rng.gen_range(0..4) == 0 {
+                AcgId::new(rng.gen_range(1..m.hard.next_acg + 5))
+            } else {
+                acgs[rng.gen_range(0..acgs.len())]
+            }
+        };
+        let ids = |rng: &mut rand::rngs::StdRng, len: u64| -> Vec<FileId> {
+            (0..len).map(|_| FileId::new(rng.gen_range(0..300))).collect()
+        };
+        match rng.gen_range(0..20) {
+            0..=9 => {
+                let len = rng.gen_range(1..25);
+                Request::ResolveFiles {
+                    files: ids(rng, len),
+                    hints_since: 0,
+                    ctx: propeller_obs::TraceContext::NONE,
+                }
+            }
+            10..=12 => Request::Heartbeat {
+                node: NodeId::new(rng.gen_range(1..n + 2)),
+                acgs: (0..rng.gen_range(0..4))
+                    .map(|_| AcgSummary {
+                        acg: some_acg(rng),
+                        files: rng.gen_range(0..40),
+                        pending_ops: 0,
+                    })
+                    .collect(),
+                load: 0,
+                now: Timestamp::from_secs(rng.gen_range(0..100)),
+            },
+            13 | 14 => {
+                let len = rng.gen_range(0..5);
+                Request::BindFiles { files: ids(rng, len) }
+            }
+            15 => {
+                let len = rng.gen_range(1..5);
+                Request::BeginMigration { acg: some_acg(rng), moved: ids(rng, len) }
+            }
+            16 | 17 => {
+                let mut pending: Vec<AcgId> = m.hard.migrations.keys().copied().collect();
+                pending.sort();
+                let new_acg = pending.first().copied().unwrap_or_else(|| some_acg(rng));
+                if rng.gen_range(0..2) == 0 {
+                    Request::InstallAcked { new_acg }
+                } else {
+                    Request::CommitMigration { new_acg }
+                }
+            }
+            18 => {
+                let name = format!("idx_{}", rng.gen_range(0..3));
+                Request::CreateIndex {
+                    spec: IndexSpec::btree(&name, propeller_types::AttrName::Uid),
+                }
+            }
+            _ => Request::DropIndex { name: format!("idx_{}", rng.gen_range(0..3)) },
+        }
+    }
+
+    #[test]
+    fn a_recovered_master_equals_the_live_one() {
+        use rand::SeedableRng;
+        for case in 0..24u64 {
+            let (n, every) = ((case % 4) as u32, [1, 4, 64][(case % 3) as usize]);
+            let dir = durable_dir(&format!("recovered-{case}"));
+            let config = || MasterConfig {
+                group_capacity: 1 + (case % 7) as usize,
+                split_log_capacity: 3,
+                replication: 1 + (case % 3) as usize,
+                meta_snapshot_every: every,
+                ..durable_config(&dir)
+            };
+            let mut live = MasterNode::open(nodes(n), config()).unwrap();
+            let mut rng = rand::rngs::StdRng::seed_from_u64(case);
+            for _ in 0..80 {
+                let request = random_request(&mut rng, &live, n);
+                live.handle(request);
+            }
+            // Resolving placed files is a pure read of the hard state.
+            let mut placed: Vec<u64> = live.hard.file_to_acg.keys().map(|f| f.raw()).collect();
+            placed.sort_unstable();
+            let answer = |m: &mut MasterNode| match m.handle(Request::ResolveFiles {
+                files: placed.iter().copied().map(FileId::new).collect(),
+                hints_since: 0,
+                ctx: propeller_obs::TraceContext::NONE,
+            }) {
+                Response::Resolved { rows, hints, replicas } => (rows, hints, replicas),
+                other => panic!("{other:?}"),
+            };
+            let (hard, located, resolved) =
+                (live.hard.clone(), locate(&mut live), answer(&mut live));
+            drop(live);
+            let mut recovered = MasterNode::open(nodes(n), config()).unwrap();
+            assert_eq!(recovered.hard, hard, "case {case}: n={n} every={every}");
+            assert_eq!(locate(&mut recovered), located, "case {case}");
+            assert_eq!(answer(&mut recovered), resolved, "case {case}");
             let _ = std::fs::remove_dir_all(&dir);
         }
     }

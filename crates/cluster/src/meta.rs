@@ -128,25 +128,31 @@ pub struct Migration {
     pub installed: bool,
 }
 
-/// A full image of the Master's hard state — everything a checkpoint must
-/// capture for recovery to be snapshot + O(delta) suffix replay.
+/// A full image of the Master's hard state: the live Master keeps its
+/// hard state as exactly one of these, and a checkpoint encodes it, so
+/// recovery is snapshot + O(delta) suffix replay.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetaImage {
     /// The next ACG id to mint.
     pub next_acg: u64,
-    /// The routing generation (monotone across restarts).
+    /// The routing generation: committed splits so far, which clients sync
+    /// their route caches against (monotone across restarts).
     pub routing_gen: u64,
     /// The current open fill target, if any.
     pub open_acg: Option<AcgId>,
     /// The authoritative `file → acg` map.
     pub file_to_acg: HashMap<FileId, AcgId>,
-    /// Placement: each ACG's replica set (primary first).
+    /// Placement: each ACG's replica set (primary first). Splits and
+    /// migrations replace a whole set, never one node of it silently, so
+    /// clients can cache `(acg, replicas)` rows.
     pub acg_replicas: HashMap<AcgId, Vec<NodeId>>,
     /// The cluster-wide named-index registry.
     pub specs: Vec<IndexSpec>,
     /// The recent-splits log backing `RouteHints` (gen, moved files).
     pub split_log: VecDeque<(u64, Vec<FileId>)>,
-    /// In-flight two-phase migrations keyed by `new_acg`.
+    /// In-flight two-phase migrations keyed by `new_acg`. A migration's new
+    /// group is not routable (absent from `acg_replicas`, shielded from
+    /// heartbeat adoption) until it commits.
     pub migrations: HashMap<AcgId, Migration>,
 }
 
@@ -302,8 +308,8 @@ impl MetaStore {
     }
 
     /// Appends `ops` as individual frames and makes them durable. The
-    /// caller must **roll back** its in-memory mutation if this errors —
-    /// an unlogged transition must not be acked.
+    /// caller applies `ops` only after this returns `Ok`, so an unlogged
+    /// transition is never observed, let alone acked.
     ///
     /// # Errors
     ///

@@ -272,7 +272,7 @@ impl AcgEpoch {
                 let attr = spec.attrs[0].clone();
                 let mut tree = BPlusTree::new();
                 for (_, record) in self.records.iter() {
-                    for value in Self::record_values(record, &attr) {
+                    for value in record.values(&attr) {
                         match tree.get_mut(&value) {
                             Some(list) => posting_insert(Arc::make_mut(list), record.file),
                             None => {
@@ -367,7 +367,7 @@ impl AcgEpoch {
 
     fn index(&mut self, record: &FileRecord) {
         for (attr, tree) in self.btrees.iter_mut().chain(self.hashes.iter_mut()) {
-            for value in Self::record_values(record, attr) {
+            for value in record.values(attr) {
                 match tree.get_mut(&value) {
                     Some(list) => posting_insert(Arc::make_mut(list), record.file),
                     None => {
@@ -388,7 +388,7 @@ impl AcgEpoch {
 
     fn unindex(&mut self, record: &FileRecord) {
         for (attr, tree) in self.btrees.iter_mut().chain(self.hashes.iter_mut()) {
-            for value in Self::record_values(record, attr) {
+            for value in record.values(attr) {
                 if let Some(list) = tree.get_mut(&value) {
                     posting_remove(Arc::make_mut(list), record.file);
                 }
@@ -404,23 +404,12 @@ impl AcgEpoch {
         }
     }
 
-    /// The values a record contributes to an attribute's index.
-    fn record_values(record: &FileRecord, attr: &AttrName) -> Vec<Value> {
-        match attr {
-            AttrName::Keyword => record.keywords.iter().map(|k| Value::from(k.as_str())).collect(),
-            AttrName::Custom(name) => {
-                record.custom.iter().filter(|(n, _)| n == name).map(|(_, v)| v.clone()).collect()
-            }
-            builtin => record.attrs.get(builtin).into_iter().collect(),
-        }
-    }
-
     /// The K-D point of a record over `attrs`, or `None` when any attribute
     /// is missing or multi-valued.
     fn kd_point(record: &FileRecord, attrs: &[AttrName]) -> Option<Vec<f64>> {
         let mut point = Vec::with_capacity(attrs.len());
         for attr in attrs {
-            let values = Self::record_values(record, attr);
+            let values = record.values(attr);
             if values.len() != 1 {
                 return None;
             }
@@ -1076,7 +1065,7 @@ impl AcgIndexGroup {
     /// i.e. whether [`AcgIndexGroup::wal_frames_after`] can bring a
     /// follower at `after_lsn` fully current without a snapshot seed.
     pub fn can_ship_frames_after(&self, after_lsn: u64) -> bool {
-        after_lsn + 1 >= self.wal.first_lsn()
+        after_lsn.saturating_add(1) >= self.wal.first_lsn()
     }
 
     /// The retained WAL frames with LSN strictly greater than `after_lsn`,

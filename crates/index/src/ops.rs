@@ -17,7 +17,7 @@
 //! ```
 
 use bytes::BytesMut;
-use propeller_types::{FileId, InodeAttrs, Result, Value};
+use propeller_types::{AttrName, FileId, InodeAttrs, Result, Value};
 use serde::{Deserialize, Serialize};
 
 use crate::codec_struct;
@@ -62,6 +62,20 @@ impl FileRecord {
     pub fn with_content(mut self, text: impl Into<String>) -> Self {
         self.custom.push(("content".into(), Value::Str(text.into())));
         self
+    }
+
+    /// The values this record holds for `attr`: one per keyword or per
+    /// same-named custom attribute, at most one for a built-in. What an
+    /// index on `attr` keys the record under and what a projection of
+    /// `attr` returns.
+    pub fn values(&self, attr: &AttrName) -> Vec<Value> {
+        match attr {
+            AttrName::Keyword => self.keywords.iter().map(|k| Value::from(k.as_str())).collect(),
+            AttrName::Custom(name) => {
+                self.custom.iter().filter(|(n, _)| n == name).map(|(_, v)| v.clone()).collect()
+            }
+            builtin => self.attrs.get(builtin).into_iter().collect(),
+        }
     }
 }
 

@@ -155,7 +155,7 @@ impl Projection {
             Projection::Attrs(attrs) => {
                 let mut out = Vec::with_capacity(attrs.len());
                 for attr in attrs {
-                    out.extend(attr_values(record, attr).into_iter().map(|v| (attr.clone(), v)));
+                    out.extend(record.values(attr).into_iter().map(|v| (attr.clone(), v)));
                 }
                 out
             }
@@ -170,16 +170,6 @@ impl Projection {
                 out
             }
         }
-    }
-}
-
-fn attr_values(record: &FileRecord, attr: &AttrName) -> Vec<Value> {
-    match attr {
-        AttrName::Keyword => record.keywords.iter().map(|k| Value::from(k.as_str())).collect(),
-        AttrName::Custom(name) => {
-            record.custom.iter().filter(|(n, _)| n == name).map(|(_, v)| v.clone()).collect()
-        }
-        builtin => record.attrs.get(builtin).into_iter().collect(),
     }
 }
 
