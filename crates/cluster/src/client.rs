@@ -179,20 +179,9 @@ pub struct FileQueryEngine {
     /// default) sizes pages from each request's limit, see
     /// [`FileQueryEngine::default_paging`].
     search_page: Option<usize>,
-    /// Latency budget for streamed session opens: past it a **hedged**
-    /// duplicate open goes to the next live replica and the first answer
-    /// wins. `None` (the default) never hedges.
-    hedge_budget: Option<std::time::Duration>,
     /// Replica sets learned from `Resolved` responses (primary first) —
     /// the write path's replication fan-out.
     acg_replicas: HashMap<AcgId, Vec<NodeId>>,
-    /// Spread streamed session opens across each replica set, preferring
-    /// the least-loaded replica (see
-    /// [`FileQueryEngine::with_follower_reads`]). `false` always opens at
-    /// the primary.
-    follower_reads: bool,
-    /// Tie-break cursor for follower reads, advanced per opened group.
-    open_rr: AtomicU64,
     /// This client's observability bundle ([`Lane::Client`]).
     obs: Arc<NodeObs>,
     /// Trace one request in every `trace_every` (0 = never sample).
@@ -203,9 +192,7 @@ pub struct FileQueryEngine {
     last_trace: AtomicU64,
     /// End-to-end search latency histogram (cached registry handle).
     h_client_search: Arc<Histogram>,
-    /// Hedge / failover outcome counters (cached registry handles).
-    c_hedges_fired: Arc<Counter>,
-    c_hedges_won: Arc<Counter>,
+    /// Failover counter (cached registry handle).
     c_replica_failovers: Arc<Counter>,
 }
 
@@ -230,8 +217,6 @@ impl FileQueryEngine {
         let mut route_cache = RouteCache::with_capacity(ROUTE_CACHE_CAPACITY);
         route_cache.register_metrics(&obs.metrics);
         let h_client_search = obs.metrics.histogram(names::CLIENT_SEARCH_LATENCY);
-        let c_hedges_fired = obs.metrics.counter(names::HEDGES_FIRED);
-        let c_hedges_won = obs.metrics.counter(names::HEDGES_WON);
         let c_replica_failovers = obs.metrics.counter(names::REPLICA_FAILOVERS);
         FileQueryEngine {
             rpc,
@@ -243,35 +228,14 @@ impl FileQueryEngine {
             route_gen: 0,
             client_id,
             search_page: None,
-            hedge_budget: None,
             acg_replicas: HashMap::new(),
-            follower_reads: false,
-            open_rr: AtomicU64::new(0),
             obs,
             trace_every: 0,
             trace_seq: AtomicU64::new(0),
             last_trace: AtomicU64::new(0),
             h_client_search,
-            c_hedges_fired,
-            c_hedges_won,
             c_replica_failovers,
         }
-    }
-
-    /// Enables or disables follower reads (builder style): streamed
-    /// session opens go to the **least-loaded** live replica of each ACG
-    /// group — load being each node's suspended-session count, reported
-    /// on heartbeats and aggregated at the Master — with round-robin
-    /// rotation between equally loaded replicas, instead of always
-    /// landing on the primary. Replicas serve byte-identical committed
-    /// hits, so this spreads read load without changing any result; the
-    /// failover order still walks the remaining replicas if the chosen
-    /// one is down. Needs replication R >= 2 to change anything. Off by
-    /// default: the primary has the freshest un-replicated state.
-    #[must_use]
-    pub fn with_follower_reads(mut self, enabled: bool) -> Self {
-        self.follower_reads = enabled;
-        self
     }
 
     /// Rebounds the route cache (builder style). Routes already cached are
@@ -305,19 +269,6 @@ impl FileQueryEngine {
         self
     }
 
-    /// Sets the tail-tolerance hedge budget (builder style): a streamed
-    /// session open that has not answered within `budget` fires a
-    /// duplicate "tied request" open at the next live replica of the same
-    /// ACGs; the first answer wins and the loser's session is closed.
-    /// Replicas answer bit-identically, so correctness never depends on
-    /// who wins — only the tail latency does. No-op at replication 1
-    /// (there is no second replica to hedge to).
-    #[must_use]
-    pub fn with_hedge_budget(mut self, budget: propeller_types::Duration) -> Self {
-        self.hedge_budget = Some(budget.to_std());
-        self
-    }
-
     /// Number of file routes currently cached (bounded by the configured
     /// capacity).
     pub fn cached_routes(&self) -> usize {
@@ -331,7 +282,7 @@ impl FileQueryEngine {
     }
 
     /// This client's observability bundle: its metrics registry (route
-    /// cache, hedging, end-to-end latency) and its span buffer.
+    /// cache, failovers, end-to-end latency) and its span buffer.
     pub fn obs(&self) -> &Arc<NodeObs> {
         &self.obs
     }
@@ -601,7 +552,7 @@ impl FileQueryEngine {
         let mut frame_of: Vec<(NodeId, AcgId)> = Vec::new();
         let mut lagging: Vec<(NodeId, NodeId, AcgId, u64)> = Vec::new();
         let mut failures = Vec::new();
-        while let Some((slot, reply)) = gather.next(None) {
+        while let Some((slot, reply)) = gather.next() {
             let Some(batch) = batches.get_mut(slot).and_then(Option::take) else {
                 // A follower's answer: only a log gap needs acting on.
                 if let Ok(Response::ReplicaLagging { lsn: have }) = reply {
@@ -677,9 +628,10 @@ impl FileQueryEngine {
     /// replica group, has nothing to cut off and takes its whole answer in
     /// the open exchange.
     ///
-    /// Opens past the hedge budget race a replica; sessions evicted by a
-    /// node mid-search are reopened transparently, resuming after the last
-    /// hit received; a replica dying mid-stream fails over the same way.
+    /// Each group's session opens at its primary; a failed open moves on
+    /// to the group's next replica. Sessions evicted by a node
+    /// mid-search are reopened transparently, resuming after the last hit
+    /// received; a replica dying mid-stream fails over the same way.
     ///
     /// # Errors
     ///
@@ -749,68 +701,33 @@ impl FileQueryEngine {
         let ctx = self.sample();
         let now = self.clock.now();
         let root = self.obs.spans.begin(ctx, SpanKind::Request, now);
-        // Follower reads are load-aware: the Master aggregates each node's
-        // reported search load from heartbeats, and opens go to the
-        // lightest replica of each group. A fresh cluster (or a dead
-        // Master) reports no load, which degrades to plain round-robin.
-        let loads: HashMap<NodeId, u64> =
-            if self.follower_reads && groups.iter().any(|(r, _)| r.len() > 1) {
-                match self.rpc.call(self.master, Request::NodeLoads) {
-                    Ok(Response::NodeLoadReport(rows)) => rows.into_iter().collect(),
-                    _ => HashMap::new(),
-                }
-            } else {
-                HashMap::new()
-            };
         let (page, adaptive_max) = match self.search_page {
             Some(page) => (page, None),
             None => Self::default_paging(request.limit, groups.len()),
         };
         let mut sources: Vec<NodePageStream> = groups
             .into_iter()
-            .map(|(replicas, acgs)| {
-                // Follower reads: open each group at its least-loaded
-                // replica; ties rotate round-robin so equal replicas
-                // still share the opens. Everything downstream (failover,
-                // hedging) walks on from `current`.
-                let current = if self.follower_reads && replicas.len() > 1 {
-                    let load = |n: &NodeId| loads.get(n).copied().unwrap_or(0);
-                    let min = replicas.iter().map(load).min().unwrap_or(0);
-                    let lightest: Vec<usize> = replicas
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, n)| load(n) == min)
-                        .map(|(i, _)| i)
-                        .collect();
-                    let r = self.open_rr.fetch_add(1, Ordering::Relaxed) as usize;
-                    lightest[r % lightest.len()]
-                } else {
-                    0
-                };
-                NodePageStream {
-                    rpc: self.rpc.clone(),
-                    dead: vec![false; replicas.len()],
-                    replicas,
-                    current,
-                    acgs,
-                    request: request.clone(),
-                    client: self.client_id,
-                    page,
-                    adaptive_max,
-                    hedge: self.hedge_budget,
-                    now,
-                    session: 0,
-                    buffer: Vec::new().into_iter(),
-                    exhausted: false,
-                    resume: None,
-                    yielded: 0,
-                    reopens: 0,
-                    stats: SearchStats::default(),
-                    error: None,
-                    ctx: root.ctx(),
-                    obs: Arc::clone(&self.obs),
-                    clock: Arc::clone(&self.clock),
-                }
+            .map(|(replicas, acgs)| NodePageStream {
+                rpc: self.rpc.clone(),
+                replicas,
+                current: 0,
+                acgs,
+                request: request.clone(),
+                client: self.client_id,
+                page,
+                adaptive_max,
+                now,
+                session: 0,
+                buffer: Vec::new().into_iter(),
+                exhausted: false,
+                resume: None,
+                yielded: 0,
+                reopens: 0,
+                stats: SearchStats::default(),
+                error: None,
+                ctx: root.ctx(),
+                obs: Arc::clone(&self.obs),
+                clock: Arc::clone(&self.clock),
             })
             .collect();
         // Open one session per group in parallel; every open ships the
@@ -847,8 +764,6 @@ impl FileQueryEngine {
             obs: Arc::clone(&self.obs),
             root: Some(root),
             h_latency: Arc::clone(&self.h_client_search),
-            c_hedges_fired: Arc::clone(&self.c_hedges_fired),
-            c_hedges_won: Arc::clone(&self.c_hedges_won),
             c_replica_failovers: Arc::clone(&self.c_replica_failovers),
         })
     }
@@ -997,12 +912,11 @@ impl FileQueryEngine {
 /// never pulled again.
 ///
 /// The stream is **replica-aware**: the session lives on one member of
-/// the group at a time (the primary first). Opens past the hedge budget
-/// race a duplicate open on the next live replica and take the first
-/// answer; a member dying mid-stream fails the session over to the next
-/// live member, resuming after the last hit yielded — replicas hold
-/// byte-identical committed views, so the concatenation is exactly the
-/// uninterrupted stream, no hits skipped or duplicated.
+/// the group at a time, the primary first. A failed open, or a member
+/// dying mid-stream, moves the session on to the next member, resuming
+/// after the last hit yielded — replicas hold byte-identical committed
+/// views, so the concatenation is exactly the uninterrupted stream, no
+/// hits skipped or duplicated.
 ///
 /// RPC failures cannot surface through `Iterator::next`, so once every
 /// replica is dead the error parks in `error` (the stream ends) and the
@@ -1012,9 +926,9 @@ struct NodePageStream {
     rpc: Rpc,
     /// The group's full ordered replica set (primary first).
     replicas: Vec<NodeId>,
-    /// Members that failed an RPC; never retried within this search.
-    dead: Vec<bool>,
-    /// Index into `replicas` of the member currently serving the session.
+    /// Index into `replicas` of the member serving the session. Every
+    /// member before it failed an RPC and is not retried within this
+    /// search.
     current: usize,
     acgs: Vec<AcgId>,
     request: SearchRequest,
@@ -1023,8 +937,6 @@ struct NodePageStream {
     /// set (up to that bound).
     page: usize,
     adaptive_max: Option<usize>,
-    /// Latency budget for hedged opens; `None` never hedges.
-    hedge: Option<std::time::Duration>,
     now: Timestamp,
     /// The open session on `current` (0 = none: exhausted or never
     /// stored).
@@ -1050,157 +962,45 @@ struct NodePageStream {
     clock: Arc<dyn Clock>,
 }
 
-/// A source's share of one open fan-out (see [`open_sources`]): the
-/// attempt under way against its `current` replica.
-#[derive(Default)]
-struct Opening {
-    /// The attempt's Open span, and its Hedge child once the tied request
-    /// has fired.
-    open: Option<OpenSpan>,
-    hedge: Option<OpenSpan>,
-    /// When the tied request is due — counted from this attempt's own
-    /// send — while it has not fired.
-    hedge_at: Option<std::time::Instant>,
-    /// The attempt's unanswered requests, as `(gather slot, replica
-    /// slot)`; empty once the source is settled (a page accepted, or no
-    /// live replica left).
-    in_flight: Vec<(usize, usize)>,
-}
-
-/// The process-wide reaper that drains hedge losers and closes their
-/// sessions: it is handed the open fan-out's [`Gather`] with the losers'
-/// replies still outstanding. One long-lived thread, so a search never
-/// waits for (or creates a thread for) a straggler it already beat;
-/// best-effort cleanup tolerates the queueing.
-fn loser_reaper() -> &'static crossbeam::channel::Sender<Gather> {
-    static REAPER: std::sync::OnceLock<crossbeam::channel::Sender<Gather>> =
-        std::sync::OnceLock::new();
-    REAPER.get_or_init(|| {
-        let (tx, rx) = crossbeam::channel::unbounded::<Gather>();
-        std::thread::spawn(move || {
-            while let Ok(mut gather) = rx.recv() {
-                while let Some((slot, reply)) = gather.next(None) {
-                    close_loser(&mut gather, slot, reply);
-                }
-            }
-        });
-        tx
-    })
-}
-
-/// Closes the session a beaten open attempt turned out to have opened;
-/// the `CloseSearch` leaves through the same gather, and nobody needs its
-/// reply.
-fn close_loser(gather: &mut Gather, slot: usize, reply: Result<Response>) {
-    if let Ok(Response::SearchPage { session, exhausted: false, .. }) = reply {
-        if session != 0 {
-            gather.send(gather.node(slot), Request::CloseSearch { session });
-        }
-    }
-}
-
 /// Opens a session for every source — the initial open of a whole search,
 /// or one source failing over after its replica died mid-stream
 /// (`counts_as_failover`) — on **one** gather driven by the calling
-/// thread. Every source's open leaves at once against the first live
-/// replica at or after its `current`; from then on the loop blocks for
-/// whichever comes first, a reply or the earliest hedge deadline:
-///
-/// * a `SearchPage` settles its source (the first one wins; a later one
-///   from the same source is a hedge loser and is closed);
-/// * a failed attempt marks that replica dead and, once nothing of the
-///   attempt is in flight, moves the source on to its next live replica —
-///   or parks the error when none is left;
-/// * an open that has outlived the source's hedge budget (counted from
-///   its own send) fires a duplicate "tied request" at the next live
-///   replica. Replicas hold byte-identical committed views, so
-///   correctness never depends on who wins.
-///
-/// Losers still unanswered when every source has settled go to the
-/// [`loser_reaper`] with the gather.
+/// thread. Every source's open leaves at once for its `current` replica;
+/// a `SearchPage` settles the source, and a failed open sends it on to
+/// its next replica, or parks the error when none is left.
 fn open_sources(sources: &mut [NodePageStream], counts_as_failover: bool) {
     let Some(first) = sources.first() else { return };
     let mut gather = first.rpc.gather();
-    let mut opening: Vec<Opening> = sources.iter().map(|_| Opening::default()).collect();
-    for (source, o) in sources.iter_mut().zip(&mut opening) {
-        source.begin_open(&mut gather, o);
-    }
-    while opening.iter().any(|o| !o.in_flight.is_empty()) {
-        let wake = opening.iter().filter_map(|o| o.hedge_at).min();
-        let Some((slot, reply)) = gather.next(wake) else {
-            // A hedge budget ran out: fire every tied request now due.
-            let now = std::time::Instant::now();
-            for (source, o) in sources.iter_mut().zip(&mut opening) {
-                if o.hedge_at.is_some_and(|at| at <= now) {
-                    source.fire_hedge(&mut gather, o);
-                }
-            }
-            continue;
-        };
-        let attempt = opening.iter().enumerate().find_map(|(i, o)| {
-            Some((i, o.in_flight.iter().position(|&(asked, _)| asked == slot)?))
-        });
-        let Some((i, at)) = attempt else {
-            // Not part of any attempt under way: a hedge loser's late
-            // answer (or the reply to its close).
-            close_loser(&mut gather, slot, reply);
-            continue;
-        };
-        let (source, o) = (&mut sources[i], &mut opening[i]);
-        let (_, idx) = o.in_flight.swap_remove(at);
+    // Per source: the gather slot and Open span of its attempt under way.
+    let mut opening: Vec<Option<(usize, OpenSpan)>> =
+        sources.iter_mut().map(|source| source.begin_open(&mut gather)).collect();
+    while let Some((slot, reply)) = gather.next() {
+        let i = opening
+            .iter()
+            .position(|o| o.as_ref().is_some_and(|(asked, _)| *asked == slot))
+            .expect("every outstanding slot is an attempt under way");
+        let (source, open) = (&mut sources[i], opening[i].take().map(|(_, open)| open));
+        let node = source.replicas[source.current];
         match reply {
             Ok(Response::SearchPage { session, hits, stats, exhausted }) => {
-                let winner = source.replicas[idx];
-                let hedge_won = idx != source.current;
-                if hedge_won {
-                    source.stats.hedges_won += 1;
-                    source.current = idx;
-                }
                 if counts_as_failover {
                     source.stats.replica_failovers += 1;
                 }
                 source.accept_page(session, hits, stats, exhausted);
                 source.error = None;
-                let armed = o.hedge_at.take().is_some();
-                let fired = o.hedge.is_some();
-                source.finish_span(o.hedge.take(), || {
-                    let who = if hedge_won { "hedge replica" } else { "primary" };
-                    format!("winner {winner} ({who})")
-                });
-                source.finish_span(o.open.take(), || match (fired, armed) {
-                    (true, _) => format!("winner {winner}"),
-                    (false, true) => format!("{winner} within budget ok=true"),
-                    (false, false) => format!("{winner} ok=true"),
-                });
-                // What is still in flight is the loser.
-                o.in_flight.clear();
+                source.finish_span(open, || format!("{node} ok=true"));
             }
             other => {
-                source.dead[idx] = true;
-                source.error = Some(match other {
+                let err = match other {
                     Ok(resp) => Error::Rpc(format!("unexpected response {resp:?}")),
                     Err(e) => e,
-                });
-                if o.in_flight.is_empty() {
-                    // The whole attempt failed: on to the next replica.
-                    let node = source.replicas[source.current];
-                    let fired = o.hedge.is_some();
-                    source.finish_span(o.hedge.take(), || "no winner".to_string());
-                    let err = source.error.as_ref().expect("just parked");
-                    source.finish_span(o.open.take(), || {
-                        if fired {
-                            format!("{node} and its hedge replica dead: {err}")
-                        } else {
-                            format!("{node} unreachable: {err}")
-                        }
-                    });
-                    source.begin_open(&mut gather, o);
-                }
+                };
+                source.finish_span(open, || format!("{node} unreachable: {err}"));
+                source.error = Some(err);
+                source.current += 1;
+                opening[i] = source.begin_open(&mut gather);
             }
         }
-    }
-    if gather.has_pending() {
-        let _ = loser_reaper().send(gather);
     }
 }
 
@@ -1229,7 +1029,7 @@ fn close_sessions<'a>(sources: impl IntoIterator<Item = &'a NodePageStream>) -> 
 impl NodePageStream {
     /// The open request resuming after the last yielded hit, asking only
     /// for the remaining entitlement. `ctx` is the span the node's
-    /// service spans should hang under (the Open or Hedge attempt).
+    /// service spans should hang under (the Open attempt).
     fn open_request(&self, ctx: TraceContext) -> Request {
         let mut request = self.request.clone();
         if let Some(resume) = &self.resume {
@@ -1246,52 +1046,16 @@ impl NodePageStream {
         }
     }
 
-    /// Starts an open attempt against the first live replica at or after
-    /// `current`, arming the hedge when a budget is set and another live
-    /// replica exists to hedge to. With no live replica left the error is
-    /// parked and `o` stays settled.
-    fn begin_open(&mut self, gather: &mut Gather, o: &mut Opening) {
-        *o = Opening::default();
-        let Some(idx) = self.first_live_at_or_after(self.current) else {
+    /// Sends the open to the `current` replica, returning its gather slot
+    /// and Open span. Past the last replica the error is parked and
+    /// nothing is sent.
+    fn begin_open(&mut self, gather: &mut Gather) -> Option<(usize, OpenSpan)> {
+        let Some(&node) = self.replicas.get(self.current) else {
             self.error.get_or_insert_with(|| Error::Rpc("no live replica".to_string()));
-            return;
+            return None;
         };
-        self.current = idx;
         let open = self.obs.spans.begin(self.ctx, SpanKind::Open, self.clock.now());
-        o.in_flight.push((gather.send(self.replicas[idx], self.open_request(open.ctx())), idx));
-        o.open = Some(open);
-        if let (Some(budget), Some(_)) = (self.hedge, self.next_live_after(idx)) {
-            o.hedge_at = Some(std::time::Instant::now() + budget);
-        }
-    }
-
-    /// Fires the tied request of the attempt under way at the next live
-    /// replica, as a Hedge child of its Open span.
-    fn fire_hedge(&mut self, gather: &mut Gather, o: &mut Opening) {
-        o.hedge_at = None;
-        let (Some(backup), Some(open)) = (self.next_live_after(self.current), &o.open) else {
-            return;
-        };
-        self.stats.hedges_fired += 1;
-        let hedge = self.obs.spans.begin(open.ctx(), SpanKind::Hedge, self.clock.now());
-        let asked = gather.send(self.replicas[backup], self.open_request(hedge.ctx()));
-        o.in_flight.push((asked, backup));
-        o.hedge = Some(hedge);
-    }
-
-    /// The first live replica slot at or cyclically after `from`.
-    fn first_live_at_or_after(&self, from: usize) -> Option<usize> {
-        (0..self.replicas.len())
-            .map(|step| (from + step) % self.replicas.len())
-            .find(|&idx| !self.dead[idx])
-    }
-
-    /// The first live replica slot strictly after `from` (cyclically),
-    /// excluding `from` itself.
-    fn next_live_after(&self, from: usize) -> Option<usize> {
-        (1..self.replicas.len())
-            .map(|step| (from + step) % self.replicas.len())
-            .find(|&idx| !self.dead[idx])
+        Some((gather.send(node, self.open_request(open.ctx())), open))
     }
 
     /// Finishes a client-side span now, if it records anything. The
@@ -1349,6 +1113,7 @@ impl Iterator for NodePageStream {
                     // page, so this always makes progress.
                     self.finish_span(Some(span), || format!("{node} session expired, reopening"));
                     self.reopens += 1;
+                    self.session = 0;
                     open_sources(std::slice::from_mut(self), false);
                     if self.error.is_some() {
                         return None;
@@ -1367,7 +1132,7 @@ impl Iterator for NodePageStream {
                     self.finish_span(Some(span), || {
                         format!("{node} died mid-stream, failing over")
                     });
-                    self.dead[self.current] = true;
+                    self.current += 1;
                     self.session = 0;
                     open_sources(std::slice::from_mut(self), true);
                     if self.error.is_some() {
@@ -1401,8 +1166,6 @@ pub struct ClusterSearchStream {
     /// The client-side root span, finished when the stream ends.
     root: Option<OpenSpan>,
     h_latency: Arc<Histogram>,
-    c_hedges_fired: Arc<Counter>,
-    c_hedges_won: Arc<Counter>,
     c_replica_failovers: Arc<Counter>,
 }
 
@@ -1505,8 +1268,6 @@ impl ClusterSearchStream {
         let now = self.clock.now();
         stats.elapsed = now.since(self.started);
         self.h_latency.record(stats.elapsed.as_micros());
-        self.c_hedges_fired.add(stats.hedges_fired as u64);
-        self.c_hedges_won.add(stats.hedges_won as u64);
         self.c_replica_failovers.add(stats.replica_failovers as u64);
         if let Some(root) = self.root.take() {
             if root.enabled() {

@@ -221,10 +221,10 @@ impl Cluster {
         }
     }
 
-    /// A new client handle with the default client options; set hedging,
-    /// follower reads and trace sampling through its builders
-    /// ([`FileQueryEngine::with_hedge_budget`],
-    /// [`FileQueryEngine::with_follower_reads`],
+    /// A new client handle with the default client options; set paging,
+    /// the route-cache bound and trace sampling through its builders
+    /// ([`FileQueryEngine::with_search_page_size`],
+    /// [`FileQueryEngine::with_route_cache_capacity`],
     /// [`FileQueryEngine::with_trace_sampling`]).
     pub fn client(&self) -> FileQueryEngine {
         FileQueryEngine::new(
@@ -482,8 +482,8 @@ impl Cluster {
 pub fn maintain(rpc: &Rpc, master: NodeId, nodes: &[NodeId], now: Timestamp) -> Result<usize> {
     // 1 + 2: tick, gather, heartbeat.
     for &node in nodes {
-        if let Response::Status { acgs, load } = rpc.call(node, Request::Tick { now })? {
-            rpc.call(master, Request::Heartbeat { node, acgs, load, now })?;
+        if let Response::Status { acgs } = rpc.call(node, Request::Tick { now })? {
+            rpc.call(master, Request::Heartbeat { node, acgs })?;
         }
     }
     // 3: finish what a predecessor started before opening new work.
@@ -766,100 +766,7 @@ mod tests {
     }
 
     #[test]
-    fn follower_reads_spread_session_opens_across_replicas() {
-        let cluster =
-            Cluster::start(ClusterConfig { index_nodes: 2, replication: 2, ..Default::default() });
-        let mut client = cluster.client().with_follower_reads(true);
-        client.index_files((0..50).map(|i| record(i, 10)).collect()).unwrap();
-        let located = match cluster.rpc().call(cluster.master_id(), Request::LocateAcgs) {
-            Ok(Response::Located(rows)) => rows,
-            other => panic!("{other:?}"),
-        };
-        assert_eq!(located.len(), 1, "one ACG expected: {located:?}");
-        let replicas = located[0].1.clone();
-        assert_eq!(replicas.len(), 2);
-        let now = cluster.clock.now();
-        let request = propeller_query::SearchRequest::parse("size>1m", now).unwrap();
-        for _ in 0..6 {
-            assert_eq!(client.search_with(&request).unwrap().hits.len(), 50);
-        }
-        // Round-robin opens must land searches on BOTH replicas, not just
-        // the primary; replicas hold identical committed state so every
-        // answer above was still the full hit list.
-        let served: Vec<u64> = replicas
-            .iter()
-            .map(|&node| match cluster.rpc().call(node, Request::NodeStats) {
-                Ok(Response::NodeStatsReport { searches_served, .. }) => searches_served,
-                other => panic!("{other:?}"),
-            })
-            .collect();
-        assert!(
-            served.iter().all(|&n| n >= 2),
-            "6 round-robin opens over 2 replicas should give each at least 2: {served:?}"
-        );
-        assert_eq!(served.iter().sum::<u64>(), 6, "{served:?}");
-        cluster.shutdown();
-    }
-
-    #[test]
-    fn follower_reads_drain_opens_from_a_degraded_replica() {
-        let cluster =
-            Cluster::start(ClusterConfig { index_nodes: 2, replication: 2, ..Default::default() });
-        let mut client = cluster.client().with_follower_reads(true);
-        client.index_files((0..50).map(|i| record(i, 10)).collect()).unwrap();
-        let located = match cluster.rpc().call(cluster.master_id(), Request::LocateAcgs) {
-            Ok(Response::Located(rows)) => rows,
-            other => panic!("{other:?}"),
-        };
-        assert_eq!(located.len(), 1, "one ACG expected: {located:?}");
-        let (acg, replicas) = (located[0].0, located[0].1.clone());
-        let (primary, follower) = (replicas[0], replicas[1]);
-        // Degrade the primary: every delivery to it crawls, and suspended
-        // search sessions pile up on it (small page, never pulled) — the
-        // symptom of a node falling behind.
-        cluster
-            .rpc()
-            .slowdowns()
-            .set(primary, propeller_sim::Latency::constant(Duration::from_millis(2)));
-        let now = cluster.clock.now();
-        let request = propeller_query::SearchRequest::parse("size>1m", now).unwrap();
-        for s in 0..4u64 {
-            match cluster.rpc().call(
-                primary,
-                Request::OpenSearch {
-                    acgs: vec![acg],
-                    request: request.clone(),
-                    client: 1000 + s,
-                    page: 5,
-                    now,
-                    ctx: propeller_obs::TraceContext::NONE,
-                },
-            ) {
-                Ok(Response::SearchPage { session, .. }) => {
-                    assert_ne!(session, 0, "a 5-hit page of 50 hits must suspend")
-                }
-                other => panic!("{other:?}"),
-            }
-        }
-        // Heartbeats carry the asymmetric load to the Master...
-        cluster.run_maintenance().unwrap();
-        let count = |node| match cluster.rpc().call(node, Request::NodeStats) {
-            Ok(Response::NodeStatsReport { searches_served, .. }) => searches_served,
-            other => panic!("{other:?}"),
-        };
-        let before = count(follower);
-        // ...so every subsequent open drains to the healthy follower —
-        // with byte-identical answers, since replicas hold the same
-        // committed state.
-        for _ in 0..6 {
-            assert_eq!(client.search_with(&request).unwrap().hits.len(), 50);
-        }
-        assert_eq!(count(follower) - before, 6, "all opens should land on the unloaded follower");
-        cluster.shutdown();
-    }
-
-    #[test]
-    fn without_follower_reads_the_primary_serves_every_open() {
+    fn the_primary_serves_every_open() {
         let cluster =
             Cluster::start(ClusterConfig { index_nodes: 2, replication: 2, ..Default::default() });
         let mut client = cluster.client();
@@ -879,7 +786,7 @@ mod tests {
             other => panic!("{other:?}"),
         };
         assert_eq!(count(primary), 4);
-        assert_eq!(count(follower), 0, "follower must stay cold when follower_reads is off");
+        assert_eq!(count(follower), 0, "a live primary leaves its follower cold");
         cluster.shutdown();
     }
 

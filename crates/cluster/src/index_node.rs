@@ -1301,7 +1301,7 @@ impl IndexNode {
                     // so update-quiet groups still bound their logs.
                     self.maybe_snapshot(acg, now);
                 }
-                Response::Status { acgs: self.summaries(), load: self.sessions.len() as u64 }
+                Response::Status { acgs: self.summaries() }
             }
             Request::NodeStats => {
                 self.drain_snapshot_completions();

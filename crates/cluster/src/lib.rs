@@ -79,7 +79,7 @@ mod rpc;
 pub use client::{ClusterSearchStream, FileQueryEngine};
 pub use cluster::{maintain, Cluster, ClusterConfig};
 pub use index_node::{IndexNode, IndexNodeConfig, Tombstones};
-pub use master::{MasterConfig, MasterNode, NodeStatus};
+pub use master::{MasterConfig, MasterNode};
 pub use messages::{AcgSummary, MigrationJob, Request, Response};
 pub use meta::{MetaImage, MetaOp, Migration};
 pub use pool::WorkerPool;

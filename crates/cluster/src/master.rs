@@ -1,8 +1,8 @@
 //! The Master Node (paper §IV).
 //!
 //! "The central index metadata and coordination server": it owns the
-//! `file → ACG` mapping and ACG placement, routes client requests, tracks
-//! Index Node liveness through heartbeats, decides when an ACG must be
+//! `file → ACG` mapping and ACG placement, routes client requests, learns
+//! ACG sizes from Index Node heartbeats, decides when an ACG must be
 //! split, and coordinates two-phase migrations. It never touches file
 //! data or indices itself, which is why a single Master scales to
 //! hundreds of Index Nodes.
@@ -20,8 +20,8 @@
 //! and the request is acked; [`MasterNode::open`] replays the log through
 //! the same function. Periodic checksummed checkpoints bound recovery to
 //! O(delta) suffix replay.
-//! **Soft state** — node liveness, heartbeat-refreshed file counts, split
-//! *pressure* — is never logged: one heartbeat round rebuilds it.
+//! **Soft state** — heartbeat-refreshed file counts and split *pressure* —
+//! is never logged: one heartbeat round rebuilds it.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -29,31 +29,10 @@ use std::sync::Arc;
 
 use propeller_obs::{names, Lane, NodeObs, SpanKind};
 use propeller_sim::{Clock, WallClock};
-use propeller_types::{AcgId, Duration, Error, FileId, NodeId, Timestamp};
+use propeller_types::{AcgId, Error, FileId, NodeId};
 
 use crate::messages::{AcgSummary, MigrationJob, Request, Response, RouteHints};
 use crate::meta::{MetaImage, MetaOp, MetaStore, Migration};
-
-/// Liveness/load record for one Index Node.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct NodeStatus {
-    /// Last heartbeat receipt time.
-    pub last_heartbeat: Timestamp,
-    /// Total files across the node's ACGs.
-    pub files: usize,
-    /// Number of hosted ACGs.
-    pub acgs: usize,
-    /// The node's last self-reported instantaneous load (suspended
-    /// streamed sessions) — what load-feedback follower reads rank by.
-    pub load: u64,
-}
-
-impl NodeStatus {
-    /// Whether the node has heartbeated within `timeout` of `now`.
-    pub fn alive(&self, now: Timestamp, timeout: Duration) -> bool {
-        now.since(self.last_heartbeat) <= timeout
-    }
-}
 
 /// Master Node configuration.
 #[derive(Debug, Clone)]
@@ -104,7 +83,6 @@ pub struct MasterNode {
     /// changes it: live behind `log_then_apply`, on recovery by replay.
     hard: MetaImage,
     acg_files: HashMap<AcgId, usize>,
-    node_status: HashMap<NodeId, NodeStatus>,
     pending_splits: Vec<(AcgId, NodeId)>,
     splitting: std::collections::HashSet<AcgId>,
     /// The control-plane WAL + checkpoint store; `None` for a
@@ -143,7 +121,6 @@ impl MasterNode {
             index_nodes,
             hard: MetaImage { next_acg: 1, ..MetaImage::default() },
             acg_files: HashMap::new(),
-            node_status: HashMap::new(),
             pending_splits: Vec::new(),
             splitting: std::collections::HashSet::new(),
             meta: None,
@@ -414,9 +391,14 @@ impl MasterNode {
         Ok(rows)
     }
 
-    fn on_heartbeat(&mut self, node: NodeId, acgs: Vec<AcgSummary>, load: u64, now: Timestamp) {
-        let (files, count) = (acgs.iter().map(|a| a.files).sum(), acgs.len());
-        self.node_status.insert(node, NodeStatus { last_heartbeat: now, files, acgs: count, load });
+    /// Folds one node's ACG summaries into the soft state, adopting groups
+    /// the Master has not placed on that node. A node outside the cluster
+    /// is refused before anything is adopted or logged: no client could
+    /// reach a replica on it.
+    fn on_heartbeat(&mut self, node: NodeId, acgs: Vec<AcgSummary>) -> Result<(), Error> {
+        if !self.index_nodes.contains(&node) {
+            return Err(Error::NodeUnavailable(node));
+        }
         for summary in acgs {
             // Adopt ACGs this Master has never seen on this node: a node
             // that recovered its groups from disk (a memory-only Master
@@ -455,6 +437,7 @@ impl MasterNode {
                 self.pending_splits.push((summary.acg, primary));
             }
         }
+        Ok(())
     }
 
     /// The route invalidations a client at generation `since` is missing.
@@ -480,11 +463,6 @@ impl MasterNode {
             },
             _ => RouteHints { upto, moved: Vec::new(), complete: false },
         }
-    }
-
-    /// Status table of the nodes (for tests and operators).
-    pub fn node_status(&self) -> &HashMap<NodeId, NodeStatus> {
-        &self.node_status
     }
 
     /// Number of distinct ACGs allocated.
@@ -541,16 +519,10 @@ impl MasterNode {
                 Response::Ok
             }
             Request::ListIndexSpecs => Response::IndexSpecs(self.hard.specs.clone()),
-            Request::Heartbeat { node, acgs, load, now } => {
-                self.on_heartbeat(node, acgs, load, now);
-                Response::Ok
-            }
-            Request::NodeLoads => {
-                let mut rows: Vec<(NodeId, u64)> =
-                    self.node_status.iter().map(|(&n, s)| (n, s.load)).collect();
-                rows.sort();
-                Response::NodeLoadReport(rows)
-            }
+            Request::Heartbeat { node, acgs } => match self.on_heartbeat(node, acgs) {
+                Ok(()) => Response::Ok,
+                Err(e) => Response::Err(e),
+            },
             Request::TakeSplitWork => {
                 let work = std::mem::take(&mut self.pending_splits);
                 Response::SplitWork(work)
@@ -595,6 +567,13 @@ impl MasterNode {
             Request::BeginMigration { acg, moved } => {
                 if !self.hard.acg_replicas.contains_key(&acg) {
                     return Response::Err(Error::AcgNotFound(acg));
+                }
+                // Only files homed in `acg` can move out of it: any other
+                // would end up routed to a group that never got its data.
+                if let Some(&file) =
+                    moved.iter().find(|f| self.hard.file_to_acg.get(f) != Some(&acg))
+                {
+                    return Response::Err(Error::FileNotFound(file));
                 }
                 if self.hard.migrations.values().any(|m| m.source == acg) {
                     return Response::Err(Error::Rpc(format!(
@@ -731,8 +710,6 @@ mod tests {
         m.handle(Request::Heartbeat {
             node,
             acgs: vec![AcgSummary { acg, files: 60, pending_ops: 0 }],
-            load: 0,
-            now: Timestamp::from_secs(1),
         });
         match m.handle(Request::TakeSplitWork) {
             Response::SplitWork(work) => assert_eq!(work, vec![(acg, node)]),
@@ -742,8 +719,6 @@ mod tests {
         m.handle(Request::Heartbeat {
             node,
             acgs: vec![AcgSummary { acg, files: 60, pending_ops: 0 }],
-            load: 0,
-            now: Timestamp::from_secs(2),
         });
         match m.handle(Request::TakeSplitWork) {
             Response::SplitWork(work) => assert!(work.is_empty()),
@@ -922,17 +897,35 @@ mod tests {
     }
 
     #[test]
-    fn node_status_alive_tracking() {
-        let mut m = master(2, 10);
-        m.handle(Request::Heartbeat {
-            node: NodeId::new(1),
-            acgs: vec![],
-            load: 0,
-            now: Timestamp::from_secs(10),
-        });
-        let status = m.node_status().get(&NodeId::new(1)).unwrap();
-        assert!(status.alive(Timestamp::from_secs(12), Duration::from_secs(5)));
-        assert!(!status.alive(Timestamp::from_secs(30), Duration::from_secs(5)));
+    fn a_migration_of_files_the_group_does_not_home_is_refused() {
+        let mut m = master(2, 5);
+        resolve(&mut m, 0..10);
+        let (source, before) = (AcgId::new(1), m.hard.clone());
+        // File 7 lives in ACG 2 and file 500 was never placed: moving
+        // either out of ACG 1 would route it to a group without its data.
+        let begin =
+            Request::BeginMigration { acg: source, moved: vec![FileId::new(7), FileId::new(500)] };
+        match m.handle(begin) {
+            Response::Err(Error::FileNotFound(file)) => assert_eq!(file, FileId::new(7)),
+            other => panic!("{other:?}"),
+        }
+        let begin =
+            Request::BeginMigration { acg: source, moved: vec![FileId::new(3), FileId::new(500)] };
+        assert!(matches!(m.handle(begin), Response::Err(Error::FileNotFound(_))));
+        assert_eq!(m.hard, before, "a refused migration changes no hard state");
+    }
+
+    #[test]
+    fn a_heartbeat_from_a_node_outside_the_cluster_is_refused() {
+        let mut m = master(2, 5);
+        resolve(&mut m, 0..10);
+        let (before, outsider) = (m.hard.clone(), NodeId::new(3));
+        let summary = AcgSummary { acg: AcgId::new(9), files: 4, pending_ops: 0 };
+        match m.handle(Request::Heartbeat { node: outsider, acgs: vec![summary] }) {
+            Response::Err(Error::NodeUnavailable(node)) => assert_eq!(node, outsider),
+            other => panic!("{other:?}"),
+        }
+        assert_eq!(m.hard, before, "nothing adopted: no client could reach {outsider}");
     }
 
     #[test]
@@ -1005,8 +998,6 @@ mod tests {
             m.handle(Request::Heartbeat {
                 node,
                 acgs: vec![AcgSummary { acg, files: 4, pending_ops: 0 }],
-                load: 0,
-                now: Timestamp::from_secs(1),
             });
         }
         assert_eq!(m.hard.acg_replicas.get(&acg), Some(&vec![NodeId::new(2), NodeId::new(3)]));
@@ -1218,12 +1209,7 @@ mod tests {
         // No id follows `u64::MAX`, so adopting it would leave none to
         // mint next: the heartbeat is served, the adoption never logged.
         let last = AcgSummary { acg: AcgId::new(u64::MAX), files: 1, pending_ops: 0 };
-        let heartbeat = Request::Heartbeat {
-            node: NodeId::new(1),
-            acgs: vec![last],
-            load: 0,
-            now: Timestamp::from_secs(1),
-        };
+        let heartbeat = Request::Heartbeat { node: NodeId::new(1), acgs: vec![last] };
         assert!(matches!(m.handle(heartbeat), Response::Ok));
         assert_eq!(locate(&mut m), before);
         drop(m);
@@ -1288,16 +1274,29 @@ mod tests {
                         pending_ops: 0,
                     })
                     .collect(),
-                load: 0,
-                now: Timestamp::from_secs(rng.gen_range(0..100)),
             },
             13 | 14 => {
                 let len = rng.gen_range(0..5);
                 Request::BindFiles { files: ids(rng, len) }
             }
             15 => {
+                // Mostly files the group homes, so migrations get under way.
+                let acg = some_acg(rng);
+                let mut homed: Vec<FileId> = m
+                    .hard
+                    .file_to_acg
+                    .iter()
+                    .filter(|(_, a)| **a == acg)
+                    .map(|(f, _)| *f)
+                    .collect();
+                homed.sort_unstable();
                 let len = rng.gen_range(1..5);
-                Request::BeginMigration { acg: some_acg(rng), moved: ids(rng, len) }
+                let moved = if homed.is_empty() || rng.gen_range(0..4) == 0 {
+                    ids(rng, len)
+                } else {
+                    (0..len).map(|_| homed[rng.gen_range(0..homed.len())]).collect()
+                };
+                Request::BeginMigration { acg, moved }
             }
             16 | 17 => {
                 let mut pending: Vec<AcgId> = m.hard.migrations.keys().copied().collect();

@@ -96,19 +96,14 @@ pub enum Request {
         /// The index name.
         name: String,
     },
-    /// Index Node liveness + load report.
+    /// An Index Node's per-ACG status, forwarded to the Master: it
+    /// refreshes file counts, queues splits and adopts unknown groups. A
+    /// node outside the cluster is refused with [`Error::NodeUnavailable`].
     Heartbeat {
         /// Reporting node.
         node: NodeId,
         /// Status of each hosted ACG.
         acgs: Vec<AcgSummary>,
-        /// The node's instantaneous load: suspended streamed search
-        /// sessions (queue depth). The Master folds it into
-        /// [`Response::NodeLoadReport`] so `follower_reads` clients route
-        /// opens to the least-loaded live replica.
-        load: u64,
-        /// Report time.
-        now: Timestamp,
     },
     /// Ask the Master for split work discovered via heartbeats (driven by
     /// the external coordinator, keeping node threads call-free).
@@ -117,7 +112,9 @@ pub enum Request {
     /// and a target replica set for `moved` files of `acg`, **without**
     /// making the new group routable. The Master logs the intent before
     /// answering [`Response::MigrationBegun`], so a crash at any later
-    /// point recovers the migration instead of stranding the part.
+    /// point recovers the migration instead of stranding the part. A
+    /// moved file that `acg` does not home is refused with
+    /// [`Error::FileNotFound`] before anything is logged.
     BeginMigration {
         /// The source ACG being carved.
         acg: AcgId,
@@ -147,9 +144,6 @@ pub enum Request {
     /// re-broadcast specs to revived nodes whose local state predates
     /// their creation).
     ListIndexSpecs,
-    /// Fetch the latest heartbeat-reported load of every node the Master
-    /// considers live.
-    NodeLoads,
     /// Bind files to a fresh ACG (used when ACG clustering has computed
     /// partitions out-of-band): the Master creates the group on a
     /// least-loaded replica set and places every file in it as one logged
@@ -463,9 +457,6 @@ pub enum Response {
     Status {
         /// Status of each hosted ACG.
         acgs: Vec<AcgSummary>,
-        /// The node's instantaneous load (suspended streamed sessions),
-        /// piggybacked onto the heartbeat for load-feedback routing.
-        load: u64,
     },
     /// Phase one of a migration was durably logged
     /// (response to [`Request::BeginMigration`]).
@@ -481,9 +472,6 @@ pub enum Response {
     /// The Master's cluster-wide index-spec registry
     /// (response to [`Request::ListIndexSpecs`]).
     IndexSpecs(Vec<IndexSpec>),
-    /// Latest heartbeat-reported load per live node
-    /// (response to [`Request::NodeLoads`]).
-    NodeLoadReport(Vec<(NodeId, u64)>),
     /// An Index Node's counters (response to [`Request::NodeStats`]).
     NodeStatsReport {
         /// The reporting node.

@@ -83,8 +83,8 @@ pub struct Rpc {
     slow_rng: Arc<Mutex<StdRng>>,
     /// Lazily-started executor for delayed sends: one long-lived thread
     /// sleeps out each injected delay, so the sender keeps running (a
-    /// hedged open must be free to fire its duplicate while the slow
-    /// node's copy is still "on the wire") and no send creates a thread.
+    /// fan-out's other requests leave while the slow node's copy is still
+    /// "on the wire") and no send creates a thread.
     delayer: Arc<Mutex<Option<Sender<DelayedSend>>>>,
 }
 
@@ -221,7 +221,7 @@ impl Rpc {
     pub fn call(&self, node: NodeId, req: Request) -> Result<Response> {
         let mut gather = self.gather();
         gather.send(node, req);
-        gather.next(None).expect("one request is outstanding").1
+        gather.next().expect("one request is outstanding").1
     }
 
     /// Sends every target's request from the calling thread, then waits
@@ -235,7 +235,7 @@ impl Rpc {
         }
         let mut out: Vec<Option<Result<Response>>> =
             (0..gather.slots.len()).map(|_| None).collect();
-        while let Some((slot, result)) = gather.next(None) {
+        for (slot, result) in gather {
             out[slot] = Some(result);
         }
         out.into_iter().map(|r| r.expect("every slot resolves exactly once")).collect()
@@ -259,8 +259,7 @@ impl Default for Rpc {
 /// ([`Gather::send`], numbered by **slot** in send order) and every reply
 /// lands on one shared channel tagged with its slot, so the caller blocks
 /// for *whichever* node answers next ([`Gather::next`]) — no thread per
-/// target, and a race between two outstanding requests (a hedged open)
-/// is a plain blocking receive. Every slot resolves exactly once, with
+/// target, and no polling. Every slot resolves exactly once, with
 /// [`Rpc::call`]'s semantics: the node's reply (a [`Response::Err`] lifted
 /// into `Err`), or
 /// [`Error::NodeUnavailable`] for an unknown node or one that died
@@ -292,29 +291,25 @@ impl Gather {
     pub fn node(&self, slot: usize) -> NodeId {
         self.slots[slot].0
     }
+}
 
-    /// Whether any slot is still unresolved.
-    pub fn has_pending(&self) -> bool {
-        self.slots[self.oldest..].iter().any(|(_, sent)| sent.is_some())
-    }
+impl Iterator for Gather {
+    type Item = (usize, Result<Response>);
 
     /// Blocks for the next slot to resolve, in whatever order the nodes
-    /// answer. Returns `None` once nothing is outstanding — or, given a
-    /// `wake` instant, when it passes first (the caller has something to
-    /// do by then, e.g. fire a hedge).
-    pub fn next(&mut self, wake: Option<Instant>) -> Option<(usize, Result<Response>)> {
+    /// answer. Returns `None` once nothing is outstanding; a later
+    /// [`Gather::send`] makes it block again.
+    fn next(&mut self) -> Option<(usize, Result<Response>)> {
         loop {
             while matches!(self.slots.get(self.oldest), Some((_, None))) {
                 self.oldest += 1;
             }
             let (_, sent) = self.slots.get(self.oldest)?;
             let expiry = sent.expect("the scan above stops at a pending slot") + self.timeout;
-            let until = wake.map_or(expiry, |wake| wake.min(expiry));
-            let wait = until.saturating_duration_since(Instant::now());
+            let wait = expiry.saturating_duration_since(Instant::now());
             let (slot, reply) = match self.rx.recv_timeout(wait) {
                 Ok((slot, reply)) => (slot, reply.ok_or(Error::NodeUnavailable(self.node(slot)))),
                 // `self.tx` keeps the channel connected: this is a timeout.
-                Err(_) if Instant::now() < expiry => return None,
                 Err(_) => {
                     let node = self.node(self.oldest);
                     (self.oldest, Err(Error::Rpc(format!("timeout waiting for {node}"))))
@@ -450,19 +445,16 @@ mod tests {
         let mut gather = rpc.gather();
         gather.send(NodeId::new(1), Request::LocateAcgs);
         assert!(started.elapsed() < Duration::from_millis(60), "sender must not stall");
-        // A wake-up before the reply hands control back without resolving.
-        assert!(gather.next(Some(started + Duration::from_millis(20))).is_none());
-        assert!(gather.has_pending());
-        assert!(matches!(gather.next(None), Some((0, Ok(Response::Located(_))))));
+        assert!(matches!(gather.next(), Some((0, Ok(Response::Located(_))))));
         assert!(started.elapsed() >= Duration::from_millis(80));
-        assert!(!gather.has_pending() && gather.next(None).is_none());
+        assert!(gather.next().is_none());
         rpc.slowdowns().clear(NodeId::new(1));
         rpc.call(NodeId::new(1), Request::Shutdown).unwrap();
         h.join().unwrap();
     }
 
     /// A node answering `LocateAcgs` with its own id, failing `AcgLsns`,
-    /// dropping the reply to `NodeLoads` unanswered (the caller must see a
+    /// dropping the reply to `TakeSplitWork` unanswered (the caller must see a
     /// dead handler at once) and swallowing everything else (the reply is
     /// kept, so the caller sees silence, not a dead node).
     fn scripted_node(rpc: &Rpc, id: NodeId, how: Serve) -> Option<std::thread::JoinHandle<()>> {
@@ -473,7 +465,7 @@ mod tests {
                 vec![id],
             )])),
             Request::AcgLsns => reply.send(Response::Err(Error::Shutdown)),
-            Request::NodeLoads => drop(reply),
+            Request::TakeSplitWork => drop(reply),
             _ => swallowed.push(reply),
         })
     }
@@ -504,7 +496,7 @@ mod tests {
                 (NodeId::new(1), Request::AcgLsns),
                 (NodeId::new(9), Request::LocateAcgs),
                 (NodeId::new(2), Request::LocateAcgs),
-                (NodeId::new(2), Request::NodeLoads),
+                (NodeId::new(2), Request::TakeSplitWork),
                 (NodeId::new(1), Request::LocateAcgs),
             ]
         };
@@ -558,10 +550,7 @@ mod tests {
             gather.send(NodeId::new(n), Request::NodeStats); // swallowed
         }
         gather.send(NodeId::new(2), Request::LocateAcgs); // answered
-        let mut resolved = Vec::new();
-        while let Some((slot, result)) = gather.next(None) {
-            resolved.push((slot, result));
-        }
+        let resolved: Vec<(usize, Result<Response>)> = gather.collect();
         let elapsed = started.elapsed();
         assert!(elapsed >= timeout, "the window is counted from the send: {elapsed:?}");
         assert!(elapsed < timeout * 2, "three silent nodes share ONE window: {elapsed:?}");
@@ -586,7 +575,7 @@ mod tests {
         drop(rx); // the actor exits without draining its mailbox
         let started = Instant::now();
         assert!(matches!(
-            gather.next(None),
+            gather.next(),
             Some((0, Err(Error::NodeUnavailable(n)))) if n == NodeId::new(1)
         ));
         assert!(started.elapsed() < Duration::from_secs(5), "no timeout is waited out");

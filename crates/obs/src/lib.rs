@@ -67,10 +67,6 @@ pub mod names {
     pub const ROUTE_CACHE_EVICTIONS: &str = "route_cache_evictions";
     /// Routes dropped by Master invalidation hints (incl. full clears).
     pub const ROUTE_CACHE_INVALIDATIONS: &str = "route_cache_invalidations";
-    /// Hedged opens fired.
-    pub const HEDGES_FIRED: &str = "hedges_fired";
-    /// Hedged opens won by the hedge replica.
-    pub const HEDGES_WON: &str = "hedges_won";
     /// Mid-stream replica failovers.
     pub const REPLICA_FAILOVERS: &str = "replica_failovers";
     /// Slow queries captured in the ring.

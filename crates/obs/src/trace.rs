@@ -65,8 +65,6 @@ pub enum SpanKind {
     Resolve,
     /// A stale-route drop + re-resolve + retry round.
     RouteRetry,
-    /// A hedged open racing a straggling replica.
-    Hedge,
     /// Opening a node search session (or a one-shot dispatch attempt).
     Open,
     /// Pulling one page from an open session.
@@ -97,7 +95,6 @@ impl fmt::Display for SpanKind {
             SpanKind::Request => "request",
             SpanKind::Resolve => "resolve",
             SpanKind::RouteRetry => "route-retry",
-            SpanKind::Hedge => "hedge",
             SpanKind::Open => "open",
             SpanKind::Pull => "pull",
             SpanKind::Merge => "merge",
@@ -131,7 +128,7 @@ pub struct Span {
     pub start: Timestamp,
     /// End time (injected clock).
     pub end: Timestamp,
-    /// Free-form annotation ("node 3", "winner node 2", …). Empty = none.
+    /// Free-form annotation ("n3 hits=8", "n2 ok=true", …). Empty = none.
     pub detail: String,
 }
 
@@ -367,10 +364,8 @@ impl TraceTree {
     /// Checks structural well-formedness beyond what assembly enforces:
     /// every span's interval is non-negative and no child *starts* before
     /// its parent did. A child may **end** after its parent closed —
-    /// that's follows-from causality, and it really happens: a hedge
-    /// loser's server-side span completes after the client's open span
-    /// already declared the winner, and a detached session close outlives
-    /// the pull that triggered it.
+    /// that's follows-from causality, and it really happens: a detached
+    /// session close outlives the pull that triggered it.
     ///
     /// # Errors
     ///
@@ -509,8 +504,8 @@ mod tests {
         };
         let tree = TraceTree::assemble(vec![mk(1, 0, 2, 10), mk(2, 1, 1, 8)]).unwrap();
         assert!(tree.check_well_formed().is_err(), "child started before its parent");
-        // Outlasting the parent is fine: hedge losers and detached
-        // closes legitimately finish after the parent declared a winner.
+        // Outlasting the parent is fine: a detached close legitimately
+        // finishes after the pull that triggered it.
         let ok = TraceTree::assemble(vec![mk(1, 0, 0, 10), mk(2, 1, 5, 12)]).unwrap();
         ok.check_well_formed().unwrap();
     }

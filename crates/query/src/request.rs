@@ -503,14 +503,6 @@ pub struct SearchStats {
     /// tightens as the top-k heap fills, so the exact count depends on
     /// candidate order.
     pub wand_docs_pruned: usize,
-    /// Hedged "tied" session opens the client fired because a replica
-    /// missed the hedge latency budget — the tail-tolerance witness that
-    /// the second replica was actually asked.
-    pub hedges_fired: usize,
-    /// Hedged opens where the *hedge* (not the originally asked replica)
-    /// answered first and served the stream — the subset of
-    /// [`SearchStats::hedges_fired`] that actually cut the tail.
-    pub hedges_won: usize,
     /// Mid-stream replica failovers: a serving replica died (or its
     /// session erred) and the client resumed the same ACG stream on
     /// another replica from its cursor, losing and duplicating nothing.
@@ -558,8 +550,6 @@ impl SearchStats {
         self.node_hits_unsent += other.node_hits_unsent;
         self.wand_blocks_skipped += other.wand_blocks_skipped;
         self.wand_docs_pruned += other.wand_docs_pruned;
-        self.hedges_fired += other.hedges_fired;
-        self.hedges_won += other.hedges_won;
         self.replica_failovers += other.replica_failovers;
         self.epoch_pins += other.epoch_pins;
         self.commits_during_search += other.commits_during_search;
@@ -1297,8 +1287,6 @@ mod tests {
             node_hits_unsent: 2,
             wand_blocks_skipped: 4,
             wand_docs_pruned: 250,
-            hedges_fired: 2,
-            hedges_won: 1,
             replica_failovers: 1,
             epoch_pins: 1,
             commits_during_search: 3,
@@ -1321,8 +1309,6 @@ mod tests {
             node_hits_unsent: 93,
             wand_blocks_skipped: 6,
             wand_docs_pruned: 50,
-            hedges_fired: 1,
-            hedges_won: 1,
             replica_failovers: 2,
             epoch_pins: 2,
             commits_during_search: 4,
@@ -1344,8 +1330,6 @@ mod tests {
         assert_eq!(a.node_hits_unsent, 95);
         assert_eq!(a.wand_blocks_skipped, 10);
         assert_eq!(a.wand_docs_pruned, 300);
-        assert_eq!(a.hedges_fired, 3);
-        assert_eq!(a.hedges_won, 2);
         assert_eq!(a.replica_failovers, 3);
         assert_eq!(a.epoch_pins, 3);
         assert_eq!(a.commits_during_search, 7);

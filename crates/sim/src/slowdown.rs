@@ -1,7 +1,8 @@
 //! Per-node injected slowdowns for tail-latency experiments.
 //!
-//! Tail-tolerance mechanisms (hedged requests, replica failover) are only
-//! testable against a cluster that actually has a slow node. This module
+//! Search correctness and replica failover under a straggler are only
+//! testable against a cluster that actually has a slow node, such as the
+//! kill/slow/revive schedules of the failure-injection tests. This module
 //! provides the injection point: a thread-safe table mapping nodes to
 //! [`Latency`] distributions that the RPC layer samples on every delivery
 //! to an afflicted node, stalling the message in flight on the wall clock

@@ -51,11 +51,8 @@ fn durable_config(
 fn heartbeat_round(cluster: &Cluster, now: Timestamp) {
     for &node in cluster.index_node_ids() {
         match cluster.rpc().call(node, Request::Tick { now }) {
-            Ok(Response::Status { acgs, load }) => {
-                cluster
-                    .rpc()
-                    .call(cluster.master_id(), Request::Heartbeat { node, acgs, load, now })
-                    .unwrap();
+            Ok(Response::Status { acgs }) => {
+                cluster.rpc().call(cluster.master_id(), Request::Heartbeat { node, acgs }).unwrap();
             }
             other => panic!("{other:?}"),
         }

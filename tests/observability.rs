@@ -28,59 +28,29 @@ fn placements(cluster: &Cluster) -> Vec<(AcgId, Vec<NodeId>)> {
 }
 
 /// The acceptance scenario: a four-node replicated cluster where one
-/// replica is killed and another straggles past the hedge budget. A
-/// single sampled streamed search must come back as ONE assembled trace
-/// tree that names the dead node (an `Open` span that found it
-/// unreachable) and the hedge-winning replica (a `Hedge` span whose
-/// winner annotation says the backup answered first).
+/// primary is killed. A single sampled streamed search must come back as
+/// ONE assembled trace tree that names the dead node (an `Open` span that
+/// found it unreachable) and the replica that answered in its place (the
+/// group's next `Open` span, with the node-side search under it).
 #[test]
-fn hedged_search_trace_names_dead_node_and_hedge_winner() {
+fn failover_search_trace_names_dead_node_and_answering_replica() {
     let cluster = Cluster::start(ClusterConfig {
         index_nodes: 4,
         group_capacity: 12,
         replication: 2,
         ..Default::default()
     });
-    let mut client = cluster
-        .client()
-        .with_search_page_size(8)
-        .with_hedge_budget(Duration::from_millis(10))
-        .with_trace_sampling(1);
+    let mut client = cluster.client().with_search_page_size(8).with_trace_sampling(1);
     client.index_files((0..96).map(|i| record(i, (i + 1) << 20)).collect()).unwrap();
 
-    // Pick a (straggler, victim) pair from the placement map such that
-    // the race is deterministic in structure: the straggler is a primary
-    // somewhere (so a hedge fires), none of the straggler's backups is
-    // the victim (so the hedge target is alive and wins), and the victim
-    // is a primary somewhere (so the dead node is witnessed at open).
+    // The victim leads at least one replica group, so that group's open
+    // fails there and moves on to the group's second replica.
     let rows = placements(&cluster);
-    let nodes: Vec<NodeId> = cluster.index_node_ids().to_vec();
-    let mut chosen = None;
-    'outer: for &straggler in &nodes {
-        for &victim in &nodes {
-            if straggler == victim {
-                continue;
-            }
-            let straggles = rows.iter().any(|(_, r)| r[0] == straggler);
-            let hedges_live =
-                rows.iter().filter(|(_, r)| r[0] == straggler).all(|(_, r)| r[1] != victim);
-            let victim_primary = rows.iter().any(|(_, r)| r[0] == victim);
-            let failover_fast =
-                rows.iter().filter(|(_, r)| r[0] == victim).all(|(_, r)| r[1] != straggler);
-            if straggles && hedges_live && victim_primary && failover_fast {
-                chosen = Some((straggler, victim));
-                break 'outer;
-            }
-        }
-    }
-    let (straggler, victim) = chosen.expect("4 nodes / R=2 always admit a usable pair");
-
+    let victim = rows[0].1[0];
+    let backups: Vec<NodeId> =
+        rows.iter().filter(|(_, r)| r[0] == victim).map(|(_, r)| r[1]).collect();
     cluster.rpc().call(victim, Request::Shutdown).unwrap();
     cluster.rpc().deregister(victim);
-    cluster
-        .rpc()
-        .slowdowns()
-        .set(straggler, propeller::sim::Latency::constant(Duration::from_millis(200)));
 
     let request = SearchRequest::parse("size>0", Timestamp::from_secs(1_000))
         .unwrap()
@@ -88,7 +58,6 @@ fn hedged_search_trace_names_dead_node_and_hedge_winner() {
         .sorted_by(SortKey::Descending(AttrName::Size));
     let resp = client.search_with(&request).unwrap();
     assert!(resp.complete, "replication must absorb the dead node");
-    assert!(resp.stats.hedges_fired > 0, "the straggler must trigger a hedge");
 
     let trace = client.last_trace_id().expect("every request is sampled");
     let tree = client.dump_trace(trace).unwrap();
@@ -108,24 +77,20 @@ fn hedged_search_trace_names_dead_node_and_hedge_winner() {
         tree.render()
     );
 
-    // The hedge-winning replica is named, and it is not the straggler.
-    let hedges = tree.find(SpanKind::Hedge);
-    let winner = hedges
+    // The replica that answered is named by the open that reached it, and
+    // its node-side search hangs under that open.
+    let answered = opens
         .iter()
-        .find(|s| s.detail.contains("(hedge replica)"))
-        .unwrap_or_else(|| panic!("no hedge span records a backup win:\n{}", tree.render()));
-    assert!(winner.detail.starts_with("winner "));
+        .find(|s| backups.iter().any(|b| s.detail == format!("{b} ok=true")))
+        .unwrap_or_else(|| panic!("no open names a backup of {victim}:\n{}", tree.render()));
+    let spans = tree.spans();
+    let served = spans
+        .iter()
+        .find(|s| s.kind == SpanKind::Search && s.parent == answered.id)
+        .unwrap_or_else(|| panic!("no node-side search under {answered:?}:\n{}", tree.render()));
     assert!(
-        !winner.detail.contains(&format!("winner {straggler} ")),
-        "the straggler cannot win its own hedge: {}",
-        winner.detail
+        matches!(served.lane, Lane::Node(n) if backups.iter().any(|b| u64::from(b.raw()) == n))
     );
-
-    // Node-side execution shows up under the same tree.
-    assert!(!tree.find(SpanKind::Search).is_empty(), "no node-side Search span");
-    // And the hedge outcome is also visible in the client's metrics.
-    let client_metrics = client.obs().metrics.snapshot();
-    assert!(client_metrics.counters[names::HEDGES_FIRED] > 0);
     cluster.shutdown();
 }
 

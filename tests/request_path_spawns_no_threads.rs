@@ -27,8 +27,7 @@ fn probe_thread_id() -> u64 {
 #[test]
 fn warm_searches_and_ingest_batches_create_no_threads() {
     // In memory (no lazily started snapshot writer), R=2 on 2 nodes: every
-    // ACG is on both nodes, so every ingest batch replicates and every
-    // open has a replica to hedge to.
+    // ACG is on both nodes, so every ingest batch replicates.
     let cluster = Cluster::start(ClusterConfig {
         index_nodes: 2,
         group_capacity: 10,
@@ -36,8 +35,6 @@ fn warm_searches_and_ingest_batches_create_no_threads() {
         ..Default::default()
     });
     let mut client = cluster.client().with_search_page_size(8);
-    let hedging =
-        cluster.client().with_search_page_size(8).with_hedge_budget(Duration::from_millis(5));
     let straggler = cluster.index_node_ids()[0];
 
     let top_k = SearchRequest::parse("size>0", Timestamp::from_secs(1_000))
@@ -45,41 +42,36 @@ fn warm_searches_and_ingest_batches_create_no_threads() {
         .with_limit(40)
         .sorted_by(SortKey::Descending(AttrName::Size));
     let unlimited = SearchRequest::parse("size>0", Timestamp::from_secs(1_000)).unwrap();
-    let hedged_search = |hedging: &propeller::cluster::FileQueryEngine| {
-        cluster.rpc().slowdowns().set(straggler, Latency::constant(Duration::from_millis(25)));
-        let out = hedging.search_with(&top_k).unwrap();
+    // Every ACG leads with one of the two nodes, so a search over all of
+    // them opens at the straggler and its deliveries go through the
+    // fabric's delay executor.
+    let delay = Duration::from_millis(5);
+    let slowed_search = |reader: &propeller::cluster::FileQueryEngine| {
+        cluster.rpc().slowdowns().set(straggler, Latency::constant(delay));
+        let started = std::time::Instant::now();
+        let out = reader.search_with(&top_k).unwrap();
+        assert!(started.elapsed() >= delay.to_std(), "the search waits out the injected delay");
         cluster.rpc().slowdowns().clear(straggler);
         out
     };
 
-    // Warm-up: the nodes' lazy worker pools, the fabric's delay executor
-    // and the hedge-loser reaper each start their one long-lived thread on
-    // first use.
+    // Warm-up: the nodes' lazy worker pools and the fabric's delay
+    // executor each start their one long-lived thread on first use.
     client.index_files((0..210).map(|i| record(i, (i + 1) << 20)).collect()).unwrap();
     let baseline = client.search_with(&top_k).unwrap();
     assert_eq!(baseline.hits.len(), 40);
     assert_eq!(client.search_with(&unlimited).unwrap().hits.len(), 210);
-    let warm = hedged_search(&hedging);
-    assert!(
-        warm.stats.hedges_fired > 0,
-        "the warm-up must reach the delay executor and the reaper"
-    );
+    assert_eq!(slowed_search(&client).hits, baseline.hits);
 
     let before = probe_thread_id();
 
-    let mut hedges_fired = 0;
     for i in 0..200 {
         match i % 20 {
-            0 => {
-                let hedged = hedged_search(&hedging);
-                hedges_fired += hedged.stats.hedges_fired;
-                assert_eq!(hedged.hits, baseline.hits);
-            }
+            0 => assert_eq!(slowed_search(&client).hits, baseline.hits),
             n if n % 2 == 0 => assert_eq!(client.search_with(&top_k).unwrap().hits, baseline.hits),
             _ => assert_eq!(client.search_with(&unlimited).unwrap().hits.len(), 210),
         }
     }
-    assert!(hedges_fired > 0, "the hedged searches must actually hedge");
     for round in 0..50u64 {
         // 100 fresh files at 10 per ACG: each batch spans ≥ 10 ACGs, each
         // with a follower frame.
