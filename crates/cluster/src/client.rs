@@ -835,10 +835,12 @@ impl FileQueryEngine {
 
     /// Binds `files` to a fresh ACG at the Master (placement computed out
     /// of band) and drops their cached routes, so the next batch resolves
-    /// to the group. Fails if the Master cannot place it.
+    /// to the group. Fails if the Master cannot place it, and with
+    /// [`Error::FilePlaced`] if any file already has a home.
     pub fn bind_group(&mut self, files: &[FileId]) -> Result<AcgId> {
         files.iter().for_each(|file| self.route_cache.remove(file));
-        match self.rpc.call(self.master, Request::BindFiles { files: files.to_vec() })? {
+        let bind = Request::BindFiles { files: files.to_vec() };
+        match self.rpc.call(self.master, bind)?.into_result()? {
             Response::AcgAllocated(acg, _) => Ok(acg),
             other => Err(Error::Rpc(format!("unexpected response {other:?}"))),
         }

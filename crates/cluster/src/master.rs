@@ -549,6 +549,10 @@ impl MasterNode {
                 Response::MigrationWork(jobs)
             }
             Request::BindFiles { files } => {
+                // A placed file keeps its home: a rebind would route it away from its data.
+                if let Some(&file) = files.iter().find(|f| self.hard.file_to_acg.contains_key(f)) {
+                    return Response::Err(Error::FilePlaced(file));
+                }
                 let (acg, replicas) = match self.next_placement() {
                     Ok(placement) => placement,
                     Err(e) => return Response::Err(e),
@@ -756,16 +760,17 @@ mod tests {
     }
 
     #[test]
-    fn bind_files_moves_mappings() {
+    fn bind_files_places_unplaced_files() {
         let mut m = master(1, 1000);
         resolve(&mut m, 0..4);
-        let acg = match m.handle(Request::BindFiles { files: vec![FileId::new(2), FileId::new(3)] })
+        let acg = match m.handle(Request::BindFiles { files: vec![FileId::new(4), FileId::new(5)] })
         {
             Response::AcgAllocated(a, _) => a,
             other => panic!("{other:?}"),
         };
-        let rows = resolve(&mut m, [2, 3]);
+        let rows = resolve(&mut m, [4, 5]);
         assert!(rows.iter().all(|(_, a, _)| *a == acg));
+        assert!(resolve(&mut m, [0, 1]).iter().all(|(_, a, _)| *a != acg));
     }
 
     fn commit_a_split(m: &mut MasterNode, moved: Vec<FileId>) {
@@ -913,6 +918,23 @@ mod tests {
             Request::BeginMigration { acg: source, moved: vec![FileId::new(3), FileId::new(500)] };
         assert!(matches!(m.handle(begin), Response::Err(Error::FileNotFound(_))));
         assert_eq!(m.hard, before, "a refused migration changes no hard state");
+    }
+
+    #[test]
+    fn binding_a_file_that_already_has_a_home_is_refused() {
+        let mut m = master(2, 5);
+        resolve(&mut m, 0..10);
+        let before = m.hard.clone();
+        // File 7 lives in ACG 2: a second home would move its route but
+        // leave its data behind, so the whole bind is refused unlogged.
+        let bind = Request::BindFiles { files: vec![FileId::new(500), FileId::new(7)] };
+        match m.handle(bind) {
+            Response::Err(Error::FilePlaced(file)) => assert_eq!(file, FileId::new(7)),
+            other => panic!("{other:?}"),
+        }
+        assert_eq!(m.hard, before, "a refused bind creates no group and places no file");
+        let bind = Request::BindFiles { files: vec![FileId::new(500), FileId::new(501)] };
+        assert!(matches!(m.handle(bind), Response::AcgAllocated(..)));
     }
 
     #[test]

@@ -286,6 +286,18 @@ mod tests {
     }
 
     #[test]
+    fn binding_an_indexed_file_is_refused_and_keeps_it_in_one_group() {
+        let mut p = Propeller::new(PropellerConfig::default());
+        p.index_file(record(5, 100)).unwrap();
+        let bind = p.bind_group(&[FileId::new(5)]);
+        assert!(matches!(bind, Err(propeller_types::Error::FilePlaced(f)) if f == FileId::new(5)));
+        p.index_file(record(5, 900)).unwrap();
+        assert!(p.search_text("size<200").unwrap().is_empty(), "the old size is gone");
+        assert_eq!(p.search_text("size>800").unwrap(), vec![FileId::new(5)]);
+        assert_eq!(p.acg_count(), 1);
+    }
+
+    #[test]
     fn maintenance_splits_oversized_groups() {
         let mut p = Propeller::new(PropellerConfig {
             split_threshold: 40,

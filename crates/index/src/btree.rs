@@ -3,11 +3,14 @@
 //! This is the ordered index Propeller offers per ACG (paper §IV supports
 //! "b-tree, hash table or K-D-tree" per user-defined index). Keys live in
 //! the leaves; internal nodes hold separator keys only, as in a classical
-//! B+-tree. Inserts use preemptive (top-down) node splitting; deletes are
-//! lazy (entries are removed from leaves, underfull leaves are tolerated),
-//! which preserves search correctness while keeping the code free of
-//! rebalancing corner cases — the paper's workload is overwhelmingly
-//! insert/update heavy.
+//! B+-tree. Inserts split full nodes top-down on the way to the leaf: in
+//! the middle, or after all but the last entry when the key sorts after
+//! every key of the node, so an ascending run (file ids, fresh mtimes)
+//! leaves full leaves behind it, not half-empty ones. Deletes are lazy: an
+//! entry leaves its leaf, but nodes are never merged, so emptied leaves
+//! stay with their separators. That keeps search correct and the code
+//! free of rebalancing corner cases; the index group removes a value's
+//! entry with its last file, so a churned tree holds no dead entries.
 //!
 //! ## Persistence (structural sharing)
 //!
@@ -152,8 +155,7 @@ impl<K: Ord + Clone, V> BPlusTree<K, V> {
     where
         R: std::ops::RangeBounds<K>,
     {
-        let lo = clone_bound(range.start_bound());
-        let hi = clone_bound(range.end_bound());
+        let (lo, hi) = (range.start_bound().cloned(), range.end_bound().cloned());
         let mut iter = Range { stack: Vec::new(), lo, hi };
         iter.push_node(&self.root);
         iter
@@ -167,8 +169,7 @@ impl<K: Ord + Clone, V> BPlusTree<K, V> {
     where
         R: std::ops::RangeBounds<K>,
     {
-        let lo = clone_bound(range.start_bound());
-        let hi = clone_bound(range.end_bound());
+        let (lo, hi) = (range.start_bound().cloned(), range.end_bound().cloned());
         let mut iter = RangeRev { stack: Vec::new(), lo, hi };
         iter.push_node(&self.root);
         iter
@@ -191,30 +192,32 @@ impl<K: Ord + Clone, V: Clone> BPlusTree<K, V> {
             let old_root = std::mem::replace(&mut self.root, Arc::new(Node::new_leaf()));
             let mut children = vec![old_root];
             let mut seps = Vec::new();
-            Self::split_child(&mut seps, &mut children, 0);
+            Self::split_child(&mut seps, &mut children, 0, &key);
             self.root = Arc::new(Node::Internal { seps, children });
         }
         let replaced = Self::insert_nonfull(Arc::make_mut(&mut self.root), key, value);
-        if replaced.is_none() {
-            self.len += 1;
-        }
+        self.len += usize::from(replaced.is_none());
         replaced
     }
 
-    fn split_child(seps: &mut Vec<K>, children: &mut Vec<Arc<Node<K, V>>>, i: usize) {
-        let mid = ORDER / 2;
+    /// Splits the full `children[i]` before `key` descends into it (the
+    /// split rule is in the module doc).
+    fn split_child(seps: &mut Vec<K>, children: &mut Vec<Arc<Node<K, V>>>, i: usize, key: &K) {
         let (sep, right) = match Arc::make_mut(&mut children[i]) {
             Node::Leaf { keys, vals } => {
-                let rk = keys.split_off(mid);
-                let rv = vals.split_off(mid);
+                let keep = if keys.last() < Some(key) { ORDER - 1 } else { ORDER / 2 };
+                let rk = keys.split_off(keep);
+                let rv = vals.split_off(keep);
                 let sep = rk[0].clone();
                 (sep, Node::Leaf { keys: rk, vals: rv })
             }
             Node::Internal { seps: ck, children: cc } => {
-                // Promote the middle separator; it no longer lives below.
-                let rk = ck.split_off(mid + 1);
+                let keep = if ck.last() <= Some(key) { ORDER - 1 } else { ORDER / 2 };
+                // Promote the separator between the halves; it no longer
+                // lives below.
+                let rk = ck.split_off(keep);
                 let sep = ck.pop().expect("internal node has separators");
-                let rc = cc.split_off(mid + 1);
+                let rc = cc.split_off(keep);
                 (sep, Node::Internal { seps: rk, children: rc })
             }
         };
@@ -235,7 +238,7 @@ impl<K: Ord + Clone, V: Clone> BPlusTree<K, V> {
             Node::Internal { seps, children } => {
                 let mut i = seps.partition_point(|sep| *sep <= key);
                 if children[i].is_full() {
-                    Self::split_child(seps, children, i);
+                    Self::split_child(seps, children, i, &key);
                     if seps[i] <= key {
                         i += 1;
                     }
@@ -276,38 +279,22 @@ impl<K: Ord + Clone, V: Clone> BPlusTree<K, V> {
         K: std::borrow::Borrow<Q>,
         Q: Ord + ?Sized,
     {
-        fn rec<K, V: Clone, Q>(node: &mut Node<K, V>, key: &Q) -> Option<V>
-        where
-            K: Ord + Clone + std::borrow::Borrow<Q>,
-            Q: Ord + ?Sized,
-        {
+        let mut node = Arc::make_mut(&mut self.root);
+        let removed = loop {
             match node {
-                Node::Leaf { keys, vals } => match keys.binary_search_by(|x| x.borrow().cmp(key)) {
-                    Ok(i) => {
-                        keys.remove(i);
-                        Some(vals.remove(i))
-                    }
-                    Err(_) => None,
-                },
+                Node::Leaf { keys, vals } => {
+                    let i = keys.binary_search_by(|x| x.borrow().cmp(key)).ok()?;
+                    keys.remove(i);
+                    break vals.remove(i);
+                }
                 Node::Internal { seps, children } => {
                     let i = seps.partition_point(|sep| sep.borrow() <= key);
-                    rec(Arc::make_mut(&mut children[i]), key)
+                    node = Arc::make_mut(&mut children[i]);
                 }
             }
-        }
-        let removed = rec(Arc::make_mut(&mut self.root), key);
-        if removed.is_some() {
-            self.len -= 1;
-        }
-        removed
-    }
-}
-
-fn clone_bound<K: Clone>(b: Bound<&K>) -> Bound<K> {
-    match b {
-        Bound::Included(k) => Bound::Included(k.clone()),
-        Bound::Excluded(k) => Bound::Excluded(k.clone()),
-        Bound::Unbounded => Bound::Unbounded,
+        };
+        self.len -= 1;
+        Some(removed)
     }
 }
 
@@ -887,5 +874,106 @@ mod tests {
         let mid: Vec<String> =
             t.range("b".to_owned().."l".to_owned()).map(|(k, _)| k.clone()).collect();
         assert_eq!(mid, vec!["fig", "kiwi"]);
+    }
+
+    /// The key counts of the tree's leaves, left to right.
+    fn leaf_sizes<K, V>(tree: &BPlusTree<K, V>) -> Vec<usize> {
+        fn walk<K, V>(node: &Node<K, V>, out: &mut Vec<usize>) {
+            match node {
+                Node::Leaf { keys, .. } => out.push(keys.len()),
+                Node::Internal { children, .. } => children.iter().for_each(|c| walk(c, out)),
+            }
+        }
+        let mut out = Vec::new();
+        walk(&tree.root, &mut out);
+        out
+    }
+
+    #[test]
+    fn ascending_inserts_leave_full_leaves() {
+        let mut t = BPlusTree::new();
+        for i in 0..10_000u32 {
+            t.insert(i, i);
+        }
+        let sizes = leaf_sizes(&t);
+        let fill = 10_000.0 / (sizes.len() * ORDER) as f64;
+        assert!(fill >= 0.9, "leaves {:.0}% full over {} leaves", fill * 100.0, sizes.len());
+        assert_eq!(t.iter().map(|(k, _)| *k).collect::<Vec<_>>(), (0..10_000).collect::<Vec<_>>());
+        assert!((2..=4).contains(&t.depth()), "depth {}", t.depth());
+    }
+
+    #[test]
+    fn a_clone_taken_before_an_append_split_reads_unchanged() {
+        let mut t = BPlusTree::new();
+        // Enough keys that the next appends split the rightmost leaf and,
+        // further on, the rightmost internal node.
+        for i in 0..(ORDER * ORDER) as u32 {
+            t.insert(i, i);
+        }
+        let pinned = t.clone();
+        let before = leaf_sizes(&pinned);
+        for i in (ORDER * ORDER) as u32..(3 * ORDER * ORDER) as u32 {
+            t.insert(i, i + 1);
+        }
+        t.insert(7, 0);
+        assert_eq!(leaf_sizes(&pinned), before);
+        assert_eq!(pinned.len(), ORDER * ORDER);
+        let all: Vec<(u32, u32)> = pinned.iter().map(|(k, v)| (*k, *v)).collect();
+        assert_eq!(all, (0..(ORDER * ORDER) as u32).map(|i| (i, i)).collect::<Vec<_>>());
+        let rev: Vec<u32> = pinned.range_rev(..).map(|(k, _)| *k).collect();
+        assert_eq!(rev, (0..(ORDER * ORDER) as u32).rev().collect::<Vec<_>>());
+        assert_eq!(t.get(&7), Some(&0));
+        assert_eq!(t.get(&((3 * ORDER * ORDER) as u32 - 1)), Some(&((3 * ORDER * ORDER) as u32)));
+        assert_eq!(t.len(), 3 * ORDER * ORDER);
+    }
+
+    #[test]
+    fn ascending_runs_mixed_with_middle_inserts_and_removes_match_btreemap() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(42);
+        let mut ours = BPlusTree::new();
+        let mut reference = BTreeMap::new();
+        let mut next = 0u32; // the head of the ascending run
+        for step in 0..30_000u32 {
+            match rng.gen_range(0..10) {
+                // Appends past every key, in runs.
+                0..=4 => {
+                    for _ in 0..rng.gen_range(1..40) {
+                        next += rng.gen_range(1..3);
+                        assert_eq!(ours.insert(next, step), reference.insert(next, step));
+                    }
+                }
+                // Inserts and removes anywhere below the head.
+                5 | 6 => {
+                    let k = rng.gen_range(0..=next);
+                    assert_eq!(ours.insert(k, step), reference.insert(k, step));
+                }
+                7 => {
+                    let k = rng.gen_range(0..=next);
+                    assert_eq!(ours.remove(&k), reference.remove(&k));
+                }
+                // Ranges in both directions, often reaching the head.
+                _ => {
+                    let lo = rng.gen_range(0..=next);
+                    let hi = lo + rng.gen_range(0..400);
+                    let fwd: Vec<(u32, u32)> = ours.range(lo..hi).map(|(a, b)| (*a, *b)).collect();
+                    let want: Vec<(u32, u32)> =
+                        reference.range(lo..hi).map(|(a, b)| (*a, *b)).collect();
+                    assert_eq!(fwd, want, "range {lo}..{hi}");
+                    let rev: Vec<(u32, u32)> =
+                        ours.range_rev(lo..=hi).map(|(a, b)| (*a, *b)).collect();
+                    let want: Vec<(u32, u32)> =
+                        reference.range(lo..=hi).rev().map(|(a, b)| (*a, *b)).collect();
+                    assert_eq!(rev, want, "range_rev {lo}..={hi}");
+                }
+            }
+        }
+        assert_eq!(ours.len(), reference.len());
+        let all: Vec<(u32, u32)> = ours.iter().map(|(a, b)| (*a, *b)).collect();
+        assert_eq!(all, reference.iter().map(|(a, b)| (*a, *b)).collect::<Vec<_>>());
+        let mut cursor = ours.cursor();
+        for k in 0..=next {
+            assert_eq!(cursor.get(&k), reference.get(&k), "cursor key {k}");
+        }
     }
 }

@@ -58,10 +58,7 @@ impl IndexCache {
 
     /// Buffers an operation observed at `now`.
     pub fn push(&mut self, op: IndexOp, now: Timestamp) {
-        if self.pending.is_empty() {
-            self.oldest = Some(now);
-        }
-        self.pending.push(op);
+        self.push_batch(vec![op], now);
     }
 
     /// Buffers a whole batch observed at `now` — the cache half of WAL
@@ -96,10 +93,7 @@ impl IndexCache {
 
     /// Whether the oldest buffered op has waited at least the timeout.
     pub fn timed_out(&self, now: Timestamp) -> bool {
-        match self.oldest {
-            Some(t0) => now.since(t0) >= self.timeout,
-            None => false,
-        }
+        self.oldest.is_some_and(|t0| now.since(t0) >= self.timeout)
     }
 
     /// Drains all buffered operations (commit point). Callers apply the

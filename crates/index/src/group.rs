@@ -10,8 +10,8 @@
 //!
 //! ## Durability
 //!
-//! A group with an in-memory WAL truncates its log at every commit (the
-//! historical behaviour — nothing in memory survives a crash anyway). A
+//! A group with an in-memory WAL truncates its log at every commit and
+//! frees its buffer (nothing in memory survives a crash anyway). A
 //! group with a **file-backed** WAL keeps committed frames in the log
 //! until a [`AcgIndexGroup::snapshot`] covers them: the snapshot
 //! serializes the committed state stamped with the WAL LSN it reflects,
@@ -133,18 +133,61 @@ pub struct RecoveryReport {
     pub snapshots_skipped: usize,
 }
 
-/// A sorted posting list of files holding a given attribute value.
-type PostingList = Vec<FileId>;
+/// The files holding one attribute value, never empty: a lone file inline
+/// in the tree's leaf, two or more as a shared sorted list that commits
+/// path-copy like the tree itself.
+#[derive(Debug, Clone)]
+enum Postings {
+    One(FileId),
+    Many(Arc<Vec<FileId>>),
+}
 
-fn posting_insert(list: &mut PostingList, file: FileId) {
-    if let Err(pos) = list.binary_search(&file) {
-        list.insert(pos, file);
+impl Postings {
+    fn as_slice(&self) -> &[FileId] {
+        match self {
+            Postings::One(file) => std::slice::from_ref(file),
+            Postings::Many(list) => list,
+        }
     }
 }
 
-fn posting_remove(list: &mut PostingList, file: FileId) {
-    if let Ok(pos) = list.binary_search(&file) {
-        list.remove(pos);
+/// Adds `file` under `value`, creating the entry with its first file.
+fn post(tree: &mut BPlusTree<Value, Postings>, value: Value, file: FileId) {
+    match tree.get_mut(&value) {
+        None => drop(tree.insert(value, Postings::One(file))),
+        Some(postings) => match postings {
+            Postings::One(lone) if *lone != file => {
+                *postings = Postings::Many(Arc::new(vec![file.min(*lone), file.max(*lone)]));
+            }
+            Postings::One(_) => {}
+            Postings::Many(list) => {
+                if let Err(pos) = list.binary_search(&file) {
+                    Arc::make_mut(list).insert(pos, file);
+                }
+            }
+        },
+    }
+}
+
+/// Takes `file` out from under `value`, removing the entry with its last
+/// file so no empty entry stays in the tree.
+fn unpost(tree: &mut BPlusTree<Value, Postings>, value: &Value, file: FileId) {
+    let Some(postings) = tree.get_mut(value) else { return };
+    match postings {
+        Postings::One(lone) => {
+            if *lone == file {
+                tree.remove(value);
+            }
+        }
+        Postings::Many(list) => {
+            if let Ok(pos) = list.binary_search(&file) {
+                let list = Arc::make_mut(list);
+                list.remove(pos);
+                if let [lone] = list[..] {
+                    *postings = Postings::One(lone);
+                }
+            }
+        }
     }
 }
 
@@ -170,12 +213,14 @@ pub struct AcgEpoch {
     generation: u64,
     records: BPlusTree<FileId, Arc<FileRecord>>,
     specs: Vec<IndexSpec>,
-    btrees: HashMap<AttrName, BPlusTree<Value, Arc<PostingList>>>,
+    /// B+-tree indices: each distinct value maps to the `Postings` of the
+    /// files holding it, and the value leaves the tree with its last file.
+    btrees: HashMap<AttrName, BPlusTree<Value, Postings>>,
     /// Hash-kind indices. They keep the hash index's planner role (point
     /// probes only, preferred over B+-trees for equality) but are
     /// tree-backed: a real bucket table would cost O(buckets) per
     /// copy-on-write clone, while the tree path-copies in O(log n).
-    hashes: HashMap<AttrName, BPlusTree<Value, Arc<PostingList>>>,
+    hashes: HashMap<AttrName, BPlusTree<Value, Postings>>,
     kds: HashMap<String, (Vec<AttrName>, KdTree)>,
     inverteds: HashMap<String, InvertedIndex>,
     /// WAL LSN through which ops have been applied into the indices: the
@@ -241,31 +286,18 @@ impl AcgEpoch {
         if self.specs.iter().any(|s| s.name == spec.name) {
             return Err(Error::IndexExists(spec.name));
         }
-        match spec.kind {
-            IndexKind::BTree | IndexKind::Hash => {
-                if spec.attrs.len() != 1 {
-                    return Err(Error::Config(format!(
-                        "index {:?} needs exactly one attribute",
-                        spec.name
-                    )));
-                }
+        let arity_error = match spec.kind {
+            IndexKind::BTree | IndexKind::Hash if spec.attrs.len() != 1 => {
+                Some("needs exactly one attribute")
             }
-            IndexKind::Kd => {
-                if spec.attrs.is_empty() {
-                    return Err(Error::Config(format!(
-                        "k-d index {:?} needs at least one attribute",
-                        spec.name
-                    )));
-                }
+            IndexKind::Kd if spec.attrs.is_empty() => Some("needs at least one attribute"),
+            IndexKind::Inverted if !spec.attrs.is_empty() => {
+                Some("covers all text implicitly; it takes no attributes")
             }
-            IndexKind::Inverted => {
-                if !spec.attrs.is_empty() {
-                    return Err(Error::Config(format!(
-                        "inverted index {:?} covers all text implicitly; it takes no attributes",
-                        spec.name
-                    )));
-                }
-            }
+            _ => None,
+        };
+        if let Some(why) = arity_error {
+            return Err(Error::Config(format!("{:?} index {:?} {why}", spec.kind, spec.name)));
         }
         match spec.kind {
             IndexKind::BTree | IndexKind::Hash => {
@@ -273,19 +305,10 @@ impl AcgEpoch {
                 let mut tree = BPlusTree::new();
                 for (_, record) in self.records.iter() {
                     for value in record.values(&attr) {
-                        match tree.get_mut(&value) {
-                            Some(list) => posting_insert(Arc::make_mut(list), record.file),
-                            None => {
-                                tree.insert(value, Arc::new(vec![record.file]));
-                            }
-                        }
+                        post(&mut tree, value, record.file);
                     }
                 }
-                if spec.kind == IndexKind::BTree {
-                    self.btrees.insert(attr, tree);
-                } else {
-                    self.hashes.insert(attr, tree);
-                }
+                self.trees(spec.kind).insert(attr, tree);
             }
             IndexKind::Kd => {
                 let attrs = spec.attrs.clone();
@@ -317,24 +340,11 @@ impl AcgEpoch {
             .ok_or_else(|| Error::IndexNotFound(name.to_owned()))?;
         let spec = self.specs.remove(pos);
         match spec.kind {
-            IndexKind::BTree => {
+            IndexKind::BTree | IndexKind::Hash => {
                 let attr = &spec.attrs[0];
-                if !self
-                    .specs
-                    .iter()
-                    .any(|s| s.kind == IndexKind::BTree && s.attrs.first() == Some(attr))
+                if !self.specs.iter().any(|s| s.kind == spec.kind && s.attrs.first() == Some(attr))
                 {
-                    self.btrees.remove(attr);
-                }
-            }
-            IndexKind::Hash => {
-                let attr = &spec.attrs[0];
-                if !self
-                    .specs
-                    .iter()
-                    .any(|s| s.kind == IndexKind::Hash && s.attrs.first() == Some(attr))
-                {
-                    self.hashes.remove(attr);
+                    self.trees(spec.kind).remove(attr);
                 }
             }
             IndexKind::Kd => {
@@ -345,6 +355,15 @@ impl AcgEpoch {
             }
         }
         Ok(())
+    }
+
+    /// The table of B+-tree or of hash-kind indices.
+    fn trees(&mut self, kind: IndexKind) -> &mut HashMap<AttrName, BPlusTree<Value, Postings>> {
+        if kind == IndexKind::BTree {
+            &mut self.btrees
+        } else {
+            &mut self.hashes
+        }
     }
 
     fn apply(&mut self, op: IndexOp) {
@@ -368,12 +387,7 @@ impl AcgEpoch {
     fn index(&mut self, record: &FileRecord) {
         for (attr, tree) in self.btrees.iter_mut().chain(self.hashes.iter_mut()) {
             for value in record.values(attr) {
-                match tree.get_mut(&value) {
-                    Some(list) => posting_insert(Arc::make_mut(list), record.file),
-                    None => {
-                        tree.insert(value, Arc::new(vec![record.file]));
-                    }
-                }
+                post(tree, value, record.file);
             }
         }
         for (attrs, tree) in self.kds.values_mut() {
@@ -389,9 +403,7 @@ impl AcgEpoch {
     fn unindex(&mut self, record: &FileRecord) {
         for (attr, tree) in self.btrees.iter_mut().chain(self.hashes.iter_mut()) {
             for value in record.values(attr) {
-                if let Some(list) = tree.get_mut(&value) {
-                    posting_remove(Arc::make_mut(list), record.file);
-                }
+                unpost(tree, &value, record.file);
             }
         }
         for (attrs, tree) in self.kds.values_mut() {
@@ -439,7 +451,7 @@ impl AcgEpoch {
     /// sorted, unique file ids. `None` when neither index exists.
     pub fn posting_list(&self, attr: &AttrName, value: &Value) -> Option<&[FileId]> {
         let tree = self.hashes.get(attr).or_else(|| self.btrees.get(attr))?;
-        Some(tree.get(value).map_or(&[], |list| list.as_slice()))
+        Some(tree.get(value).map_or(&[], Postings::as_slice))
     }
 
     /// Files with `attr` in the given bounds, sorted and unique, off the
@@ -447,7 +459,7 @@ impl AcgEpoch {
     pub fn lookup_range(&self, attr: &AttrName, lo: Bound<Value>, hi: Bound<Value>) -> Vec<FileId> {
         let Some(tree) = self.btrees.get(attr) else { return Vec::new() };
         let mut out: Vec<FileId> =
-            tree.range((lo, hi)).flat_map(|(_, list)| list.iter().copied()).collect();
+            tree.range((lo, hi)).flat_map(|(_, list)| list.as_slice().iter().copied()).collect();
         out.sort_unstable();
         out.dedup();
         out
@@ -486,8 +498,8 @@ impl AcgEpoch {
         descending: bool,
     ) -> Option<Box<dyn Iterator<Item = (&'a Value, FileId)> + 'a>> {
         let tree = self.btrees.get(attr)?;
-        let entry = |(value, list): (&'a Value, &'a Arc<PostingList>)| {
-            list.iter().map(move |&file| (value, file))
+        let entry = |(value, list): (&'a Value, &'a Postings)| {
+            list.as_slice().iter().map(move |&file| (value, file))
         };
         Some(if descending {
             Box::new(tree.range_rev((lo, hi)).flat_map(entry))
@@ -987,11 +999,11 @@ impl AcgIndexGroup {
     /// disturbed. While nothing pins the current epoch the "copy" is an
     /// in-place edit (`Arc::make_mut` sees a unique reference).
     ///
-    /// An in-memory WAL is truncated here (its log buys no durability, so
-    /// there is no reason to retain it); a file-backed WAL keeps the
-    /// committed frames until a snapshot covers them — that log suffix is
-    /// what lets a crashed node restore its committed state. Returns the
-    /// number of ops applied.
+    /// An in-memory WAL is truncated and its buffer freed here (its log
+    /// buys no durability); a file-backed WAL keeps the committed frames
+    /// until a snapshot covers them — that log suffix is what lets a
+    /// crashed node restore its committed state. Returns the number of ops
+    /// applied.
     ///
     /// # Errors
     ///
@@ -1150,6 +1162,36 @@ mod tests {
 
     fn t(s: u64) -> Timestamp {
         Timestamp::from_secs(s)
+    }
+
+    #[test]
+    fn a_value_leaves_the_tree_with_its_last_file() {
+        let mut g = group();
+        for size in 0..=1_000u64 {
+            g.enqueue(IndexOp::Upsert(record(7, size, 1)), t(0)).unwrap();
+            g.commit(t(0)).unwrap();
+        }
+        // The file had 1,001 sizes; only its last one is left in the tree.
+        assert_eq!(g.epoch.btrees[&AttrName::Size].len(), 1);
+        assert_eq!(g.eq_count(&AttrName::Size, &Value::U64(999)), Some(0));
+        assert_eq!(g.lookup_eq(&AttrName::Size, &Value::U64(1_000)), vec![FileId::new(7)]);
+        // A second file shares the value, then each leaves it in turn.
+        g.enqueue(IndexOp::Upsert(record(3, 1_000, 1)), t(0)).unwrap();
+        g.commit(t(0)).unwrap();
+        let both = [3, 7].map(FileId::new);
+        assert_eq!(g.lookup_eq(&AttrName::Size, &Value::U64(1_000)), both);
+        assert_eq!(g.epoch.btrees[&AttrName::Size].len(), 1);
+        let pinned = g.pin();
+        g.enqueue(IndexOp::Remove(FileId::new(3)), t(0)).unwrap();
+        g.commit(t(0)).unwrap();
+        assert_eq!(g.lookup_eq(&AttrName::Size, &Value::U64(1_000)), vec![FileId::new(7)]);
+        g.enqueue(IndexOp::Remove(FileId::new(7)), t(0)).unwrap();
+        g.commit(t(0)).unwrap();
+        assert!(g.epoch.btrees[&AttrName::Size].is_empty());
+        assert!(g.epoch.btrees[&AttrName::Mtime].is_empty());
+        assert_eq!(g.eq_count(&AttrName::Size, &Value::U64(1_000)), Some(0));
+        // The pinned epoch still reads both files under the shared value.
+        assert_eq!(pinned.lookup_eq(&AttrName::Size, &Value::U64(1_000)), both);
     }
 
     #[test]

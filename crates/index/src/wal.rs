@@ -85,9 +85,12 @@ enum Backend {
 
 /// An append-only write-ahead log.
 ///
-/// Two backends: in-memory (for modeled-mode experiments and tests) and a
-/// real file (for durability tests and measured mode). Both share the frame
-/// format, so recovery code is backend-agnostic.
+/// Two backends: in-memory (for non-durable groups and tests) and a real
+/// file (for durability tests and measured mode). Both share the frame
+/// format, so recovery code is backend-agnostic. A truncation replaces the
+/// memory backend's buffer rather than clearing it, so a group's bulk-load
+/// log is freed at its first commit instead of staying resident as spare
+/// capacity.
 ///
 /// # Examples
 ///
@@ -304,10 +307,7 @@ impl Wal {
     /// or the new log, never a torn hybrid.
     fn rewrite(&mut self, base: u64, frames: &[u8], entries: u64) -> Result<()> {
         match &mut self.backend {
-            Backend::Memory(buf) => {
-                buf.clear();
-                buf.extend_from_slice(frames);
-            }
+            Backend::Memory(buf) => *buf = BytesMut::from(frames.to_vec()),
             Backend::File { file, path } => {
                 durable::replace(path, &[&encode_header(base)[..], frames].concat())?;
                 *file = OpenOptions::new().read(true).append(true).open(&*path)?;

@@ -25,6 +25,8 @@ pub type Result<T> = std::result::Result<T, Error>;
 pub enum Error {
     /// A file id was not known to the service.
     FileNotFound(FileId),
+    /// A file already has a home ACG, so it cannot be bound to a new one.
+    FilePlaced(FileId),
     /// An ACG id was not known to the Master Node.
     AcgNotFound(AcgId),
     /// A named index does not exist in the targeted ACG.
@@ -86,6 +88,7 @@ impl fmt::Display for Error {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Error::FileNotFound(id) => write!(f, "file {id} not found"),
+            Error::FilePlaced(id) => write!(f, "file {id} is already placed in an acg"),
             Error::AcgNotFound(id) => write!(f, "access-causality graph {id} not found"),
             Error::IndexNotFound(name) => write!(f, "index {name:?} not found"),
             Error::IndexExists(name) => write!(f, "index {name:?} already exists"),
@@ -128,6 +131,7 @@ mod tests {
     fn display_messages_are_lowercase_without_trailing_punctuation() {
         let cases: Vec<Error> = vec![
             Error::FileNotFound(FileId::new(1)),
+            Error::FilePlaced(FileId::new(1)),
             Error::AcgNotFound(AcgId::new(2)),
             Error::IndexNotFound("size_idx".into()),
             Error::IndexExists("size_idx".into()),

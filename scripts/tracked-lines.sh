@@ -7,7 +7,7 @@
 # when the total is above CEILING. The count should only go down: a PR that
 # lowers it lowers CEILING to its result in the same change.
 set -eu
-CEILING=13835
+CEILING=13834
 cd "$(dirname "$0")/.."
 total=0
 for crate in query cluster index core; do
