@@ -11,6 +11,8 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use parking_lot::Mutex;
+
 use propeller_index::{FileRecord, IndexOp, IndexSpec};
 use propeller_obs::{
     names, Counter, Histogram, Lane, MetricsRegistry, NodeObs, OpenSpan, SpanKind, TraceContext,
@@ -160,6 +162,16 @@ impl RouteCache {
     }
 }
 
+/// The search fan-out plan a client keeps between searches (see
+/// [`FileQueryEngine::locate`]).
+struct Plan {
+    /// ACGs grouped by their full ordered replica set (primary first).
+    groups: Vec<(Vec<NodeId>, Vec<AcgId>)>,
+    /// The ACGs the plan places on each node, sorted: what a checked open
+    /// there expects.
+    placed: HashMap<NodeId, Vec<AcgId>>,
+}
+
 /// A client handle to a Propeller cluster.
 ///
 /// Cheap to create; each client keeps its own causality tracker and route
@@ -182,6 +194,9 @@ pub struct FileQueryEngine {
     /// Replica sets learned from `Resolved` responses (primary first) —
     /// the write path's replication fan-out.
     acg_replicas: HashMap<AcgId, Vec<NodeId>>,
+    /// The search plan kept across searches (`None` until the next search
+    /// locates one).
+    plan: Mutex<Option<Arc<Plan>>>,
     /// This client's observability bundle ([`Lane::Client`]).
     obs: Arc<NodeObs>,
     /// Trace one request in every `trace_every` (0 = never sample).
@@ -229,6 +244,7 @@ impl FileQueryEngine {
             client_id,
             search_page: None,
             acg_replicas: HashMap::new(),
+            plan: Mutex::new(None),
             obs,
             trace_every: 0,
             trace_seq: AtomicU64::new(0),
@@ -386,6 +402,11 @@ impl FileQueryEngine {
                     // Hints first: a `complete: false` hint clears the
                     // cache, and the fresh rows below must survive that.
                     self.apply_route_hints(hints);
+                    // A group this client never wrote to may be one its
+                    // plan lacks: the next search locates afresh.
+                    if replicas.iter().any(|(acg, _)| !self.acg_replicas.contains_key(acg)) {
+                        *self.plan.lock() = None;
+                    }
                     for (acg, set) in replicas {
                         self.acg_replicas.insert(acg, set);
                     }
@@ -588,25 +609,33 @@ impl FileQueryEngine {
     /// The search fan-out plan, from the Master: ACGs grouped by their
     /// **full ordered replica set** (primary first). Grouping by set —
     /// not by primary — matters because a node answers a search only for
-    /// the ACGs it actually hosts ([`Request::OpenSearch`] silently skips
-    /// unknown ones): every node in a group hosts *all* of the group's
-    /// ACGs, so a search for the group can be served, or failed over, to
-    /// any member wholesale. Groups are sorted for deterministic fan-out.
-    fn locate(&self) -> Result<Vec<(Vec<NodeId>, Vec<AcgId>)>> {
+    /// the ACGs it actually hosts (an unhosted ACG in
+    /// [`Request::OpenSearch`] adds nothing): every node in a group hosts
+    /// *all* of the group's ACGs, so a search for the group can be served,
+    /// or failed over, to any member wholesale. Groups are sorted for
+    /// deterministic fan-out. A plan with any group is kept for the
+    /// searches after this one, which check it at the Index Nodes instead
+    /// of asking the Master again (an empty plan opens nothing that could
+    /// carry the check).
+    fn locate(&self) -> Result<Arc<Plan>> {
         let located = match self.rpc.call(self.master, Request::LocateAcgs)? {
             Response::Located(rows) => rows,
             other => return Err(Error::Rpc(format!("unexpected response {other:?}"))),
         };
+        let mut placed: HashMap<NodeId, Vec<AcgId>> = HashMap::new();
         let mut by_set: HashMap<Vec<NodeId>, Vec<AcgId>> = HashMap::new();
         for (acg, replicas) in located {
+            replicas.iter().for_each(|&node| placed.entry(node).or_default().push(acg));
             by_set.entry(replicas).or_default().push(acg);
         }
         let mut groups: Vec<(Vec<NodeId>, Vec<AcgId>)> = by_set.into_iter().collect();
-        for (_, acgs) in &mut groups {
+        for acgs in groups.iter_mut().map(|(_, acgs)| acgs).chain(placed.values_mut()) {
             acgs.sort_unstable();
         }
         groups.sort();
-        Ok(groups)
+        let plan = Arc::new(Plan { groups, placed });
+        *self.plan.lock() = (!plan.groups.is_empty()).then(|| Arc::clone(&plan));
+        Ok(plan)
     }
 
     /// Runs a full [`SearchRequest`] against the cluster — the canonical
@@ -690,6 +719,14 @@ impl FileQueryEngine {
     /// page, then [`ClusterSearchStream::finish`] for the stats and
     /// completeness verdict.
     ///
+    /// A plan kept from an earlier search opens **checked**: each node is
+    /// told every ACG the plan places on it, and every Index Node no group
+    /// opens at gets an empty checked open. If any node refuses
+    /// ([`Error::StalePlacement`]) or an empty open goes unanswered (a
+    /// node that cannot be asked cannot vouch for the plan), the round's
+    /// sessions are closed and the round is redone once, unchecked, on a
+    /// plan located anew, under a [`SpanKind::RouteRetry`] span.
+    ///
     /// # Errors
     ///
     /// Fails on invalid requests, an unreachable Master, or (under
@@ -697,42 +734,79 @@ impl FileQueryEngine {
     /// member.
     pub fn open_search_stream(&self, request: &SearchRequest) -> Result<ClusterSearchStream> {
         request.validate()?;
-        let groups = self.locate()?;
         let ctx = self.sample();
         let now = self.clock.now();
         let root = self.obs.spans.begin(ctx, SpanKind::Request, now);
-        let (page, adaptive_max) = match self.search_page {
-            Some(page) => (page, None),
-            None => Self::default_paging(request.limit, groups.len()),
+        let fail = |root: OpenSpan, err: Error| {
+            if root.enabled() {
+                self.obs.spans.finish_with(root, self.clock.now(), format!("open failed: {err}"));
+            }
+            err
         };
-        let mut sources: Vec<NodePageStream> = groups
-            .into_iter()
-            .map(|(replicas, acgs)| NodePageStream {
-                rpc: self.rpc.clone(),
-                replicas,
-                current: 0,
-                acgs,
-                request: request.clone(),
-                client: self.client_id,
-                page,
-                adaptive_max,
-                now,
-                session: 0,
-                buffer: Vec::new().into_iter(),
-                exhausted: false,
-                resume: None,
-                yielded: 0,
-                reopens: 0,
-                stats: SearchStats::default(),
-                error: None,
-                ctx: root.ctx(),
-                obs: Arc::clone(&self.obs),
-                clock: Arc::clone(&self.clock),
-            })
-            .collect();
-        // Open one session per group in parallel; every open ships the
-        // first page, so cold groups are already done after this round.
-        open_sources(&mut sources, false);
+        let (mut kept, mut retry) = (self.plan.lock().clone(), None::<OpenSpan>);
+        let mut sources = loop {
+            let plan = match kept.clone().map_or_else(|| self.locate(), Ok) {
+                Ok(plan) => plan,
+                Err(err) => return Err(fail(root, err)),
+            };
+            let (page, adaptive_max) = match self.search_page {
+                Some(page) => (page, None),
+                None => Self::default_paging(request.limit, plan.groups.len()),
+            };
+            let mut sources: Vec<NodePageStream> = plan
+                .groups
+                .iter()
+                .map(|(replicas, acgs)| NodePageStream {
+                    rpc: self.rpc.clone(),
+                    replicas: replicas.clone(),
+                    current: 0,
+                    acgs: acgs.clone(),
+                    request: request.clone(),
+                    client: self.client_id,
+                    page,
+                    adaptive_max,
+                    now,
+                    session: 0,
+                    buffer: Vec::new().into_iter(),
+                    exhausted: false,
+                    resume: None,
+                    yielded: 0,
+                    reopens: 0,
+                    stats: SearchStats::default(),
+                    error: None,
+                    ctx: retry.as_ref().unwrap_or(&root).ctx(),
+                    obs: Arc::clone(&self.obs),
+                    clock: Arc::clone(&self.clock),
+                })
+                .collect();
+            let groups = sources.len();
+            for &node in self.index_nodes.iter().filter(|_| kept.is_some()) {
+                if !sources[..groups].iter().any(|source| source.replicas[0] == node) {
+                    let probe = NodePageStream {
+                        replicas: vec![node],
+                        acgs: Vec::new(),
+                        ..sources[0].clone()
+                    };
+                    sources.push(probe);
+                }
+            }
+            // Open one session per group in parallel; every open ships the
+            // first page, so cold groups are already done after this round.
+            open_sources(&mut sources, false, kept.as_deref());
+            let probes = sources.split_off(groups);
+            let stale = |s: &NodePageStream| matches!(s.error, Some(Error::StalePlacement { .. }));
+            if kept.is_none()
+                || !sources.iter().any(stale) && probes.iter().all(|p| p.error.is_none())
+            {
+                break sources;
+            }
+            close_sessions(&sources);
+            kept = None;
+            retry = Some(self.obs.spans.begin(root.ctx(), SpanKind::RouteRetry, self.clock.now()));
+        };
+        if let Some(retry) = retry.filter(OpenSpan::enabled) {
+            self.obs.spans.finish_with(retry, self.clock.now(), "stale plan relocated".into());
+        }
         if matches!(request.fan_out, FanOutPolicy::RequireAll) {
             if let Some(failed) = sources.iter_mut().find(|s| s.error.is_some()) {
                 let err = failed.error.take().expect("just matched");
@@ -740,11 +814,7 @@ impl FileQueryEngine {
                 // the search, so no suspended session is left to squat a
                 // table slot until LRU eviction.
                 close_sessions(&sources);
-                if root.enabled() {
-                    let detail = format!("open failed: {err}");
-                    self.obs.spans.finish_with(root, self.clock.now(), detail);
-                }
-                return Err(err);
+                return Err(fail(root, err));
             }
         }
         // Groups whose every replica refused the open stay in the stream
@@ -834,11 +904,13 @@ impl FileQueryEngine {
     }
 
     /// Binds `files` to a fresh ACG at the Master (placement computed out
-    /// of band) and drops their cached routes, so the next batch resolves
-    /// to the group. Fails if the Master cannot place it, and with
-    /// [`Error::FilePlaced`] if any file already has a home.
+    /// of band) and drops their cached routes and the search plan, so the
+    /// next batch resolves to the group and the next search finds it.
+    /// Fails if the Master cannot place it, and with [`Error::FilePlaced`]
+    /// if any file already has a home.
     pub fn bind_group(&mut self, files: &[FileId]) -> Result<AcgId> {
         files.iter().for_each(|file| self.route_cache.remove(file));
+        *self.plan.lock() = None;
         let bind = Request::BindFiles { files: files.to_vec() };
         match self.rpc.call(self.master, bind)?.into_result()? {
             Response::AcgAllocated(acg, _) => Ok(acg),
@@ -924,6 +996,7 @@ impl FileQueryEngine {
 /// replica is dead the error parks in `error` (the stream ends) and the
 /// caller applies the fan-out policy afterwards. An expired session
 /// (evicted by the node) reopens transparently on the same node.
+#[derive(Clone)]
 struct NodePageStream {
     rpc: Rpc,
     /// The group's full ordered replica set (primary first).
@@ -969,13 +1042,16 @@ struct NodePageStream {
 /// (`counts_as_failover`) — on **one** gather driven by the calling
 /// thread. Every source's open leaves at once for its `current` replica;
 /// a `SearchPage` settles the source, and a failed open sends it on to
-/// its next replica, or parks the error when none is left.
-fn open_sources(sources: &mut [NodePageStream], counts_as_failover: bool) {
+/// its next replica, or parks the error when none is left. Opens checked
+/// against `plan` carry what it places on each node; a node's
+/// [`Error::StalePlacement`] is parked at once, for the caller to
+/// relocate.
+fn open_sources(sources: &mut [NodePageStream], counts_as_failover: bool, plan: Option<&Plan>) {
     let Some(first) = sources.first() else { return };
     let mut gather = first.rpc.gather();
     // Per source: the gather slot and Open span of its attempt under way.
     let mut opening: Vec<Option<(usize, OpenSpan)>> =
-        sources.iter_mut().map(|source| source.begin_open(&mut gather)).collect();
+        sources.iter_mut().map(|source| source.begin_open(&mut gather, plan)).collect();
     while let Some((slot, reply)) = gather.next() {
         let i = opening
             .iter()
@@ -998,9 +1074,12 @@ fn open_sources(sources: &mut [NodePageStream], counts_as_failover: bool) {
                     Err(e) => e,
                 };
                 source.finish_span(open, || format!("{node} unreachable: {err}"));
+                let stale = matches!(err, Error::StalePlacement { .. });
                 source.error = Some(err);
-                source.current += 1;
-                opening[i] = source.begin_open(&mut gather);
+                if !stale {
+                    source.current += 1;
+                    opening[i] = source.begin_open(&mut gather, plan);
+                }
             }
         }
     }
@@ -1031,8 +1110,9 @@ fn close_sessions<'a>(sources: impl IntoIterator<Item = &'a NodePageStream>) -> 
 impl NodePageStream {
     /// The open request resuming after the last yielded hit, asking only
     /// for the remaining entitlement. `ctx` is the span the node's
-    /// service spans should hang under (the Open attempt).
-    fn open_request(&self, ctx: TraceContext) -> Request {
+    /// service spans should hang under (the Open attempt); `expect` is
+    /// what the checked plan places on the node.
+    fn open_request(&self, ctx: TraceContext, expect: Option<Vec<AcgId>>) -> Request {
         let mut request = self.request.clone();
         if let Some(resume) = &self.resume {
             request.cursor = Some(resume.clone());
@@ -1040,6 +1120,7 @@ impl NodePageStream {
         request.limit = request.limit.map(|k| k.saturating_sub(self.yielded));
         Request::OpenSearch {
             acgs: self.acgs.clone(),
+            expect,
             request,
             client: self.client,
             page: self.page,
@@ -1051,13 +1132,18 @@ impl NodePageStream {
     /// Sends the open to the `current` replica, returning its gather slot
     /// and Open span. Past the last replica the error is parked and
     /// nothing is sent.
-    fn begin_open(&mut self, gather: &mut Gather) -> Option<(usize, OpenSpan)> {
+    fn begin_open(
+        &mut self,
+        gather: &mut Gather,
+        plan: Option<&Plan>,
+    ) -> Option<(usize, OpenSpan)> {
         let Some(&node) = self.replicas.get(self.current) else {
             self.error.get_or_insert_with(|| Error::Rpc("no live replica".to_string()));
             return None;
         };
         let open = self.obs.spans.begin(self.ctx, SpanKind::Open, self.clock.now());
-        Some((gather.send(node, self.open_request(open.ctx())), open))
+        let expect = plan.map(|plan| plan.placed.get(&node).cloned().unwrap_or_default());
+        Some((gather.send(node, self.open_request(open.ctx(), expect)), open))
     }
 
     /// Finishes a client-side span now, if it records anything. The
@@ -1116,7 +1202,7 @@ impl Iterator for NodePageStream {
                     self.finish_span(Some(span), || format!("{node} session expired, reopening"));
                     self.reopens += 1;
                     self.session = 0;
-                    open_sources(std::slice::from_mut(self), false);
+                    open_sources(std::slice::from_mut(self), false, None);
                     if self.error.is_some() {
                         return None;
                     }
@@ -1136,7 +1222,7 @@ impl Iterator for NodePageStream {
                     });
                     self.current += 1;
                     self.session = 0;
-                    open_sources(std::slice::from_mut(self), true);
+                    open_sources(std::slice::from_mut(self), true, None);
                     if self.error.is_some() {
                         return None;
                     }

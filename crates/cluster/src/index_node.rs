@@ -852,7 +852,15 @@ impl IndexNode {
                     |_, SessionPage { hits, stats, .. }| Response::SearchHits { hits, stats };
                 self.open_search(acgs, request, 0, usize::MAX, now, ctx, whole, reply);
             }
-            Request::OpenSearch { acgs, request, client, page, now, ctx } => {
+            Request::OpenSearch { acgs, expect, request, client, page, now, ctx } => {
+                if let Some(acg) = expect.and_then(|expect| self.unplanned(&expect)) {
+                    return reply(Response::Err(Error::StalePlacement { node: self.id, acg }));
+                }
+                if acgs.is_empty() {
+                    // A bare plan check: there is nothing to search.
+                    let (session, hits, stats) = (0, Vec::new(), SearchStats::default());
+                    return reply(Response::SearchPage { session, hits, stats, exhausted: true });
+                }
                 let first = |session, SessionPage { hits, stats, exhausted }| {
                     Response::SearchPage { session, hits, stats, exhausted }
                 };
@@ -896,6 +904,16 @@ impl IndexNode {
             }
             other => reply(self.handle_sync(other)),
         }
+    }
+
+    /// A hosted ACG with files that `expect`, a client's sorted plan for
+    /// this node, does not list. A group with files appears here only
+    /// after the Master placed it, so a plan that misses one is stale.
+    fn unplanned(&self, expect: &[AcgId]) -> Option<AcgId> {
+        let mut hosted = self.groups.iter();
+        hosted
+            .find(|(acg, g)| expect.binary_search(acg).is_err() && g.projected_len() > 0)
+            .map(|(&acg, _)| acg)
     }
 
     /// Serves `Search` and `OpenSearch`: the commit-before-search prefix
@@ -1326,11 +1344,6 @@ impl IndexNode {
                 Response::Metrics(Box::new(self.obs.metrics.snapshot()))
             }
             Request::DumpSlowQueries => Response::SlowQueries(self.obs.slow.dump()),
-            Request::Heartbeat { .. } => {
-                // The runtime turns our summaries into the heartbeat; an
-                // inbound Heartbeat is a protocol error.
-                Response::Err(Error::Rpc("index node does not accept heartbeats".into()))
-            }
             other => Response::Err(Error::Rpc(format!("index node cannot handle {other:?}"))),
         }
     }
@@ -1982,6 +1995,7 @@ mod tests {
     ) -> (u64, Vec<Hit>, SearchStats, bool) {
         match n.handle(Request::OpenSearch {
             acgs: (1..=acgs).map(AcgId::new).collect(),
+            expect: None,
             request: request.clone(),
             client,
             page,
@@ -2769,6 +2783,7 @@ mod tests {
         let mut n = seeded();
         let (session, mut all, _, mut exhausted) = match n.handle(Request::OpenSearch {
             acgs: (1..=3).map(AcgId::new).collect(),
+            expect: None,
             request: request.clone(),
             client: 1,
             page: 7,

@@ -83,7 +83,8 @@ pub enum Request {
         /// ([`TraceContext::NONE`] when unsampled).
         ctx: TraceContext,
     },
-    /// List every ACG and its owning Index Node (search fan-out set).
+    /// List every ACG and its replica set: the search fan-out plan a
+    /// client caches.
     LocateAcgs,
     /// Register a user-defined index cluster-wide.
     CreateIndex {
@@ -245,9 +246,19 @@ pub enum Request {
     /// ordered streams between pulls, so the client's cluster-wide merge
     /// can stop pulling this node as soon as its hits provably sort after
     /// the global top-k.
+    ///
+    /// An ACG in `acgs` the node does not host adds nothing. With `expect`
+    /// set, the node first checks the client's cached plan against what
+    /// it hosts: any hosted ACG with files that `expect` does not list is
+    /// refused with [`Error::StalePlacement`] before anything is pinned.
+    /// An open with no `acgs` is only that check: it answers an empty,
+    /// exhausted page.
     OpenSearch {
         /// ACGs hosted on this node to search.
         acgs: Vec<AcgId>,
+        /// Every ACG the client's plan places on this node, sorted; `None`
+        /// opens unchecked.
+        expect: Option<Vec<AcgId>>,
         /// The full search request.
         request: SearchRequest,
         /// The opening client (per-client session caps key off this).

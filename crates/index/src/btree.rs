@@ -6,11 +6,13 @@
 //! B+-tree. Inserts split full nodes top-down on the way to the leaf: in
 //! the middle, or after all but the last entry when the key sorts after
 //! every key of the node, so an ascending run (file ids, fresh mtimes)
-//! leaves full leaves behind it, not half-empty ones. Deletes are lazy: an
-//! entry leaves its leaf, but nodes are never merged, so emptied leaves
-//! stay with their separators. That keeps search correct and the code
-//! free of rebalancing corner cases; the index group removes a value's
-//! entry with its last file, so a churned tree holds no dead entries.
+//! leaves full leaves behind it, not half-empty ones. Deletes never
+//! merge or rebalance: an entry leaves its leaf, and a node the delete
+//! empties — leaf or internal — is unlinked from its parent together with
+//! one adjacent separator, and a root left with one child hands over to
+//! it. Underfull nodes stay, but no empty one does, so a churned tree
+//! (the index group removes a value's entry with its last file) holds
+//! neither dead entries nor dead leaves.
 //!
 //! ## Persistence (structural sharing)
 //!
@@ -51,7 +53,7 @@ impl<K: Ord + Clone, V> Node<K, V> {
 /// An ordered map backed by a from-scratch B+-tree.
 ///
 /// Supports point lookups, ordered range scans over arbitrary
-/// [`Bound`]s, replacement inserts and lazy removal.
+/// [`Bound`]s, replacement inserts and removal.
 ///
 /// # Examples
 ///
@@ -272,29 +274,52 @@ impl<K: Ord + Clone, V: Clone> BPlusTree<K, V> {
         }
     }
 
-    /// Removes `key`, returning its value. Lazy: leaves may become
-    /// underfull, but lookups and scans stay correct.
+    /// Removes `key`, returning its value. Nodes left empty are unlinked
+    /// (see the module doc); lookups and scans stay correct.
     pub fn remove<Q>(&mut self, key: &Q) -> Option<V>
     where
         K: std::borrow::Borrow<Q>,
         Q: Ord + ?Sized,
     {
-        let mut node = Arc::make_mut(&mut self.root);
-        let removed = loop {
-            match node {
-                Node::Leaf { keys, vals } => {
-                    let i = keys.binary_search_by(|x| x.borrow().cmp(key)).ok()?;
-                    keys.remove(i);
-                    break vals.remove(i);
-                }
-                Node::Internal { seps, children } => {
-                    let i = seps.partition_point(|sep| sep.borrow() <= key);
-                    node = Arc::make_mut(&mut children[i]);
-                }
-            }
-        };
+        let (removed, _) = Self::remove_below(Arc::make_mut(&mut self.root), key)?;
         self.len -= 1;
+        while let Node::Internal { children, .. } = self.root.as_ref() {
+            self.root = match children.as_slice() {
+                [] => Arc::new(Node::new_leaf()),
+                [only] => Arc::clone(only),
+                _ => break,
+            };
+        }
         Some(removed)
+    }
+
+    /// Removes `key` below `node`, returning its value and whether `node`
+    /// is left empty. A child the removal empties leaves with the
+    /// separator before it (after it, for the first child): the
+    /// neighbour's key range widens over a range that holds no key.
+    fn remove_below<Q>(node: &mut Node<K, V>, key: &Q) -> Option<(V, bool)>
+    where
+        K: std::borrow::Borrow<Q>,
+        Q: Ord + ?Sized,
+    {
+        match node {
+            Node::Leaf { keys, vals } => {
+                let i = keys.binary_search_by(|x| x.borrow().cmp(key)).ok()?;
+                keys.remove(i);
+                Some((vals.remove(i), keys.is_empty()))
+            }
+            Node::Internal { seps, children } => {
+                let i = seps.partition_point(|sep| sep.borrow() <= key);
+                let (removed, emptied) = Self::remove_below(Arc::make_mut(&mut children[i]), key)?;
+                if emptied {
+                    children.remove(i);
+                    if !seps.is_empty() {
+                        seps.remove(i.saturating_sub(1));
+                    }
+                }
+                Some((removed, children.is_empty()))
+            }
+        }
     }
 }
 
@@ -311,7 +336,8 @@ pub struct LeafCursor<'a, K, V> {
     vals: &'a [V],
     /// The current leaf holds exactly the tree's keys in `[lo, hi)`
     /// (`None` = unbounded): the tightest separators on the path to it.
-    /// Lazy deletion empties leaves but never moves a separator.
+    /// The cursor borrows the tree, so no removal can unlink a leaf or
+    /// drop a separator under it.
     lo: Option<&'a K>,
     hi: Option<&'a K>,
 }
@@ -887,6 +913,36 @@ mod tests {
         let mut out = Vec::new();
         walk(&tree.root, &mut out);
         out
+    }
+
+    #[test]
+    fn removals_unlink_the_leaves_they_empty() {
+        let mut t = BPlusTree::new();
+        let mut model = BTreeMap::new();
+        for i in 0..10_000u32 {
+            t.insert(i, i);
+            model.insert(i, i);
+        }
+        let pinned = t.clone();
+        for i in (0..10_000u32).filter(|i| !(5_000..5_010).contains(i)) {
+            assert_eq!(t.remove(&i), model.remove(&i));
+        }
+        assert!(leaf_sizes(&t).len() <= 2, "{} leaves left for 10 keys", leaf_sizes(&t).len());
+        assert_eq!(t.len(), 10);
+        for (lo, hi) in [(0, 10_000), (5_003, 5_007), (5_009, 9_000), (0, 5_001)] {
+            let got: Vec<u32> = t.range(lo..hi).map(|(k, _)| *k).collect();
+            assert_eq!(got, model.range(lo..hi).map(|(k, _)| *k).collect::<Vec<_>>());
+            let rev: Vec<u32> = t.range_rev(lo..hi).map(|(k, _)| *k).collect();
+            assert_eq!(rev, model.range(lo..hi).rev().map(|(k, _)| *k).collect::<Vec<_>>());
+        }
+        assert_eq!(pinned.len(), 10_000, "a clone taken before the removals reads unchanged");
+        assert_eq!(pinned.iter().count(), 10_000);
+        for i in 5_000..5_010u32 {
+            t.remove(&i);
+        }
+        assert!(t.is_empty() && t.depth() == 1 && t.iter().next().is_none());
+        t.insert(3, 3);
+        assert_eq!(t.get(&3), Some(&3));
     }
 
     #[test]

@@ -446,8 +446,8 @@ pub struct InvertedIndex {
 }
 
 /// Content equality (what the tests' "empty again" style assertions
-/// need): the underlying trees may differ structurally after a lazy
-/// removal even when they hold identical entries, so equality walks the
+/// need): the underlying trees may differ structurally after a removal
+/// even when they hold identical entries, so equality walks the
 /// sorted entry streams instead of deriving off the tree shape.
 impl PartialEq for InvertedIndex {
     fn eq(&self, other: &Self) -> bool {

@@ -73,6 +73,8 @@ pub mod names {
     pub const SLOW_QUERIES: &str = "slow_queries";
     /// Master-side file-route resolves served.
     pub const RESOLVES_SERVED: &str = "resolves_served";
+    /// Master-side search plans served (`LocateAcgs`).
+    pub const LOCATES_SERVED: &str = "locates_served";
     /// Client-side end-to-end search latency (request to last hit), µs.
     pub const CLIENT_SEARCH_LATENCY: &str = "client_search_latency_us";
 }

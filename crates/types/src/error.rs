@@ -44,6 +44,15 @@ pub enum Error {
         /// The file whose route moved.
         file: FileId,
     },
+    /// An Index Node hosts an ACG with files that the client's cached
+    /// search plan does not place on it. Locating again through the
+    /// Master recovers.
+    StalePlacement {
+        /// The refusing node.
+        node: NodeId,
+        /// An ACG the plan is missing there.
+        acg: AcgId,
+    },
     /// A cluster-wide index broadcast reached only part of the cluster;
     /// the registration was rolled back.
     PartialIndexBroadcast {
@@ -96,6 +105,9 @@ impl fmt::Display for Error {
             Error::StaleRoute { acg, file } => {
                 write!(f, "stale route: file {file} no longer lives in {acg}")
             }
+            Error::StalePlacement { node, acg } => {
+                write!(f, "stale placement: {node} hosts {acg} outside the search plan")
+            }
             Error::PartialIndexBroadcast { index, missed } => {
                 write!(f, "index {index:?} missed nodes {missed:?}; registration rolled back")
             }
@@ -137,6 +149,7 @@ mod tests {
             Error::IndexExists("size_idx".into()),
             Error::NodeUnavailable(NodeId::new(3)),
             Error::StaleRoute { acg: AcgId::new(4), file: FileId::new(5) },
+            Error::StalePlacement { node: NodeId::new(3), acg: AcgId::new(4) },
             Error::PartialIndexBroadcast { index: "uid_idx".into(), missed: vec![NodeId::new(2)] },
             Error::SearchSessionExpired { session: 6 },
             Error::InvalidQuery("dangling operator".into()),

@@ -383,6 +383,7 @@ fn resumed_search_session_survives_node_revival_without_losing_hits() {
     // Open a streamed session, pull one page, then crash the node.
     let open = Request::OpenSearch {
         acgs: acgs.clone(),
+        expect: None,
         request: request.clone(),
         client: 1,
         page: 15,
@@ -419,6 +420,7 @@ fn resumed_search_session_survives_node_revival_without_losing_hits() {
     let mut all: Vec<Hit> = first;
     let reopen = Request::OpenSearch {
         acgs: acgs.clone(),
+        expect: None,
         request: resume,
         client: 1,
         page: 15,

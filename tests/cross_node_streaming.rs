@@ -279,6 +279,7 @@ fn session_eviction_thrash_is_transparent_to_the_client() {
                 let node = targets[(i % targets.len() as u64) as usize];
                 let open = Request::OpenSearch {
                     acgs: (1..=8).map(propeller::types::AcgId::new).collect(),
+                    expect: None,
                     request: SearchRequest::parse("size>0", now())
                         .unwrap()
                         .with_limit(40)
@@ -334,6 +335,7 @@ fn split_during_pull_keeps_pages_sorted_and_duplicate_free() {
     // Open a session with small pages and pull once.
     let open = Request::OpenSearch {
         acgs: acgs.clone(),
+        expect: None,
         request: SearchRequest::parse("size>0", now())
             .unwrap()
             .with_limit(200)

@@ -216,6 +216,7 @@ fn commit_and_search_hammers_race_without_torn_reads() {
                                 &tx,
                                 Request::OpenSearch {
                                     acgs: all_acgs.clone(),
+                                    expect: None,
                                     request: request.clone(),
                                     client: s,
                                     page: 64,
@@ -402,6 +403,7 @@ proptest! {
 
             let (mut session, mut pages, mut exhausted) = match call(&tx, Request::OpenSearch {
                 acgs: vec![acg],
+                expect: None,
                 request: request.clone(),
                 client: 7,
                 page: 3,
